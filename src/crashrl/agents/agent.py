@@ -56,6 +56,15 @@ def config_hash(cfg: AgentConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _parse_int(path, lineno: int, field: str, token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(
+            f"{path}: line {lineno}: {field} must be an integer, got {token!r}"
+        ) from None
+
+
 class Agent:
     """One algorithm's actors, critics, targets, and optimizer state."""
 
@@ -88,10 +97,12 @@ class Agent:
         )
         self.target_critics = [p.copy() for p in self.critics]
         self.actor_adam: list[AdamState] = [
-            init_adam(p, alpha=cfg.actor_lr) for p in self.actors
+            init_adam(p, alpha=cfg.actor_lr, name=f"actor_{j}")
+            for j, p in enumerate(self.actors)
         ]
         self.critic_adam: list[AdamState] = [
-            init_adam(p, alpha=cfg.critic_lr) for p in self.critics
+            init_adam(p, alpha=cfg.critic_lr, name=f"critic_{i}")
+            for i, p in enumerate(self.critics)
         ]
         self.rng = np.random.default_rng(child_seed[4])
         self.total_env_steps = 0
@@ -185,11 +196,18 @@ class Agent:
         if len(header) != 7 or header[0] != CHECKPOINT_TAG:
             raise ValueError(f"{path}: line 1: malformed {CHECKPOINT_TAG} header")
         algo, _hash = header[1], header[2]
-        env_steps, update_count, obs_dim, n_sections = (int(t) for t in header[3:7])
+        env_steps, update_count, obs_dim, n_sections = (
+            _parse_int(path, 1, field, token)
+            for field, token in zip(
+                ("env_steps", "update_count", "obs_dim", "n_sections"), header[3:7]
+            )
+        )
         if algo != cfg.algo:
             raise ValueError(
                 f"{path}: checkpoint algo {algo!r} does not match configured {cfg.algo!r}"
             )
+        if obs_dim < 1:
+            raise ValueError(f"{path}: line 1: obs_dim must be >= 1, got {obs_dim}")
         agent = cls(cfg, obs_dim, seed=0)
         expected = dict(agent._sections())
         if n_sections != len(expected):
@@ -202,7 +220,10 @@ class Agent:
         while i < len(lines):
             if not lines[i].startswith("SECTION "):
                 raise ValueError(f"{path}: line {i + 1}: expected SECTION marker")
-            name = lines[i].split(maxsplit=1)[1]
+            marker = lines[i].split(maxsplit=1)
+            if len(marker) != 2:
+                raise ValueError(f"{path}: line {i + 1}: SECTION marker without a name")
+            name = marker[1]
             if name not in expected:
                 raise ValueError(f"{path}: line {i + 1}: unknown section {name!r}")
             header_line = lines[i + 1].split() if i + 1 < len(lines) else []
@@ -210,9 +231,14 @@ class Agent:
                 raise ValueError(
                     f"{path}: line {i + 2}: expected an NKP1 parameter record"
                 )
-            count = int(header_line[1])
+            count = _parse_int(path, i + 2, "NKP1 tensor count", header_line[1])
+            if count < 0:
+                raise ValueError(f"{path}: line {i + 2}: negative NKP1 tensor count {count}")
             block = "\n".join(lines[i + 1 : i + 2 + count])
-            loaded[name] = decode_params(block, offset=i + 1)
+            try:
+                loaded[name] = decode_params(block, offset=i + 1)
+            except ValueError as exc:
+                raise ValueError(f"{path}: section {name}: {exc}") from exc
             i += 2 + count
         missing = sorted(set(expected) - set(loaded))
         if missing:

@@ -6,6 +6,11 @@ two critics together. Actors ascend their paired critic (DARC trains actor j
 against critic j); SAC ascends min_i Q_i - alpha * log pi with the
 reparameterization trick. After every actor phase all targets are Polyak-
 updated with rate tau.
+
+Each phase backpropagates only into the parameters it updates (the critics'
+in the critic phase, the actor's in the actor phase): no gradient is formed
+for observations, targets, or the critics an actor ascends. Adam and the
+Polyak sync then update each network's flat parameter vector in place.
 """
 
 from __future__ import annotations
@@ -15,30 +20,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..env.mdp import DualAction
-from ..numkit import ParamSet, Tensor, adam_step, lift_params, mlp_graph, soft_update
+from ..numkit import adam_step, flat_grads, lift_params, mlp_graph, soft_update
 from ..numkit import autodiff as ad
 from .agent import LOG_STD_MAX, LOG_STD_MIN, Agent
 from .replay import ACTION_DIM, Batch, ReplayBuffer, Transition
 from .targets import LOG_TWO_PI, compute_targets
 
 
-def _collect_grads(param_nodes: dict, template: ParamSet) -> ParamSet:
-    items = []
-    for name, tensor in template:
-        grad = param_nodes[name].grad
-        items.append((name, Tensor.zeros(tensor.shape) if grad is None else Tensor(grad)))
-    return ParamSet(items)
-
-
 def _squash01_node(t: ad.Node) -> ad.Node:
     return ad.scale(ad.add_const(t, 1.0), 0.5)
 
 
-def critic_update(agent: Agent, batch: Batch, targets: np.ndarray | None = None) -> dict[str, float]:
-    """One Adam step per critic against the TD target; returns scalar losses."""
+def _critic_loss(agent: Agent, batch: Batch, targets: np.ndarray):
+    """Graph for the summed critic losses, plus DARC's nu-weighted coupling.
+
+    Returns the loss node, each critic's parameter leaves, each critic's MSE
+    node, and the coupling term's value (0.0 when it is off).
+    """
     cfg = agent.cfg
-    if targets is None:
-        targets = compute_targets(batch, agent)
     s = ad.lift(batch.s)
     a = ad.lift(batch.action)
     x = ad.concat_cols(s, a)
@@ -56,14 +55,20 @@ def critic_update(agent: Agent, batch: Batch, targets: np.ndarray | None = None)
         reg = ad.mean_all(ad.square(ad.sub(q[0], q[1])))
         reg_value = float(reg.value)
         loss = ad.add(loss, ad.scale(reg, cfg.nu))
-    ad.backprop(loss, 1.0)
+    return loss, critic_nodes, mse, reg_value
+
+
+def critic_update(agent: Agent, batch: Batch, targets: np.ndarray | None = None) -> dict[str, float]:
+    """One Adam step per critic against the TD target; returns scalar losses."""
+    cfg = agent.cfg
+    if targets is None:
+        targets = compute_targets(batch, agent)
+    loss, critic_nodes, mse, reg_value = _critic_loss(agent, batch, targets)
+    ad.backprop(loss, 1.0, [leaf for nodes in critic_nodes for leaf in nodes.values()])
 
     losses: dict[str, float] = {}
     for i, nodes in enumerate(critic_nodes):
-        grads = _collect_grads(nodes, agent.critics[i])
-        agent.critics[i], agent.critic_adam[i] = adam_step(
-            agent.critics[i], grads, agent.critic_adam[i]
-        )
+        adam_step(agent.critics[i], flat_grads(nodes), agent.critic_adam[i])
         losses[f"critic_{i}"] = float(mse[i].value) + cfg.nu * reg_value
     if cfg.algo == "darc":
         losses["critic_reg"] = reg_value
@@ -72,7 +77,7 @@ def critic_update(agent: Agent, batch: Batch, targets: np.ndarray | None = None)
 
 
 def _det_actor_loss(agent: Agent, batch: Batch, actor_idx: int, critic_idx: int):
-    """Graph for -mean Q_critic(s, pi_actor(s)); critic gradients are discarded."""
+    """Graph for -mean Q_critic(s, pi_actor(s)) and the actor's parameter leaves."""
     s = ad.lift(batch.s)
     actor_nodes = lift_params(agent.actors[actor_idx])
     action = _squash01_node(mlp_graph(actor_nodes, agent.actor_spec, s))
@@ -109,14 +114,10 @@ def _sac_actor_loss(agent: Agent, batch: Batch):
 
 def _sync_targets(agent: Agent) -> None:
     tau = agent.cfg.tau
-    agent.target_actors = [
+    for target, online in zip(agent.target_actors, agent.actors):
         soft_update(target, online, tau)
-        for target, online in zip(agent.target_actors, agent.actors)
-    ]
-    agent.target_critics = [
+    for target, online in zip(agent.target_critics, agent.critics):
         soft_update(target, online, tau)
-        for target, online in zip(agent.target_critics, agent.critics)
-    ]
 
 
 def actor_update(agent: Agent, batch: Batch) -> dict[str, float]:
@@ -134,20 +135,16 @@ def actor_update(agent: Agent, batch: Batch) -> dict[str, float]:
     losses: dict[str, float] = {}
     if cfg.algo == "sac":
         loss, actor_nodes = _sac_actor_loss(agent, batch)
-        ad.backprop(loss, 1.0)
-        grads = _collect_grads(actor_nodes, agent.actors[0])
-        agent.actors[0], agent.actor_adam[0] = adam_step(
-            agent.actors[0], grads, agent.actor_adam[0]
-        )
+        ad.backprop(loss, 1.0, list(actor_nodes.values()))
+        adam_step(agent.actors[0], flat_grads(actor_nodes), agent.actor_adam[0])
         losses["actor_0"] = float(loss.value)
     else:
         pairs = [(0, 0)] if cfg.algo in ("ddpg", "td3") else [(0, 0), (1, 1)]
         for actor_idx, critic_idx in pairs:
             loss, actor_nodes = _det_actor_loss(agent, batch, actor_idx, critic_idx)
-            ad.backprop(loss, 1.0)
-            grads = _collect_grads(actor_nodes, agent.actors[actor_idx])
-            agent.actors[actor_idx], agent.actor_adam[actor_idx] = adam_step(
-                agent.actors[actor_idx], grads, agent.actor_adam[actor_idx]
+            ad.backprop(loss, 1.0, list(actor_nodes.values()))
+            adam_step(
+                agent.actors[actor_idx], flat_grads(actor_nodes), agent.actor_adam[actor_idx]
             )
             losses[f"actor_{actor_idx}"] = float(loss.value)
     _sync_targets(agent)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-FIXATION_WINDOWS = ("after_accident", "before_accident")
+from .config import FIXATION_WINDOWS
 
 
 def accident_weight(t: int, t_a: int) -> float:

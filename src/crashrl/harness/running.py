@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -181,23 +182,27 @@ class ConstantScoreAgent:
         return DualAction(self.score, (0.5, 0.5))
 
 
-def _episode_return(agent: Agent, episode: Episode, cfg: RunConfig) -> float:
-    env = AccidentEnv(episode, cfg.env)
-    obs = env.reset()
-    total = 0.0
-    while not env.done:
-        action = agent.select_action(obs, mode="eval")
-        result = env.step(action)
-        total += (
-            cfg.agent.reward_weight_accident * result.r_A
-            + cfg.agent.reward_weight_fixation * result.r_F
-        )
-        obs = result.next_obs
-    return total
+def _mean_return(records, cfg: RunConfig) -> float:
+    """Mean over episodes of the weighted return w_A * r_A + w_F * r_F.
 
-
-def _mean_eval_return(agent: Agent, episodes, cfg: RunConfig) -> float:
-    return float(np.mean([_episode_return(agent, ep, cfg) for ep in episodes]))
+    ``records`` are consecutive per episode, as ``collect_records`` emits
+    them. Rewards are recomputed exactly as ``AccidentEnv.step`` computes
+    them and summed in step order.
+    """
+    env_cfg = cfg.env
+    w_a = cfg.agent.reward_weight_accident
+    w_f = cfg.agent.reward_weight_fixation
+    totals = []
+    for _episode_id, episode_records in itertools.groupby(records, lambda r: r.episode_id):
+        total = 0.0
+        for rec in episode_records:
+            r_a = reward_accident(rec.score, env_cfg.a_0, rec.y, rec.t, rec.t_a)
+            r_f = reward_fixation(
+                rec.p_hat, rec.p, rec.t, rec.t_a, env_cfg.eta, env_cfg.fixation_window
+            )
+            total += w_a * r_a + w_f * r_f
+        totals.append(total)
+    return float(np.mean(totals))
 
 
 def export_traces(records, out_dir, env_cfg) -> list[str]:
@@ -229,6 +234,17 @@ def export_traces(records, out_dir, env_cfg) -> list[str]:
     return paths
 
 
+def _require_both_classes(eval_set, seed: int) -> None:
+    """The report needs a positive and a negative held-out episode; check first."""
+    labels = {ep.y for ep in eval_set}
+    missing = [name for y, name in ((1, "positive"), (0, "negative")) if y not in labels]
+    if missing:
+        raise ConfigError(
+            f"seed {seed}: the held-out set of {len(eval_set)} episodes has no "
+            f"{' or '.join(missing)} episode; AUC and recall need both classes"
+        )
+
+
 def _write_curve(curve, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("epoch,mean_eval_reward\n")
@@ -247,6 +263,7 @@ def run_training(cfg: RunConfig) -> RunArtifacts:
     for seed in cfg.seeds:
         source = _EpisodeSource(cfg, seed)
         eval_set = source.eval_set()
+        _require_both_classes(eval_set, seed)
         seed_fingerprints.append(eval_fingerprint(eval_set))
         obs_dim = cfg.env.obs_dim
         agent = Agent(cfg.agent, obs_dim, seed + AGENT_SEED_OFFSET)
@@ -263,14 +280,15 @@ def run_training(cfg: RunConfig) -> RunArtifacts:
                 while not env.done:
                     train_step(agent, env, buffer)
             if epoch % CURVE_EVERY_EPOCHS == 0 or epoch == cfg.epochs:
-                curve.append((epoch, _mean_eval_return(agent, eval_set, cfg)))
+                # The last epoch always lands here; its records feed the report.
+                records = collect_records(agent_policy(agent), eval_set, cfg)
+                curve.append((epoch, _mean_return(records, cfg)))
 
         seed_dir = os.path.join(algo_dir, f"seed_{seed}")
         os.makedirs(seed_dir, exist_ok=True)
         checkpoint_path = os.path.join(seed_dir, "checkpoint.txt")
         agent.save(checkpoint_path)
 
-        records = collect_records(agent_policy(agent), eval_set, cfg)
         report = compile_report(
             records, cfg.env.a_0, window=cfg.env.fixation_window
         )

@@ -1,13 +1,18 @@
-"""Minimal dense-tensor math: reverse-mode autodiff, MLPs, Adam, Polyak updates."""
+"""Minimal dense-tensor math: reverse-mode autodiff, MLPs, Adam, Polyak updates.
+
+Each network's parameters live in one flat float64 vector (``ParamSet.flat``)
+with named tensor views; Adam and Polyak updates run in place on it, and
+backprop can be pruned to the leaves whose gradients are wanted.
+"""
 
 from . import autodiff
 from .mlp import (
     FD_STEP,
-    Gradients,
     MlpSpec,
     RELU_KINK_MARGIN,
     Tape,
     backward,
+    flat_grads,
     gradient_check,
     init_params,
     lift_params,
@@ -32,7 +37,6 @@ __all__ = [
     "AdamState",
     "FD_STEP",
     "FORMAT_TAG",
-    "Gradients",
     "MlpSpec",
     "ParamSet",
     "RELU_KINK_MARGIN",
@@ -42,6 +46,7 @@ __all__ = [
     "backward",
     "decode_params",
     "encode_params",
+    "flat_grads",
     "format_float",
     "gradient_check",
     "init_adam",

@@ -2,7 +2,10 @@
 
 Networks are plain chains: affine -> relu per hidden layer, then an affine
 output head with identity or tanh activation. Parameters are named
-``w0, b0, w1, b1, ...`` with weight shape [fan_in, fan_out].
+``w0, b0, w1, b1, ...`` with weight shape [fan_in, fan_out], stored in that
+order in one flat vector (see ``ParamSet``). ``lift_params`` makes a graph
+leaf of each named view; ``flat_grads`` gathers the leaves' gradients back
+into one vector with the same layout, ready for ``adam_step``.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ def mlp_graph(params: Mapping[str, ad.Node], spec: MlpSpec, x: ad.Node) -> ad.No
     h = x
     n_layers = len(spec.hidden_dims) + 1
     for i in range(n_layers):
-        h = ad.add(ad.matmul(h, params[f"w{i}"]), params[f"b{i}"])
+        h = ad.affine(h, params[f"w{i}"], params[f"b{i}"])
         if i < n_layers - 1:
             h = ad.relu(h)
     if spec.output_activation == "tanh":
@@ -88,7 +91,21 @@ def mlp_graph(params: Mapping[str, ad.Node], spec: MlpSpec, x: ad.Node) -> ad.No
 
 
 def lift_params(params: ParamSet) -> dict[str, ad.Node]:
+    """One graph leaf per named tensor, viewing the parameters (no copy)."""
     return {name: ad.lift(tensor.array) for name, tensor in params}
+
+
+def flat_grads(nodes: Mapping[str, ad.Node]) -> np.ndarray:
+    """Gradients of lifted parameters as one flat vector, in ParamSet order.
+
+    Leaves the last backprop did not reach contribute zeros.
+    """
+    return np.concatenate(
+        [
+            np.zeros(node.value.size) if node.grad is None else node.grad.reshape(-1)
+            for node in nodes.values()
+        ]
+    )
 
 
 @dataclass
@@ -101,14 +118,6 @@ class Tape:
     spec: MlpSpec
 
 
-@dataclass
-class Gradients:
-    """Backward results: per-parameter gradients plus the input gradient."""
-
-    params: ParamSet
-    input: Tensor
-
-
 def mlp_forward(params: ParamSet, spec: MlpSpec, x) -> tuple[Tensor, Tape]:
     arr = _check_input(spec, x.array if isinstance(x, Tensor) else x)
     x_node = ad.lift(arr)
@@ -118,30 +127,33 @@ def mlp_forward(params: ParamSet, spec: MlpSpec, x) -> tuple[Tensor, Tape]:
 
 
 def mlp_apply(params: ParamSet, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
-    """Tape-free forward pass for action selection and target computation."""
+    """Tape-free forward pass for action selection and target computation.
+
+    Each layer's matmul output is a fresh array, so the bias, relu and head
+    act on it in place.
+    """
     h = _check_input(spec, x)
     n_layers = len(spec.hidden_dims) + 1
     for i in range(n_layers):
-        h = h @ params[f"w{i}"].array + params[f"b{i}"].array
+        h = h @ params[f"w{i}"].array
+        h += params[f"b{i}"].array
         if i < n_layers - 1:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
     if spec.output_activation == "tanh":
-        h = np.clip(np.tanh(h), -ad.TANH_HEAD_BOUND, ad.TANH_HEAD_BOUND)
+        np.tanh(h, out=h)
+        np.clip(h, -ad.TANH_HEAD_BOUND, ad.TANH_HEAD_BOUND, out=h)
     return h
 
 
-def backward(tape: Tape, upstream) -> Gradients:
-    """Gradients of sum(output * upstream) for every parameter and the input."""
+def backward(tape: Tape, upstream) -> tuple[ParamSet, Tensor]:
+    """Gradients of sum(output * upstream): (per parameter, for the input)."""
     arr = upstream.array if isinstance(upstream, Tensor) else np.asarray(upstream)
     ad.backprop(tape.output, arr)
-    items = []
-    for name, shape in tape.spec.param_shapes():
-        grad = tape.params[name].grad
-        items.append((name, Tensor.zeros(shape) if grad is None else Tensor(grad)))
     x_grad = tape.input.grad
     if x_grad is None:
         x_grad = np.zeros_like(tape.input.value)
-    return Gradients(ParamSet(items), Tensor(x_grad))
+    grads = ParamSet.view(tape.spec.param_shapes(), flat_grads(tape.params))
+    return grads, Tensor(x_grad)
 
 
 # Central-difference step and the kink-exclusion margin for relu nets.
@@ -184,7 +196,7 @@ def gradient_check(spec: MlpSpec, seed: int, probes: int) -> float:
     weighting = rng.standard_normal((batch, spec.output_dim))
 
     _, tape = mlp_forward(params, spec, x)
-    grads = backward(tape, weighting)
+    param_grads, input_grad = backward(tape, weighting)
 
     def loss(p: ParamSet, xv: np.ndarray) -> float:
         return float(np.sum(mlp_apply(p, spec, xv) * weighting))
@@ -199,7 +211,7 @@ def gradient_check(spec: MlpSpec, seed: int, probes: int) -> float:
     max_rel = 0.0
     for kind, name, idx in picked:
         if kind == "param":
-            analytic = grads.params[name].data[idx]
+            analytic = param_grads[name].data[idx]
 
             def perturbed(sign: float) -> float:
                 p2 = params.copy()
@@ -207,7 +219,7 @@ def gradient_check(spec: MlpSpec, seed: int, probes: int) -> float:
                 return loss(p2, x)
 
         else:
-            analytic = grads.input.data[idx]
+            analytic = input_grad.data[idx]
 
             def perturbed(sign: float) -> float:
                 x2 = x.copy()

@@ -1,4 +1,4 @@
-"""Dense float64 tensors, named parameter collections, and their disk format.
+"""Dense float64 tensors, flat-backed named parameter sets, and their disk format.
 
 Checkpoint format (version tag ``NKP1``), UTF-8 text, one tensor per line:
 
@@ -7,6 +7,9 @@ Checkpoint format (version tag ``NKP1``), UTF-8 text, one tensor per line:
 
 Floats are serialized with 17 significant digits, which round-trips IEEE-754
 doubles exactly, so write -> read is bit-identical.
+
+A ParamSet keeps its tensors as views into one flat vector, in the order the
+format lists them; the flat storage does not change the bytes.
 """
 
 from __future__ import annotations
@@ -24,7 +27,11 @@ def format_float(x: float) -> str:
 
 
 class Tensor:
-    """A dense, row-major float64 array whose entries are always finite."""
+    """A dense, row-major float64 array; built from data, its entries are finite.
+
+    Tensors inside a ParamSet are views into the set's flat vector: writing
+    ``p["w0"].array[:] = ...`` writes the network's parameters in place.
+    """
 
     __slots__ = ("array",)
 
@@ -33,6 +40,13 @@ class Tensor:
         if not np.all(np.isfinite(arr)):
             raise ValueError("tensor entries must be finite (no NaN/Inf)")
         self.array = arr
+
+    @classmethod
+    def _view(cls, array: np.ndarray) -> "Tensor":
+        """Wrap an existing float64 array without copying or checking it."""
+        tensor = object.__new__(cls)
+        tensor.array = array
+        return tensor
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -64,27 +78,70 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-class ParamSet:
-    """Ordered, named tensors (weights and biases) for one network."""
+Layout = tuple[tuple[str, tuple[int, ...]], ...]
 
-    __slots__ = ("_names", "_tensors")
+
+class ParamSet:
+    """Ordered, named tensors (weights and biases) for one network.
+
+    The entries live in one contiguous float64 vector, ``flat``, in name
+    order and row-major within each tensor; every named tensor is a view into
+    it. Whole-network arithmetic (Adam, Polyak tracking, comparisons) runs on
+    ``flat`` in a few vector operations.
+    """
+
+    __slots__ = ("_layout", "_tensors", "flat")
 
     def __init__(self, items: Iterable[tuple[str, Tensor]]) -> None:
-        self._names: list[str] = []
-        self._tensors: dict[str, Tensor] = {}
+        layout = []
+        arrays = []
         for name, tensor in items:
             if not name or any(ch.isspace() for ch in name):
                 raise ValueError(f"invalid parameter name {name!r}")
-            if name in self._tensors:
+            if any(name == seen for seen, _ in layout):
                 raise ValueError(f"duplicate parameter name {name!r}")
             if not isinstance(tensor, Tensor):
                 tensor = Tensor(tensor)
-            self._names.append(name)
-            self._tensors[name] = tensor
+            layout.append((name, tensor.shape))
+            arrays.append(tensor.data)
+        flat = np.concatenate(arrays) if arrays else np.empty(0)
+        self._bind(tuple(layout), flat, [a.size for a in arrays])
+
+    @classmethod
+    def view(cls, layout, flat) -> "ParamSet":
+        """Named views into ``flat`` (no copy), laid out by (name, shape) pairs."""
+        layout = tuple((name, tuple(int(d) for d in shape)) for name, shape in layout)
+        flat = np.asarray(flat, dtype=np.float64)
+        sizes = [int(np.prod(shape, dtype=np.int64)) for _, shape in layout]
+        if flat.ndim != 1 or flat.size != sum(sizes):
+            raise ValueError(
+                f"flat vector of shape {flat.shape} does not fill {sum(sizes)} entries"
+            )
+        params = object.__new__(cls)
+        params._bind(layout, flat, sizes)
+        return params
+
+    def _bind(self, layout: Layout, flat: np.ndarray, sizes) -> None:
+        self._layout = layout
+        self.flat = flat
+        self._tensors: dict[str, Tensor] = {}
+        start = 0
+        for (name, shape), size in zip(layout, sizes):
+            self._tensors[name] = Tensor._view(flat[start : start + size].reshape(shape))
+            start += size
+
+    @property
+    def layout(self) -> Layout:
+        """(name, shape) of every tensor, in order."""
+        return self._layout
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(self._names)
+        return tuple(self._tensors)
+
+    def like(self, flat) -> "ParamSet":
+        """A ParamSet with these names and shapes viewing ``flat`` (no copy)."""
+        return ParamSet.view(self._layout, flat)
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
@@ -93,31 +150,26 @@ class ParamSet:
         return name in self._tensors
 
     def __iter__(self) -> Iterator[tuple[str, Tensor]]:
-        for name in self._names:
-            yield name, self._tensors[name]
+        return iter(self._tensors.items())
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self._layout)
 
     def copy(self) -> "ParamSet":
-        return ParamSet((n, t.copy()) for n, t in self)
+        return self.like(self.flat.copy())
 
     def zeros_like(self) -> "ParamSet":
-        return ParamSet((n, Tensor.zeros(t.shape)) for n, t in self)
+        return self.like(np.zeros_like(self.flat))
 
     def same_shapes(self, other: "ParamSet") -> bool:
-        return self.names == other.names and all(
-            self[n].shape == other[n].shape for n in self.names
-        )
+        return self._layout == other._layout
 
     def equal(self, other: "ParamSet") -> bool:
         """Bitwise equality of names, shapes, and entries."""
-        return self.same_shapes(other) and all(
-            np.array_equal(self[n].array, other[n].array) for n in self.names
-        )
+        return self.same_shapes(other) and np.array_equal(self.flat, other.flat)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{n}{list(t.shape)}" for n, t in self)
+        inner = ", ".join(f"{n}{list(shape)}" for n, shape in self._layout)
         return f"ParamSet({inner})"
 
 
@@ -126,7 +178,9 @@ def encode_params(params: ParamSet) -> str:
     lines = [f"{FORMAT_TAG} {len(params)}"]
     for name, tensor in params:
         dims = " ".join(str(d) for d in tensor.shape)
-        values = " ".join(format_float(v) for v in tensor.data)
+        # One %-format call per tensor; "%.17g" % v is format_float(v).
+        flat = tensor.data.tolist()
+        values = " ".join(["%.17g"] * len(flat)) % tuple(flat)
         ndim = len(tensor.shape)
         line = f"{name} {ndim}"
         if dims:

@@ -455,6 +455,41 @@ class TestAgentCheckpoint:
         agent.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def _corrupted(self, tmp_path, edit):
+        path = tmp_path / "ck.txt"
+        Agent(small_cfg("td3"), obs_dim=4, seed=0).save(path)
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_nameless_section_marker_names_path_and_line(self, tmp_path):
+        def edit(lines):
+            lines[1] = "SECTION "
+
+        path = self._corrupted(tmp_path, edit)
+        with pytest.raises(ValueError, match=r"ck\.txt: line 2: SECTION marker without a name"):
+            Agent.load(path, small_cfg("td3"))
+
+    def test_non_integer_header_field_names_path_and_line(self, tmp_path):
+        def edit(lines):
+            fields = lines[0].split()
+            fields[5] = "4.0"  # obs_dim
+            lines[0] = " ".join(fields)
+
+        path = self._corrupted(tmp_path, edit)
+        with pytest.raises(ValueError, match=r"ck\.txt: line 1: obs_dim must be an integer"):
+            Agent.load(path, small_cfg("td3"))
+
+    def test_non_integer_tensor_count_names_path_and_line(self, tmp_path):
+        def edit(lines):
+            lines[2] = "NKP1 six"
+
+        path = self._corrupted(tmp_path, edit)
+        message = r"ck\.txt: line 3: NKP1 tensor count must be an integer"
+        with pytest.raises(ValueError, match=message):
+            Agent.load(path, small_cfg("td3"))
+
 
 @pytest.mark.slow
 def test_darc_critic_gap_shrinks_with_regularization():

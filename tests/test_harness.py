@@ -386,6 +386,15 @@ class TestCli:
         assert snapshot["algo"] == "td3"
         assert snapshot["env"]["episode_len"] == 24
 
+    def test_one_class_held_out_set_exits_one_before_training(self, tmp_path, capsys):
+        # Run seed 0 with two held-out episodes draws two negatives.
+        out = tmp_path / "runs"
+        code = cli_main(self._train_flags(out) + ["--eval-episodes", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "seed 0" in err and "no positive episode" in err
+        assert not (out / "td3" / "seed_0").exists()
+
     def test_unknown_config_file_key_exits_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"episodes": 3}))
