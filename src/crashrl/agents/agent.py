@@ -115,45 +115,53 @@ class Agent:
             squash01(mlp_apply(actor, self.actor_spec, s)) for actor in self.actors
         ]
 
-    def _critic_value(self, s: np.ndarray, a: np.ndarray) -> float:
+    def _critic_value(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """Mean online critic value of each row's (s, a), shaped [N, 1]."""
         x = np.concatenate([s, a], axis=1)
         values = [
             mlp_apply(critic, self.critic_spec, x) for critic in self.critics
         ]
-        return float(np.mean(values))
+        return np.mean(values, axis=0)
 
     def action_array(self, features: np.ndarray, mode: str = "eval") -> np.ndarray:
-        """Raw 3-float action for one observation's feature vector."""
+        """Raw actions: [obs_dim] features give [3], [N, obs_dim] give [N, 3].
+
+        A batch of one gives the bits of the 1-D call; a larger batch goes
+        through BLAS gemm instead of gemv, so its rows can differ from
+        per-row calls in the last bit.
+        """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-        s = np.asarray(features, dtype=np.float64).reshape(1, -1)
-        if s.shape[1] != self.obs_dim:
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim not in (1, 2) or features.shape[-1] != self.obs_dim:
             raise ValueError(
-                f"expected {self.obs_dim} features, got {s.shape[1]}"
+                f"expected {self.obs_dim} features (shape [{self.obs_dim}] or "
+                f"[N, {self.obs_dim}]), got shape {list(features.shape)}"
             )
+        s = features.reshape(-1, self.obs_dim)
+        n = s.shape[0]
         if self.cfg.algo == "sac":
             out = mlp_apply(self.actors[0], self.actor_spec, s)
             mean = out[:, :ACTION_DIM]
             if mode == "train":
                 log_std = np.clip(out[:, ACTION_DIM:], LOG_STD_MIN, LOG_STD_MAX)
-                eps = self.rng.standard_normal(ACTION_DIM)
+                eps = self.rng.standard_normal((n, ACTION_DIM))
                 u = mean + np.exp(log_std) * eps
             else:
                 u = mean
-            return squash01(np.tanh(u)).reshape(-1)
-
-        candidates = self._deterministic_candidates(s)
-        if len(candidates) == 1:
-            action = candidates[0]
+            action = squash01(np.tanh(u))
         else:
-            # DARC: act with whichever actor the online critics value higher.
-            values = [self._critic_value(s, cand) for cand in candidates]
-            action = candidates[0] if values[0] >= values[1] else candidates[1]
-        action = action.reshape(-1)
-        if mode == "train":
-            noise = self.rng.normal(0.0, self.cfg.exploration_noise, ACTION_DIM)
-            action = np.clip(action + noise, 0.0, 1.0)
-        return action
+            candidates = self._deterministic_candidates(s)
+            if len(candidates) == 1:
+                action = candidates[0]
+            else:
+                # DARC: each row acts with the actor the online critics value higher.
+                values = [self._critic_value(s, cand) for cand in candidates]
+                action = np.where(values[0] >= values[1], candidates[0], candidates[1])
+            if mode == "train":
+                noise = self.rng.normal(0.0, self.cfg.exploration_noise, (n, ACTION_DIM))
+                action = np.clip(action + noise, 0.0, 1.0)
+        return action.reshape(-1) if features.ndim == 1 else action
 
     def select_action(self, obs, mode: str = "eval") -> DualAction:
         features = obs.features if isinstance(obs, Observation) else obs

@@ -168,6 +168,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _resolve_config(args)
+    if not os.path.exists(args.checkpoint):
+        raise ConfigError(f"checkpoint: no such file {args.checkpoint}")
     if args.data:
         files = sorted(
             os.path.join(args.data, n)
@@ -182,8 +184,6 @@ def _cmd_eval(args) -> int:
         episodes = [
             generate_episode(cfg.env, base + j) for j in range(cfg.eval_episodes)
         ]
-    if not os.path.exists(args.checkpoint):
-        raise ConfigError(f"checkpoint: no such file {args.checkpoint}")
     report, records = run_eval(args.checkpoint, episodes, cfg)
     out = args.out or cfg.out_dir
     os.makedirs(out, exist_ok=True)

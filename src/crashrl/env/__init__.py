@@ -13,7 +13,14 @@ from .episode import (
     load_episode_file,
     write_episode_file,
 )
-from .mdp import IMAGE_CENTER, AccidentEnv, DualAction, Observation, StepResult
+from .mdp import (
+    IMAGE_CENTER,
+    AccidentEnv,
+    DualAction,
+    Observation,
+    StepResult,
+    check_steppable,
+)
 from .rewards import (
     accident_weight,
     fixation_window_active,
@@ -22,10 +29,12 @@ from .rewards import (
 )
 from .saliency import (
     SaliencyField,
+    attention_features,
     cell_centers,
     combine_attention,
     foveate,
     normalize_field,
+    normalize_fields,
     pool_features,
 )
 
@@ -44,14 +53,17 @@ __all__ = [
     "SaliencyField",
     "StepResult",
     "accident_weight",
+    "attention_features",
     "blob_onset",
     "cell_centers",
+    "check_steppable",
     "combine_attention",
     "fixation_window_active",
     "foveate",
     "generate_episode",
     "load_episode_file",
     "normalize_field",
+    "normalize_fields",
     "pool_features",
     "reward_accident",
     "reward_fixation",

@@ -3,7 +3,9 @@
 Each step consumes a dual action (accident score, fixation point), pays the
 two rewards for the current frame, then builds the next observation from the
 next frame: foveate at the chosen fixation -> blend with the raw field ->
-block-mean pool -> append to the frame stack (oldest first).
+block-mean pool -> append to the frame stack (oldest first). The chain is
+``attention_features``, the same kernel the lockstep evaluation rollout
+runs over many episodes at once.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 from .config import EnvConfig
 from .episode import Episode
 from .rewards import reward_accident, reward_fixation
-from .saliency import combine_attention, foveate, normalize_field, pool_features
+from .saliency import attention_features, normalize_fields
 
 IMAGE_CENTER = (0.5, 0.5)
 
@@ -68,31 +70,34 @@ class StepResult:
     done: bool
 
 
+def check_steppable(episode: Episode, cfg: EnvConfig) -> None:
+    """Raise ValueError unless cfg's pooling fits the episode and it has a step."""
+    h, w = episode.grid_shape
+    if h % cfg.pool_h or w % cfg.pool_w:
+        raise ValueError(
+            f"pool dims ({cfg.pool_h}x{cfg.pool_w}) must divide the episode "
+            f"grid ({h}x{w})"
+        )
+    if episode.length < 2:
+        raise ValueError("episode must have at least 2 frames to step")
+
+
 class AccidentEnv:
     """Single-owner, sequentially stepped environment over one episode."""
 
     def __init__(self, episode: Episode, cfg: EnvConfig) -> None:
-        h, w = episode.grid_shape
-        if h % cfg.pool_h or w % cfg.pool_w:
-            raise ValueError(
-                f"pool dims ({cfg.pool_h}x{cfg.pool_w}) must divide the episode "
-                f"grid ({h}x{w})"
-            )
-        if episode.length < 2:
-            raise ValueError("episode must have at least 2 frames to step")
+        check_steppable(episode, cfg)
         self.episode = episode
         self.cfg = cfg
         # Normalize once; files may carry unnormalized fields.
-        self._frames = [normalize_field(f) for f in episode.frames]
+        self._frames = normalize_fields(np.stack([f.grid for f in episode.frames]))
         self._cursor: int | None = None
         self._stack: list[np.ndarray] | None = None
         self._obs: Observation | None = None
 
     def _features(self, frame_index: int, fixation: tuple[float, float]) -> np.ndarray:
-        raw = self._frames[frame_index]
-        fov, _ = foveate(raw, fixation, self.cfg.sigma_f)
-        combined = combine_attention(raw, fov, self.cfg.rho)
-        return pool_features(combined, (self.cfg.pool_h, self.cfg.pool_w))
+        raw = self._frames[frame_index : frame_index + 1]
+        return attention_features(raw, np.array([fixation]), self.cfg)[0]
 
     def reset(self) -> Observation:
         first = self._features(0, IMAGE_CENTER)

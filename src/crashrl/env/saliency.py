@@ -7,9 +7,12 @@ y = (i + 0.5)/H, with (x, y) in [0, 1]^2 and y growing downward.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+
+from .config import EnvConfig
 
 NORMALIZATION_TOL = 1e-9
 
@@ -44,6 +47,13 @@ def cell_centers(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     xs = (np.arange(w) + 0.5) / w
     ys = (np.arange(h) + 0.5) / h
     return np.broadcast_to(xs, (h, w)), np.broadcast_to(ys[:, None], (h, w))
+
+
+@functools.lru_cache(maxsize=None)
+def _center_axes(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell-center x as a [1, w] row and y as an [h, 1] column (read-only)."""
+    xs, ys = cell_centers(h, w)
+    return xs[:1], ys[:, :1]
 
 
 def normalize_field(field: SaliencyField) -> SaliencyField:
@@ -101,3 +111,49 @@ def pool_features(field: SaliencyField, out_dims: tuple[int, int]) -> np.ndarray
     bh, bw = h // oh, w // ow
     pooled = field.grid.reshape(oh, bh, ow, bw).mean(axis=(1, 3))
     return pooled.reshape(-1)
+
+
+def normalize_fields(grids: np.ndarray) -> np.ndarray:
+    """``normalize_field`` on each [H, W] slice of an [N, H, W] stack, in place.
+
+    Rows that sum to zero become uniform. Each row gets the bits
+    ``normalize_field`` gives it: the row sum is the same pairwise sum.
+    """
+    n, h, w = grids.shape
+    totals = grids.reshape(n, -1).sum(axis=1)
+    empty = totals <= 0.0
+    totals[empty] = 1.0
+    grids /= totals[:, None, None]
+    grids[empty] = 1.0 / (h * w)
+    return grids
+
+
+def attention_features(raw: np.ndarray, fixations: np.ndarray, cfg: EnvConfig) -> np.ndarray:
+    """Foveate -> blend -> normalize -> pool for N fields at once.
+
+    ``raw`` holds N normalized [H, W] fields and ``fixations`` one (x, y)
+    point per field. Row i of the [N, pool_h * pool_w] result equals
+    ``pool_features(combine_attention(raw[i], foveate(raw[i], fixations[i])))``
+    bit for bit; a row whose foveated field underflows turns uniform as in
+    ``foveate``.
+    """
+    n, h, w = raw.shape
+    oh, ow = cfg.pool_h, cfg.pool_w
+    if h % oh or w % ow:
+        raise ValueError(f"pool dims ({oh}x{ow}) must divide field dims ({h}x{w})")
+    if fixations.shape != (n, 2):
+        raise ValueError(f"fixations must have shape [{n}, 2], got {list(fixations.shape)}")
+    xs, ys = _center_axes(h, w)
+    fx = fixations[:, 0, None, None]
+    fy = fixations[:, 1, None, None]
+    # Same operations, in the same order, as foveate's Gaussian.
+    fov = (xs - fx) ** 2 + (ys - fy) ** 2
+    np.negative(fov, out=fov)
+    fov /= 2.0 * cfg.sigma_f**2
+    np.exp(fov, out=fov)
+    fov *= raw
+    normalize_fields(fov)
+    fov *= cfg.rho
+    fov += (1.0 - cfg.rho) * raw
+    normalize_fields(fov)
+    return fov.reshape(n, oh, h // oh, ow, w // ow).mean(axis=(2, 4)).reshape(n, -1)

@@ -25,12 +25,16 @@ import numpy as np
 
 from ..agents import Agent, ReplayBuffer, train_step
 from ..env import (
+    IMAGE_CENTER,
     AccidentEnv,
     DualAction,
     Episode,
+    attention_features,
     blob_onset,
+    check_steppable,
     generate_episode,
     load_episode_file,
+    normalize_fields,
     write_episode_file,
 )
 from ..env.rewards import accident_weight, reward_accident, reward_fixation
@@ -120,56 +124,93 @@ def eval_fingerprint(episodes) -> str:
     return digest.hexdigest()[:16]
 
 
-def rollout_records(policy, episode: Episode, cfg: RunConfig):
-    """Noise-free rollout producing one FrameRecord per step.
+def collect_records(policy, episodes, cfg: RunConfig) -> list[FrameRecord]:
+    """Noise-free rollout of every episode, one FrameRecord per step.
 
-    ``policy`` maps (observation, episode) -> DualAction; agents ignore the
-    episode argument, scripted oracles use it.
+    Episodes that share a grid shape and a length form one lockstep group.
+    At each step t the group takes one batched action,
+    ``policy(features[N, obs_dim], t, group) -> actions[N, 3]`` (columns:
+    accident score, fixation x, fixation y), and builds every episode's next
+    observation with one ``attention_features`` call on frame t + 1. Records
+    come back episode-major, in input order. Agents ignore ``t`` and the
+    episodes; scripted oracles read them.
     """
-    env = AccidentEnv(episode, cfg.env)
-    obs = env.reset()
-    records = []
-    while not env.done:
-        action = policy(obs, episode)
-        t = obs.frame_index
-        records.append(
-            FrameRecord(
-                episode_id=episode.episode_id,
-                t=t,
-                score=float(action.a),
-                y=episode.y,
-                t_a=episode.t_a,
-                p_hat=action.p_hat,
-                p=tuple(episode.fixation_track[t]),
-                fps=episode.fps,
-            )
+    episodes = list(episodes)
+    groups: dict[tuple, list[int]] = {}
+    for i, episode in enumerate(episodes):
+        check_steppable(episode, cfg.env)
+        groups.setdefault((episode.grid_shape, episode.length), []).append(i)
+    per_episode: list[list[FrameRecord]] = [[] for _ in episodes]
+    for members in groups.values():
+        group = [episodes[i] for i in members]
+        for i, records in zip(members, _lockstep(policy, group, cfg.env)):
+            per_episode[i] = records
+    return [rec for records in per_episode for rec in records]
+
+
+def _frame_slice(group, t: int) -> np.ndarray:
+    """Frame t of every episode in the group, normalized, as [N, H, W]."""
+    return normalize_fields(np.stack([episode.frames[t].grid for episode in group]))
+
+
+def _checked_actions(actions, n: int) -> np.ndarray:
+    """The policy's [n, 3] actions; the first invalid row raises DualAction's error."""
+    actions = np.asarray(actions, dtype=np.float64)
+    if actions.shape != (n, 3):
+        raise ValueError(
+            f"policy must return actions of shape [{n}, 3], got {list(actions.shape)}"
         )
-        result = env.step(action)
-        obs = result.next_obs
-    return records
+    valid = (actions >= 0.0) & (actions <= 1.0)
+    if not valid.all():
+        bad_row = actions[np.flatnonzero(~valid.all(axis=1))[0]]
+        DualAction.from_array(bad_row)  # raises, naming the score or the fixation
+    return actions
 
 
-def collect_records(policy, episodes, cfg: RunConfig):
-    records = []
-    for episode in episodes:
-        records.extend(rollout_records(policy, episode, cfg))
+def _lockstep(policy, group, env_cfg) -> list[list[FrameRecord]]:
+    """Roll episodes of one grid shape and length together; records per episode."""
+    n = len(group)
+    first = attention_features(_frame_slice(group, 0), np.tile(IMAGE_CENTER, (n, 1)), env_cfg)
+    width = first.shape[1]
+    obs = np.tile(first, env_cfg.stack)
+    records: list[list[FrameRecord]] = [[] for _ in group]
+    for t in range(group[0].length - 1):
+        actions = _checked_actions(policy(obs, t, group), n)
+        for episode, action, out in zip(group, actions.tolist(), records):
+            out.append(
+                FrameRecord(
+                    episode_id=episode.episode_id,
+                    t=t,
+                    score=action[0],
+                    y=episode.y,
+                    t_a=episode.t_a,
+                    p_hat=(action[1], action[2]),
+                    p=tuple(episode.fixation_track[t]),
+                    fps=episode.fps,
+                )
+            )
+        features = attention_features(_frame_slice(group, t + 1), actions[:, 1:], env_cfg)
+        obs = np.concatenate([obs[:, width:], features], axis=1)
     return records
 
 
 def agent_policy(agent: Agent):
-    return lambda obs, _episode: agent.select_action(obs, mode="eval")
+    return lambda features, _t, _episodes: agent.action_array(features, mode="eval")
 
 
 class ScriptedOnsetAgent:
     """Oracle: full alarm from the risk-blob onset, perfect fixation."""
 
-    def __call__(self, obs, episode: Episode) -> DualAction:
-        t = obs.frame_index
-        if episode.y == 1 and t >= blob_onset(episode.t_a):
-            score = 1.0
-        else:
-            score = 0.0
-        return DualAction(score, tuple(episode.fixation_track[t]))
+    def __call__(self, features, t: int, episodes) -> np.ndarray:
+        return np.array(
+            [
+                (
+                    1.0 if episode.y == 1 and t >= blob_onset(episode.t_a) else 0.0,
+                    *episode.fixation_track[t],
+                )
+                for episode in episodes
+            ]
+        )
 
 
 class ConstantScoreAgent:
@@ -178,8 +219,8 @@ class ConstantScoreAgent:
     def __init__(self, score: float) -> None:
         self.score = score
 
-    def __call__(self, obs, episode: Episode) -> DualAction:
-        return DualAction(self.score, (0.5, 0.5))
+    def __call__(self, features, t: int, episodes) -> np.ndarray:
+        return np.tile((self.score, *IMAGE_CENTER), (len(episodes), 1))
 
 
 def _mean_return(records, cfg: RunConfig) -> float:
@@ -234,13 +275,16 @@ def export_traces(records, out_dir, env_cfg) -> list[str]:
     return paths
 
 
-def _require_both_classes(eval_set, seed: int) -> None:
-    """The report needs a positive and a negative held-out episode; check first."""
+def _require_both_classes(eval_set, where: str) -> None:
+    """The report needs a positive and a negative episode; check first.
+
+    ``where`` names the set in the error, e.g. "seed 3: the held-out set".
+    """
     labels = {ep.y for ep in eval_set}
     missing = [name for y, name in ((1, "positive"), (0, "negative")) if y not in labels]
     if missing:
         raise ConfigError(
-            f"seed {seed}: the held-out set of {len(eval_set)} episodes has no "
+            f"{where} of {len(eval_set)} episodes has no "
             f"{' or '.join(missing)} episode; AUC and recall need both classes"
         )
 
@@ -263,7 +307,7 @@ def run_training(cfg: RunConfig) -> RunArtifacts:
     for seed in cfg.seeds:
         source = _EpisodeSource(cfg, seed)
         eval_set = source.eval_set()
-        _require_both_classes(eval_set, seed)
+        _require_both_classes(eval_set, f"seed {seed}: the held-out set")
         seed_fingerprints.append(eval_fingerprint(eval_set))
         obs_dim = cfg.env.obs_dim
         agent = Agent(cfg.agent, obs_dim, seed + AGENT_SEED_OFFSET)
@@ -329,8 +373,11 @@ def run_eval(checkpoint_path, episodes, cfg: RunConfig):
     """Roll a checkpointed agent (noise-free) over an episode set.
 
     Returns (MetricsReport, frame records). The checkpoint's observation
-    width must match what cfg.env produces.
+    width must match what cfg.env produces, and the set must hold both
+    classes (checked before the checkpoint is read).
     """
+    episodes = list(episodes)
+    _require_both_classes(episodes, "eval: the episode set")
     agent = Agent.load(checkpoint_path, cfg.agent)
     expected = cfg.env.obs_dim
     if agent.obs_dim != expected:

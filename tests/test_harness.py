@@ -184,7 +184,8 @@ class TestRunEval:
         agent = Agent(cfg.agent, obs_dim=10, seed=0)  # wrong width
         path = tmp_path / "ck.txt"
         agent.save(path)
-        episodes = [generate_episode(cfg.env, j) for j in range(2)]
+        # Both classes: a one-class set is rejected before the checkpoint is read.
+        episodes = [generate_episode(cfg.env, j) for j in range(4)]
         with pytest.raises(ValueError, match="10.*32|32.*10"):
             run_eval(path, episodes, cfg)
 
@@ -394,6 +395,49 @@ class TestCli:
         err = capsys.readouterr().err
         assert "seed 0" in err and "no positive episode" in err
         assert not (out / "td3" / "seed_0").exists()
+
+    def _eval_flags(self, tmp_path, checkpoint):
+        return [
+            "eval", "--algo", "td3", "--seed", "0", "--episode-length", "24",
+            "--grid", "8", "--pool", "4", "--stack", "2", "--hidden", "8,8",
+            "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval_out"),
+        ]
+
+    def test_eval_one_class_set_exits_one_before_reading_the_checkpoint(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from crashrl.agents import Agent
+
+        path = tmp_path / "ck.txt"
+        Agent(AgentConfig(algo="td3", hidden_dims=(8, 8)), obs_dim=32, seed=0).save(path)
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("the checkpoint must not be read")
+
+        monkeypatch.setattr(Agent, "load", no_load)
+        # Run seed 0's first eval episode is a negative.
+        code = cli_main(self._eval_flags(tmp_path, path) + ["--eval-episodes", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "eval: the episode set of 1 episodes" in err
+        assert "no positive episode" in err
+        assert not (tmp_path / "eval_out").exists()
+
+    def test_eval_missing_checkpoint_exits_one_before_reading_episodes(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import crashrl.cli as cli_mod
+
+        def no_episodes(*args, **kwargs):
+            raise AssertionError("episodes must not be read or generated")
+
+        monkeypatch.setattr(cli_mod, "generate_episode", no_episodes)
+        monkeypatch.setattr(cli_mod, "load_episode_file", no_episodes)
+        missing = tmp_path / "missing.txt"
+        for extra in ([], ["--data", str(tmp_path / "no_such_dir")]):
+            code = cli_main(self._eval_flags(tmp_path, missing) + extra)
+            assert code == 1
+            assert f"checkpoint: no such file {missing}" in capsys.readouterr().err
 
     def test_unknown_config_file_key_exits_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
