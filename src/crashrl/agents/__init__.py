@@ -10,15 +10,7 @@ from .agent import (
 )
 from .config import ALGOS, AgentConfig
 from .replay import ACTION_DIM, Batch, ReplayBuffer, Transition
-from .targets import (
-    DarcTargetParts,
-    compute_targets,
-    darc_target,
-    ddpg_target,
-    sac_target,
-    tanh_gaussian_logprob,
-    td3_target,
-)
+from .targets import TargetParts, compute_targets, tanh_gaussian_logprob
 from .updates import StepLog, actor_update, critic_update, train_step, update
 
 __all__ = [
@@ -28,22 +20,18 @@ __all__ = [
     "AgentConfig",
     "Batch",
     "CHECKPOINT_TAG",
-    "DarcTargetParts",
     "LOG_STD_MAX",
     "LOG_STD_MIN",
     "ReplayBuffer",
     "StepLog",
+    "TargetParts",
     "Transition",
     "actor_update",
     "compute_targets",
     "config_hash",
     "critic_update",
-    "darc_target",
-    "ddpg_target",
-    "sac_target",
     "squash01",
     "tanh_gaussian_logprob",
-    "td3_target",
     "train_step",
     "update",
 ]

@@ -3,10 +3,11 @@
 All four algorithms share one actor/critic topology: actors map observation
 features to the 3-component dual action (accident score, fixation x, y),
 critics map [features, action] to a scalar value. Deterministic actors end
-in a tanh head that is affinely mapped to [0, 1] per component; the SAC
-actor emits a mean and log-std per component and squashes samples the same
-way. DARC carries two actors and acts with whichever one the online critics
-value higher.
+in a tanh head that is affinely mapped to [0, 1] per component; a stochastic
+(SAC) actor emits a mean and log-std per component and squashes samples the
+same way. The network counts come from the config (``n_actors``,
+``n_critics``); with two actors (DARC) each row acts with whichever actor
+the online critics value higher.
 
 Checkpoint format (version tag ``ACP1``), UTF-8 text:
 
@@ -73,8 +74,8 @@ class Agent:
             raise ValueError(f"obs_dim must be >= 1, got {obs_dim}")
         self.cfg = cfg
         self.obs_dim = obs_dim
-        actor_out = 2 * ACTION_DIM if cfg.algo == "sac" else ACTION_DIM
-        actor_act = "identity" if cfg.algo == "sac" else "tanh"
+        actor_out = 2 * ACTION_DIM if cfg.stochastic else ACTION_DIM
+        actor_act = "identity" if cfg.stochastic else "tanh"
         self.actor_spec = MlpSpec(obs_dim, cfg.hidden_dims, actor_out, "relu", actor_act)
         self.critic_spec = MlpSpec(obs_dim + ACTION_DIM, cfg.hidden_dims, 1)
 
@@ -83,18 +84,14 @@ class Agent:
         children = np.random.SeedSequence(seed).spawn(5)
         child_seed = [int(c.generate_state(1)[0]) for c in children]
 
-        self.n_actors = 2 if cfg.algo == "darc" else 1
-        self.n_critics = 1 if cfg.algo == "ddpg" else 2
         self.actors = [
-            init_params(self.actor_spec, child_seed[j]) for j in range(self.n_actors)
+            init_params(self.actor_spec, child_seed[j]) for j in range(cfg.n_actors)
         ]
         self.critics = [
-            init_params(self.critic_spec, child_seed[2 + i]) for i in range(self.n_critics)
+            init_params(self.critic_spec, child_seed[2 + i]) for i in range(cfg.n_critics)
         ]
-        # SAC bootstraps next actions from the online policy; no actor target.
-        self.target_actors = (
-            [p.copy() for p in self.actors] if cfg.algo != "sac" else []
-        )
+        # A stochastic actor bootstraps from the online policy; no actor target.
+        self.target_actors = [] if cfg.stochastic else [p.copy() for p in self.actors]
         self.target_critics = [p.copy() for p in self.critics]
         self.actor_adam: list[AdamState] = [
             init_adam(p, alpha=cfg.actor_lr, name=f"actor_{j}")
@@ -140,7 +137,7 @@ class Agent:
             )
         s = features.reshape(-1, self.obs_dim)
         n = s.shape[0]
-        if self.cfg.algo == "sac":
+        if self.cfg.stochastic:
             out = mlp_apply(self.actors[0], self.actor_spec, s)
             mean = out[:, :ACTION_DIM]
             if mode == "train":
@@ -155,7 +152,7 @@ class Agent:
             if len(candidates) == 1:
                 action = candidates[0]
             else:
-                # DARC: each row acts with the actor the online critics value higher.
+                # Two actors: each row acts with the one the online critics value higher.
                 values = [self._critic_value(s, cand) for cand in candidates]
                 action = np.where(values[0] >= values[1], candidates[0], candidates[1])
             if mode == "train":
@@ -169,29 +166,32 @@ class Agent:
 
     # ------------------------------------------------------------ checkpointing
 
+    def _networks(self) -> tuple[tuple[str, list[ParamSet]], ...]:
+        return (
+            ("actor", self.actors),
+            ("critic", self.critics),
+            ("target_actor", self.target_actors),
+            ("target_critic", self.target_critics),
+        )
+
     def _sections(self) -> list[tuple[str, ParamSet]]:
-        sections = []
-        for j, params in enumerate(self.actors):
-            sections.append((f"actor_{j}", params))
-        for i, params in enumerate(self.critics):
-            sections.append((f"critic_{i}", params))
-        for j, params in enumerate(self.target_actors):
-            sections.append((f"target_actor_{j}", params))
-        for i, params in enumerate(self.target_critics):
-            sections.append((f"target_critic_{i}", params))
-        return sections
+        return [
+            (f"{kind}_{k}", params)
+            for kind, nets in self._networks()
+            for k, params in enumerate(nets)
+        ]
 
     def save(self, path) -> None:
+        """Write the checkpoint section by section, never whole in memory."""
         sections = self._sections()
-        lines = [
-            f"{CHECKPOINT_TAG} {self.cfg.algo} {config_hash(self.cfg)} "
-            f"{self.total_env_steps} {self.update_count} {self.obs_dim} {len(sections)}"
-        ]
-        for name, params in sections:
-            lines.append(f"SECTION {name}")
-            lines.append(encode_params(params).rstrip("\n"))
         with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write("\n".join(lines) + "\n")
+            f.write(
+                f"{CHECKPOINT_TAG} {self.cfg.algo} {config_hash(self.cfg)} "
+                f"{self.total_env_steps} {self.update_count} {self.obs_dim} {len(sections)}\n"
+            )
+            for name, params in sections:
+                f.write(f"SECTION {name}\n")
+                f.write(encode_params(params))
 
     @classmethod
     def load(cls, path, cfg: AgentConfig) -> "Agent":
@@ -234,6 +234,8 @@ class Agent:
             name = marker[1]
             if name not in expected:
                 raise ValueError(f"{path}: line {i + 1}: unknown section {name!r}")
+            if name in loaded:
+                raise ValueError(f"{path}: line {i + 1}: duplicate section {name!r}")
             header_line = lines[i + 1].split() if i + 1 < len(lines) else []
             if len(header_line) != 2 or header_line[0] != "NKP1":
                 raise ValueError(
@@ -259,14 +261,8 @@ class Agent:
                     f"{[(n, list(t.shape)) for n, t in target]}, got "
                     f"{[(n, list(t.shape)) for n, t in params]}"
                 )
-        agent.actors = [loaded[f"actor_{j}"] for j in range(agent.n_actors)]
-        agent.critics = [loaded[f"critic_{i}"] for i in range(agent.n_critics)]
-        agent.target_actors = [
-            loaded[f"target_actor_{j}"] for j in range(len(agent.target_actors))
-        ]
-        agent.target_critics = [
-            loaded[f"target_critic_{i}"] for i in range(agent.n_critics)
-        ]
+        for kind, nets in agent._networks():
+            nets[:] = [loaded[f"{kind}_{k}"] for k in range(len(nets))]
         agent.total_env_steps = env_steps
         agent.update_count = update_count
         return agent

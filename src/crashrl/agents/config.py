@@ -1,4 +1,19 @@
-"""Agent hyperparameters shared by all four algorithms."""
+"""Agent hyperparameters, and the one place the four algorithms differ.
+
+All four share one bootstrap rule, V = max_j min_i Q'_i(s', a_j), and one
+actor rule (actor j ascends critic j). The read-only properties below are
+the settings of that rule; every other module reads them and never the
+algorithm name:
+
+  algo  n_actors  n_critics  smoothing  actor_delay   stochastic  coupled_critics
+  ddpg  1         1          no         1             no          no
+  td3   1         2          yes        policy_delay  no          no
+  sac   1         2          no         1             yes         no
+  darc  2         2          yes        policy_delay  no          yes
+
+They are properties, not fields, so the config hash, config.json and
+checkpoint headers do not see them.
+"""
 
 from __future__ import annotations
 
@@ -53,3 +68,33 @@ class AgentConfig:
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
+
+    @property
+    def n_actors(self) -> int:
+        """Actors (and, unless stochastic, target actors) the agent carries."""
+        return 2 if self.algo == "darc" else 1
+
+    @property
+    def n_critics(self) -> int:
+        """Critics; the bootstrap takes the min over their targets."""
+        return 1 if self.algo == "ddpg" else 2
+
+    @property
+    def smoothing(self) -> bool:
+        """Whether target actions get clipped Gaussian noise (one draw per batch)."""
+        return self.algo in ("td3", "darc")
+
+    @property
+    def actor_delay(self) -> int:
+        """Gradient phases per actor phase."""
+        return self.policy_delay if self.algo in ("td3", "darc") else 1
+
+    @property
+    def stochastic(self) -> bool:
+        """Tanh-Gaussian actor with an entropy term (SAC); no target actor."""
+        return self.algo == "sac"
+
+    @property
+    def coupled_critics(self) -> bool:
+        """Whether the critic loss adds nu * mean((Q1 - Q2)^2) (DARC)."""
+        return self.algo == "darc"

@@ -1,22 +1,24 @@
-"""Bootstrap target computation for all four algorithms.
+"""Bootstrap targets: one rule for all four algorithms.
 
-Targets are pure numpy (no tape): y = r + gamma * (1 - done) * V(s'), where
-V(s') depends on the algorithm:
+Targets are pure numpy (no tape): y = r + gamma * (1 - done) * V(s'), with
 
-  ddpg  V = Q'(s', pi'(s'))                          (single critic, no noise)
-  td3   V = min_i Q'_i(s', pi'(s') + smoothing)
-  darc  V = max_j min_i Q'_i(s', pi'_j(s') + smoothing)
-  sac   V = min_i Q'_i(s', a~) - alpha * log pi(a~|s'),  a~ reparameterized
+  V(s') = max_j min_i Q'_i(s', a_j)   (minus alpha * log pi(a_j|s') for SAC)
 
-DARC draws ONE smoothing-noise tensor per batch and applies it to both actor
-candidates: the candidates compete on equal footing, and with bit-identical
-actors the target collapses exactly onto TD3's.
+over the config's target critics i and candidate next actions j. For a
+deterministic agent a_j is target actor j's action, plus clipped Gaussian
+noise when the config smooths; a stochastic (SAC) agent has one candidate,
+a reparameterized sample from its online policy. With one critic the min is
+that critic's value (DDPG), with one actor the max is that actor's (DDPG,
+TD3, SAC), and DARC takes both. One smoothing-noise draw per batch serves
+every actor, so the candidates compete on equal footing and, with
+bit-identical actors, DARC's target equals TD3's exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -41,10 +43,13 @@ def tanh_gaussian_logprob(
     return (normal - correction).sum(axis=1, keepdims=True)
 
 
-def _critic_values(agent: Agent, s: np.ndarray, a: np.ndarray, use_targets: bool) -> list[np.ndarray]:
-    nets = agent.target_critics if use_targets else agent.critics
-    x = np.concatenate([s, a], axis=1)
-    return [mlp_apply(net, agent.critic_spec, x) for net in nets]
+@dataclass(frozen=True)
+class TargetParts:
+    """Bootstrap targets plus the per-candidate critic values behind them."""
+
+    y: np.ndarray  # [n, 1]
+    v_next: np.ndarray  # [n, 1]
+    q_values: np.ndarray  # [n, n_actors, n_critics], before any entropy term
 
 
 def _smoothing_noise(agent: Agent, n: int) -> np.ndarray:
@@ -53,83 +58,36 @@ def _smoothing_noise(agent: Agent, n: int) -> np.ndarray:
     return np.clip(noise, -cfg.noise_clip, cfg.noise_clip)
 
 
-def _target_action(agent: Agent, j: int, s_next: np.ndarray, noise: np.ndarray | None) -> np.ndarray:
-    a = squash01(mlp_apply(agent.target_actors[j], agent.actor_spec, s_next))
-    if noise is not None:
-        a = np.clip(a + noise, 0.0, 1.0)
-    return a
-
-
-def _bootstrap(batch: Batch, v_next: np.ndarray, gamma: float) -> np.ndarray:
-    return batch.r + gamma * (1.0 - batch.done) * v_next
-
-
-def ddpg_target(batch: Batch, agent: Agent) -> np.ndarray:
-    a_next = _target_action(agent, 0, batch.s_next, None)
-    (q,) = _critic_values(agent, batch.s_next, a_next, use_targets=True)
-    return _bootstrap(batch, q, agent.cfg.gamma)
-
-
-def td3_target(batch: Batch, agent: Agent) -> np.ndarray:
-    noise = _smoothing_noise(agent, len(batch))
-    a_next = _target_action(agent, 0, batch.s_next, noise)
-    q1, q2 = _critic_values(agent, batch.s_next, a_next, use_targets=True)
-    return _bootstrap(batch, np.minimum(q1, q2), agent.cfg.gamma)
-
-
-@dataclass(frozen=True)
-class DarcTargetParts:
-    """Target values plus the per-candidate critic values behind them."""
-
-    y: np.ndarray
-    v_next: np.ndarray
-    q_values: np.ndarray  # [n, n_actors, n_critics]
-
-
-def darc_target(batch: Batch, agent: Agent, with_components: bool = False):
-    """Max over target actors of the min over target critics."""
-    if agent.cfg.algo != "darc":
-        raise ValueError(f"darc_target requires a darc agent, got {agent.cfg.algo!r}")
-    noise = _smoothing_noise(agent, len(batch))
-    per_actor_min = []
-    q_all = np.empty((len(batch), len(agent.target_actors), len(agent.target_critics)))
-    for j in range(len(agent.target_actors)):
-        a_next = _target_action(agent, j, batch.s_next, noise)
-        qs = _critic_values(agent, batch.s_next, a_next, use_targets=True)
-        for i, q in enumerate(qs):
-            q_all[:, j, i] = q.reshape(-1)
-        per_actor_min.append(np.minimum(*qs))
-    v_next = np.maximum(*per_actor_min)
-    y = _bootstrap(batch, v_next, agent.cfg.gamma)
-    if with_components:
-        return DarcTargetParts(y, v_next, q_all)
-    return y
-
-
-def sac_target(batch: Batch, agent: Agent) -> np.ndarray:
+def _next_actions(batch: Batch, agent: Agent) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Each candidate next action a_j with its log-density (None if deterministic)."""
     cfg = agent.cfg
-    if cfg.algo != "sac":
-        raise ValueError(f"sac_target requires a sac agent, got {cfg.algo!r}")
-    out = mlp_apply(agent.actors[0], agent.actor_spec, batch.s_next)
-    mean = out[:, :ACTION_DIM]
-    log_std = np.clip(out[:, ACTION_DIM:], LOG_STD_MIN, LOG_STD_MAX)
-    eps = agent.rng.standard_normal((len(batch), ACTION_DIM))
-    u = mean + np.exp(log_std) * eps
-    a_next = squash01(np.tanh(u))
-    logp = tanh_gaussian_logprob(mean, log_std, u)
-    q1, q2 = _critic_values(agent, batch.s_next, a_next, use_targets=True)
-    v_next = np.minimum(q1, q2) - cfg.sac_alpha * logp
-    return _bootstrap(batch, v_next, cfg.gamma)
+    if cfg.stochastic:
+        out = mlp_apply(agent.actors[0], agent.actor_spec, batch.s_next)
+        mean = out[:, :ACTION_DIM]
+        log_std = np.clip(out[:, ACTION_DIM:], LOG_STD_MIN, LOG_STD_MAX)
+        eps = agent.rng.standard_normal((len(batch), ACTION_DIM))
+        u = mean + np.exp(log_std) * eps
+        return [(squash01(np.tanh(u)), tanh_gaussian_logprob(mean, log_std, u))]
+    noise = _smoothing_noise(agent, len(batch)) if cfg.smoothing else None
+    candidates = []
+    for actor in agent.target_actors:
+        a = squash01(mlp_apply(actor, agent.actor_spec, batch.s_next))
+        candidates.append((a if noise is None else np.clip(a + noise, 0.0, 1.0), None))
+    return candidates
 
 
-def compute_targets(batch: Batch, agent: Agent) -> np.ndarray:
-    algo = agent.cfg.algo
-    if algo == "ddpg":
-        return ddpg_target(batch, agent)
-    if algo == "td3":
-        return td3_target(batch, agent)
-    if algo == "darc":
-        return darc_target(batch, agent)
-    if algo == "sac":
-        return sac_target(batch, agent)
-    raise ValueError(f"unknown algorithm {algo!r}")
+def compute_targets(batch: Batch, agent: Agent) -> TargetParts:
+    """y = r + gamma * (1 - done) * max_j min_i Q'_i(s', a_j), for any algorithm."""
+    cfg = agent.cfg
+    candidates = _next_actions(batch, agent)
+    q_values = np.empty((len(batch), len(candidates), cfg.n_critics))
+    values = []
+    for j, (a_next, logp) in enumerate(candidates):
+        x = np.concatenate([batch.s_next, a_next], axis=1)
+        qs = [mlp_apply(net, agent.critic_spec, x) for net in agent.target_critics]
+        q_values[:, j, :] = np.concatenate(qs, axis=1)
+        v = reduce(np.minimum, qs)
+        values.append(v if logp is None else v - cfg.sac_alpha * logp)
+    v_next = reduce(np.maximum, values)
+    y = batch.r + cfg.gamma * (1.0 - batch.done) * v_next
+    return TargetParts(y, v_next, q_values)

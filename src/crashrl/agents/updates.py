@@ -1,9 +1,11 @@
 """Gradient phases: critic regression, delayed actor ascent, target tracking.
 
-Critic losses are mean-squared TD errors against the algorithm's bootstrap
-target; DARC adds nu * mean((Q1 - Q2)^2) to each critic's loss, pulling the
-two critics together. Actors ascend their paired critic (DARC trains actor j
-against critic j); SAC ascends min_i Q_i - alpha * log pi with the
+Every algorithm runs the same phases with the settings its ``AgentConfig``
+derives (see ``agents.config``). Critic losses are mean-squared TD errors
+against ``compute_targets``; with coupled critics (DARC) each critic's loss
+adds nu * mean((Q1 - Q2)^2), pulling the two critics together. The actor
+phase runs once every ``actor_delay`` critic phases: actor j ascends critic
+j, or, for a stochastic (SAC) actor, min_i Q_i - alpha * log pi with the
 reparameterization trick. After every actor phase all targets are Polyak-
 updated with rate tau.
 
@@ -16,6 +18,7 @@ Polyak sync then update each network's flat parameter vector in place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -32,7 +35,7 @@ def _squash01_node(t: ad.Node) -> ad.Node:
 
 
 def _critic_loss(agent: Agent, batch: Batch, targets: np.ndarray):
-    """Graph for the summed critic losses, plus DARC's nu-weighted coupling.
+    """Graph for the summed critic losses, plus the nu-weighted coupling.
 
     Returns the loss node, each critic's parameter leaves, each critic's MSE
     node, and the coupling term's value (0.0 when it is off).
@@ -47,22 +50,19 @@ def _critic_loss(agent: Agent, batch: Batch, targets: np.ndarray):
     q = [mlp_graph(nodes, agent.critic_spec, x) for nodes in critic_nodes]
     mse = [ad.mean_all(ad.square(ad.sub(qi, y))) for qi in q]
 
-    loss = mse[0]
-    for extra in mse[1:]:
-        loss = ad.add(loss, extra)
+    loss = reduce(ad.add, mse)
     reg_value = 0.0
-    if cfg.algo == "darc" and cfg.nu > 0.0:
+    if cfg.coupled_critics and cfg.nu > 0.0:
         reg = ad.mean_all(ad.square(ad.sub(q[0], q[1])))
         reg_value = float(reg.value)
         loss = ad.add(loss, ad.scale(reg, cfg.nu))
     return loss, critic_nodes, mse, reg_value
 
 
-def critic_update(agent: Agent, batch: Batch, targets: np.ndarray | None = None) -> dict[str, float]:
+def critic_update(agent: Agent, batch: Batch) -> dict[str, float]:
     """One Adam step per critic against the TD target; returns scalar losses."""
     cfg = agent.cfg
-    if targets is None:
-        targets = compute_targets(batch, agent)
+    targets = compute_targets(batch, agent).y
     loss, critic_nodes, mse, reg_value = _critic_loss(agent, batch, targets)
     ad.backprop(loss, 1.0, [leaf for nodes in critic_nodes for leaf in nodes.values()])
 
@@ -70,7 +70,7 @@ def critic_update(agent: Agent, batch: Batch, targets: np.ndarray | None = None)
     for i, nodes in enumerate(critic_nodes):
         adam_step(agent.critics[i], flat_grads(nodes), agent.critic_adam[i])
         losses[f"critic_{i}"] = float(mse[i].value) + cfg.nu * reg_value
-    if cfg.algo == "darc":
+    if cfg.coupled_critics:
         losses["critic_reg"] = reg_value
     agent.update_count += 1
     return losses
@@ -104,9 +104,8 @@ def _sac_actor_loss(agent: Agent, batch: Batch):
 
     critic_nodes = [lift_params(p) for p in agent.critics]
     x = ad.concat_cols(s, action)
-    q_min = ad.minimum(
-        mlp_graph(critic_nodes[0], agent.critic_spec, x),
-        mlp_graph(critic_nodes[1], agent.critic_spec, x),
+    q_min = reduce(
+        ad.minimum, [mlp_graph(nodes, agent.critic_spec, x) for nodes in critic_nodes]
     )
     loss = ad.mean_all(ad.sub(ad.scale(logp, cfg.sac_alpha), q_min))
     return loss, actor_nodes
@@ -123,30 +122,23 @@ def _sync_targets(agent: Agent) -> None:
 def actor_update(agent: Agent, batch: Batch) -> dict[str, float]:
     """Delayed policy improvement plus target tracking.
 
-    Runs only when the update counter is divisible by policy_delay (td3 and
-    darc); ddpg and sac update every gradient phase. Off-delay calls are
-    no-ops that leave every parameter untouched.
+    Runs only when the update counter is divisible by the config's
+    actor_delay; off-delay calls are no-ops that leave every parameter
+    untouched.
     """
     cfg = agent.cfg
-    delay = cfg.policy_delay if cfg.algo in ("td3", "darc") else 1
-    if agent.update_count % delay != 0:
+    if agent.update_count % cfg.actor_delay != 0:
         return {}
 
     losses: dict[str, float] = {}
-    if cfg.algo == "sac":
-        loss, actor_nodes = _sac_actor_loss(agent, batch)
+    for j in range(cfg.n_actors):
+        if cfg.stochastic:
+            loss, actor_nodes = _sac_actor_loss(agent, batch)
+        else:
+            loss, actor_nodes = _det_actor_loss(agent, batch, j, j)
         ad.backprop(loss, 1.0, list(actor_nodes.values()))
-        adam_step(agent.actors[0], flat_grads(actor_nodes), agent.actor_adam[0])
-        losses["actor_0"] = float(loss.value)
-    else:
-        pairs = [(0, 0)] if cfg.algo in ("ddpg", "td3") else [(0, 0), (1, 1)]
-        for actor_idx, critic_idx in pairs:
-            loss, actor_nodes = _det_actor_loss(agent, batch, actor_idx, critic_idx)
-            ad.backprop(loss, 1.0, list(actor_nodes.values()))
-            adam_step(
-                agent.actors[actor_idx], flat_grads(actor_nodes), agent.actor_adam[actor_idx]
-            )
-            losses[f"actor_{actor_idx}"] = float(loss.value)
+        adam_step(agent.actors[j], flat_grads(actor_nodes), agent.actor_adam[j])
+        losses[f"actor_{j}"] = float(loss.value)
     _sync_targets(agent)
     return losses
 

@@ -185,7 +185,7 @@ def _lockstep(policy, group, env_cfg) -> list[list[FrameRecord]]:
                     y=episode.y,
                     t_a=episode.t_a,
                     p_hat=(action[1], action[2]),
-                    p=tuple(episode.fixation_track[t]),
+                    p=tuple(episode.fixation_track[t].tolist()),
                     fps=episode.fps,
                 )
             )

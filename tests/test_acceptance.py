@@ -19,8 +19,7 @@ from crashrl.agents import (
     AgentConfig,
     Batch,
     ReplayBuffer,
-    darc_target,
-    td3_target,
+    compute_targets,
     train_step,
 )
 from crashrl.env import (
@@ -255,8 +254,8 @@ def test_c4_darc_td3_reduction():
             rng.uniform(0, 1, (batch_size, obs_dim)),
             (rng.random((batch_size, 1)) < 0.1).astype(float),
         )
-        y_td3 = td3_target(batch, td3)
-        parts = darc_target(batch, darc, with_components=True)
+        y_td3 = compute_targets(batch, td3).y
+        parts = compute_targets(batch, darc)
         assert np.array_equal(y_td3, parts.y), "targets diverged"
         v = parts.v_next.reshape(-1)
         q_min = parts.q_values.min(axis=(1, 2))

@@ -12,12 +12,9 @@ from crashrl.agents import (
     ReplayBuffer,
     Transition,
     actor_update,
+    compute_targets,
     critic_update,
-    darc_target,
-    ddpg_target,
-    sac_target,
     tanh_gaussian_logprob,
-    td3_target,
     train_step,
     update,
 )
@@ -156,22 +153,16 @@ class TestTanhGaussianLogprob:
 class TestTargets:
     def test_done_cuts_bootstrap_for_every_algo(self):
         rng = np.random.default_rng(1)
-        for algo, fn in (
-            ("ddpg", ddpg_target),
-            ("td3", td3_target),
-            ("darc", darc_target),
-            ("sac", sac_target),
-        ):
+        for algo in ("ddpg", "td3", "darc", "sac"):
             agent = Agent(small_cfg(algo), obs_dim=4, seed=2)
             batch = random_batch(rng, 16, 4, done_rate=1.0)
-            y = fn(batch, agent)
-            y = y.y if hasattr(y, "y") else y
+            y = compute_targets(batch, agent).y
             assert np.array_equal(y, batch.r)
 
     def test_near_zero_gamma_returns_reward(self):
         agent = Agent(small_cfg("td3", gamma=1e-300), obs_dim=4, seed=2)
         batch = random_batch(np.random.default_rng(2), 8, 4, done_rate=0.0)
-        assert np.allclose(td3_target(batch, agent), batch.r, atol=1e-12)
+        assert np.allclose(compute_targets(batch, agent).y, batch.r, atol=1e-12)
 
     def test_td3_with_equal_critics_matches_ddpg_without_smoothing(self):
         td3 = Agent(small_cfg("td3", target_noise=0.0), obs_dim=5, seed=9)
@@ -179,12 +170,12 @@ class TestTargets:
         td3.critics[1] = td3.critics[0].copy()
         td3.target_critics[1] = td3.target_critics[0].copy()
         batch = random_batch(np.random.default_rng(4), 12, 5)
-        assert np.array_equal(td3_target(batch, td3), ddpg_target(batch, ddpg))
+        assert np.array_equal(compute_targets(batch, td3).y, compute_targets(batch, ddpg).y)
 
     def test_td3_min_never_exceeds_either_critic(self):
         agent = Agent(small_cfg("td3", target_noise=0.0), obs_dim=4, seed=5)
         batch = random_batch(np.random.default_rng(5), 32, 4, done_rate=0.0)
-        y = td3_target(batch, agent)
+        y = compute_targets(batch, agent).y
         a_next = 0.5 * (
             mlp_apply(agent.target_actors[0], agent.actor_spec, batch.s_next) + 1.0
         )
@@ -211,7 +202,7 @@ class TestTargets:
             np.zeros((1, 2)), np.full((1, 3), 0.5), np.zeros((1, 1)),
             np.zeros((1, 2)), np.zeros((1, 1)),
         )
-        parts = darc_target(batch, agent, with_components=True)
+        parts = compute_targets(batch, agent)
         assert parts.q_values[0, 0] == pytest.approx([1.0, 0.8], abs=1e-12)
         assert parts.q_values[0, 1] == pytest.approx([0.7, 0.9], abs=1e-12)
         # exhaustive enumeration: max over actors of min over critics
@@ -229,7 +220,7 @@ class TestTargets:
         rng = np.random.default_rng(7)
         for _ in range(10):
             batch = random_batch(rng, 16, 6)
-            assert np.array_equal(td3_target(batch, td3), darc_target(batch, darc))
+            assert np.array_equal(compute_targets(batch, td3).y, compute_targets(batch, darc).y)
 
     def test_darc_bracketing_and_dominance_over_td3(self):
         darc = Agent(small_cfg("darc"), obs_dim=5, seed=11)
@@ -237,7 +228,7 @@ class TestTargets:
         rng = np.random.default_rng(8)
         for _ in range(10):
             batch = random_batch(rng, 24, 5, done_rate=0.0)
-            parts = darc_target(batch, darc, with_components=True)
+            parts = compute_targets(batch, darc)
             v = parts.v_next.reshape(-1)
             qmin = parts.q_values.min(axis=(1, 2))
             qmax = parts.q_values.max(axis=(1, 2))
@@ -251,7 +242,7 @@ class TestTargets:
         agent = Agent(cfg, obs_dim=4, seed=13)
         batch = random_batch(np.random.default_rng(9), 8, 4, done_rate=0.0)
         state_before = agent.rng.bit_generator.state
-        y = sac_target(batch, agent)
+        y = compute_targets(batch, agent).y
         # replay the same draw: with alpha=0 the target is the plain min-critic value
         agent.rng.bit_generator.state = state_before
         out = mlp_apply(agent.actors[0], agent.actor_spec, batch.s_next)
@@ -264,6 +255,72 @@ class TestTargets:
             mlp_apply(agent.target_critics[1], agent.critic_spec, x),
         )
         assert np.allclose(y, batch.r + cfg.gamma * q, atol=1e-12)
+
+
+class RecordingRng:
+    """Delegates to a Generator and records each draw as (method, shape)."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = []
+
+    def __getattr__(self, name):
+        attr = getattr(self.rng, name)
+        if not callable(attr):
+            return attr
+
+        def draw(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            self.draws.append((name, np.shape(out)))
+            return out
+
+        return draw
+
+
+class TestRandomStream:
+    """Same-seed byte identity rests on each phase drawing a fixed stream."""
+
+    N = 8
+    TARGET_DRAWS = {
+        "ddpg": [],
+        "td3": [("normal", (N, 3))],
+        "darc": [("normal", (N, 3))],
+        "sac": [("standard_normal", (N, 3))],
+    }
+    # The actor phase draws only for the stochastic actor's reparameterization.
+    ACTOR_DRAWS = {"ddpg": [], "td3": [], "darc": [], "sac": [("standard_normal", (N, 3))]}
+
+    def _agent(self, algo):
+        agent = Agent(small_cfg(algo, policy_delay=1), obs_dim=4, seed=3)
+        reference = np.random.default_rng()
+        reference.bit_generator.state = agent.rng.bit_generator.state
+        agent.rng = RecordingRng(agent.rng)
+        return agent, reference
+
+    def _replay(self, reference, cfg, draws):
+        for name, shape in draws:
+            if name == "normal":
+                reference.normal(0.0, cfg.target_noise, size=shape)
+            else:
+                reference.standard_normal(shape)
+        return reference.bit_generator.state
+
+    @pytest.mark.parametrize("algo", ["ddpg", "td3", "sac", "darc"])
+    def test_compute_targets_draws(self, algo):
+        agent, reference = self._agent(algo)
+        compute_targets(random_batch(np.random.default_rng(0), self.N, 4), agent)
+        assert agent.rng.draws == self.TARGET_DRAWS[algo]
+        expected = self._replay(reference, agent.cfg, self.TARGET_DRAWS[algo])
+        assert agent.rng.bit_generator.state == expected
+
+    @pytest.mark.parametrize("algo", ["ddpg", "td3", "sac", "darc"])
+    def test_update_draws(self, algo):
+        agent, reference = self._agent(algo)
+        losses = update(agent, random_batch(np.random.default_rng(0), self.N, 4))
+        assert "actor_0" in losses  # the actor phase ran
+        draws = self.TARGET_DRAWS[algo] + self.ACTOR_DRAWS[algo]
+        assert agent.rng.draws == draws
+        assert agent.rng.bit_generator.state == self._replay(reference, agent.cfg, draws)
 
 
 def constant_critic(agent, index, value):
@@ -490,6 +547,16 @@ class TestAgentCheckpoint:
         with pytest.raises(ValueError, match=message):
             Agent.load(path, small_cfg("td3"))
 
+    def test_duplicate_section_names_path_and_line(self, tmp_path):
+        def edit(lines):
+            lines[lines.index("SECTION critic_0")] = "SECTION actor_0"
+
+        path = self._corrupted(tmp_path, edit)
+        lineno = path.read_text().splitlines().index("SECTION actor_0", 2) + 1
+        message = rf"ck\.txt: line {lineno}: duplicate section 'actor_0'"
+        with pytest.raises(ValueError, match=message):
+            Agent.load(path, small_cfg("td3"))
+
 
 @pytest.mark.slow
 def test_darc_critic_gap_shrinks_with_regularization():
@@ -562,11 +629,3 @@ class TestErrorSurfaces:
     def test_transition_rejects_out_of_bound_actions(self):
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             Transition(np.zeros(4), np.array([0.5, 1.5, 0.5]), 0.0, np.zeros(4), False)
-
-    def test_algorithm_specific_targets_reject_other_agents(self):
-        td3 = Agent(small_cfg("td3"), obs_dim=4, seed=0)
-        batch = random_batch(np.random.default_rng(0), 4, 4)
-        with pytest.raises(ValueError, match="darc"):
-            darc_target(batch, td3)
-        with pytest.raises(ValueError, match="sac"):
-            sac_target(batch, td3)

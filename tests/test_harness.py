@@ -231,6 +231,21 @@ class TestTracesAndComparison:
             for row, rec in zip(rows, sorted(ep_records, key=lambda r: r.t)):
                 assert float(row.split(",")[1]) == rec.score
 
+    def test_every_trace_field_parses_as_a_float(self, tmp_path):
+        from crashrl.harness import export_traces
+
+        cfg = tiny_cfg(tmp_path)
+        episodes = [generate_episode(cfg.env, j) for j in range(3)]
+        records = collect_records(ScriptedOnsetAgent(), episodes, cfg)
+        export_traces(records, tmp_path / "traces", cfg.env)
+        for ep in episodes:
+            path = tmp_path / "traces" / f"trace_{ep.episode_id}.csv"
+            for t, line in enumerate(path.read_text().splitlines()[2:]):
+                row = [float(field) for field in line.split(",")]
+                assert len(row) == 9
+                assert row[0] == t
+                assert row[7:] == ep.fixation_track[t].tolist()
+
     def test_duplicate_artifacts_tie_on_every_row(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
         artifacts = run_training(cfg)
@@ -364,6 +379,25 @@ class TestCli:
     def test_unknown_flag_exits_one(self, tmp_path, capsys):
         code = cli_main(["train", "--fromage", "brie"])
         assert code == 1
+
+    def test_main_sets_glibc_heap_thresholds_when_available(self, monkeypatch, capsys):
+        import ctypes
+
+        calls = []
+
+        class FakeLibc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: FakeLibc())
+        assert cli_main(["train", "--fromage", "brie"]) == 1
+        assert calls == [(-3, 4 << 20), (-1, 8 << 20)]
+
+        def no_libc(name):
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        assert cli_main(["train", "--fromage", "brie"]) == 1
 
     def test_config_file_plus_flag_precedence(self, tmp_path):
         config = {

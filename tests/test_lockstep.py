@@ -137,7 +137,7 @@ def sequential_records(policy, episodes, cfg):
             records.append(
                 FrameRecord(
                     episode.episode_id, t, action.a, episode.y, episode.t_a,
-                    action.p_hat, tuple(episode.fixation_track[t]), episode.fps,
+                    action.p_hat, tuple(episode.fixation_track[t].tolist()), episode.fps,
                 )
             )
             obs = env.step(action).next_obs
