@@ -195,61 +195,55 @@ class Agent:
 
     @classmethod
     def load(cls, path, cfg: AgentConfig) -> "Agent":
-        """Rebuild an agent from a checkpoint; cfg must match algo and shapes."""
+        """Rebuild an agent from a checkpoint; cfg must match algo and shapes.
+
+        Reads the file one section at a time: the NKP1 parser takes each
+        section's lines straight from the open file.
+        """
         with open(path, "r", encoding="utf-8") as f:
-            lines = f.read().splitlines()
-        if not lines:
-            raise ValueError(f"{path}: empty checkpoint")
-        header = lines[0].split()
-        if len(header) != 7 or header[0] != CHECKPOINT_TAG:
-            raise ValueError(f"{path}: line 1: malformed {CHECKPOINT_TAG} header")
-        algo, _hash = header[1], header[2]
-        env_steps, update_count, obs_dim, n_sections = (
-            _parse_int(path, 1, field, token)
-            for field, token in zip(
-                ("env_steps", "update_count", "obs_dim", "n_sections"), header[3:7]
-            )
-        )
-        if algo != cfg.algo:
-            raise ValueError(
-                f"{path}: checkpoint algo {algo!r} does not match configured {cfg.algo!r}"
-            )
-        if obs_dim < 1:
-            raise ValueError(f"{path}: line 1: obs_dim must be >= 1, got {obs_dim}")
-        agent = cls(cfg, obs_dim, seed=0)
-        expected = dict(agent._sections())
-        if n_sections != len(expected):
-            raise ValueError(
-                f"{path}: expected {len(expected)} sections, header declares {n_sections}"
-            )
-        # Split remaining lines into sections.
-        loaded: dict[str, ParamSet] = {}
-        i = 1
-        while i < len(lines):
-            if not lines[i].startswith("SECTION "):
-                raise ValueError(f"{path}: line {i + 1}: expected SECTION marker")
-            marker = lines[i].split(maxsplit=1)
-            if len(marker) != 2:
-                raise ValueError(f"{path}: line {i + 1}: SECTION marker without a name")
-            name = marker[1]
-            if name not in expected:
-                raise ValueError(f"{path}: line {i + 1}: unknown section {name!r}")
-            if name in loaded:
-                raise ValueError(f"{path}: line {i + 1}: duplicate section {name!r}")
-            header_line = lines[i + 1].split() if i + 1 < len(lines) else []
-            if len(header_line) != 2 or header_line[0] != "NKP1":
-                raise ValueError(
-                    f"{path}: line {i + 2}: expected an NKP1 parameter record"
+            header = f.readline().split()
+            if not header:
+                raise ValueError(f"{path}: empty checkpoint")
+            if len(header) != 7 or header[0] != CHECKPOINT_TAG:
+                raise ValueError(f"{path}: line 1: malformed {CHECKPOINT_TAG} header")
+            algo, _hash = header[1], header[2]
+            env_steps, update_count, obs_dim, n_sections = (
+                _parse_int(path, 1, field, token)
+                for field, token in zip(
+                    ("env_steps", "update_count", "obs_dim", "n_sections"), header[3:7]
                 )
-            count = _parse_int(path, i + 2, "NKP1 tensor count", header_line[1])
-            if count < 0:
-                raise ValueError(f"{path}: line {i + 2}: negative NKP1 tensor count {count}")
-            block = "\n".join(lines[i + 1 : i + 2 + count])
-            try:
-                loaded[name] = decode_params(block, offset=i + 1)
-            except ValueError as exc:
-                raise ValueError(f"{path}: section {name}: {exc}") from exc
-            i += 2 + count
+            )
+            if algo != cfg.algo:
+                raise ValueError(
+                    f"{path}: checkpoint algo {algo!r} does not match configured {cfg.algo!r}"
+                )
+            if obs_dim < 1:
+                raise ValueError(f"{path}: line 1: obs_dim must be >= 1, got {obs_dim}")
+            agent = cls(cfg, obs_dim, seed=0)
+            expected = dict(agent._sections())
+            if n_sections != len(expected):
+                raise ValueError(
+                    f"{path}: expected {len(expected)} sections, header declares {n_sections}"
+                )
+            loaded: dict[str, ParamSet] = {}
+            lineno = 2
+            for line in f:
+                marker = line.rstrip("\n")
+                if not marker.startswith("SECTION "):
+                    raise ValueError(f"{path}: line {lineno}: expected SECTION marker")
+                fields = marker.split(maxsplit=1)
+                if len(fields) != 2:
+                    raise ValueError(f"{path}: line {lineno}: SECTION marker without a name")
+                name = fields[1]
+                if name not in expected:
+                    raise ValueError(f"{path}: line {lineno}: unknown section {name!r}")
+                if name in loaded:
+                    raise ValueError(f"{path}: line {lineno}: duplicate section {name!r}")
+                try:
+                    loaded[name] = decode_params(f, offset=lineno)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: {exc}") from exc
+                lineno += 2 + len(loaded[name])
         missing = sorted(set(expected) - set(loaded))
         if missing:
             raise ValueError(f"{path}: missing sections {missing}")

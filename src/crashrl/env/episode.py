@@ -192,6 +192,10 @@ def load_episode_file(path) -> Episode:
         raise EpisodeFormatError(f"{path}: line 1: malformed header: {exc}") from exc
     if h < 1 or w < 1 or t_len < 1:
         raise EpisodeFormatError(f"{path}: line 1: nonpositive dimensions")
+    if t_a_raw < -1:
+        raise EpisodeFormatError(
+            f"{path}: line 1: t_a must be -1 (no accident) or a frame index, got {t_a_raw}"
+        )
     if len(lines) != t_len + 1:
         raise EpisodeFormatError(
             f"{path}: expected {t_len} frame records, found {len(lines) - 1}"
@@ -233,7 +237,8 @@ def load_episode_file(path) -> Episode:
         frames.append(SaliencyField(values.reshape(h, w), t))
         track[t] = (px, py)
 
-    t_a = None if t_a_raw < 0 else t_a_raw
+    t_a = None if t_a_raw == -1 else t_a_raw
+    # The frame records are checked above; what Episode rejects is a header field.
     try:
         return Episode(
             tuple(frames),
@@ -244,7 +249,7 @@ def load_episode_file(path) -> Episode:
             episode_id=_stem(path),
         )
     except ValueError as exc:
-        raise EpisodeFormatError(f"{path}: {exc}") from exc
+        raise EpisodeFormatError(f"{path}: line 1: {exc}") from exc
 
 
 def _stem(path) -> str:

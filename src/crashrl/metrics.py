@@ -1,10 +1,9 @@
 """Evaluation of accident anticipation and fixation prediction.
 
-Scoring granularity: AUC and AP pool frames across episodes by default (each
-frame is one sample carrying its episode's label); granularity="episode"
-scores each episode once by its maximum frame score. Recall and mTTA are
-episode-level: a positive episode is detected only by a crossing strictly
-before its accident frame, and a late or absent alarm contributes TTA = 0.
+AUC and AP pool frames across episodes (each frame is one sample carrying its
+episode's label). Recall and mTTA are episode-level: a positive episode is
+detected only by a crossing strictly before its accident frame, and a late
+or absent alarm contributes TTA = 0.
 
 Tie handling is pinned so independent implementations agree exactly: tied
 pairs add 0.5 each to the AUC pair count, and AP processes tied scores as
@@ -88,26 +87,18 @@ def _group_episodes(records) -> dict[str, list[FrameRecord]]:
     return episodes
 
 
-def _samples(records, granularity: str) -> tuple[np.ndarray, np.ndarray]:
-    """(scores, labels) at the requested granularity."""
-    if granularity == "frame":
-        scores = np.array([r.score for r in records])
-        labels = np.array([r.y for r in records])
-    elif granularity == "episode":
-        episodes = _group_episodes(records)
-        ids = sorted(episodes)
-        scores = np.array([max(r.score for r in episodes[i]) for i in ids])
-        labels = np.array([episodes[i][0].y for i in ids])
-    else:
-        raise ValueError(f"granularity must be 'frame' or 'episode', got {granularity!r}")
+def _samples(records) -> tuple[np.ndarray, np.ndarray]:
+    """(scores, labels), one sample per frame."""
+    scores = np.array([r.score for r in records])
+    labels = np.array([r.y for r in records])
     if scores.size == 0:
         raise ValueError("no records to score")
     return scores, labels
 
 
-def roc_auc(records, granularity: str = "frame") -> float:
+def roc_auc(records) -> float:
     """Mann-Whitney AUC: P(score_pos > score_neg) + 0.5 * P(tie), exactly."""
-    scores, labels = _samples(records, granularity)
+    scores, labels = _samples(records)
     pos = scores[labels == 1]
     neg = np.sort(scores[labels == 0])
     if pos.size == 0 or neg.size == 0:
@@ -119,9 +110,9 @@ def roc_auc(records, granularity: str = "frame") -> float:
     return (wins + 0.5 * ties) / (float(pos.size) * float(neg.size))
 
 
-def average_precision(records, granularity: str = "frame") -> float:
+def average_precision(records) -> float:
     """Step-integrated PR curve: per-positive block-end precision, averaged."""
-    scores, labels = _samples(records, granularity)
+    scores, labels = _samples(records)
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise ValueError("average_precision requires at least one positive sample")
@@ -145,9 +136,9 @@ def average_precision(records, granularity: str = "frame") -> float:
     return math.fsum(contributions) / n_pos
 
 
-def roc_curve_points(records, granularity: str = "frame"):
+def roc_curve_points(records):
     """(fpr, tpr, threshold) per distinct threshold, descending, with a (0,0) anchor."""
-    scores, labels = _samples(records, granularity)
+    scores, labels = _samples(records)
     n_pos = int(labels.sum())
     n_neg = int(labels.size - n_pos)
     if n_pos == 0 or n_neg == 0:
@@ -168,9 +159,9 @@ def roc_curve_points(records, granularity: str = "frame"):
     return tuple(points)
 
 
-def pr_curve_points(records, granularity: str = "frame"):
+def pr_curve_points(records):
     """(recall, precision, threshold) per distinct threshold, descending."""
-    scores, labels = _samples(records, granularity)
+    scores, labels = _samples(records)
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise ValueError("PR curve requires at least one positive sample")
@@ -258,11 +249,13 @@ def safe_detect_fraction(records, a_0: float, margin_seconds: float = 2.0) -> fl
 
 def fixation_mse(records, window: str = "after_accident") -> float:
     """Mean squared fixation error over frames where the reward window is active."""
-    errors = [
-        (r.p_hat[0] - r.p[0]) ** 2 + (r.p_hat[1] - r.p[1]) ** 2
-        for r in records
-        if fixation_window_active(r.t, r.t_a, window)
-    ]
+    errors = []
+    for r in records:
+        if fixation_window_active(r.t, r.t_a, window):
+            # d * d is the correctly rounded square; d ** 2 goes through libm pow.
+            dx = r.p_hat[0] - r.p[0]
+            dy = r.p_hat[1] - r.p[1]
+            errors.append(dx * dx + dy * dy)
     if not errors:
         raise ValueError("fixation_mse: no frames fall inside the evaluation window")
     return math.fsum(errors) / len(errors)
@@ -272,19 +265,18 @@ def compile_report(
     records,
     a_0: float,
     window: str = "after_accident",
-    granularity: str = "frame",
 ) -> MetricsReport:
     records = list(records)
     recall, counts = recall_at_threshold(records, a_0)
     return MetricsReport(
-        auc=roc_auc(records, granularity),
-        ap=average_precision(records, granularity),
+        auc=roc_auc(records),
+        ap=average_precision(records),
         recall_at_a0=recall,
         mtta_seconds=mtta(records, a_0),
         fixation_mse=fixation_mse(records, window),
         counts=counts,
-        roc_points=roc_curve_points(records, granularity),
-        pr_points=pr_curve_points(records, granularity),
+        roc_points=roc_curve_points(records),
+        pr_points=pr_curve_points(records),
         safe_detect_fraction_2s=safe_detect_fraction(records, a_0),
     )
 

@@ -33,7 +33,6 @@ __all__ = [
     "tanh",
     "tanh_head",
     "exp",
-    "log",
     "clip",
     "square",
     "minimum",
@@ -217,14 +216,6 @@ def exp(a: Node) -> Node:
             _acc(a, g * e)
 
     return Node(e, (a,), push)
-
-
-def log(a: Node) -> Node:
-    def push(g):
-        if a.wanted:
-            _acc(a, g / a.value)
-
-    return Node(np.log(a.value), (a,), push)
 
 
 def clip(a: Node, lo: float, hi: float) -> Node:

@@ -1,11 +1,14 @@
-"""MLP specification, initialization, forward/backward, and gradient checks.
+"""MLP specification, initialization, forward passes, and gradient checks.
 
 Networks are plain chains: affine -> relu per hidden layer, then an affine
 output head with identity or tanh activation. Parameters are named
 ``w0, b0, w1, b1, ...`` with weight shape [fan_in, fan_out], stored in that
-order in one flat vector (see ``ParamSet``). ``lift_params`` makes a graph
-leaf of each named view; ``flat_grads`` gathers the leaves' gradients back
-into one vector with the same layout, ready for ``adam_step``.
+order in one flat vector (see ``ParamSet``). ``mlp_apply`` is the graph-free
+forward pass. For gradients, ``lift_params`` makes a graph leaf of each named
+view, ``mlp_graph`` builds the forward graph on them, ``autodiff.backprop``
+pushes the loss gradient back, and ``flat_grads`` gathers the leaves'
+gradients into one vector with the parameters' layout, ready for
+``adam_step``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from . import autodiff as ad
-from .tensor import ParamSet, Tensor
+from .tensor import ParamSet
 
 HIDDEN_ACTIVATIONS = ("relu",)
 OUTPUT_ACTIVATIONS = ("identity", "tanh")
@@ -62,9 +65,9 @@ def init_params(spec: MlpSpec, seed: int) -> ParamSet:
     for name, shape in spec.param_shapes():
         if name.startswith("w"):
             bound = 1.0 / np.sqrt(shape[0])
-            items.append((name, Tensor(rng.uniform(-bound, bound, size=shape))))
+            items.append((name, rng.uniform(-bound, bound, size=shape)))
         else:
-            items.append((name, Tensor.zeros(shape)))
+            items.append((name, np.zeros(shape)))
     return ParamSet(items)
 
 
@@ -92,7 +95,7 @@ def mlp_graph(params: Mapping[str, ad.Node], spec: MlpSpec, x: ad.Node) -> ad.No
 
 def lift_params(params: ParamSet) -> dict[str, ad.Node]:
     """One graph leaf per named tensor, viewing the parameters (no copy)."""
-    return {name: ad.lift(tensor.array) for name, tensor in params}
+    return {name: ad.lift(array) for name, array in params}
 
 
 def flat_grads(nodes: Mapping[str, ad.Node]) -> np.ndarray:
@@ -108,26 +111,8 @@ def flat_grads(nodes: Mapping[str, ad.Node]) -> np.ndarray:
     )
 
 
-@dataclass
-class Tape:
-    """Computation record from one forward pass, sufficient for backward."""
-
-    output: ad.Node
-    input: ad.Node
-    params: dict[str, ad.Node]
-    spec: MlpSpec
-
-
-def mlp_forward(params: ParamSet, spec: MlpSpec, x) -> tuple[Tensor, Tape]:
-    arr = _check_input(spec, x.array if isinstance(x, Tensor) else x)
-    x_node = ad.lift(arr)
-    param_nodes = lift_params(params)
-    out = mlp_graph(param_nodes, spec, x_node)
-    return Tensor(out.value), Tape(out, x_node, param_nodes, spec)
-
-
 def mlp_apply(params: ParamSet, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
-    """Tape-free forward pass for action selection and target computation.
+    """Graph-free forward pass for action selection and target computation.
 
     Each layer's matmul output is a fresh array, so the bias, relu and head
     act on it in place.
@@ -135,8 +120,8 @@ def mlp_apply(params: ParamSet, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
     h = _check_input(spec, x)
     n_layers = len(spec.hidden_dims) + 1
     for i in range(n_layers):
-        h = h @ params[f"w{i}"].array
-        h += params[f"b{i}"].array
+        h = h @ params[f"w{i}"]
+        h += params[f"b{i}"]
         if i < n_layers - 1:
             np.maximum(h, 0.0, out=h)
     if spec.output_activation == "tanh":
@@ -145,30 +130,9 @@ def mlp_apply(params: ParamSet, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
     return h
 
 
-def backward(tape: Tape, upstream) -> tuple[ParamSet, Tensor]:
-    """Gradients of sum(output * upstream): (per parameter, for the input)."""
-    arr = upstream.array if isinstance(upstream, Tensor) else np.asarray(upstream)
-    ad.backprop(tape.output, arr)
-    x_grad = tape.input.grad
-    if x_grad is None:
-        x_grad = np.zeros_like(tape.input.value)
-    grads = ParamSet.view(tape.spec.param_shapes(), flat_grads(tape.params))
-    return grads, Tensor(x_grad)
-
-
 # Central-difference step and the kink-exclusion margin for relu nets.
 FD_STEP = 1e-5
 RELU_KINK_MARGIN = 1e-3
-
-
-def _hidden_preacts(params: ParamSet, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
-    h = x
-    preacts = []
-    for i in range(len(spec.hidden_dims)):
-        z = h @ params[f"w{i}"].array + params[f"b{i}"].array
-        preacts.append(z.reshape(-1))
-        h = np.maximum(z, 0.0)
-    return np.concatenate(preacts) if preacts else np.empty(0)
 
 
 def gradient_check(spec: MlpSpec, seed: int, probes: int) -> float:
@@ -186,47 +150,51 @@ def gradient_check(spec: MlpSpec, seed: int, probes: int) -> float:
     batch = 3
     x = rng.standard_normal((batch, spec.input_dim))
     if spec.hidden_dims:
+        # Layer i's pre-activations are the output of the net cut after it.
+        cuts = [
+            MlpSpec(spec.input_dim, spec.hidden_dims[:i], width)
+            for i, width in enumerate(spec.hidden_dims)
+        ]
         for _ in range(200):
-            pre = _hidden_preacts(params, spec, x)
-            if pre.size == 0 or np.min(np.abs(pre)) > RELU_KINK_MARGIN:
+            preacts = [mlp_apply(params, cut, x) for cut in cuts]
+            if min(np.min(np.abs(z)) for z in preacts) > RELU_KINK_MARGIN:
                 break
             x = rng.standard_normal((batch, spec.input_dim))
         else:
             raise RuntimeError("could not find an input away from relu kinks")
     weighting = rng.standard_normal((batch, spec.output_dim))
 
-    _, tape = mlp_forward(params, spec, x)
-    param_grads, input_grad = backward(tape, weighting)
+    # Analytic gradients along the path the gradient phases run.
+    param_nodes = lift_params(params)
+    x_node = ad.lift(x)
+    out = mlp_graph(param_nodes, spec, x_node)
+    ad.backprop(out, weighting, [*param_nodes.values(), x_node])
+    analytic = np.concatenate([flat_grads(param_nodes), x_node.grad.reshape(-1)])
 
     def loss(p: ParamSet, xv: np.ndarray) -> float:
         return float(np.sum(mlp_apply(p, spec, xv) * weighting))
 
-    # Enumerate (kind, name, flat_index) coordinates, then probe a shuffled subset.
-    coords: list[tuple[str, str, int]] = []
-    for name, tensor in params:
-        coords.extend(("param", name, i) for i in range(tensor.data.size))
-    coords.extend(("input", "", i) for i in range(x.size))
-    picked = [coords[i] for i in rng.permutation(len(coords))[: min(probes, len(coords))]]
+    # Probe a shuffled subset of the coordinates: parameters first, then inputs.
+    n_params = params.flat.size
+    picked = rng.permutation(n_params + x.size)[: min(probes, n_params + x.size)]
 
     max_rel = 0.0
-    for kind, name, idx in picked:
-        if kind == "param":
-            analytic = param_grads[name].data[idx]
+    for idx in picked:
+        if idx < n_params:
 
             def perturbed(sign: float) -> float:
                 p2 = params.copy()
-                p2[name].data[idx] += sign * FD_STEP
+                p2.flat[idx] += sign * FD_STEP
                 return loss(p2, x)
 
         else:
-            analytic = input_grad.data[idx]
 
             def perturbed(sign: float) -> float:
                 x2 = x.copy()
-                x2.reshape(-1)[idx] += sign * FD_STEP
+                x2.reshape(-1)[idx - n_params] += sign * FD_STEP
                 return loss(params, x2)
 
         numeric = (perturbed(+1.0) - perturbed(-1.0)) / (2.0 * FD_STEP)
-        rel = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-6)
+        rel = abs(numeric - analytic[idx]) / max(abs(numeric), abs(analytic[idx]), 1e-6)
         max_rel = max(max_rel, rel)
     return max_rel

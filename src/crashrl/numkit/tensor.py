@@ -1,4 +1,4 @@
-"""Dense float64 tensors, flat-backed named parameter sets, and their disk format.
+"""Flat-backed named parameter sets and their disk format.
 
 Checkpoint format (version tag ``NKP1``), UTF-8 text, one tensor per line:
 
@@ -8,8 +8,9 @@ Checkpoint format (version tag ``NKP1``), UTF-8 text, one tensor per line:
 Floats are serialized with 17 significant digits, which round-trips IEEE-754
 doubles exactly, so write -> read is bit-identical.
 
-A ParamSet keeps its tensors as views into one flat vector, in the order the
-format lists them; the flat storage does not change the bytes.
+A ParamSet keeps its tensors as float64 ndarray views into one flat vector,
+in the order the format lists them; the flat storage does not change the
+bytes.
 """
 
 from __future__ import annotations
@@ -26,58 +27,6 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-class Tensor:
-    """A dense, row-major float64 array; built from data, its entries are finite.
-
-    Tensors inside a ParamSet are views into the set's flat vector: writing
-    ``p["w0"].array[:] = ...`` writes the network's parameters in place.
-    """
-
-    __slots__ = ("array",)
-
-    def __init__(self, array) -> None:
-        arr = np.ascontiguousarray(array, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("tensor entries must be finite (no NaN/Inf)")
-        self.array = arr
-
-    @classmethod
-    def _view(cls, array: np.ndarray) -> "Tensor":
-        """Wrap an existing float64 array without copying or checking it."""
-        tensor = object.__new__(cls)
-        tensor.array = array
-        return tensor
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.array.shape
-
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the entries."""
-        return self.array.reshape(-1)
-
-    @classmethod
-    def zeros(cls, shape) -> "Tensor":
-        return cls(np.zeros(shape, dtype=np.float64))
-
-    @classmethod
-    def from_flat(cls, shape, values) -> "Tensor":
-        shape = tuple(int(d) for d in shape)
-        flat = np.asarray(values, dtype=np.float64)
-        if flat.ndim != 1 or flat.size != int(np.prod(shape, dtype=np.int64)):
-            raise ValueError(
-                f"flat data of length {flat.size} does not fill shape {shape}"
-            )
-        return cls(flat.reshape(shape))
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.array.copy())
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape})"
-
-
 Layout = tuple[tuple[str, tuple[int, ...]], ...]
 
 
@@ -85,26 +34,29 @@ class ParamSet:
     """Ordered, named tensors (weights and biases) for one network.
 
     The entries live in one contiguous float64 vector, ``flat``, in name
-    order and row-major within each tensor; every named tensor is a view into
-    it. Whole-network arithmetic (Adam, Polyak tracking, comparisons) runs on
-    ``flat`` in a few vector operations.
+    order and row-major within each tensor; ``params["w0"]`` is an ndarray
+    view into it, so writing ``params["w0"][:] = ...`` writes the network's
+    parameters in place. Whole-network arithmetic (Adam, Polyak tracking,
+    comparisons) runs on ``flat`` in a few vector operations.
     """
 
     __slots__ = ("_layout", "_tensors", "flat")
 
-    def __init__(self, items: Iterable[tuple[str, Tensor]]) -> None:
+    def __init__(self, items: Iterable[tuple[str, object]]) -> None:
+        """Copy (name, array-like) pairs into one flat vector; entries must be finite."""
         layout = []
         arrays = []
-        for name, tensor in items:
+        for name, values in items:
             if not name or any(ch.isspace() for ch in name):
                 raise ValueError(f"invalid parameter name {name!r}")
             if any(name == seen for seen, _ in layout):
                 raise ValueError(f"duplicate parameter name {name!r}")
-            if not isinstance(tensor, Tensor):
-                tensor = Tensor(tensor)
-            layout.append((name, tensor.shape))
-            arrays.append(tensor.data)
+            array = np.asarray(values, dtype=np.float64)
+            layout.append((name, array.shape))
+            arrays.append(array.reshape(-1))
         flat = np.concatenate(arrays) if arrays else np.empty(0)
+        if not np.isfinite(flat).all():
+            raise ValueError("parameter entries must be finite (no NaN/Inf)")
         self._bind(tuple(layout), flat, [a.size for a in arrays])
 
     @classmethod
@@ -124,10 +76,10 @@ class ParamSet:
     def _bind(self, layout: Layout, flat: np.ndarray, sizes) -> None:
         self._layout = layout
         self.flat = flat
-        self._tensors: dict[str, Tensor] = {}
+        self._tensors: dict[str, np.ndarray] = {}
         start = 0
         for (name, shape), size in zip(layout, sizes):
-            self._tensors[name] = Tensor._view(flat[start : start + size].reshape(shape))
+            self._tensors[name] = flat[start : start + size].reshape(shape)
             start += size
 
     @property
@@ -135,21 +87,14 @@ class ParamSet:
         """(name, shape) of every tensor, in order."""
         return self._layout
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._tensors)
-
     def like(self, flat) -> "ParamSet":
         """A ParamSet with these names and shapes viewing ``flat`` (no copy)."""
         return ParamSet.view(self._layout, flat)
 
-    def __getitem__(self, name: str) -> Tensor:
+    def __getitem__(self, name: str) -> np.ndarray:
         return self._tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
-    def __iter__(self) -> Iterator[tuple[str, Tensor]]:
+    def __iter__(self) -> Iterator[tuple[str, np.ndarray]]:
         return iter(self._tensors.items())
 
     def __len__(self) -> int:
@@ -176,13 +121,12 @@ class ParamSet:
 def encode_params(params: ParamSet) -> str:
     """Render a ParamSet in the NKP1 checkpoint format."""
     lines = [f"{FORMAT_TAG} {len(params)}"]
-    for name, tensor in params:
-        dims = " ".join(str(d) for d in tensor.shape)
+    for name, array in params:
+        dims = " ".join(str(d) for d in array.shape)
         # One %-format call per tensor; "%.17g" % v is format_float(v).
-        flat = tensor.data.tolist()
+        flat = array.reshape(-1).tolist()
         values = " ".join(["%.17g"] * len(flat)) % tuple(flat)
-        ndim = len(tensor.shape)
-        line = f"{name} {ndim}"
+        line = f"{name} {array.ndim}"
         if dims:
             line += f" {dims}"
         if values:
@@ -191,48 +135,60 @@ def encode_params(params: ParamSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def decode_params(text: str, *, offset: int = 0) -> ParamSet:
-    """Parse the NKP1 format; ``offset`` shifts line numbers in diagnostics."""
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError("empty parameter record")
-    header = lines[0].split()
+def decode_params(lines: Iterable[str], *, offset: int = 0) -> ParamSet:
+    """Read one NKP1 record, the header and its tensor lines, from ``lines``.
+
+    ``lines`` is an iterable of text lines, such as ``text.splitlines()`` or
+    an open file. From an iterator (a file) it consumes exactly the record's
+    lines and leaves the rest. ``offset`` is the number of lines before the
+    header, so diagnostics name the line of the whole file.
+    """
+    lines = iter(lines)
+    header_line = next(lines, None)
+    header = [] if header_line is None else header_line.split()
     if len(header) != 2 or header[0] != FORMAT_TAG:
         raise ValueError(f"line {offset + 1}: expected '{FORMAT_TAG} <count>' header")
-    count = int(header[1])
-    if len(lines) != count + 1:
+    try:
+        count = int(header[1])
+    except ValueError:
         raise ValueError(
-            f"parameter record declares {count} tensors but has {len(lines) - 1} lines"
-        )
-    items = []
-    for i, line in enumerate(lines[1:], start=2):
+            f"line {offset + 1}: {FORMAT_TAG} tensor count must be an integer, "
+            f"got {header[1]!r}"
+        ) from None
+    if count < 0:
+        raise ValueError(f"line {offset + 1}: negative {FORMAT_TAG} tensor count {count}")
+    layout = []
+    arrays = []
+    for lineno in range(offset + 2, offset + 2 + count):
+        line = next(lines, None)
+        if line is None:
+            raise ValueError(
+                f"line {lineno}: record ends after {len(layout)} of {count} tensors"
+            )
         tokens = line.split()
-        lineno = offset + i
         if len(tokens) < 2:
             raise ValueError(f"line {lineno}: truncated tensor record")
         name = tokens[0]
         try:
             ndim = int(tokens[1])
-            dims = [int(t) for t in tokens[2 : 2 + ndim]]
-            values = [float(t) for t in tokens[2 + ndim :]]
+            dims = tuple(int(t) for t in tokens[2 : 2 + ndim])
+            values = np.array([float(t) for t in tokens[2 + ndim :]], dtype=np.float64)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: malformed tensor record: {exc}") from exc
-        if len(dims) != ndim:
-            raise ValueError(f"line {lineno}: expected {ndim} dimensions")
+        if len(dims) != ndim or min(dims, default=0) < 0:
+            raise ValueError(f"line {lineno}: expected {ndim} nonnegative dimensions")
         expected = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        if len(values) != expected:
+        if values.size != expected:
             raise ValueError(
-                f"line {lineno}: tensor '{name}' expects {expected} values, got {len(values)}"
+                f"line {lineno}: tensor '{name}' expects {expected} values, got {values.size}"
             )
-        items.append((name, Tensor.from_flat(dims, values)))
-    return ParamSet(items)
-
-
-def write_params(params: ParamSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(encode_params(params))
-
-
-def read_params(path) -> ParamSet:
-    with open(path, "r", encoding="utf-8") as f:
-        return decode_params(f.read())
+        if not np.isfinite(values).all():
+            raise ValueError(
+                f"line {lineno}: tensor '{name}' entries must be finite (no NaN/Inf)"
+            )
+        if any(name == seen for seen, _ in layout):
+            raise ValueError(f"line {lineno}: duplicate parameter name {name!r}")
+        layout.append((name, dims))
+        arrays.append(values)
+    flat = np.concatenate(arrays) if arrays else np.empty(0)
+    return ParamSet.view(layout, flat)

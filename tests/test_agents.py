@@ -96,7 +96,7 @@ class TestActionSelection:
             agent = Agent(small_cfg(algo), obs_dim=4, seed=1)
             for params in agent.actors:
                 for _, tensor in params:
-                    tensor.array[:] = 1e8  # saturate everything
+                    tensor[:] = 1e8  # saturate everything
             for mode in ("train", "eval"):
                 action = agent.select_action(np.ones(4), mode=mode)
                 assert 0.0 <= action.a <= 1.0
@@ -116,18 +116,18 @@ class TestActionSelection:
         agent = Agent(small_cfg("darc", hidden_dims=()), obs_dim=2, seed=0)
         # actor 0 -> accident score 0.9, actor 1 -> 0.1 (others 0.5)
         for j, sign in ((0, 1.0), (1, -1.0)):
-            agent.actors[j]["w0"].array[:] = 0.0
-            agent.actors[j]["b0"].array[:] = [sign * math.atanh(0.8), 0.0, 0.0]
+            agent.actors[j]["w0"][:] = 0.0
+            agent.actors[j]["b0"][:] = [sign * math.atanh(0.8), 0.0, 0.0]
         # critics value the accident-score coordinate negatively -> prefer 0.1
         for critic in agent.critics:
-            critic["w0"].array[:] = 0.0
-            critic["w0"].array[2, 0] = -1.0
-            critic["b0"].array[:] = 0.0
+            critic["w0"][:] = 0.0
+            critic["w0"][2, 0] = -1.0
+            critic["b0"][:] = 0.0
         action = agent.select_action(np.zeros(2), mode="eval")
         assert action.a == pytest.approx(0.1, abs=1e-12)
         # flip the preference
         for critic in agent.critics:
-            critic["w0"].array[2, 0] = +1.0
+            critic["w0"][2, 0] = +1.0
         action = agent.select_action(np.zeros(2), mode="eval")
         assert action.a == pytest.approx(0.9, abs=1e-12)
 
@@ -190,14 +190,14 @@ class TestTargets:
         agent = Agent(cfg, obs_dim=2, seed=0)
         # constant candidate actions: a0 component 0.9 (actor 0) and 0.1 (actor 1)
         for j, sign in ((0, 1.0), (1, -1.0)):
-            agent.target_actors[j]["w0"].array[:] = 0.0
-            agent.target_actors[j]["b0"].array[:] = [sign * math.atanh(0.8), 0.0, 0.0]
+            agent.target_actors[j]["w0"][:] = 0.0
+            agent.target_actors[j]["b0"][:] = [sign * math.atanh(0.8), 0.0, 0.0]
         # linear critics over the accident-score input (index 2 of [s0,s1,a0,a1,a2]):
         # Q1: 0.9 -> 1.0, 0.1 -> 0.7; Q2: 0.9 -> 0.8, 0.1 -> 0.9
         for i, (slope, intercept) in enumerate(((0.375, 0.6625), (-0.125, 0.9125))):
-            agent.target_critics[i]["w0"].array[:] = 0.0
-            agent.target_critics[i]["w0"].array[2, 0] = slope
-            agent.target_critics[i]["b0"].array[:] = intercept
+            agent.target_critics[i]["w0"][:] = 0.0
+            agent.target_critics[i]["w0"][2, 0] = slope
+            agent.target_critics[i]["b0"][:] = intercept
         batch = Batch(
             np.zeros((1, 2)), np.full((1, 3), 0.5), np.zeros((1, 1)),
             np.zeros((1, 2)), np.zeros((1, 1)),
@@ -325,8 +325,8 @@ class TestRandomStream:
 
 def constant_critic(agent, index, value):
     for name, tensor in agent.critics[index]:
-        tensor.array[:] = 0.0
-    agent.critics[index][f"b{len(agent.cfg.hidden_dims)}"].array[:] = value
+        tensor[:] = 0.0
+    agent.critics[index][f"b{len(agent.cfg.hidden_dims)}"][:] = value
 
 
 class TestCriticUpdate:
@@ -409,8 +409,8 @@ class TestActorUpdate:
             update(agent, batch)
             tau = cfg.tau
             for i, old in enumerate(old_targets):
-                expected = tau * agent.critics[i]["w0"].array + (1 - tau) * old["w0"].array
-                assert np.allclose(agent.target_critics[i]["w0"].array, expected, atol=1e-15)
+                expected = tau * agent.critics[i]["w0"] + (1 - tau) * old["w0"]
+                assert np.allclose(agent.target_critics[i]["w0"], expected, atol=1e-15)
 
     def test_darc_trains_each_actor_against_its_own_critic(self):
         cfg = small_cfg("darc", policy_delay=1)
@@ -544,6 +544,20 @@ class TestAgentCheckpoint:
 
         path = self._corrupted(tmp_path, edit)
         message = r"ck\.txt: line 3: NKP1 tensor count must be an integer"
+        with pytest.raises(ValueError, match=message):
+            Agent.load(path, small_cfg("td3"))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_parameter_names_path_and_line(self, tmp_path, bad):
+        def edit(lines):
+            at = lines.index("SECTION critic_0") + 3  # critic_0's b0 line
+            tokens = lines[at].split()
+            tokens[-1] = bad
+            lines[at] = " ".join(tokens)
+
+        path = self._corrupted(tmp_path, edit)
+        lineno = path.read_text().splitlines().index("SECTION critic_0") + 4
+        message = rf"ck\.txt: line {lineno}: tensor 'b0' entries must be finite \(no NaN/Inf\)"
         with pytest.raises(ValueError, match=message):
             Agent.load(path, small_cfg("td3"))
 

@@ -10,7 +10,7 @@ import pytest
 
 from crashrl.agents import Agent, AgentConfig, Batch
 from crashrl.agents.updates import _det_actor_loss, _sac_actor_loss
-from crashrl.numkit import ParamSet, Tensor, lift_params, mlp_apply, mlp_graph
+from crashrl.numkit import lift_params, mlp_apply, mlp_graph
 from crashrl.numkit import autodiff as ad
 
 H = 1e-6
@@ -91,8 +91,8 @@ def test_sac_actor_loss_gradients_match_finite_differences():
     checked = 0
     for name, tensor in agent.actors[0]:
         flat_grad = grads[name].reshape(-1)
-        for idx in range(0, tensor.data.size, max(1, tensor.data.size // 5)):
-            numeric = fd(loss_value, tensor.array, idx)
+        for idx in range(0, tensor.size, max(1, tensor.size // 5)):
+            numeric = fd(loss_value, tensor, idx)
             assert rel_err(flat_grad[idx], numeric) < 1e-4, (name, idx)
             checked += 1
     assert checked >= 15
@@ -120,8 +120,8 @@ def test_det_actor_loss_gradients_match_finite_differences():
 
     for name, tensor in agent.actors[0]:
         flat_grad = grads[name].reshape(-1)
-        for idx in range(0, tensor.data.size, max(1, tensor.data.size // 5)):
-            numeric = fd(loss_value, tensor.array, idx)
+        for idx in range(0, tensor.size, max(1, tensor.size // 5)):
+            numeric = fd(loss_value, tensor, idx)
             assert rel_err(flat_grad[idx], numeric) < 1e-4, (name, idx)
 
 
@@ -164,6 +164,6 @@ def test_darc_critic_loss_gradients_match_finite_differences():
     for ci in range(2):
         for name, tensor in agent.critics[ci]:
             flat_grad = nodes[ci][name].grad.reshape(-1)
-            for idx in range(0, tensor.data.size, max(1, tensor.data.size // 4)):
-                numeric = fd(loss_value, tensor.array, idx)
+            for idx in range(0, tensor.size, max(1, tensor.size // 4)):
+                numeric = fd(loss_value, tensor, idx)
                 assert rel_err(flat_grad[idx], numeric) < 1e-4, (ci, name, idx)

@@ -397,6 +397,39 @@ class TestEpisodeFile:
         with pytest.raises(EpisodeFormatError, match="ADE1"):
             load_episode_file(path)
 
+    def _with_header(self, tmp_path, fps, y, t_a):
+        """A generated 10-frame episode file whose header carries fps, y and t_a."""
+        path = tmp_path / "e3.ade"
+        write_episode_file(generate_episode(EnvConfig(episode_len=10), 14), path)
+        lines = path.read_text().splitlines()
+        lines[0] = " ".join(lines[0].split()[:4] + [fps, y, t_a])
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("y", ["0", "1"])
+    def test_accident_frame_below_minus_one_rejected(self, tmp_path, y):
+        path = self._with_header(tmp_path, "10", y, "-7")
+        message = r"e3\.ade: line 1: t_a must be -1 \(no accident\) or a frame index, got -7"
+        with pytest.raises(EpisodeFormatError, match=message):
+            load_episode_file(path)
+
+    @pytest.mark.parametrize(
+        "fps, y, t_a, message",
+        [
+            ("10", "2", "-1", "label must be 0 or 1, got 2"),
+            ("10", "1", "10", "positive episode requires 0 < t_a < 10, got 10"),
+            ("10", "1", "-1", "positive episode requires 0 < t_a < 10, got None"),
+            ("10", "0", "4", "negative episode must not carry an accident frame"),
+            ("0", "0", "-1", "fps must be finite and > 0, got 0.0"),
+            ("nan", "0", "-1", "fps must be finite and > 0, got nan"),
+        ],
+    )
+    def test_header_field_errors_name_line_one(self, tmp_path, fps, y, t_a, message):
+        path = self._with_header(tmp_path, fps, y, t_a)
+        with pytest.raises(EpisodeFormatError) as info:
+            load_episode_file(path)
+        assert str(info.value) == f"{path}: line 1: {message}"
+
 
 class TestEnvConfigValidation:
     def test_defaults_valid(self):

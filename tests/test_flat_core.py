@@ -14,7 +14,6 @@ from crashrl.agents.updates import _critic_loss, _det_actor_loss, _sac_actor_los
 from crashrl.numkit import (
     MlpSpec,
     ParamSet,
-    Tensor,
     adam_step,
     encode_params,
     flat_grads,
@@ -102,7 +101,7 @@ class TestPrunedBackprop:
 
     def test_flat_grads_fills_unreached_leaves_with_zeros(self):
         spec = MlpSpec(3, (4,), 2)
-        nodes = {name: ad.lift(t.array) for name, t in init_params(spec, seed=0)}
+        nodes = {name: ad.lift(t) for name, t in init_params(spec, seed=0)}
         out = ad.sum_all(ad.add(ad.lift(np.ones((1, 4))), nodes["b0"]))
         ad.backprop(out, 1.0, [nodes["b0"]])
         flat = flat_grads(nodes)
@@ -129,7 +128,7 @@ def reference_adam(params, grads, m, v, t, alpha, beta1, beta2, eps):
 
 
 def as_dict(params):
-    return {name: t.array.copy() for name, t in params}
+    return {name: t.copy() for name, t in params}
 
 
 class TestFlatUpdatesMatchPerTensorReference:
@@ -145,8 +144,8 @@ class TestFlatUpdatesMatchPerTensorReference:
             scale = 10.0 ** rng.integers(-8, 4)
             grads = params.like(rng.standard_normal(params.flat.size) * scale)
             if step % 5 == 0:
-                grads["w1"].array[:] = 0.0  # exact zeros and signed zeros
-                grads["b0"].array[:] = -0.0
+                grads["w1"][:] = 0.0  # exact zeros and signed zeros
+                grads["b0"][:] = -0.0
             ref_p, ref_m, ref_v = reference_adam(
                 ref_p, as_dict(grads), ref_m, ref_v, step,
                 state.alpha, state.beta1, state.beta2, state.eps,
@@ -157,9 +156,9 @@ class TestFlatUpdatesMatchPerTensorReference:
             assert out is params and state.t == step
             for name, _ in params:
                 for got, want in (
-                    (params[name].array, ref_p[name]),
-                    (state.m[name].array, ref_m[name]),
-                    (state.v[name].array, ref_v[name]),
+                    (params[name], ref_p[name]),
+                    (state.m[name], ref_m[name]),
+                    (state.v[name], ref_v[name]),
                 ):
                     assert np.array_equal(got, want)
                     assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -172,20 +171,20 @@ class TestFlatUpdatesMatchPerTensorReference:
         for tau in (0.005, 0.5, 1.0, 0.0, float(rng.uniform())):
             online.flat[:] = rng.standard_normal(online.flat.size)
             want = {
-                name: tau * online[name].array + (1.0 - tau) * t.array
+                name: tau * online[name] + (1.0 - tau) * t
                 for name, t in target
             }
             assert soft_update(target, online, tau) is target
             for name, t in target:
-                assert np.array_equal(t.array, want[name])
+                assert np.array_equal(t, want[name])
 
     def test_named_tensors_view_the_flat_vector(self):
-        params = ParamSet([("w", Tensor([[1.0, 2.0]])), ("b", Tensor([3.0]))])
+        params = ParamSet([("w", [[1.0, 2.0]]), ("b", [3.0])])
         assert np.array_equal(params.flat, [1.0, 2.0, 3.0])
-        params["w"].array[0, 1] = -5.0
+        params["w"][0, 1] = -5.0
         assert params.flat[1] == -5.0
         params.flat[2] = 9.0
-        assert params["b"].array[0] == 9.0
+        assert params["b"][0] == 9.0
         twin = params.copy()
         twin.flat[0] = 0.0
         assert params.flat[0] == 1.0 and not twin.equal(params)
@@ -194,18 +193,18 @@ class TestFlatUpdatesMatchPerTensorReference:
     def test_checkpoint_text_formats_each_entry_with_format_float(self):
         awkward = [0.1, -0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
                    1e16, 123456789012345678.0, -1.5, 1.0 / 3.0]
-        params = ParamSet([("w", Tensor(np.array(awkward[:8]).reshape(2, 4))),
-                           ("b", Tensor(awkward[8:]))])
+        params = ParamSet([("w", np.array(awkward[:8]).reshape(2, 4)),
+                           ("b", awkward[8:])])
         w_line, b_line = encode_params(params).splitlines()[1:]
         assert w_line == "w 2 2 4 " + " ".join(format_float(v) for v in awkward[:8])
         assert b_line == "b 1 2 " + " ".join(format_float(v) for v in awkward[8:])
 
     def test_shape_mismatch_rejected(self):
-        params = ParamSet([("w", Tensor([1.0, 2.0]))])
+        params = ParamSet([("w", [1.0, 2.0])])
         state = init_adam(params)
         with pytest.raises(ValueError, match="shapes must match"):
             adam_step(params, np.zeros(3), state)
-        other = ParamSet([("v", Tensor([1.0, 2.0]))])
+        other = ParamSet([("v", [1.0, 2.0])])
         with pytest.raises(ValueError, match="shapes must match"):
             adam_step(params, other, state)
         with pytest.raises(ValueError, match="shapes must match"):
@@ -241,7 +240,7 @@ class TestNonFiniteUpdatesAreNamed:
 
     def test_non_finite_parameter(self):
         agent = self._agent()
-        agent.critics[0]["w0"].array[0, 0] = np.inf
+        agent.critics[0]["w0"][0, 0] = np.inf
         with pytest.raises(ValueError, match=r"critic_0: Adam update 1 "):
             adam_step(agent.critics[0], np.zeros(agent.critics[0].flat.size),
                       agent.critic_adam[0])

@@ -1,6 +1,7 @@
 """Metrics against brute-force oracles and hand-derived cases."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -305,6 +306,18 @@ class TestFixationMse:
         with pytest.raises(ValueError, match="window"):
             fixation_mse(records, "after_accident")
 
+    def test_squares_are_correctly_rounded(self):
+        # Offsets where libm pow(d, 2) misses the correctly rounded square by
+        # an ulp (any offsets, on a libm whose pow never does).
+        values = np.random.default_rng(0).uniform(0.0, 1.0, 20000).tolist()
+        offsets = [d for d in values if d**2 != d * d] or values[:8]
+        for d in offsets:
+            exact = float(Fraction(d) ** 2)
+            along_x = frame("e0", 3, 0.5, 1, t_a=2, p_hat=(d, 0.5), p=(0.0, 0.5))
+            along_y = frame("e0", 3, 0.5, 1, t_a=2, p_hat=(0.5, d), p=(0.5, 0.0))
+            assert fixation_mse([along_x]) == exact
+            assert fixation_mse([along_y]) == exact
+
 
 class TestSafety:
     def test_fraction_counts_only_detected(self):
@@ -376,11 +389,6 @@ class TestCompileReport:
         for (r0, _, _), (r1, p1, _) in zip(points, points[1:]):
             area += (r1 - r0) * p1
         assert area == pytest.approx(report.ap, abs=1e-12)
-
-    def test_episode_granularity_flag(self):
-        records = self._mixed_records(perfect=True)
-        assert roc_auc(records, granularity="episode") == 1.0
-        assert average_precision(records, granularity="episode") == 1.0
 
     def test_inconsistent_episode_labels_rejected(self):
         records = [frame("e0", 0, 0.5, 1, t_a=3), frame("e0", 1, 0.5, 0)]

@@ -1,4 +1,4 @@
-"""numkit: tensors, autodiff, MLP forward/backward, Adam, soft updates."""
+"""numkit: named parameter sets, autodiff through MLPs, Adam, soft updates."""
 
 import numpy as np
 import pytest
@@ -8,40 +8,60 @@ from hypothesis import strategies as st
 from crashrl.numkit import (
     MlpSpec,
     ParamSet,
-    Tensor,
     adam_step,
-    backward,
     decode_params,
     encode_params,
+    flat_grads,
     gradient_check,
     init_adam,
     init_params,
+    lift_params,
     mlp_apply,
-    mlp_forward,
-    read_params,
+    mlp_graph,
     soft_update,
-    write_params,
 )
+from crashrl.numkit import autodiff as ad
+
+
+def backprop_mlp(params, spec, x, upstream):
+    """Gradients of sum(mlp(x) * upstream) along the gradient phases' path.
+
+    Returns (parameter gradients as a ParamSet, input gradient).
+    """
+    nodes = lift_params(params)
+    x_node = ad.lift(np.asarray(x, dtype=np.float64))
+    out = mlp_graph(nodes, spec, x_node)
+    ad.backprop(out, upstream, [*nodes.values(), x_node])
+    return params.like(flat_grads(nodes)), x_node.grad
 
 
 def test_tensor_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        Tensor([1.0, np.nan])
-    with pytest.raises(ValueError):
-        Tensor([np.inf])
+    with pytest.raises(ValueError, match="finite"):
+        ParamSet([("w", [1.0, np.nan])])
+    with pytest.raises(ValueError, match="finite"):
+        ParamSet([("w", [1.0]), ("b", [np.inf])])
 
 
 def test_tensor_flat_view_is_row_major():
-    t = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert t.shape == (2, 2)
-    assert list(t.data) == [1.0, 2.0, 3.0, 4.0]
+    params = ParamSet([("t", [[1.0, 2.0], [3.0, 4.0]])])
+    assert isinstance(params["t"], np.ndarray) and params["t"].dtype == np.float64
+    assert params["t"].shape == (2, 2)
+    assert list(params.flat) == [1.0, 2.0, 3.0, 4.0]
+    assert [(name, array.shape) for name, array in params] == [("t", (2, 2))]
+
+
+def test_paramset_copies_its_input():
+    source = np.array([1.0, 2.0])
+    params = ParamSet([("w", source)])
+    source[0] = 5.0
+    assert params["w"][0] == 1.0
 
 
 def test_paramset_rejects_duplicates_and_bad_names():
     with pytest.raises(ValueError):
-        ParamSet([("w", Tensor([1.0])), ("w", Tensor([2.0]))])
+        ParamSet([("w", [1.0]), ("w", [2.0])])
     with pytest.raises(ValueError):
-        ParamSet([("bad name", Tensor([1.0]))])
+        ParamSet([("bad name", [1.0])])
 
 
 class TestInitParams:
@@ -66,44 +86,44 @@ class TestInitParams:
     def test_bound_and_zero_biases(self):
         spec = MlpSpec(16, (8,), 2)
         params = init_params(spec, seed=5)
-        assert np.all(np.abs(params["w0"].array) <= 1.0 / 4.0)
-        assert np.all(params["b0"].array == 0.0)
+        assert np.all(np.abs(params["w0"]) <= 1.0 / 4.0)
+        assert np.all(params["b0"] == 0.0)
 
 
 class TestMlpForward:
     def test_zero_params_identity_head_gives_zero(self):
         spec = MlpSpec(4, (6,), 3)
         params = init_params(spec, seed=0).zeros_like()
-        y, _ = mlp_forward(params, spec, np.random.default_rng(0).normal(size=(5, 4)))
-        assert np.all(y.array == 0.0)
+        y = mlp_apply(params, spec, np.random.default_rng(0).normal(size=(5, 4)))
+        assert np.all(y == 0.0)
 
     def test_tanh_head_strictly_inside_open_interval(self):
         spec = MlpSpec(2, (4,), 3, output_activation="tanh")
         params = init_params(spec, seed=0)
         # blow up the output layer to saturate tanh
-        params["w1"].array[:] = 1e6
-        params["b1"].array[:] = 1e6
+        params["w1"][:] = 1e6
+        params["b1"][:] = 1e6
         y = mlp_apply(params, spec, np.ones((4, 2)))
         assert np.all(y < 1.0) and np.all(y > -1.0)
 
     def test_single_affine_layer_hand_value(self):
         spec = MlpSpec(1, (), 1)
-        params = ParamSet([("w0", Tensor([[2.0]])), ("b0", Tensor([1.0]))])
-        y, _ = mlp_forward(params, spec, [[3.0]])
-        assert y.array[0, 0] == 7.0
+        params = ParamSet([("w0", [[2.0]]), ("b0", [1.0])])
+        y = mlp_apply(params, spec, [[3.0]])
+        assert y[0, 0] == 7.0
 
     def test_shape_mismatch_rejected_with_diagnostic(self):
         spec = MlpSpec(4, (6,), 3)
         params = init_params(spec, seed=0)
         with pytest.raises(ValueError, match="batch, 4"):
-            mlp_forward(params, spec, np.zeros((2, 5)))
+            mlp_apply(params, spec, np.zeros((2, 5)))
 
     def test_forward_matches_apply(self):
         spec = MlpSpec(5, (7, 3), 2, output_activation="tanh")
         params = init_params(spec, seed=9)
         x = np.random.default_rng(1).normal(size=(6, 5))
-        y, _ = mlp_forward(params, spec, x)
-        assert np.array_equal(y.array, mlp_apply(params, spec, x))
+        y = mlp_graph(lift_params(params), spec, ad.lift(x)).value
+        assert np.array_equal(y, mlp_apply(params, spec, x))
 
 
 class TestBackward:
@@ -111,33 +131,28 @@ class TestBackward:
         spec = MlpSpec(3, (4,), 2)
         params = init_params(spec, seed=2)
         # dead first layer: zero weights/bias, relu output 0 -> w0 grad zero
-        params["w0"].array[:] = 0.0
+        params["w0"][:] = 0.0
         x = np.random.default_rng(0).normal(size=(2, 3))
-        _, tape = mlp_forward(params, spec, x)
-        param_grads, _ = backward(tape, np.ones((2, 2)))
-        assert np.all(param_grads["w0"].array == 0.0)
+        param_grads, _ = backprop_mlp(params, spec, x, np.ones((2, 2)))
+        assert np.all(param_grads["w0"] == 0.0)
 
     def test_doubling_upstream_doubles_gradients(self):
         spec = MlpSpec(3, (4,), 2)
         params = init_params(spec, seed=3)
         x = np.random.default_rng(4).normal(size=(2, 3))
         up = np.random.default_rng(5).normal(size=(2, 2))
-        _, tape1 = mlp_forward(params, spec, x)
-        p1, x1 = backward(tape1, up)
-        _, tape2 = mlp_forward(params, spec, x)
-        p2, x2 = backward(tape2, 2.0 * up)
-        for name, _ in p1:
-            assert np.allclose(2.0 * p1[name].array, p2[name].array)
-        assert np.allclose(2.0 * x1.array, x2.array)
+        p1, x1 = backprop_mlp(params, spec, x, up)
+        p2, x2 = backprop_mlp(params, spec, x, 2.0 * up)
+        assert np.allclose(2.0 * p1.flat, p2.flat)
+        assert np.allclose(2.0 * x1, x2)
 
     def test_input_gradient_of_affine_map(self):
         spec = MlpSpec(1, (), 1)
-        params = ParamSet([("w0", Tensor([[2.0]])), ("b0", Tensor([1.0]))])
-        _, tape = mlp_forward(params, spec, [[3.0]])
-        param_grads, input_grad = backward(tape, [[1.0]])
-        assert input_grad.array[0, 0] == 2.0
-        assert param_grads["w0"].array[0, 0] == 3.0
-        assert param_grads["b0"].array[0] == 1.0
+        params = ParamSet([("w0", [[2.0]]), ("b0", [1.0])])
+        param_grads, input_grad = backprop_mlp(params, spec, [[3.0]], [[1.0]])
+        assert input_grad[0, 0] == 2.0
+        assert param_grads["w0"][0, 0] == 3.0
+        assert param_grads["b0"][0] == 1.0
 
 
 class TestGradientCheck:
@@ -164,7 +179,7 @@ class TestGradientCheck:
 
 class TestAdam:
     def test_zero_gradient_leaves_params_fixed(self):
-        params = ParamSet([("w", Tensor([[1.0, -2.0]]))])
+        params = ParamSet([("w", [[1.0, -2.0]])])
         before = params.copy()
         state = init_adam(params)
         updated, new_state = adam_step(params, params.zeros_like(), state)
@@ -172,46 +187,46 @@ class TestAdam:
         assert new_state.t == 1
 
     def test_first_step_magnitude(self):
-        params = ParamSet([("w", Tensor([0.0]))])
-        grads = ParamSet([("w", Tensor([1.0]))])
+        params = ParamSet([("w", [0.0])])
+        grads = ParamSet([("w", [1.0])])
         state = init_adam(params, alpha=0.001)
         updated, _ = adam_step(params, grads, state)
         # bias-corrected m_hat = v_hat = 1 on step one
-        assert updated["w"].array[0] == pytest.approx(-0.00099999999, abs=1e-15)
+        assert updated["w"][0] == pytest.approx(-0.00099999999, abs=1e-15)
 
     def test_two_zero_grad_steps_keep_moments_zero(self):
-        params = ParamSet([("w", Tensor([3.0]))])
+        params = ParamSet([("w", [3.0])])
         before = params.copy()
         state = init_adam(params)
         zero = params.zeros_like()
         p1, s1 = adam_step(params, zero, state)
         p2, s2 = adam_step(p1, zero, s1)
-        assert np.all(s2.m["w"].array == 0.0)
-        assert np.all(s2.v["w"].array == 0.0)
+        assert np.all(s2.m["w"] == 0.0)
+        assert np.all(s2.v["w"] == 0.0)
         assert p2.equal(before)
         assert s2.t == 2
 
 
 class TestSoftUpdate:
     def test_tau_one_copies_online(self):
-        target = ParamSet([("w", Tensor([0.0, 1.0]))])
-        online = ParamSet([("w", Tensor([2.0, -3.0]))])
+        target = ParamSet([("w", [0.0, 1.0])])
+        online = ParamSet([("w", [2.0, -3.0])])
         assert soft_update(target, online, 1.0).equal(online)
 
     def test_tau_zero_keeps_target(self):
-        target = ParamSet([("w", Tensor([0.0, 1.0]))])
-        online = ParamSet([("w", Tensor([2.0, -3.0]))])
+        target = ParamSet([("w", [0.0, 1.0])])
+        online = ParamSet([("w", [2.0, -3.0])])
         before = target.copy()
         assert soft_update(target, online, 0.0).equal(before)
 
     def test_small_tau_value(self):
-        target = ParamSet([("w", Tensor([0.0]))])
-        online = ParamSet([("w", Tensor([1.0]))])
+        target = ParamSet([("w", [0.0])])
+        online = ParamSet([("w", [1.0])])
         out = soft_update(target, online, 0.005)
-        assert out["w"].array[0] == pytest.approx(0.005, abs=1e-18)
+        assert out["w"][0] == pytest.approx(0.005, abs=1e-18)
 
     def test_tau_out_of_range_rejected(self):
-        target = ParamSet([("w", Tensor([0.0]))])
+        target = ParamSet([("w", [0.0])])
         with pytest.raises(ValueError):
             soft_update(target, target, 1.5)
 
@@ -222,10 +237,10 @@ class TestSoftUpdate:
     )
     @settings(max_examples=200, deadline=None)
     def test_contraction_toward_online(self, tau, t0, on):
-        target = ParamSet([("w", Tensor([t0]))])
-        online = ParamSet([("w", Tensor([on]))])
+        target = ParamSet([("w", [t0])])
+        online = ParamSet([("w", [on])])
         out = soft_update(target, online, tau)
-        lhs = abs(out["w"].array[0] - on)
+        lhs = abs(out["w"][0] - on)
         rhs = (1.0 - tau) * abs(t0 - on)
         assert lhs <= rhs + 1e-12
 
@@ -235,38 +250,61 @@ class TestCheckpointFormat:
         spec = MlpSpec(3, (5,), 2, output_activation="tanh")
         params = init_params(spec, seed=77)
         path = tmp_path / "params.txt"
-        write_params(params, path)
-        loaded = read_params(path)
+        path.write_text(encode_params(params), encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            loaded = decode_params(f)
         assert loaded.equal(params)
         # byte-identical re-encode
         assert encode_params(loaded) == encode_params(params)
 
     def test_awkward_floats_survive(self, tmp_path):
-        params = ParamSet([("w", Tensor([0.1, 1e-300, 1.7976931348623157e308, -0.0]))])
+        params = ParamSet([("w", [0.1, 1e-300, 1.7976931348623157e308, -0.0])])
         text = encode_params(params)
-        assert decode_params(text).equal(params)
+        assert decode_params(text.splitlines()).equal(params)
 
     def test_truncated_record_rejected(self, tmp_path):
-        params = ParamSet([("w", Tensor([[1.0, 2.0]]))])
+        params = ParamSet([("w", [[1.0, 2.0]])])
         text = encode_params(params)
         broken = "\n".join(text.splitlines()[:-1]) + "\n" if text.count("\n") > 1 else "NKP1 1\n"
         with pytest.raises(ValueError):
-            decode_params(broken)
+            decode_params(broken.splitlines())
 
     def test_value_count_mismatch_named(self):
         with pytest.raises(ValueError, match="expects 2 values"):
-            decode_params("NKP1 1\nw 1 2 0.5")
+            decode_params(["NKP1 1", "w 1 2 0.5"])
+
+    @pytest.mark.parametrize("record", ["w 2 -1 -1 0.5", "w 2 -1 -2 0.5 1.5", "w 2 3"])
+    def test_bad_dimensions_name_the_line(self, record):
+        with pytest.raises(ValueError, match=r"^line 2: expected 2 nonnegative dimensions"):
+            decode_params(["NKP1 1", record])
+
+    @pytest.mark.parametrize("bad", ["nan", "-inf", "inf", "NaN"])
+    def test_non_finite_value_names_the_line(self, bad):
+        text = f"NKP1 2\nw 2 1 2 0.5 1.5\nb 1 2 0.25 {bad}\n"
+        with pytest.raises(ValueError, match=r"^line 7: tensor 'b' entries must be finite"):
+            decode_params(text.splitlines(), offset=4)
+
+    def test_non_integer_and_negative_counts_name_the_line(self):
+        with pytest.raises(ValueError, match=r"^line 3: NKP1 tensor count must be an integer"):
+            decode_params(["NKP1 one"], offset=2)
+        with pytest.raises(ValueError, match=r"^line 1: negative NKP1 tensor count -1"):
+            decode_params(["NKP1 -1"])
+
+    def test_reads_exactly_one_record_from_an_iterator(self):
+        first = ParamSet([("w", [[1.0, -2.0]]), ("b", [0.5])])
+        second = ParamSet([("v", [3.0])])
+        lines = iter((encode_params(first) + encode_params(second) + "tail\n").splitlines())
+        assert decode_params(lines).equal(first)
+        assert decode_params(lines, offset=3).equal(second)
+        assert list(lines) == ["tail"]
 
 
 def test_exported_ops_are_deterministic():
     spec = MlpSpec(4, (6, 6), 2, output_activation="tanh")
     params = init_params(spec, seed=13)
     x = np.random.default_rng(21).normal(size=(3, 4))
-    y1, tape1 = mlp_forward(params, spec, x)
-    y2, tape2 = mlp_forward(params, spec, x)
-    assert np.array_equal(y1.array, y2.array)
+    assert np.array_equal(mlp_apply(params, spec, x), mlp_apply(params, spec, x))
     up = np.ones((3, 2))
-    (g1, x1), (g2, x2) = backward(tape1, up), backward(tape2, up)
-    for name, _ in g1:
-        assert np.array_equal(g1[name].array, g2[name].array)
-    assert np.array_equal(x1.array, x2.array)
+    (g1, x1), (g2, x2) = backprop_mlp(params, spec, x, up), backprop_mlp(params, spec, x, up)
+    assert g1.equal(g2)
+    assert np.array_equal(x1, x2)
