@@ -1,11 +1,17 @@
 """Synthetic dashcam episodes and their on-disk format.
 
-Episode file format (version tag ``ADE1``), UTF-8 text, one record per line:
+An ``Episode`` holds its saliency as one read-only float64 array
+``saliency[T, H, W]`` and its gaze as a read-only ``fixation_track[T, 2]``,
+so parsed episodes can be cached and shared without copies.
+
+Episode file format (version tag ``ADE1``), ASCII text, one record per line:
 
     ADE1 <H> <W> <T> <fps> <y> <t_a|-1>
     F <t> <H*W saliency floats, row-major> <p_x> <p_y>      (lines 2 .. T+1)
 
 Floats carry 17 significant digits so write -> load round-trips bit-exactly.
+The loader rejects any non-ASCII byte and any ``_`` (which Python's ``int``
+and ``float`` would accept as digit grouping), naming the line.
 
 The generator composes each frame from a per-episode smooth background, small
 iid temporal noise, and (for positive episodes) a Gaussian risk blob whose
@@ -23,7 +29,7 @@ import numpy as np
 
 from ..numkit.tensor import format_float as _format_float
 from .config import EnvConfig
-from .saliency import SaliencyField, cell_centers, normalize_field
+from .saliency import SaliencyField, cell_centers, normalize_fields
 
 FORMAT_TAG = "ADE1"
 
@@ -41,9 +47,14 @@ FIX_NOISE_NEG = 0.01
 
 @dataclass(frozen=True)
 class Episode:
-    """One dashcam scenario: saliency frames, label, accident time, gaze track."""
+    """One dashcam scenario: saliency frames, label, accident time, gaze track.
 
-    frames: tuple[SaliencyField, ...]
+    ``saliency`` is a C-contiguous float64 ``[T, H, W]`` array, finite and
+    >= 0; ``fixation_track`` is ``[T, 2]`` in [0, 1]^2. Both are stored as
+    read-only views, so code that needs to normalize a frame copies it first.
+    """
+
+    saliency: np.ndarray
     y: int
     t_a: int | None
     fixation_track: np.ndarray
@@ -51,41 +62,54 @@ class Episode:
     episode_id: str = ""
 
     def __post_init__(self):
-        frames = tuple(self.frames)
-        if not frames:
+        saliency = np.ascontiguousarray(self.saliency, dtype=np.float64)
+        if saliency.ndim != 3:
+            raise ValueError(
+                f"saliency must have shape [T, H, W], got {list(saliency.shape)}"
+            )
+        t_len = saliency.shape[0]
+        if t_len == 0:
             raise ValueError("episode must contain at least one frame")
-        shape = frames[0].shape
-        if any(f.shape != shape for f in frames):
-            raise ValueError("all frames must share one grid shape")
+        if not np.all(np.isfinite(saliency)) or np.any(saliency < 0.0):
+            raise ValueError("saliency entries must be finite and >= 0")
         if self.y not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.y}")
         if self.y == 1:
-            if self.t_a is None or not 0 < self.t_a < len(frames):
+            if self.t_a is None or not 0 < self.t_a < t_len:
                 raise ValueError(
-                    f"positive episode requires 0 < t_a < {len(frames)}, got {self.t_a}"
+                    f"positive episode requires 0 < t_a < {t_len}, got {self.t_a}"
                 )
         elif self.t_a is not None:
             raise ValueError("negative episode must not carry an accident frame")
         track = np.ascontiguousarray(self.fixation_track, dtype=np.float64)
-        if track.shape != (len(frames), 2):
+        if track.shape != (t_len, 2):
             raise ValueError(
-                f"fixation track must have shape [{len(frames)}, 2], got {list(track.shape)}"
+                f"fixation track must have shape [{t_len}, 2], got {list(track.shape)}"
             )
-        if np.any(track < 0.0) or np.any(track > 1.0):
-            bad = int(np.argwhere((track < 0.0) | (track > 1.0))[0][0])
+        inside = (track >= 0.0) & (track <= 1.0)
+        if not inside.all():
+            bad = int(np.argwhere(~inside)[0][0])
             raise ValueError(f"fixation point outside [0, 1]^2 at frame {bad}")
-        object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "fixation_track", track)
         if not (np.isfinite(self.fps) and self.fps > 0.0):
             raise ValueError(f"fps must be finite and > 0, got {self.fps}")
+        # Read-only views: the caller's arrays keep their own flags.
+        for name, array in (("saliency", saliency), ("fixation_track", track)):
+            view = array.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @property
     def length(self) -> int:
-        return len(self.frames)
+        return self.saliency.shape[0]
 
     @property
     def grid_shape(self) -> tuple[int, int]:
-        return self.frames[0].shape
+        return self.saliency.shape[1:]
+
+    @property
+    def frames(self) -> tuple[SaliencyField, ...]:
+        """Per-frame ``SaliencyField`` views of ``saliency`` (read-only)."""
+        return tuple(SaliencyField(grid, t) for t, grid in enumerate(self.saliency))
 
 
 def blob_onset(t_a: int) -> int:
@@ -94,7 +118,11 @@ def blob_onset(t_a: int) -> int:
 
 
 def generate_episode(cfg: EnvConfig, seed: int) -> Episode:
-    """Deterministic synthetic episode for one seed."""
+    """Deterministic synthetic episode for one seed.
+
+    Each frame is normalized to unit mass with ``normalize_fields``, which
+    gives the same bits as ``normalize_field`` on that frame alone.
+    """
     rng = np.random.default_rng(seed)
     h, w, t_len = cfg.grid_h, cfg.grid_w, cfg.episode_len
     xs, ys = cell_centers(h, w)
@@ -142,16 +170,17 @@ def generate_episode(cfg: EnvConfig, seed: int) -> Episode:
         for t in range(1, t_len):
             track[t] = np.clip(track[t - 1] + steps[t - 1], 0.0, 1.0)
 
-    frames = []
+    saliency = np.empty((t_len, h, w))
     for t in range(t_len):
         noise = 1.0 + BG_TEMPORAL_NOISE * (rng.random((h, w)) - 0.5)
         field = background * noise
         if y == 1 and t >= blob_onset(t_a):
             ramp = min(1.0, (t - blob_onset(t_a)) / float(t_a - blob_onset(t_a)))
             field = field + ramp * blob_kernel
-        frames.append(normalize_field(SaliencyField(field, t)))
+        saliency[t] = field
+    normalize_fields(saliency)
 
-    return Episode(tuple(frames), y, t_a, track, cfg.fps, episode_id=f"gen{seed}")
+    return Episode(saliency, y, t_a, track, cfg.fps, episode_id=f"gen{seed}")
 
 
 def write_episode_file(episode: Episode, path) -> None:
@@ -160,10 +189,12 @@ def write_episode_file(episode: Episode, path) -> None:
         f"{FORMAT_TAG} {h} {w} {episode.length} {_format_float(episode.fps)} "
         f"{episode.y} {episode.t_a if episode.t_a is not None else -1}"
     ]
-    for t, frame in enumerate(episode.frames):
-        values = " ".join(_format_float(v) for v in frame.grid.reshape(-1))
-        px, py = episode.fixation_track[t]
-        lines.append(f"F {t} {values} {_format_float(px)} {_format_float(py)}")
+    # One %-format call per frame; "%.17g" % v is format_float(v).
+    frame_line = "F %d " + " ".join(["%.17g"] * (h * w + 2))
+    rows = np.concatenate(
+        [episode.saliency.reshape(episode.length, -1), episode.fixation_track], axis=1
+    )
+    lines.extend(frame_line % (t, *row) for t, row in enumerate(rows.tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -172,10 +203,37 @@ class EpisodeFormatError(ValueError):
     """Raised for malformed, truncated, or out-of-range episode files."""
 
 
+def _line_number(before: str) -> int:
+    """1-based ``splitlines`` line number of the character that follows ``before``."""
+    return len((before + "x").splitlines())
+
+
+def _read_ascii(path) -> str:
+    """The file's text; a non-ASCII byte or a ``_`` raises, naming its line."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    if not raw.isascii():
+        index = next(i for i, byte in enumerate(raw) if byte > 0x7F)
+        line = _line_number(raw[:index].decode("ascii"))
+        raise EpisodeFormatError(
+            f"{path}: line {line}: non-ASCII byte 0x{raw[index]:02x}"
+        )
+    text = raw.decode("ascii")
+    if "_" in text:
+        line = _line_number(text[: text.index("_")])
+        raise EpisodeFormatError(f"{path}: line {line}: '_' is not allowed in a number")
+    return text
+
+
 def load_episode_file(path) -> Episode:
-    """Parse and validate an ADE1 file; no partial episode survives an error."""
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    """Parse and validate an ADE1 file; no partial episode survives an error.
+
+    Each frame line is checked for its token count, its ``F`` tag and its
+    frame index as it is read, and its values are parsed with ``float``.
+    The saliency and fixation ranges are checked once over the whole
+    episode; an error names the first line that breaks either.
+    """
+    lines = _read_ascii(path).splitlines()
     if not lines:
         raise EpisodeFormatError(f"{path}: empty file")
     header = lines[0].split()
@@ -201,9 +259,9 @@ def load_episode_file(path) -> Episode:
             f"{path}: expected {t_len} frame records, found {len(lines) - 1}"
         )
 
-    frames = []
-    track = np.empty((t_len, 2))
-    expected_tokens = 2 + h * w + 2
+    cells = h * w
+    expected_tokens = 2 + cells + 2
+    values: list[float] = []
     for t in range(t_len):
         lineno = t + 2
         tokens = lines[t + 1].split()
@@ -216,8 +274,7 @@ def load_episode_file(path) -> Episode:
             raise EpisodeFormatError(f"{path}: line {lineno}: expected frame record 'F'")
         try:
             frame_t = int(tokens[1])
-            values = np.array([float(tok) for tok in tokens[2 : 2 + h * w]])
-            px, py = float(tokens[-2]), float(tokens[-1])
+            values.extend(map(float, tokens[2:]))
         except ValueError as exc:
             raise EpisodeFormatError(
                 f"{path}: line {lineno}: malformed frame record: {exc}"
@@ -226,28 +283,28 @@ def load_episode_file(path) -> Episode:
             raise EpisodeFormatError(
                 f"{path}: line {lineno}: frame index {frame_t}, expected {t}"
             )
-        if not np.all(np.isfinite(values)) or np.any(values < 0.0):
+
+    rows = np.array(values).reshape(t_len, cells + 2)
+    saliency = np.ascontiguousarray(rows[:, :cells]).reshape(t_len, h, w)
+    track = np.ascontiguousarray(rows[:, cells:])
+    saliency_ok = (np.isfinite(saliency) & (saliency >= 0.0)).all(axis=(1, 2))
+    fixation_ok = ((track >= 0.0) & (track <= 1.0)).all(axis=1)
+    frame_ok = saliency_ok & fixation_ok
+    if not frame_ok.all():
+        t = int(np.argmin(frame_ok))
+        if not saliency_ok[t]:
             raise EpisodeFormatError(
-                f"{path}: line {lineno}: saliency values must be finite and >= 0 (frame {t})"
+                f"{path}: line {t + 2}: saliency values must be finite and >= 0 (frame {t})"
             )
-        if not (0.0 <= px <= 1.0 and 0.0 <= py <= 1.0):
-            raise EpisodeFormatError(
-                f"{path}: line {lineno}: fixation ({px}, {py}) outside [0, 1]^2 (frame {t})"
-            )
-        frames.append(SaliencyField(values.reshape(h, w), t))
-        track[t] = (px, py)
+        px, py = track[t].tolist()
+        raise EpisodeFormatError(
+            f"{path}: line {t + 2}: fixation ({px}, {py}) outside [0, 1]^2 (frame {t})"
+        )
 
     t_a = None if t_a_raw == -1 else t_a_raw
     # The frame records are checked above; what Episode rejects is a header field.
     try:
-        return Episode(
-            tuple(frames),
-            y,
-            t_a,
-            track,
-            fps,
-            episode_id=_stem(path),
-        )
+        return Episode(saliency, y, t_a, track, fps, episode_id=_stem(path))
     except ValueError as exc:
         raise EpisodeFormatError(f"{path}: line 1: {exc}") from exc
 

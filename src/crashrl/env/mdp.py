@@ -89,8 +89,9 @@ class AccidentEnv:
         check_steppable(episode, cfg)
         self.episode = episode
         self.cfg = cfg
-        # Normalize once; files may carry unnormalized fields.
-        self._frames = normalize_fields(np.stack([f.grid for f in episode.frames]))
+        # Normalize a copy once; files may carry unnormalized fields, and the
+        # episode's saliency is read-only (it may be shared through a cache).
+        self._frames = normalize_fields(episode.saliency.copy())
         self._cursor: int | None = None
         self._stack: list[np.ndarray] | None = None
         self._obs: Observation | None = None

@@ -5,7 +5,8 @@ environment stream uses s, the agent s + 1000, the replay buffer s + 2000.
 Episode seeds: evaluation episode j uses s * 10^9 + j, training episode i
 uses s * 10^9 + 10^6 + i. With a dataset directory, episodes are the sorted
 *.ade files: the last eval_episodes of them form the held-out set, the rest
-cycle as training episodes.
+cycle as training episodes. Each file is parsed once per ``run_training``
+call and the parsed episode is shared by every seed (see ``_EpisodeSource``).
 
 Per-seed output layout under <out>/<algo>/seed_<s>/:
   checkpoint.txt, metrics.json, roc.csv, pr.csv, curve.csv, traces/*.csv
@@ -77,13 +78,19 @@ class RunArtifacts:
 
 
 class _EpisodeSource:
-    """Deterministic episode streams, generated or file-backed."""
+    """Deterministic episode streams, generated or file-backed.
 
-    def __init__(self, cfg: RunConfig, run_seed: int) -> None:
+    One source serves every seed of a ``run_training`` call. With a data
+    directory the held-out and training files are the same for every seed,
+    and each file is parsed at most once per source: parsed episodes are
+    read-only, so the cache hands the same object to every caller.
+    """
+
+    def __init__(self, cfg: RunConfig) -> None:
         self.cfg = cfg
-        self.run_seed = run_seed
         self._train_files: list[str] = []
         self._eval_files: list[str] = []
+        self._parsed: dict[str, Episode] = {}
         if cfg.data_dir is not None:
             files = sorted(
                 os.path.join(cfg.data_dir, name)
@@ -98,19 +105,26 @@ class _EpisodeSource:
             self._eval_files = files[-cfg.eval_episodes :]
             self._train_files = files[: -cfg.eval_episodes]
 
-    def eval_set(self) -> list[Episode]:
+    def _load(self, path: str) -> Episode:
+        episode = self._parsed.get(path)
+        if episode is None:
+            # Looked up in this module at call time, so wrappers see every parse.
+            episode = self._parsed[path] = load_episode_file(path)
+        return episode
+
+    def eval_set(self, run_seed: int) -> list[Episode]:
         if self._eval_files:
-            return [load_episode_file(path) for path in self._eval_files]
-        base = self.run_seed * EVAL_SEED_BASE
+            return [self._load(path) for path in self._eval_files]
+        base = run_seed * EVAL_SEED_BASE
         return [
             generate_episode(self.cfg.env, base + j)
             for j in range(self.cfg.eval_episodes)
         ]
 
-    def training_episode(self, index: int) -> Episode:
+    def training_episode(self, run_seed: int, index: int) -> Episode:
         if self._train_files:
-            return load_episode_file(self._train_files[index % len(self._train_files)])
-        seed = self.run_seed * EVAL_SEED_BASE + TRAIN_SEED_OFFSET + index
+            return self._load(self._train_files[index % len(self._train_files)])
+        seed = run_seed * EVAL_SEED_BASE + TRAIN_SEED_OFFSET + index
         return generate_episode(self.cfg.env, seed)
 
 
@@ -150,7 +164,7 @@ def collect_records(policy, episodes, cfg: RunConfig) -> list[FrameRecord]:
 
 def _frame_slice(group, t: int) -> np.ndarray:
     """Frame t of every episode in the group, normalized, as [N, H, W]."""
-    return normalize_fields(np.stack([episode.frames[t].grid for episode in group]))
+    return normalize_fields(np.stack([episode.saliency[t] for episode in group]))
 
 
 def _checked_actions(actions, n: int) -> np.ndarray:
@@ -302,11 +316,11 @@ def run_training(cfg: RunConfig) -> RunArtifacts:
     os.makedirs(algo_dir, exist_ok=True)
     write_config_snapshot(cfg, cfg.out_dir)
 
+    source = _EpisodeSource(cfg)
     results = []
     seed_fingerprints = []
     for seed in cfg.seeds:
-        source = _EpisodeSource(cfg, seed)
-        eval_set = source.eval_set()
+        eval_set = source.eval_set(seed)
         _require_both_classes(eval_set, f"seed {seed}: the held-out set")
         seed_fingerprints.append(eval_fingerprint(eval_set))
         obs_dim = cfg.env.obs_dim
@@ -317,7 +331,7 @@ def run_training(cfg: RunConfig) -> RunArtifacts:
         episode_index = 0
         for epoch in range(1, cfg.epochs + 1):
             for _ in range(cfg.episodes_per_epoch):
-                episode = source.training_episode(episode_index)
+                episode = source.training_episode(seed, episode_index)
                 episode_index += 1
                 env = AccidentEnv(episode, cfg.env)
                 env.reset()

@@ -1,9 +1,13 @@
 """Environment: saliency pipeline, rewards, episode generation, MDP, file I/O."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from crashrl.env import (
     AccidentEnv,
@@ -27,6 +31,7 @@ from crashrl.env import (
     reward_fixation,
     write_episode_file,
 )
+from crashrl.numkit.tensor import format_float
 
 
 def uniform_field(h=16, w=16):
@@ -430,6 +435,88 @@ class TestEpisodeFile:
             load_episode_file(path)
         assert str(info.value) == f"{path}: line 1: {message}"
 
+    def test_frame_line_matches_format_float_per_value(self, tmp_path):
+        # 0.1 + 0.2 prints as 0.30000000000000004: it needs all 17 digits.
+        values = [0.0, 5e-324, 1.0, 0.1 + 0.2]
+        saliency = np.array([values, values[::-1]]).reshape(2, 2, 2)
+        track = np.array([[0.5, 5e-324], [0.1 + 0.2, 1.0]])
+        path = tmp_path / "ep.ade"
+        write_episode_file(Episode(saliency, 0, None, track, 10.0), path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == f"ADE1 2 2 2 {format_float(10.0)} 0 -1"
+        for t in range(2):
+            row = [*saliency[t].reshape(-1).tolist(), *track[t].tolist()]
+            assert lines[t + 1] == " ".join(["F", str(t)] + [format_float(v) for v in row])
+
+    def _edited(self, tmp_path, lineno, edit):
+        """A generated 10-frame 16x16 file with ``edit`` applied to line ``lineno``."""
+        path = tmp_path / "ep.ade"
+        write_episode_file(generate_episode(EnvConfig(episode_len=10), 15), path)
+        lines = path.read_bytes().split(b"\n")
+        lines[lineno - 1] = edit(lines[lineno - 1])
+        path.write_bytes(b"\n".join(lines))
+        return path
+
+    @pytest.mark.parametrize(
+        "lineno, edit, message",
+        [
+            # A stray byte: a bare UnicodeDecodeError with no path before.
+            (3, lambda line: line[:40] + b"\xff" + line[40:], "non-ASCII byte 0xff"),
+            # int() reads "1_6" as 16 and float() reads "0.00_1" as 0.001.
+            (1, lambda line: line.replace(b"ADE1 16 ", b"ADE1 1_6 ", 1),
+             "'_' is not allowed in a number"),
+            (4, lambda line: b" ".join([*line.split()[:2], b"0.00_1", *line.split()[3:]]),
+             "'_' is not allowed in a number"),
+            # int() reads Arabic-Indic digits: H = "١٦" would load as 16.
+            (1, lambda line: line.replace(b"ADE1 16 ", "ADE1 ١٦ ".encode(), 1),
+             "non-ASCII byte 0xd9"),
+        ],
+    )
+    def test_non_ascii_and_underscore_rejected_with_line(self, tmp_path, lineno, edit, message):
+        path = self._edited(tmp_path, lineno, edit)
+        with pytest.raises(EpisodeFormatError) as info:
+            load_episode_file(path)
+        assert str(info.value) == f"{path}: line {lineno}: {message}"
+
+    def test_eval_cli_names_the_file_of_a_bad_byte(self, tmp_path, capsys):
+        from crashrl.agents import Agent, AgentConfig
+        from crashrl.cli import main as cli_main
+
+        data = tmp_path / "data"
+        data.mkdir()
+        path = self._edited(data, 2, lambda line: line[:30] + b"\xff" + line[30:])
+        checkpoint = tmp_path / "ck.txt"
+        Agent(AgentConfig(algo="td3", hidden_dims=(8, 8)), obs_dim=256, seed=0).save(checkpoint)
+        code = cli_main([
+            "eval", "--algo", "td3", "--hidden", "8,8", "--data", str(data),
+            "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert f"runtime failure: {path}: line 2: non-ASCII byte 0xff" in capsys.readouterr().err
+
+    def test_episode_arrays_are_read_only(self, tmp_path):
+        path = tmp_path / "ep.ade"
+        generated = generate_episode(EnvConfig(episode_len=10), 16)
+        write_episode_file(generated, path)
+        for episode in (generated, load_episode_file(path)):
+            with pytest.raises(ValueError, match="read-only"):
+                episode.saliency[0, 0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                episode.fixation_track[0, 0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                episode.frames[0].grid[0, 0] = 1.0
+        saliency, track = np.full((2, 4, 4), 1 / 16.0), np.full((2, 2), 0.5)
+        Episode(saliency, 0, None, track, 10.0)
+        assert saliency.flags.writeable and track.flags.writeable  # caller's arrays untouched
+
+    def test_frames_are_views_of_the_saliency_array(self):
+        ep = generate_episode(EnvConfig(episode_len=10), 17)
+        assert ep.saliency.shape == (10, 16, 16) and ep.saliency.flags.c_contiguous
+        assert len(ep.frames) == ep.length
+        for t, field in enumerate(ep.frames):
+            assert field.frame_index == t and np.shares_memory(field.grid, ep.saliency)
+            assert field.grid.tobytes() == ep.saliency[t].tobytes()
+
 
 class TestEnvConfigValidation:
     def test_defaults_valid(self):
@@ -448,14 +535,14 @@ class TestEnvConfigValidation:
 
 
 def test_episode_invariants_enforced():
-    frames = tuple(SaliencyField(np.full((4, 4), 1 / 16.0), i) for i in range(5))
+    saliency = np.full((5, 4, 4), 1 / 16.0)
     track = np.full((5, 2), 0.5)
     with pytest.raises(ValueError):
-        Episode(frames, 1, None, track, 10.0)  # positive needs t_a
+        Episode(saliency, 1, None, track, 10.0)  # positive needs t_a
     with pytest.raises(ValueError):
-        Episode(frames, 1, 5, track, 10.0)  # t_a must be < length
+        Episode(saliency, 1, 5, track, 10.0)  # t_a must be < length
     with pytest.raises(ValueError):
-        Episode(frames, 0, 2, track, 10.0)  # negative must not carry t_a
+        Episode(saliency, 0, 2, track, 10.0)  # negative must not carry t_a
 
 
 class TestRewardBoundProperties:
@@ -498,8 +585,7 @@ class TestRewardBoundProperties:
 
 
 def test_env_requires_multi_frame_episode():
-    frames = (SaliencyField(np.full((8, 8), 1 / 64.0), 0),)
-    episode = Episode(frames, 0, None, np.full((1, 2), 0.5), 10.0)
+    episode = Episode(np.full((1, 8, 8), 1 / 64.0), 0, None, np.full((1, 2), 0.5), 10.0)
     cfg = EnvConfig(grid_h=8, grid_w=8, pool_h=4, pool_w=4)
     with pytest.raises(ValueError, match="at least 2 frames"):
         AccidentEnv(episode, cfg)
@@ -538,3 +624,75 @@ def test_loader_error_discipline_under_mutation(tmp_path):
             outcomes["ok"] += 1
             assert episode.length == len(episode.frames)
     assert outcomes["rejected"] > 60  # most corruptions must be caught
+
+
+FUZZ_CFG = EnvConfig(grid_h=4, grid_w=4, episode_len=6, pool_h=2, pool_w=2,
+                     t_a_frac_lo=0.5, t_a_frac_hi=0.7)
+
+
+class TestLoaderFuzz:
+    @staticmethod
+    def _mutate(draw, raw: bytes) -> bytes:
+        """One byte-level mutation: insert, delete, replace, truncate, duplicate a line."""
+        kind = draw(st.sampled_from(["insert", "delete", "replace", "truncate", "duplicate"]))
+        if kind == "duplicate":
+            lines = raw.splitlines(keepends=True) or [b""]
+            i = draw(st.integers(0, len(lines) - 1))
+            return b"".join(lines[: i + 1] + lines[i:])
+        pos = draw(st.integers(0, max(len(raw) - 1, 0)))
+        if kind == "truncate":
+            return raw[:pos]
+        if kind == "delete":
+            return raw[:pos] + raw[pos + 1 :]
+        byte = bytes([draw(st.integers(0, 255))])
+        if kind == "insert":
+            return raw[:pos] + byte + raw[pos:]
+        return raw[:pos] + byte + raw[pos + 1 :]
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_file_loads_or_names_path_and_line(self, tmp_path, data):
+        path = tmp_path / "ep.ade"
+        write_episode_file(generate_episode(FUZZ_CFG, 42), path)
+        raw = path.read_bytes()
+        for _ in range(data.draw(st.integers(1, 3))):
+            raw = self._mutate(data.draw, raw)
+        path.write_bytes(raw)
+        try:
+            episode = load_episode_file(path)
+        except EpisodeFormatError as exc:
+            message = str(exc)
+            assert message.startswith(f"{path}: ")
+            rest = message[len(f"{path}: "):]
+            assert (
+                re.match(r"line \d+: ", rest)
+                or rest == "empty file"
+                or re.fullmatch(r"expected \d+ frame records, found \d+", rest)
+            ), message
+        else:
+            assert episode.saliency.shape == (episode.length, *episode.grid_shape)
+
+    @given(
+        saliency=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3)),
+            elements=st.floats(0.0, 1e300, allow_subnormal=True)
+            | st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308]),
+        ),
+        fps=st.floats(5e-324, 1e300),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_round_trip_is_bit_identical(self, tmp_path, saliency, fps, data):
+        track = data.draw(arrays(
+            np.float64, (saliency.shape[0], 2),
+            elements=st.floats(0.0, 1.0, allow_subnormal=True) | st.sampled_from([0.0, 5e-324]),
+        ))
+        path = tmp_path / "ep.ade"
+        write_episode_file(Episode(saliency, 0, None, track, fps), path)
+        loaded = load_episode_file(path)
+        assert loaded.saliency.tobytes() == saliency.tobytes()
+        assert loaded.fixation_track.tobytes() == track.tobytes()
+        assert np.float64(loaded.fps).tobytes() == np.float64(fps).tobytes()
