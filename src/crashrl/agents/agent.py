@@ -9,13 +9,15 @@ same way. The network counts come from the config (``n_actors``,
 ``n_critics``); with two actors (DARC) each row acts with whichever actor
 the online critics value higher.
 
-Checkpoint format (version tag ``ACP1``), UTF-8 text:
+Checkpoint format (version tag ``ACP1``), ASCII text:
 
     ACP1 <algo> <config_hash> <env_steps> <update_count> <obs_dim> <n_sections>
     SECTION <name>
     <NKP1 parameter record>          (one per section, see numkit.tensor)
 
-The config hash fingerprints the agent hyperparameters; shape compatibility,
+The loader checks each line as it reads it: a non-ASCII byte or a ``_`` in a
+number (which Python's ``int`` and ``float`` would accept) raises, naming the
+line. The config hash fingerprints the agent hyperparameters; shape compatibility,
 not hash equality, is what loading enforces. Optimizer state and RNG state
 are not persisted: checkpoints serve evaluation, not training resumption.
 """
@@ -57,13 +59,26 @@ def config_hash(cfg: AgentConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _parse_int(path, lineno: int, field: str, token: str) -> int:
+def _ascii_lines(f):
+    """The lines of the binary file ``f`` as text, each checked as it is read."""
+    lineno = 0
+    for raw in f:  # not enumerate: its reused result tuple would keep raw alive
+        lineno += 1
+        if not raw.isascii():
+            byte = next(b for b in raw if b > 0x7F)
+            raise ValueError(f"line {lineno}: non-ASCII byte 0x{byte:02x}")
+        line = raw.decode("ascii")
+        del raw  # hold one copy of a long tensor line while it is parsed
+        yield line
+
+
+def _parse_int(lineno: int, field: str, token: str) -> int:
+    if "_" in token:
+        raise ValueError(f"line {lineno}: '_' is not allowed in a number")
     try:
         return int(token)
     except ValueError:
-        raise ValueError(
-            f"{path}: line {lineno}: {field} must be an integer, got {token!r}"
-        ) from None
+        raise ValueError(f"line {lineno}: {field} must be an integer, got {token!r}") from None
 
 
 class Agent:
@@ -197,61 +212,65 @@ class Agent:
     def load(cls, path, cfg: AgentConfig) -> "Agent":
         """Rebuild an agent from a checkpoint; cfg must match algo and shapes.
 
-        Reads the file one section at a time: the NKP1 parser takes each
-        section's lines straight from the open file.
+        Reads the file one line at a time: the NKP1 parser takes each
+        section's lines straight from the open file. Errors name the path.
         """
-        with open(path, "r", encoding="utf-8") as f:
-            header = f.readline().split()
-            if not header:
-                raise ValueError(f"{path}: empty checkpoint")
-            if len(header) != 7 or header[0] != CHECKPOINT_TAG:
-                raise ValueError(f"{path}: line 1: malformed {CHECKPOINT_TAG} header")
-            algo, _hash = header[1], header[2]
-            env_steps, update_count, obs_dim, n_sections = (
-                _parse_int(path, 1, field, token)
-                for field, token in zip(
-                    ("env_steps", "update_count", "obs_dim", "n_sections"), header[3:7]
-                )
+        try:
+            with open(path, "rb") as f:
+                return cls._from_lines(_ascii_lines(f), cfg)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+    @classmethod
+    def _from_lines(cls, f, cfg: AgentConfig) -> "Agent":
+        header = next(f, "").split()
+        if not header:
+            raise ValueError("empty checkpoint")
+        if len(header) != 7 or header[0] != CHECKPOINT_TAG:
+            raise ValueError(f"line 1: malformed {CHECKPOINT_TAG} header")
+        algo, _hash = header[1], header[2]
+        env_steps, update_count, obs_dim, n_sections = (
+            _parse_int(1, field, token)
+            for field, token in zip(
+                ("env_steps", "update_count", "obs_dim", "n_sections"), header[3:7]
             )
-            if algo != cfg.algo:
-                raise ValueError(
-                    f"{path}: checkpoint algo {algo!r} does not match configured {cfg.algo!r}"
-                )
-            if obs_dim < 1:
-                raise ValueError(f"{path}: line 1: obs_dim must be >= 1, got {obs_dim}")
-            agent = cls(cfg, obs_dim, seed=0)
-            expected = dict(agent._sections())
-            if n_sections != len(expected):
-                raise ValueError(
-                    f"{path}: expected {len(expected)} sections, header declares {n_sections}"
-                )
-            loaded: dict[str, ParamSet] = {}
-            lineno = 2
-            for line in f:
-                marker = line.rstrip("\n")
-                if not marker.startswith("SECTION "):
-                    raise ValueError(f"{path}: line {lineno}: expected SECTION marker")
-                fields = marker.split(maxsplit=1)
-                if len(fields) != 2:
-                    raise ValueError(f"{path}: line {lineno}: SECTION marker without a name")
-                name = fields[1]
-                if name not in expected:
-                    raise ValueError(f"{path}: line {lineno}: unknown section {name!r}")
-                if name in loaded:
-                    raise ValueError(f"{path}: line {lineno}: duplicate section {name!r}")
-                try:
-                    loaded[name] = decode_params(f, offset=lineno)
-                except ValueError as exc:
-                    raise ValueError(f"{path}: {exc}") from exc
-                lineno += 2 + len(loaded[name])
+        )
+        if algo != cfg.algo:
+            raise ValueError(
+                f"checkpoint algo {algo!r} does not match configured {cfg.algo!r}"
+            )
+        if obs_dim < 1:
+            raise ValueError(f"line 1: obs_dim must be >= 1, got {obs_dim}")
+        agent = cls(cfg, obs_dim, seed=0)
+        expected = dict(agent._sections())
+        if n_sections != len(expected):
+            raise ValueError(
+                f"expected {len(expected)} sections, header declares {n_sections}"
+            )
+        loaded: dict[str, ParamSet] = {}
+        lineno = 2
+        for line in f:
+            marker = line.rstrip("\n")
+            if not marker.startswith("SECTION "):
+                raise ValueError(f"line {lineno}: expected SECTION marker")
+            fields = marker.split(maxsplit=1)
+            if len(fields) != 2:
+                raise ValueError(f"line {lineno}: SECTION marker without a name")
+            name = fields[1]
+            if name not in expected:
+                raise ValueError(f"line {lineno}: unknown section {name!r}")
+            if name in loaded:
+                raise ValueError(f"line {lineno}: duplicate section {name!r}")
+            loaded[name] = decode_params(f, offset=lineno)
+            lineno += 2 + len(loaded[name])
         missing = sorted(set(expected) - set(loaded))
         if missing:
-            raise ValueError(f"{path}: missing sections {missing}")
+            raise ValueError(f"missing sections {missing}")
         for name, params in loaded.items():
             target = expected[name]
             if not target.same_shapes(params):
                 raise ValueError(
-                    f"{path}: section {name}: expected shapes "
+                    f"section {name}: expected shapes "
                     f"{[(n, list(t.shape)) for n, t in target]}, got "
                     f"{[(n, list(t.shape)) for n, t in params]}"
                 )

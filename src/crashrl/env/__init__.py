@@ -31,11 +31,7 @@ from .saliency import (
     SaliencyField,
     attention_features,
     cell_centers,
-    combine_attention,
-    foveate,
-    normalize_field,
     normalize_fields,
-    pool_features,
 )
 
 __all__ = [
@@ -57,14 +53,10 @@ __all__ = [
     "blob_onset",
     "cell_centers",
     "check_steppable",
-    "combine_attention",
     "fixation_window_active",
-    "foveate",
     "generate_episode",
     "load_episode_file",
-    "normalize_field",
     "normalize_fields",
-    "pool_features",
     "reward_accident",
     "reward_fixation",
     "write_episode_file",

@@ -120,8 +120,7 @@ def blob_onset(t_a: int) -> int:
 def generate_episode(cfg: EnvConfig, seed: int) -> Episode:
     """Deterministic synthetic episode for one seed.
 
-    Each frame is normalized to unit mass with ``normalize_fields``, which
-    gives the same bits as ``normalize_field`` on that frame alone.
+    Each frame is normalized to unit mass with ``normalize_fields``.
     """
     rng = np.random.default_rng(seed)
     h, w, t_len = cfg.grid_h, cfg.grid_w, cfg.episode_len

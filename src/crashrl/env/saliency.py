@@ -56,68 +56,10 @@ def _center_axes(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     return xs[:1], ys[:, :1]
 
 
-def normalize_field(field: SaliencyField) -> SaliencyField:
-    """Scale entries to sum to 1; an all-zero field becomes uniform."""
-    total = float(field.grid.sum())
-    if total <= 0.0:
-        h, w = field.shape
-        return SaliencyField(np.full((h, w), 1.0 / (h * w)), field.frame_index)
-    return SaliencyField(field.grid / total, field.frame_index)
-
-
-def foveate(
-    field: SaliencyField, fixation: tuple[float, float], sigma_f: float
-) -> tuple[SaliencyField, bool]:
-    """Weight a normalized field by a Gaussian acuity falloff at ``fixation``.
-
-    Returns the renormalized field and a degeneracy flag: True when the
-    weighted field underflowed to all zeros (the output is then uniform).
-    """
-    if sigma_f <= 0.0:
-        raise ValueError(f"sigma_f must be > 0, got {sigma_f}")
-    fx, fy = float(fixation[0]), float(fixation[1])
-    h, w = field.shape
-    xs, ys = cell_centers(h, w)
-    gauss = np.exp(-((xs - fx) ** 2 + (ys - fy) ** 2) / (2.0 * sigma_f**2))
-    weighted = field.grid * gauss
-    total = float(weighted.sum())
-    if total <= 0.0:
-        return SaliencyField(np.full((h, w), 1.0 / (h * w)), field.frame_index), True
-    return SaliencyField(weighted / total, field.frame_index), False
-
-
-def combine_attention(
-    bottom_up: SaliencyField, top_down: SaliencyField, rho: float
-) -> SaliencyField:
-    """Convex blend rho * top_down + (1 - rho) * bottom_up, renormalized."""
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must be in [0, 1], got {rho}")
-    if bottom_up.shape != top_down.shape:
-        raise ValueError(
-            f"field shapes differ: {bottom_up.shape} vs {top_down.shape}"
-        )
-    blended = rho * top_down.grid + (1.0 - rho) * bottom_up.grid
-    return normalize_field(SaliencyField(blended, bottom_up.frame_index))
-
-
-def pool_features(field: SaliencyField, out_dims: tuple[int, int]) -> np.ndarray:
-    """Block-mean pooling of an H x W field down to out_dims, flattened row-major."""
-    h, w = field.shape
-    oh, ow = int(out_dims[0]), int(out_dims[1])
-    if oh < 1 or ow < 1 or h % oh or w % ow:
-        raise ValueError(
-            f"pool dims ({oh}x{ow}) must divide field dims ({h}x{w})"
-        )
-    bh, bw = h // oh, w // ow
-    pooled = field.grid.reshape(oh, bh, ow, bw).mean(axis=(1, 3))
-    return pooled.reshape(-1)
-
-
 def normalize_fields(grids: np.ndarray) -> np.ndarray:
-    """``normalize_field`` on each [H, W] slice of an [N, H, W] stack, in place.
+    """Scale each [H, W] slice of an [N, H, W] stack to sum to 1, in place.
 
-    Rows that sum to zero become uniform. Each row gets the bits
-    ``normalize_field`` gives it: the row sum is the same pairwise sum.
+    Rows that sum to zero become uniform.
     """
     n, h, w = grids.shape
     totals = grids.reshape(n, -1).sum(axis=1)
@@ -132,10 +74,12 @@ def attention_features(raw: np.ndarray, fixations: np.ndarray, cfg: EnvConfig) -
     """Foveate -> blend -> normalize -> pool for N fields at once.
 
     ``raw`` holds N normalized [H, W] fields and ``fixations`` one (x, y)
-    point per field. Row i of the [N, pool_h * pool_w] result equals
-    ``pool_features(combine_attention(raw[i], foveate(raw[i], fixations[i])))``
-    bit for bit; a row whose foveated field underflows turns uniform as in
-    ``foveate``.
+    point per field. Each field is weighted by a Gaussian acuity falloff
+    exp(-d^2 / (2 sigma_f^2)) around its fixation and renormalized (a field
+    whose weights all underflow turns uniform), blended as
+    rho * foveated + (1 - rho) * raw, renormalized, and block-mean pooled to
+    [pool_h, pool_w], flattened row-major into row i of the result. The
+    tests hold a per-field version of this chain as its bit-for-bit oracle.
     """
     n, h, w = raw.shape
     oh, ow = cfg.pool_h, cfg.pool_w
@@ -146,7 +90,7 @@ def attention_features(raw: np.ndarray, fixations: np.ndarray, cfg: EnvConfig) -
     xs, ys = _center_axes(h, w)
     fx = fixations[:, 0, None, None]
     fy = fixations[:, 1, None, None]
-    # Same operations, in the same order, as foveate's Gaussian.
+    # The order of these operations fixes the bits the oracle must match.
     fov = (xs - fx) ** 2 + (ys - fy) ** 2
     np.negative(fov, out=fov)
     fov /= 2.0 * cfg.sigma_f**2

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -40,7 +39,8 @@ from ..env import (
 )
 from ..env.rewards import accident_weight, reward_accident, reward_fixation
 from ..metrics import (
-    FrameRecord,
+    NO_ACCIDENT,
+    EvalRecords,
     MetricsReport,
     compile_report,
     report_as_dict,
@@ -138,28 +138,39 @@ def eval_fingerprint(episodes) -> str:
     return digest.hexdigest()[:16]
 
 
-def collect_records(policy, episodes, cfg: RunConfig) -> list[FrameRecord]:
-    """Noise-free rollout of every episode, one FrameRecord per step.
+def collect_records(policy, episodes, cfg: RunConfig) -> EvalRecords:
+    """Noise-free rollout of every episode, one record row per step.
 
     Episodes that share a grid shape and a length form one lockstep group.
     At each step t the group takes one batched action,
     ``policy(features[N, obs_dim], t, group) -> actions[N, 3]`` (columns:
     accident score, fixation x, fixation y), and builds every episode's next
-    observation with one ``attention_features`` call on frame t + 1. Records
-    come back episode-major, in input order. Agents ignore ``t`` and the
-    episodes; scripted oracles read them.
+    observation with one ``attention_features`` call on frame t + 1. The
+    records hold the episodes in input order, each with frames 0 .. T - 2.
+    Agents ignore ``t`` and the episodes; scripted oracles read them.
     """
     episodes = list(episodes)
     groups: dict[tuple, list[int]] = {}
     for i, episode in enumerate(episodes):
         check_steppable(episode, cfg.env)
         groups.setdefault((episode.grid_shape, episode.length), []).append(i)
-    per_episode: list[list[FrameRecord]] = [[] for _ in episodes]
+    frames = np.array([episode.length - 1 for episode in episodes], dtype=np.int64)
+    starts = np.cumsum(frames) - frames
+    episode_index = np.repeat(np.arange(len(episodes)), frames)
+    actions = np.empty((int(frames.sum()), 3))
     for members in groups.values():
-        group = [episodes[i] for i in members]
-        for i, records in zip(members, _lockstep(policy, group, cfg.env)):
-            per_episode[i] = records
-    return [rec for records in per_episode for rec in records]
+        _lockstep(policy, [episodes[i] for i in members], cfg.env, actions, starts[members])
+    return EvalRecords(
+        episode_ids=tuple(episode.episode_id for episode in episodes),
+        y=[episode.y for episode in episodes],
+        t_a=[NO_ACCIDENT if episode.t_a is None else episode.t_a for episode in episodes],
+        fps=[episode.fps for episode in episodes],
+        episode=episode_index,
+        t=np.arange(actions.shape[0]) - starts[episode_index],
+        score=actions[:, 0],
+        p_hat=actions[:, 1:],
+        p=np.concatenate([np.empty((0, 2))] + [ep.fixation_track[:-1] for ep in episodes]),
+    )
 
 
 def _frame_slice(group, t: int) -> np.ndarray:
@@ -181,31 +192,17 @@ def _checked_actions(actions, n: int) -> np.ndarray:
     return actions
 
 
-def _lockstep(policy, group, env_cfg) -> list[list[FrameRecord]]:
-    """Roll episodes of one grid shape and length together; records per episode."""
+def _lockstep(policy, group, env_cfg, out: np.ndarray, rows: np.ndarray) -> None:
+    """Roll one lockstep group; step t's actions go to rows ``rows + t`` of ``out``."""
     n = len(group)
     first = attention_features(_frame_slice(group, 0), np.tile(IMAGE_CENTER, (n, 1)), env_cfg)
     width = first.shape[1]
     obs = np.tile(first, env_cfg.stack)
-    records: list[list[FrameRecord]] = [[] for _ in group]
     for t in range(group[0].length - 1):
         actions = _checked_actions(policy(obs, t, group), n)
-        for episode, action, out in zip(group, actions.tolist(), records):
-            out.append(
-                FrameRecord(
-                    episode_id=episode.episode_id,
-                    t=t,
-                    score=action[0],
-                    y=episode.y,
-                    t_a=episode.t_a,
-                    p_hat=(action[1], action[2]),
-                    p=tuple(episode.fixation_track[t].tolist()),
-                    fps=episode.fps,
-                )
-            )
+        out[rows + t] = actions
         features = attention_features(_frame_slice(group, t + 1), actions[:, 1:], env_cfg)
         obs = np.concatenate([obs[:, width:], features], axis=1)
-    return records
 
 
 def agent_policy(agent: Agent):
@@ -237,53 +234,61 @@ class ConstantScoreAgent:
         return np.tile((self.score, *IMAGE_CENTER), (len(episodes), 1))
 
 
-def _mean_return(records, cfg: RunConfig) -> float:
-    """Mean over episodes of the weighted return w_A * r_A + w_F * r_F.
+def _frame_rewards(records: EvalRecords, env_cfg) -> tuple[list[float], list[float]]:
+    """Per-frame (r_A, r_F), exactly as ``AccidentEnv.step`` computes them.
 
-    ``records`` are consecutive per episode, as ``collect_records`` emits
-    them. Rewards are recomputed exactly as ``AccidentEnv.step`` computes
-    them and summed in step order.
+    The scalar reward functions run on Python floats: numpy's array ``** 2``
+    and ``np.exp`` differ from libm ``pow`` and ``math.exp`` in the last bit
+    on some inputs.
     """
-    env_cfg = cfg.env
+    r_a, r_f = [], []
+    for score, label, t, accident, p_hat, p in zip(
+        records.score.tolist(), records.y[records.episode].tolist(), records.t.tolist(),
+        records.frame_t_a(), zip(*records.p_hat.T.tolist()), zip(*records.p.T.tolist()),
+    ):
+        r_a.append(reward_accident(score, env_cfg.a_0, label, t, accident))
+        r_f.append(
+            reward_fixation(p_hat, p, t, accident, env_cfg.eta, env_cfg.fixation_window)
+        )
+    return r_a, r_f
+
+
+def _mean_return(records: EvalRecords, cfg: RunConfig) -> float:
+    """Mean over episodes of the return w_A * r_A + w_F * r_F, summed in step order."""
     w_a = cfg.agent.reward_weight_accident
     w_f = cfg.agent.reward_weight_fixation
-    totals = []
-    for _episode_id, episode_records in itertools.groupby(records, lambda r: r.episode_id):
-        total = 0.0
-        for rec in episode_records:
-            r_a = reward_accident(rec.score, env_cfg.a_0, rec.y, rec.t, rec.t_a)
-            r_f = reward_fixation(
-                rec.p_hat, rec.p, rec.t, rec.t_a, env_cfg.eta, env_cfg.fixation_window
-            )
-            total += w_a * r_a + w_f * r_f
-        totals.append(total)
+    totals = [0.0] * len(records.episode_ids)
+    for e, r_a, r_f in zip(records.episode.tolist(), *_frame_rewards(records, cfg.env)):
+        totals[e] += w_a * r_a + w_f * r_f
     return float(np.mean(totals))
 
 
-def export_traces(records, out_dir, env_cfg) -> list[str]:
+def export_traces(records: EvalRecords, out_dir, env_cfg) -> list[str]:
     """Per-episode CSVs of scores, rewards, and fixations, one row per frame."""
     os.makedirs(out_dir, exist_ok=True)
-    episodes: dict[str, list] = {}
-    for rec in records:
-        episodes.setdefault(rec.episode_id, []).append(rec)
+    columns = (
+        records.t.tolist(), records.score.tolist(), *_frame_rewards(records, env_cfg),
+        *records.p_hat.T.tolist(), *records.p.T.tolist(),
+    )
+    ids = records.episode_ids
+    bounds = np.searchsorted(records.episode, np.arange(len(ids) + 1)).tolist()
     paths = []
-    for episode_id in sorted(episodes):
-        trace = sorted(episodes[episode_id], key=lambda r: r.t)
-        first = trace[0]
-        path = os.path.join(out_dir, f"trace_{episode_id}.csv")
+    for e in sorted(range(len(ids)), key=ids.__getitem__):
+        t_a = records.t_a[e].item()
+        path = os.path.join(out_dir, f"trace_{ids[e]}.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as f:
-            t_a_note = first.t_a if first.t_a is not None else "none"
-            f.write(f"# episode={episode_id} y={first.y} t_a={t_a_note} fps={first.fps!r}\n")
+            t_a_note = "none" if t_a == NO_ACCIDENT else t_a
+            f.write(
+                f"# episode={ids[e]} y={records.y[e].item()} t_a={t_a_note} "
+                f"fps={records.fps[e].item()!r}\n"
+            )
             f.write("t,score,w_t,r_A,r_F,p_hat_x,p_hat_y,p_x,p_y\n")
-            for rec in trace:
-                w = accident_weight(rec.t, rec.t_a) if rec.t_a is not None else 1.0
-                r_a = reward_accident(rec.score, env_cfg.a_0, rec.y, rec.t, rec.t_a)
-                r_f = reward_fixation(
-                    rec.p_hat, rec.p, rec.t, rec.t_a, env_cfg.eta, env_cfg.fixation_window
-                )
+            rows = zip(*(column[bounds[e] : bounds[e + 1]] for column in columns))
+            for t, score, r_a, r_f, p_hat_x, p_hat_y, p_x, p_y in rows:
+                w = 1.0 if t_a == NO_ACCIDENT else accident_weight(t, t_a)
                 f.write(
-                    f"{rec.t},{rec.score!r},{w!r},{r_a!r},{r_f!r},"
-                    f"{rec.p_hat[0]!r},{rec.p_hat[1]!r},{rec.p[0]!r},{rec.p[1]!r}\n"
+                    f"{t},{score!r},{w!r},{r_a!r},{r_f!r},"
+                    f"{p_hat_x!r},{p_hat_y!r},{p_x!r},{p_y!r}\n"
                 )
         paths.append(path)
     return paths
@@ -386,7 +391,7 @@ def _write_run_summary(artifacts: RunArtifacts) -> None:
 def run_eval(checkpoint_path, episodes, cfg: RunConfig):
     """Roll a checkpointed agent (noise-free) over an episode set.
 
-    Returns (MetricsReport, frame records). The checkpoint's observation
+    Returns (MetricsReport, EvalRecords). The checkpoint's observation
     width must match what cfg.env produces, and the set must hold both
     classes (checked before the checkpoint is read).
     """

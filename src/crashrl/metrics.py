@@ -9,44 +9,101 @@ Tie handling is pinned so independent implementations agree exactly: tied
 pairs add 0.5 each to the AUC pair count, and AP processes tied scores as
 one block using the precision at the block end, accumulating per-positive
 contributions with exact (fsum) summation.
+
+Every metric reads the columns of one ``EvalRecords`` batch: ``compile_report``
+ranks the scores once for AUC, AP, ROC and PR, and finds each episode's first
+threshold crossing once for recall, mTTA and the safe-detection fraction.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .env.rewards import fixation_window_active
 
 
-@dataclass(frozen=True)
-class FrameRecord:
-    """One evaluated frame: score, fixations, and its episode's metadata."""
+NO_ACCIDENT = -1  # the t_a entry of an episode without an accident
 
-    episode_id: str
-    t: int
-    score: float
-    y: int
-    t_a: int | None
-    p_hat: tuple[float, float]
-    p: tuple[float, float]
-    fps: float
+
+@dataclass(frozen=True, eq=False)
+class EvalRecords:
+    """The evaluated frames of a set of episodes, as columns.
+
+    Per episode e: ``episode_ids[e]``, label ``y[e]``, accident frame
+    ``t_a[e]`` (``NO_ACCIDENT`` for a negative episode) and ``fps[e]``. Per
+    frame i: its episode index ``episode[i]``, frame ``t[i]``, accident score
+    ``score[i]``, predicted fixation ``p_hat[i]`` and true fixation ``p[i]``.
+    Frames come episode by episode in episode order, every episode has at
+    least one, and ``t`` increases within an episode. The whole batch is
+    checked once, on construction.
+    """
+
+    episode_ids: tuple[str, ...]
+    y: np.ndarray
+    t_a: np.ndarray
+    fps: np.ndarray
+    episode: np.ndarray
+    t: np.ndarray
+    score: np.ndarray
+    p_hat: np.ndarray
+    p: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must be in [0, 1], got {self.score}")
-        if self.y not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.y}")
-        if self.y == 1 and self.t_a is None:
-            raise ValueError("positive episode records require t_a")
-        if self.y == 0 and self.t_a is not None:
-            raise ValueError("negative episode records must not carry t_a")
-        if self.fps <= 0.0:
-            raise ValueError(f"fps must be > 0, got {self.fps}")
+        object.__setattr__(self, "episode_ids", tuple(self.episode_ids))
+        for name in ("y", "t_a", "episode", "t"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        for name in ("fps", "score", "p_hat", "p"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        ids, y, t_a, score = self.episode_ids, self.y, self.t_a, self.score
+        episode = self.episode
+        e, n = len(ids), episode.size
+        want = {"y": (e,), "t_a": (e,), "fps": (e,), "episode": (n,), "t": (n,),
+                "score": (n,), "p_hat": (n, 2), "p": (n, 2)}
+        if any(getattr(self, k).shape != shape for k, shape in want.items()):
+            shapes = ", ".join(f"{k} {list(getattr(self, k).shape)}" for k in want)
+            raise ValueError(f"column shapes disagree with {e} episode ids: {shapes}")
+        # Between a -1 before and an e after it, the episode column climbs in
+        # steps of 1 (next episode) or 0 (more frames of an episode in range).
+        bounded = np.concatenate(([-1], episode, [e]))
+        step = np.diff(bounded)
+        seen: dict[str, int] = {}
+        checks = (  # (mask of offenders, message for the first), in order
+            (~((score >= 0.0) & (score <= 1.0)),  # NaN fails both
+             lambda i: f"score must be in [0, 1], got {score[i]} at frame {i}"),
+            ((y != 0) & (y != 1),
+             lambda i: f"label must be 0 or 1, got {y[i]} for episode {ids[i]!r}"),
+            (~np.where(y == 1, t_a >= 0, t_a == NO_ACCIDENT),
+             lambda i: f"episode {ids[i]!r} (y={y[i]}) has t_a {t_a[i]}: a positive "
+                       f"episode needs t_a >= 0, a negative one none ({NO_ACCIDENT})"),
+            (~(self.fps > 0.0),
+             lambda i: f"fps must be > 0, got {self.fps[i]} for episode {ids[i]!r}"),
+            (np.array([seen.setdefault(k, i) != i for i, k in enumerate(ids)], dtype=bool),
+             lambda i: f"episode ids must be unique, {ids[i]!r} repeats"),
+            ((step != 1) & ((step != 0) | (bounded[1:] < 0) | (bounded[1:] >= e)),
+             lambda i: f"frames must come episode by episode, in episode order, every "
+                       f"episode with at least one frame; frame {i} of {n} is out of "
+                       "place (not contiguous, out of order, or after an empty episode)"),
+            ((step[1:-1] == 0) & (np.diff(self.t) <= 0),
+             lambda i: f"episode {ids[episode[i]]!r}: t must increase from frame to "
+                       f"frame, got {self.t[i]} then {self.t[i + 1]}"),
+        )
+        for offenders, message in checks:
+            if offenders.any():
+                raise ValueError(message(int(np.flatnonzero(offenders)[0])))
+
+    def __len__(self) -> int:
+        return self.score.size
+
+    def frame_t_a(self) -> list[int | None]:
+        """Each frame's accident frame as a Python int, None without an accident."""
+        return [None if v == NO_ACCIDENT else v for v in self.t_a[self.episode].tolist()]
 
 
 @dataclass(frozen=True)
@@ -72,212 +129,186 @@ class MetricsReport:
     safe_detect_fraction_2s: float
 
 
-def _group_episodes(records) -> dict[str, list[FrameRecord]]:
-    episodes: dict[str, list[FrameRecord]] = {}
-    for rec in records:
-        episodes.setdefault(rec.episode_id, []).append(rec)
-    for episode_id, recs in episodes.items():
-        recs.sort(key=lambda r: r.t)
-        first = recs[0]
-        for rec in recs:
-            if rec.y != first.y or rec.t_a != first.t_a or rec.fps != first.fps:
-                raise ValueError(
-                    f"episode {episode_id!r} carries inconsistent label metadata"
-                )
-    return episodes
+class _TieBlocks(NamedTuple):
+    """Pooled frame scores ranked once, highest first, equal scores merged.
+
+    For block k, ``threshold[k]`` is its score, ``pos[k]`` its positive
+    frames, and ``tp[k]`` / ``seen[k]`` count the positive frames / all
+    frames scoring at least that much.
+    """
+
+    threshold: np.ndarray
+    pos: np.ndarray
+    tp: np.ndarray
+    seen: np.ndarray
+    n_pos: int
+    n_neg: int
 
 
-def _samples(records) -> tuple[np.ndarray, np.ndarray]:
-    """(scores, labels), one sample per frame."""
-    scores = np.array([r.score for r in records])
-    labels = np.array([r.y for r in records])
-    if scores.size == 0:
+def _tie_blocks(records: EvalRecords) -> _TieBlocks:
+    """Rank every frame (one sample each, carrying its episode's label)."""
+    if len(records) == 0:
         raise ValueError("no records to score")
-    return scores, labels
+    order = np.argsort(-records.score, kind="stable")
+    scores = records.score[order]
+    labels = records.y[records.episode][order]
+    ends = np.flatnonzero(np.append(scores[1:] != scores[:-1], True))
+    tp = np.cumsum(labels)[ends]
+    n_pos = int(tp[-1])
+    starts = np.append(0, ends[:-1] + 1)
+    return _TieBlocks(
+        scores[starts], np.diff(tp, prepend=0), tp, ends + 1, n_pos, scores.size - n_pos
+    )
 
 
-def roc_auc(records) -> float:
-    """Mann-Whitney AUC: P(score_pos > score_neg) + 0.5 * P(tie), exactly."""
-    scores, labels = _samples(records)
-    pos = scores[labels == 1]
-    neg = np.sort(scores[labels == 0])
-    if pos.size == 0 or neg.size == 0:
+def _auc(blocks: _TieBlocks) -> float:
+    if blocks.n_pos == 0 or blocks.n_neg == 0:
         raise ValueError("roc_auc requires both classes among the samples")
-    below = np.searchsorted(neg, pos, side="left")
-    upto = np.searchsorted(neg, pos, side="right")
-    wins = float(below.sum(dtype=np.int64))
-    ties = float((upto - below).sum(dtype=np.int64))
-    return (wins + 0.5 * ties) / (float(pos.size) * float(neg.size))
+    fp = blocks.seen - blocks.tp
+    # A block's positives beat every negative below it and tie its own.
+    wins = float((blocks.pos * (blocks.n_neg - fp)).sum())
+    ties = float((blocks.pos * np.diff(fp, prepend=0)).sum())
+    return (wins + 0.5 * ties) / (float(blocks.n_pos) * float(blocks.n_neg))
 
 
-def average_precision(records) -> float:
-    """Step-integrated PR curve: per-positive block-end precision, averaged."""
-    scores, labels = _samples(records)
-    n_pos = int(labels.sum())
-    if n_pos == 0:
+def _ap(blocks: _TieBlocks) -> float:
+    if blocks.n_pos == 0:
         raise ValueError("average_precision requires at least one positive sample")
-    order = np.argsort(-scores, kind="stable")
-    scores, labels = scores[order], labels[order]
-    contributions: list[float] = []
-    seen = 0
-    tp = 0
-    i = 0
-    n = scores.size
-    while i < n:
-        j = i
-        while j < n and scores[j] == scores[i]:
-            j += 1
-        block_pos = int(labels[i:j].sum())
-        seen = j
-        tp += block_pos
-        precision = tp / seen
-        contributions.extend([precision] * block_pos)
-        i = j
-    return math.fsum(contributions) / n_pos
+    precision = (blocks.tp / blocks.seen).tolist()
+    # One exact term per positive: fsum of k copies, not k * precision rounded.
+    per_positive = itertools.chain.from_iterable(
+        itertools.repeat(p, k) for p, k in zip(precision, blocks.pos.tolist())
+    )
+    return math.fsum(per_positive) / blocks.n_pos
 
 
-def roc_curve_points(records):
-    """(fpr, tpr, threshold) per distinct threshold, descending, with a (0,0) anchor."""
-    scores, labels = _samples(records)
-    n_pos = int(labels.sum())
-    n_neg = int(labels.size - n_pos)
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("ROC curve requires both classes among the samples")
-    order = np.argsort(-scores, kind="stable")
-    scores, labels = scores[order], labels[order]
-    points = [(0.0, 0.0, math.inf)]
-    tp = fp = 0
-    i = 0
-    while i < scores.size:
-        j = i
-        while j < scores.size and scores[j] == scores[i]:
-            j += 1
-        tp += int(labels[i:j].sum())
-        fp += int(j - i - labels[i:j].sum())
-        points.append((fp / n_neg, tp / n_pos, float(scores[i])))
-        i = j
-    return tuple(points)
+def _roc_points(blocks: _TieBlocks):
+    """(fpr, tpr, threshold) per block, after a (0, 0) anchor; needs both classes."""
+    fpr = (blocks.seen - blocks.tp) / blocks.n_neg
+    tpr = blocks.tp / blocks.n_pos
+    return ((0.0, 0.0, math.inf), *zip(fpr.tolist(), tpr.tolist(), blocks.threshold.tolist()))
 
 
-def pr_curve_points(records):
-    """(recall, precision, threshold) per distinct threshold, descending."""
-    scores, labels = _samples(records)
-    n_pos = int(labels.sum())
-    if n_pos == 0:
-        raise ValueError("PR curve requires at least one positive sample")
-    order = np.argsort(-scores, kind="stable")
-    scores, labels = scores[order], labels[order]
-    points = [(0.0, 1.0, math.inf)]
-    tp = 0
-    seen = 0
-    i = 0
-    while i < scores.size:
-        j = i
-        while j < scores.size and scores[j] == scores[i]:
-            j += 1
-        tp += int(labels[i:j].sum())
-        seen = j
-        points.append((tp / n_pos, tp / seen, float(scores[i])))
-        i = j
-    return tuple(points)
+def _pr_points(blocks: _TieBlocks):
+    """(recall, precision, threshold) per block, after a (0, 1) anchor; needs a positive."""
+    recall = blocks.tp / blocks.n_pos
+    precision = blocks.tp / blocks.seen
+    return ((0.0, 1.0, math.inf),
+            *zip(recall.tolist(), precision.tolist(), blocks.threshold.tolist()))
 
 
-def _first_crossing(trace: list[FrameRecord], a_0: float) -> int | None:
-    for rec in trace:
-        if rec.score > a_0:
-            return rec.t
-    return None
+def roc_auc(records: EvalRecords) -> float:
+    """Mann-Whitney AUC: P(score_pos > score_neg) + 0.5 * P(tie), exactly."""
+    return _auc(_tie_blocks(records))
 
 
-def recall_at_threshold(records, a_0: float) -> tuple[float, DetectionCounts]:
-    """Episode-level recall: detection = any pre-accident frame above a_0."""
-    episodes = _group_episodes(records)
-    tp = fp = tn = fn = 0
-    for trace in episodes.values():
-        label, t_a = trace[0].y, trace[0].t_a
-        if label == 1:
-            crossing = _first_crossing(trace, a_0)
-            if crossing is not None and crossing < t_a:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if _first_crossing(trace, a_0) is not None:
-                fp += 1
-            else:
-                tn += 1
+def average_precision(records: EvalRecords) -> float:
+    """Step-integrated PR curve: per-positive block-end precision, averaged."""
+    return _ap(_tie_blocks(records))
+
+
+def _first_crossings(records: EvalRecords, a_0: float) -> np.ndarray:
+    """Per episode, the first t whose score exceeds a_0, or -1 when none does."""
+    above = np.flatnonzero(records.score > a_0)
+    episodes, first = np.unique(records.episode[above], return_index=True)
+    crossing = np.full(len(records.episode_ids), -1, dtype=np.int64)
+    crossing[episodes] = records.t[above[first]]
+    return crossing
+
+
+def _recall(records: EvalRecords, crossing: np.ndarray) -> tuple[float, DetectionCounts]:
+    positive = records.y == 1
+    crossed = crossing >= 0
+    tp = int(np.count_nonzero(positive & crossed & (crossing < records.t_a)))
+    fn = int(np.count_nonzero(positive)) - tp
+    fp = int(np.count_nonzero(~positive & crossed))
+    tn = len(records.episode_ids) - tp - fn - fp
     if tp + fn == 0:
         raise ValueError("recall requires at least one positive episode")
     return tp / (tp + fn), DetectionCounts(tp, fp, tn, fn)
 
 
-def tta_by_episode(records, a_0: float) -> dict[str, float]:
-    """Per positive episode: (t_a - first crossing)/fps, or 0 when late/absent."""
-    episodes = _group_episodes(records)
-    out: dict[str, float] = {}
-    for episode_id, trace in episodes.items():
-        if trace[0].y != 1:
-            continue
-        t_a, fps = trace[0].t_a, trace[0].fps
-        crossing = _first_crossing(trace, a_0)
-        if crossing is None or crossing >= t_a:
-            out[episode_id] = 0.0
-        else:
-            out[episode_id] = (t_a - crossing) / fps
-    return out
+def _ttas(records: EvalRecords, crossing: np.ndarray) -> dict[str, float]:
+    detected = (crossing >= 0) & (crossing < records.t_a)
+    tta = np.where(detected, (records.t_a - crossing) / records.fps, 0.0)
+    positive = np.flatnonzero(records.y == 1)
+    return dict(zip([records.episode_ids[e] for e in positive], tta[positive].tolist()))
 
 
-def mtta(records, a_0: float) -> float:
-    """Mean time-to-accident over all positive episodes, zeros included."""
-    ttas = tta_by_episode(records, a_0)
+def _mean_tta(ttas: dict[str, float]) -> float:
     if not ttas:
         raise ValueError("mtta requires at least one positive episode")
     return math.fsum(ttas.values()) / len(ttas)
 
 
-def safe_detect_fraction(records, a_0: float, margin_seconds: float = 2.0) -> float:
-    """Fraction of detected positive episodes whose TTA meets the reaction margin.
-
-    Detected means a crossing strictly before t_a; with no detections the
-    fraction is 0.
-    """
-    detected = [tta for tta in tta_by_episode(records, a_0).values() if tta > 0.0]
+def _safe_fraction(ttas: dict[str, float], margin_seconds: float) -> float:
+    detected = [tta for tta in ttas.values() if tta > 0.0]
     if not detected:
         return 0.0
     return sum(1 for tta in detected if tta >= margin_seconds) / len(detected)
 
 
-def fixation_mse(records, window: str = "after_accident") -> float:
+def recall_at_threshold(records: EvalRecords, a_0: float) -> tuple[float, DetectionCounts]:
+    """Episode-level recall: detection = any pre-accident frame above a_0."""
+    return _recall(records, _first_crossings(records, a_0))
+
+
+def tta_by_episode(records: EvalRecords, a_0: float) -> dict[str, float]:
+    """Per positive episode: (t_a - first crossing)/fps, or 0 when late/absent."""
+    return _ttas(records, _first_crossings(records, a_0))
+
+
+def mtta(records: EvalRecords, a_0: float) -> float:
+    """Mean time-to-accident over all positive episodes, zeros included."""
+    return _mean_tta(tta_by_episode(records, a_0))
+
+
+def safe_detect_fraction(
+    records: EvalRecords, a_0: float, margin_seconds: float = 2.0
+) -> float:
+    """Fraction of detected positive episodes whose TTA meets the reaction margin.
+
+    Detected means a crossing strictly before t_a; with no detections the
+    fraction is 0.
+    """
+    return _safe_fraction(tta_by_episode(records, a_0), margin_seconds)
+
+
+def fixation_mse(records: EvalRecords, window: str = "after_accident") -> float:
     """Mean squared fixation error over frames where the reward window is active."""
-    errors = []
-    for r in records:
-        if fixation_window_active(r.t, r.t_a, window):
-            # d * d is the correctly rounded square; d ** 2 goes through libm pow.
-            dx = r.p_hat[0] - r.p[0]
-            dy = r.p_hat[1] - r.p[1]
-            errors.append(dx * dx + dy * dy)
-    if not errors:
+    active = np.array(
+        [fixation_window_active(t, t_a, window)
+         for t, t_a in zip(records.t.tolist(), records.frame_t_a())],
+        dtype=bool,
+    )
+    # d * d is the correctly rounded square; d ** 2 goes through libm pow.
+    d = records.p_hat[active] - records.p[active]
+    errors = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    if not errors.size:
         raise ValueError("fixation_mse: no frames fall inside the evaluation window")
-    return math.fsum(errors) / len(errors)
+    return math.fsum(errors.tolist()) / errors.size
 
 
 def compile_report(
-    records,
+    records: EvalRecords,
     a_0: float,
     window: str = "after_accident",
 ) -> MetricsReport:
-    records = list(records)
-    recall, counts = recall_at_threshold(records, a_0)
+    """Every metric from one ranking of the scores and one crossing per episode."""
+    crossing = _first_crossings(records, a_0)
+    recall, counts = _recall(records, crossing)
+    ttas = _ttas(records, crossing)
+    blocks = _tie_blocks(records)
     return MetricsReport(
-        auc=roc_auc(records),
-        ap=average_precision(records),
+        auc=_auc(blocks),
+        ap=_ap(blocks),
         recall_at_a0=recall,
-        mtta_seconds=mtta(records, a_0),
+        mtta_seconds=_mean_tta(ttas),
         fixation_mse=fixation_mse(records, window),
         counts=counts,
-        roc_points=roc_curve_points(records),
-        pr_points=pr_curve_points(records),
-        safe_detect_fraction_2s=safe_detect_fraction(records, a_0),
+        roc_points=_roc_points(blocks),
+        pr_points=_pr_points(blocks),
+        safe_detect_fraction_2s=_safe_fraction(ttas, 2.0),
     )
 
 

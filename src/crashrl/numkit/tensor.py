@@ -6,7 +6,9 @@ Checkpoint format (version tag ``NKP1``), UTF-8 text, one tensor per line:
     <name> <ndim> <dim0> ... <dimN-1> <v0> <v1> ... (row-major)
 
 Floats are serialized with 17 significant digits, which round-trips IEEE-754
-doubles exactly, so write -> read is bit-identical.
+doubles exactly, so write -> read is bit-identical. The reader rejects a
+``_`` in a count, dimension or value, which ``int`` and ``float`` would read
+as digit grouping.
 
 A ParamSet keeps its tensors as float64 ndarray views into one flat vector,
 in the order the format lists them; the flat storage does not change the
@@ -148,6 +150,8 @@ def decode_params(lines: Iterable[str], *, offset: int = 0) -> ParamSet:
     header = [] if header_line is None else header_line.split()
     if len(header) != 2 or header[0] != FORMAT_TAG:
         raise ValueError(f"line {offset + 1}: expected '{FORMAT_TAG} <count>' header")
+    if "_" in header[1]:
+        raise ValueError(f"line {offset + 1}: '_' is not allowed in a number")
     try:
         count = int(header[1])
     except ValueError:
@@ -169,6 +173,8 @@ def decode_params(lines: Iterable[str], *, offset: int = 0) -> ParamSet:
         if len(tokens) < 2:
             raise ValueError(f"line {lineno}: truncated tensor record")
         name = tokens[0]
+        if "_" in line and any("_" in token for token in tokens[1:]):
+            raise ValueError(f"line {lineno}: '_' is not allowed in a number")
         try:
             ndim = int(tokens[1])
             dims = tuple(int(t) for t in tokens[2 : 2 + ndim])

@@ -1,0 +1,55 @@
+"""Eval records built from per-frame rows, and read back as rows.
+
+A row is one evaluated frame with its episode's metadata, the view the
+columns of ``EvalRecords`` replace. Tests write records this way; the batch
+checks of ``EvalRecords`` see exactly the rows given, in the order given.
+"""
+
+from collections import namedtuple
+
+import numpy as np
+
+from crashrl.metrics import NO_ACCIDENT, EvalRecords
+
+Row = namedtuple("Row", "episode_id t score y t_a p_hat p fps")
+
+
+def records_from_rows(rows) -> EvalRecords:
+    """Episodes in order of first appearance, metadata from their first row."""
+    rows = [Row(*row) for row in rows]
+    index: dict[str, int] = {}
+    meta = []
+    for row in rows:
+        t_a = NO_ACCIDENT if row.t_a is None else row.t_a
+        if row.episode_id not in index:
+            index[row.episode_id] = len(meta)
+            meta.append((row.y, t_a, row.fps))
+        assert meta[index[row.episode_id]] == (row.y, t_a, row.fps), (
+            f"rows of episode {row.episode_id!r} disagree on y, t_a or fps"
+        )
+    y, t_a, fps = zip(*meta) if meta else ((), (), ())
+    return EvalRecords(
+        episode_ids=tuple(index),
+        y=y,
+        t_a=t_a,
+        fps=fps,
+        episode=[index[row.episode_id] for row in rows],
+        t=[row.t for row in rows],
+        score=[row.score for row in rows],
+        p_hat=np.array([row.p_hat for row in rows], dtype=np.float64).reshape(-1, 2),
+        p=np.array([row.p for row in rows], dtype=np.float64).reshape(-1, 2),
+    )
+
+
+def frame_rows(records: EvalRecords) -> list[Row]:
+    """One Row of Python scalars per frame, in record order."""
+    ids = records.episode_ids
+    t_a = [None if v == NO_ACCIDENT else v for v in records.t_a.tolist()]
+    y, fps = records.y.tolist(), records.fps.tolist()
+    return [
+        Row(ids[e], t, score, y[e], t_a[e], tuple(p_hat), tuple(p), fps[e])
+        for e, t, score, p_hat, p in zip(
+            records.episode.tolist(), records.t.tolist(), records.score.tolist(),
+            records.p_hat.tolist(), records.p.tolist(),
+        )
+    ]

@@ -51,6 +51,7 @@ from crashrl.metrics import (
     safe_detect_fraction,
 )
 from crashrl.numkit import MlpSpec, gradient_check
+from record_rows import Row, records_from_rows
 
 pytestmark = pytest.mark.acceptance
 
@@ -140,17 +141,15 @@ def ap_count_oracle(scores, labels):
 
 
 def records_from_scores(pos_scores, neg_scores):
-    from crashrl.metrics import FrameRecord
-
     records = [
-        FrameRecord(f"p{i}", 0, float(s), 1, 1, (0.5, 0.5), (0.5, 0.5), 10.0)
+        Row(f"p{i}", 0, float(s), 1, 1, (0.5, 0.5), (0.5, 0.5), 10.0)
         for i, s in enumerate(pos_scores)
     ]
     records += [
-        FrameRecord(f"n{i}", 0, float(s), 0, None, (0.5, 0.5), (0.5, 0.5), 10.0)
+        Row(f"n{i}", 0, float(s), 0, None, (0.5, 0.5), (0.5, 0.5), 10.0)
         for i, s in enumerate(neg_scores)
     ]
-    return records
+    return records_from_rows(records)
 
 
 def test_c2_metric_exactness():
@@ -174,8 +173,6 @@ def test_c2_metric_exactness():
         assert average_precision(records) == ap_count_oracle(scores, labels)
 
     # recall / mtta against a literal trace scan
-    from crashrl.metrics import FrameRecord
-
     for trial in range(100):
         records = []
         tp = fn = 0
@@ -190,7 +187,7 @@ def test_c2_metric_exactness():
             fps = float(rng.choice([10.0, 25.0]))
             trace_scores = np.round(rng.random(length), 2)
             records += [
-                FrameRecord(f"e{e}", t, float(s), y, t_a, (0.5, 0.5), (0.5, 0.5), fps)
+                Row(f"e{e}", t, float(s), y, t_a, (0.5, 0.5), (0.5, 0.5), fps)
                 for t, s in enumerate(trace_scores)
             ]
             if y == 1:
@@ -201,6 +198,7 @@ def test_c2_metric_exactness():
                 else:
                     fn += 1
                     ttas.append(0.0)
+        records = records_from_rows(records)
         recall_got, _ = recall_at_threshold(records, 0.5)
         assert recall_got == tp / (tp + fn)
         assert mtta(records, 0.5) == math.fsum(ttas) / len(ttas)

@@ -571,6 +571,47 @@ class TestAgentCheckpoint:
         with pytest.raises(ValueError, match=message):
             Agent.load(path, small_cfg("td3"))
 
+    @pytest.mark.parametrize("where", ["header", "marker", "tensor_count", "w0", "last_line"])
+    def test_non_ascii_byte_names_path_and_line(self, tmp_path, where):
+        path = self._corrupted(tmp_path, lambda lines: None)
+        lines = path.read_bytes().split(b"\n")
+        at = {
+            "header": 0, "marker": 1, "tensor_count": 2,
+            "w0": lines.index(b"SECTION critic_1") + 2, "last_line": len(lines) - 2,
+        }[where]
+        middle = len(lines[at]) // 2
+        lines[at] = lines[at][:middle] + b"\xff" + lines[at][middle:]
+        path.write_bytes(b"\n".join(lines))
+        message = rf"ck\.txt: line {at + 1}: non-ASCII byte 0xff$"
+        with pytest.raises(ValueError, match=message):
+            Agent.load(path, small_cfg("td3"))
+
+    @pytest.mark.parametrize(
+        "at,token",
+        [("header", 3), ("tensor_count", 1), ("w0", 1), ("w0", 2), ("w0", 5), ("b0", -1)],
+    )
+    def test_underscore_in_a_number_names_path_and_line(self, tmp_path, at, token):
+        def edit(lines):
+            start = lines.index("SECTION critic_0")
+            rows = {"header": 0, "tensor_count": start + 1, "w0": start + 2, "b0": start + 3}
+            row = rows[at]
+            tokens = lines[row].split()
+            value = tokens[token]
+            tokens[token] = value[:-1] + "_" + value[-1:] if len(value) > 1 else value + "_0"
+            lines[row] = " ".join(tokens)
+            edited.append(row + 1)
+
+        edited = []
+        path = self._corrupted(tmp_path, edit)
+        message = rf"ck\.txt: line {edited[0]}: '_' is not allowed in a number"
+        with pytest.raises(ValueError, match=message):
+            Agent.load(path, small_cfg("td3"))
+
+    def test_underscore_in_section_names_still_loads(self, tmp_path):
+        path = self._corrupted(tmp_path, lambda lines: None)
+        assert b"SECTION critic_0" in path.read_bytes()
+        Agent.load(path, small_cfg("td3"))
+
 
 @pytest.mark.slow
 def test_darc_critic_gap_shrinks_with_regularization():

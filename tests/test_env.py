@@ -20,18 +20,15 @@ from crashrl.env import (
     accident_weight,
     blob_onset,
     cell_centers,
-    combine_attention,
     fixation_window_active,
-    foveate,
     generate_episode,
     load_episode_file,
-    normalize_field,
-    pool_features,
     reward_accident,
     reward_fixation,
     write_episode_file,
 )
 from crashrl.numkit.tensor import format_float
+from saliency_reference import combine_attention, foveate, normalize_field, pool_features
 
 
 def uniform_field(h=16, w=16):

@@ -24,6 +24,7 @@ from crashrl.harness import (
     write_comparison_csv,
 )
 from crashrl.metrics import fixation_mse, mtta, recall_at_threshold
+from record_rows import frame_rows
 
 
 def tiny_cfg(out_dir, algo="td3", seeds=(0,), **kw):
@@ -227,7 +228,7 @@ class TestTracesAndComparison:
             assert lines[1] == "t,score,w_t,r_A,r_F,p_hat_x,p_hat_y,p_x,p_y"
             rows = lines[2:]
             assert len(rows) == ep.length - 1
-            ep_records = [r for r in records if r.episode_id == ep.episode_id]
+            ep_records = [r for r in frame_rows(records) if r.episode_id == ep.episode_id]
             for row, rec in zip(rows, sorted(ep_records, key=lambda r: r.t)):
                 assert float(row.split(",")[1]) == rec.score
 

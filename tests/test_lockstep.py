@@ -12,12 +12,8 @@ from crashrl.env import (
     EnvConfig,
     SaliencyField,
     attention_features,
-    combine_attention,
-    foveate,
     generate_episode,
-    normalize_field,
     normalize_fields,
-    pool_features,
 )
 from crashrl.harness import (
     ConstantScoreAgent,
@@ -26,8 +22,9 @@ from crashrl.harness import (
     agent_policy,
     collect_records,
 )
-from crashrl.metrics import FrameRecord
 from crashrl.numkit import mlp_apply
+from record_rows import Row, frame_rows, records_from_rows
+from saliency_reference import combine_attention, foveate, normalize_field, pool_features
 
 ALGOS = ("ddpg", "td3", "sac", "darc")
 
@@ -127,21 +124,21 @@ class FeatureEcho:
 
 def sequential_records(policy, episodes, cfg):
     """One AccidentEnv per episode, one batch-1 policy call per step."""
-    records = []
+    rows = []
     for episode in episodes:
         env = AccidentEnv(episode, cfg.env)
         obs = env.reset()
         while not env.done:
             t = obs.frame_index
             action = DualAction.from_array(policy(obs.features[None], t, [episode])[0])
-            records.append(
-                FrameRecord(
+            rows.append(
+                Row(
                     episode.episode_id, t, action.a, episode.y, episode.t_a,
                     action.p_hat, tuple(episode.fixation_track[t].tolist()), episode.fps,
                 )
             )
             obs = env.step(action).next_obs
-    return records
+    return records_from_rows(rows)
 
 
 def small_run_cfg(**env_kw):
@@ -168,8 +165,8 @@ class TestCollectRecords:
     def test_matches_sequential_env_bitwise(self, policy):
         cfg = small_run_cfg()
         episodes = [generate_episode(cfg.env, seed) for seed in range(6)]
-        got = collect_records(policy, episodes, cfg)
-        expected = sequential_records(policy, episodes, cfg)
+        got = frame_rows(collect_records(policy, episodes, cfg))
+        expected = frame_rows(sequential_records(policy, episodes, cfg))
         assert got == expected
         assert [repr(r) for r in got] == [repr(r) for r in expected]
 
@@ -177,7 +174,7 @@ class TestCollectRecords:
         cfg = small_run_cfg()
         episodes = mixed_episodes()
         policy = FeatureEcho()
-        records = collect_records(policy, episodes, cfg)
+        records = frame_rows(collect_records(policy, episodes, cfg))
         assert len(records) == sum(ep.length - 1 for ep in episodes)
         expected_keys = [
             (ep.episode_id, t) for ep in episodes for t in range(ep.length - 1)
@@ -185,7 +182,7 @@ class TestCollectRecords:
         assert [(r.episode_id, r.t) for r in records] == expected_keys
         # One batched call per step per (grid, length) group: groups of 3, 2, 1, 1.
         assert policy.batch_sizes == [3] * 9 + [2] * 13 + [1] * 13 + [1] * 9
-        assert records == sequential_records(FeatureEcho(), episodes, cfg)
+        assert records == frame_rows(sequential_records(FeatureEcho(), episodes, cfg))
 
     @pytest.mark.parametrize(
         "bad,message",

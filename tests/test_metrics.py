@@ -1,5 +1,6 @@
 """Metrics against brute-force oracles and hand-derived cases."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crashrl.metrics import (
-    FrameRecord,
     average_precision,
     compile_report,
     fixation_mse,
@@ -19,10 +19,11 @@ from crashrl.metrics import (
     safe_detect_fraction,
     tta_by_episode,
 )
+from record_rows import Row, records_from_rows
 
 
 def frame(episode_id, t, score, y, t_a=None, p_hat=(0.5, 0.5), p=(0.5, 0.5), fps=10.0):
-    return FrameRecord(episode_id, t, score, y, t_a, p_hat, p, fps)
+    return Row(episode_id, t, score, y, t_a, p_hat, p, fps)
 
 
 def records_from_scores(pos_scores, neg_scores):
@@ -32,7 +33,7 @@ def records_from_scores(pos_scores, neg_scores):
         records.append(frame(f"p{i}", 0, s, 1, t_a=1))
     for i, s in enumerate(neg_scores):
         records.append(frame(f"n{i}", 0, s, 0))
-    return records
+    return records_from_rows(records)
 
 
 # ------------------------------------------------------------------ oracles
@@ -185,12 +186,13 @@ class TestMonotoneTransformInvariance:
         def fix_half(x):  # increasing, fixes 0.5
             return 0.5 + 0.5 * math.copysign(abs(2 * x - 1) ** 1.3, 2 * x - 1)
 
-        recall1, _ = recall_at_threshold(records, a_0)
-        mtta1 = mtta(records, a_0)
         mapped = [
             frame(r.episode_id, r.t, fix_half(r.score), r.y, t_a=r.t_a)
             for r in records
         ]
+        records, mapped = records_from_rows(records), records_from_rows(mapped)
+        recall1, _ = recall_at_threshold(records, a_0)
+        mtta1 = mtta(records, a_0)
         recall2, _ = recall_at_threshold(mapped, a_0)
         assert recall1 == recall2
         assert mtta(mapped, a_0) == mtta1
@@ -200,35 +202,38 @@ class TestRecallAndMtta:
     def _episode(self, eid, scores, y, t_a=None, fps=10.0):
         return [frame(eid, t, s, y, t_a=t_a, fps=fps) for t, s in enumerate(scores)]
 
+    def _records(self, eid, scores, y, t_a=None, fps=10.0):
+        return records_from_rows(self._episode(eid, scores, y, t_a, fps))
+
     def test_nine_of_ten_detected(self):
         records = []
         for e in range(10):
             scores = [0.9 if e < 9 else 0.1] * 5
             records.extend(self._episode(f"e{e}", scores, 1, t_a=4))
-        recall, counts = recall_at_threshold(records, 0.5)
+        recall, counts = recall_at_threshold(records_from_rows(records), 0.5)
         assert recall == 0.9
         assert counts.tp == 9 and counts.fn == 1
 
     def test_crossing_at_frame_zero(self):
-        records = self._episode("e0", [1.0, 0.0, 0.0], 1, t_a=2)
+        records = self._records("e0", [1.0, 0.0, 0.0], 1, t_a=2)
         recall, _ = recall_at_threshold(records, 0.5)
         assert recall == 1.0
 
     def test_late_crossing_counts_fn_and_zero_tta(self):
         # only crossing at t >= t_a
         scores = [0.0] * 5 + [0.9] * 5
-        records = self._episode("e0", scores, 1, t_a=5)
+        records = self._records("e0", scores, 1, t_a=5)
         recall, counts = recall_at_threshold(records, 0.5)
         assert recall == 0.0 and counts.fn == 1
         assert mtta(records, 0.5) == 0.0
 
     def test_mtta_hand_case(self):
         scores = [0.0] * 30 + [0.9] * 30
-        records = self._episode("e0", scores, 1, t_a=50, fps=10.0)
+        records = self._records("e0", scores, 1, t_a=50, fps=10.0)
         assert mtta(records, 0.5) == pytest.approx(2.0)
 
     def test_no_crossing_gives_zero(self):
-        records = self._episode("e0", [0.1] * 10, 1, t_a=8)
+        records = self._records("e0", [0.1] * 10, 1, t_a=8)
         assert mtta(records, 0.5) == 0.0
 
     def test_matches_trace_scan_oracle(self):
@@ -242,6 +247,7 @@ class TestRecallAndMtta:
             t_a = int(rng.integers(2, length)) if y else None
             traces.append((y, t_a, 10.0, scores))
             records.extend(self._episode(f"e{e}", scores, y, t_a=t_a))
+        records = records_from_rows(records)
         recall_got, _ = recall_at_threshold(records, 0.5)
         mtta_got = mtta(records, 0.5)
         recall_exp, mtta_exp = trace_scan_oracle(traces, 0.5)
@@ -256,15 +262,16 @@ class TestRecallAndMtta:
             scores = list(rng.random(10))
             t_a = 7 if y else None
             records.extend(self._episode(f"e{e}", scores, y, t_a=t_a))
+        trimmed = records_from_rows(r for r in records if r.episode_id != "e5")
+        records = records_from_rows(records)
         full_recall, _ = recall_at_threshold(records, 0.5)
         full_mtta = mtta(records, 0.5)
-        trimmed = [r for r in records if r.episode_id != "e5"]
         trimmed_recall, _ = recall_at_threshold(trimmed, 0.5)
         assert trimmed_recall == full_recall
         assert mtta(trimmed, 0.5) == full_mtta
 
     def test_no_positive_episode_rejected(self):
-        records = self._episode("e0", [0.3, 0.4], 0)
+        records = self._records("e0", [0.3, 0.4], 0)
         with pytest.raises(ValueError):
             recall_at_threshold(records, 0.5)
         with pytest.raises(ValueError):
@@ -273,36 +280,36 @@ class TestRecallAndMtta:
 
 class TestFixationMse:
     def test_zero_for_perfect_prediction(self):
-        records = [
+        records = records_from_rows([
             frame("e0", t, 0.5, 1, t_a=2, p_hat=(0.3, 0.7), p=(0.3, 0.7))
             for t in range(6)
-        ]
+        ])
         assert fixation_mse(records) == 0.0
 
     def test_constant_offset(self):
-        records = [
+        records = records_from_rows([
             frame("e0", t, 0.5, 1, t_a=1, p_hat=(0.6, 0.5), p=(0.5, 0.5))
             for t in range(2, 6)
-        ]
+        ])
         assert fixation_mse(records) == pytest.approx(0.01, abs=1e-15)
 
     def test_mean_of_two_errors(self):
-        records = [
+        records = records_from_rows([
             frame("e0", 3, 0.5, 1, t_a=2, p_hat=(0.5 + math.sqrt(0.02), 0.5)),
             frame("e0", 4, 0.5, 1, t_a=2, p_hat=(0.5 + math.sqrt(0.04), 0.5)),
-        ]
+        ])
         assert fixation_mse(records) == pytest.approx(0.03, abs=1e-12)
 
     def test_window_selects_frames(self):
-        records = [
+        records = records_from_rows([
             frame("e0", 1, 0.5, 1, t_a=3, p_hat=(0.9, 0.5)),  # pre-accident
             frame("e0", 5, 0.5, 1, t_a=3, p_hat=(0.5, 0.5)),  # post-accident
-        ]
+        ])
         assert fixation_mse(records, "after_accident") == 0.0
         assert fixation_mse(records, "before_accident") == pytest.approx(0.16)
 
     def test_empty_window_rejected(self):
-        records = [frame("e0", 1, 0.5, 1, t_a=3)]
+        records = records_from_rows([frame("e0", 1, 0.5, 1, t_a=3)])
         with pytest.raises(ValueError, match="window"):
             fixation_mse(records, "after_accident")
 
@@ -315,8 +322,8 @@ class TestFixationMse:
             exact = float(Fraction(d) ** 2)
             along_x = frame("e0", 3, 0.5, 1, t_a=2, p_hat=(d, 0.5), p=(0.0, 0.5))
             along_y = frame("e0", 3, 0.5, 1, t_a=2, p_hat=(0.5, d), p=(0.5, 0.0))
-            assert fixation_mse([along_x]) == exact
-            assert fixation_mse([along_y]) == exact
+            assert fixation_mse(records_from_rows([along_x])) == exact
+            assert fixation_mse(records_from_rows([along_y])) == exact
 
 
 class TestSafety:
@@ -330,12 +337,13 @@ class TestSafety:
         )
         # not detected
         records.extend(frame("c", t, 0.1, 1, t_a=30) for t in range(40))
+        records = records_from_rows(records)
         assert safe_detect_fraction(records, 0.5, 2.0) == 0.5
         ttas = tta_by_episode(records, 0.5)
         assert ttas == {"a": 3.0, "b": 1.0, "c": 0.0}
 
     def test_no_detections_gives_zero(self):
-        records = [frame("a", t, 0.1, 1, t_a=5) for t in range(8)]
+        records = records_from_rows(frame("a", t, 0.1, 1, t_a=5) for t in range(8))
         assert safe_detect_fraction(records, 0.5) == 0.0
 
 
@@ -356,7 +364,7 @@ class TestCompileReport:
                 records.append(
                     frame(f"e{e}", t, score, y, t_a=t_a, p_hat=p_hat, p=(0.4, 0.4))
                 )
-        return records
+        return records_from_rows(records)
 
     def test_perfect_agent_report(self):
         report = compile_report(self._mixed_records(perfect=True), 0.5)
@@ -390,7 +398,101 @@ class TestCompileReport:
             area += (r1 - r0) * p1
         assert area == pytest.approx(report.ap, abs=1e-12)
 
-    def test_inconsistent_episode_labels_rejected(self):
-        records = [frame("e0", 0, 0.5, 1, t_a=3), frame("e0", 1, 0.5, 0)]
-        with pytest.raises(ValueError, match="inconsistent"):
-            compile_report(records, 0.5)
+
+class TestEvalRecordsChecks:
+    """Each batch check of EvalRecords, on records built from per-frame rows."""
+
+    def _valid(self):
+        return [
+            frame("a", 0, 0.2, 1, t_a=3),
+            frame("a", 1, 0.7, 1, t_a=3),
+            frame("b", 0, 0.4, 0),
+            frame("b", 2, 0.1, 0),
+        ]
+
+    def test_valid_rows_build_records(self):
+        records = records_from_rows(self._valid())
+        assert len(records) == 4
+        assert records.episode_ids == ("a", "b")
+        assert records.episode.tolist() == [0, 0, 1, 1]
+
+    @pytest.mark.parametrize("score", [-0.1, 1.5, math.nan])
+    def test_score_outside_unit_interval_or_nan(self, score):
+        rows = self._valid()
+        rows[2] = rows[2]._replace(score=score)
+        with pytest.raises(ValueError, match=r"score must be in \[0, 1\].*frame 2"):
+            records_from_rows(rows)
+
+    def test_label_not_zero_or_one(self):
+        rows = [r._replace(y=2) if r.episode_id == "b" else r for r in self._valid()]
+        with pytest.raises(ValueError, match="label must be 0 or 1, got 2 for episode 'b'"):
+            records_from_rows(rows)
+
+    def test_positive_episode_without_t_a(self):
+        rows = [r._replace(t_a=None) if r.episode_id == "a" else r for r in self._valid()]
+        message = r"episode 'a' \(y=1\) has t_a -1: a positive episode needs t_a >= 0"
+        with pytest.raises(ValueError, match=message):
+            records_from_rows(rows)
+
+    def test_negative_episode_with_t_a(self):
+        rows = [r._replace(t_a=1) if r.episode_id == "b" else r for r in self._valid()]
+        message = r"episode 'b' \(y=0\) has t_a 1: .* a negative one none \(-1\)"
+        with pytest.raises(ValueError, match=message):
+            records_from_rows(rows)
+
+    @pytest.mark.parametrize("fps", [0.0, -10.0, math.nan])
+    def test_fps_not_positive(self, fps):
+        rows = [r._replace(fps=fps) if r.episode_id == "b" else r for r in self._valid()]
+        with pytest.raises(ValueError, match="fps must be > 0.*episode 'b'"):
+            records_from_rows(rows)
+
+    def test_frames_of_an_episode_not_contiguous(self):
+        rows = self._valid()
+        rows = [rows[0], rows[2], rows[1], rows[3]]  # a, b, a, b
+        with pytest.raises(ValueError, match="frame 2 of 4 is out of place"):
+            records_from_rows(rows)
+
+    @pytest.mark.parametrize(
+        "episode", [[1, 1, 0, 0], [0, 0, 1, 2], [-1, 0, 1, 1], [0, 0, 0, 0]],
+        ids=["out_of_order", "index_too_large", "negative_index", "second_episode_empty"],
+    )
+    def test_episode_column_out_of_order_or_range(self, episode):
+        records = records_from_rows(self._valid())
+        with pytest.raises(ValueError, match="frame [0-4] of 4 is out of place"):
+            dataclasses.replace(records, episode=episode)
+
+    @pytest.mark.parametrize("second_t", [0, -1])
+    def test_t_not_increasing_within_an_episode(self, second_t):
+        rows = self._valid()
+        rows[1] = rows[1]._replace(t=second_t)
+        message = f"episode 'a': t must increase.*0 then {second_t}"
+        with pytest.raises(ValueError, match=message):
+            records_from_rows(rows)
+
+    @pytest.mark.parametrize(
+        "column,cut",
+        [("t", 3), ("score", 3), ("p_hat", 3), ("p", 5), ("y", 1), ("t_a", 1), ("fps", 3)],
+    )
+    def test_column_lengths_disagree(self, column, cut):
+        records = records_from_rows(self._valid())
+        values = getattr(records, column)
+        short = values[:cut] if cut <= len(values) else np.concatenate([values, values[:1]])
+        with pytest.raises(ValueError, match=rf"column shapes disagree.* {column} \[{cut}\b"):
+            dataclasses.replace(records, **{column: short})
+
+    def test_episode_without_frames(self):
+        records = records_from_rows(self._valid())
+        with pytest.raises(ValueError, match="frame 4 of 4 is out of place"):
+            dataclasses.replace(
+                records,
+                episode_ids=("a", "b", "c"),
+                y=[1, 0, 0],
+                t_a=[3, -1, -1],
+                fps=[10.0, 10.0, 10.0],
+            )
+
+    def test_episode_ids_repeat(self):
+        rows = self._valid()
+        records = records_from_rows(rows)
+        with pytest.raises(ValueError, match="unique, 'a' repeats"):
+            dataclasses.replace(records, episode_ids=("a", "a"))

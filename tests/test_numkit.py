@@ -290,6 +290,20 @@ class TestCheckpointFormat:
         with pytest.raises(ValueError, match=r"^line 1: negative NKP1 tensor count -1"):
             decode_params(["NKP1 -1"])
 
+    @pytest.mark.parametrize(
+        "lines,lineno",
+        [(["NKP1 1_0"], 1), (["NKP1 1", "w 1_0 0.5"], 2), (["NKP1 1", "w 1 1_0"], 2),
+         (["NKP1 1", "w 1 2 0.5 0.2_5"], 2)],
+    )
+    def test_underscore_in_a_number_names_the_line(self, lines, lineno):
+        with pytest.raises(ValueError, match=rf"^line {lineno}: '_' is not allowed in a number"):
+            decode_params(lines)
+
+    def test_underscore_in_a_tensor_name_is_allowed(self):
+        assert decode_params(["NKP1 1", "log_std 1 2 0.5 0.25"]).equal(
+            ParamSet([("log_std", [0.5, 0.25])])
+        )
+
     def test_reads_exactly_one_record_from_an_iterator(self):
         first = ParamSet([("w", [[1.0, -2.0]]), ("b", [0.5])])
         second = ParamSet([("v", [3.0])])
