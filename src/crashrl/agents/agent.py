@@ -7,19 +7,23 @@ in a tanh head that is affinely mapped to [0, 1] per component; a stochastic
 (SAC) actor emits a mean and log-std per component and squashes samples the
 same way. The network counts come from the config (``n_actors``,
 ``n_critics``); with two actors (DARC) each row acts with whichever actor
-the online critics value higher.
+the online critics value higher. The networks compute in float32: features
+are cast on the way in and actions back to float64 on the way out.
 
-Checkpoint format (version tag ``ACP1``), ASCII text:
+Checkpoint format (version tag ``ACP2``), ASCII text:
 
-    ACP1 <algo> <config_hash> <env_steps> <update_count> <obs_dim> <n_sections>
+    ACP2 <algo> <config_hash> <env_steps> <update_count> <obs_dim> <n_sections>
     SECTION <name>
-    <NKP1 parameter record>          (one per section, see numkit.tensor)
+    <NKP2 parameter record>          (one per section, see numkit.tensor)
 
 The loader checks each line as it reads it: a non-ASCII byte or a ``_`` in a
 number (which Python's ``int`` and ``float`` would accept) raises, naming the
-line. The config hash fingerprints the agent hyperparameters; shape compatibility,
-not hash equality, is what loading enforces. Optimizer state and RNG state
-are not persisted: checkpoints serve evaluation, not training resumption.
+line; a float64-era ``ACP1`` file fails at line 1. The config hash
+fingerprints the agent hyperparameters; shape compatibility, not hash
+equality, is what loading enforces, and the loaded networks are the agent's
+networks (nothing is initialized and then replaced). Optimizer state and
+RNG state are not persisted: checkpoints serve evaluation, not training
+resumption.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import numpy as np
 
 from ..env.mdp import DualAction, Observation
 from ..numkit import (
+    DTYPE,
     AdamState,
     MlpSpec,
     ParamSet,
@@ -44,7 +49,8 @@ from ..numkit import (
 from .config import AgentConfig
 from .replay import ACTION_DIM
 
-CHECKPOINT_TAG = "ACP1"
+CHECKPOINT_TAG = "ACP2"
+FLOAT64_CHECKPOINT_TAG = "ACP1"
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
 
@@ -81,10 +87,29 @@ def _parse_int(lineno: int, field: str, token: str) -> int:
         raise ValueError(f"line {lineno}: {field} must be an integer, got {token!r}") from None
 
 
+def _child_seeds(seed: int) -> list[int]:
+    """Fixed spawn layout (actor0, actor1, critic0, critic1, noise): same-seed
+    agents of different algorithms draw identical noise streams."""
+    return [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(seed).spawn(5)]
+
+
 class Agent:
     """One algorithm's actors, critics, targets, and optimizer state."""
 
     def __init__(self, cfg: AgentConfig, obs_dim: int, seed: int) -> None:
+        self._set_specs(cfg, obs_dim)
+        child_seed = _child_seeds(seed)
+        actors = [init_params(self.actor_spec, child_seed[j]) for j in range(cfg.n_actors)]
+        critics = [
+            init_params(self.critic_spec, child_seed[2 + i]) for i in range(cfg.n_critics)
+        ]
+        # A stochastic actor bootstraps from the online policy; no actor target.
+        target_actors = [] if cfg.stochastic else [p.copy() for p in actors]
+        self._set_networks(
+            actors, critics, target_actors, [p.copy() for p in critics], child_seed[4]
+        )
+
+    def _set_specs(self, cfg: AgentConfig, obs_dim: int) -> None:
         if obs_dim < 1:
             raise ValueError(f"obs_dim must be >= 1, got {obs_dim}")
         self.cfg = cfg
@@ -94,20 +119,13 @@ class Agent:
         self.actor_spec = MlpSpec(obs_dim, cfg.hidden_dims, actor_out, "relu", actor_act)
         self.critic_spec = MlpSpec(obs_dim + ACTION_DIM, cfg.hidden_dims, 1)
 
-        # Fixed spawn layout (actor0, actor1, critic0, critic1, noise) keeps
-        # same-seed agents of different algorithms on identical noise streams.
-        children = np.random.SeedSequence(seed).spawn(5)
-        child_seed = [int(c.generate_state(1)[0]) for c in children]
-
-        self.actors = [
-            init_params(self.actor_spec, child_seed[j]) for j in range(cfg.n_actors)
-        ]
-        self.critics = [
-            init_params(self.critic_spec, child_seed[2 + i]) for i in range(cfg.n_critics)
-        ]
-        # A stochastic actor bootstraps from the online policy; no actor target.
-        self.target_actors = [] if cfg.stochastic else [p.copy() for p in self.actors]
-        self.target_critics = [p.copy() for p in self.critics]
+    def _set_networks(self, actors, critics, target_actors, target_critics, noise_seed) -> None:
+        """Take the networks as they are; Adam starts from zero moments."""
+        cfg = self.cfg
+        self.actors = actors
+        self.critics = critics
+        self.target_actors = target_actors
+        self.target_critics = target_critics
         self.actor_adam: list[AdamState] = [
             init_adam(p, alpha=cfg.actor_lr, name=f"actor_{j}")
             for j, p in enumerate(self.actors)
@@ -116,7 +134,7 @@ class Agent:
             init_adam(p, alpha=cfg.critic_lr, name=f"critic_{i}")
             for i, p in enumerate(self.critics)
         ]
-        self.rng = np.random.default_rng(child_seed[4])
+        self.rng = np.random.default_rng(noise_seed)
         self.total_env_steps = 0
         self.update_count = 0
 
@@ -136,15 +154,16 @@ class Agent:
         return np.mean(values, axis=0)
 
     def action_array(self, features: np.ndarray, mode: str = "eval") -> np.ndarray:
-        """Raw actions: [obs_dim] features give [3], [N, obs_dim] give [N, 3].
+        """Raw float64 actions: [obs_dim] features give [3], [N, obs_dim] give [N, 3].
 
-        A batch of one gives the bits of the 1-D call; a larger batch goes
-        through BLAS gemm instead of gemv, so its rows can differ from
-        per-row calls in the last bit.
+        The networks and the exploration noise run in float32 (the noise is
+        drawn in float64 and cast). A batch of one gives the bits of the 1-D
+        call; a larger batch goes through BLAS gemm instead of gemv, so its
+        rows can differ from per-row calls in the last bit.
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-        features = np.asarray(features, dtype=np.float64)
+        features = np.asarray(features, dtype=DTYPE)
         if features.ndim not in (1, 2) or features.shape[-1] != self.obs_dim:
             raise ValueError(
                 f"expected {self.obs_dim} features (shape [{self.obs_dim}] or "
@@ -157,7 +176,7 @@ class Agent:
             mean = out[:, :ACTION_DIM]
             if mode == "train":
                 log_std = np.clip(out[:, ACTION_DIM:], LOG_STD_MIN, LOG_STD_MAX)
-                eps = self.rng.standard_normal((n, ACTION_DIM))
+                eps = self.rng.standard_normal((n, ACTION_DIM)).astype(DTYPE)
                 u = mean + np.exp(log_std) * eps
             else:
                 u = mean
@@ -172,7 +191,8 @@ class Agent:
                 action = np.where(values[0] >= values[1], candidates[0], candidates[1])
             if mode == "train":
                 noise = self.rng.normal(0.0, self.cfg.exploration_noise, (n, ACTION_DIM))
-                action = np.clip(action + noise, 0.0, 1.0)
+                action = np.clip(action + noise.astype(DTYPE), 0.0, 1.0)
+        action = action.astype(np.float64)
         return action.reshape(-1) if features.ndim == 1 else action
 
     def select_action(self, obs, mode: str = "eval") -> DualAction:
@@ -181,19 +201,26 @@ class Agent:
 
     # ------------------------------------------------------------ checkpointing
 
-    def _networks(self) -> tuple[tuple[str, list[ParamSet]], ...]:
+    def _network_lists(self) -> tuple[tuple[str, int, MlpSpec], ...]:
+        """(kind, count, spec) of each network list, in checkpoint order.
+
+        Kind ``k``'s networks are the attribute ``k + "s"``, and network j of
+        it is the section ``k_j``.
+        """
+        cfg = self.cfg
+        n_target_actors = 0 if cfg.stochastic else cfg.n_actors
         return (
-            ("actor", self.actors),
-            ("critic", self.critics),
-            ("target_actor", self.target_actors),
-            ("target_critic", self.target_critics),
+            ("actor", cfg.n_actors, self.actor_spec),
+            ("critic", cfg.n_critics, self.critic_spec),
+            ("target_actor", n_target_actors, self.actor_spec),
+            ("target_critic", cfg.n_critics, self.critic_spec),
         )
 
     def _sections(self) -> list[tuple[str, ParamSet]]:
         return [
             (f"{kind}_{k}", params)
-            for kind, nets in self._networks()
-            for k, params in enumerate(nets)
+            for kind, _, _ in self._network_lists()
+            for k, params in enumerate(getattr(self, f"{kind}s"))
         ]
 
     def save(self, path) -> None:
@@ -212,7 +239,7 @@ class Agent:
     def load(cls, path, cfg: AgentConfig) -> "Agent":
         """Rebuild an agent from a checkpoint; cfg must match algo and shapes.
 
-        Reads the file one line at a time: the NKP1 parser takes each
+        Reads the file one line at a time: the NKP2 parser takes each
         section's lines straight from the open file. Errors name the path.
         """
         try:
@@ -226,6 +253,11 @@ class Agent:
         header = next(f, "").split()
         if not header:
             raise ValueError("empty checkpoint")
+        if header[0] == FLOAT64_CHECKPOINT_TAG:
+            raise ValueError(
+                f"line 1: {FLOAT64_CHECKPOINT_TAG} is the float64 checkpoint format; "
+                f"this reader reads {CHECKPOINT_TAG} (float32)"
+            )
         if len(header) != 7 or header[0] != CHECKPOINT_TAG:
             raise ValueError(f"line 1: malformed {CHECKPOINT_TAG} header")
         algo, _hash = header[1], header[2]
@@ -241,8 +273,13 @@ class Agent:
             )
         if obs_dim < 1:
             raise ValueError(f"line 1: obs_dim must be >= 1, got {obs_dim}")
-        agent = cls(cfg, obs_dim, seed=0)
-        expected = dict(agent._sections())
+        agent = cls.__new__(cls)
+        agent._set_specs(cfg, obs_dim)
+        expected = {
+            f"{kind}_{k}": tuple(spec.param_shapes())
+            for kind, count, spec in agent._network_lists()
+            for k in range(count)
+        }
         if n_sections != len(expected):
             raise ValueError(
                 f"expected {len(expected)} sections, header declares {n_sections}"
@@ -267,15 +304,19 @@ class Agent:
         if missing:
             raise ValueError(f"missing sections {missing}")
         for name, params in loaded.items():
-            target = expected[name]
-            if not target.same_shapes(params):
+            if params.layout != expected[name]:
                 raise ValueError(
                     f"section {name}: expected shapes "
-                    f"{[(n, list(t.shape)) for n, t in target]}, got "
+                    f"{[(n, list(shape)) for n, shape in expected[name]]}, got "
                     f"{[(n, list(t.shape)) for n, t in params]}"
                 )
-        for kind, nets in agent._networks():
-            nets[:] = [loaded[f"{kind}_{k}"] for k in range(len(nets))]
+        agent._set_networks(
+            *(
+                [loaded[f"{kind}_{k}"] for k in range(count)]
+                for kind, count, _ in agent._network_lists()
+            ),
+            noise_seed=_child_seeds(0)[4],
+        )
         agent.total_env_steps = env_steps
         agent.update_count = update_count
         return agent

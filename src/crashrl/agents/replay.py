@@ -1,10 +1,16 @@
-"""FIFO experience replay with seeded uniform sampling."""
+"""FIFO experience replay with seeded uniform sampling.
+
+A ``Transition`` carries the environment's float64 values; the buffer stores
+them, and every ``Batch`` holds them, in the network core's float32.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..numkit import DTYPE
 
 ACTION_DIM = 3
 
@@ -36,13 +42,20 @@ class Transition:
 
 @dataclass(frozen=True)
 class Batch:
-    """Column-stacked transitions; r and done are [n, 1] for broadcasting."""
+    """Column-stacked float32 transitions; r and done are [n, 1] for broadcasting.
+
+    Columns of another dtype are cast on construction.
+    """
 
     s: np.ndarray
     action: np.ndarray
     r: np.ndarray
     s_next: np.ndarray
     done: np.ndarray
+
+    def __post_init__(self):
+        for name in ("s", "action", "r", "s_next", "done"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=DTYPE))
 
     def __len__(self) -> int:
         return self.s.shape[0]
@@ -57,10 +70,10 @@ class ReplayBuffer:
         self.capacity = capacity
         self._rng = np.random.default_rng(seed)
         self._s: np.ndarray | None = None
-        self._a = np.empty((capacity, ACTION_DIM))
-        self._r = np.empty(capacity)
+        self._a = np.empty((capacity, ACTION_DIM), DTYPE)
+        self._r = np.empty(capacity, DTYPE)
         self._s2: np.ndarray | None = None
-        self._d = np.empty(capacity)
+        self._d = np.empty(capacity, DTYPE)
         self._size = 0
         self._head = 0
 
@@ -70,8 +83,8 @@ class ReplayBuffer:
     def push(self, tr: Transition) -> None:
         if self._s is None:
             dim = tr.s.size
-            self._s = np.empty((self.capacity, dim))
-            self._s2 = np.empty((self.capacity, dim))
+            self._s = np.empty((self.capacity, dim), DTYPE)
+            self._s2 = np.empty((self.capacity, dim), DTYPE)
         elif tr.s.size != self._s.shape[1]:
             raise ValueError(
                 f"transition feature length {tr.s.size} does not match "

@@ -11,7 +11,8 @@ a reparameterized sample from its online policy. With one critic the min is
 that critic's value (DDPG), with one actor the max is that actor's (DDPG,
 TD3, SAC), and DARC takes both. One smoothing-noise draw per batch serves
 every actor, so the candidates compete on equal footing and, with
-bit-identical actors, DARC's target equals TD3's exactly.
+bit-identical actors, DARC's target equals TD3's exactly. Targets are float32
+like the batch; noise is drawn in float64 and cast.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import reduce
 
 import numpy as np
 
-from ..numkit import mlp_apply
+from ..numkit import DTYPE, mlp_apply
 from .agent import LOG_STD_MAX, LOG_STD_MIN, Agent, squash01
 from .replay import ACTION_DIM, Batch
 
@@ -55,7 +56,7 @@ class TargetParts:
 def _smoothing_noise(agent: Agent, n: int) -> np.ndarray:
     cfg = agent.cfg
     noise = agent.rng.normal(0.0, cfg.target_noise, size=(n, ACTION_DIM))
-    return np.clip(noise, -cfg.noise_clip, cfg.noise_clip)
+    return np.clip(noise.astype(DTYPE), -cfg.noise_clip, cfg.noise_clip)
 
 
 def _next_actions(batch: Batch, agent: Agent) -> list[tuple[np.ndarray, np.ndarray | None]]:
@@ -65,7 +66,7 @@ def _next_actions(batch: Batch, agent: Agent) -> list[tuple[np.ndarray, np.ndarr
         out = mlp_apply(agent.actors[0], agent.actor_spec, batch.s_next)
         mean = out[:, :ACTION_DIM]
         log_std = np.clip(out[:, ACTION_DIM:], LOG_STD_MIN, LOG_STD_MAX)
-        eps = agent.rng.standard_normal((len(batch), ACTION_DIM))
+        eps = agent.rng.standard_normal((len(batch), ACTION_DIM)).astype(DTYPE)
         u = mean + np.exp(log_std) * eps
         return [(squash01(np.tanh(u)), tanh_gaussian_logprob(mean, log_std, u))]
     noise = _smoothing_noise(agent, len(batch)) if cfg.smoothing else None
@@ -80,7 +81,7 @@ def compute_targets(batch: Batch, agent: Agent) -> TargetParts:
     """y = r + gamma * (1 - done) * max_j min_i Q'_i(s', a_j), for any algorithm."""
     cfg = agent.cfg
     candidates = _next_actions(batch, agent)
-    q_values = np.empty((len(batch), len(candidates), cfg.n_critics))
+    q_values = np.empty((len(batch), len(candidates), cfg.n_critics), DTYPE)
     values = []
     for j, (a_next, logp) in enumerate(candidates):
         x = np.concatenate([batch.s_next, a_next], axis=1)

@@ -13,6 +13,7 @@ Each phase backpropagates only into the parameters it updates (the critics'
 in the critic phase, the actor's in the actor phase): no gradient is formed
 for observations, targets, or the critics an actor ascends. Adam and the
 Polyak sync then update each network's flat parameter vector in place.
+Every value and gradient is float32, as the batch and the parameters are.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import reduce
 import numpy as np
 
 from ..env.mdp import DualAction
-from ..numkit import adam_step, flat_grads, lift_params, mlp_graph, soft_update
+from ..numkit import DTYPE, adam_step, flat_grads, lift_params, mlp_graph, soft_update
 from ..numkit import autodiff as ad
 from .agent import LOG_STD_MAX, LOG_STD_MIN, Agent
 from .replay import ACTION_DIM, Batch, ReplayBuffer, Transition
@@ -93,7 +94,7 @@ def _sac_actor_loss(agent: Agent, batch: Batch):
     out = mlp_graph(actor_nodes, agent.actor_spec, s)
     mean = ad.slice_cols(out, 0, ACTION_DIM)
     log_std = ad.clip(ad.slice_cols(out, ACTION_DIM, 2 * ACTION_DIM), LOG_STD_MIN, LOG_STD_MAX)
-    eps = agent.rng.standard_normal((len(batch), ACTION_DIM))
+    eps = agent.rng.standard_normal((len(batch), ACTION_DIM)).astype(DTYPE)
     u = ad.add(mean, ad.mul(ad.exp(log_std), ad.lift(eps)))
     action = _squash01_node(ad.tanh(u))
     # log pi with u = mean + std*eps: the normal term reduces to a constant in

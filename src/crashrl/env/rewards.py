@@ -77,5 +77,7 @@ def reward_fixation(
             raise ValueError(f"{name} must lie in [0, 1]^2, got {tuple(point)}")
     if not fixation_window_active(t, t_a, window):
         return 0.0
-    d2 = (p_hat[0] - p[0]) ** 2 + (p_hat[1] - p[1]) ** 2
-    return math.exp(-d2 / eta)
+    # d * d, not d ** 2: libm pow(d, 2.0) is not always correctly rounded.
+    dx = p_hat[0] - p[0]
+    dy = p_hat[1] - p[1]
+    return math.exp(-(dx * dx + dy * dy) / eta)

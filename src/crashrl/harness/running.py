@@ -237,9 +237,8 @@ class ConstantScoreAgent:
 def _frame_rewards(records: EvalRecords, env_cfg) -> tuple[list[float], list[float]]:
     """Per-frame (r_A, r_F), exactly as ``AccidentEnv.step`` computes them.
 
-    The scalar reward functions run on Python floats: numpy's array ``** 2``
-    and ``np.exp`` differ from libm ``pow`` and ``math.exp`` in the last bit
-    on some inputs.
+    The scalar reward functions run on Python floats: numpy's ``np.exp``
+    differs from libm ``math.exp`` in the last bit on some inputs.
     """
     r_a, r_f = [], []
     for score, label, t, accident, p_hat, p in zip(

@@ -1,8 +1,10 @@
-"""Minimal dense float64 math: reverse-mode autodiff, MLPs, Adam, Polyak updates.
+"""Minimal dense float32 math: reverse-mode autodiff, MLPs, Adam, Polyak updates.
 
-Each network's parameters live in one flat float64 vector (``ParamSet.flat``)
-with named ndarray views; Adam and Polyak updates run in place on it, and
-backprop can be pruned to the leaves whose gradients are wanted.
+Each network's parameters live in one flat float32 vector (``ParamSet.flat``,
+dtype ``DTYPE``) with named ndarray views; Adam and Polyak updates run in
+place on it, and backprop can be pruned to the leaves whose gradients are
+wanted. The ops follow their inputs' dtype, so gradient checks run them in
+float64 on a cast copy.
 """
 
 from . import autodiff
@@ -19,6 +21,7 @@ from .mlp import (
 )
 from .optim import AdamState, adam_step, init_adam, soft_update
 from .tensor import (
+    DTYPE,
     FORMAT_TAG,
     ParamSet,
     decode_params,
@@ -29,6 +32,7 @@ from .tensor import (
 __all__ = [
     "autodiff",
     "AdamState",
+    "DTYPE",
     "FD_STEP",
     "FORMAT_TAG",
     "MlpSpec",

@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over float64 numpy arrays.
+"""Reverse-mode automatic differentiation over numpy float arrays.
 
 Composing the ops below builds an implicit tape of ``Node``s; ``backprop``
 seeds the output gradient and pushes it through the tape in reverse
@@ -11,6 +11,11 @@ reorders the ones that run, so the wanted gradients are bit-identical to an
 unpruned pass. The op set covers MLP chains (affine, relu, tanh) and the
 scalar losses the agents build on top of them; it is not a general graph
 framework.
+
+Every op computes in its inputs' dtype (numpy promotion, Python scalars
+weak) and pushes gradients in that dtype: float32 in the gradient phases,
+float64 for the finite-difference checks that run the same ops on a cast
+copy.
 """
 
 from __future__ import annotations
@@ -45,9 +50,15 @@ __all__ = [
     "backprop",
 ]
 
-# Keeps tanh heads strictly inside (-1, 1); float64 tanh rounds to exactly
-# +/-1.0 for |x| >~ 19.
-TANH_HEAD_BOUND = 1.0 - 1e-12
+
+def tanh_head_bound(dtype) -> np.floating:
+    """The largest value below 1 in ``dtype``, which tanh heads are clamped to.
+
+    tanh rounds to exactly +/-1.0 for |x| >~ 9 in float32 (>~ 19 in float64);
+    the clamp keeps heads strictly inside (-1, 1).
+    """
+    scalar = np.dtype(dtype).type
+    return np.nextafter(scalar(1), scalar(0))
 
 
 class Node:
@@ -60,7 +71,7 @@ class Node:
     __slots__ = ("value", "grad", "parents", "_push", "wanted")
 
     def __init__(self, value, parents=(), push=None) -> None:
-        self.value = np.asarray(value, dtype=np.float64)
+        self.value = np.asarray(value)
         self.grad = None
         self.parents = parents
         self._push = push
@@ -197,9 +208,10 @@ def tanh(a: Node) -> Node:
 
 
 def tanh_head(a: Node) -> Node:
-    """tanh clamped to +/-TANH_HEAD_BOUND so outputs stay strictly in (-1, 1)."""
+    """tanh clamped to +/-tanh_head_bound so outputs stay strictly in (-1, 1)."""
     t = np.tanh(a.value)
-    clamped = np.clip(t, -TANH_HEAD_BOUND, TANH_HEAD_BOUND)
+    bound = tanh_head_bound(t.dtype)
+    clamped = np.clip(t, -bound, bound)
 
     def push(g):
         if a.wanted:
@@ -289,7 +301,7 @@ def sum_all(a: Node) -> Node:
 
     def push(g):
         if a.wanted:
-            _acc(a, np.broadcast_to(g, shape).astype(np.float64))
+            _acc(a, np.broadcast_to(g, shape).astype(g.dtype))
 
     return Node(a.value.sum(), (a,), push)
 
@@ -300,7 +312,7 @@ def mean_all(a: Node) -> Node:
 
     def push(g):
         if a.wanted:
-            _acc(a, np.broadcast_to(g / n, shape).astype(np.float64))
+            _acc(a, np.broadcast_to(g / n, shape).astype(g.dtype))
 
     return Node(a.value.mean(), (a,), push)
 
@@ -338,12 +350,13 @@ def _topo_order(root: Node) -> list[Node]:
 def backprop(root: Node, upstream, wrt=None) -> None:
     """Accumulate gradients of ``root`` (weighted by ``upstream``) on the tape.
 
-    ``upstream`` must match the root's shape; for scalar losses pass 1.0.
+    ``upstream`` must match the root's shape; for scalar losses pass 1.0. It
+    is cast to the root's dtype.
     With ``wrt`` (the nodes whose gradients are wanted), pushes run only
     along paths from the root to one of them; without it, into every node.
     Unreached or unwanted nodes keep ``grad`` = None (treat as zero).
     """
-    g0 = np.asarray(upstream, dtype=np.float64)
+    g0 = np.asarray(upstream, dtype=root.value.dtype)
     if g0.shape != root.value.shape:
         raise ValueError(
             f"upstream gradient shape {g0.shape} does not match output {root.value.shape}"

@@ -8,7 +8,9 @@ forward pass. For gradients, ``lift_params`` makes a graph leaf of each named
 view, ``mlp_graph`` builds the forward graph on them, ``autodiff.backprop``
 pushes the loss gradient back, and ``flat_grads`` gathers the leaves'
 gradients into one vector with the parameters' layout, ready for
-``adam_step``.
+``adam_step``. Every value and gradient has the parameters' dtype: float32
+for the networks ``init_params`` makes; ``gradient_check`` runs the same
+functions on a float64 cast copy.
 """
 
 from __future__ import annotations
@@ -59,7 +61,10 @@ class MlpSpec:
 
 
 def init_params(spec: MlpSpec, seed: int) -> ParamSet:
-    """Uniform weights in [-1/sqrt(fan_in), 1/sqrt(fan_in)], zero biases."""
+    """Uniform weights in [-1/sqrt(fan_in), 1/sqrt(fan_in)], zero biases.
+
+    The draws are float64, rounded once to the parameters' float32.
+    """
     rng = np.random.default_rng(seed)
     items = []
     for name, shape in spec.param_shapes():
@@ -71,8 +76,8 @@ def init_params(spec: MlpSpec, seed: int) -> ParamSet:
     return ParamSet(items)
 
 
-def _check_input(spec: MlpSpec, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+def _check_input(spec: MlpSpec, x: np.ndarray, dtype) -> np.ndarray:
+    x = np.asarray(x, dtype=dtype)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ValueError(
             f"input must have shape [batch, {spec.input_dim}], got {list(x.shape)}"
@@ -105,7 +110,9 @@ def flat_grads(nodes: Mapping[str, ad.Node]) -> np.ndarray:
     """
     return np.concatenate(
         [
-            np.zeros(node.value.size) if node.grad is None else node.grad.reshape(-1)
+            np.zeros(node.value.size, node.value.dtype)
+            if node.grad is None
+            else node.grad.reshape(-1)
             for node in nodes.values()
         ]
     )
@@ -114,10 +121,11 @@ def flat_grads(nodes: Mapping[str, ad.Node]) -> np.ndarray:
 def mlp_apply(params: ParamSet, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
     """Graph-free forward pass for action selection and target computation.
 
+    ``x`` is cast to the parameters' dtype, so the forward pass runs in it.
     Each layer's matmul output is a fresh array, so the bias, relu and head
     act on it in place.
     """
-    h = _check_input(spec, x)
+    h = _check_input(spec, x, params["w0"].dtype)
     n_layers = len(spec.hidden_dims) + 1
     for i in range(n_layers):
         h = h @ params[f"w{i}"]
@@ -126,7 +134,8 @@ def mlp_apply(params: ParamSet, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
             np.maximum(h, 0.0, out=h)
     if spec.output_activation == "tanh":
         np.tanh(h, out=h)
-        np.clip(h, -ad.TANH_HEAD_BOUND, ad.TANH_HEAD_BOUND, out=h)
+        bound = ad.tanh_head_bound(h.dtype)
+        np.clip(h, -bound, bound, out=h)
     return h
 
 
@@ -141,12 +150,15 @@ def gradient_check(spec: MlpSpec, seed: int, probes: int) -> float:
     Probes a deterministic random subset of parameter and input coordinates
     of the scalar loss sum(c * mlp(x)). Inputs are resampled until every relu
     pre-activation sits at least RELU_KINK_MARGIN from its kink, so the
-    difference quotient never straddles a nondifferentiable point.
+    difference quotient never straddles a nondifferentiable point. The check
+    runs in float64, on a cast copy of the float32 initial parameters, through
+    the same functions as the gradient phases.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
     rng = np.random.default_rng(seed)
-    params = init_params(spec, seed)
+    initial = init_params(spec, seed)
+    params = initial.like(initial.flat.astype(np.float64))
     batch = 3
     x = rng.standard_normal((batch, spec.input_dim))
     if spec.hidden_dims:

@@ -1,7 +1,8 @@
 """Adam optimization and Polyak target-network tracking.
 
-Both work in place on a network's flat parameter vector (``ParamSet.flat``)
-with a few whole-vector numpy operations. Each keeps the operation order of
+Both work in place on a network's flat float32 parameter vector
+(``ParamSet.flat``) with a few whole-vector numpy operations; the moments
+have the parameters' dtype. Each keeps the operation order of
 the textbook per-tensor formulas, so every entry is bit-identical to them.
 """
 

@@ -1,18 +1,19 @@
 """Flat-backed named parameter sets and their disk format.
 
-Checkpoint format (version tag ``NKP1``), UTF-8 text, one tensor per line:
+Checkpoint format (version tag ``NKP2``), UTF-8 text, one tensor per line:
 
-    NKP1 <n_tensors>
+    NKP2 <n_tensors>
     <name> <ndim> <dim0> ... <dimN-1> <v0> <v1> ... (row-major)
 
-Floats are serialized with 17 significant digits, which round-trips IEEE-754
-doubles exactly, so write -> read is bit-identical. The reader rejects a
-``_`` in a count, dimension or value, which ``int`` and ``float`` would read
-as digit grouping.
+Values are float32, serialized with 9 significant digits, which round-trips
+IEEE-754 single precision exactly, so write -> read is bit-identical. The
+reader rejects a ``_`` in a count, dimension or value, which ``int`` and
+``float`` would read as digit grouping, and names the older float64 format
+(``NKP1``, 17 digits) instead of loading it rounded.
 
-A ParamSet keeps its tensors as float64 ndarray views into one flat vector,
-in the order the format lists them; the flat storage does not change the
-bytes.
+A ParamSet keeps its tensors as ndarray views into one flat float32 vector
+(``DTYPE``), in the order the format lists them; the flat storage does not
+change the bytes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-FORMAT_TAG = "NKP1"
+FORMAT_TAG = "NKP2"
+FLOAT64_FORMAT_TAG = "NKP1"
+
+# The one dtype of network parameters, optimizer moments, replay and
+# gradient phases.
+DTYPE = np.float32
 
 
 def format_float(x: float) -> str:
@@ -35,7 +41,7 @@ Layout = tuple[tuple[str, tuple[int, ...]], ...]
 class ParamSet:
     """Ordered, named tensors (weights and biases) for one network.
 
-    The entries live in one contiguous float64 vector, ``flat``, in name
+    The entries live in one contiguous float32 vector, ``flat``, in name
     order and row-major within each tensor; ``params["w0"]`` is an ndarray
     view into it, so writing ``params["w0"][:] = ...`` writes the network's
     parameters in place. Whole-network arithmetic (Adam, Polyak tracking,
@@ -45,7 +51,11 @@ class ParamSet:
     __slots__ = ("_layout", "_tensors", "flat")
 
     def __init__(self, items: Iterable[tuple[str, object]]) -> None:
-        """Copy (name, array-like) pairs into one flat vector; entries must be finite."""
+        """Copy (name, array-like) pairs into one flat float32 vector.
+
+        Entries must be finite after the cast (a value beyond float32's range
+        is not).
+        """
         layout = []
         arrays = []
         for name, values in items:
@@ -56,16 +66,21 @@ class ParamSet:
             array = np.asarray(values, dtype=np.float64)
             layout.append((name, array.shape))
             arrays.append(array.reshape(-1))
-        flat = np.concatenate(arrays) if arrays else np.empty(0)
+        with np.errstate(over="ignore"):  # out of float32 range: Inf, rejected below
+            flat = np.concatenate(arrays, dtype=DTYPE) if arrays else np.empty(0, DTYPE)
         if not np.isfinite(flat).all():
             raise ValueError("parameter entries must be finite (no NaN/Inf)")
         self._bind(tuple(layout), flat, [a.size for a in arrays])
 
     @classmethod
     def view(cls, layout, flat) -> "ParamSet":
-        """Named views into ``flat`` (no copy), laid out by (name, shape) pairs."""
+        """Named views into ``flat`` (no copy), laid out by (name, shape) pairs.
+
+        ``flat`` keeps its dtype: float32, or float64 for the cast copies
+        that gradient checks run in.
+        """
         layout = tuple((name, tuple(int(d) for d in shape)) for name, shape in layout)
-        flat = np.asarray(flat, dtype=np.float64)
+        flat = np.asarray(flat)
         sizes = [int(np.prod(shape, dtype=np.int64)) for _, shape in layout]
         if flat.ndim != 1 or flat.size != sum(sizes):
             raise ValueError(
@@ -121,13 +136,13 @@ class ParamSet:
 
 
 def encode_params(params: ParamSet) -> str:
-    """Render a ParamSet in the NKP1 checkpoint format."""
+    """Render a ParamSet in the NKP2 checkpoint format."""
     lines = [f"{FORMAT_TAG} {len(params)}"]
     for name, array in params:
         dims = " ".join(str(d) for d in array.shape)
-        # One %-format call per tensor; "%.17g" % v is format_float(v).
+        # One %-format call per tensor: 9 significant digits per float32 value.
         flat = array.reshape(-1).tolist()
-        values = " ".join(["%.17g"] * len(flat)) % tuple(flat)
+        values = " ".join(["%.9g"] * len(flat)) % tuple(flat)
         line = f"{name} {array.ndim}"
         if dims:
             line += f" {dims}"
@@ -138,7 +153,7 @@ def encode_params(params: ParamSet) -> str:
 
 
 def decode_params(lines: Iterable[str], *, offset: int = 0) -> ParamSet:
-    """Read one NKP1 record, the header and its tensor lines, from ``lines``.
+    """Read one NKP2 record, the header and its tensor lines, from ``lines``.
 
     ``lines`` is an iterable of text lines, such as ``text.splitlines()`` or
     an open file. From an iterator (a file) it consumes exactly the record's
@@ -148,6 +163,11 @@ def decode_params(lines: Iterable[str], *, offset: int = 0) -> ParamSet:
     lines = iter(lines)
     header_line = next(lines, None)
     header = [] if header_line is None else header_line.split()
+    if header[:1] == [FLOAT64_FORMAT_TAG]:
+        raise ValueError(
+            f"line {offset + 1}: {FLOAT64_FORMAT_TAG} is the float64 parameter format; "
+            f"this reader reads {FORMAT_TAG} (float32)"
+        )
     if len(header) != 2 or header[0] != FORMAT_TAG:
         raise ValueError(f"line {offset + 1}: expected '{FORMAT_TAG} <count>' header")
     if "_" in header[1]:
@@ -178,7 +198,8 @@ def decode_params(lines: Iterable[str], *, offset: int = 0) -> ParamSet:
         try:
             ndim = int(tokens[1])
             dims = tuple(int(t) for t in tokens[2 : 2 + ndim])
-            values = np.array([float(t) for t in tokens[2 + ndim :]], dtype=np.float64)
+            with np.errstate(over="ignore"):  # out of float32 range: Inf, named below
+                values = np.array([float(t) for t in tokens[2 + ndim :]], dtype=DTYPE)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: malformed tensor record: {exc}") from exc
         if len(dims) != ndim or min(dims, default=0) < 0:
@@ -196,5 +217,5 @@ def decode_params(lines: Iterable[str], *, offset: int = 0) -> ParamSet:
             raise ValueError(f"line {lineno}: duplicate parameter name {name!r}")
         layout.append((name, dims))
         arrays.append(values)
-    flat = np.concatenate(arrays) if arrays else np.empty(0)
+    flat = np.concatenate(arrays) if arrays else np.empty(0, DTYPE)
     return ParamSet.view(layout, flat)

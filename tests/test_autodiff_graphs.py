@@ -2,7 +2,9 @@
 
 gradient_check covers the plain MLP chain; these tests cover the remaining
 ops (concat, slice, clip, exp, mul, minimum, tanh-square correction, row
-sums) through the exact loss graphs the agents build.
+sums) through the exact loss graphs the agents build. The ops follow their
+inputs' dtype, so each check runs them in float64 on a cast copy of the
+agent's float32 networks (``as_float64``), with float64 tolerances.
 """
 
 import numpy as np
@@ -29,6 +31,13 @@ def fd(fn, array, idx, h=H):
 
 def rel_err(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-6)
+
+
+def as_float64(agent):
+    """Swap every network of ``agent`` for a float64 copy; returns the agent."""
+    for nets in (agent.actors, agent.critics, agent.target_actors, agent.target_critics):
+        nets[:] = [p.like(p.flat.astype(np.float64)) for p in nets]
+    return agent
 
 
 def test_diamond_graph_accumulates_shared_leaf():
@@ -70,7 +79,7 @@ def test_log_one_minus_tanh_sq_matches_fd():
 
 def test_sac_actor_loss_gradients_match_finite_differences():
     cfg = AgentConfig(algo="sac", hidden_dims=(8,), batch_size=4)
-    agent = Agent(cfg, obs_dim=3, seed=5)
+    agent = as_float64(Agent(cfg, obs_dim=3, seed=5))
     rng = np.random.default_rng(0)
     batch = Batch(
         rng.uniform(0, 1, (4, 3)), rng.uniform(0, 1, (4, 3)),
@@ -100,7 +109,7 @@ def test_sac_actor_loss_gradients_match_finite_differences():
 
 def test_det_actor_loss_gradients_match_finite_differences():
     cfg = AgentConfig(algo="td3", hidden_dims=(8,), batch_size=4)
-    agent = Agent(cfg, obs_dim=3, seed=6)
+    agent = as_float64(Agent(cfg, obs_dim=3, seed=6))
     rng = np.random.default_rng(1)
     batch = Batch(
         rng.uniform(0, 1, (4, 3)), rng.uniform(0, 1, (4, 3)),
@@ -128,7 +137,7 @@ def test_det_actor_loss_gradients_match_finite_differences():
 def test_darc_critic_loss_gradients_match_finite_differences():
     """The combined critic loss (two MSE terms plus the nu coupling)."""
     cfg = AgentConfig(algo="darc", hidden_dims=(8,), nu=0.3, batch_size=4)
-    agent = Agent(cfg, obs_dim=3, seed=7)
+    agent = as_float64(Agent(cfg, obs_dim=3, seed=7))
     rng = np.random.default_rng(2)
     batch = Batch(
         rng.uniform(0, 1, (4, 3)), rng.uniform(0, 1, (4, 3)),

@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -185,6 +186,15 @@ class TestRewardFixation:
         d = math.sqrt(eta)
         r = reward_fixation((0.5, 0.5), (0.5 + d, 0.5), 50, 40, eta)
         assert r == pytest.approx(0.36787944117144233, abs=1e-15)
+
+    def test_squares_the_distance_exactly(self):
+        # glibc's pow(dx, 2.0) is one ulp above the exact square here, and the
+        # ulp survives into r_F at eta = 0.5; dx * dx is correctly rounded.
+        p_hat, p, eta = (0.8951476257501378, 0.5), (0.21476951109943876, 0.5), 0.5
+        dx = p_hat[0] - p[0]
+        square = float(Fraction(dx) ** 2)  # the exact square, rounded once
+        assert square == 0.4629143788956398
+        assert reward_fixation(p_hat, p, 50, 40, eta) == math.exp(-square / eta)
 
     def test_before_accident_window_flips_indicator(self):
         r_pre = reward_fixation((0.3, 0.3), (0.3, 0.3), 10, 40, 0.08, "before_accident")

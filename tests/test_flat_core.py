@@ -15,9 +15,9 @@ from crashrl.numkit import (
     MlpSpec,
     ParamSet,
     adam_step,
+    decode_params,
     encode_params,
     flat_grads,
-    format_float,
     init_adam,
     init_params,
     soft_update,
@@ -142,7 +142,7 @@ class TestFlatUpdatesMatchPerTensorReference:
         ref_v = {n: np.zeros_like(a) for n, a in ref_p.items()}
         for step in range(1, 26):
             scale = 10.0 ** rng.integers(-8, 4)
-            grads = params.like(rng.standard_normal(params.flat.size) * scale)
+            grads = params.like((rng.standard_normal(params.flat.size) * scale).astype(np.float32))
             if step % 5 == 0:
                 grads["w1"][:] = 0.0  # exact zeros and signed zeros
                 grads["b0"][:] = -0.0
@@ -190,14 +190,17 @@ class TestFlatUpdatesMatchPerTensorReference:
         assert params.flat[0] == 1.0 and not twin.equal(params)
         assert params.layout == (("w", (1, 2)), ("b", (1,)))
 
-    def test_checkpoint_text_formats_each_entry_with_format_float(self):
-        awkward = [0.1, -0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
-                   1e16, 123456789012345678.0, -1.5, 1.0 / 3.0]
+    def test_checkpoint_text_formats_each_entry_with_nine_digits(self):
+        f32 = np.finfo(np.float32)
+        awkward = np.array([0.1, -0.0, 0.0, f32.smallest_subnormal, -f32.smallest_normal,
+                            f32.max, 1e16, 123456789012345678.0, -1.5, 1.0 / 3.0],
+                           dtype=np.float32).tolist()
         params = ParamSet([("w", np.array(awkward[:8]).reshape(2, 4)),
                            ("b", awkward[8:])])
         w_line, b_line = encode_params(params).splitlines()[1:]
-        assert w_line == "w 2 2 4 " + " ".join(format_float(v) for v in awkward[:8])
-        assert b_line == "b 1 2 " + " ".join(format_float(v) for v in awkward[8:])
+        assert w_line == "w 2 2 4 " + " ".join(format(v, ".9g") for v in awkward[:8])
+        assert b_line == "b 1 2 " + " ".join(format(v, ".9g") for v in awkward[8:])
+        assert decode_params(encode_params(params).splitlines()).equal(params)
 
     def test_shape_mismatch_rejected(self):
         params = ParamSet([("w", [1.0, 2.0])])
@@ -233,8 +236,8 @@ class TestNonFiniteUpdatesAreNamed:
     def test_gradient_whose_square_overflows(self):
         agent = self._agent()
         params = agent.actors[0]
-        grads = np.zeros(params.flat.size)
-        grads[-1] = 1e200  # finite, but g*g overflows the second moment
+        grads = np.zeros(params.flat.size, np.float32)
+        grads[-1] = 1e20  # finite in float32, but g*g overflows the second moment
         with pytest.raises(ValueError, match=r"actor_0: Adam update 1 "):
             adam_step(params, grads, agent.actor_adam[0])
 

@@ -44,7 +44,7 @@ def test_tensor_rejects_nonfinite():
 
 def test_tensor_flat_view_is_row_major():
     params = ParamSet([("t", [[1.0, 2.0], [3.0, 4.0]])])
-    assert isinstance(params["t"], np.ndarray) and params["t"].dtype == np.float64
+    assert isinstance(params["t"], np.ndarray) and params["t"].dtype == np.float32
     assert params["t"].shape == (2, 2)
     assert list(params.flat) == [1.0, 2.0, 3.0, 4.0]
     assert [(name, array.shape) for name, array in params] == [("t", (2, 2))]
@@ -122,7 +122,8 @@ class TestMlpForward:
         spec = MlpSpec(5, (7, 3), 2, output_activation="tanh")
         params = init_params(spec, seed=9)
         x = np.random.default_rng(1).normal(size=(6, 5))
-        y = mlp_graph(lift_params(params), spec, ad.lift(x)).value
+        # mlp_apply casts x to the parameters' float32; the graph takes it cast.
+        y = mlp_graph(lift_params(params), spec, ad.lift(x.astype(np.float32))).value
         assert np.array_equal(y, mlp_apply(params, spec, x))
 
 
@@ -239,10 +240,12 @@ class TestSoftUpdate:
     def test_contraction_toward_online(self, tau, t0, on):
         target = ParamSet([("w", [t0])])
         online = ParamSet([("w", [on])])
+        # the stored float32 values, and float32 rounding (a few ulps of 10)
+        t0, on = float(target["w"][0]), float(online["w"][0])
         out = soft_update(target, online, tau)
-        lhs = abs(out["w"][0] - on)
+        lhs = abs(float(out["w"][0]) - on)
         rhs = (1.0 - tau) * abs(t0 - on)
-        assert lhs <= rhs + 1e-12
+        assert lhs <= rhs + 4 * np.spacing(np.float32(10.0))
 
 
 class TestCheckpointFormat:
@@ -258,49 +261,62 @@ class TestCheckpointFormat:
         assert encode_params(loaded) == encode_params(params)
 
     def test_awkward_floats_survive(self, tmp_path):
-        params = ParamSet([("w", [0.1, 1e-300, 1.7976931348623157e308, -0.0])])
+        f32 = np.finfo(np.float32)
+        params = ParamSet([("w", [0.1, f32.smallest_subnormal, f32.max, -0.0, 1 / 3])])
         text = encode_params(params)
         assert decode_params(text.splitlines()).equal(params)
+
+    @given(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False), min_size=1))
+    @settings(max_examples=200, deadline=None)
+    def test_nine_digits_round_trip_every_float32(self, values):
+        params = ParamSet([("w", values)])
+        assert decode_params(encode_params(params).splitlines()).equal(params)
+
+    def test_float64_era_record_names_its_tag(self):
+        with pytest.raises(
+            ValueError, match=r"^line 3: NKP1 is the float64 parameter format; this reader reads NKP2"
+        ):
+            decode_params(["NKP1 1", "w 1 1 0.5"], offset=2)
 
     def test_truncated_record_rejected(self, tmp_path):
         params = ParamSet([("w", [[1.0, 2.0]])])
         text = encode_params(params)
-        broken = "\n".join(text.splitlines()[:-1]) + "\n" if text.count("\n") > 1 else "NKP1 1\n"
+        broken = "\n".join(text.splitlines()[:-1]) + "\n" if text.count("\n") > 1 else "NKP2 1\n"
         with pytest.raises(ValueError):
             decode_params(broken.splitlines())
 
     def test_value_count_mismatch_named(self):
         with pytest.raises(ValueError, match="expects 2 values"):
-            decode_params(["NKP1 1", "w 1 2 0.5"])
+            decode_params(["NKP2 1", "w 1 2 0.5"])
 
     @pytest.mark.parametrize("record", ["w 2 -1 -1 0.5", "w 2 -1 -2 0.5 1.5", "w 2 3"])
     def test_bad_dimensions_name_the_line(self, record):
         with pytest.raises(ValueError, match=r"^line 2: expected 2 nonnegative dimensions"):
-            decode_params(["NKP1 1", record])
+            decode_params(["NKP2 1", record])
 
     @pytest.mark.parametrize("bad", ["nan", "-inf", "inf", "NaN"])
     def test_non_finite_value_names_the_line(self, bad):
-        text = f"NKP1 2\nw 2 1 2 0.5 1.5\nb 1 2 0.25 {bad}\n"
+        text = f"NKP2 2\nw 2 1 2 0.5 1.5\nb 1 2 0.25 {bad}\n"
         with pytest.raises(ValueError, match=r"^line 7: tensor 'b' entries must be finite"):
             decode_params(text.splitlines(), offset=4)
 
     def test_non_integer_and_negative_counts_name_the_line(self):
-        with pytest.raises(ValueError, match=r"^line 3: NKP1 tensor count must be an integer"):
-            decode_params(["NKP1 one"], offset=2)
-        with pytest.raises(ValueError, match=r"^line 1: negative NKP1 tensor count -1"):
-            decode_params(["NKP1 -1"])
+        with pytest.raises(ValueError, match=r"^line 3: NKP2 tensor count must be an integer"):
+            decode_params(["NKP2 one"], offset=2)
+        with pytest.raises(ValueError, match=r"^line 1: negative NKP2 tensor count -1"):
+            decode_params(["NKP2 -1"])
 
     @pytest.mark.parametrize(
         "lines,lineno",
-        [(["NKP1 1_0"], 1), (["NKP1 1", "w 1_0 0.5"], 2), (["NKP1 1", "w 1 1_0"], 2),
-         (["NKP1 1", "w 1 2 0.5 0.2_5"], 2)],
+        [(["NKP2 1_0"], 1), (["NKP2 1", "w 1_0 0.5"], 2), (["NKP2 1", "w 1 1_0"], 2),
+         (["NKP2 1", "w 1 2 0.5 0.2_5"], 2)],
     )
     def test_underscore_in_a_number_names_the_line(self, lines, lineno):
         with pytest.raises(ValueError, match=rf"^line {lineno}: '_' is not allowed in a number"):
             decode_params(lines)
 
     def test_underscore_in_a_tensor_name_is_allowed(self):
-        assert decode_params(["NKP1 1", "log_std 1 2 0.5 0.25"]).equal(
+        assert decode_params(["NKP2 1", "log_std 1 2 0.5 0.25"]).equal(
             ParamSet([("log_std", [0.5, 0.25])])
         )
 
