@@ -34,6 +34,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from ..atomic import atomic_write
 from ..env.mdp import DualAction, Observation
 from ..numkit import (
     DTYPE,
@@ -226,7 +227,7 @@ class Agent:
     def save(self, path) -> None:
         """Write the checkpoint section by section, never whole in memory."""
         sections = self._sections()
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
+        with atomic_write(path, "w", encoding="utf-8", newline="\n") as f:
             f.write(
                 f"{CHECKPOINT_TAG} {self.cfg.algo} {config_hash(self.cfg)} "
                 f"{self.total_env_steps} {self.update_count} {self.obs_dim} {len(sections)}\n"

@@ -4,14 +4,19 @@ An ``Episode`` holds its saliency as one read-only float64 array
 ``saliency[T, H, W]`` and its gaze as a read-only ``fixation_track[T, 2]``,
 so parsed episodes can be cached and shared without copies.
 
-Episode file format (version tag ``ADE1``), ASCII text, one record per line:
+Episode file format (version tag ``ADE2``): one ASCII header line, then a
+binary payload of little-endian float64 values:
 
-    ADE1 <H> <W> <T> <fps> <y> <t_a|-1>
-    F <t> <H*W saliency floats, row-major> <p_x> <p_y>      (lines 2 .. T+1)
+    ADE2 <H> <W> <T> <fps> <y> <t_a|-1> <crc32>\n
+    saliency[T, H, W] row-major, then fixation_track[T, 2]   (8*T*(H*W+2) bytes)
 
-Floats carry 17 significant digits so write -> load round-trips bit-exactly.
-The loader rejects any non-ASCII byte and any ``_`` (which Python's ``int``
-and ``float`` would accept as digit grouping), naming the line.
+``fps`` carries 17 significant digits and ``crc32`` is ``zlib.crc32`` of the
+payload as 8 hex digits, so write -> load round-trips bit-exactly and a
+changed payload byte never loads. Header errors name ``line 1`` (including
+a non-ASCII byte and a ``_``, which Python's ``int`` and ``float`` would
+accept as digit grouping); payload errors give its length, its CRC or the
+``frame t`` whose values are out of range. A file of the retired ``ADE1``
+text format fails at line 1, naming its tag.
 
 The generator composes each frame from a per-episode smooth background, small
 iid temporal noise, and (for positive episodes) a Gaussian risk blob whose
@@ -23,15 +28,19 @@ drifts toward the blob (positives) or wanders (negatives).
 from __future__ import annotations
 
 import os
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..atomic import atomic_write
 from ..numkit.tensor import format_float as _format_float
 from .config import EnvConfig
 from .saliency import SaliencyField, cell_centers, normalize_fields
 
-FORMAT_TAG = "ADE1"
+FORMAT_TAG = "ADE2"
+TEXT_FORMAT_TAG = "ADE1"  # the retired text format, rejected at line 1
+PAYLOAD_DTYPE = np.dtype("<f8")
 
 # Generator constants (fixed, documented; not config fields).
 BLOB_RAMP_FRAMES = 20
@@ -184,108 +193,89 @@ def generate_episode(cfg: EnvConfig, seed: int) -> Episode:
 
 def write_episode_file(episode: Episode, path) -> None:
     h, w = episode.grid_shape
-    lines = [
-        f"{FORMAT_TAG} {h} {w} {episode.length} {_format_float(episode.fps)} "
-        f"{episode.y} {episode.t_a if episode.t_a is not None else -1}"
-    ]
-    # One %-format call per frame; "%.17g" % v is format_float(v).
-    frame_line = "F %d " + " ".join(["%.17g"] * (h * w + 2))
-    rows = np.concatenate(
-        [episode.saliency.reshape(episode.length, -1), episode.fixation_track], axis=1
+    payload = b"".join(
+        np.asarray(array, dtype=PAYLOAD_DTYPE).tobytes()
+        for array in (episode.saliency, episode.fixation_track)
     )
-    lines.extend(frame_line % (t, *row) for t, row in enumerate(rows.tolist()))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    header = (
+        f"{FORMAT_TAG} {h} {w} {episode.length} {_format_float(episode.fps)} "
+        f"{episode.y} {episode.t_a if episode.t_a is not None else -1} "
+        f"{zlib.crc32(payload):08x}\n"
+    )
+    with atomic_write(path, "wb") as f:
+        f.write(header.encode("ascii"))
+        f.write(payload)
 
 
 class EpisodeFormatError(ValueError):
     """Raised for malformed, truncated, or out-of-range episode files."""
 
 
-def _line_number(before: str) -> int:
-    """1-based ``splitlines`` line number of the character that follows ``before``."""
-    return len((before + "x").splitlines())
+def _parse_header(path, line: bytes) -> tuple[int, int, int, float, int, int, int]:
+    """(H, W, T, fps, y, t_a_raw, crc) from line 1; errors name ``line 1``."""
 
+    def fail(message: str) -> EpisodeFormatError:
+        return EpisodeFormatError(f"{path}: line 1: {message}")
 
-def _read_ascii(path) -> str:
-    """The file's text; a non-ASCII byte or a ``_`` raises, naming its line."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if not raw.isascii():
-        index = next(i for i, byte in enumerate(raw) if byte > 0x7F)
-        line = _line_number(raw[:index].decode("ascii"))
-        raise EpisodeFormatError(
-            f"{path}: line {line}: non-ASCII byte 0x{raw[index]:02x}"
-        )
-    text = raw.decode("ascii")
+    if not line.isascii():
+        raise fail(f"non-ASCII byte 0x{next(b for b in line if b > 0x7F):02x}")
+    text = line.decode("ascii")
     if "_" in text:
-        line = _line_number(text[: text.index("_")])
-        raise EpisodeFormatError(f"{path}: line {line}: '_' is not allowed in a number")
-    return text
+        raise fail("'_' is not allowed in a number")
+    fields = text.split()
+    if fields[:1] == [TEXT_FORMAT_TAG]:
+        raise fail(
+            f"{TEXT_FORMAT_TAG} is the retired text episode format; this reader reads "
+            f"{FORMAT_TAG} (regenerate the files with `crashrl gen-data`)"
+        )
+    if len(fields) != 8 or fields[0] != FORMAT_TAG:
+        raise fail(f"expected '{FORMAT_TAG} <H> <W> <T> <fps> <y> <t_a|-1> <crc32>'")
+    try:
+        h, w, t_len = int(fields[1]), int(fields[2]), int(fields[3])
+        fps = float(fields[4])
+        y, t_a_raw = int(fields[5]), int(fields[6])
+        crc = int(fields[7], 16)
+    except ValueError as exc:
+        raise fail(f"malformed header: {exc}") from exc
+    if h < 1 or w < 1 or t_len < 1:
+        raise fail("nonpositive dimensions")
+    if t_a_raw < -1:
+        raise fail(f"t_a must be -1 (no accident) or a frame index, got {t_a_raw}")
+    return h, w, t_len, fps, y, t_a_raw, crc
 
 
 def load_episode_file(path) -> Episode:
-    """Parse and validate an ADE1 file; no partial episode survives an error.
+    """Read and validate an ADE2 file; no partial episode survives an error.
 
-    Each frame line is checked for its token count, its ``F`` tag and its
-    frame index as it is read, and its values are parsed with ``float``.
-    The saliency and fixation ranges are checked once over the whole
-    episode; an error names the first line that breaks either.
+    One ``read`` takes the whole file. The header is checked first, then
+    the payload's length, then its CRC-32, and then the saliency and
+    fixation ranges, once over the whole episode; a range error names the
+    first frame that breaks either.
     """
-    lines = _read_ascii(path).splitlines()
-    if not lines:
+    with open(path, "rb") as f:
+        raw = f.read()
+    if not raw:
         raise EpisodeFormatError(f"{path}: empty file")
-    header = lines[0].split()
-    if len(header) != 7 or header[0] != FORMAT_TAG:
-        raise EpisodeFormatError(
-            f"{path}: line 1: expected '{FORMAT_TAG} <H> <W> <T> <fps> <y> <t_a|-1>'"
-        )
-    try:
-        h, w, t_len = int(header[1]), int(header[2]), int(header[3])
-        fps = float(header[4])
-        y = int(header[5])
-        t_a_raw = int(header[6])
-    except ValueError as exc:
-        raise EpisodeFormatError(f"{path}: line 1: malformed header: {exc}") from exc
-    if h < 1 or w < 1 or t_len < 1:
-        raise EpisodeFormatError(f"{path}: line 1: nonpositive dimensions")
-    if t_a_raw < -1:
-        raise EpisodeFormatError(
-            f"{path}: line 1: t_a must be -1 (no accident) or a frame index, got {t_a_raw}"
-        )
-    if len(lines) != t_len + 1:
-        raise EpisodeFormatError(
-            f"{path}: expected {t_len} frame records, found {len(lines) - 1}"
-        )
-
+    end = raw.find(b"\n")
+    end = len(raw) if end < 0 else end
+    h, w, t_len, fps, y, t_a_raw, crc = _parse_header(path, raw[:end])
+    payload = memoryview(raw)[end + 1 :]
     cells = h * w
-    expected_tokens = 2 + cells + 2
-    values: list[float] = []
-    for t in range(t_len):
-        lineno = t + 2
-        tokens = lines[t + 1].split()
-        if len(tokens) != expected_tokens:
-            raise EpisodeFormatError(
-                f"{path}: line {lineno}: expected {expected_tokens} tokens, "
-                f"got {len(tokens)} (truncated or malformed record)"
-            )
-        if tokens[0] != "F":
-            raise EpisodeFormatError(f"{path}: line {lineno}: expected frame record 'F'")
-        try:
-            frame_t = int(tokens[1])
-            values.extend(map(float, tokens[2:]))
-        except ValueError as exc:
-            raise EpisodeFormatError(
-                f"{path}: line {lineno}: malformed frame record: {exc}"
-            ) from exc
-        if frame_t != t:
-            raise EpisodeFormatError(
-                f"{path}: line {lineno}: frame index {frame_t}, expected {t}"
-            )
-
-    rows = np.array(values).reshape(t_len, cells + 2)
-    saliency = np.ascontiguousarray(rows[:, :cells]).reshape(t_len, h, w)
-    track = np.ascontiguousarray(rows[:, cells:])
+    expected = PAYLOAD_DTYPE.itemsize * t_len * (cells + 2)
+    if len(payload) != expected:
+        raise EpisodeFormatError(
+            f"{path}: payload is {len(payload)} bytes, expected {expected} "
+            f"(8*T*(H*W+2); truncated or extended file)"
+        )
+    actual = zlib.crc32(payload)
+    if actual != crc:
+        raise EpisodeFormatError(
+            f"{path}: payload CRC-32 is {actual:08x}, the header says {crc:08x}"
+        )
+    # The payload starts at an arbitrary offset; astype copies it out aligned.
+    values = np.frombuffer(payload, dtype=PAYLOAD_DTYPE).astype(np.float64)
+    saliency = values[: t_len * cells].reshape(t_len, h, w)
+    track = values[t_len * cells :].reshape(t_len, 2)
     saliency_ok = (np.isfinite(saliency) & (saliency >= 0.0)).all(axis=(1, 2))
     fixation_ok = ((track >= 0.0) & (track <= 1.0)).all(axis=1)
     frame_ok = saliency_ok & fixation_ok
@@ -293,15 +283,13 @@ def load_episode_file(path) -> Episode:
         t = int(np.argmin(frame_ok))
         if not saliency_ok[t]:
             raise EpisodeFormatError(
-                f"{path}: line {t + 2}: saliency values must be finite and >= 0 (frame {t})"
+                f"{path}: frame {t}: saliency values must be finite and >= 0"
             )
         px, py = track[t].tolist()
-        raise EpisodeFormatError(
-            f"{path}: line {t + 2}: fixation ({px}, {py}) outside [0, 1]^2 (frame {t})"
-        )
+        raise EpisodeFormatError(f"{path}: frame {t}: fixation ({px}, {py}) outside [0, 1]^2")
 
     t_a = None if t_a_raw == -1 else t_a_raw
-    # The frame records are checked above; what Episode rejects is a header field.
+    # The payload is checked above; what Episode rejects is a header field.
     try:
         return Episode(saliency, y, t_a, track, fps, episode_id=_stem(path))
     except ValueError as exc:

@@ -7,6 +7,7 @@ import os
 import statistics
 from dataclasses import dataclass
 
+from ..atomic import atomic_write
 from .running import RunArtifacts
 
 # (row label, metrics.json key, whether larger is better)
@@ -121,5 +122,5 @@ def write_comparison_csv(table: ComparisonTable, path) -> None:
             parts.extend([repr(cell.median), repr(cell.min), repr(cell.max)])
         parts.append(";".join(table.best[row]))
         lines.append(",".join(parts))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")

@@ -13,6 +13,7 @@ import json
 import os
 from dataclasses import dataclass
 
+from ..atomic import atomic_write
 from ..agents.config import AgentConfig
 from ..env.config import EnvConfig
 
@@ -139,7 +140,7 @@ def write_config_snapshot(cfg: RunConfig, out_dir) -> str:
     """Echo the fully resolved configuration into the output directory."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "config.json")
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path, "w", encoding="utf-8") as f:
         json.dump(config_as_dict(cfg), f, sort_keys=True, indent=2)
         f.write("\n")
     return path

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..agents import Agent, ReplayBuffer, train_step
+from ..atomic import atomic_write
 from ..env import (
     IMAGE_CENTER,
     AccidentEnv,
@@ -275,7 +276,7 @@ def export_traces(records: EvalRecords, out_dir, env_cfg) -> list[str]:
     for e in sorted(range(len(ids)), key=ids.__getitem__):
         t_a = records.t_a[e].item()
         path = os.path.join(out_dir, f"trace_{ids[e]}.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
+        with atomic_write(path, "w", encoding="utf-8", newline="\n") as f:
             t_a_note = "none" if t_a == NO_ACCIDENT else t_a
             f.write(
                 f"# episode={ids[e]} y={records.y[e].item()} t_a={t_a_note} "
@@ -308,7 +309,7 @@ def _require_both_classes(eval_set, where: str) -> None:
 
 
 def _write_curve(curve, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("epoch,mean_eval_reward\n")
         for epoch, value in curve:
             f.write(f"{epoch},{value!r}\n")
@@ -382,7 +383,7 @@ def _write_run_summary(artifacts: RunArtifacts) -> None:
         },
     }
     path = os.path.join(artifacts.out_dir, "run.json")
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, sort_keys=True, indent=2)
         f.write("\n")
 
@@ -433,7 +434,7 @@ def gen_dataset(cfg: RunConfig, count: int, out_dir, seed_base: int | None = Non
             )
         )
     manifest = os.path.join(out_dir, "manifest.csv")
-    with open(manifest, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(manifest, "w", encoding="utf-8", newline="\n") as f:
         f.write("id,file,y,t_a,frames\n")
         for row in rows:
             f.write(",".join(str(v) for v in row) + "\n")

@@ -50,7 +50,9 @@ def init_adam(
 def adam_step(params: ParamSet, grads, state: AdamState) -> tuple[ParamSet, AdamState]:
     """One bias-corrected Adam update, in place; returns params and state.
 
-    ``grads`` is a ParamSet or a flat vector in the parameters' layout.
+    ``grads`` is a ParamSet or a flat vector in the parameters' layout and
+    dtype; a gradient of another dtype raises ValueError naming the network
+    (the in-place updates would otherwise cast it silently).
     Raises ValueError naming the network and the update index when the
     update leaves a parameter or a second moment non-finite (which any
     non-finite gradient, or one whose square overflows, does).
@@ -61,6 +63,11 @@ def adam_step(params: ParamSet, grads, state: AdamState) -> tuple[ParamSet, Adam
         grads = grads.flat
     if grads.shape != params.flat.shape or not params.same_shapes(state.m):
         raise ValueError("parameter, gradient, and state shapes must match")
+    if grads.dtype != params.flat.dtype:
+        raise ValueError(
+            f"{state.name}: gradient dtype {grads.dtype} does not match "
+            f"parameter dtype {params.flat.dtype}"
+        )
     t = state.t + 1
     b1, b2 = state.beta1, state.beta2
     m, v, theta = state.m.flat, state.v.flat, params.flat

@@ -2,6 +2,8 @@
 
 import math
 import re
+import struct
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +32,19 @@ from crashrl.env import (
 )
 from crashrl.numkit.tensor import format_float
 from saliency_reference import combine_attention, foveate, normalize_field, pool_features
+
+
+def split_ade2(raw: bytes) -> tuple[list[str], np.ndarray]:
+    """An episode file's header fields and a writable copy of its payload values."""
+    header, payload = raw.split(b"\n", 1)
+    return header.decode("ascii").split(), np.frombuffer(payload, "<f8").copy()
+
+
+def join_ade2(fields: list[str], values: np.ndarray) -> bytes:
+    """An episode file with these header fields and values, its CRC recomputed."""
+    payload = np.asarray(values, "<f8").tobytes()
+    header = " ".join([*fields[:7], f"{zlib.crc32(payload):08x}"])
+    return header.encode("ascii") + b"\n" + payload
 
 
 def uniform_field(h=16, w=16):
@@ -372,50 +387,80 @@ class TestEpisodeFile:
 
     def test_out_of_range_fixation_names_frame(self, tmp_path):
         cfg = EnvConfig(episode_len=10)
-        ep = generate_episode(cfg, 11)
         path = tmp_path / "ep.ade"
-        write_episode_file(ep, path)
-        lines = path.read_text().splitlines()
-        tokens = lines[4].split()
-        tokens[-2] = "1.5"
-        lines[4] = " ".join(tokens)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(EpisodeFormatError, match="frame 3"):
+        write_episode_file(generate_episode(cfg, 11), path)
+        fields, values = split_ade2(path.read_bytes())
+        values[cfg.episode_len * 16 * 16 + 2 * 3] = 1.5  # p_x of frame 3
+        path.write_bytes(join_ade2(fields, values))
+        with pytest.raises(EpisodeFormatError) as info:
             load_episode_file(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: frame 3: fixation (1.5, ")
+        assert message.endswith(") outside [0, 1]^2")
 
     def test_truncated_final_record_rejected(self, tmp_path):
-        cfg = EnvConfig(episode_len=10)
-        ep = generate_episode(cfg, 12)
         path = tmp_path / "ep.ade"
-        write_episode_file(ep, path)
-        text = path.read_text()
-        path.write_text(text[: text.rfind(" ") - 20])
-        with pytest.raises(EpisodeFormatError):
+        write_episode_file(generate_episode(EnvConfig(episode_len=10), 12), path)
+        path.write_bytes(path.read_bytes()[:-20])
+        with pytest.raises(EpisodeFormatError) as info:
             load_episode_file(path)
+        assert str(info.value) == (
+            f"{path}: payload is {8 * 10 * 258 - 20} bytes, expected {8 * 10 * 258} "
+            f"(8*T*(H*W+2); truncated or extended file)"
+        )
 
-    def test_missing_lines_rejected(self, tmp_path):
-        cfg = EnvConfig(episode_len=10)
-        ep = generate_episode(cfg, 13)
+    def test_missing_frames_rejected(self, tmp_path):
+        """A header that counts 10 frames over the payload of 8 frames."""
         path = tmp_path / "ep.ade"
-        write_episode_file(ep, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-2]) + "\n")
-        with pytest.raises(EpisodeFormatError, match="frame records"):
+        write_episode_file(generate_episode(EnvConfig(episode_len=8), 13), path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        header = header.replace(b"ADE2 16 16 8 ", b"ADE2 16 16 10 ", 1)
+        path.write_bytes(header + b"\n" + payload)
+        with pytest.raises(EpisodeFormatError) as info:
             load_episode_file(path)
+        assert str(info.value) == (
+            f"{path}: payload is {8 * 8 * 258} bytes, expected {8 * 10 * 258} "
+            f"(8*T*(H*W+2); truncated or extended file)"
+        )
+
+    def test_extended_file_rejected(self, tmp_path):
+        path = tmp_path / "ep.ade"
+        write_episode_file(generate_episode(EnvConfig(episode_len=10), 12), path)
+        path.write_bytes(path.read_bytes() + struct.pack("<d", 0.5))
+        with pytest.raises(EpisodeFormatError) as info:
+            load_episode_file(path)
+        assert str(info.value) == (
+            f"{path}: payload is {8 * 10 * 258 + 8} bytes, expected {8 * 10 * 258} "
+            f"(8*T*(H*W+2); truncated or extended file)"
+        )
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "ep.ade"
-        path.write_text("XYZ1 16 16 10 10 0 -1\n")
-        with pytest.raises(EpisodeFormatError, match="ADE1"):
+        path.write_text("XYZ1 16 16 10 10 0 -1 00000000\n")
+        with pytest.raises(EpisodeFormatError) as info:
             load_episode_file(path)
+        assert str(info.value) == (
+            f"{path}: line 1: expected 'ADE2 <H> <W> <T> <fps> <y> <t_a|-1> <crc32>'"
+        )
+
+    def test_text_format_file_names_its_tag(self, tmp_path):
+        path = tmp_path / "ep.ade"
+        path.write_text("ADE1 1 1 1 10 0 -1\nF 0 1 0.5 0.5\n")
+        with pytest.raises(EpisodeFormatError) as info:
+            load_episode_file(path)
+        assert str(info.value) == (
+            f"{path}: line 1: ADE1 is the retired text episode format; this reader reads "
+            f"ADE2 (regenerate the files with `crashrl gen-data`)"
+        )
 
     def _with_header(self, tmp_path, fps, y, t_a):
         """A generated 10-frame episode file whose header carries fps, y and t_a."""
         path = tmp_path / "e3.ade"
         write_episode_file(generate_episode(EnvConfig(episode_len=10), 14), path)
-        lines = path.read_text().splitlines()
-        lines[0] = " ".join(lines[0].split()[:4] + [fps, y, t_a])
-        path.write_text("\n".join(lines) + "\n")
+        header, payload = path.read_bytes().split(b"\n", 1)
+        fields = header.decode("ascii").split()
+        fields[4:7] = [fps, y, t_a]
+        path.write_bytes(" ".join(fields).encode("ascii") + b"\n" + payload)
         return path
 
     @pytest.mark.parametrize("y", ["0", "1"])
@@ -434,6 +479,7 @@ class TestEpisodeFile:
             ("10", "0", "4", "negative episode must not carry an accident frame"),
             ("0", "0", "-1", "fps must be finite and > 0, got 0.0"),
             ("nan", "0", "-1", "fps must be finite and > 0, got nan"),
+            ("ten", "0", "-1", "malformed header: could not convert string to float: 'ten'"),
         ],
     )
     def test_header_field_errors_name_line_one(self, tmp_path, fps, y, t_a, message):
@@ -442,45 +488,54 @@ class TestEpisodeFile:
             load_episode_file(path)
         assert str(info.value) == f"{path}: line 1: {message}"
 
-    def test_frame_line_matches_format_float_per_value(self, tmp_path):
-        # 0.1 + 0.2 prints as 0.30000000000000004: it needs all 17 digits.
+    def test_layout_is_header_line_then_little_endian_float64(self, tmp_path):
+        # 0.1 + 0.2 is 0.30000000000000004, 5e-324 the smallest subnormal.
         values = [0.0, 5e-324, 1.0, 0.1 + 0.2]
         saliency = np.array([values, values[::-1]]).reshape(2, 2, 2)
         track = np.array([[0.5, 5e-324], [0.1 + 0.2, 1.0]])
         path = tmp_path / "ep.ade"
         write_episode_file(Episode(saliency, 0, None, track, 10.0), path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == f"ADE1 2 2 2 {format_float(10.0)} 0 -1"
-        for t in range(2):
-            row = [*saliency[t].reshape(-1).tolist(), *track[t].tolist()]
-            assert lines[t + 1] == " ".join(["F", str(t)] + [format_float(v) for v in row])
+        payload = struct.pack("<12d", *values, *values[::-1], 0.5, 5e-324, 0.1 + 0.2, 1.0)
+        header = f"ADE2 2 2 2 {format_float(10.0)} 0 -1 {zlib.crc32(payload):08x}\n"
+        assert path.read_bytes() == header.encode("ascii") + payload
 
-    def _edited(self, tmp_path, lineno, edit):
-        """A generated 10-frame 16x16 file with ``edit`` applied to line ``lineno``."""
+    def test_changed_payload_byte_fails_the_crc(self, tmp_path):
+        path = tmp_path / "ep.ade"
+        write_episode_file(generate_episode(EnvConfig(episode_len=10), 18), path)
+        raw = bytearray(path.read_bytes())
+        want = raw[: raw.index(b"\n")].split()[-1].decode("ascii")
+        raw[-100] ^= 0x01  # one bit of a fixation value; the value stays in range
+        path.write_bytes(bytes(raw))
+        got = zlib.crc32(raw[raw.index(b"\n") + 1 :])
+        with pytest.raises(EpisodeFormatError) as info:
+            load_episode_file(path)
+        assert str(info.value) == (
+            f"{path}: payload CRC-32 is {got:08x}, the header says {want}"
+        )
+
+    def _edited_header(self, tmp_path, edit):
+        """A generated 10-frame 16x16 file with ``edit`` applied to its header line."""
         path = tmp_path / "ep.ade"
         write_episode_file(generate_episode(EnvConfig(episode_len=10), 15), path)
-        lines = path.read_bytes().split(b"\n")
-        lines[lineno - 1] = edit(lines[lineno - 1])
-        path.write_bytes(b"\n".join(lines))
+        header, payload = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(edit(header) + b"\n" + payload)
         return path
 
     @pytest.mark.parametrize(
         "lineno, edit, message",
         [
-            # A stray byte: a bare UnicodeDecodeError with no path before.
-            (3, lambda line: line[:40] + b"\xff" + line[40:], "non-ASCII byte 0xff"),
-            # int() reads "1_6" as 16 and float() reads "0.00_1" as 0.001.
-            (1, lambda line: line.replace(b"ADE1 16 ", b"ADE1 1_6 ", 1),
-             "'_' is not allowed in a number"),
-            (4, lambda line: b" ".join([*line.split()[:2], b"0.00_1", *line.split()[3:]]),
+            (1, lambda line: line[:12] + b"\xff" + line[12:], "non-ASCII byte 0xff"),
+            # int() reads "1_6" as 16 (and float() reads "1_0" as 10.0).
+            (1, lambda line: line.replace(b"ADE2 16 ", b"ADE2 1_6 ", 1),
              "'_' is not allowed in a number"),
             # int() reads Arabic-Indic digits: H = "١٦" would load as 16.
-            (1, lambda line: line.replace(b"ADE1 16 ", "ADE1 ١٦ ".encode(), 1),
+            (1, lambda line: line.replace(b"ADE2 16 ", "ADE2 ١٦ ".encode(), 1),
              "non-ASCII byte 0xd9"),
         ],
     )
     def test_non_ascii_and_underscore_rejected_with_line(self, tmp_path, lineno, edit, message):
-        path = self._edited(tmp_path, lineno, edit)
+        """Only the header is text; a payload byte change fails the CRC instead."""
+        path = self._edited_header(tmp_path, edit)
         with pytest.raises(EpisodeFormatError) as info:
             load_episode_file(path)
         assert str(info.value) == f"{path}: line {lineno}: {message}"
@@ -491,7 +546,11 @@ class TestEpisodeFile:
 
         data = tmp_path / "data"
         data.mkdir()
-        path = self._edited(data, 2, lambda line: line[:30] + b"\xff" + line[30:])
+        path = data / "ep.ade"
+        write_episode_file(generate_episode(EnvConfig(episode_len=10), 15), path)
+        raw = bytearray(path.read_bytes())
+        raw[-500] ^= 0xFF
+        path.write_bytes(bytes(raw))
         checkpoint = tmp_path / "ck.txt"
         Agent(AgentConfig(algo="td3", hidden_dims=(8, 8)), obs_dim=256, seed=0).save(checkpoint)
         code = cli_main([
@@ -499,7 +558,7 @@ class TestEpisodeFile:
             "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out"),
         ])
         assert code == 2
-        assert f"runtime failure: {path}: line 2: non-ASCII byte 0xff" in capsys.readouterr().err
+        assert f"runtime failure: {path}: payload CRC-32 is " in capsys.readouterr().err
 
     def test_episode_arrays_are_read_only(self, tmp_path):
         path = tmp_path / "ep.ade"
@@ -599,30 +658,30 @@ def test_env_requires_multi_frame_episode():
 
 
 def test_loader_error_discipline_under_mutation(tmp_path):
-    """Random single-token corruption either loads a valid episode or raises
-    EpisodeFormatError; no other exception type escapes."""
+    """Payload values set out of range (with the CRC recomputed, so the range
+    checks are reached), deleted bytes and truncation either load a valid
+    episode or raise EpisodeFormatError; no other exception type escapes."""
     cfg = EnvConfig(grid_h=4, grid_w=4, episode_len=6, pool_h=2, pool_w=2,
                     t_a_frac_lo=0.5, t_a_frac_hi=0.7)
     path = tmp_path / "ep.ade"
     write_episode_file(generate_episode(cfg, 42), path)
-    pristine = path.read_text()
+    pristine = path.read_bytes()
+    fields, values = split_ade2(pristine)
     rng = np.random.default_rng(0)
-    replacements = ["nan", "inf", "-1", "abc", "1.5", "-0.25", "999999", ""]
+    replacements = [np.nan, np.inf, -1.0, 1.5, -0.25]
     outcomes = {"ok": 0, "rejected": 0}
     for _ in range(120):
-        lines = pristine.splitlines()
         mode = rng.integers(0, 3)
-        if mode == 0 and len(lines) > 1:
-            del lines[int(rng.integers(0, len(lines)))]
+        if mode == 0:
+            i = int(rng.integers(0, len(pristine)))
+            raw = pristine[:i] + pristine[i + 1 :]
         elif mode == 1:
-            li = int(rng.integers(0, len(lines)))
-            tokens = lines[li].split()
-            tokens[int(rng.integers(0, len(tokens)))] = str(rng.choice(replacements))
-            lines[li] = " ".join(tokens)
+            corrupt = values.copy()
+            corrupt[int(rng.integers(0, corrupt.size))] = rng.choice(replacements)
+            raw = join_ade2(fields, corrupt)
         else:
-            text = pristine[: int(rng.integers(1, len(pristine)))]
-            lines = text.splitlines()
-        path.write_text("\n".join(lines) + "\n")
+            raw = pristine[: int(rng.integers(1, len(pristine)))]
+        path.write_bytes(raw)
         try:
             episode = load_episode_file(path)
         except EpisodeFormatError:
@@ -662,22 +721,31 @@ class TestLoaderFuzz:
     def test_mutated_file_loads_or_names_path_and_line(self, tmp_path, data):
         path = tmp_path / "ep.ade"
         write_episode_file(generate_episode(FUZZ_CFG, 42), path)
-        raw = path.read_bytes()
+        pristine = raw = path.read_bytes()
         for _ in range(data.draw(st.integers(1, 3))):
             raw = self._mutate(data.draw, raw)
         path.write_bytes(raw)
+        payload_only = raw != pristine and raw.startswith(pristine[: pristine.index(b"\n") + 1])
         try:
             episode = load_episode_file(path)
         except EpisodeFormatError as exc:
             message = str(exc)
             assert message.startswith(f"{path}: ")
             rest = message[len(f"{path}: "):]
+            payload_error = re.fullmatch(
+                r"payload is \d+ bytes, expected \d+ \(8\*T\*\(H\*W\+2\); "
+                r"truncated or extended file\)"
+                r"|payload CRC-32 is [0-9a-f]{8}, the header says \S+",
+                rest,
+            )
             assert (
-                re.match(r"line \d+: ", rest)
+                payload_error
+                or re.match(r"(line 1|frame \d+): ", rest)
                 or rest == "empty file"
-                or re.fullmatch(r"expected \d+ frame records, found \d+", rest)
             ), message
+            assert payload_error or not payload_only, message
         else:
+            assert not payload_only, "a changed payload loaded"
             assert episode.saliency.shape == (episode.length, *episode.grid_shape)
 
     @given(

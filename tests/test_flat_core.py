@@ -221,13 +221,13 @@ class TestNonFiniteUpdatesAreNamed:
     def _good_steps(self, agent, index, steps):
         params, state = agent.critics[index], agent.critic_adam[index]
         for _ in range(steps):
-            adam_step(params, np.full(params.flat.size, 0.1), state)
+            adam_step(params, np.full(params.flat.size, 0.1, np.float32), state)
 
     def test_nan_gradient(self):
         agent = self._agent()
         self._good_steps(agent, 1, 2)
         params = agent.critics[1]
-        grads = np.zeros(params.flat.size)
+        grads = np.zeros(params.flat.size, np.float32)
         grads[5] = np.nan
         with pytest.raises(ValueError, match=r"critic_1: Adam update 3 "):
             adam_step(params, grads, agent.critic_adam[1])
@@ -245,8 +245,18 @@ class TestNonFiniteUpdatesAreNamed:
         agent = self._agent()
         agent.critics[0]["w0"][0, 0] = np.inf
         with pytest.raises(ValueError, match=r"critic_0: Adam update 1 "):
-            adam_step(agent.critics[0], np.zeros(agent.critics[0].flat.size),
+            adam_step(agent.critics[0], np.zeros(agent.critics[0].flat.size, np.float32),
                       agent.critic_adam[0])
+
+    def test_gradient_of_another_dtype_is_rejected(self):
+        agent = self._agent()
+        params, state = agent.critics[1], agent.critic_adam[1]
+        before = params.copy()
+        for grads in (np.zeros(params.flat.size), params.like(np.zeros(params.flat.size))):
+            with pytest.raises(ValueError, match=r"^critic_1: gradient dtype float64 does not "
+                                                 r"match parameter dtype float32$"):
+                adam_step(params, grads, state)
+        assert state.t == 0 and params.equal(before)
 
     def test_nan_reward_surfaces_from_the_critic_phase(self):
         agent = self._agent()
