@@ -10,48 +10,47 @@ same way. The network counts come from the config (``n_actors``,
 the online critics value higher. The networks compute in float32: features
 are cast on the way in and actions back to float64 on the way out.
 
-Checkpoint format (version tag ``ACP2``), ASCII text:
+Checkpoint format (version tag ``ACP3``), on the record framing of
+``crashrl.records``: one ASCII header line, then little-endian float32:
 
-    ACP2 <algo> <config_hash> <env_steps> <update_count> <obs_dim> <n_sections>
-    SECTION <name>
-    <NKP2 parameter record>          (one per section, see numkit.tensor)
+    ACP3 <algo> <config_hash> <env_steps> <update_count> <obs_dim> <hidden,dims> <n_values> <crc32>\n
+    every network's ParamSet.flat, in _network_lists() order    (4*n_values bytes)
 
-The loader checks each line as it reads it: a non-ASCII byte or a ``_`` in a
-number (which Python's ``int`` and ``float`` would accept) raises, naming the
-line; a float64-era ``ACP1`` file fails at line 1. The config hash
-fingerprints the agent hyperparameters; shape compatibility, not hash
-equality, is what loading enforces, and the loaded networks are the agent's
-networks (nothing is initialized and then replaced). Optimizer state and
-RNG state are not persisted: checkpoints serve evaluation, not training
-resumption.
+``hidden,dims`` is ``-`` for a network without hidden layers. The loader
+takes each network's layout from ``MlpSpec.param_shapes()``: the algorithm,
+the hidden widths and the value count must match the config, or line 1
+names both sides; a non-finite value names its network. The loaded values
+are the agent's networks (nothing is initialized and then replaced). The
+config hash fingerprints the agent hyperparameters but is not enforced.
+The retired ``ACP1`` (float64 text) and ``ACP2`` (float32 text) files fail
+at line 1, naming their tag. Optimizer state and RNG state are not
+persisted: checkpoints serve evaluation, not training resumption.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
 
-from ..atomic import atomic_write
-from ..env.mdp import DualAction, Observation
-from ..numkit import (
-    DTYPE,
-    AdamState,
-    MlpSpec,
-    ParamSet,
-    decode_params,
-    encode_params,
-    init_adam,
-    init_params,
-    mlp_apply,
-)
+from ..numkit import DTYPE, AdamState, MlpSpec, ParamSet, init_adam, init_params, mlp_apply
+from ..records import read_record, write_record
 from .config import AgentConfig
 from .replay import ACTION_DIM
 
-CHECKPOINT_TAG = "ACP2"
-FLOAT64_CHECKPOINT_TAG = "ACP1"
+CHECKPOINT_TAG = "ACP3"
+HEADER = (
+    f"{CHECKPOINT_TAG} <algo> <config_hash> <env_steps> <update_count> <obs_dim> "
+    "<hidden,dims> <n_values> <crc32>"
+)
+RETIRED_TAGS = {
+    "ACP1": f"ACP1 is the float64 checkpoint format; this reader reads {CHECKPOINT_TAG}",
+    "ACP2": f"ACP2 is the retired text checkpoint format; this reader reads {CHECKPOINT_TAG}",
+}
+PAYLOAD_DTYPE = np.dtype("<f4")
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
 
@@ -66,26 +65,14 @@ def config_hash(cfg: AgentConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _ascii_lines(f):
-    """The lines of the binary file ``f`` as text, each checked as it is read."""
-    lineno = 0
-    for raw in f:  # not enumerate: its reused result tuple would keep raw alive
-        lineno += 1
-        if not raw.isascii():
-            byte = next(b for b in raw if b > 0x7F)
-            raise ValueError(f"line {lineno}: non-ASCII byte 0x{byte:02x}")
-        line = raw.decode("ascii")
-        del raw  # hold one copy of a long tensor line while it is parsed
-        yield line
+def _widths_field(hidden_dims) -> str:
+    """The header's ``hidden,dims`` field: ``64,64``, or ``-`` for none."""
+    return ",".join(str(d) for d in hidden_dims) or "-"
 
 
-def _parse_int(lineno: int, field: str, token: str) -> int:
-    if "_" in token:
-        raise ValueError(f"line {lineno}: '_' is not allowed in a number")
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"line {lineno}: {field} must be an integer, got {token!r}") from None
+def _n_values(spec: MlpSpec) -> int:
+    """Parameter count of one network (Python ints: a huge header obs_dim cannot overflow)."""
+    return sum(math.prod(shape) for _, shape in spec.param_shapes())
 
 
 def _child_seeds(seed: int) -> list[int]:
@@ -196,17 +183,13 @@ class Agent:
         action = action.astype(np.float64)
         return action.reshape(-1) if features.ndim == 1 else action
 
-    def select_action(self, obs, mode: str = "eval") -> DualAction:
-        features = obs.features if isinstance(obs, Observation) else obs
-        return DualAction.from_array(self.action_array(features, mode))
-
     # ------------------------------------------------------------ checkpointing
 
     def _network_lists(self) -> tuple[tuple[str, int, MlpSpec], ...]:
         """(kind, count, spec) of each network list, in checkpoint order.
 
         Kind ``k``'s networks are the attribute ``k + "s"``, and network j of
-        it is the section ``k_j``.
+        it is named ``k_j`` in errors.
         """
         cfg = self.cfg
         n_target_actors = 0 if cfg.stochastic else cfg.n_actors
@@ -217,107 +200,68 @@ class Agent:
             ("target_critic", cfg.n_critics, self.critic_spec),
         )
 
-    def _sections(self) -> list[tuple[str, ParamSet]]:
-        return [
-            (f"{kind}_{k}", params)
-            for kind, _, _ in self._network_lists()
-            for k, params in enumerate(getattr(self, f"{kind}s"))
-        ]
-
     def save(self, path) -> None:
-        """Write the checkpoint section by section, never whole in memory."""
-        sections = self._sections()
-        with atomic_write(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(
-                f"{CHECKPOINT_TAG} {self.cfg.algo} {config_hash(self.cfg)} "
-                f"{self.total_env_steps} {self.update_count} {self.obs_dim} {len(sections)}\n"
-            )
-            for name, params in sections:
-                f.write(f"SECTION {name}\n")
-                f.write(encode_params(params))
+        """Write the ACP3 checkpoint: one header line, then every network's values."""
+        flats = [
+            np.asarray(params.flat, dtype=PAYLOAD_DTYPE)
+            for kind, _, _ in self._network_lists()
+            for params in getattr(self, f"{kind}s")
+        ]
+        fields = (
+            CHECKPOINT_TAG, self.cfg.algo, config_hash(self.cfg), self.total_env_steps,
+            self.update_count, self.obs_dim, _widths_field(self.cfg.hidden_dims),
+            sum(flat.size for flat in flats),
+        )
+        write_record(path, fields, flats)
 
     @classmethod
     def load(cls, path, cfg: AgentConfig) -> "Agent":
-        """Rebuild an agent from a checkpoint; cfg must match algo and shapes.
+        """Rebuild an agent from an ACP3 checkpoint; cfg must match algo and widths.
 
-        Reads the file one line at a time: the NKP2 parser takes each
-        section's lines straight from the open file. Errors name the path.
+        Errors name the path: header errors as ``path: line 1: ...``, then the
+        payload's length or CRC, then the network with a non-finite value.
         """
-        try:
-            with open(path, "rb") as f:
-                return cls._from_lines(_ascii_lines(f), cfg)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-
-    @classmethod
-    def _from_lines(cls, f, cfg: AgentConfig) -> "Agent":
-        header = next(f, "").split()
-        if not header:
-            raise ValueError("empty checkpoint")
-        if header[0] == FLOAT64_CHECKPOINT_TAG:
-            raise ValueError(
-                f"line 1: {FLOAT64_CHECKPOINT_TAG} is the float64 checkpoint format; "
-                f"this reader reads {CHECKPOINT_TAG} (float32)"
-            )
-        if len(header) != 7 or header[0] != CHECKPOINT_TAG:
-            raise ValueError(f"line 1: malformed {CHECKPOINT_TAG} header")
-        algo, _hash = header[1], header[2]
-        env_steps, update_count, obs_dim, n_sections = (
-            _parse_int(1, field, token)
-            for field, token in zip(
-                ("env_steps", "update_count", "obs_dim", "n_sections"), header[3:7]
-            )
-        )
+        record = read_record(path, HEADER, (str, str, int, int, int, str, int), RETIRED_TAGS)
+        algo, _hash, env_steps, update_count, obs_dim, widths, n_values = record.fields
         if algo != cfg.algo:
-            raise ValueError(
+            raise record.fail(
                 f"checkpoint algo {algo!r} does not match configured {cfg.algo!r}"
             )
+        configured = _widths_field(cfg.hidden_dims)
+        if widths != configured:
+            raise record.fail(
+                f"checkpoint hidden widths {widths} do not match configured {configured}"
+            )
         if obs_dim < 1:
-            raise ValueError(f"line 1: obs_dim must be >= 1, got {obs_dim}")
+            raise record.fail(f"obs_dim must be >= 1, got {obs_dim}")
+        if env_steps < 0 or update_count < 0:
+            raise record.fail(
+                f"env_steps and update_count must be >= 0, got {env_steps} and {update_count}"
+            )
         agent = cls.__new__(cls)
         agent._set_specs(cfg, obs_dim)
-        expected = {
-            f"{kind}_{k}": tuple(spec.param_shapes())
-            for kind, count, spec in agent._network_lists()
-            for k in range(count)
-        }
-        if n_sections != len(expected):
-            raise ValueError(
-                f"expected {len(expected)} sections, header declares {n_sections}"
+        lists = agent._network_lists()
+        expected = sum(count * _n_values(spec) for _, count, spec in lists)
+        if n_values != expected:
+            raise record.fail(
+                f"header declares {n_values} values, the config and obs_dim give {expected}"
             )
-        loaded: dict[str, ParamSet] = {}
-        lineno = 2
-        for line in f:
-            marker = line.rstrip("\n")
-            if not marker.startswith("SECTION "):
-                raise ValueError(f"line {lineno}: expected SECTION marker")
-            fields = marker.split(maxsplit=1)
-            if len(fields) != 2:
-                raise ValueError(f"line {lineno}: SECTION marker without a name")
-            name = fields[1]
-            if name not in expected:
-                raise ValueError(f"line {lineno}: unknown section {name!r}")
-            if name in loaded:
-                raise ValueError(f"line {lineno}: duplicate section {name!r}")
-            loaded[name] = decode_params(f, offset=lineno)
-            lineno += 2 + len(loaded[name])
-        missing = sorted(set(expected) - set(loaded))
-        if missing:
-            raise ValueError(f"missing sections {missing}")
-        for name, params in loaded.items():
-            if params.layout != expected[name]:
-                raise ValueError(
-                    f"section {name}: expected shapes "
-                    f"{[(n, list(shape)) for n, shape in expected[name]]}, got "
-                    f"{[(n, list(t.shape)) for n, t in params]}"
-                )
-        agent._set_networks(
-            *(
-                [loaded[f"{kind}_{k}"] for k in range(count)]
-                for kind, count, _ in agent._network_lists()
-            ),
-            noise_seed=_child_seeds(0)[4],
-        )
+        payload = record.payload(PAYLOAD_DTYPE.itemsize * n_values, "4*n_values")
+        networks = []
+        offset = 0
+        for kind, count, spec in lists:
+            networks.append([])
+            for k in range(count):
+                # Each network gets its own aligned, writable float32 copy.
+                flat = np.frombuffer(payload, PAYLOAD_DTYPE, _n_values(spec), offset)
+                flat = flat.astype(DTYPE)
+                if not np.isfinite(flat).all():
+                    raise ValueError(
+                        f"{path}: network {kind}_{k}: values must be finite (no NaN/Inf)"
+                    )
+                networks[-1].append(ParamSet.view(spec.param_shapes(), flat))
+                offset += flat.nbytes
+        agent._set_networks(*networks, noise_seed=_child_seeds(0)[4])
         agent.total_env_steps = env_steps
         agent.update_count = update_count
         return agent

@@ -4,8 +4,9 @@ An ``Episode`` holds its saliency as one read-only float64 array
 ``saliency[T, H, W]`` and its gaze as a read-only ``fixation_track[T, 2]``,
 so parsed episodes can be cached and shared without copies.
 
-Episode file format (version tag ``ADE2``): one ASCII header line, then a
-binary payload of little-endian float64 values:
+Episode file format (version tag ``ADE2``, on the record framing of
+``crashrl.records``): one ASCII header line, then a binary payload of
+little-endian float64 values:
 
     ADE2 <H> <W> <T> <fps> <y> <t_a|-1> <crc32>\n
     saliency[T, H, W] row-major, then fixation_track[T, 2]   (8*T*(H*W+2) bytes)
@@ -28,18 +29,20 @@ drifts toward the blob (positives) or wanders (negatives).
 from __future__ import annotations
 
 import os
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..atomic import atomic_write
-from ..numkit.tensor import format_float as _format_float
+from ..records import format_float, read_record, write_record
 from .config import EnvConfig
 from .saliency import SaliencyField, cell_centers, normalize_fields
 
 FORMAT_TAG = "ADE2"
-TEXT_FORMAT_TAG = "ADE1"  # the retired text format, rejected at line 1
+HEADER = f"{FORMAT_TAG} <H> <W> <T> <fps> <y> <t_a|-1> <crc32>"
+RETIRED_TAGS = {
+    "ADE1": f"ADE1 is the retired text episode format; this reader reads {FORMAT_TAG} "
+    "(regenerate the files with `crashrl gen-data`)",
+}
 PAYLOAD_DTYPE = np.dtype("<f8")
 
 # Generator constants (fixed, documented; not config fields).
@@ -193,85 +196,37 @@ def generate_episode(cfg: EnvConfig, seed: int) -> Episode:
 
 def write_episode_file(episode: Episode, path) -> None:
     h, w = episode.grid_shape
-    payload = b"".join(
-        np.asarray(array, dtype=PAYLOAD_DTYPE).tobytes()
-        for array in (episode.saliency, episode.fixation_track)
+    t_a = episode.t_a if episode.t_a is not None else -1
+    fields = (FORMAT_TAG, h, w, episode.length, format_float(episode.fps), episode.y, t_a)
+    write_record(
+        path,
+        fields,
+        [np.asarray(a, dtype=PAYLOAD_DTYPE) for a in (episode.saliency, episode.fixation_track)],
     )
-    header = (
-        f"{FORMAT_TAG} {h} {w} {episode.length} {_format_float(episode.fps)} "
-        f"{episode.y} {episode.t_a if episode.t_a is not None else -1} "
-        f"{zlib.crc32(payload):08x}\n"
-    )
-    with atomic_write(path, "wb") as f:
-        f.write(header.encode("ascii"))
-        f.write(payload)
 
 
 class EpisodeFormatError(ValueError):
     """Raised for malformed, truncated, or out-of-range episode files."""
 
 
-def _parse_header(path, line: bytes) -> tuple[int, int, int, float, int, int, int]:
-    """(H, W, T, fps, y, t_a_raw, crc) from line 1; errors name ``line 1``."""
-
-    def fail(message: str) -> EpisodeFormatError:
-        return EpisodeFormatError(f"{path}: line 1: {message}")
-
-    if not line.isascii():
-        raise fail(f"non-ASCII byte 0x{next(b for b in line if b > 0x7F):02x}")
-    text = line.decode("ascii")
-    if "_" in text:
-        raise fail("'_' is not allowed in a number")
-    fields = text.split()
-    if fields[:1] == [TEXT_FORMAT_TAG]:
-        raise fail(
-            f"{TEXT_FORMAT_TAG} is the retired text episode format; this reader reads "
-            f"{FORMAT_TAG} (regenerate the files with `crashrl gen-data`)"
-        )
-    if len(fields) != 8 or fields[0] != FORMAT_TAG:
-        raise fail(f"expected '{FORMAT_TAG} <H> <W> <T> <fps> <y> <t_a|-1> <crc32>'")
-    try:
-        h, w, t_len = int(fields[1]), int(fields[2]), int(fields[3])
-        fps = float(fields[4])
-        y, t_a_raw = int(fields[5]), int(fields[6])
-        crc = int(fields[7], 16)
-    except ValueError as exc:
-        raise fail(f"malformed header: {exc}") from exc
-    if h < 1 or w < 1 or t_len < 1:
-        raise fail("nonpositive dimensions")
-    if t_a_raw < -1:
-        raise fail(f"t_a must be -1 (no accident) or a frame index, got {t_a_raw}")
-    return h, w, t_len, fps, y, t_a_raw, crc
-
-
 def load_episode_file(path) -> Episode:
     """Read and validate an ADE2 file; no partial episode survives an error.
 
-    One ``read`` takes the whole file. The header is checked first, then
-    the payload's length, then its CRC-32, and then the saliency and
-    fixation ranges, once over the whole episode; a range error names the
-    first frame that breaks either.
+    One ``read`` takes the whole file (``records.read_record``). The header
+    is checked first, then the payload's length, then its CRC-32, and then
+    the saliency and fixation ranges, once over the whole episode; a range
+    error names the first frame that breaks either.
     """
-    with open(path, "rb") as f:
-        raw = f.read()
-    if not raw:
-        raise EpisodeFormatError(f"{path}: empty file")
-    end = raw.find(b"\n")
-    end = len(raw) if end < 0 else end
-    h, w, t_len, fps, y, t_a_raw, crc = _parse_header(path, raw[:end])
-    payload = memoryview(raw)[end + 1 :]
+    record = read_record(
+        path, HEADER, (int, int, int, float, int, int), RETIRED_TAGS, EpisodeFormatError
+    )
+    h, w, t_len, fps, y, t_a_raw = record.fields
+    if h < 1 or w < 1 or t_len < 1:
+        raise record.fail("nonpositive dimensions")
+    if t_a_raw < -1:
+        raise record.fail(f"t_a must be -1 (no accident) or a frame index, got {t_a_raw}")
     cells = h * w
-    expected = PAYLOAD_DTYPE.itemsize * t_len * (cells + 2)
-    if len(payload) != expected:
-        raise EpisodeFormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected} "
-            f"(8*T*(H*W+2); truncated or extended file)"
-        )
-    actual = zlib.crc32(payload)
-    if actual != crc:
-        raise EpisodeFormatError(
-            f"{path}: payload CRC-32 is {actual:08x}, the header says {crc:08x}"
-        )
+    payload = record.payload(PAYLOAD_DTYPE.itemsize * t_len * (cells + 2), "8*T*(H*W+2)")
     # The payload starts at an arbitrary offset; astype copies it out aligned.
     values = np.frombuffer(payload, dtype=PAYLOAD_DTYPE).astype(np.float64)
     saliency = values[: t_len * cells].reshape(t_len, h, w)
@@ -293,7 +248,7 @@ def load_episode_file(path) -> Episode:
     try:
         return Episode(saliency, y, t_a, track, fps, episode_id=_stem(path))
     except ValueError as exc:
-        raise EpisodeFormatError(f"{path}: line 1: {exc}") from exc
+        raise record.fail(str(exc)) from exc
 
 
 def _stem(path) -> str:

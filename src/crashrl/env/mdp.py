@@ -37,9 +37,6 @@ class DualAction:
             raise ValueError(f"fixation must lie in [0, 1]^2, got {self.p_hat}")
         object.__setattr__(self, "p_hat", (float(px), float(py)))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a, self.p_hat[0], self.p_hat[1]])
-
     @classmethod
     def from_array(cls, arr) -> "DualAction":
         arr = np.asarray(arr, dtype=np.float64).reshape(-1)

@@ -4,7 +4,8 @@ Each network's parameters live in one flat float32 vector (``ParamSet.flat``,
 dtype ``DTYPE``) with named ndarray views; Adam and Polyak updates run in
 place on it, and backprop can be pruned to the leaves whose gradients are
 wanted. The ops follow their inputs' dtype, so gradient checks run them in
-float64 on a cast copy.
+float64 on a cast copy. Parameters have no disk format here; checkpoints
+(``agents.agent``) write the flat vectors on the ``crashrl.records`` framing.
 """
 
 from . import autodiff
@@ -20,29 +21,18 @@ from .mlp import (
     mlp_graph,
 )
 from .optim import AdamState, adam_step, init_adam, soft_update
-from .tensor import (
-    DTYPE,
-    FORMAT_TAG,
-    ParamSet,
-    decode_params,
-    encode_params,
-    format_float,
-)
+from .tensor import DTYPE, ParamSet
 
 __all__ = [
     "autodiff",
     "AdamState",
     "DTYPE",
     "FD_STEP",
-    "FORMAT_TAG",
     "MlpSpec",
     "ParamSet",
     "RELU_KINK_MARGIN",
     "adam_step",
-    "decode_params",
-    "encode_params",
     "flat_grads",
-    "format_float",
     "gradient_check",
     "init_adam",
     "init_params",

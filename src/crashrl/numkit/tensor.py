@@ -1,19 +1,9 @@
-"""Flat-backed named parameter sets and their disk format.
-
-Checkpoint format (version tag ``NKP2``), UTF-8 text, one tensor per line:
-
-    NKP2 <n_tensors>
-    <name> <ndim> <dim0> ... <dimN-1> <v0> <v1> ... (row-major)
-
-Values are float32, serialized with 9 significant digits, which round-trips
-IEEE-754 single precision exactly, so write -> read is bit-identical. The
-reader rejects a ``_`` in a count, dimension or value, which ``int`` and
-``float`` would read as digit grouping, and names the older float64 format
-(``NKP1``, 17 digits) instead of loading it rounded.
+"""Flat-backed named parameter sets.
 
 A ParamSet keeps its tensors as ndarray views into one flat float32 vector
-(``DTYPE``), in the order the format lists them; the flat storage does not
-change the bytes.
+(``DTYPE``), in layout order and row-major within each tensor. numkit has
+no file format: an agent checkpoint stores each network's flat vector as
+little-endian float32 (``agents.agent``).
 """
 
 from __future__ import annotations
@@ -22,17 +12,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-FORMAT_TAG = "NKP2"
-FLOAT64_FORMAT_TAG = "NKP1"
-
 # The one dtype of network parameters, optimizer moments, replay and
 # gradient phases.
 DTYPE = np.float32
-
-
-def format_float(x: float) -> str:
-    """Serialize a float64 losslessly (17 significant digits)."""
-    return format(float(x), ".17g")
 
 
 Layout = tuple[tuple[str, tuple[int, ...]], ...]
@@ -133,89 +115,3 @@ class ParamSet:
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}{list(shape)}" for n, shape in self._layout)
         return f"ParamSet({inner})"
-
-
-def encode_params(params: ParamSet) -> str:
-    """Render a ParamSet in the NKP2 checkpoint format."""
-    lines = [f"{FORMAT_TAG} {len(params)}"]
-    for name, array in params:
-        dims = " ".join(str(d) for d in array.shape)
-        # One %-format call per tensor: 9 significant digits per float32 value.
-        flat = array.reshape(-1).tolist()
-        values = " ".join(["%.9g"] * len(flat)) % tuple(flat)
-        line = f"{name} {array.ndim}"
-        if dims:
-            line += f" {dims}"
-        if values:
-            line += f" {values}"
-        lines.append(line)
-    return "\n".join(lines) + "\n"
-
-
-def decode_params(lines: Iterable[str], *, offset: int = 0) -> ParamSet:
-    """Read one NKP2 record, the header and its tensor lines, from ``lines``.
-
-    ``lines`` is an iterable of text lines, such as ``text.splitlines()`` or
-    an open file. From an iterator (a file) it consumes exactly the record's
-    lines and leaves the rest. ``offset`` is the number of lines before the
-    header, so diagnostics name the line of the whole file.
-    """
-    lines = iter(lines)
-    header_line = next(lines, None)
-    header = [] if header_line is None else header_line.split()
-    if header[:1] == [FLOAT64_FORMAT_TAG]:
-        raise ValueError(
-            f"line {offset + 1}: {FLOAT64_FORMAT_TAG} is the float64 parameter format; "
-            f"this reader reads {FORMAT_TAG} (float32)"
-        )
-    if len(header) != 2 or header[0] != FORMAT_TAG:
-        raise ValueError(f"line {offset + 1}: expected '{FORMAT_TAG} <count>' header")
-    if "_" in header[1]:
-        raise ValueError(f"line {offset + 1}: '_' is not allowed in a number")
-    try:
-        count = int(header[1])
-    except ValueError:
-        raise ValueError(
-            f"line {offset + 1}: {FORMAT_TAG} tensor count must be an integer, "
-            f"got {header[1]!r}"
-        ) from None
-    if count < 0:
-        raise ValueError(f"line {offset + 1}: negative {FORMAT_TAG} tensor count {count}")
-    layout = []
-    arrays = []
-    for lineno in range(offset + 2, offset + 2 + count):
-        line = next(lines, None)
-        if line is None:
-            raise ValueError(
-                f"line {lineno}: record ends after {len(layout)} of {count} tensors"
-            )
-        tokens = line.split()
-        if len(tokens) < 2:
-            raise ValueError(f"line {lineno}: truncated tensor record")
-        name = tokens[0]
-        if "_" in line and any("_" in token for token in tokens[1:]):
-            raise ValueError(f"line {lineno}: '_' is not allowed in a number")
-        try:
-            ndim = int(tokens[1])
-            dims = tuple(int(t) for t in tokens[2 : 2 + ndim])
-            with np.errstate(over="ignore"):  # out of float32 range: Inf, named below
-                values = np.array([float(t) for t in tokens[2 + ndim :]], dtype=DTYPE)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: malformed tensor record: {exc}") from exc
-        if len(dims) != ndim or min(dims, default=0) < 0:
-            raise ValueError(f"line {lineno}: expected {ndim} nonnegative dimensions")
-        expected = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        if values.size != expected:
-            raise ValueError(
-                f"line {lineno}: tensor '{name}' expects {expected} values, got {values.size}"
-            )
-        if not np.isfinite(values).all():
-            raise ValueError(
-                f"line {lineno}: tensor '{name}' entries must be finite (no NaN/Inf)"
-            )
-        if any(name == seen for seen, _ in layout):
-            raise ValueError(f"line {lineno}: duplicate parameter name {name!r}")
-        layout.append((name, dims))
-        arrays.append(values)
-    flat = np.concatenate(arrays) if arrays else np.empty(0, DTYPE)
-    return ParamSet.view(layout, flat)

@@ -282,9 +282,9 @@ def _bandit_converges(algo, seed, max_steps=5000, check_every=250):
             env.reset()
         train_step(agent, env, buf)
         if step > cfg.warmup_steps and step % check_every == 0:
-            if abs(agent.select_action(probe, "eval").a - 0.7) < 0.05:
+            if abs(agent.action_array(probe, "eval")[0] - 0.7) < 0.05:
                 return True
-    return abs(agent.select_action(probe, "eval").a - 0.7) < 0.05
+    return abs(agent.action_array(probe, "eval")[0] - 0.7) < 0.05
 
 
 @pytest.mark.slow

@@ -1,9 +1,12 @@
 """Agents: replay, action selection, targets, updates, training loop."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from crashrl.agents import (
     Agent,
@@ -13,6 +16,7 @@ from crashrl.agents import (
     Transition,
     actor_update,
     compute_targets,
+    config_hash,
     critic_update,
     tanh_gaussian_logprob,
     train_step,
@@ -91,9 +95,9 @@ class TestActionSelection:
         for algo in ("ddpg", "td3", "sac", "darc"):
             agent = Agent(small_cfg(algo), obs_dim=6, seed=3)
             s = np.random.default_rng(0).uniform(0, 1, 6)
-            a1 = agent.select_action(s, mode="eval")
-            a2 = agent.select_action(s, mode="eval")
-            assert a1 == a2
+            a1 = agent.action_array(s, mode="eval")
+            a2 = agent.action_array(s, mode="eval")
+            assert np.array_equal(a1, a2)
 
     def test_bounds_under_arbitrary_parameters(self):
         for algo in ("td3", "sac", "darc"):
@@ -102,7 +106,8 @@ class TestActionSelection:
                 for _, tensor in params:
                     tensor[:] = 1e8  # saturate everything
             for mode in ("train", "eval"):
-                action = agent.select_action(np.ones(4), mode=mode)
+                # from_array raises if a component leaves [0, 1].
+                action = DualAction.from_array(agent.action_array(np.ones(4), mode=mode))
                 assert 0.0 <= action.a <= 1.0
                 assert 0.0 <= action.p_hat[0] <= 1.0 and 0.0 <= action.p_hat[1] <= 1.0
 
@@ -127,13 +132,13 @@ class TestActionSelection:
             critic["w0"][:] = 0.0
             critic["w0"][2, 0] = -1.0
             critic["b0"][:] = 0.0
-        action = agent.select_action(np.zeros(2), mode="eval")
-        assert action.a == pytest.approx(0.1, abs=F32_TOL)
+        action = agent.action_array(np.zeros(2), mode="eval")
+        assert action[0] == pytest.approx(0.1, abs=F32_TOL)
         # flip the preference
         for critic in agent.critics:
             critic["w0"][2, 0] = +1.0
-        action = agent.select_action(np.zeros(2), mode="eval")
-        assert action.a == pytest.approx(0.9, abs=F32_TOL)
+        action = agent.action_array(np.zeros(2), mode="eval")
+        assert action[0] == pytest.approx(0.9, abs=F32_TOL)
 
 
 class TestTanhGaussianLogprob:
@@ -481,6 +486,19 @@ class TestTrainStep:
             assert p.equal(q)
 
 
+def split_acp3(raw: bytes) -> tuple[list[str], np.ndarray]:
+    """A checkpoint's header fields and a writable copy of its payload values."""
+    header, payload = raw.split(b"\n", 1)
+    return header.decode("ascii").split(), np.frombuffer(payload, "<f4").copy()
+
+
+def join_acp3(fields: list[str], values: np.ndarray) -> bytes:
+    """A checkpoint with these header fields and values, its CRC recomputed."""
+    payload = np.asarray(values, "<f4").tobytes()
+    header = " ".join([*fields[:8], f"{zlib.crc32(payload):08x}"])
+    return header.encode("ascii") + b"\n" + payload
+
+
 class TestAgentCheckpoint:
     def test_round_trip_all_algos(self, tmp_path):
         for algo in ("ddpg", "td3", "sac", "darc"):
@@ -497,19 +515,94 @@ class TestAgentCheckpoint:
             for a, b in zip(agent.target_critics, loaded.target_critics):
                 assert a.equal(b)
 
+    @pytest.mark.parametrize("algo", ["ddpg", "td3", "sac", "darc"])
+    def test_loaded_agent_acts_bit_identically(self, tmp_path, algo):
+        cfg = small_cfg(algo)
+        agent = Agent(cfg, obs_dim=6, seed=8)
+        path = tmp_path / "ck.txt"
+        agent.save(path)
+        loaded = Agent.load(path, cfg)
+        features = np.random.default_rng(3).uniform(0, 1, (5, 6))
+        for x in (features, features[0]):
+            assert agent.action_array(x).tobytes() == loaded.action_array(x).tobytes()
+
+    def test_layout_is_header_line_then_little_endian_float32(self, tmp_path):
+        cfg = small_cfg("td3", hidden_dims=(3,))
+        agent = Agent(cfg, obs_dim=2, seed=4)
+        agent.total_env_steps, agent.update_count = 7, 2
+        path = tmp_path / "ck.txt"
+        agent.save(path)
+        networks = agent.actors + agent.critics + agent.target_actors + agent.target_critics
+        payload = b"".join(p.flat.astype("<f4").tobytes() for p in networks)
+        n_values = sum(p.flat.size for p in networks)
+        header = (
+            f"ACP3 td3 {config_hash(cfg)} 7 2 2 3 {n_values} {zlib.crc32(payload):08x}\n"
+        )
+        assert path.read_bytes() == header.encode("ascii") + payload
+        assert 4 * n_values == len(payload)
+
+    def test_awkward_floats_round_trip_bit_exact(self, tmp_path):
+        f32 = np.finfo(np.float32)
+        awkward = [-0.0, 0.0, f32.smallest_subnormal, -f32.smallest_subnormal,
+                   f32.smallest_normal, f32.max, -f32.max, 0.1, 1 / 3, 1e16]
+        cfg = small_cfg("darc", hidden_dims=(4,))
+        agent = Agent(cfg, obs_dim=3, seed=0)
+        for params in agent.critics + agent.target_actors:
+            params.flat[: len(awkward)] = awkward
+        path = tmp_path / "ck.txt"
+        agent.save(path)
+        loaded = Agent.load(path, cfg)
+        for kind in ("actors", "critics", "target_actors", "target_critics"):
+            for a, b in zip(getattr(agent, kind), getattr(loaded, kind)):
+                assert a.flat.tobytes() == b.flat.tobytes()
+        assert np.signbit(loaded.critics[0].flat[0])
+
+    @given(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_float32_round_trips(self, tmp_path, values):
+        cfg = small_cfg("ddpg", hidden_dims=(4,))
+        agent = Agent(cfg, obs_dim=6, seed=1)
+        agent.actors[0].flat[: len(values)] = values
+        path = tmp_path / "ck.txt"
+        agent.save(path)
+        loaded = Agent.load(path, cfg)
+        assert loaded.actors[0].flat.tobytes() == agent.actors[0].flat.tobytes()
+
+    def test_loaded_networks_are_aligned_writable_and_separate(self, tmp_path):
+        cfg = small_cfg("darc")
+        path = tmp_path / "ck.txt"
+        Agent(cfg, obs_dim=5, seed=2).save(path)
+        loaded = Agent.load(path, cfg)
+        flats = [p.flat for p in loaded.actors + loaded.critics
+                 + loaded.target_actors + loaded.target_critics]
+        for flat in flats:
+            assert flat.dtype == np.float32 and flat.flags.writeable and flat.flags.aligned
+            assert flat.flags.owndata
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(flats) for b in flats[:i])
+
     def test_algo_mismatch_rejected(self, tmp_path):
         agent = Agent(small_cfg("td3"), obs_dim=4, seed=0)
         path = tmp_path / "ck.txt"
         agent.save(path)
-        with pytest.raises(ValueError, match="algo"):
+        message = r"ck\.txt: line 1: checkpoint algo 'td3' does not match configured 'darc'$"
+        with pytest.raises(ValueError, match=message):
             Agent.load(path, small_cfg("darc"))
 
     def test_shape_mismatch_names_expected_and_actual(self, tmp_path):
         agent = Agent(small_cfg("td3", hidden_dims=(16, 16)), obs_dim=4, seed=0)
         path = tmp_path / "ck.txt"
         agent.save(path)
-        with pytest.raises(ValueError, match="expected shapes"):
+        message = r"ck\.txt: line 1: checkpoint hidden widths 16,16 do not match configured 8,8$"
+        with pytest.raises(ValueError, match=message):
             Agent.load(path, small_cfg("td3", hidden_dims=(8, 8)))
+        linear = small_cfg("td3", hidden_dims=())
+        with pytest.raises(ValueError, match=r"hidden widths 16,16 do not match configured -$"):
+            Agent.load(path, linear)
+        Agent(linear, obs_dim=4, seed=0).save(path)
+        assert path.read_bytes().split()[6] == b"-"
+        Agent.load(path, linear)
 
     def test_load_takes_the_checkpoint_networks_without_initializing_any(
         self, tmp_path, monkeypatch
@@ -538,11 +631,19 @@ class TestAgentCheckpoint:
             assert loaded.rng.bit_generator.state == fresh_rng
 
     def test_float64_era_checkpoint_names_its_tag(self, tmp_path):
-        def edit(lines):
-            lines[0] = lines[0].replace("ACP2", "ACP1")
+        path = tmp_path / "ck.txt"
+        path.write_text("ACP1 td3 77d3910c3e1722c6 0 0 4 6\nSECTION actor_0\n")
+        message = r"ck\.txt: line 1: ACP1 is the float64 checkpoint format; this reader reads ACP3$"
+        with pytest.raises(ValueError, match=message):
+            Agent.load(path, small_cfg("td3"))
 
-        path = self._corrupted(tmp_path, edit)
-        message = r"ck\.txt: line 1: ACP1 is the float64 checkpoint format; this reader reads ACP2"
+    def test_text_checkpoint_names_its_tag(self, tmp_path):
+        path = tmp_path / "ck.txt"
+        path.write_text("ACP2 td3 77d3910c3e1722c6 0 0 4 6\nSECTION actor_0\nNKP2 6\n")
+        message = (
+            r"ck\.txt: line 1: ACP2 is the retired text checkpoint format; "
+            r"this reader reads ACP3$"
+        )
         with pytest.raises(ValueError, match=message):
             Agent.load(path, small_cfg("td3"))
 
@@ -553,105 +654,129 @@ class TestAgentCheckpoint:
         agent.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def _corrupted(self, tmp_path, edit):
+    def _corrupted(self, tmp_path, edit=None, raw_edit=None):
+        """A saved td3 checkpoint (obs_dim 4, widths 16,16) after ``edit``.
+
+        ``edit(fields, values)`` changes the header fields or payload values in
+        place and the CRC is recomputed; ``raw_edit(raw)`` returns new bytes.
+        """
         path = tmp_path / "ck.txt"
         Agent(small_cfg("td3"), obs_dim=4, seed=0).save(path)
-        lines = path.read_text().splitlines()
-        edit(lines)
-        path.write_text("\n".join(lines) + "\n")
+        raw = path.read_bytes()
+        if edit is not None:
+            fields, values = split_acp3(raw)
+            edit(fields, values)
+            raw = join_acp3(fields, values)
+        if raw_edit is not None:
+            raw = raw_edit(raw)
+        path.write_bytes(raw)
         return path
 
-    def test_nameless_section_marker_names_path_and_line(self, tmp_path):
-        def edit(lines):
-            lines[1] = "SECTION "
-
-        path = self._corrupted(tmp_path, edit)
-        with pytest.raises(ValueError, match=r"ck\.txt: line 2: SECTION marker without a name"):
-            Agent.load(path, small_cfg("td3"))
-
     def test_non_integer_header_field_names_path_and_line(self, tmp_path):
-        def edit(lines):
-            fields = lines[0].split()
+        def edit(fields, values):
             fields[5] = "4.0"  # obs_dim
-            lines[0] = " ".join(fields)
 
         path = self._corrupted(tmp_path, edit)
-        with pytest.raises(ValueError, match=r"ck\.txt: line 1: obs_dim must be an integer"):
-            Agent.load(path, small_cfg("td3"))
-
-    def test_non_integer_tensor_count_names_path_and_line(self, tmp_path):
-        def edit(lines):
-            lines[2] = "NKP2 six"
-
-        path = self._corrupted(tmp_path, edit)
-        message = r"ck\.txt: line 3: NKP2 tensor count must be an integer"
+        message = r"ck\.txt: line 1: malformed header: invalid literal for int\(\) with base 10: '4\.0'$"
         with pytest.raises(ValueError, match=message):
             Agent.load(path, small_cfg("td3"))
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-    def test_non_finite_parameter_names_path_and_line(self, tmp_path, bad):
-        def edit(lines):
-            at = lines.index("SECTION critic_0") + 3  # critic_0's b0 line
-            tokens = lines[at].split()
-            tokens[-1] = bad
-            lines[at] = " ".join(tokens)
+    @pytest.mark.parametrize("field", [3, 4])
+    def test_negative_counts_name_path_and_line(self, tmp_path, field):
+        def edit(fields, values):
+            fields[field] = "-1"
 
         path = self._corrupted(tmp_path, edit)
-        lineno = path.read_text().splitlines().index("SECTION critic_0") + 4
-        message = rf"ck\.txt: line {lineno}: tensor 'b0' entries must be finite \(no NaN/Inf\)"
-        with pytest.raises(ValueError, match=message):
-            Agent.load(path, small_cfg("td3"))
-
-    def test_duplicate_section_names_path_and_line(self, tmp_path):
-        def edit(lines):
-            lines[lines.index("SECTION critic_0")] = "SECTION actor_0"
-
-        path = self._corrupted(tmp_path, edit)
-        lineno = path.read_text().splitlines().index("SECTION actor_0", 2) + 1
-        message = rf"ck\.txt: line {lineno}: duplicate section 'actor_0'"
-        with pytest.raises(ValueError, match=message):
-            Agent.load(path, small_cfg("td3"))
-
-    @pytest.mark.parametrize("where", ["header", "marker", "tensor_count", "w0", "last_line"])
-    def test_non_ascii_byte_names_path_and_line(self, tmp_path, where):
-        path = self._corrupted(tmp_path, lambda lines: None)
-        lines = path.read_bytes().split(b"\n")
-        at = {
-            "header": 0, "marker": 1, "tensor_count": 2,
-            "w0": lines.index(b"SECTION critic_1") + 2, "last_line": len(lines) - 2,
-        }[where]
-        middle = len(lines[at]) // 2
-        lines[at] = lines[at][:middle] + b"\xff" + lines[at][middle:]
-        path.write_bytes(b"\n".join(lines))
-        message = rf"ck\.txt: line {at + 1}: non-ASCII byte 0xff$"
+        message = r"ck\.txt: line 1: env_steps and update_count must be >= 0"
         with pytest.raises(ValueError, match=message):
             Agent.load(path, small_cfg("td3"))
 
     @pytest.mark.parametrize(
-        "at,token",
-        [("header", 3), ("tensor_count", 1), ("w0", 1), ("w0", 2), ("w0", 5), ("b0", -1)],
+        "obs_dim, n_values", [("4", "1"), ("5", None), ("0", None), ("9" * 20, None)]
     )
-    def test_underscore_in_a_number_names_path_and_line(self, tmp_path, at, token):
-        def edit(lines):
-            start = lines.index("SECTION critic_0")
-            rows = {"header": 0, "tensor_count": start + 1, "w0": start + 2, "b0": start + 3}
-            row = rows[at]
-            tokens = lines[row].split()
-            value = tokens[token]
-            tokens[token] = value[:-1] + "_" + value[-1:] if len(value) > 1 else value + "_0"
-            lines[row] = " ".join(tokens)
-            edited.append(row + 1)
+    def test_value_count_must_match_the_config(self, tmp_path, obs_dim, n_values):
+        def edit(fields, values):
+            fields[5] = obs_dim
+            fields[7] = n_values or fields[7]
 
-        edited = []
         path = self._corrupted(tmp_path, edit)
-        message = rf"ck\.txt: line {edited[0]}: '_' is not allowed in a number"
+        expected = split_acp3(path.read_bytes())[1].size
+        message = {
+            ("4", "1"): rf"header declares 1 values, the config and obs_dim give {expected}",
+            ("5", None): rf"header declares {expected} values, the config and obs_dim give \d+",
+            ("0", None): r"obs_dim must be >= 1, got 0",
+            # Far beyond int64: the expected count is exact, not an overflow.
+            ("9" * 20, None): rf"header declares {expected} values, the config and obs_dim give \d{{22}}",
+        }[obs_dim, n_values]
+        with pytest.raises(ValueError, match=rf"ck\.txt: line 1: {message}$"):
+            Agent.load(path, small_cfg("td3"))
+
+    @pytest.mark.parametrize("change", [-4, -1, 4])
+    def test_wrong_payload_length_rejected(self, tmp_path, change):
+        def raw_edit(raw):
+            return raw[:change] if change < 0 else raw + bytes(change)
+
+        fields, _ = split_acp3(self._corrupted(tmp_path).read_bytes())
+        path = self._corrupted(tmp_path, raw_edit=raw_edit)
+        size = 4 * int(fields[7])
+        message = (
+            rf"ck\.txt: payload is {size + change} bytes, expected {size} "
+            r"\(4\*n_values; truncated or extended file\)$"
+        )
         with pytest.raises(ValueError, match=message):
             Agent.load(path, small_cfg("td3"))
 
-    def test_underscore_in_section_names_still_loads(self, tmp_path):
-        path = self._corrupted(tmp_path, lambda lines: None)
-        assert b"SECTION critic_0" in path.read_bytes()
-        Agent.load(path, small_cfg("td3"))
+    def test_changed_payload_byte_fails_the_crc(self, tmp_path):
+        def raw_edit(raw):
+            flipped = bytearray(raw)
+            flipped[-7] ^= 0x01  # one low mantissa bit: the value stays finite
+            return bytes(flipped)
+
+        path = self._corrupted(tmp_path, raw_edit=raw_edit)
+        want = path.read_bytes().split(b"\n", 1)[0].split()[-1].decode("ascii")
+        with pytest.raises(ValueError, match=rf"ck\.txt: payload CRC-32 is [0-9a-f]{{8}}, "
+                                             rf"the header says {want}$"):
+            Agent.load(path, small_cfg("td3"))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_parameter_names_path_and_line(self, tmp_path, bad):
+        """A NaN/Inf written with a matching CRC is named by its network."""
+        agent = Agent(small_cfg("td3"), obs_dim=4, seed=0)
+        before_critic_1 = sum(p.flat.size for p in agent.actors + agent.critics[:1])
+
+        def edit(fields, values):
+            values[before_critic_1 + 5] = float(bad)
+
+        path = self._corrupted(tmp_path, edit)
+        message = r"ck\.txt: network critic_1: values must be finite \(no NaN/Inf\)$"
+        with pytest.raises(ValueError, match=message):
+            Agent.load(path, small_cfg("td3"))
+
+    @pytest.mark.parametrize("where", ["header"])
+    def test_non_ascii_byte_names_path_and_line(self, tmp_path, where):
+        def raw_edit(raw):
+            return raw[:10] + b"\xff" + raw[10:]
+
+        path = self._corrupted(tmp_path, raw_edit=raw_edit)
+        with pytest.raises(ValueError, match=r"ck\.txt: line 1: non-ASCII byte 0xff$"):
+            Agent.load(path, small_cfg("td3"))
+
+    @pytest.mark.parametrize("at,token", [("header", 3), ("header", 5), ("header", 7)])
+    def test_underscore_in_a_number_names_path_and_line(self, tmp_path, at, token):
+        def edit(fields, values):
+            value = fields[token]
+            fields[token] = value[:-1] + "_" + value[-1:] if len(value) > 1 else value + "_0"
+
+        path = self._corrupted(tmp_path, edit)
+        message = r"ck\.txt: line 1: '_' is not allowed in a number$"
+        with pytest.raises(ValueError, match=message):
+            Agent.load(path, small_cfg("td3"))
+
+    def test_empty_file_names_path(self, tmp_path):
+        path = tmp_path / "ck.txt"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match=r"ck\.txt: empty file$"):
+            Agent.load(path, small_cfg("td3"))
 
 
 @pytest.mark.slow

@@ -7,12 +7,14 @@ that is not a literal) outside ``atomic_write`` itself.
 """
 
 import ast
+import contextlib
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import crashrl.agents.agent as agent_mod
+import crashrl.records as records_mod
 from crashrl.agents import Agent, AgentConfig
 from crashrl.atomic import atomic_write
 from crashrl.env import EnvConfig, generate_episode, load_episode_file, write_episode_file
@@ -100,18 +102,34 @@ def test_checkpoint_interrupted_mid_file_keeps_the_old_checkpoint(tmp_path, monk
     path = tmp_path / "ck.txt"
     Agent(cfg, obs_dim=4, seed=0).save(path)
     old = path.read_bytes()
-    sections = []
+    written = []
 
-    def fail_on_third_section(params):
-        sections.append(params)
-        if len(sections) == 3:
-            raise RuntimeError("interrupted")
-        return real_encode(params)
+    class FailsInThePayload:
+        """Writes the header and the first network, then half the second, then raises."""
 
-    real_encode = agent_mod.encode_params
-    monkeypatch.setattr(agent_mod, "encode_params", fail_on_third_section)
+        def __init__(self, f):
+            self.f = f
+
+        def write(self, data):
+            data = memoryview(data).cast("B")
+            if len(written) == 2:
+                self.f.write(data[: len(data) // 2])
+                self.f.flush()
+                written.append(os.path.getsize(f"{path}.tmp"))
+                raise RuntimeError("interrupted")
+            written.append(len(data))
+            return self.f.write(data)
+
+    @contextlib.contextmanager
+    def interrupted_write(target, mode):
+        with atomic_write(target, mode) as f:
+            yield FailsInThePayload(f)
+
+    monkeypatch.setattr(records_mod, "atomic_write", interrupted_write)
     with pytest.raises(RuntimeError, match="interrupted"):
         Agent(cfg, obs_dim=4, seed=1).save(path)
+    header = old.index(b"\n") + 1
+    assert written[0] == header and header < written[-1] < len(old)  # stopped mid-payload
     assert path.read_bytes() == old
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.txt"]
 

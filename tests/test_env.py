@@ -1,5 +1,6 @@
 """Environment: saliency pipeline, rewards, episode generation, MDP, file I/O."""
 
+import hashlib
 import math
 import re
 import struct
@@ -30,7 +31,7 @@ from crashrl.env import (
     reward_fixation,
     write_episode_file,
 )
-from crashrl.numkit.tensor import format_float
+from crashrl.records import format_float
 from saliency_reference import combine_attention, foveate, normalize_field, pool_features
 
 
@@ -499,6 +500,21 @@ class TestEpisodeFile:
         header = f"ADE2 2 2 2 {format_float(10.0)} 0 -1 {zlib.crc32(payload):08x}\n"
         assert path.read_bytes() == header.encode("ascii") + payload
 
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "6ba7e74dddf4f96057a5c20f4aa83b687b6c137cc755d4f1d5d4e87ad365188f"),
+            (2, "622ddc6b002422c22b53a2d633044286171db8dd0b0ef27669c147c22db38560"),
+        ],
+    )
+    def test_default_config_file_bytes_are_pinned(self, tmp_path, seed, digest):
+        """A negative (seed 0) and a positive (seed 2) default-scale episode file."""
+        path = tmp_path / "ep.ade"
+        write_episode_file(generate_episode(EnvConfig(), seed), path)
+        raw = path.read_bytes()
+        assert len(raw) == 206_432
+        assert hashlib.sha256(raw).hexdigest() == digest
+
     def test_changed_payload_byte_fails_the_crc(self, tmp_path):
         path = tmp_path / "ep.ade"
         write_episode_file(generate_episode(EnvConfig(episode_len=10), 18), path)
@@ -747,6 +763,39 @@ class TestLoaderFuzz:
         else:
             assert not payload_only, "a changed payload loaded"
             assert episode.saliency.shape == (episode.length, *episode.grid_shape)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_checkpoint_loads_or_names_path_and_line(self, tmp_path, data):
+        from crashrl.agents import Agent, AgentConfig
+
+        cfg = AgentConfig(algo="td3", hidden_dims=(3,))
+        path = tmp_path / "ck.txt"
+        Agent(cfg, obs_dim=2, seed=5).save(path)
+        pristine = raw = path.read_bytes()
+        for _ in range(data.draw(st.integers(1, 3))):
+            raw = self._mutate(data.draw, raw)
+        path.write_bytes(raw)
+        payload_only = raw != pristine and raw.startswith(pristine[: pristine.index(b"\n") + 1])
+        try:
+            agent = Agent.load(path, cfg)
+        except ValueError as exc:
+            message = str(exc)
+            assert message.startswith(f"{path}: ")
+            rest = message[len(f"{path}: "):]
+            payload_error = re.fullmatch(
+                r"payload is \d+ bytes, expected \d+ \(4\*n_values; truncated or extended file\)"
+                r"|payload CRC-32 is [0-9a-f]{8}, the header says \S+"
+                r"|network \w+_\d: values must be finite \(no NaN/Inf\)",
+                rest,
+            )
+            assert payload_error or rest.startswith("line 1: ") or rest == "empty file", message
+            assert payload_error or not payload_only, message
+        else:
+            assert not payload_only, "a changed payload loaded"
+            assert agent.obs_dim == 2
+            assert all(np.isfinite(p.flat).all() for p in agent.actors + agent.target_critics)
 
     @given(
         saliency=arrays(

@@ -15,8 +15,6 @@ from crashrl.numkit import (
     MlpSpec,
     ParamSet,
     adam_step,
-    decode_params,
-    encode_params,
     flat_grads,
     init_adam,
     init_params,
@@ -189,18 +187,6 @@ class TestFlatUpdatesMatchPerTensorReference:
         twin.flat[0] = 0.0
         assert params.flat[0] == 1.0 and not twin.equal(params)
         assert params.layout == (("w", (1, 2)), ("b", (1,)))
-
-    def test_checkpoint_text_formats_each_entry_with_nine_digits(self):
-        f32 = np.finfo(np.float32)
-        awkward = np.array([0.1, -0.0, 0.0, f32.smallest_subnormal, -f32.smallest_normal,
-                            f32.max, 1e16, 123456789012345678.0, -1.5, 1.0 / 3.0],
-                           dtype=np.float32).tolist()
-        params = ParamSet([("w", np.array(awkward[:8]).reshape(2, 4)),
-                           ("b", awkward[8:])])
-        w_line, b_line = encode_params(params).splitlines()[1:]
-        assert w_line == "w 2 2 4 " + " ".join(format(v, ".9g") for v in awkward[:8])
-        assert b_line == "b 1 2 " + " ".join(format(v, ".9g") for v in awkward[8:])
-        assert decode_params(encode_params(params).splitlines()).equal(params)
 
     def test_shape_mismatch_rejected(self):
         params = ParamSet([("w", [1.0, 2.0])])

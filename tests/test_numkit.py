@@ -9,8 +9,6 @@ from crashrl.numkit import (
     MlpSpec,
     ParamSet,
     adam_step,
-    decode_params,
-    encode_params,
     flat_grads,
     gradient_check,
     init_adam,
@@ -246,87 +244,6 @@ class TestSoftUpdate:
         lhs = abs(float(out["w"][0]) - on)
         rhs = (1.0 - tau) * abs(t0 - on)
         assert lhs <= rhs + 4 * np.spacing(np.float32(10.0))
-
-
-class TestCheckpointFormat:
-    def test_round_trip_bit_exact(self, tmp_path):
-        spec = MlpSpec(3, (5,), 2, output_activation="tanh")
-        params = init_params(spec, seed=77)
-        path = tmp_path / "params.txt"
-        path.write_text(encode_params(params), encoding="utf-8")
-        with open(path, encoding="utf-8") as f:
-            loaded = decode_params(f)
-        assert loaded.equal(params)
-        # byte-identical re-encode
-        assert encode_params(loaded) == encode_params(params)
-
-    def test_awkward_floats_survive(self, tmp_path):
-        f32 = np.finfo(np.float32)
-        params = ParamSet([("w", [0.1, f32.smallest_subnormal, f32.max, -0.0, 1 / 3])])
-        text = encode_params(params)
-        assert decode_params(text.splitlines()).equal(params)
-
-    @given(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False), min_size=1))
-    @settings(max_examples=200, deadline=None)
-    def test_nine_digits_round_trip_every_float32(self, values):
-        params = ParamSet([("w", values)])
-        assert decode_params(encode_params(params).splitlines()).equal(params)
-
-    def test_float64_era_record_names_its_tag(self):
-        with pytest.raises(
-            ValueError, match=r"^line 3: NKP1 is the float64 parameter format; this reader reads NKP2"
-        ):
-            decode_params(["NKP1 1", "w 1 1 0.5"], offset=2)
-
-    def test_truncated_record_rejected(self, tmp_path):
-        params = ParamSet([("w", [[1.0, 2.0]])])
-        text = encode_params(params)
-        broken = "\n".join(text.splitlines()[:-1]) + "\n" if text.count("\n") > 1 else "NKP2 1\n"
-        with pytest.raises(ValueError):
-            decode_params(broken.splitlines())
-
-    def test_value_count_mismatch_named(self):
-        with pytest.raises(ValueError, match="expects 2 values"):
-            decode_params(["NKP2 1", "w 1 2 0.5"])
-
-    @pytest.mark.parametrize("record", ["w 2 -1 -1 0.5", "w 2 -1 -2 0.5 1.5", "w 2 3"])
-    def test_bad_dimensions_name_the_line(self, record):
-        with pytest.raises(ValueError, match=r"^line 2: expected 2 nonnegative dimensions"):
-            decode_params(["NKP2 1", record])
-
-    @pytest.mark.parametrize("bad", ["nan", "-inf", "inf", "NaN"])
-    def test_non_finite_value_names_the_line(self, bad):
-        text = f"NKP2 2\nw 2 1 2 0.5 1.5\nb 1 2 0.25 {bad}\n"
-        with pytest.raises(ValueError, match=r"^line 7: tensor 'b' entries must be finite"):
-            decode_params(text.splitlines(), offset=4)
-
-    def test_non_integer_and_negative_counts_name_the_line(self):
-        with pytest.raises(ValueError, match=r"^line 3: NKP2 tensor count must be an integer"):
-            decode_params(["NKP2 one"], offset=2)
-        with pytest.raises(ValueError, match=r"^line 1: negative NKP2 tensor count -1"):
-            decode_params(["NKP2 -1"])
-
-    @pytest.mark.parametrize(
-        "lines,lineno",
-        [(["NKP2 1_0"], 1), (["NKP2 1", "w 1_0 0.5"], 2), (["NKP2 1", "w 1 1_0"], 2),
-         (["NKP2 1", "w 1 2 0.5 0.2_5"], 2)],
-    )
-    def test_underscore_in_a_number_names_the_line(self, lines, lineno):
-        with pytest.raises(ValueError, match=rf"^line {lineno}: '_' is not allowed in a number"):
-            decode_params(lines)
-
-    def test_underscore_in_a_tensor_name_is_allowed(self):
-        assert decode_params(["NKP2 1", "log_std 1 2 0.5 0.25"]).equal(
-            ParamSet([("log_std", [0.5, 0.25])])
-        )
-
-    def test_reads_exactly_one_record_from_an_iterator(self):
-        first = ParamSet([("w", [[1.0, -2.0]]), ("b", [0.5])])
-        second = ParamSet([("v", [3.0])])
-        lines = iter((encode_params(first) + encode_params(second) + "tail\n").splitlines())
-        assert decode_params(lines).equal(first)
-        assert decode_params(lines, offset=3).equal(second)
-        assert list(lines) == ["tail"]
 
 
 def test_exported_ops_are_deterministic():
