@@ -1,6 +1,6 @@
 """Continuous-action RL for dashcam accident anticipation.
 
-Subpackages: numkit (tensors, autodiff, Adam), env (episodes, attention
+Subpackages: numkit (parameter sets, MLP backprop, Adam), env (episodes, attention
 pipeline, rewards, MDP), agents (DDPG/TD3/SAC/DARC), metrics, harness
 (batch driver), cli.
 """

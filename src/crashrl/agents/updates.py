@@ -9,107 +9,145 @@ j, or, for a stochastic (SAC) actor, min_i Q_i - alpha * log pi with the
 reparameterization trick. After every actor phase all targets are Polyak-
 updated with rate tau.
 
-Each phase backpropagates only into the parameters it updates (the critics'
-in the critic phase, the actor's in the actor phase): no gradient is formed
-for observations, targets, or the critics an actor ascends. Adam and the
-Polyak sync then update each network's flat parameter vector in place.
+Each phase runs its networks forward with ``mlp_graph``, writes out the
+gradient of its loss with respect to each network's output by hand, and
+hands it to ``autodiff.backprop`` for the chain rule through the network.
+Only the parameters a phase updates get a gradient (the critics' in the
+critic phase, the actor's in the actor phase); the actor phase also forms
+the critics' input gradient, of which it uses the action columns. Adam and
+the Polyak sync then update each network's flat parameter vector in place.
 Every value and gradient is float32, as the batch and the parameters are.
+Each loss head runs the operations of its loss graph in the graph's order,
+and a gradient reaching a value along two paths is the sum of the two, so
+the gradients are bit-identical to a reverse-mode tape over the same graph
+(``tests/autodiff_reference.py`` keeps that tape as the oracle).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
 
 from ..env.mdp import DualAction
-from ..numkit import DTYPE, adam_step, flat_grads, lift_params, mlp_graph, soft_update
+from ..numkit import DTYPE, adam_step, mlp_graph, soft_update
 from ..numkit import autodiff as ad
 from .agent import LOG_STD_MAX, LOG_STD_MIN, Agent
 from .replay import ACTION_DIM, Batch, ReplayBuffer, Transition
 from .targets import LOG_TWO_PI, compute_targets
 
 
-def _squash01_node(t: ad.Node) -> ad.Node:
-    return ad.scale(ad.add_const(t, 1.0), 0.5)
+def _mean_grad(values: np.ndarray, scale=1.0):
+    """d(scale * mean(values)) / d(values), one entry: scale / n in their dtype."""
+    return values.dtype.type(scale) / values.size
 
 
-def _critic_loss(agent: Agent, batch: Batch, targets: np.ndarray):
-    """Graph for the summed critic losses, plus the nu-weighted coupling.
+def _critic_grads(agent: Agent, batch: Batch, targets: np.ndarray):
+    """Flat gradients of the summed critic losses plus the nu-weighted coupling.
 
-    Returns the loss node, each critic's parameter leaves, each critic's MSE
-    node, and the coupling term's value (0.0 when it is off).
+    The loss is sum_i mean((Q_i - y)^2) + nu * mean((Q_0 - Q_1)^2). Returns
+    each critic's gradient, each critic's MSE, and the coupling term's value
+    (0.0 when it is off).
     """
     cfg = agent.cfg
-    s = ad.lift(batch.s)
-    a = ad.lift(batch.action)
-    x = ad.concat_cols(s, a)
-    y = ad.lift(targets)
-
-    critic_nodes = [lift_params(p) for p in agent.critics]
-    q = [mlp_graph(nodes, agent.critic_spec, x) for nodes in critic_nodes]
-    mse = [ad.mean_all(ad.square(ad.sub(qi, y))) for qi in q]
-
-    loss = reduce(ad.add, mse)
+    x = np.concatenate([batch.s, batch.action], axis=1)
+    forward = [mlp_graph(p, agent.critic_spec, x) for p in agent.critics]
+    q = [out for out, _ in forward]
+    diffs = [qi - targets for qi in q]
+    mse = [float((d * d).mean()) for d in diffs]
+    upstream = [_mean_grad(d) * (2.0 * d) for d in diffs]
     reg_value = 0.0
     if cfg.coupled_critics and cfg.nu > 0.0:
-        reg = ad.mean_all(ad.square(ad.sub(q[0], q[1])))
-        reg_value = float(reg.value)
-        loss = ad.add(loss, ad.scale(reg, cfg.nu))
-    return loss, critic_nodes, mse, reg_value
+        d = q[0] - q[1]
+        reg_value = float((d * d).mean())
+        g = _mean_grad(d, cfg.nu) * (2.0 * d)
+        upstream[0] = upstream[0] + g
+        upstream[1] = upstream[1] - g
+    grads = [ad.backprop(record, g)[0] for (_, record), g in zip(forward, upstream)]
+    return grads, mse, reg_value
 
 
 def critic_update(agent: Agent, batch: Batch) -> dict[str, float]:
     """One Adam step per critic against the TD target; returns scalar losses."""
     cfg = agent.cfg
     targets = compute_targets(batch, agent).y
-    loss, critic_nodes, mse, reg_value = _critic_loss(agent, batch, targets)
-    ad.backprop(loss, 1.0, [leaf for nodes in critic_nodes for leaf in nodes.values()])
+    grads, mse, reg_value = _critic_grads(agent, batch, targets)
 
     losses: dict[str, float] = {}
-    for i, nodes in enumerate(critic_nodes):
-        adam_step(agent.critics[i], flat_grads(nodes), agent.critic_adam[i])
-        losses[f"critic_{i}"] = float(mse[i].value) + cfg.nu * reg_value
+    for i, grad in enumerate(grads):
+        adam_step(agent.critics[i], grad, agent.critic_adam[i])
+        losses[f"critic_{i}"] = mse[i] + cfg.nu * reg_value
     if cfg.coupled_critics:
         losses["critic_reg"] = reg_value
     agent.update_count += 1
     return losses
 
 
-def _det_actor_loss(agent: Agent, batch: Batch, actor_idx: int, critic_idx: int):
-    """Graph for -mean Q_critic(s, pi_actor(s)) and the actor's parameter leaves."""
-    s = ad.lift(batch.s)
-    actor_nodes = lift_params(agent.actors[actor_idx])
-    action = _squash01_node(mlp_graph(actor_nodes, agent.actor_spec, s))
-    critic_nodes = lift_params(agent.critics[critic_idx])
-    q = mlp_graph(critic_nodes, agent.critic_spec, ad.concat_cols(s, action))
-    return ad.neg(ad.mean_all(q)), actor_nodes
+def _action_grad(agent: Agent, records, upstream) -> np.ndarray:
+    """d/dt of sum_i sum(upstream_i * Q_i(s, 0.5 * (t + 1))), for the tanh output t.
 
-
-def _sac_actor_loss(agent: Agent, batch: Batch):
-    cfg = agent.cfg
-    s = ad.lift(batch.s)
-    actor_nodes = lift_params(agent.actors[0])
-    out = mlp_graph(actor_nodes, agent.actor_spec, s)
-    mean = ad.slice_cols(out, 0, ACTION_DIM)
-    log_std = ad.clip(ad.slice_cols(out, ACTION_DIM, 2 * ACTION_DIM), LOG_STD_MIN, LOG_STD_MAX)
-    eps = agent.rng.standard_normal((len(batch), ACTION_DIM)).astype(DTYPE)
-    u = ad.add(mean, ad.mul(ad.exp(log_std), ad.lift(eps)))
-    action = _squash01_node(ad.tanh(u))
-    # log pi with u = mean + std*eps: the normal term reduces to a constant in
-    # eps minus log_std; the tanh correction still depends on u.
-    const = -0.5 * eps * eps - 0.5 * LOG_TWO_PI
-    per_dim = ad.sub(ad.sub(ad.lift(const), log_std), ad.log_one_minus_tanh_sq(u))
-    logp = ad.sum_rows(per_dim)
-
-    critic_nodes = [lift_params(p) for p in agent.critics]
-    x = ad.concat_cols(s, action)
-    q_min = reduce(
-        ad.minimum, [mlp_graph(nodes, agent.critic_spec, x) for nodes in critic_nodes]
+    Each critic's input gradient is sliced to its action columns.
+    """
+    g_x = reduce(
+        np.add,
+        [
+            ad.backprop(record, g, params=False, inputs=True)[1]
+            for record, g in zip(records, upstream)
+        ],
     )
-    loss = ad.mean_all(ad.sub(ad.scale(logp, cfg.sac_alpha), q_min))
-    return loss, actor_nodes
+    return g_x[:, agent.obs_dim :] * 0.5
+
+
+def _det_actor_grad(agent: Agent, batch: Batch, actor_idx: int, critic_idx: int):
+    """-mean Q_critic(s, pi_actor(s)): its value and the actor's flat gradient."""
+    out, actor_record = mlp_graph(agent.actors[actor_idx], agent.actor_spec, batch.s)
+    x = np.concatenate([batch.s, (out + 1.0) * 0.5], axis=1)
+    q, critic_record = mlp_graph(agent.critics[critic_idx], agent.critic_spec, x)
+    g_q = np.full(q.shape, _mean_grad(q, -1.0), q.dtype)
+    g_t = _action_grad(agent, [critic_record], [g_q])
+    return float(-q.mean()), ad.backprop(actor_record, g_t)[0]
+
+
+def _sac_actor_grad(agent: Agent, batch: Batch):
+    """mean(alpha * log pi(a|s) - min_i Q_i(s, a)) for a = squash(tanh(u)),
+    u = mean + std * eps: its value and the actor's flat gradient."""
+    cfg = agent.cfg
+    out, actor_record = mlp_graph(agent.actors[0], agent.actor_spec, batch.s)
+    mean = out[:, :ACTION_DIM]
+    log_std_raw = out[:, ACTION_DIM:]
+    log_std = np.clip(log_std_raw, LOG_STD_MIN, LOG_STD_MAX)
+    inside = (log_std_raw >= LOG_STD_MIN) & (log_std_raw <= LOG_STD_MAX)
+    eps = agent.rng.standard_normal((len(batch), ACTION_DIM)).astype(DTYPE)
+    std = np.exp(log_std)
+    u = mean + std * eps
+    t = np.tanh(u)
+    # log pi with u = mean + std*eps: the normal term reduces to a constant in
+    # eps minus log_std; the tanh correction log(1 - tanh(u)^2) is
+    # 2*(ln2 - u - softplus(-2u)), with derivative -2*tanh(u).
+    const = -0.5 * eps * eps - 0.5 * LOG_TWO_PI
+    correction = 2.0 * (math.log(2.0) - u - np.logaddexp(0.0, -2.0 * u))
+    logp = ((const - log_std) - correction).sum(axis=1, keepdims=True)
+
+    x = np.concatenate([batch.s, (t + 1.0) * 0.5], axis=1)
+    (q0, record0), (q1, record1) = (
+        mlp_graph(p, agent.critic_spec, x) for p in agent.critics
+    )
+    take_0 = q0 <= q1
+    q_min = np.where(take_0, q0, q1)
+    loss = float((logp * cfg.sac_alpha - q_min).mean())
+
+    g = _mean_grad(q_min)  # d loss / d(alpha * logp - q_min), per row
+    g_logp = g * cfg.sac_alpha  # per entry of (const - log_std) - correction
+    g_t = _action_grad(agent, [record0, record1], [-g * take_0, -g * ~take_0])
+    # u reaches the loss through the action and the tanh correction; log_std
+    # through the normal term and std.
+    g_u = g_t * (1.0 - t * t) + (-g_logp) * (-2.0 * t)
+    g_log_std = -g_logp + (g_u * eps) * std
+    g_out = np.concatenate([g_u, g_log_std * inside], axis=1)
+    g_out += 0.0  # the two column slices' zero padding turns -0.0 into +0.0
+    return loss, ad.backprop(actor_record, g_out)[0]
 
 
 def _sync_targets(agent: Agent) -> None:
@@ -134,12 +172,11 @@ def actor_update(agent: Agent, batch: Batch) -> dict[str, float]:
     losses: dict[str, float] = {}
     for j in range(cfg.n_actors):
         if cfg.stochastic:
-            loss, actor_nodes = _sac_actor_loss(agent, batch)
+            loss, grad = _sac_actor_grad(agent, batch)
         else:
-            loss, actor_nodes = _det_actor_loss(agent, batch, j, j)
-        ad.backprop(loss, 1.0, list(actor_nodes.values()))
-        adam_step(agent.actors[j], flat_grads(actor_nodes), agent.actor_adam[j])
-        losses[f"actor_{j}"] = float(loss.value)
+            loss, grad = _det_actor_grad(agent, batch, j, j)
+        adam_step(agent.actors[j], grad, agent.actor_adam[j])
+        losses[f"actor_{j}"] = loss
     _sync_targets(agent)
     return losses
 

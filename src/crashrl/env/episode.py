@@ -167,28 +167,34 @@ def generate_episode(cfg: EnvConfig, seed: int) -> Episode:
             / (2.0 * BLOB_SIGMA**2)
         )
         blob_kernel = kernel / kernel.sum() * BLOB_GAIN
+        bx, by = blob_center.tolist()
 
-    # Ground-truth fixation track.
-    track = np.empty((t_len, 2))
-    track[0] = (0.5, 0.5)
+    # Ground-truth fixation track, stepped on Python floats.
+    noise = FIX_NOISE_POS if y == 1 else FIX_NOISE_NEG
+    steps = rng.normal(0.0, noise, size=(t_len - 1, 2)).tolist()
+    fx, fy = 0.5, 0.5
+    points = [(fx, fy)]
+    for sx, sy in steps:
+        if y == 1:  # drift toward the blob
+            fx += FIX_DRIFT_RATE * (bx - fx)
+            fy += FIX_DRIFT_RATE * (by - fy)
+        fx = min(max(fx + sx, 0.0), 1.0)
+        fy = min(max(fy + sy, 0.0), 1.0)
+        points.append((fx, fy))
+    track = np.array(points)
+
+    # Background times iid noise, 1 + BG_TEMPORAL_NOISE * (u - 0.5), for every
+    # frame at once (one draw of T frames gives the stream of T per-frame
+    # draws), plus the ramped blob.
+    saliency = rng.random((t_len, h, w))
+    saliency -= 0.5
+    saliency *= BG_TEMPORAL_NOISE
+    saliency += 1.0
+    saliency *= background
     if y == 1:
-        steps = rng.normal(0.0, FIX_NOISE_POS, size=(t_len - 1, 2))
-        for t in range(1, t_len):
-            pull = FIX_DRIFT_RATE * (blob_center - track[t - 1])
-            track[t] = np.clip(track[t - 1] + pull + steps[t - 1], 0.0, 1.0)
-    else:
-        steps = rng.normal(0.0, FIX_NOISE_NEG, size=(t_len - 1, 2))
-        for t in range(1, t_len):
-            track[t] = np.clip(track[t - 1] + steps[t - 1], 0.0, 1.0)
-
-    saliency = np.empty((t_len, h, w))
-    for t in range(t_len):
-        noise = 1.0 + BG_TEMPORAL_NOISE * (rng.random((h, w)) - 0.5)
-        field = background * noise
-        if y == 1 and t >= blob_onset(t_a):
-            ramp = min(1.0, (t - blob_onset(t_a)) / float(t_a - blob_onset(t_a)))
-            field = field + ramp * blob_kernel
-        saliency[t] = field
+        onset = blob_onset(t_a)
+        ramp = [min(1.0, (t - onset) / float(t_a - onset)) for t in range(onset, t_len)]
+        saliency[onset:] += np.array(ramp)[:, None, None] * blob_kernel
     normalize_fields(saliency)
 
     return Episode(saliency, y, t_a, track, cfg.fps, episode_id=f"gen{seed}")

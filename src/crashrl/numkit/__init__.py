@@ -1,11 +1,13 @@
-"""Minimal dense float32 math: reverse-mode autodiff, MLPs, Adam, Polyak updates.
+"""Minimal dense float32 math: MLPs with a recorded forward pass and its
+chain rule, Adam, Polyak updates.
 
 Each network's parameters live in one flat float32 vector (``ParamSet.flat``,
 dtype ``DTYPE``) with named ndarray views; Adam and Polyak updates run in
-place on it, and backprop can be pruned to the leaves whose gradients are
-wanted. The ops follow their inputs' dtype, so gradient checks run them in
-float64 on a cast copy. Parameters have no disk format here; checkpoints
-(``agents.agent``) write the flat vectors on the ``crashrl.records`` framing.
+place on it, and ``autodiff.backprop`` returns a gradient in the same
+layout. The forward and backward passes follow the parameters' dtype, so
+gradient checks run them in float64 on a cast copy. Parameters have no disk
+format here; checkpoints (``agents.agent``) write the flat vectors on the
+``crashrl.records`` framing.
 """
 
 from . import autodiff
@@ -13,10 +15,8 @@ from .mlp import (
     FD_STEP,
     MlpSpec,
     RELU_KINK_MARGIN,
-    flat_grads,
     gradient_check,
     init_params,
-    lift_params,
     mlp_apply,
     mlp_graph,
 )
@@ -32,11 +32,9 @@ __all__ = [
     "ParamSet",
     "RELU_KINK_MARGIN",
     "adam_step",
-    "flat_grads",
     "gradient_check",
     "init_adam",
     "init_params",
-    "lift_params",
     "mlp_apply",
     "mlp_graph",
     "soft_update",

@@ -3,11 +3,10 @@
 Networks are plain chains: affine -> relu per hidden layer, then an affine
 output head with identity or tanh activation. Parameters are named
 ``w0, b0, w1, b1, ...`` with weight shape [fan_in, fan_out], stored in that
-order in one flat vector (see ``ParamSet``). ``mlp_apply`` is the graph-free
-forward pass. For gradients, ``lift_params`` makes a graph leaf of each named
-view, ``mlp_graph`` builds the forward graph on them, ``autodiff.backprop``
-pushes the loss gradient back, and ``flat_grads`` gathers the leaves'
-gradients into one vector with the parameters' layout, ready for
+order in one flat vector (see ``ParamSet``). ``mlp_apply`` is the forward
+pass for acting and for targets. For gradients, ``mlp_graph`` runs the
+forward pass and records what ``autodiff.backprop`` needs to push a loss
+gradient back into one flat vector with the parameters' layout, ready for
 ``adam_step``. Every value and gradient has the parameters' dtype: float32
 for the networks ``init_params`` makes; ``gradient_check`` runs the same
 functions on a float64 cast copy.
@@ -16,7 +15,6 @@ functions on a float64 cast copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -85,41 +83,47 @@ def _check_input(spec: MlpSpec, x: np.ndarray, dtype) -> np.ndarray:
     return x
 
 
-def mlp_graph(params: Mapping[str, ad.Node], spec: MlpSpec, x: ad.Node) -> ad.Node:
-    """Build the forward graph on existing nodes (shared-parameter use)."""
-    h = x
+def tanh_head_bound(dtype) -> np.floating:
+    """The largest value below 1 in ``dtype``, which tanh heads are clamped to.
+
+    tanh rounds to exactly +/-1.0 for |x| >~ 9 in float32 (>~ 19 in float64);
+    the clamp keeps heads strictly inside (-1, 1).
+    """
+    scalar = np.dtype(dtype).type
+    return np.nextafter(scalar(1), scalar(0))
+
+
+def mlp_graph(
+    params: ParamSet, spec: MlpSpec, x: np.ndarray
+) -> tuple[np.ndarray, ad.MlpRecord]:
+    """Forward pass for a gradient phase: the output and its ``MlpRecord``.
+
+    The output equals ``mlp_apply``'s except at relu's edge cases: relu is
+    fmax(a, 0) + 0.0, which maps NaN to 0 and -0.0 to +0.0, so every entry
+    equals where(a > 0, a, +0.0) bit for bit. The record keeps each layer's
+    input, each relu mask and a tanh head's unclamped tanh.
+    """
+    h = _check_input(spec, x, params["w0"].dtype)
+    inputs, masks = [], []
     n_layers = len(spec.hidden_dims) + 1
     for i in range(n_layers):
-        h = ad.affine(h, params[f"w{i}"], params[f"b{i}"])
+        inputs.append(h)
+        h = h @ params[f"w{i}"]
+        h += params[f"b{i}"]
         if i < n_layers - 1:
-            h = ad.relu(h)
+            masks.append(h > 0.0)
+            np.fmax(h, 0.0, out=h)
+            h += 0.0
+    tanh = None
     if spec.output_activation == "tanh":
-        h = ad.tanh_head(h)
-    return h
-
-
-def lift_params(params: ParamSet) -> dict[str, ad.Node]:
-    """One graph leaf per named tensor, viewing the parameters (no copy)."""
-    return {name: ad.lift(array) for name, array in params}
-
-
-def flat_grads(nodes: Mapping[str, ad.Node]) -> np.ndarray:
-    """Gradients of lifted parameters as one flat vector, in ParamSet order.
-
-    Leaves the last backprop did not reach contribute zeros.
-    """
-    return np.concatenate(
-        [
-            np.zeros(node.value.size, node.value.dtype)
-            if node.grad is None
-            else node.grad.reshape(-1)
-            for node in nodes.values()
-        ]
-    )
+        tanh = np.tanh(h)
+        bound = tanh_head_bound(h.dtype)
+        h = np.clip(tanh, -bound, bound)
+    return h, ad.MlpRecord(params, inputs, masks, tanh)
 
 
 def mlp_apply(params: ParamSet, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
-    """Graph-free forward pass for action selection and target computation.
+    """Forward pass for action selection and target computation (no record).
 
     ``x`` is cast to the parameters' dtype, so the forward pass runs in it.
     Each layer's matmul output is a fresh array, so the bias, relu and head
@@ -134,7 +138,7 @@ def mlp_apply(params: ParamSet, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
             np.maximum(h, 0.0, out=h)
     if spec.output_activation == "tanh":
         np.tanh(h, out=h)
-        bound = ad.tanh_head_bound(h.dtype)
+        bound = tanh_head_bound(h.dtype)
         np.clip(h, -bound, bound, out=h)
     return h
 
@@ -177,11 +181,9 @@ def gradient_check(spec: MlpSpec, seed: int, probes: int) -> float:
     weighting = rng.standard_normal((batch, spec.output_dim))
 
     # Analytic gradients along the path the gradient phases run.
-    param_nodes = lift_params(params)
-    x_node = ad.lift(x)
-    out = mlp_graph(param_nodes, spec, x_node)
-    ad.backprop(out, weighting, [*param_nodes.values(), x_node])
-    analytic = np.concatenate([flat_grads(param_nodes), x_node.grad.reshape(-1)])
+    _, record = mlp_graph(params, spec, x)
+    param_grads, input_grads = ad.backprop(record, weighting, inputs=True)
+    analytic = np.concatenate([param_grads, input_grads.reshape(-1)])
 
     def loss(p: ParamSet, xv: np.ndarray) -> float:
         return float(np.sum(mlp_apply(p, spec, xv) * weighting))

@@ -8,6 +8,7 @@ little-endian float32 (``agents.agent``).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -63,7 +64,7 @@ class ParamSet:
         """
         layout = tuple((name, tuple(int(d) for d in shape)) for name, shape in layout)
         flat = np.asarray(flat)
-        sizes = [int(np.prod(shape, dtype=np.int64)) for _, shape in layout]
+        sizes = [math.prod(shape) for _, shape in layout]
         if flat.ndim != 1 or flat.size != sum(sizes):
             raise ValueError(
                 f"flat vector of shape {flat.shape} does not fill {sum(sizes)} entries"

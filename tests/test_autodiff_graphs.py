@@ -1,19 +1,21 @@
-"""Finite-difference verification of the non-MLP graph ops and loss graphs.
+"""Finite-difference verification of the loss heads and the tape's ops.
 
-gradient_check covers the plain MLP chain; these tests cover the remaining
-ops (concat, slice, clip, exp, mul, minimum, tanh-square correction, row
-sums) through the exact loss graphs the agents build. The ops follow their
-inputs' dtype, so each check runs them in float64 on a cast copy of the
-agent's float32 networks (``as_float64``), with float64 tolerances.
+gradient_check covers the plain MLP chain; these tests cover the loss heads
+the gradient phases write out by hand on top of it (concat, slice, clip,
+exp, mul, minimum, tanh-square correction, row sums): the critic loss with
+DARC's coupling, the deterministic actor's -mean Q and SAC's tanh-Gaussian
+head. The heads follow their inputs' dtype, so each check runs them in
+float64 on a cast copy of the agent's float32 networks (``as_float64``),
+with float64 tolerances. The first tests check the ops of the tape in
+``autodiff_reference``, the oracle the heads are compared with bit for bit.
 """
 
 import numpy as np
-import pytest
 
+import autodiff_reference as ad
 from crashrl.agents import Agent, AgentConfig, Batch
-from crashrl.agents.updates import _det_actor_loss, _sac_actor_loss
-from crashrl.numkit import lift_params, mlp_apply, mlp_graph
-from crashrl.numkit import autodiff as ad
+from crashrl.agents.updates import _critic_grads, _det_actor_grad, _sac_actor_grad
+from crashrl.numkit import mlp_apply
 
 H = 1e-6
 
@@ -87,14 +89,13 @@ def test_sac_actor_loss_gradients_match_finite_differences():
         np.zeros((4, 1)),
     )
     state = agent.rng.bit_generator.state
-    loss_node, actor_nodes = _sac_actor_loss(agent, batch)
-    ad.backprop(loss_node, 1.0)
-    grads = {name: actor_nodes[name].grad for name, _ in agent.actors[0]}
+    _, grad = _sac_actor_grad(agent, batch)
+    grads = agent.actors[0].like(grad)
 
     def loss_value():
         agent.rng.bit_generator.state = state
-        node, _ = _sac_actor_loss(agent, batch)
-        return float(node.value)
+        loss, _ = _sac_actor_grad(agent, batch)
+        return loss
 
     agent.rng.bit_generator.state = state
     checked = 0
@@ -116,9 +117,8 @@ def test_det_actor_loss_gradients_match_finite_differences():
         rng.uniform(0, 1, (4, 1)), rng.uniform(0, 1, (4, 3)),
         np.zeros((4, 1)),
     )
-    loss_node, actor_nodes = _det_actor_loss(agent, batch, 0, 0)
-    ad.backprop(loss_node, 1.0)
-    grads = {name: actor_nodes[name].grad for name, _ in agent.actors[0]}
+    _, grad = _det_actor_grad(agent, batch, 0, 0)
+    grads = agent.actors[0].like(grad)
 
     def loss_value():
         a = 0.5 * (mlp_apply(agent.actors[0], agent.actor_spec, batch.s) + 1.0)
@@ -146,19 +146,8 @@ def test_darc_critic_loss_gradients_match_finite_differences():
     )
     targets = rng.uniform(0, 1, (4, 1))
 
-    s, a = ad.lift(batch.s), ad.lift(batch.action)
-    x = ad.concat_cols(s, a)
-    nodes = [lift_params(p) for p in agent.critics]
-    q = [mlp_graph(n, agent.critic_spec, x) for n in nodes]
-    y = ad.lift(targets)
-    loss = ad.add(
-        ad.add(
-            ad.mean_all(ad.square(ad.sub(q[0], y))),
-            ad.mean_all(ad.square(ad.sub(q[1], y))),
-        ),
-        ad.scale(ad.mean_all(ad.square(ad.sub(q[0], q[1]))), cfg.nu),
-    )
-    ad.backprop(loss, 1.0)
+    grads, _, _ = _critic_grads(agent, batch, targets)
+    grads = [p.like(g) for p, g in zip(agent.critics, grads)]
 
     def loss_value():
         xv = np.concatenate([batch.s, batch.action], axis=1)
@@ -172,7 +161,7 @@ def test_darc_critic_loss_gradients_match_finite_differences():
 
     for ci in range(2):
         for name, tensor in agent.critics[ci]:
-            flat_grad = nodes[ci][name].grad.reshape(-1)
+            flat_grad = grads[ci][name].reshape(-1)
             for idx in range(0, tensor.size, max(1, tensor.size // 4)):
                 numeric = fd(loss_value, tensor, idx)
                 assert rel_err(flat_grad[idx], numeric) < 1e-4, (ci, name, idx)

@@ -1,26 +1,25 @@
-"""Flat parameter vectors, in-place Adam/Polyak, and pruned backprop.
+"""Flat parameter vectors, in-place Adam/Polyak, and the oracle's pruned backprop.
 
-The gradient phases backpropagate only into the parameters they update, and
-Adam and the Polyak sync work on each network's flat vector. These tests pin
-both to the plain definitions: pruned gradients equal unpruned ones bit for
-bit, and the flat updates equal a per-tensor reference bit for bit.
+Adam and the Polyak sync work on each network's flat vector; these tests pin
+them to a per-tensor reference bit for bit. ``TestPrunedBackprop`` checks the
+tape in ``autodiff_reference``, the oracle the gradient phases are compared
+with (``test_tape_oracle``): its pruned gradients equal unpruned ones bit for
+bit, so the oracle's pruning cannot hide a gradient.
 """
 
 import numpy as np
 import pytest
 
+import autodiff_reference as ad
 from crashrl.agents import Agent, AgentConfig, Batch, critic_update
-from crashrl.agents.updates import _critic_loss, _det_actor_loss, _sac_actor_loss
 from crashrl.numkit import (
     MlpSpec,
     ParamSet,
     adam_step,
-    flat_grads,
     init_adam,
     init_params,
     soft_update,
 )
-from crashrl.numkit import autodiff as ad
 
 
 def random_batch(rng, n, obs_dim):
@@ -65,7 +64,7 @@ class TestPrunedBackprop:
         agent = Agent(AgentConfig(algo=algo, hidden_dims=(16, 8), nu=0.3), obs_dim=5, seed=1)
         rng = np.random.default_rng(2)
         batch = random_batch(rng, 32, 5)
-        loss, critic_nodes, _, _ = _critic_loss(agent, batch, rng.uniform(0, 1, (32, 1)))
+        loss, critic_nodes, _, _ = ad.critic_loss(agent, batch, rng.uniform(0, 1, (32, 1)))
         wanted = [leaf for nodes in critic_nodes for leaf in nodes.values()]
         assert_pruning_is_exact(loss, wanted)
 
@@ -73,13 +72,13 @@ class TestPrunedBackprop:
     def test_det_actor_loss_graph(self, algo, pair):
         agent = Agent(AgentConfig(algo=algo, hidden_dims=(16, 8)), obs_dim=5, seed=3)
         batch = random_batch(np.random.default_rng(4), 32, 5)
-        loss, actor_nodes = _det_actor_loss(agent, batch, *pair)
+        loss, actor_nodes = ad.det_actor_loss(agent, batch, *pair)
         assert_pruning_is_exact(loss, list(actor_nodes.values()))
 
     def test_sac_actor_loss_graph(self):
         agent = Agent(AgentConfig(algo="sac", hidden_dims=(16, 8)), obs_dim=5, seed=5)
         batch = random_batch(np.random.default_rng(6), 32, 5)
-        loss, actor_nodes = _sac_actor_loss(agent, batch)
+        loss, actor_nodes = ad.sac_actor_loss(agent, batch)
         assert_pruning_is_exact(loss, list(actor_nodes.values()))
 
     def test_wanted_interior_node_stops_the_push(self):
@@ -102,7 +101,7 @@ class TestPrunedBackprop:
         nodes = {name: ad.lift(t) for name, t in init_params(spec, seed=0)}
         out = ad.sum_all(ad.add(ad.lift(np.ones((1, 4))), nodes["b0"]))
         ad.backprop(out, 1.0, [nodes["b0"]])
-        flat = flat_grads(nodes)
+        flat = ad.flat_grads(nodes)
         assert flat.shape == (3 * 4 + 4 + 4 * 2 + 2,)
         assert np.array_equal(flat[12:16], np.ones(4))
         assert np.count_nonzero(flat) == 4

@@ -18,7 +18,7 @@ from crashrl.agents import agent as agent_module
 from crashrl.agents import targets as targets_module
 from crashrl.agents import updates as updates_module
 from crashrl.env import AccidentEnv, EnvConfig, generate_episode
-from crashrl.numkit import MlpSpec, gradient_check
+from crashrl.numkit import MlpSpec, ParamSet, gradient_check
 from crashrl.numkit import autodiff as ad
 from crashrl.numkit import mlp as mlp_module
 
@@ -39,11 +39,17 @@ def _recorder(monkeypatch, module, name, record):
 
 
 def _arrays(values):
+    """The float arrays among ``values``, looking into tuples, parameter sets
+    and forward records (whose relu masks are bool by construction)."""
     for value in values:
-        if isinstance(value, ad.Node):
-            yield value.value
-        elif isinstance(value, np.ndarray):
+        if isinstance(value, np.ndarray):
             yield value
+        elif isinstance(value, ParamSet):
+            yield value.flat
+        elif isinstance(value, ad.MlpRecord):
+            yield from _arrays([value.params, *value.inputs, value.tanh])
+        elif isinstance(value, tuple):
+            yield from _arrays(value)
 
 
 @pytest.mark.parametrize("algo", ALGOS)
@@ -59,11 +65,14 @@ def test_training_keeps_every_core_array_float32(algo, monkeypatch):
         (updates_module, "mlp_graph"),
         (updates_module, "adam_step"),
         (updates_module, "soft_update"),
-        (ad, "affine"),
+        (ad, "backprop"),
     ):
         _recorder(monkeypatch, module, name, record)
-    grads = []
-    _recorder(monkeypatch, updates_module, "flat_grads", lambda n, a, out: grads.append(out))
+    grads = []  # every parameter gradient backprop returns
+    _recorder(
+        monkeypatch, ad, "backprop",
+        lambda n, a, out: grads.extend(g for g in out[:1] if g is not None),
+    )
 
     env_cfg = EnvConfig(grid_h=8, grid_w=8, pool_h=4, pool_w=4, stack=2, episode_len=12)
     cfg = AgentConfig(
@@ -110,10 +119,9 @@ def test_gradient_check_computes_in_float64(monkeypatch):
     )
     for name in ("mlp_apply", "mlp_graph"):
         _recorder(monkeypatch, mlp_module, name, record)
-    _recorder(monkeypatch, ad, "affine", record)
     _recorder(monkeypatch, ad, "backprop", record)
     spec = MlpSpec(4, (8, 8), 3, output_activation="tanh")
     assert gradient_check(spec, seed=0, probes=10) < 1e-4
     names = {name for name, _ in seen}
-    assert names == {"mlp_apply", "mlp_graph", "affine", "backprop"}
+    assert names == {"mlp_apply", "mlp_graph", "backprop"}
     assert {dtype for _, dtype in seen} == {F64}

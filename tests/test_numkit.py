@@ -1,4 +1,4 @@
-"""numkit: named parameter sets, autodiff through MLPs, Adam, soft updates."""
+"""numkit: named parameter sets, MLP forward and backward passes, Adam, soft updates."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,9 @@ from crashrl.numkit import (
     MlpSpec,
     ParamSet,
     adam_step,
-    flat_grads,
     gradient_check,
     init_adam,
     init_params,
-    lift_params,
     mlp_apply,
     mlp_graph,
     soft_update,
@@ -26,11 +24,9 @@ def backprop_mlp(params, spec, x, upstream):
 
     Returns (parameter gradients as a ParamSet, input gradient).
     """
-    nodes = lift_params(params)
-    x_node = ad.lift(np.asarray(x, dtype=np.float64))
-    out = mlp_graph(nodes, spec, x_node)
-    ad.backprop(out, upstream, [*nodes.values(), x_node])
-    return params.like(flat_grads(nodes)), x_node.grad
+    _, record = mlp_graph(params, spec, x)
+    grads, input_grad = ad.backprop(record, upstream, inputs=True)
+    return params.like(grads), input_grad
 
 
 def test_tensor_rejects_nonfinite():
@@ -120,8 +116,8 @@ class TestMlpForward:
         spec = MlpSpec(5, (7, 3), 2, output_activation="tanh")
         params = init_params(spec, seed=9)
         x = np.random.default_rng(1).normal(size=(6, 5))
-        # mlp_apply casts x to the parameters' float32; the graph takes it cast.
-        y = mlp_graph(lift_params(params), spec, ad.lift(x.astype(np.float32))).value
+        # Both cast x to the parameters' float32.
+        y, _ = mlp_graph(params, spec, x)
         assert np.array_equal(y, mlp_apply(params, spec, x))
 
 

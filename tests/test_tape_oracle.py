@@ -1,0 +1,202 @@
+"""The gradient phases equal the tape they replaced, bit for bit.
+
+``crashrl.agents.updates`` runs each loss head by hand on plain arrays
+(``mlp_graph`` plus ``autodiff.backprop``). ``tests/autodiff_reference.py``
+keeps the tape autodiff and the three loss graphs it ran. Two agents built
+from the same seed take the same batches, one through each path; after
+every update their parameters, target networks, Adam moments and step
+counts, losses and RNG state must agree exactly (NaN payloads and the sign
+of zero included). The cases cover every algorithm at a small scale and at
+the default scale (64x64 networks, batch 256), and a saturated variant whose
+tanh heads clamp and whose SAC log-std leaves its clip range.
+"""
+
+import numpy as np
+import pytest
+
+import autodiff_reference as tape
+from crashrl.agents import ALGOS, Agent, AgentConfig, Batch
+from crashrl.agents import updates
+from crashrl.env import EnvConfig
+from crashrl.numkit import MlpSpec, init_params, mlp_graph
+from crashrl.numkit import autodiff as ad
+
+UPDATES = 26
+
+
+def random_batch(rng, n, obs_dim):
+    return Batch(
+        rng.uniform(0, 1, (n, obs_dim)), rng.uniform(0, 1, (n, 3)),
+        rng.uniform(-1, 1, (n, 1)), rng.uniform(0, 1, (n, obs_dim)),
+        (rng.uniform(0, 1, (n, 1)) < 0.2).astype(float),
+    )
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        a.dtype == b.dtype
+        and a.shape == b.shape
+        and np.array_equal(a.reshape(-1).view(np.uint8), b.reshape(-1).view(np.uint8))
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "hidden,head", [((), "identity"), ((8,), "tanh"), ((16, 8), "identity"), ((16, 8, 4), "tanh")]
+)
+def test_backprop_matches_the_tape_on_mlp_chains(hidden, head, dtype):
+    spec = MlpSpec(5, hidden, 3, output_activation=head)
+    params = init_params(spec, seed=3)
+    params = params.like(params.flat.astype(dtype) * 3.0)  # some tanh entries clamp
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((9, 5)).astype(dtype)
+    x[2] = 0.0  # exact-zero pre-activations in the first hidden layer
+    upstream = rng.standard_normal((9, 3)).astype(dtype)
+
+    out, record = mlp_graph(params, spec, x)
+    flat, dx = ad.backprop(record, upstream, inputs=True)
+    nodes, x_node = tape.lift_params(params), tape.lift(x)
+    root = tape.mlp_graph(nodes, spec, x_node)
+    tape.backprop(root, upstream, [*nodes.values(), x_node])
+    assert same_bits(out, root.value)
+    assert same_bits(flat, tape.flat_grads(nodes))
+    assert same_bits(dx, x_node.grad)
+    assert same_bits(ad.backprop(record, upstream)[0], flat)
+
+
+def test_backprop_forms_only_the_requested_gradients():
+    spec = MlpSpec(4, (6,), 2)
+    params = init_params(spec, seed=0)
+    _, record = mlp_graph(params, spec, np.ones((3, 4), np.float32))
+    up = np.ones((3, 2), np.float32)
+    flat, dx = ad.backprop(record, up)
+    assert flat.shape == params.flat.shape and flat.dtype == np.float32 and dx is None
+    flat, dx = ad.backprop(record, up, params=False, inputs=True)
+    assert flat is None and dx.shape == (3, 4) and dx.dtype == np.float32
+    with pytest.raises(ValueError, match=r"upstream gradient shape \(3, 1\) does not match"):
+        ad.backprop(record, np.ones((3, 1)))
+
+
+def agent_arrays(agent):
+    """Every array of an agent's state, by name."""
+    arrays = {}
+    for kind in ("actors", "critics", "target_actors", "target_critics"):
+        for i, params in enumerate(getattr(agent, kind)):
+            arrays[f"{kind}[{i}]"] = params.flat
+    for kind in ("actor_adam", "critic_adam"):
+        for i, state in enumerate(getattr(agent, kind)):
+            arrays[f"{kind}[{i}].m"] = state.m.flat
+            arrays[f"{kind}[{i}].v"] = state.v.flat
+    return arrays
+
+
+def assert_same_state(agent, ref, step):
+    got, want = agent_arrays(agent), agent_arrays(ref)
+    assert got.keys() == want.keys()
+    for name in got:
+        assert same_bits(got[name], want[name]), (step, name)
+    assert [s.t for s in agent.actor_adam + agent.critic_adam] == [
+        s.t for s in ref.actor_adam + ref.critic_adam
+    ], step
+    assert agent.update_count == ref.update_count, step
+    assert agent.rng.bit_generator.state == ref.rng.bit_generator.state, step
+
+
+def saturate(agent):
+    """Scale every actor's output layer so tanh heads clamp and log-std clips.
+
+    A SAC actor's first log-std column also sits far below its clip range on
+    every row, so that column's gradient is a column of signed zeros.
+    """
+    n = len(agent.cfg.hidden_dims)
+    for params in agent.actors + agent.target_actors:
+        params[f"w{n}"][:] *= 400.0
+        if agent.cfg.stochastic:
+            params[f"b{n}"][3] = -1e4
+
+
+CASES = [
+    pytest.param(dict(hidden_dims=(16, 8), batch_size=32), 7, False, id="small"),
+    pytest.param(dict(batch_size=256), EnvConfig().obs_dim, False, id="default"),
+    pytest.param(dict(hidden_dims=(16, 8), batch_size=32), 7, True, id="saturated"),
+]
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize("kwargs,obs_dim,saturated", CASES)
+def test_updates_match_the_tape_bit_for_bit(algo, kwargs, obs_dim, saturated):
+    cfg = AgentConfig(algo=algo, nu=0.3, **kwargs)
+    agent, ref = Agent(cfg, obs_dim, seed=11), Agent(cfg, obs_dim, seed=11)
+    if saturated:
+        saturate(agent)
+        saturate(ref)
+    rng = np.random.default_rng(12)
+    actor_phases = 0
+    for step in range(UPDATES):
+        batch = random_batch(rng, cfg.batch_size, obs_dim)
+        losses = updates.update(agent, batch)
+        want = tape.update(ref, batch)
+        assert losses.keys() == want.keys(), step
+        for name in losses:
+            assert same_bits(losses[name], want[name]), (step, name)
+        assert_same_state(agent, ref, step)
+        actor_phases += any(name.startswith("actor") for name in losses)
+    assert actor_phases == UPDATES // cfg.actor_delay
+
+
+def tape_actor_grad(agent, batch, j):
+    if agent.cfg.stochastic:
+        loss, nodes = tape.sac_actor_loss(agent, batch)
+    else:
+        loss, nodes = tape.det_actor_loss(agent, batch, j, j)
+    tape.backprop(loss, 1.0, list(nodes.values()))
+    return float(loss.value), tape.flat_grads(nodes)
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize("saturated", [False, True])
+def test_loss_gradients_match_the_tape_bit_for_bit(algo, saturated):
+    """Each loss head's gradients before Adam, which would absorb a signed zero."""
+    cfg = AgentConfig(algo=algo, hidden_dims=(16, 8), nu=0.3)
+    agent = Agent(cfg, 7, seed=11)
+    if saturated:
+        saturate(agent)
+    rng = np.random.default_rng(13)
+    batch = random_batch(rng, 32, 7)
+    targets = rng.uniform(-1, 1, (32, 1)).astype(np.float32)
+
+    grads, mse, reg = updates._critic_grads(agent, batch, targets)
+    loss, nodes, mse_nodes, want_reg = tape.critic_loss(agent, batch, targets)
+    tape.backprop(loss, 1.0, [leaf for n in nodes for leaf in n.values()])
+    assert reg == want_reg and mse == [float(m.value) for m in mse_nodes]
+    for got, n in zip(grads, nodes):
+        assert same_bits(got, tape.flat_grads(n))
+
+    for j in range(cfg.n_actors):
+        state = agent.rng.bit_generator.state
+        if cfg.stochastic:
+            got = updates._sac_actor_grad(agent, batch)
+        else:
+            got = updates._det_actor_grad(agent, batch, j, j)
+        agent.rng.bit_generator.state = state
+        want = tape_actor_grad(agent, batch, j)
+        assert got[0] == want[0] and same_bits(got[1], want[1]), j
+
+
+def test_saturated_case_reaches_the_clamps():
+    """The saturated SAC actor drives log-std out of [LOG_STD_MIN, LOG_STD_MAX]
+    and the deterministic tanh heads to their clamp."""
+    obs_dim = 7
+    rng = np.random.default_rng(12)
+    s = random_batch(rng, 32, obs_dim).s
+    sac = Agent(AgentConfig(algo="sac", hidden_dims=(16, 8)), obs_dim, seed=11)
+    saturate(sac)
+    out, _ = updates.mlp_graph(sac.actors[0], sac.actor_spec, s)
+    log_std = out[:, 3:]
+    assert (log_std > 2.0).any() and (log_std[:, 1:] < -20.0).any()
+    assert (log_std[:, 0] < -20.0).all()
+    td3 = Agent(AgentConfig(algo="td3", hidden_dims=(16, 8)), obs_dim, seed=11)
+    saturate(td3)
+    _, record = updates.mlp_graph(td3.actors[0], td3.actor_spec, s)
+    assert (np.abs(record.tanh) == 1.0).any()
