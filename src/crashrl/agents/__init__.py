@@ -9,7 +9,7 @@ from .agent import (
     squash01,
 )
 from .config import ALGOS, AgentConfig
-from .replay import ACTION_DIM, Batch, ReplayBuffer, Transition
+from .replay import ACTION_DIM, Batch, ReplayBuffer
 from .targets import TargetParts, compute_targets, tanh_gaussian_logprob
 from .updates import StepLog, actor_update, critic_update, train_step, update
 
@@ -25,7 +25,6 @@ __all__ = [
     "ReplayBuffer",
     "StepLog",
     "TargetParts",
-    "Transition",
     "actor_update",
     "compute_targets",
     "config_hash",

@@ -1,7 +1,8 @@
 """FIFO experience replay with seeded uniform sampling.
 
-A ``Transition`` carries the environment's float64 values; the buffer stores
-them, and every ``Batch`` holds them, in the network core's float32.
+``push`` takes one transition (s, a, r, s', done) in the environment's
+float64; the buffer stores it, and every ``Batch`` holds it, in the network
+core's float32.
 """
 
 from __future__ import annotations
@@ -13,31 +14,6 @@ import numpy as np
 from ..numkit import DTYPE
 
 ACTION_DIM = 3
-
-
-@dataclass(frozen=True)
-class Transition:
-    """One off-policy sample: (s, a, r, s', done) with the flattened dual action."""
-
-    s: np.ndarray
-    action: np.ndarray
-    r: float
-    s_next: np.ndarray
-    done: bool
-
-    def __post_init__(self):
-        s = np.ascontiguousarray(self.s, dtype=np.float64).reshape(-1)
-        s_next = np.ascontiguousarray(self.s_next, dtype=np.float64).reshape(-1)
-        action = np.ascontiguousarray(self.action, dtype=np.float64).reshape(-1)
-        if s.shape != s_next.shape:
-            raise ValueError("state and next-state feature lengths must match")
-        if action.size != ACTION_DIM:
-            raise ValueError(f"action must have {ACTION_DIM} components")
-        if np.any(action < 0.0) or np.any(action > 1.0):
-            raise ValueError("action components must lie in [0, 1]")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "s_next", s_next)
 
 
 @dataclass(frozen=True)
@@ -80,22 +56,31 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def push(self, tr: Transition) -> None:
+    def push(self, s, action, r: float, s_next, done: bool) -> None:
+        """Store one transition with the flattened dual action; evicts the oldest when full."""
+        s = np.ascontiguousarray(s, dtype=np.float64).reshape(-1)
+        s_next = np.ascontiguousarray(s_next, dtype=np.float64).reshape(-1)
+        action = np.ascontiguousarray(action, dtype=np.float64).reshape(-1)
+        if s.shape != s_next.shape:
+            raise ValueError("state and next-state feature lengths must match")
+        if action.size != ACTION_DIM:
+            raise ValueError(f"action must have {ACTION_DIM} components")
+        if np.any(action < 0.0) or np.any(action > 1.0):
+            raise ValueError("action components must lie in [0, 1]")
         if self._s is None:
-            dim = tr.s.size
-            self._s = np.empty((self.capacity, dim), DTYPE)
-            self._s2 = np.empty((self.capacity, dim), DTYPE)
-        elif tr.s.size != self._s.shape[1]:
+            self._s = np.empty((self.capacity, s.size), DTYPE)
+            self._s2 = np.empty((self.capacity, s.size), DTYPE)
+        elif s.size != self._s.shape[1]:
             raise ValueError(
-                f"transition feature length {tr.s.size} does not match "
+                f"transition feature length {s.size} does not match "
                 f"buffer width {self._s.shape[1]}"
             )
         i = self._head
-        self._s[i] = tr.s
-        self._a[i] = tr.action
-        self._r[i] = tr.r
-        self._s2[i] = tr.s_next
-        self._d[i] = 1.0 if tr.done else 0.0
+        self._s[i] = s
+        self._a[i] = action
+        self._r[i] = r
+        self._s2[i] = s_next
+        self._d[i] = 1.0 if done else 0.0
         self._head = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 

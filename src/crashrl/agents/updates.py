@@ -31,11 +31,10 @@ from functools import reduce
 
 import numpy as np
 
-from ..env.mdp import DualAction
 from ..numkit import DTYPE, adam_step, mlp_graph, soft_update
 from ..numkit import autodiff as ad
 from .agent import LOG_STD_MAX, LOG_STD_MIN, Agent
-from .replay import ACTION_DIM, Batch, ReplayBuffer, Transition
+from .replay import ACTION_DIM, Batch, ReplayBuffer
 from .targets import LOG_TWO_PI, compute_targets
 
 
@@ -205,25 +204,21 @@ class StepLog:
 def train_step(agent: Agent, env, buffer: ReplayBuffer) -> StepLog:
     """One environment interaction plus, after warmup, one gradient phase.
 
-    During the first warmup_steps interactions actions are uniform random
-    and no parameters change.
+    ``env`` steps a group of one episode. During the first warmup_steps
+    interactions actions are uniform random and no parameters change.
     """
     cfg = agent.cfg
-    s = env.observation.features.copy()
+    s = env.observation
     if agent.total_env_steps < cfg.warmup_steps:
-        action_arr = agent.rng.uniform(0.0, 1.0, ACTION_DIM)
+        actions = agent.rng.uniform(0.0, 1.0, (1, ACTION_DIM))
     else:
-        action_arr = agent.action_array(s, mode="train")
-    result = env.step(DualAction.from_array(action_arr))
-    combined = (
-        cfg.reward_weight_accident * result.r_A
-        + cfg.reward_weight_fixation * result.r_F
-    )
-    buffer.push(
-        Transition(s, action_arr, combined, result.next_obs.features, result.done)
-    )
+        actions = agent.action_array(s, mode="train")
+    result = env.step(actions)
+    r_a, r_f = result.r_A.item(0), result.r_F.item(0)
+    combined = cfg.reward_weight_accident * r_a + cfg.reward_weight_fixation * r_f
+    buffer.push(s[0], actions[0], combined, result.next_obs[0], result.done)
     agent.total_env_steps += 1
     losses: dict[str, float] = {}
     if agent.total_env_steps > cfg.warmup_steps and len(buffer) >= cfg.batch_size:
         losses = update(agent, buffer.sample(cfg.batch_size))
-    return StepLog(result.r_A, result.r_F, result.done, losses)
+    return StepLog(r_a, r_f, result.done, losses)

@@ -18,6 +18,7 @@ from .harness import (
     ConfigError,
     build_run_config,
     compare_table,
+    episode_files,
     export_traces,
     gen_dataset,
     load_config_file,
@@ -173,11 +174,7 @@ def _cmd_eval(args) -> int:
     if not os.path.exists(args.checkpoint):
         raise ConfigError(f"checkpoint: no such file {args.checkpoint}")
     if args.data:
-        files = sorted(
-            os.path.join(args.data, n)
-            for n in os.listdir(args.data)
-            if n.endswith(".ade")
-        )
+        files = episode_files(args.data)
         if not files:
             raise ConfigError(f"data: no .ade episodes under {args.data}")
         episodes = [load_episode_file(p) for p in files]
@@ -191,7 +188,7 @@ def _cmd_eval(args) -> int:
     os.makedirs(out, exist_ok=True)
     write_config_snapshot(cfg, out)
     write_report(report, out)
-    export_traces(records, os.path.join(out, "traces"), cfg.env)
+    export_traces(records, os.path.join(out, "traces"))
     print(
         f"eval: mtta={report.mtta_seconds:.4f}s auc={report.auc:.5f} "
         f"ap={report.ap:.5f} recall={report.recall_at_a0:.4f} "

@@ -13,14 +13,7 @@ from .episode import (
     load_episode_file,
     write_episode_file,
 )
-from .mdp import (
-    IMAGE_CENTER,
-    AccidentEnv,
-    DualAction,
-    Observation,
-    StepResult,
-    check_steppable,
-)
+from .mdp import IMAGE_CENTER, AccidentEnv, StepResult
 from .rewards import (
     accident_weight,
     fixation_window_active,
@@ -39,12 +32,10 @@ __all__ = [
     "BLOB_GAIN",
     "BLOB_RAMP_FRAMES",
     "BLOB_SIGMA",
-    "DualAction",
     "EnvConfig",
     "Episode",
     "EpisodeFormatError",
     "IMAGE_CENTER",
-    "Observation",
     "QuadraticBandit",
     "SaliencyField",
     "StepResult",
@@ -52,7 +43,6 @@ __all__ = [
     "attention_features",
     "blob_onset",
     "cell_centers",
-    "check_steppable",
     "fixation_window_active",
     "generate_episode",
     "load_episode_file",

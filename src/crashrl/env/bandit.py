@@ -9,27 +9,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mdp import DualAction, Observation, StepResult
+from .mdp import StepResult, check_actions
 
 
 class QuadraticBandit:
-    """Drop-in environment with the same reset/step surface as AccidentEnv."""
+    """Drop-in environment with AccidentEnv's surface for a group of one."""
 
     def __init__(self, optimum: float = 0.7, obs_dim: int = 1) -> None:
         if not 0.0 <= optimum <= 1.0:
             raise ValueError(f"optimum must be in [0, 1], got {optimum}")
         self.optimum = optimum
         self.obs_dim = obs_dim
-        self._obs: Observation | None = None
+        self._obs: np.ndarray | None = None
         self._done = False
 
-    def reset(self) -> Observation:
-        self._obs = Observation(np.zeros(self.obs_dim), 0)
+    def reset(self) -> np.ndarray:
+        self._obs = np.zeros((1, self.obs_dim))
         self._done = False
         return self._obs
 
     @property
-    def observation(self) -> Observation:
+    def observation(self) -> np.ndarray:
         if self._obs is None:
             raise RuntimeError("environment must be reset before use")
         return self._obs
@@ -38,10 +38,10 @@ class QuadraticBandit:
     def done(self) -> bool:
         return self._done
 
-    def step(self, action: DualAction) -> StepResult:
+    def step(self, actions) -> StepResult:
         if self._obs is None or self._done:
             raise RuntimeError("reset the bandit before stepping")
-        reward = 1.0 - (action.a - self.optimum) ** 2
+        a = check_actions(actions, 1)[0, 0].item()
+        reward = 1.0 - (a - self.optimum) ** 2
         self._done = True
-        next_obs = Observation(np.zeros(self.obs_dim), 1)
-        return StepResult(next_obs, reward, 0.0, True)
+        return StepResult(np.zeros((1, self.obs_dim)), np.array([reward]), np.zeros(1), True)

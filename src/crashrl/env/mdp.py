@@ -1,11 +1,13 @@
-"""The accident-anticipation MDP over one episode.
+"""The accident-anticipation MDP, stepped over a lockstep group of episodes.
 
-Each step consumes a dual action (accident score, fixation point), pays the
-two rewards for the current frame, then builds the next observation from the
-next frame: foveate at the chosen fixation -> blend with the raw field ->
-block-mean pool -> append to the frame stack (oldest first). The chain is
-``attention_features``, the same kernel the lockstep evaluation rollout
-runs over many episodes at once.
+A group is one or more episodes with the same grid shape and length; training
+steps a group of one, evaluation one group per (grid shape, length). Each
+step takes one dual action per episode, a row (accident score, fixation x,
+fixation y), pays the two rewards for the current frame, then builds the
+next observation from the next frame: foveate at the chosen fixation ->
+blend with the raw field -> block-mean pool -> append to the frame stack
+(oldest first). The chain is ``attention_features``, run once per step on
+frame t + 1 of every episode in the group.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import EnvConfig
-from .episode import Episode
 from .rewards import reward_accident, reward_fixation
 from .saliency import attention_features, normalize_fields
 
@@ -23,117 +24,104 @@ IMAGE_CENTER = (0.5, 0.5)
 
 
 @dataclass(frozen=True)
-class DualAction:
-    """Concatenated action: accident score plus predicted fixation point."""
-
-    a: float
-    p_hat: tuple[float, float]
-
-    def __post_init__(self):
-        if not 0.0 <= self.a <= 1.0:
-            raise ValueError(f"accident score must be in [0, 1], got {self.a}")
-        px, py = self.p_hat
-        if not (0.0 <= px <= 1.0 and 0.0 <= py <= 1.0):
-            raise ValueError(f"fixation must lie in [0, 1]^2, got {self.p_hat}")
-        object.__setattr__(self, "p_hat", (float(px), float(py)))
-
-    @classmethod
-    def from_array(cls, arr) -> "DualAction":
-        arr = np.asarray(arr, dtype=np.float64).reshape(-1)
-        if arr.size != 3:
-            raise ValueError(f"dual action needs 3 components, got {arr.size}")
-        return cls(float(arr[0]), (float(arr[1]), float(arr[2])))
-
-
-@dataclass(frozen=True)
-class Observation:
-    """Pooled attention features stacked over the last ``stack`` frames."""
-
-    features: np.ndarray
-    frame_index: int
-
-    def __post_init__(self):
-        feats = np.ascontiguousarray(self.features, dtype=np.float64)
-        if feats.ndim != 1:
-            raise ValueError("observation features must be a flat vector")
-        object.__setattr__(self, "features", feats)
-
-
-@dataclass(frozen=True)
 class StepResult:
-    next_obs: Observation
-    r_A: float
-    r_F: float
+    """``next_obs[N, obs_dim]``, the per-episode rewards ``r_A[N]`` and ``r_F[N]``."""
+
+    next_obs: np.ndarray
+    r_A: np.ndarray
+    r_F: np.ndarray
     done: bool
 
 
-def check_steppable(episode: Episode, cfg: EnvConfig) -> None:
-    """Raise ValueError unless cfg's pooling fits the episode and it has a step."""
-    h, w = episode.grid_shape
-    if h % cfg.pool_h or w % cfg.pool_w:
+def check_actions(actions, n: int) -> np.ndarray:
+    """``actions`` as float64 ``[n, 3]``; the first row out of [0, 1] (or NaN) raises."""
+    actions = np.asarray(actions, dtype=np.float64)
+    if actions.shape != (n, 3):
         raise ValueError(
-            f"pool dims ({cfg.pool_h}x{cfg.pool_w}) must divide the episode "
-            f"grid ({h}x{w})"
+            f"actions must have shape [{n}, 3], got {list(actions.shape)}"
         )
-    if episode.length < 2:
-        raise ValueError("episode must have at least 2 frames to step")
+    valid = (actions >= 0.0) & (actions <= 1.0)
+    if not valid.all():
+        a, px, py = actions[np.flatnonzero(~valid.all(axis=1))[0]].tolist()
+        if not 0.0 <= a <= 1.0:
+            raise ValueError(f"accident score must be in [0, 1], got {a}")
+        raise ValueError(f"fixation must lie in [0, 1]^2, got {(px, py)}")
+    return actions
 
 
 class AccidentEnv:
-    """Single-owner, sequentially stepped environment over one episode."""
+    """Single-owner environment stepping N episodes of one shape and length together."""
 
-    def __init__(self, episode: Episode, cfg: EnvConfig) -> None:
-        check_steppable(episode, cfg)
-        self.episode = episode
+    def __init__(self, episodes, cfg: EnvConfig) -> None:
+        episodes = tuple(episodes)
+        if not episodes:
+            raise ValueError("an environment needs at least one episode")
+        for episode in episodes:
+            h, w = episode.grid_shape
+            if h % cfg.pool_h or w % cfg.pool_w:
+                raise ValueError(
+                    f"pool dims ({cfg.pool_h}x{cfg.pool_w}) must divide the episode "
+                    f"grid ({h}x{w})"
+                )
+            if episode.length < 2:
+                raise ValueError("episode must have at least 2 frames to step")
+        shapes = {(episode.grid_shape, episode.length) for episode in episodes}
+        if len(shapes) > 1:
+            raise ValueError(
+                "a lockstep group needs one grid shape and one length, got "
+                f"{sorted(shapes)}"
+            )
+        self.episodes = episodes
         self.cfg = cfg
-        # Normalize a copy once; files may carry unnormalized fields, and the
-        # episode's saliency is read-only (it may be shared through a cache).
-        self._frames = normalize_fields(episode.saliency.copy())
-        self._cursor: int | None = None
-        self._stack: list[np.ndarray] | None = None
-        self._obs: Observation | None = None
+        self._tracks = [episode.fixation_track.tolist() for episode in episodes]
+        self.t: int | None = None
+        self._obs: np.ndarray | None = None
 
-    def _features(self, frame_index: int, fixation: tuple[float, float]) -> np.ndarray:
-        raw = self._frames[frame_index : frame_index + 1]
-        return attention_features(raw, np.array([fixation]), self.cfg)[0]
+    def _frame(self, t: int) -> np.ndarray:
+        """Frame t of every episode, normalized, as [N, H, W] (episodes stay read-only)."""
+        return normalize_fields(np.array([episode.saliency[t] for episode in self.episodes]))
 
-    def reset(self) -> Observation:
-        first = self._features(0, IMAGE_CENTER)
-        self._stack = [first.copy() for _ in range(self.cfg.stack)]
-        self._cursor = 0
-        self._obs = Observation(np.concatenate(self._stack), 0)
+    def reset(self) -> np.ndarray:
+        n = len(self.episodes)
+        fixations = np.tile(IMAGE_CENTER, (n, 1))
+        first = attention_features(self._frame(0), fixations, self.cfg)
+        self.t = 0
+        self._obs = np.tile(first, self.cfg.stack)
         return self._obs
 
     @property
-    def observation(self) -> Observation:
+    def observation(self) -> np.ndarray:
         if self._obs is None:
             raise RuntimeError("environment must be reset before use")
         return self._obs
 
     @property
     def done(self) -> bool:
-        if self._cursor is None:
+        if self.t is None:
             raise RuntimeError("environment must be reset before use")
-        return self._cursor >= self.episode.length - 1
+        return self.t >= self.episodes[0].length - 1
 
-    def step(self, action: DualAction) -> StepResult:
-        if self._cursor is None:
+    def step(self, actions) -> StepResult:
+        """Pay frame t's rewards for ``actions[N, 3]``, then observe frame t + 1.
+
+        The rewards run on Python floats: numpy's ``np.exp`` differs from
+        libm ``math.exp`` in the last bit on some inputs.
+        """
+        if self.t is None:
             raise RuntimeError("environment must be reset before stepping")
         if self.done:
             raise RuntimeError("episode is done; reset before stepping again")
-        t = self._cursor
-        ep = self.episode
-        r_a = reward_accident(action.a, self.cfg.a_0, ep.y, t, ep.t_a)
-        r_f = reward_fixation(
-            action.p_hat,
-            tuple(ep.fixation_track[t]),
-            t,
-            ep.t_a,
-            self.cfg.eta,
-            self.cfg.fixation_window,
-        )
-        self._cursor = t + 1
-        feats = self._features(self._cursor, action.p_hat)
-        self._stack = self._stack[1:] + [feats]
-        self._obs = Observation(np.concatenate(self._stack), self._cursor)
-        return StepResult(self._obs, r_a, r_f, self.done)
+        actions = check_actions(actions, len(self.episodes))
+        t, cfg = self.t, self.cfg
+        r_a, r_f = [], []
+        for episode, track, (a, px, py) in zip(self.episodes, self._tracks, actions.tolist()):
+            r_a.append(reward_accident(a, cfg.a_0, episode.y, t, episode.t_a))
+            r_f.append(
+                reward_fixation(
+                    (px, py), track[t], t, episode.t_a, cfg.eta, cfg.fixation_window
+                )
+            )
+        self.t = t + 1
+        features = attention_features(self._frame(t + 1), actions[:, 1:], cfg)
+        self._obs = np.concatenate([self._obs[:, features.shape[1] :], features], axis=1)
+        return StepResult(self._obs, np.array(r_a), np.array(r_f), self.done)

@@ -62,7 +62,7 @@ def normalize_fields(grids: np.ndarray) -> np.ndarray:
     Rows that sum to zero become uniform.
     """
     n, h, w = grids.shape
-    totals = grids.reshape(n, -1).sum(axis=1)
+    totals = np.add.reduce(grids.reshape(n, -1), axis=1)
     empty = totals <= 0.0
     totals[empty] = 1.0
     grids /= totals[:, None, None]
@@ -100,4 +100,8 @@ def attention_features(raw: np.ndarray, fixations: np.ndarray, cfg: EnvConfig) -
     fov *= cfg.rho
     fov += (1.0 - cfg.rho) * raw
     normalize_fields(fov)
-    return fov.reshape(n, oh, h // oh, ow, w // ow).mean(axis=(2, 4)).reshape(n, -1)
+    # The block mean as np.mean forms it (sum, then divide by the count), without
+    # its per-call Python overhead.
+    pooled = np.add.reduce(fov.reshape(n, oh, h // oh, ow, w // ow), axis=(2, 4))
+    pooled /= (h // oh) * (w // ow)
+    return pooled.reshape(n, -1)

@@ -1,5 +1,11 @@
 """Training and evaluation orchestration, dataset generation, trace export.
 
+Every rollout steps ``AccidentEnv``: training steps each episode as a group
+of one, and ``collect_records`` (curve points, the final report and
+``crashrl eval``) steps one env per lockstep group of held-out episodes. The
+rewards the env pays go into the eval records, which the curve's mean
+return and the traces read.
+
 Seed derivation (fixed so independent reruns agree): for a run seed s, the
 environment stream uses s, the agent s + 1000, the replay buffer s + 2000.
 Episode seeds: evaluation episode j uses s * 10^9 + j, training episode i
@@ -28,17 +34,13 @@ from ..atomic import atomic_write
 from ..env import (
     IMAGE_CENTER,
     AccidentEnv,
-    DualAction,
     Episode,
-    attention_features,
+    accident_weight,
     blob_onset,
-    check_steppable,
     generate_episode,
     load_episode_file,
-    normalize_fields,
     write_episode_file,
 )
-from ..env.rewards import accident_weight, reward_accident, reward_fixation
 from ..metrics import (
     NO_ACCIDENT,
     EvalRecords,
@@ -78,6 +80,15 @@ class RunArtifacts:
     out_dir: str
 
 
+def episode_files(data_dir) -> list[str]:
+    """The sorted paths of the *.ade episode files in ``data_dir``."""
+    if not os.path.isdir(data_dir):
+        raise ConfigError(f"data: no such directory {data_dir}")
+    return sorted(
+        os.path.join(data_dir, name) for name in os.listdir(data_dir) if name.endswith(".ade")
+    )
+
+
 class _EpisodeSource:
     """Deterministic episode streams, generated or file-backed.
 
@@ -93,11 +104,7 @@ class _EpisodeSource:
         self._eval_files: list[str] = []
         self._parsed: dict[str, Episode] = {}
         if cfg.data_dir is not None:
-            files = sorted(
-                os.path.join(cfg.data_dir, name)
-                for name in os.listdir(cfg.data_dir)
-                if name.endswith(".ade")
-            )
+            files = episode_files(cfg.data_dir)
             if len(files) < cfg.eval_episodes + 1:
                 raise ConfigError(
                     f"data: directory {cfg.data_dir} holds {len(files)} episodes; "
@@ -142,68 +149,49 @@ def eval_fingerprint(episodes) -> str:
 def collect_records(policy, episodes, cfg: RunConfig) -> EvalRecords:
     """Noise-free rollout of every episode, one record row per step.
 
-    Episodes that share a grid shape and a length form one lockstep group.
-    At each step t the group takes one batched action,
-    ``policy(features[N, obs_dim], t, group) -> actions[N, 3]`` (columns:
-    accident score, fixation x, fixation y), and builds every episode's next
-    observation with one ``attention_features`` call on frame t + 1. The
-    records hold the episodes in input order, each with frames 0 .. T - 2.
-    Agents ignore ``t`` and the episodes; scripted oracles read them.
+    Episodes that share a grid shape and a length form one lockstep group,
+    stepped by one ``AccidentEnv``. At each step t the group takes one
+    batched action, ``policy(features[N, obs_dim], t, group) -> actions[N, 3]``
+    (columns: accident score, fixation x, fixation y); the env's rewards for
+    it go into the records beside it. The records hold the episodes in input
+    order, each with frames 0 .. T - 2. Agents ignore ``t`` and the
+    episodes; scripted oracles read them.
     """
     episodes = list(episodes)
     groups: dict[tuple, list[int]] = {}
     for i, episode in enumerate(episodes):
-        check_steppable(episode, cfg.env)
         groups.setdefault((episode.grid_shape, episode.length), []).append(i)
     frames = np.array([episode.length - 1 for episode in episodes], dtype=np.int64)
     starts = np.cumsum(frames) - frames
     episode_index = np.repeat(np.arange(len(episodes)), frames)
-    actions = np.empty((int(frames.sum()), 3))
+    n = int(frames.sum())
+    actions, r_a, r_f = np.empty((n, 3)), np.empty(n), np.empty(n)
     for members in groups.values():
-        _lockstep(policy, [episodes[i] for i in members], cfg.env, actions, starts[members])
+        group = [episodes[i] for i in members]
+        rows = starts[members]
+        env = AccidentEnv(group, cfg.env)
+        obs = env.reset()
+        while not env.done:
+            step_actions = policy(obs, env.t, group)
+            frame_rows = rows + env.t
+            result = env.step(step_actions)
+            actions[frame_rows] = step_actions
+            r_a[frame_rows] = result.r_A
+            r_f[frame_rows] = result.r_F
+            obs = result.next_obs
     return EvalRecords(
         episode_ids=tuple(episode.episode_id for episode in episodes),
         y=[episode.y for episode in episodes],
         t_a=[NO_ACCIDENT if episode.t_a is None else episode.t_a for episode in episodes],
         fps=[episode.fps for episode in episodes],
         episode=episode_index,
-        t=np.arange(actions.shape[0]) - starts[episode_index],
+        t=np.arange(n) - starts[episode_index],
         score=actions[:, 0],
         p_hat=actions[:, 1:],
         p=np.concatenate([np.empty((0, 2))] + [ep.fixation_track[:-1] for ep in episodes]),
+        r_A=r_a,
+        r_F=r_f,
     )
-
-
-def _frame_slice(group, t: int) -> np.ndarray:
-    """Frame t of every episode in the group, normalized, as [N, H, W]."""
-    return normalize_fields(np.stack([episode.saliency[t] for episode in group]))
-
-
-def _checked_actions(actions, n: int) -> np.ndarray:
-    """The policy's [n, 3] actions; the first invalid row raises DualAction's error."""
-    actions = np.asarray(actions, dtype=np.float64)
-    if actions.shape != (n, 3):
-        raise ValueError(
-            f"policy must return actions of shape [{n}, 3], got {list(actions.shape)}"
-        )
-    valid = (actions >= 0.0) & (actions <= 1.0)
-    if not valid.all():
-        bad_row = actions[np.flatnonzero(~valid.all(axis=1))[0]]
-        DualAction.from_array(bad_row)  # raises, naming the score or the fixation
-    return actions
-
-
-def _lockstep(policy, group, env_cfg, out: np.ndarray, rows: np.ndarray) -> None:
-    """Roll one lockstep group; step t's actions go to rows ``rows + t`` of ``out``."""
-    n = len(group)
-    first = attention_features(_frame_slice(group, 0), np.tile(IMAGE_CENTER, (n, 1)), env_cfg)
-    width = first.shape[1]
-    obs = np.tile(first, env_cfg.stack)
-    for t in range(group[0].length - 1):
-        actions = _checked_actions(policy(obs, t, group), n)
-        out[rows + t] = actions
-        features = attention_features(_frame_slice(group, t + 1), actions[:, 1:], env_cfg)
-        obs = np.concatenate([obs[:, width:], features], axis=1)
 
 
 def agent_policy(agent: Agent):
@@ -235,39 +223,21 @@ class ConstantScoreAgent:
         return np.tile((self.score, *IMAGE_CENTER), (len(episodes), 1))
 
 
-def _frame_rewards(records: EvalRecords, env_cfg) -> tuple[list[float], list[float]]:
-    """Per-frame (r_A, r_F), exactly as ``AccidentEnv.step`` computes them.
-
-    The scalar reward functions run on Python floats: numpy's ``np.exp``
-    differs from libm ``math.exp`` in the last bit on some inputs.
-    """
-    r_a, r_f = [], []
-    for score, label, t, accident, p_hat, p in zip(
-        records.score.tolist(), records.y[records.episode].tolist(), records.t.tolist(),
-        records.frame_t_a(), zip(*records.p_hat.T.tolist()), zip(*records.p.T.tolist()),
-    ):
-        r_a.append(reward_accident(score, env_cfg.a_0, label, t, accident))
-        r_f.append(
-            reward_fixation(p_hat, p, t, accident, env_cfg.eta, env_cfg.fixation_window)
-        )
-    return r_a, r_f
-
-
 def _mean_return(records: EvalRecords, cfg: RunConfig) -> float:
     """Mean over episodes of the return w_A * r_A + w_F * r_F, summed in step order."""
     w_a = cfg.agent.reward_weight_accident
     w_f = cfg.agent.reward_weight_fixation
     totals = [0.0] * len(records.episode_ids)
-    for e, r_a, r_f in zip(records.episode.tolist(), *_frame_rewards(records, cfg.env)):
+    for e, r_a, r_f in zip(records.episode.tolist(), records.r_A.tolist(), records.r_F.tolist()):
         totals[e] += w_a * r_a + w_f * r_f
     return float(np.mean(totals))
 
 
-def export_traces(records: EvalRecords, out_dir, env_cfg) -> list[str]:
+def export_traces(records: EvalRecords, out_dir) -> list[str]:
     """Per-episode CSVs of scores, rewards, and fixations, one row per frame."""
     os.makedirs(out_dir, exist_ok=True)
     columns = (
-        records.t.tolist(), records.score.tolist(), *_frame_rewards(records, env_cfg),
+        records.t.tolist(), records.score.tolist(), records.r_A.tolist(), records.r_F.tolist(),
         *records.p_hat.T.tolist(), *records.p.T.tolist(),
     )
     ids = records.episode_ids
@@ -317,11 +287,11 @@ def _write_curve(curve, path) -> None:
 
 def run_training(cfg: RunConfig) -> RunArtifacts:
     """Train cfg.algo for every seed; returns (and writes) all artifacts."""
+    source = _EpisodeSource(cfg)  # checks the data directory before anything is written
     algo_dir = os.path.join(cfg.out_dir, cfg.algo)
     os.makedirs(algo_dir, exist_ok=True)
     write_config_snapshot(cfg, cfg.out_dir)
 
-    source = _EpisodeSource(cfg)
     results = []
     seed_fingerprints = []
     for seed in cfg.seeds:
@@ -338,7 +308,7 @@ def run_training(cfg: RunConfig) -> RunArtifacts:
             for _ in range(cfg.episodes_per_epoch):
                 episode = source.training_episode(seed, episode_index)
                 episode_index += 1
-                env = AccidentEnv(episode, cfg.env)
+                env = AccidentEnv([episode], cfg.env)
                 env.reset()
                 while not env.done:
                     train_step(agent, env, buffer)
@@ -357,7 +327,7 @@ def run_training(cfg: RunConfig) -> RunArtifacts:
         )
         write_report(report, seed_dir)
         _write_curve(curve, os.path.join(seed_dir, "curve.csv"))
-        export_traces(records, os.path.join(seed_dir, "traces"), cfg.env)
+        export_traces(records, os.path.join(seed_dir, "traces"))
         results.append(SeedResult(seed, report, tuple(curve), checkpoint_path, seed_dir))
 
     # One fingerprint for the whole run: the per-seed held-out sets in order.

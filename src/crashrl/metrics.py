@@ -40,10 +40,11 @@ class EvalRecords:
     Per episode e: ``episode_ids[e]``, label ``y[e]``, accident frame
     ``t_a[e]`` (``NO_ACCIDENT`` for a negative episode) and ``fps[e]``. Per
     frame i: its episode index ``episode[i]``, frame ``t[i]``, accident score
-    ``score[i]``, predicted fixation ``p_hat[i]`` and true fixation ``p[i]``.
-    Frames come episode by episode in episode order, every episode has at
-    least one, and ``t`` increases within an episode. The whole batch is
-    checked once, on construction.
+    ``score[i]``, predicted fixation ``p_hat[i]``, true fixation ``p[i]`` and
+    the rewards ``r_A[i]`` and ``r_F[i]`` the environment paid (only their
+    shapes are checked). Frames come episode by episode in episode order,
+    every episode has at least one, and ``t`` increases within an episode.
+    The whole batch is checked once, on construction.
     """
 
     episode_ids: tuple[str, ...]
@@ -55,18 +56,20 @@ class EvalRecords:
     score: np.ndarray
     p_hat: np.ndarray
     p: np.ndarray
+    r_A: np.ndarray
+    r_F: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "episode_ids", tuple(self.episode_ids))
         for name in ("y", "t_a", "episode", "t"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
-        for name in ("fps", "score", "p_hat", "p"):
+        for name in ("fps", "score", "p_hat", "p", "r_A", "r_F"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         ids, y, t_a, score = self.episode_ids, self.y, self.t_a, self.score
         episode = self.episode
         e, n = len(ids), episode.size
         want = {"y": (e,), "t_a": (e,), "fps": (e,), "episode": (n,), "t": (n,),
-                "score": (n,), "p_hat": (n, 2), "p": (n, 2)}
+                "score": (n,), "p_hat": (n, 2), "p": (n, 2), "r_A": (n,), "r_F": (n,)}
         if any(getattr(self, k).shape != shape for k, shape in want.items()):
             shapes = ", ".join(f"{k} {list(getattr(self, k).shape)}" for k in want)
             raise ValueError(f"column shapes disagree with {e} episode ids: {shapes}")

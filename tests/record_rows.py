@@ -1,7 +1,8 @@
 """Eval records built from per-frame rows, and read back as rows.
 
-A row is one evaluated frame with its episode's metadata, the view the
-columns of ``EvalRecords`` replace. Tests write records this way; the batch
+A row is one evaluated frame with its episode's metadata and the rewards
+paid for it (0.0 unless given), the view the columns of ``EvalRecords``
+replace. Tests write records this way; the batch
 checks of ``EvalRecords`` see exactly the rows given, in the order given.
 """
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from crashrl.metrics import NO_ACCIDENT, EvalRecords
 
-Row = namedtuple("Row", "episode_id t score y t_a p_hat p fps")
+Row = namedtuple("Row", "episode_id t score y t_a p_hat p fps r_A r_F", defaults=(0.0, 0.0))
 
 
 def records_from_rows(rows) -> EvalRecords:
@@ -38,6 +39,8 @@ def records_from_rows(rows) -> EvalRecords:
         score=[row.score for row in rows],
         p_hat=np.array([row.p_hat for row in rows], dtype=np.float64).reshape(-1, 2),
         p=np.array([row.p for row in rows], dtype=np.float64).reshape(-1, 2),
+        r_A=[row.r_A for row in rows],
+        r_F=[row.r_F for row in rows],
     )
 
 
@@ -47,9 +50,10 @@ def frame_rows(records: EvalRecords) -> list[Row]:
     t_a = [None if v == NO_ACCIDENT else v for v in records.t_a.tolist()]
     y, fps = records.y.tolist(), records.fps.tolist()
     return [
-        Row(ids[e], t, score, y[e], t_a[e], tuple(p_hat), tuple(p), fps[e])
-        for e, t, score, p_hat, p in zip(
+        Row(ids[e], t, score, y[e], t_a[e], tuple(p_hat), tuple(p), fps[e], r_a, r_f)
+        for e, t, score, p_hat, p, r_a, r_f in zip(
             records.episode.tolist(), records.t.tolist(), records.score.tolist(),
-            records.p_hat.tolist(), records.p.tolist(),
+            records.p_hat.tolist(), records.p.tolist(), records.r_A.tolist(),
+            records.r_F.tolist(),
         )
     ]

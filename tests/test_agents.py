@@ -13,7 +13,6 @@ from crashrl.agents import (
     AgentConfig,
     Batch,
     ReplayBuffer,
-    Transition,
     actor_update,
     compute_targets,
     config_hash,
@@ -22,7 +21,7 @@ from crashrl.agents import (
     train_step,
     update,
 )
-from crashrl.env import DualAction, QuadraticBandit
+from crashrl.env import QuadraticBandit
 from crashrl.numkit import mlp_apply
 
 # The networks compute in float32: hand-computed values hold to a few
@@ -54,12 +53,13 @@ def random_batch(rng, n, obs_dim, done_rate=0.1):
 
 class TestReplayBuffer:
     def _tr(self, i, done=False):
-        return Transition(np.full(4, float(i)), np.full(3, 0.5), float(i), np.zeros(4), done)
+        """push's arguments (s, action, r, s_next, done) for transition i."""
+        return np.full(4, float(i)), np.full(3, 0.5), float(i), np.zeros(4), done
 
     def test_fifo_eviction(self):
         buf = ReplayBuffer(capacity=2, seed=0)
         for i in range(3):
-            buf.push(self._tr(i))
+            buf.push(*self._tr(i))
         assert len(buf) == 2
         batch = buf.sample(2)
         assert 0.0 not in batch.s[:, 0]
@@ -67,14 +67,14 @@ class TestReplayBuffer:
     def test_sample_size(self):
         buf = ReplayBuffer(capacity=10, seed=0)
         for i in range(5):
-            buf.push(self._tr(i))
+            buf.push(*self._tr(i))
         assert len(buf.sample(3)) == 3
 
     def test_seeded_sampling_reproducible(self):
         def run():
             buf = ReplayBuffer(capacity=10, seed=42)
             for i in range(6):
-                buf.push(self._tr(i))
+                buf.push(*self._tr(i))
             return [buf.sample(4).s[:, 0].tolist() for _ in range(3)]
 
         assert run() == run()
@@ -85,7 +85,7 @@ class TestReplayBuffer:
 
     def test_oversample_rejected(self):
         buf = ReplayBuffer(capacity=4, seed=0)
-        buf.push(self._tr(0))
+        buf.push(*self._tr(0))
         with pytest.raises(ValueError):
             buf.sample(2)
 
@@ -106,10 +106,9 @@ class TestActionSelection:
                 for _, tensor in params:
                     tensor[:] = 1e8  # saturate everything
             for mode in ("train", "eval"):
-                # from_array raises if a component leaves [0, 1].
-                action = DualAction.from_array(agent.action_array(np.ones(4), mode=mode))
-                assert 0.0 <= action.a <= 1.0
-                assert 0.0 <= action.p_hat[0] <= 1.0 and 0.0 <= action.p_hat[1] <= 1.0
+                a, px, py = agent.action_array(np.ones(4), mode=mode).tolist()
+                assert 0.0 <= a <= 1.0
+                assert 0.0 <= px <= 1.0 and 0.0 <= py <= 1.0
 
     def test_darc_identical_actors_match_single_actor_output(self):
         agent = Agent(small_cfg("darc"), obs_dim=5, seed=7)
@@ -806,10 +805,10 @@ def test_darc_critic_gap_shrinks_with_regularization():
         for _ in range(600):
             if env.done:
                 env.reset()
-            s = env.observation.features.copy()
+            s = env.observation[0]
             arr = rng.uniform(0, 1, 3)
-            res = env.step(DualAction.from_array(arr))
-            buf.push(Transition(s, arr, res.r_A, res.next_obs.features, res.done))
+            res = env.step(arr[None])
+            buf.push(s, arr, res.r_A.item(), res.next_obs[0], res.done)
         gaps = []
         for u in range(updates):
             critic_update(agent, buf.sample(cfg.batch_size))
@@ -828,9 +827,9 @@ class TestErrorSurfaces:
         from crashrl.env import AccidentEnv, EnvConfig, generate_episode
 
         cfg = EnvConfig()
-        env = AccidentEnv(generate_episode(cfg, 1), cfg)
+        env = AccidentEnv([generate_episode(cfg, 1)], cfg)
         with pytest.raises(RuntimeError, match="reset"):
-            env.step(DualAction(0.5, (0.5, 0.5)))
+            env.step(np.full((1, 3), 0.5))
         with pytest.raises(RuntimeError, match="reset"):
             env.observation
 
@@ -843,10 +842,25 @@ class TestErrorSurfaces:
 
     def test_buffer_rejects_width_change(self):
         buf = ReplayBuffer(8, seed=0)
-        buf.push(Transition(np.zeros(4), np.full(3, 0.5), 0.0, np.zeros(4), False))
+        buf.push(np.zeros(4), np.full(3, 0.5), 0.0, np.zeros(4), False)
         with pytest.raises(ValueError, match="feature length"):
-            buf.push(Transition(np.zeros(5), np.full(3, 0.5), 0.0, np.zeros(5), False))
+            buf.push(np.zeros(5), np.full(3, 0.5), 0.0, np.zeros(5), False)
 
     def test_transition_rejects_out_of_bound_actions(self):
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
-            Transition(np.zeros(4), np.array([0.5, 1.5, 0.5]), 0.0, np.zeros(4), False)
+            ReplayBuffer(8, seed=0).push(
+                np.zeros(4), np.array([0.5, 1.5, 0.5]), 0.0, np.zeros(4), False
+            )
+
+    @pytest.mark.parametrize(
+        "s_next,action,message",
+        [
+            (np.zeros(5), np.full(3, 0.5), "state and next-state feature lengths must match"),
+            (np.zeros(4), np.full(4, 0.5), "action must have 3 components"),
+        ],
+    )
+    def test_push_rejects_mismatched_transition(self, s_next, action, message):
+        buf = ReplayBuffer(8, seed=0)
+        with pytest.raises(ValueError, match=message):
+            buf.push(np.zeros(4), action, 0.0, s_next, False)
+        assert len(buf) == 0

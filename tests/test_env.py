@@ -16,7 +16,6 @@ from hypothesis.extra.numpy import arrays
 from crashrl.env import (
     AccidentEnv,
     BLOB_SIGMA,
-    DualAction,
     EnvConfig,
     Episode,
     EpisodeFormatError,
@@ -275,38 +274,44 @@ class TestGenerateEpisode:
         assert end_dist < 0.1
 
 
+def step_one(env, a, px, py):
+    """Step a group of one with the dual action (a, (px, py))."""
+    return env.step(np.array([[a, px, py]]))
+
+
 class TestEnvRolloutMdp:
     def setup_method(self):
         self.cfg = EnvConfig()
 
     def test_reset_shape_and_determinism(self):
         ep = generate_episode(self.cfg, 1)
-        env = AccidentEnv(ep, self.cfg)
+        env = AccidentEnv([ep], self.cfg)
         obs1 = env.reset()
-        obs2 = AccidentEnv(ep, self.cfg).reset()
-        assert obs1.features.size == self.cfg.obs_dim
-        assert np.array_equal(obs1.features, obs2.features)
-        assert obs1.frame_index == 0
+        obs2 = AccidentEnv([ep], self.cfg).reset()
+        assert obs1.shape == (1, self.cfg.obs_dim)
+        assert np.array_equal(obs1, obs2)
+        assert env.t == 0
 
     def test_step_advances_frame_index(self):
         ep = generate_episode(self.cfg, 1)
-        env = AccidentEnv(ep, self.cfg)
+        env = AccidentEnv([ep], self.cfg)
         env.reset()
-        result = env.step(DualAction(0.5, (0.5, 0.5)))
-        assert result.next_obs.frame_index == 1
+        result = step_one(env, 0.5, 0.5, 0.5)
+        assert env.t == 1
+        assert result.next_obs is env.observation
 
     def test_full_rollout_has_length_minus_one_steps(self):
         ep = generate_episode(self.cfg, 2)
-        env = AccidentEnv(ep, self.cfg)
+        env = AccidentEnv([ep], self.cfg)
         env.reset()
         steps = 0
         while not env.done:
-            result = env.step(DualAction(0.0, (0.5, 0.5)))
+            result = step_one(env, 0.0, 0.5, 0.5)
             steps += 1
         assert steps == ep.length - 1
         assert result.done
         with pytest.raises(RuntimeError):
-            env.step(DualAction(0.0, (0.5, 0.5)))
+            step_one(env, 0.0, 0.5, 0.5)
 
     def _positive_episode(self):
         for seed in range(100):
@@ -317,53 +322,87 @@ class TestEnvRolloutMdp:
 
     def test_constant_alarm_traces_the_weight_schedule(self):
         ep = self._positive_episode()
-        env = AccidentEnv(ep, self.cfg)
+        env = AccidentEnv([ep], self.cfg)
         env.reset()
         t = 0
         while not env.done:
-            result = env.step(DualAction(1.0, (0.5, 0.5)))
+            result = step_one(env, 1.0, 0.5, 0.5)
             expected = accident_weight(t, ep.t_a) if t < ep.t_a else 0.0
-            assert result.r_A == pytest.approx(expected, abs=1e-15)
+            assert result.r_A.shape == (1,)
+            assert result.r_A[0] == pytest.approx(expected, abs=1e-15)
             t += 1
 
     def test_perfect_fixation_earns_full_post_accident_reward(self):
         ep = self._positive_episode()
-        env = AccidentEnv(ep, self.cfg)
-        obs = env.reset()
+        env = AccidentEnv([ep], self.cfg)
+        env.reset()
         while not env.done:
-            t = obs.frame_index
-            result = env.step(DualAction(0.0, tuple(ep.fixation_track[t])))
+            t = env.t
+            result = step_one(env, 0.0, *ep.fixation_track[t])
             if t > ep.t_a:
-                assert result.r_F == 1.0
+                assert result.r_F[0] == 1.0
             else:
-                assert result.r_F == 0.0
-            obs = result.next_obs
+                assert result.r_F[0] == 0.0
 
     def test_rollout_determinism(self):
         ep = generate_episode(self.cfg, 3)
-        actions = [
-            DualAction(a, (px, py))
-            for a, px, py in np.random.default_rng(0).uniform(0, 1, (ep.length - 1, 3))
-        ]
+        actions = np.random.default_rng(0).uniform(0, 1, (ep.length - 1, 3))
 
         def run():
-            env = AccidentEnv(ep, self.cfg)
+            env = AccidentEnv([ep], self.cfg)
             env.reset()
-            return [env.step(act) for act in actions]
+            return [env.step(act[None]) for act in actions]
 
         first, second = run(), run()
         for r1, r2 in zip(first, second):
             assert r1.r_A == r2.r_A and r1.r_F == r2.r_F
-            assert np.array_equal(r1.next_obs.features, r2.next_obs.features)
+            assert np.array_equal(r1.next_obs, r2.next_obs)
 
     def test_observation_entries_within_unit_interval(self):
         ep = generate_episode(self.cfg, 6)
-        env = AccidentEnv(ep, self.cfg)
+        env = AccidentEnv([ep], self.cfg)
         obs = env.reset()
         rng = np.random.default_rng(8)
         while not env.done:
-            assert np.all(obs.features >= 0.0) and np.all(obs.features <= 1.0)
-            obs = env.step(DualAction.from_array(rng.uniform(0, 1, 3))).next_obs
+            assert np.all(obs >= 0.0) and np.all(obs <= 1.0)
+            obs = env.step(rng.uniform(0, 1, (1, 3))).next_obs
+
+    def test_each_step_returns_a_new_observation(self):
+        ep = generate_episode(self.cfg, 4)
+        env = AccidentEnv([ep], self.cfg)
+        before = env.reset()
+        kept = before.copy()
+        after = step_one(env, 0.5, 0.2, 0.8).next_obs
+        assert after is not before
+        assert np.array_equal(before, kept)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ((1.5, 0.5, 0.5), r"accident score must be in \[0, 1\], got 1.5"),
+            ((-0.5, 0.5, 0.5), r"accident score must be in \[0, 1\], got -0.5"),
+            ((np.nan, 0.5, 0.5), r"accident score must be in \[0, 1\], got nan"),
+            ((0.5, -0.1, 0.5), r"fixation must lie in \[0, 1\]\^2, got \(-0.1, 0.5\)"),
+            ((0.5, 0.5, 1.2), r"fixation must lie in \[0, 1\]\^2, got \(0.5, 1.2\)"),
+            ((0.5, 0.5, np.nan), r"fixation must lie in \[0, 1\]\^2, got \(0.5, nan\)"),
+        ],
+    )
+    def test_step_rejects_out_of_range_or_nan_actions(self, bad, message):
+        episodes = [generate_episode(self.cfg, seed) for seed in range(3)]
+        env = AccidentEnv(episodes, self.cfg)
+        env.reset()
+        actions = np.full((3, 3), 0.5)
+        actions[1] = bad
+        with pytest.raises(ValueError, match=message):
+            env.step(actions)
+        assert env.t == 0, "a rejected step must not advance the group"
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (2, 4), (2, 3, 1)])
+    def test_step_rejects_actions_of_another_shape(self, shape):
+        env = AccidentEnv([generate_episode(self.cfg, s) for s in range(2)], self.cfg)
+        env.reset()
+        with pytest.raises(ValueError, match=r"shape \[2, 3\]"):
+            env.step(np.full(shape, 0.5))
 
 
 class TestEpisodeFile:
@@ -670,7 +709,7 @@ def test_env_requires_multi_frame_episode():
     episode = Episode(np.full((1, 8, 8), 1 / 64.0), 0, None, np.full((1, 2), 0.5), 10.0)
     cfg = EnvConfig(grid_h=8, grid_w=8, pool_h=4, pool_w=4)
     with pytest.raises(ValueError, match="at least 2 frames"):
-        AccidentEnv(episode, cfg)
+        AccidentEnv([episode], cfg)
 
 
 def test_loader_error_discipline_under_mutation(tmp_path):

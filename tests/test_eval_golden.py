@@ -73,7 +73,7 @@ def test_eval_artifacts_match_golden_digests(tmp_path):
     records = collect_records(RandomPolicy(5), episodes, cfg)
     report = compile_report(records, env.a_0, window=env.fixation_window)
     write_report(report, tmp_path)
-    paths = export_traces(records, tmp_path / "traces", env)
+    paths = export_traces(records, tmp_path / "traces")
     assert len(paths) == len(episodes)
     got_report = {name: sha256(tmp_path / name) for name in REPORT_SHA256}
     got_traces = {

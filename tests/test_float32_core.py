@@ -80,7 +80,7 @@ def test_training_keeps_every_core_array_float32(algo, monkeypatch):
     )
     agent = Agent(cfg, env_cfg.obs_dim, seed=0)
     buffer = ReplayBuffer(cfg.buffer_capacity, seed=1)
-    env = AccidentEnv(generate_episode(env_cfg, 3), env_cfg)
+    env = AccidentEnv([generate_episode(env_cfg, 3)], env_cfg)
     env.reset()
     for _ in range(8):  # four gradient phases, two of them with an actor phase
         log = train_step(agent, env, buffer)
@@ -108,8 +108,8 @@ def test_training_keeps_every_core_array_float32(algo, monkeypatch):
         {(where, str(dtype)) for where, dtype in seen if dtype != F32}
     )
     # The environment side stays float64.
-    assert agent.action_array(env.observation.features, mode="train").dtype == F64
-    assert agent.action_array(env.observation.features, mode="eval").dtype == F64
+    assert agent.action_array(env.observation, mode="train").dtype == F64
+    assert agent.action_array(env.observation, mode="eval").dtype == F64
 
 
 def test_gradient_check_computes_in_float64(monkeypatch):

@@ -217,7 +217,7 @@ class TestTracesAndComparison:
         cfg = tiny_cfg(tmp_path)
         episodes = [generate_episode(cfg.env, j) for j in range(3)]
         records = collect_records(ScriptedOnsetAgent(), episodes, cfg)
-        paths = export_traces(records, tmp_path / "traces", cfg.env)
+        paths = export_traces(records, tmp_path / "traces")
         assert len(paths) == 3
         for ep in episodes:
             path = tmp_path / "traces" / f"trace_{ep.episode_id}.csv"
@@ -238,7 +238,7 @@ class TestTracesAndComparison:
         cfg = tiny_cfg(tmp_path)
         episodes = [generate_episode(cfg.env, j) for j in range(3)]
         records = collect_records(ScriptedOnsetAgent(), episodes, cfg)
-        export_traces(records, tmp_path / "traces", cfg.env)
+        export_traces(records, tmp_path / "traces")
         for ep in episodes:
             path = tmp_path / "traces" / f"trace_{ep.episode_id}.csv"
             for t, line in enumerate(path.read_text().splitlines()[2:]):
@@ -473,6 +473,21 @@ class TestCli:
             code = cli_main(self._eval_flags(tmp_path, missing) + extra)
             assert code == 1
             assert f"checkpoint: no such file {missing}" in capsys.readouterr().err
+
+    def test_missing_data_directory_exits_one_for_train_and_eval(self, tmp_path, capsys):
+        from crashrl.agents import Agent
+
+        checkpoint = tmp_path / "ck.txt"
+        Agent(AgentConfig(algo="td3", hidden_dims=(8, 8)), obs_dim=32, seed=0).save(checkpoint)
+        missing = tmp_path / "no_such_dir"
+        for argv in (
+            self._train_flags(tmp_path / "runs"),
+            self._eval_flags(tmp_path, checkpoint),
+        ):
+            code = cli_main(argv + ["--data", str(missing)])
+            assert code == 1
+            assert f"data: no such directory {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists() and not (tmp_path / "eval_out").exists()
 
     def test_unknown_config_file_key_exits_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -1,5 +1,5 @@
 """Lockstep evaluation: the batched attention kernel, batched action
-selection, and collect_records against a sequential AccidentEnv reference."""
+selection, and collect_records against AccidentEnv groups of one."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from crashrl.agents import Agent, AgentConfig
 from crashrl.agents.agent import squash01
 from crashrl.env import (
     AccidentEnv,
-    DualAction,
     EnvConfig,
     SaliencyField,
     attention_features,
@@ -89,14 +88,15 @@ class TestAttentionKernel:
     def test_env_features_use_the_kernel(self):
         cfg = EnvConfig(grid_h=8, grid_w=8, pool_h=4, pool_w=4, stack=2, episode_len=12)
         episode = generate_episode(cfg, 3)
-        env = AccidentEnv(episode, cfg)
+        env = AccidentEnv([episode], cfg)
         obs = env.reset()
         frames = [normalize_field(f).grid for f in episode.frames[:2]]
         first, _ = reference_features(frames[0], (0.5, 0.5), cfg)
-        assert obs.features.tobytes() == np.concatenate([first, first]).tobytes()
-        nxt = env.step(DualAction(0.2, (0.9, 0.1))).next_obs
+        assert obs.shape == (1, cfg.obs_dim)
+        assert obs[0].tobytes() == np.concatenate([first, first]).tobytes()
+        nxt = env.step([(0.2, 0.9, 0.1)]).next_obs
         second, _ = reference_features(frames[1], (0.9, 0.1), cfg)
-        assert nxt.features.tobytes() == np.concatenate([first, second]).tobytes()
+        assert nxt[0].tobytes() == np.concatenate([first, second]).tobytes()
 
     def test_rejects_pool_that_does_not_divide_and_bad_fixation_shape(self):
         cfg = EnvConfig(grid_h=8, grid_w=8, pool_h=4, pool_w=4)
@@ -123,21 +123,24 @@ class FeatureEcho:
 
 
 def sequential_records(policy, episodes, cfg):
-    """One AccidentEnv per episode, one batch-1 policy call per step."""
+    """One AccidentEnv group of one per episode, one batch-1 policy call per step."""
     rows = []
     for episode in episodes:
-        env = AccidentEnv(episode, cfg.env)
+        env = AccidentEnv([episode], cfg.env)
         obs = env.reset()
         while not env.done:
-            t = obs.frame_index
-            action = DualAction.from_array(policy(obs.features[None], t, [episode])[0])
+            t = env.t
+            actions = np.asarray(policy(obs, t, [episode]), dtype=np.float64)
+            result = env.step(actions)
+            a, px, py = actions[0].tolist()
             rows.append(
                 Row(
-                    episode.episode_id, t, action.a, episode.y, episode.t_a,
-                    action.p_hat, tuple(episode.fixation_track[t].tolist()), episode.fps,
+                    episode.episode_id, t, a, episode.y, episode.t_a, (px, py),
+                    tuple(episode.fixation_track[t].tolist()), episode.fps,
+                    result.r_A.item(), result.r_F.item(),
                 )
             )
-            obs = env.step(action).next_obs
+            obs = result.next_obs
     return records_from_rows(rows)
 
 
@@ -211,6 +214,17 @@ class TestCollectRecords:
         episodes = [generate_episode(cfg.env, seed) for seed in range(2)]
         with pytest.raises(ValueError, match=r"shape \[2, 3\]"):
             collect_records(lambda f, t, g: np.full((len(g), 4), 0.5), episodes, cfg)
+
+    @pytest.mark.parametrize(
+        "other", [dict(grid_h=16, grid_w=16), dict(episode_len=12)], ids=["grid", "length"]
+    )
+    def test_env_group_of_mixed_shape_or_length_is_rejected(self, other):
+        cfg = small_run_cfg()
+        episodes = [generate_episode(cfg.env, 0), generate_episode(cfg.env, 1)]
+        episodes.append(generate_episode(small_run_cfg(**other).env, 2))
+        with pytest.raises(ValueError, match="one grid shape and one length"):
+            AccidentEnv(episodes, cfg.env)
+        AccidentEnv(episodes[:2], cfg.env)  # the matching pair is one group
 
     def test_unsteppable_episode_is_rejected(self):
         cfg = small_run_cfg(pool_h=3, pool_w=3, grid_h=9, grid_w=9)

@@ -471,7 +471,8 @@ class TestEvalRecordsChecks:
 
     @pytest.mark.parametrize(
         "column,cut",
-        [("t", 3), ("score", 3), ("p_hat", 3), ("p", 5), ("y", 1), ("t_a", 1), ("fps", 3)],
+        [("t", 3), ("score", 3), ("p_hat", 3), ("p", 5), ("y", 1), ("t_a", 1), ("fps", 3),
+         ("r_A", 3), ("r_F", 5)],
     )
     def test_column_lengths_disagree(self, column, cut):
         records = records_from_rows(self._valid())
