@@ -60,6 +60,19 @@ def squash01(t: np.ndarray) -> np.ndarray:
     return 0.5 * (t + 1.0)
 
 
+def sample_policy(out: np.ndarray, rng: np.random.Generator):
+    """A reparameterized draw from the policy whose actor output is ``out``.
+
+    Returns (mean, log_std, std, eps, u): log_std clipped to [LOG_STD_MIN,
+    LOG_STD_MAX], eps drawn in float64 and cast, and u = mean + std * eps.
+    """
+    mean = out[:, :ACTION_DIM]
+    log_std = np.clip(out[:, ACTION_DIM:], LOG_STD_MIN, LOG_STD_MAX)
+    eps = rng.standard_normal((out.shape[0], ACTION_DIM)).astype(DTYPE)
+    std = np.exp(log_std)
+    return mean, log_std, std, eps, mean + std * eps
+
+
 def config_hash(cfg: AgentConfig) -> str:
     payload = json.dumps(asdict(cfg), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -104,7 +117,7 @@ class Agent:
         self.obs_dim = obs_dim
         actor_out = 2 * ACTION_DIM if cfg.stochastic else ACTION_DIM
         actor_act = "identity" if cfg.stochastic else "tanh"
-        self.actor_spec = MlpSpec(obs_dim, cfg.hidden_dims, actor_out, "relu", actor_act)
+        self.actor_spec = MlpSpec(obs_dim, cfg.hidden_dims, actor_out, actor_act)
         self.critic_spec = MlpSpec(obs_dim + ACTION_DIM, cfg.hidden_dims, 1)
 
     def _set_networks(self, actors, critics, target_actors, target_critics, noise_seed) -> None:
@@ -128,10 +141,9 @@ class Agent:
 
     # ------------------------------------------------------------------ acting
 
-    def _deterministic_candidates(self, s: np.ndarray) -> list[np.ndarray]:
-        return [
-            squash01(mlp_apply(actor, self.actor_spec, s)) for actor in self.actors
-        ]
+    def deterministic_candidates(self, actors, s: np.ndarray) -> list[np.ndarray]:
+        """Each deterministic actor's action for the rows of ``s``, in [0, 1]."""
+        return [squash01(mlp_apply(actor, self.actor_spec, s)) for actor in actors]
 
     def _critic_value(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Mean online critic value of each row's (s, a), shaped [N, 1]."""
@@ -161,16 +173,10 @@ class Agent:
         n = s.shape[0]
         if self.cfg.stochastic:
             out = mlp_apply(self.actors[0], self.actor_spec, s)
-            mean = out[:, :ACTION_DIM]
-            if mode == "train":
-                log_std = np.clip(out[:, ACTION_DIM:], LOG_STD_MIN, LOG_STD_MAX)
-                eps = self.rng.standard_normal((n, ACTION_DIM)).astype(DTYPE)
-                u = mean + np.exp(log_std) * eps
-            else:
-                u = mean
+            u = sample_policy(out, self.rng)[-1] if mode == "train" else out[:, :ACTION_DIM]
             action = squash01(np.tanh(u))
         else:
-            candidates = self._deterministic_candidates(s)
+            candidates = self.deterministic_candidates(self.actors, s)
             if len(candidates) == 1:
                 action = candidates[0]
             else:

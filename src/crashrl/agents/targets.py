@@ -24,7 +24,7 @@ from functools import reduce
 import numpy as np
 
 from ..numkit import DTYPE, mlp_apply
-from .agent import LOG_STD_MAX, LOG_STD_MIN, Agent, squash01
+from .agent import Agent, sample_policy, squash01
 from .replay import ACTION_DIM, Batch
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -64,17 +64,13 @@ def _next_actions(batch: Batch, agent: Agent) -> list[tuple[np.ndarray, np.ndarr
     cfg = agent.cfg
     if cfg.stochastic:
         out = mlp_apply(agent.actors[0], agent.actor_spec, batch.s_next)
-        mean = out[:, :ACTION_DIM]
-        log_std = np.clip(out[:, ACTION_DIM:], LOG_STD_MIN, LOG_STD_MAX)
-        eps = agent.rng.standard_normal((len(batch), ACTION_DIM)).astype(DTYPE)
-        u = mean + np.exp(log_std) * eps
+        mean, log_std, _, _, u = sample_policy(out, agent.rng)
         return [(squash01(np.tanh(u)), tanh_gaussian_logprob(mean, log_std, u))]
     noise = _smoothing_noise(agent, len(batch)) if cfg.smoothing else None
-    candidates = []
-    for actor in agent.target_actors:
-        a = squash01(mlp_apply(actor, agent.actor_spec, batch.s_next))
-        candidates.append((a if noise is None else np.clip(a + noise, 0.0, 1.0), None))
-    return candidates
+    actions = agent.deterministic_candidates(agent.target_actors, batch.s_next)
+    if noise is not None:
+        actions = [np.clip(a + noise, 0.0, 1.0) for a in actions]
+    return [(a, None) for a in actions]
 
 
 def compute_targets(batch: Batch, agent: Agent) -> TargetParts:

@@ -9,9 +9,12 @@ j, or, for a stochastic (SAC) actor, min_i Q_i - alpha * log pi with the
 reparameterization trick. After every actor phase all targets are Polyak-
 updated with rate tau.
 
-Each phase runs its networks forward with ``mlp_graph``, writes out the
-gradient of its loss with respect to each network's output by hand, and
-hands it to ``autodiff.backprop`` for the chain rule through the network.
+Each phase runs its networks forward with ``mlp_graph`` (acting and targets
+run its output alone, ``mlp_apply``), writes out the gradient of its loss
+with respect to each network's output by hand, and hands it to
+``autodiff.backprop`` for the chain rule through the network. The SAC
+actor draws its action with ``agent.sample_policy``, as acting and the
+target do.
 Only the parameters a phase updates get a gradient (the critics' in the
 critic phase, the actor's in the actor phase); the actor phase also forms
 the critics' input gradient, of which it uses the action columns. Adam and
@@ -31,9 +34,9 @@ from functools import reduce
 
 import numpy as np
 
-from ..numkit import DTYPE, adam_step, mlp_graph, soft_update
+from ..numkit import adam_step, mlp_graph, soft_update
 from ..numkit import autodiff as ad
-from .agent import LOG_STD_MAX, LOG_STD_MIN, Agent
+from .agent import LOG_STD_MAX, LOG_STD_MIN, Agent, sample_policy, squash01
 from .replay import ACTION_DIM, Batch, ReplayBuffer
 from .targets import LOG_TWO_PI, compute_targets
 
@@ -102,7 +105,7 @@ def _action_grad(agent: Agent, records, upstream) -> np.ndarray:
 def _det_actor_grad(agent: Agent, batch: Batch, actor_idx: int, critic_idx: int):
     """-mean Q_critic(s, pi_actor(s)): its value and the actor's flat gradient."""
     out, actor_record = mlp_graph(agent.actors[actor_idx], agent.actor_spec, batch.s)
-    x = np.concatenate([batch.s, (out + 1.0) * 0.5], axis=1)
+    x = np.concatenate([batch.s, squash01(out)], axis=1)
     q, critic_record = mlp_graph(agent.critics[critic_idx], agent.critic_spec, x)
     g_q = np.full(q.shape, _mean_grad(q, -1.0), q.dtype)
     g_t = _action_grad(agent, [critic_record], [g_q])
@@ -114,13 +117,9 @@ def _sac_actor_grad(agent: Agent, batch: Batch):
     u = mean + std * eps: its value and the actor's flat gradient."""
     cfg = agent.cfg
     out, actor_record = mlp_graph(agent.actors[0], agent.actor_spec, batch.s)
-    mean = out[:, :ACTION_DIM]
     log_std_raw = out[:, ACTION_DIM:]
-    log_std = np.clip(log_std_raw, LOG_STD_MIN, LOG_STD_MAX)
-    inside = (log_std_raw >= LOG_STD_MIN) & (log_std_raw <= LOG_STD_MAX)
-    eps = agent.rng.standard_normal((len(batch), ACTION_DIM)).astype(DTYPE)
-    std = np.exp(log_std)
-    u = mean + std * eps
+    inside = (log_std_raw >= LOG_STD_MIN) & (log_std_raw <= LOG_STD_MAX)  # the clip's gradient
+    _, log_std, std, eps, u = sample_policy(out, agent.rng)
     t = np.tanh(u)
     # log pi with u = mean + std*eps: the normal term reduces to a constant in
     # eps minus log_std; the tanh correction log(1 - tanh(u)^2) is
@@ -129,7 +128,7 @@ def _sac_actor_grad(agent: Agent, batch: Batch):
     correction = 2.0 * (math.log(2.0) - u - np.logaddexp(0.0, -2.0 * u))
     logp = ((const - log_std) - correction).sum(axis=1, keepdims=True)
 
-    x = np.concatenate([batch.s, (t + 1.0) * 0.5], axis=1)
+    x = np.concatenate([batch.s, squash01(t)], axis=1)
     (q0, record0), (q1, record1) = (
         mlp_graph(p, agent.critic_spec, x) for p in agent.critics
     )

@@ -8,6 +8,7 @@ import statistics
 from dataclasses import dataclass
 
 from ..atomic import atomic_write
+from .config import ConfigError
 from .running import RunArtifacts
 
 # (row label, metrics.json key, whether larger is better)
@@ -58,16 +59,29 @@ def summarize(artifacts: RunArtifacts) -> RunSummary:
 
 
 def load_run_summary(path) -> RunSummary:
-    """Read a run.json written by run_training (path may be its directory)."""
+    """Read a run.json written by run_training (path may be its directory).
+
+    Invalid JSON or a missing key raises ConfigError naming the path (and seed).
+    """
     if os.path.isdir(path):
         path = os.path.join(path, "run.json")
     with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f)
-    return RunSummary(
-        data["algo"],
-        data["eval_fingerprint"],
-        {seed: entry["metrics"] for seed, entry in data["per_seed"].items()},
-    )
+        try:
+            data = json.load(f)
+        except ValueError as exc:
+            raise ConfigError(f"runs: {path} is not valid JSON: {exc}") from exc
+
+    def field(mapping, key, where=""):
+        if not isinstance(mapping, dict) or key not in mapping:
+            raise ConfigError(f"runs: {path}: {where}no {key!r} key")
+        return mapping[key]
+
+    metrics_by_seed = {}
+    for seed, entry in field(data, "per_seed").items():
+        metrics_by_seed[seed] = metrics = field(entry, "metrics", f"seed {seed}: ")
+        for _, key, _ in TABLE_ROWS:
+            field(metrics, key, f"seed {seed}: ")
+    return RunSummary(field(data, "algo"), field(data, "eval_fingerprint"), metrics_by_seed)
 
 
 def compare_table(runs) -> ComparisonTable:

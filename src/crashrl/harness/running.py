@@ -37,6 +37,7 @@ from ..env import (
     Episode,
     accident_weight,
     blob_onset,
+    fixation_window_active,
     generate_episode,
     load_episode_file,
     write_episode_file,
@@ -264,8 +265,9 @@ def export_traces(records: EvalRecords, out_dir) -> list[str]:
     return paths
 
 
-def _require_both_classes(eval_set, where: str) -> None:
-    """The report needs a positive and a negative episode; check first.
+def _require_reportable(eval_set, window: str, where: str) -> None:
+    """The report needs both classes, and for fixation MSE a recorded frame
+    (0..T-2 of T frames) inside the fixation window; check first.
 
     ``where`` names the set in the error, e.g. "seed 3: the held-out set".
     """
@@ -275,6 +277,15 @@ def _require_both_classes(eval_set, where: str) -> None:
         raise ConfigError(
             f"{where} of {len(eval_set)} episodes has no "
             f"{' or '.join(missing)} episode; AUC and recall need both classes"
+        )
+    if not any(
+        fixation_window_active(t, ep.t_a, window)
+        for ep in eval_set
+        for t in range(ep.length - 1)
+    ):
+        raise ConfigError(
+            f"{where} of {len(eval_set)} episodes has no recorded frame inside "
+            f"the {window} fixation window; fixation MSE needs one"
         )
 
 
@@ -296,7 +307,7 @@ def run_training(cfg: RunConfig) -> RunArtifacts:
     seed_fingerprints = []
     for seed in cfg.seeds:
         eval_set = source.eval_set(seed)
-        _require_both_classes(eval_set, f"seed {seed}: the held-out set")
+        _require_reportable(eval_set, cfg.env.fixation_window, f"seed {seed}: the held-out set")
         seed_fingerprints.append(eval_fingerprint(eval_set))
         obs_dim = cfg.env.obs_dim
         agent = Agent(cfg.agent, obs_dim, seed + AGENT_SEED_OFFSET)
@@ -363,10 +374,11 @@ def run_eval(checkpoint_path, episodes, cfg: RunConfig):
 
     Returns (MetricsReport, EvalRecords). The checkpoint's observation
     width must match what cfg.env produces, and the set must hold both
-    classes (checked before the checkpoint is read).
+    classes and a frame inside the fixation window (checked before the
+    checkpoint is read).
     """
     episodes = list(episodes)
-    _require_both_classes(episodes, "eval: the episode set")
+    _require_reportable(episodes, cfg.env.fixation_window, "eval: the episode set")
     agent = Agent.load(checkpoint_path, cfg.agent)
     expected = cfg.env.obs_dim
     if agent.obs_dim != expected:

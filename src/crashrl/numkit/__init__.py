@@ -1,13 +1,14 @@
-"""Minimal dense float32 math: MLPs with a recorded forward pass and its
-chain rule, Adam, Polyak updates.
+"""Minimal dense float32 math: relu MLPs with one recorded forward pass and
+its chain rule, Adam, Polyak updates.
 
 Each network's parameters live in one flat float32 vector (``ParamSet.flat``,
 dtype ``DTYPE``) with named ndarray views; Adam and Polyak updates run in
 place on it, and ``autodiff.backprop`` returns a gradient in the same
-layout. The forward and backward passes follow the parameters' dtype, so
-gradient checks run them in float64 on a cast copy. Parameters have no disk
-format here; checkpoints (``agents.agent``) write the flat vectors on the
-``crashrl.records`` framing.
+layout, the one form ``adam_step`` takes. ``mlp_graph`` is the forward pass
+and ``mlp_apply`` its output alone. The forward and backward passes follow
+the parameters' dtype, so gradient checks run them in float64 on a cast
+copy. Parameters have no disk format here; checkpoints (``agents.agent``)
+write the flat vectors on the ``crashrl.records`` framing.
 """
 
 from . import autodiff

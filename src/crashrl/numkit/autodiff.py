@@ -1,16 +1,17 @@
 """Reverse-mode gradients of MLP chains, from a recorded forward pass.
 
 ``mlp_graph`` (``numkit.mlp``) runs a network's forward pass and returns
-its output with an ``MlpRecord``: each layer's input, each hidden layer's
-relu mask, and the unclamped tanh of a tanh head. ``backprop`` takes that
-record and the gradient of a loss with respect to the network's output
-(``upstream``) and applies the chain rule layer by layer, from the head
-down: dW = x.T @ g and db = g.sum(axis=0), then g @ W.T and the relu mask
-for the layer below. It forms g @ W.T only where a lower layer or a
-requested input gradient needs it. The parameter gradient comes out as one
-flat vector in the parameters' ``ParamSet`` layout, ready for
-``adam_step``. The loss heads on top of the networks are written out by
-hand in ``agents.updates``.
+its output with an ``MlpRecord``: each layer's input and the unclamped
+tanh of a tanh head. ``backprop`` takes that record and the gradient of a
+loss with respect to the network's output (``upstream``) and applies the
+chain rule layer by layer, from the head down: dW = x.T @ g and
+db = g.sum(axis=0), then g @ W.T times the relu mask of the layer below.
+That mask is read off the next layer's recorded input, a relu output,
+which is > 0 exactly where its pre-activation is. It forms g @ W.T only
+where a lower layer or a requested input gradient needs it. The parameter
+gradient comes out as one flat vector in the parameters' ``ParamSet``
+layout, ready for ``adam_step``. The loss heads on top of the networks are
+written out by hand in ``agents.updates``.
 
 Every step computes in the parameters' dtype: float32 in the gradient
 phases, float64 for the finite-difference checks that run on a cast copy.
@@ -18,7 +19,7 @@ phases, float64 for the finite-difference checks that run on a cast copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,19 +28,18 @@ from .tensor import ParamSet
 __all__ = ["MlpRecord", "backprop"]
 
 
-@dataclass(frozen=True)
-class MlpRecord:
+class MlpRecord(NamedTuple):
     """What ``backprop`` needs from one forward pass of one network.
 
-    ``inputs[i]`` is layer i's input, ``masks[i]`` hidden layer i's relu
-    mask (pre-activation > 0), and ``tanh`` the unclamped tanh of a tanh
-    head (None for an identity head). ``params`` are the network's
-    parameters, which must not change before the backward pass.
+    ``inputs[i]`` is layer i's input (for i > 0, hidden layer i - 1's relu
+    output) and ``tanh`` the unclamped tanh of a tanh head (None for an
+    identity head). ``params`` are the network's parameters, which must not
+    change before the backward pass. A tuple, not a dataclass: it is built
+    on every forward pass, batch-1 acting included.
     """
 
     params: ParamSet
     inputs: list[np.ndarray]
-    masks: list[np.ndarray]
     tanh: np.ndarray | None
 
 
@@ -72,7 +72,7 @@ def backprop(
             np.sum(g, axis=0, out=grads[f"b{i}"])
         if i > 0:
             g = g @ p[f"w{i}"].T
-            g *= record.masks[i - 1]
+            g *= record.inputs[i] > 0
         elif inputs:
             dx = g @ p["w0"].T
     return flat, dx

@@ -3,13 +3,14 @@
 Networks are plain chains: affine -> relu per hidden layer, then an affine
 output head with identity or tanh activation. Parameters are named
 ``w0, b0, w1, b1, ...`` with weight shape [fan_in, fan_out], stored in that
-order in one flat vector (see ``ParamSet``). ``mlp_apply`` is the forward
-pass for acting and for targets. For gradients, ``mlp_graph`` runs the
-forward pass and records what ``autodiff.backprop`` needs to push a loss
-gradient back into one flat vector with the parameters' layout, ready for
-``adam_step``. Every value and gradient has the parameters' dtype: float32
-for the networks ``init_params`` makes; ``gradient_check`` runs the same
-functions on a float64 cast copy.
+order in one flat vector (see ``ParamSet``). ``mlp_graph`` is the one
+forward pass: it returns the output with a record of what
+``autodiff.backprop`` needs to push a loss gradient back into one flat
+vector with the parameters' layout, ready for ``adam_step``. ``mlp_apply``,
+for acting and for targets, is ``mlp_graph`` without the record. Every
+value and gradient has the parameters' dtype: float32 for the networks
+``init_params`` makes; ``gradient_check`` runs the same functions on a
+float64 cast copy.
 """
 
 from __future__ import annotations
@@ -21,18 +22,16 @@ import numpy as np
 from . import autodiff as ad
 from .tensor import ParamSet
 
-HIDDEN_ACTIVATIONS = ("relu",)
 OUTPUT_ACTIVATIONS = ("identity", "tanh")
 
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Architecture of one fully connected network."""
+    """Architecture of one fully connected network: relu hidden layers."""
 
     input_dim: int
     hidden_dims: tuple[int, ...]
     output_dim: int
-    hidden_activation: str = "relu"
     output_activation: str = "identity"
 
     def __post_init__(self):
@@ -40,8 +39,6 @@ class MlpSpec:
         dims = (self.input_dim, *self.hidden_dims, self.output_dim)
         if any(int(d) < 1 for d in dims):
             raise ValueError(f"all dimensions must be >= 1, got {dims}")
-        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
-            raise ValueError(f"unknown hidden activation {self.hidden_activation!r}")
         if self.output_activation not in OUTPUT_ACTIVATIONS:
             raise ValueError(f"unknown output activation {self.output_activation!r}")
 
@@ -74,15 +71,6 @@ def init_params(spec: MlpSpec, seed: int) -> ParamSet:
     return ParamSet(items)
 
 
-def _check_input(spec: MlpSpec, x: np.ndarray, dtype) -> np.ndarray:
-    x = np.asarray(x, dtype=dtype)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ValueError(
-            f"input must have shape [batch, {spec.input_dim}], got {list(x.shape)}"
-        )
-    return x
-
-
 def tanh_head_bound(dtype) -> np.floating:
     """The largest value below 1 in ``dtype``, which tanh heads are clamped to.
 
@@ -96,51 +84,37 @@ def tanh_head_bound(dtype) -> np.floating:
 def mlp_graph(
     params: ParamSet, spec: MlpSpec, x: np.ndarray
 ) -> tuple[np.ndarray, ad.MlpRecord]:
-    """Forward pass for a gradient phase: the output and its ``MlpRecord``.
+    """The forward pass: the network's output and its ``MlpRecord``.
 
-    The output equals ``mlp_apply``'s except at relu's edge cases: relu is
-    fmax(a, 0) + 0.0, which maps NaN to 0 and -0.0 to +0.0, so every entry
-    equals where(a > 0, a, +0.0) bit for bit. The record keeps each layer's
-    input, each relu mask and a tanh head's unclamped tanh.
+    ``x`` is cast to the parameters' dtype, so the pass runs in it. Each
+    layer's matmul output is a fresh array, so the bias, relu and tanh act
+    on it in place. relu is fmax(a, 0), which maps NaN and -0.0 to +0.0, so
+    every entry equals where(a > 0, a, +0.0) bit for bit. (A pre-activation
+    is -0.0 only under a -0.0 bias: x @ W + (+0.0) rounds -0.0 to +0.0.)
+    The record keeps each layer's input and a tanh head's unclamped tanh.
     """
-    h = _check_input(spec, x, params["w0"].dtype)
-    inputs, masks = [], []
+    h = np.asarray(x, dtype=params["w0"].dtype)
+    if h.ndim != 2 or h.shape[1] != spec.input_dim:
+        raise ValueError(f"input must have shape [batch, {spec.input_dim}], got {list(h.shape)}")
+    inputs = []
     n_layers = len(spec.hidden_dims) + 1
     for i in range(n_layers):
         inputs.append(h)
         h = h @ params[f"w{i}"]
         h += params[f"b{i}"]
         if i < n_layers - 1:
-            masks.append(h > 0.0)
             np.fmax(h, 0.0, out=h)
-            h += 0.0
     tanh = None
     if spec.output_activation == "tanh":
-        tanh = np.tanh(h)
+        tanh = np.tanh(h, out=h)
         bound = tanh_head_bound(h.dtype)
         h = np.clip(tanh, -bound, bound)
-    return h, ad.MlpRecord(params, inputs, masks, tanh)
+    return h, ad.MlpRecord(params, inputs, tanh)
 
 
 def mlp_apply(params: ParamSet, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
-    """Forward pass for action selection and target computation (no record).
-
-    ``x`` is cast to the parameters' dtype, so the forward pass runs in it.
-    Each layer's matmul output is a fresh array, so the bias, relu and head
-    act on it in place.
-    """
-    h = _check_input(spec, x, params["w0"].dtype)
-    n_layers = len(spec.hidden_dims) + 1
-    for i in range(n_layers):
-        h = h @ params[f"w{i}"]
-        h += params[f"b{i}"]
-        if i < n_layers - 1:
-            np.maximum(h, 0.0, out=h)
-    if spec.output_activation == "tanh":
-        np.tanh(h, out=h)
-        bound = tanh_head_bound(h.dtype)
-        np.clip(h, -bound, bound, out=h)
-    return h
+    """``mlp_graph``'s output alone, for action selection and targets."""
+    return mlp_graph(params, spec, x)[0]
 
 
 # Central-difference step and the kink-exclusion margin for relu nets.

@@ -4,6 +4,8 @@ Both work in place on a network's flat float32 parameter vector
 (``ParamSet.flat``) with a few whole-vector numpy operations; the moments
 have the parameters' dtype. Each keeps the operation order of
 the textbook per-tensor formulas, so every entry is bit-identical to them.
+Adam's moment decays and epsilon are the textbook defaults (``BETA1``,
+``BETA2``, ``EPS``); only the step size is set per network.
 """
 
 from __future__ import annotations
@@ -14,10 +16,14 @@ import numpy as np
 
 from .tensor import ParamSet
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
-    """First/second-moment estimates and hyperparameters for one ParamSet.
+    """First/second-moment estimates and the step size for one ParamSet.
 
     ``name`` labels the network in errors; ``t`` counts its updates.
     """
@@ -26,41 +32,26 @@ class AdamState:
     v: ParamSet
     t: int
     alpha: float
-    beta1: float
-    beta2: float
-    eps: float
     name: str = "params"
 
 
-def init_adam(
-    params: ParamSet,
-    alpha: float = 3e-4,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    name: str = "params",
-) -> AdamState:
-    if not (alpha > 0 and 0 <= beta1 < 1 and 0 <= beta2 < 1 and eps > 0):
-        raise ValueError("invalid Adam hyperparameters")
-    return AdamState(
-        params.zeros_like(), params.zeros_like(), 0, alpha, beta1, beta2, eps, name
-    )
+def init_adam(params: ParamSet, alpha: float = 3e-4, name: str = "params") -> AdamState:
+    if not alpha > 0:
+        raise ValueError(f"Adam step size must be > 0, got {alpha}")
+    return AdamState(params.zeros_like(), params.zeros_like(), 0, alpha, name)
 
 
 def adam_step(params: ParamSet, grads, state: AdamState) -> tuple[ParamSet, AdamState]:
     """One bias-corrected Adam update, in place; returns params and state.
 
-    ``grads`` is a ParamSet or a flat vector in the parameters' layout and
-    dtype; a gradient of another dtype raises ValueError naming the network
-    (the in-place updates would otherwise cast it silently).
+    ``grads`` is a flat vector in the parameters' layout and dtype, as
+    ``autodiff.backprop`` returns it; a gradient of another dtype raises
+    ValueError naming the network (the in-place updates would otherwise
+    cast it silently).
     Raises ValueError naming the network and the update index when the
     update leaves a parameter or a second moment non-finite (which any
     non-finite gradient, or one whose square overflows, does).
     """
-    if isinstance(grads, ParamSet):
-        if not params.same_shapes(grads):
-            raise ValueError("parameter, gradient, and state shapes must match")
-        grads = grads.flat
     if grads.shape != params.flat.shape or not params.same_shapes(state.m):
         raise ValueError("parameter, gradient, and state shapes must match")
     if grads.dtype != params.flat.dtype:
@@ -69,7 +60,7 @@ def adam_step(params: ParamSet, grads, state: AdamState) -> tuple[ParamSet, Adam
             f"parameter dtype {params.flat.dtype}"
         )
     t = state.t + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = BETA1, BETA2
     m, v, theta = state.m.flat, state.v.flat, params.flat
     # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
     m *= b1
@@ -81,7 +72,7 @@ def adam_step(params: ParamSet, grads, state: AdamState) -> tuple[ParamSet, Adam
     step *= state.alpha
     denom = v / (1.0 - b2**t)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += EPS
     step /= denom
     theta -= step
     state.t = t

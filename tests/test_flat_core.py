@@ -20,6 +20,7 @@ from crashrl.numkit import (
     init_params,
     soft_update,
 )
+from crashrl.numkit.optim import BETA1, BETA2, EPS
 
 
 def random_batch(rng, n, obs_dim):
@@ -145,11 +146,9 @@ class TestFlatUpdatesMatchPerTensorReference:
                 grads["b0"][:] = -0.0
             ref_p, ref_m, ref_v = reference_adam(
                 ref_p, as_dict(grads), ref_m, ref_v, step,
-                state.alpha, state.beta1, state.beta2, state.eps,
+                state.alpha, BETA1, BETA2, EPS,
             )
-            # alternate the two gradient forms adam_step accepts
-            g = grads if step % 2 else grads.flat
-            out, state = adam_step(params, g, state)
+            out, state = adam_step(params, grads.flat, state)
             assert out is params and state.t == step
             for name, _ in params:
                 for got, want in (
@@ -194,8 +193,6 @@ class TestFlatUpdatesMatchPerTensorReference:
             adam_step(params, np.zeros(3), state)
         other = ParamSet([("v", [1.0, 2.0])])
         with pytest.raises(ValueError, match="shapes must match"):
-            adam_step(params, other, state)
-        with pytest.raises(ValueError, match="shapes must match"):
             soft_update(params, other, 0.5)
 
 
@@ -237,10 +234,9 @@ class TestNonFiniteUpdatesAreNamed:
         agent = self._agent()
         params, state = agent.critics[1], agent.critic_adam[1]
         before = params.copy()
-        for grads in (np.zeros(params.flat.size), params.like(np.zeros(params.flat.size))):
-            with pytest.raises(ValueError, match=r"^critic_1: gradient dtype float64 does not "
-                                                 r"match parameter dtype float32$"):
-                adam_step(params, grads, state)
+        with pytest.raises(ValueError, match=r"^critic_1: gradient dtype float64 does not "
+                                             r"match parameter dtype float32$"):
+            adam_step(params, np.zeros(params.flat.size), state)
         assert state.t == 0 and params.equal(before)
 
     def test_nan_reward_surfaces_from_the_critic_phase(self):

@@ -40,7 +40,7 @@ def _recorder(monkeypatch, module, name, record):
 
 def _arrays(values):
     """The float arrays among ``values``, looking into tuples, parameter sets
-    and forward records (whose relu masks are bool by construction)."""
+    and forward records."""
     for value in values:
         if isinstance(value, np.ndarray):
             yield value

@@ -23,6 +23,7 @@ from crashrl.harness import (
     summarize,
     write_comparison_csv,
 )
+from crashrl.harness.compare import TABLE_ROWS
 from crashrl.metrics import fixation_mse, mtta, recall_at_threshold
 from record_rows import frame_rows
 
@@ -488,6 +489,77 @@ class TestCli:
             assert code == 1
             assert f"data: no such directory {missing}" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists() and not (tmp_path / "eval_out").exists()
+
+    def test_no_frame_in_the_fixation_window_exits_one_before_training(
+        self, tmp_path, capsys
+    ):
+        # 5 frames: t_a is 3 or 4 and frames 0-3 are recorded, so no recorded
+        # frame comes after the accident.
+        out = tmp_path / "runs"
+        code = cli_main(self._train_flags(out) + ["--episode-length", "5"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "seed 0: the held-out set of 4 episodes" in err
+        assert "no recorded frame inside the after_accident fixation window" in err
+        assert not (out / "td3" / "seed_0").exists()
+
+    def test_five_frames_train_and_eval_with_the_pre_accident_window(self, tmp_path):
+        out = tmp_path / "runs"
+        short = ["--episode-length", "5", "--fixation-window", "before_accident"]
+        assert cli_main(self._train_flags(out) + short) == 0
+        checkpoint = out / "td3" / "seed_0" / "checkpoint.txt"
+        assert cli_main(self._eval_flags(tmp_path, checkpoint) + short) == 0
+        assert (tmp_path / "eval_out" / "metrics.json").exists()
+
+    def test_eval_no_frame_in_the_fixation_window_exits_one_before_reading_the_checkpoint(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from crashrl.agents import Agent
+
+        path = tmp_path / "ck.txt"
+        Agent(AgentConfig(algo="td3", hidden_dims=(8, 8)), obs_dim=32, seed=0).save(path)
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("the checkpoint must not be read")
+
+        monkeypatch.setattr(Agent, "load", no_load)
+        code = cli_main(self._eval_flags(tmp_path, path) + ["--episode-length", "5"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "eval: the episode set of " in err
+        assert "no recorded frame inside the after_accident fixation window" in err
+        assert not (tmp_path / "eval_out").exists()
+
+    @staticmethod
+    def _write_run_json(path, algo, drop=None, drop_metric=None):
+        metrics = {key: 0.5 for _, key, _ in TABLE_ROWS}
+        metrics.pop(drop_metric, None)
+        data = {"algo": algo, "eval_fingerprint": "f" * 16,
+                "per_seed": {"0": {"metrics": dict(metrics, mtta_seconds=1.0)},
+                             "1": {"metrics": metrics}}}
+        data.pop(drop, None)
+        path.write_text(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ({"drop": "eval_fingerprint"}, "runs: {path}: no 'eval_fingerprint' key"),
+            ({"drop_metric": "mtta_seconds"}, "runs: {path}: seed 1: no 'mtta_seconds' key"),
+            (None, "runs: {path} is not valid JSON: Expecting value: line 1 column 1"),
+        ],
+        ids=["no-fingerprint", "no-seed-metric", "not-json"],
+    )
+    def test_compare_names_the_file_and_key_of_a_bad_run(self, tmp_path, capsys, bad, message):
+        good, path = tmp_path / "good.json", tmp_path / "bad.json"
+        self._write_run_json(good, "ddpg")
+        if bad is None:
+            path.write_text("metric,td3\n")
+        else:
+            self._write_run_json(path, "td3", **bad)
+        code = cli_main(["compare", "--runs", str(good), str(path), "--out", str(tmp_path / "c")])
+        assert code == 1
+        assert message.format(path=path) in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     def test_unknown_config_file_key_exits_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -177,7 +177,7 @@ class TestAdam:
         params = ParamSet([("w", [[1.0, -2.0]])])
         before = params.copy()
         state = init_adam(params)
-        updated, new_state = adam_step(params, params.zeros_like(), state)
+        updated, new_state = adam_step(params, params.zeros_like().flat, state)
         assert updated.equal(before)
         assert new_state.t == 1
 
@@ -185,7 +185,7 @@ class TestAdam:
         params = ParamSet([("w", [0.0])])
         grads = ParamSet([("w", [1.0])])
         state = init_adam(params, alpha=0.001)
-        updated, _ = adam_step(params, grads, state)
+        updated, _ = adam_step(params, grads.flat, state)
         # bias-corrected m_hat = v_hat = 1 on step one
         assert updated["w"][0] == pytest.approx(-0.00099999999, abs=1e-15)
 
@@ -193,7 +193,7 @@ class TestAdam:
         params = ParamSet([("w", [3.0])])
         before = params.copy()
         state = init_adam(params)
-        zero = params.zeros_like()
+        zero = params.zeros_like().flat
         p1, s1 = adam_step(params, zero, state)
         p2, s2 = adam_step(p1, zero, s1)
         assert np.all(s2.m["w"] == 0.0)

@@ -41,17 +41,31 @@ def same_bits(a, b):
     )
 
 
+CHAINS = [((), "identity"), ((8,), "tanh"), ((16, 8), "identity"), ((16, 8, 4), "tanh")]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize(
-    "hidden,head", [((), "identity"), ((8,), "tanh"), ((16, 8), "identity"), ((16, 8, 4), "tanh")]
+    "hidden,head,bias",
+    [pytest.param(*chain, 0.0, id=f"hidden{i}-{chain[1]}") for i, chain in enumerate(CHAINS)]
+    + [pytest.param((16, 8, 4), "tanh", -0.0, id="negative-zero-biases")],
 )
-def test_backprop_matches_the_tape_on_mlp_chains(hidden, head, dtype):
+def test_backprop_matches_the_tape_on_mlp_chains(hidden, head, bias, dtype):
     spec = MlpSpec(5, hidden, 3, output_activation=head)
     params = init_params(spec, seed=3)
     params = params.like(params.flat.astype(dtype) * 3.0)  # some tanh entries clamp
     rng = np.random.default_rng(4)
     x = rng.standard_normal((9, 5)).astype(dtype)
     x[2] = 0.0  # exact-zero pre-activations in the first hidden layer
+    if np.signbit(bias):
+        # A -0.0 bias keeps a -0.0 product sum -0.0, and relu must map it to
+        # +0.0. An all-zero row sums to +0.0 in BLAS; products of subnormals
+        # with small negative weights underflow to -0.0.
+        for name, array in params:
+            if name.startswith("b"):
+                array[:] = bias
+        params["w0"][:, 0] = -0.25
+        x[3] = np.finfo(dtype).smallest_subnormal
     upstream = rng.standard_normal((9, 3)).astype(dtype)
 
     out, record = mlp_graph(params, spec, x)
@@ -63,6 +77,8 @@ def test_backprop_matches_the_tape_on_mlp_chains(hidden, head, dtype):
     assert same_bits(flat, tape.flat_grads(nodes))
     assert same_bits(dx, x_node.grad)
     assert same_bits(ad.backprop(record, upstream)[0], flat)
+    for h in record.inputs[1:]:  # relu outputs, as the tape's where(a > 0, a, +0.0)
+        assert not np.signbit(h).any()
 
 
 def test_backprop_forms_only_the_requested_gradients():
