@@ -68,6 +68,8 @@ class AgentConfig:
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
+        if any(d < 1 for d in self.hidden_dims):
+            raise ValueError(f"hidden_dims must be >= 1, got {list(self.hidden_dims)}")
 
     @property
     def n_actors(self) -> int:

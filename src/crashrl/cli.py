@@ -14,6 +14,7 @@ import sys
 
 from .agents import ALGOS
 from .env import generate_episode, load_episode_file
+from .env.config import FIXATION_WINDOWS
 from .harness import (
     ConfigError,
     build_run_config,
@@ -41,102 +42,72 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--data", help="episode-file directory (*.ade)")
-    p.add_argument("--algo", choices=ALGOS)
-    p.add_argument("--seed", type=int, help="single seed (shorthand for --seeds)")
-    p.add_argument("--seeds", help="comma-separated seed list, e.g. 0,1,2")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--episodes-per-epoch", type=int)
-    p.add_argument("--eval-episodes", type=int)
-    p.add_argument("--episode-length", type=int, help="frames per generated episode")
-    p.add_argument("--grid", type=int, help="saliency grid side (square)")
-    p.add_argument("--pool", type=int, help="pooled grid side (square)")
-    p.add_argument("--stack", type=int, help="observation frame-stack depth")
-    p.add_argument("--a0", type=float, help="accident-score threshold")
-    p.add_argument("--eta", type=float, help="fixation-reward coefficient")
-    p.add_argument("--rho", type=float, help="top-down/bottom-up blend ratio")
-    p.add_argument("--sigma-f", type=float, help="foveal Gaussian width")
-    p.add_argument("--fixation-window", choices=("after_accident", "before_accident"))
-    p.add_argument("--nu", type=float, help="DARC critic-regularization weight")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--warmup", type=int, help="uniform-random warmup steps")
-    p.add_argument("--hidden", help="comma-separated hidden widths, e.g. 64,64")
-    p.add_argument("--lr", type=float, help="actor and critic learning rate")
+def _int_list(text: str) -> tuple[int, ...]:
+    """A comma-separated int list: --seeds 0,1,2 or --hidden 64,64."""
+    try:
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _parse_seeds(args) -> tuple[int, ...] | None:
-    if args.seeds is not None:
-        try:
-            return tuple(int(tok) for tok in args.seeds.split(",") if tok.strip())
-        except ValueError as exc:
-            raise UsageError(f"--seeds: {exc}") from exc
-    if args.seed is not None:
-        return (args.seed,)
-    return None
+def _one_seed(text: str) -> tuple[int, ...]:
+    """--seed N, the one-seed list (N,)."""
+    try:
+        return (int(text),)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+# The one list of run flags shared by gen-data, train and eval: flag, type or
+# choices, the RunConfig field(s) it sets ("env."/"agent." name a section),
+# help. Later rows win, so --seeds beats --seed.
+_FLAGS = (
+    ("--config", str, (), "JSON config file (flags override it)"),
+    ("--out", str, ("out_dir",), "output directory"),
+    ("--data", str, ("data_dir",), "episode-file directory (*.ade)"),
+    ("--algo", ALGOS, ("algo",), None),
+    ("--seed", _one_seed, ("seeds",), "single seed (shorthand for --seeds)"),
+    ("--seeds", _int_list, ("seeds",), "comma-separated seed list, e.g. 0,1,2"),
+    ("--epochs", int, ("epochs",), None),
+    ("--episodes-per-epoch", int, ("episodes_per_epoch",), None),
+    ("--eval-episodes", int, ("eval_episodes",), None),
+    ("--episode-length", int, ("env.episode_len",), "frames per generated episode"),
+    ("--grid", int, ("env.grid_h", "env.grid_w"), "saliency grid side (square)"),
+    ("--pool", int, ("env.pool_h", "env.pool_w"), "pooled grid side (square)"),
+    ("--stack", int, ("env.stack",), "observation frame-stack depth"),
+    ("--a0", float, ("env.a_0",), "accident-score threshold"),
+    ("--eta", float, ("env.eta",), "fixation-reward coefficient"),
+    ("--rho", float, ("env.rho",), "top-down/bottom-up blend ratio"),
+    ("--sigma-f", float, ("env.sigma_f",), "foveal Gaussian width"),
+    ("--fixation-window", FIXATION_WINDOWS, ("env.fixation_window",), None),
+    ("--nu", float, ("agent.nu",), "DARC critic-regularization weight"),
+    ("--gamma", float, ("agent.gamma",), None),
+    ("--tau", float, ("agent.tau",), None),
+    ("--batch-size", int, ("agent.batch_size",), None),
+    ("--warmup", int, ("agent.warmup_steps",), "uniform-random warmup steps"),
+    ("--hidden", _int_list, ("agent.hidden_dims",), "comma-separated hidden widths, e.g. 64,64"),
+    ("--lr", float, ("agent.actor_lr", "agent.critic_lr"), "actor and critic learning rate"),
+)
+
+
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    for flag, kind, _, help_text in _FLAGS:
+        if isinstance(kind, tuple):
+            p.add_argument(flag, choices=kind, help=help_text)
+        else:
+            p.add_argument(flag, type=kind, help=help_text)
 
 
 def _overrides(args) -> dict:
+    """The run flags given, in build_run_config's nested layout."""
     top: dict = {}
-    env: dict = {}
-    agent: dict = {}
-    seeds = _parse_seeds(args)
-    if seeds is not None:
-        top["seeds"] = seeds
-    for flag, key in (
-        ("algo", "algo"),
-        ("epochs", "epochs"),
-        ("episodes_per_epoch", "episodes_per_epoch"),
-        ("eval_episodes", "eval_episodes"),
-        ("data", "data_dir"),
-        ("out", "out_dir"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            top[key] = value
-    for flag, key in (
-        ("a0", "a_0"),
-        ("eta", "eta"),
-        ("rho", "rho"),
-        ("sigma_f", "sigma_f"),
-        ("fixation_window", "fixation_window"),
-        ("episode_length", "episode_len"),
-        ("stack", "stack"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            env[key] = value
-    if getattr(args, "grid", None) is not None:
-        env["grid_h"] = env["grid_w"] = args.grid
-    if getattr(args, "pool", None) is not None:
-        env["pool_h"] = env["pool_w"] = args.pool
-    for flag, key in (
-        ("nu", "nu"),
-        ("gamma", "gamma"),
-        ("tau", "tau"),
-        ("batch_size", "batch_size"),
-        ("warmup", "warmup_steps"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            agent[key] = value
-    if getattr(args, "hidden", None) is not None:
-        try:
-            agent["hidden_dims"] = tuple(
-                int(tok) for tok in args.hidden.split(",") if tok.strip()
-            )
-        except ValueError as exc:
-            raise UsageError(f"--hidden: {exc}") from exc
-    if getattr(args, "lr", None) is not None:
-        agent["actor_lr"] = agent["critic_lr"] = args.lr
-    if env:
-        top["env"] = env
-    if agent:
-        top["agent"] = agent
+    for flag, _, fields, _ in _FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        for name in fields:
+            section, _, key = name.rpartition(".")
+            (top.setdefault(section, {}) if section else top)[key] = value
     return top
 
 
@@ -145,9 +116,16 @@ def _resolve_config(args):
     return build_run_config(file_values, _overrides(args))
 
 
+def _metrics_line(report) -> str:
+    return (
+        f"mtta={report.mtta_seconds:.4f}s auc={report.auc:.5f} ap={report.ap:.5f} "
+        f"recall={report.recall_at_a0:.4f} fixation_mse={report.fixation_mse:.6f}"
+    )
+
+
 def _cmd_gen_data(args) -> int:
     cfg = _resolve_config(args)
-    out = args.out or cfg.out_dir
+    out = cfg.out_dir
     manifest = gen_dataset(cfg, args.count, out, seed_base=cfg.seeds[0])
     write_config_snapshot(cfg, out)
     print(f"wrote {args.count} episodes and {manifest}")
@@ -158,13 +136,7 @@ def _cmd_train(args) -> int:
     cfg = _resolve_config(args)
     artifacts = run_training(cfg)
     for result in artifacts.results:
-        print(
-            f"{artifacts.algo} seed {result.seed}: "
-            f"mtta={result.report.mtta_seconds:.4f}s "
-            f"auc={result.report.auc:.5f} ap={result.report.ap:.5f} "
-            f"recall={result.report.recall_at_a0:.4f} "
-            f"fixation_mse={result.report.fixation_mse:.6f}"
-        )
+        print(f"{artifacts.algo} seed {result.seed}: {_metrics_line(result.report)}")
     print(f"artifacts under {artifacts.out_dir}")
     return 0
 
@@ -184,16 +156,12 @@ def _cmd_eval(args) -> int:
             generate_episode(cfg.env, base + j) for j in range(cfg.eval_episodes)
         ]
     report, records = run_eval(args.checkpoint, episodes, cfg)
-    out = args.out or cfg.out_dir
+    out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     write_config_snapshot(cfg, out)
     write_report(report, out)
     export_traces(records, os.path.join(out, "traces"))
-    print(
-        f"eval: mtta={report.mtta_seconds:.4f}s auc={report.auc:.5f} "
-        f"ap={report.ap:.5f} recall={report.recall_at_a0:.4f} "
-        f"fixation_mse={report.fixation_mse:.6f}"
-    )
+    print(f"eval: {_metrics_line(report)}")
     return 0
 
 
@@ -224,16 +192,16 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen-data", help="generate synthetic episode files")
-    _add_common_flags(p_gen)
+    _add_run_flags(p_gen)
     p_gen.add_argument("--count", type=int, required=True, help="episodes to write")
     p_gen.set_defaults(func=_cmd_gen_data)
 
     p_train = sub.add_parser("train", help="train one algorithm over seeds")
-    _add_common_flags(p_train)
+    _add_run_flags(p_train)
     p_train.set_defaults(func=_cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on an episode set")
-    _add_common_flags(p_eval)
+    _add_run_flags(p_eval)
     p_eval.add_argument("--checkpoint", required=True, help="agent checkpoint path")
     p_eval.set_defaults(func=_cmd_eval)
 

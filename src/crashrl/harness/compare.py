@@ -90,13 +90,13 @@ def compare_table(runs) -> ComparisonTable:
         run if isinstance(run, RunSummary) else summarize(run) for run in runs
     ]
     if len(summaries) < 2:
-        raise ValueError("comparison requires at least two algorithms")
+        raise ConfigError("comparison requires at least two algorithms")
     names = [s.algo for s in summaries]
     if len(set(names)) != len(names):
-        raise ValueError(f"duplicate algorithm names in comparison: {sorted(names)}")
+        raise ConfigError(f"duplicate algorithm names in comparison: {sorted(names)}")
     fingerprints = {s.eval_fingerprint for s in summaries}
     if len(fingerprints) != 1:
-        raise ValueError(
+        raise ConfigError(
             "runs evaluate different episode sets; fingerprints: "
             + ", ".join(f"{s.algo}={s.eval_fingerprint}" for s in summaries)
         )

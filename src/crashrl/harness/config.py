@@ -3,13 +3,15 @@
 Precedence is flags > file > defaults. Config files are JSON objects whose
 top-level keys mirror RunConfig fields, with nested "env" and "agent"
 objects mirroring EnvConfig and AgentConfig. Unknown keys anywhere are
-rejected by name.
+rejected by name, and so is a value of the wrong type: an int setting takes
+no float or bool, a float setting no bool.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -42,6 +44,8 @@ class RunConfig:
             raise ConfigError("seeds: must be nonempty")
         if any(s < 0 for s in self.seeds):
             raise ConfigError(f"seeds: must be >= 0, got {list(self.seeds)}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds: must be distinct, got {list(self.seeds)}")
         if self.epochs < 1:
             raise ConfigError(f"epochs: must be >= 1, got {self.epochs}")
         if self.episodes_per_epoch < 1:
@@ -61,10 +65,37 @@ def _field_names(cls) -> set[str]:
     return {f.name for f in dataclasses.fields(cls)}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# Field annotation -> (what it takes, check); every annotation is listed, so a
+# new kind of setting cannot go unchecked. A bool is an int to Python, and a
+# float int setting truncates or fails mid-run, so neither passes as an int.
+_KINDS = {
+    "int": ("an int", _is_int),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "tuple[int, ...]": (
+        "a list of ints",
+        lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+    ),
+    "EnvConfig": ("an object", lambda v: isinstance(v, EnvConfig)),
+    "AgentConfig": ("an object", lambda v: isinstance(v, AgentConfig)),
+}
+
+
 def _build_section(cls, values: dict, section: str):
     unknown = sorted(set(values) - _field_names(cls))
     if unknown:
         raise ConfigError(f"{section}: unknown keys {unknown}")
+    for f in dataclasses.fields(cls):
+        kind, fits = _KINDS[f.type]
+        if f.name in values and not fits(values[f.name]):
+            raise ConfigError(
+                f"{section}: {f.name} must be {kind}, got {values[f.name]!r}"
+            )
     try:
         return cls(**values)
     except ConfigError:
@@ -112,11 +143,6 @@ def build_run_config(
 
     env_values = merged.pop("env", {})
     agent_values = dict(merged.pop("agent", {}))
-    # Lists arrive from JSON; dataclasses want tuples.
-    if "seeds" in merged and isinstance(merged["seeds"], list):
-        merged["seeds"] = tuple(merged["seeds"])
-    if "hidden_dims" in agent_values and isinstance(agent_values["hidden_dims"], list):
-        agent_values["hidden_dims"] = tuple(agent_values["hidden_dims"])
     # The run-level algorithm drives the agent unless the agent section
     # explicitly (and consistently) names one too.
     algo = merged.get("algo", RunConfig.algo)
@@ -129,18 +155,11 @@ def build_run_config(
     )
 
 
-def config_as_dict(cfg: RunConfig) -> dict:
-    data = dataclasses.asdict(cfg)
-    data["seeds"] = list(cfg.seeds)
-    data["agent"]["hidden_dims"] = list(cfg.agent.hidden_dims)
-    return data
-
-
 def write_config_snapshot(cfg: RunConfig, out_dir) -> str:
     """Echo the fully resolved configuration into the output directory."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "config.json")
     with atomic_write(path, "w", encoding="utf-8") as f:
-        json.dump(config_as_dict(cfg), f, sort_keys=True, indent=2)
+        json.dump(dataclasses.asdict(cfg), f, sort_keys=True, indent=2)
         f.write("\n")
     return path

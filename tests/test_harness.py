@@ -531,10 +531,10 @@ class TestCli:
         assert not (tmp_path / "eval_out").exists()
 
     @staticmethod
-    def _write_run_json(path, algo, drop=None, drop_metric=None):
+    def _write_run_json(path, algo, drop=None, drop_metric=None, fingerprint="f" * 16):
         metrics = {key: 0.5 for _, key, _ in TABLE_ROWS}
         metrics.pop(drop_metric, None)
-        data = {"algo": algo, "eval_fingerprint": "f" * 16,
+        data = {"algo": algo, "eval_fingerprint": fingerprint,
                 "per_seed": {"0": {"metrics": dict(metrics, mtta_seconds=1.0)},
                              "1": {"metrics": metrics}}}
         data.pop(drop, None)
@@ -546,17 +546,30 @@ class TestCli:
             ({"drop": "eval_fingerprint"}, "runs: {path}: no 'eval_fingerprint' key"),
             ({"drop_metric": "mtta_seconds"}, "runs: {path}: seed 1: no 'mtta_seconds' key"),
             (None, "runs: {path} is not valid JSON: Expecting value: line 1 column 1"),
+            ("alone", "comparison requires at least two algorithms"),
+            ({"algo": "ddpg"}, "duplicate algorithm names in comparison: ['ddpg', 'ddpg']"),
+            (
+                {"fingerprint": "e" * 16},
+                "runs evaluate different episode sets; fingerprints: "
+                f"ddpg={'f' * 16}, td3={'e' * 16}",
+            ),
         ],
-        ids=["no-fingerprint", "no-seed-metric", "not-json"],
+        ids=[
+            "no-fingerprint", "no-seed-metric", "not-json", "one-run",
+            "duplicate-algo", "other-fingerprint",
+        ],
     )
     def test_compare_names_the_file_and_key_of_a_bad_run(self, tmp_path, capsys, bad, message):
         good, path = tmp_path / "good.json", tmp_path / "bad.json"
         self._write_run_json(good, "ddpg")
+        runs = [str(good), str(path)]
         if bad is None:
             path.write_text("metric,td3\n")
+        elif bad == "alone":
+            runs = [str(good)]
         else:
-            self._write_run_json(path, "td3", **bad)
-        code = cli_main(["compare", "--runs", str(good), str(path), "--out", str(tmp_path / "c")])
+            self._write_run_json(path, **{"algo": "td3", **bad})
+        code = cli_main(["compare", "--runs", *runs, "--out", str(tmp_path / "c")])
         assert code == 1
         assert message.format(path=path) in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
@@ -567,6 +580,143 @@ class TestCli:
         code = cli_main(["train", "--config", str(cfg_path)])
         assert code == 1
         assert "unknown" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ({"epochs": 1.5}, "run: epochs must be an int, got 1.5"),
+            ({"env": {"grid_h": 8.0}}, "env: grid_h must be an int, got 8.0"),
+            ({"seeds": [0.9]}, "run: seeds must be a list of ints, got [0.9]"),
+            (
+                {"agent": {"hidden_dims": [8.7]}},
+                "agent: hidden_dims must be a list of ints, got [8.7]",
+            ),
+            ({"agent": {"batch_size": True}}, "agent: batch_size must be an int, got True"),
+            ({"agent": {"gamma": True}}, "agent: gamma must be a number, got True"),
+        ],
+        ids=["float-epochs", "float-grid", "float-seed", "float-width", "bool-int", "bool-float"],
+    )
+    def test_config_value_of_the_wrong_type_exits_one_before_writing(
+        self, tmp_path, capsys, bad, message
+    ):
+        out = tmp_path / "runs"
+        config = {
+            "algo": "td3", "epochs": 1, "episodes_per_epoch": 1, "eval_episodes": 4,
+            "out_dir": str(out),
+            "env": {"grid_h": 8, "grid_w": 8, "pool_h": 4, "pool_w": 4, "stack": 2,
+                    "episode_len": 24},
+            "agent": {"hidden_dims": [8, 8], "batch_size": 8, "warmup_steps": 40},
+        }
+        for key, value in bad.items():
+            config[key] = {**config[key], **value} if isinstance(value, dict) else value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert cli_main(["train", "--config", str(cfg_path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--hidden", "8,0"], "hidden_dims must be >= 1, got [8, 0]"),
+            (["--seeds", "3,3"], "seeds: must be distinct, got [3, 3]"),
+        ],
+        ids=["zero-width", "repeated-seed"],
+    )
+    def test_bad_width_or_repeated_seed_exits_one_before_writing(
+        self, tmp_path, capsys, flags, message
+    ):
+        out = tmp_path / "runs"
+        assert cli_main(self._train_flags(out) + flags) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+_FLAG_SAMPLES = {
+    # flag: (token, the value it gives each of its RunConfig fields)
+    "--out": ("o", "o"),
+    "--data": ("d", "d"),
+    "--algo": ("td3", "td3"),
+    "--seed": ("5", (5,)),
+    "--seeds": ("1,2", (1, 2)),
+    "--epochs": ("3", 3),
+    "--episodes-per-epoch": ("7", 7),
+    "--eval-episodes": ("9", 9),
+    "--episode-length": ("50", 50),
+    "--grid": ("32", 32),
+    "--pool": ("4", 4),
+    "--stack": ("3", 3),
+    "--a0": ("0.25", 0.25),
+    "--eta": ("0.5", 0.5),
+    "--rho": ("0.75", 0.75),
+    "--sigma-f": ("0.3", 0.3),
+    "--fixation-window": ("before_accident", "before_accident"),
+    "--nu": ("0.01", 0.01),
+    "--gamma": ("0.9", 0.9),
+    "--tau": ("0.02", 0.02),
+    "--batch-size": ("32", 32),
+    "--warmup": ("10", 10),
+    "--hidden": ("32,16", (32, 16)),
+    "--lr": ("0.001", 0.001),
+}
+
+
+class TestFlagTable:
+    """cli._FLAGS is the one list of run flags: each row reaches its fields."""
+
+    @staticmethod
+    def _resolve(command, flags):
+        import crashrl.cli as cli_mod
+
+        extra = {"gen-data": ["--count", "1"], "eval": ["--checkpoint", "ck"]}
+        args = cli_mod.build_parser().parse_args([command, *flags, *extra.get(command, [])])
+        return cli_mod._resolve_config(args)
+
+    @pytest.mark.parametrize("command", ["train", "eval", "gen-data"])
+    def test_every_row_reaches_its_fields(self, tmp_path, command):
+        from crashrl.cli import _FLAGS
+
+        defaults = self._resolve(command, [])
+        assert set(_FLAG_SAMPLES) == {flag for flag, _, fields, _ in _FLAGS if fields}
+        for flag, _, fields, _ in _FLAGS:
+            if not fields:
+                continue
+            token, value = _FLAG_SAMPLES[flag]
+            cfg = self._resolve(command, [flag, token])
+            for name in fields:
+                section, _, key = name.rpartition(".")
+                assert getattr(getattr(cfg, section) if section else cfg, key) == value
+                assert getattr(getattr(defaults, section) if section else defaults, key) != value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"epochs": 4}))
+        assert self._resolve(command, ["--config", str(cfg_path)]).epochs == 4
+        # --seeds beats --seed in either order
+        assert self._resolve(command, ["--seed", "5", "--seeds", "1,2"]).seeds == (1, 2)
+        assert self._resolve(command, ["--seeds", "1,2", "--seed", "5"]).seeds == (1, 2)
+
+    @pytest.mark.parametrize("command", ["train", "eval", "gen-data"])
+    def test_choices_come_from_the_config_modules(self, command):
+        from crashrl.agents import ALGOS
+        from crashrl.cli import _FLAGS, build_parser
+        from crashrl.env.config import FIXATION_WINDOWS
+
+        kinds = {flag: kind for flag, kind, _, _ in _FLAGS}
+        assert kinds["--algo"] is ALGOS
+        assert kinds["--fixation-window"] is FIXATION_WINDOWS
+        sub = build_parser()._subparsers._group_actions[0].choices[command]
+        actions = sub._option_string_actions
+        assert tuple(actions["--algo"].choices) == ALGOS
+        assert tuple(actions["--fixation-window"].choices) == FIXATION_WINDOWS
+
+    @pytest.mark.parametrize("flag", ["--seeds", "--hidden"])
+    def test_bad_list_token_exits_one(self, tmp_path, capsys, flag):
+        from crashrl.cli import _FLAGS, _int_list
+
+        assert {f for f, kind, _, _ in _FLAGS if kind is _int_list} == {"--seeds", "--hidden"}
+        out = tmp_path / "runs"
+        assert cli_main(["train", flag, "8,x", "--out", str(out)]) == 1
+        assert f"argument {flag}: invalid literal for int()" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("algo", ["ddpg", "td3", "sac", "darc"])
