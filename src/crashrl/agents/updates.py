@@ -188,16 +188,13 @@ def update(agent: Agent, batch: Batch) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class StepLog:
-    """Per-step record for logging: environment rewards and update losses."""
+    """Per-step record for logging: the environment's unweighted rewards and the
+    update losses (the buffer holds w_A * r_A + w_F * r_F)."""
 
     r_A: float
     r_F: float
     done: bool
     losses: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def reward(self) -> float:
-        return self.r_A + self.r_F
 
 
 def train_step(agent: Agent, env, buffer: ReplayBuffer) -> StepLog:

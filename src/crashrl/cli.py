@@ -145,10 +145,10 @@ def _cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     if not os.path.exists(args.checkpoint):
         raise ConfigError(f"checkpoint: no such file {args.checkpoint}")
-    if args.data:
-        files = episode_files(args.data)
+    if cfg.data_dir is not None:
+        files = episode_files(cfg.data_dir)
         if not files:
-            raise ConfigError(f"data: no .ade episodes under {args.data}")
+            raise ConfigError(f"data: no .ade episodes under {cfg.data_dir}")
         episodes = [load_episode_file(p) for p in files]
     else:
         base = cfg.seeds[0] * EVAL_SEED_BASE

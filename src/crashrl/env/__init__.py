@@ -1,6 +1,6 @@
-"""The accident-anticipation MDP: episodes, attention pipeline, rewards."""
+"""The accident-anticipation MDP: episodes, attention pipeline, rewards, and
+the lockstep ``AccidentEnv`` that steps them for training and every eval."""
 
-from .bandit import QuadraticBandit
 from .config import EnvConfig
 from .episode import (
     BLOB_GAIN,
@@ -36,7 +36,6 @@ __all__ = [
     "Episode",
     "EpisodeFormatError",
     "IMAGE_CENTER",
-    "QuadraticBandit",
     "SaliencyField",
     "StepResult",
     "accident_weight",

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 from ..atomic import atomic_write
 from .config import ConfigError
-from .running import RunArtifacts
 
 # (row label, metrics.json key, whether larger is better)
 TABLE_ROWS = (
@@ -48,16 +47,6 @@ class ComparisonTable:
     best: dict[str, tuple[str, ...]]  # row -> algos tied for best
 
 
-def summarize(artifacts: RunArtifacts) -> RunSummary:
-    from ..metrics import report_as_dict
-
-    return RunSummary(
-        artifacts.algo,
-        artifacts.eval_fingerprint,
-        {str(r.seed): report_as_dict(r.report) for r in artifacts.results},
-    )
-
-
 def load_run_summary(path) -> RunSummary:
     """Read a run.json written by run_training (path may be its directory).
 
@@ -84,11 +73,9 @@ def load_run_summary(path) -> RunSummary:
     return RunSummary(field(data, "algo"), field(data, "eval_fingerprint"), metrics_by_seed)
 
 
-def compare_table(runs) -> ComparisonTable:
+def compare_table(runs: list[RunSummary]) -> ComparisonTable:
     """Median-over-seeds comparison; best per row flagged (min for fixationMSE)."""
-    summaries = [
-        run if isinstance(run, RunSummary) else summarize(run) for run in runs
-    ]
+    summaries = list(runs)
     if len(summaries) < 2:
         raise ConfigError("comparison requires at least two algorithms")
     names = [s.algo for s in summaries]

@@ -72,7 +72,8 @@ class SeedResult:
 
 @dataclass(frozen=True)
 class RunArtifacts:
-    """Everything one algorithm's run produced, for comparison and reload."""
+    """Everything one algorithm's run produced; ``run.json`` records it for
+    ``crashrl compare``."""
 
     algo: str
     config: RunConfig

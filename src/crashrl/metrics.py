@@ -10,9 +10,11 @@ pairs add 0.5 each to the AUC pair count, and AP processes tied scores as
 one block using the precision at the block end, accumulating per-positive
 contributions with exact (fsum) summation.
 
-Every metric reads the columns of one ``EvalRecords`` batch: ``compile_report``
-ranks the scores once for AUC, AP, ROC and PR, and finds each episode's first
-threshold crossing once for recall, mTTA and the safe-detection fraction.
+``compile_report`` is the one entry point: it reads the columns of one
+``EvalRecords`` batch, ranks the scores once for AUC, AP, ROC and PR, and
+finds each episode's first threshold crossing once for recall, mTTA and the
+safe-detection fraction. Its ``MetricsReport`` holds every number crashrl
+writes.
 """
 
 from __future__ import annotations
@@ -166,8 +168,9 @@ def _tie_blocks(records: EvalRecords) -> _TieBlocks:
 
 
 def _auc(blocks: _TieBlocks) -> float:
+    """Mann-Whitney AUC: P(score_pos > score_neg) + 0.5 * P(tie), exactly."""
     if blocks.n_pos == 0 or blocks.n_neg == 0:
-        raise ValueError("roc_auc requires both classes among the samples")
+        raise ValueError("AUC requires both classes among the samples")
     fp = blocks.seen - blocks.tp
     # A block's positives beat every negative below it and tie its own.
     wins = float((blocks.pos * (blocks.n_neg - fp)).sum())
@@ -176,8 +179,9 @@ def _auc(blocks: _TieBlocks) -> float:
 
 
 def _ap(blocks: _TieBlocks) -> float:
+    """Step-integrated PR curve: per-positive block-end precision, averaged."""
     if blocks.n_pos == 0:
-        raise ValueError("average_precision requires at least one positive sample")
+        raise ValueError("AP requires at least one positive sample")
     precision = (blocks.tp / blocks.seen).tolist()
     # One exact term per positive: fsum of k copies, not k * precision rounded.
     per_positive = itertools.chain.from_iterable(
@@ -201,16 +205,6 @@ def _pr_points(blocks: _TieBlocks):
             *zip(recall.tolist(), precision.tolist(), blocks.threshold.tolist()))
 
 
-def roc_auc(records: EvalRecords) -> float:
-    """Mann-Whitney AUC: P(score_pos > score_neg) + 0.5 * P(tie), exactly."""
-    return _auc(_tie_blocks(records))
-
-
-def average_precision(records: EvalRecords) -> float:
-    """Step-integrated PR curve: per-positive block-end precision, averaged."""
-    return _ap(_tie_blocks(records))
-
-
 def _first_crossings(records: EvalRecords, a_0: float) -> np.ndarray:
     """Per episode, the first t whose score exceeds a_0, or -1 when none does."""
     above = np.flatnonzero(records.score > a_0)
@@ -221,6 +215,7 @@ def _first_crossings(records: EvalRecords, a_0: float) -> np.ndarray:
 
 
 def _recall(records: EvalRecords, crossing: np.ndarray) -> tuple[float, DetectionCounts]:
+    """Episode-level recall: detection = any pre-accident frame above a_0."""
     positive = records.y == 1
     crossed = crossing >= 0
     tp = int(np.count_nonzero(positive & crossed & (crossing < records.t_a)))
@@ -233,6 +228,7 @@ def _recall(records: EvalRecords, crossing: np.ndarray) -> tuple[float, Detectio
 
 
 def _ttas(records: EvalRecords, crossing: np.ndarray) -> dict[str, float]:
+    """Per positive episode: (t_a - first crossing)/fps, or 0 when late/absent."""
     detected = (crossing >= 0) & (crossing < records.t_a)
     tta = np.where(detected, (records.t_a - crossing) / records.fps, 0.0)
     positive = np.flatnonzero(records.y == 1)
@@ -240,42 +236,21 @@ def _ttas(records: EvalRecords, crossing: np.ndarray) -> dict[str, float]:
 
 
 def _mean_tta(ttas: dict[str, float]) -> float:
+    """Mean time-to-accident over all positive episodes, zeros included."""
     if not ttas:
-        raise ValueError("mtta requires at least one positive episode")
+        raise ValueError("mTTA requires at least one positive episode")
     return math.fsum(ttas.values()) / len(ttas)
 
 
 def _safe_fraction(ttas: dict[str, float], margin_seconds: float) -> float:
+    """Fraction of detected positive episodes (TTA > 0) whose TTA meets the margin.
+
+    With no detections the fraction is 0.
+    """
     detected = [tta for tta in ttas.values() if tta > 0.0]
     if not detected:
         return 0.0
     return sum(1 for tta in detected if tta >= margin_seconds) / len(detected)
-
-
-def recall_at_threshold(records: EvalRecords, a_0: float) -> tuple[float, DetectionCounts]:
-    """Episode-level recall: detection = any pre-accident frame above a_0."""
-    return _recall(records, _first_crossings(records, a_0))
-
-
-def tta_by_episode(records: EvalRecords, a_0: float) -> dict[str, float]:
-    """Per positive episode: (t_a - first crossing)/fps, or 0 when late/absent."""
-    return _ttas(records, _first_crossings(records, a_0))
-
-
-def mtta(records: EvalRecords, a_0: float) -> float:
-    """Mean time-to-accident over all positive episodes, zeros included."""
-    return _mean_tta(tta_by_episode(records, a_0))
-
-
-def safe_detect_fraction(
-    records: EvalRecords, a_0: float, margin_seconds: float = 2.0
-) -> float:
-    """Fraction of detected positive episodes whose TTA meets the reaction margin.
-
-    Detected means a crossing strictly before t_a; with no detections the
-    fraction is 0.
-    """
-    return _safe_fraction(tta_by_episode(records, a_0), margin_seconds)
 
 
 def fixation_mse(records: EvalRecords, window: str = "after_accident") -> float:

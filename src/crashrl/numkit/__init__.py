@@ -6,21 +6,13 @@ dtype ``DTYPE``) with named ndarray views; Adam and Polyak updates run in
 place on it, and ``autodiff.backprop`` returns a gradient in the same
 layout, the one form ``adam_step`` takes. ``mlp_graph`` is the forward pass
 and ``mlp_apply`` its output alone. The forward and backward passes follow
-the parameters' dtype, so gradient checks run them in float64 on a cast
-copy. Parameters have no disk format here; checkpoints (``agents.agent``)
-write the flat vectors on the ``crashrl.records`` framing.
+the parameters' dtype, so they also run in float64 on a cast copy.
+Parameters have no disk format here; checkpoints (``agents.agent``) write
+the flat vectors on the ``crashrl.records`` framing.
 """
 
 from . import autodiff
-from .mlp import (
-    FD_STEP,
-    MlpSpec,
-    RELU_KINK_MARGIN,
-    gradient_check,
-    init_params,
-    mlp_apply,
-    mlp_graph,
-)
+from .mlp import MlpSpec, init_params, mlp_apply, mlp_graph
 from .optim import AdamState, adam_step, init_adam, soft_update
 from .tensor import DTYPE, ParamSet
 
@@ -28,12 +20,9 @@ __all__ = [
     "autodiff",
     "AdamState",
     "DTYPE",
-    "FD_STEP",
     "MlpSpec",
     "ParamSet",
-    "RELU_KINK_MARGIN",
     "adam_step",
-    "gradient_check",
     "init_adam",
     "init_params",
     "mlp_apply",

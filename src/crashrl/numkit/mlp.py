@@ -1,4 +1,4 @@
-"""MLP specification, initialization, forward passes, and gradient checks.
+"""MLP specification, initialization and the forward pass.
 
 Networks are plain chains: affine -> relu per hidden layer, then an affine
 output head with identity or tanh activation. Parameters are named
@@ -9,8 +9,7 @@ forward pass: it returns the output with a record of what
 vector with the parameters' layout, ready for ``adam_step``. ``mlp_apply``,
 for acting and for targets, is ``mlp_graph`` without the record. Every
 value and gradient has the parameters' dtype: float32 for the networks
-``init_params`` makes; ``gradient_check`` runs the same functions on a
-float64 cast copy.
+``init_params`` makes, float64 for a cast copy.
 """
 
 from __future__ import annotations
@@ -116,73 +115,3 @@ def mlp_apply(params: ParamSet, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
     """``mlp_graph``'s output alone, for action selection and targets."""
     return mlp_graph(params, spec, x)[0]
 
-
-# Central-difference step and the kink-exclusion margin for relu nets.
-FD_STEP = 1e-5
-RELU_KINK_MARGIN = 1e-3
-
-
-def gradient_check(spec: MlpSpec, seed: int, probes: int) -> float:
-    """Max relative error of analytic gradients vs central finite differences.
-
-    Probes a deterministic random subset of parameter and input coordinates
-    of the scalar loss sum(c * mlp(x)). Inputs are resampled until every relu
-    pre-activation sits at least RELU_KINK_MARGIN from its kink, so the
-    difference quotient never straddles a nondifferentiable point. The check
-    runs in float64, on a cast copy of the float32 initial parameters, through
-    the same functions as the gradient phases.
-    """
-    if probes < 1:
-        raise ValueError("probes must be >= 1")
-    rng = np.random.default_rng(seed)
-    initial = init_params(spec, seed)
-    params = initial.like(initial.flat.astype(np.float64))
-    batch = 3
-    x = rng.standard_normal((batch, spec.input_dim))
-    if spec.hidden_dims:
-        # Layer i's pre-activations are the output of the net cut after it.
-        cuts = [
-            MlpSpec(spec.input_dim, spec.hidden_dims[:i], width)
-            for i, width in enumerate(spec.hidden_dims)
-        ]
-        for _ in range(200):
-            preacts = [mlp_apply(params, cut, x) for cut in cuts]
-            if min(np.min(np.abs(z)) for z in preacts) > RELU_KINK_MARGIN:
-                break
-            x = rng.standard_normal((batch, spec.input_dim))
-        else:
-            raise RuntimeError("could not find an input away from relu kinks")
-    weighting = rng.standard_normal((batch, spec.output_dim))
-
-    # Analytic gradients along the path the gradient phases run.
-    _, record = mlp_graph(params, spec, x)
-    param_grads, input_grads = ad.backprop(record, weighting, inputs=True)
-    analytic = np.concatenate([param_grads, input_grads.reshape(-1)])
-
-    def loss(p: ParamSet, xv: np.ndarray) -> float:
-        return float(np.sum(mlp_apply(p, spec, xv) * weighting))
-
-    # Probe a shuffled subset of the coordinates: parameters first, then inputs.
-    n_params = params.flat.size
-    picked = rng.permutation(n_params + x.size)[: min(probes, n_params + x.size)]
-
-    max_rel = 0.0
-    for idx in picked:
-        if idx < n_params:
-
-            def perturbed(sign: float) -> float:
-                p2 = params.copy()
-                p2.flat[idx] += sign * FD_STEP
-                return loss(p2, x)
-
-        else:
-
-            def perturbed(sign: float) -> float:
-                x2 = x.copy()
-                x2.reshape(-1)[idx - n_params] += sign * FD_STEP
-                return loss(params, x2)
-
-        numeric = (perturbed(+1.0) - perturbed(-1.0)) / (2.0 * FD_STEP)
-        rel = abs(numeric - analytic[idx]) / max(abs(numeric), abs(analytic[idx]), 1e-6)
-        max_rel = max(max_rel, rel)
-    return max_rel

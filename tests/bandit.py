@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mdp import StepResult, check_actions
+from crashrl.env.mdp import StepResult, check_actions
 
 
 class QuadraticBandit:

@@ -4,13 +4,18 @@ A row is one evaluated frame with its episode's metadata and the rewards
 paid for it (0.0 unless given), the view the columns of ``EvalRecords``
 replace. Tests write records this way; the batch
 checks of ``EvalRecords`` see exactly the rows given, in the order given.
+
+Every metric is read from ``compile_report``. It ranks both classes for the
+AUC, so ``padded_report`` adds one negative episode to a set of positives,
+and ``episode_ttas`` reads one positive episode's TTA as the mTTA of a
+padded set holding that episode alone.
 """
 
 from collections import namedtuple
 
 import numpy as np
 
-from crashrl.metrics import NO_ACCIDENT, EvalRecords
+from crashrl.metrics import NO_ACCIDENT, EvalRecords, MetricsReport, compile_report
 
 Row = namedtuple("Row", "episode_id t score y t_a p_hat p fps r_A r_F", defaults=(0.0, 0.0))
 
@@ -57,3 +62,29 @@ def frame_rows(records: EvalRecords) -> list[Row]:
             records.r_F.tolist(),
         )
     ]
+
+
+# A one-frame negative episode whose fixation prediction is exact.
+PAD = Row("pad", 0, 0.0, 0, None, (0.5, 0.5), (0.5, 0.5), 10.0)
+
+
+def padded_report(rows, a_0: float, window: str = "before_accident") -> MetricsReport:
+    """``compile_report`` over the rows followed by ``PAD``.
+
+    A negative episode changes no metric of the positive episodes (recall,
+    mTTA, the safe-detection fraction, tp and fn), nor the fixation MSE in
+    the after_accident window, which never opens on a negative. The
+    before_accident window, always open on the pad's frame 0, keeps a
+    record set without post-accident frames reportable.
+    """
+    return compile_report(records_from_rows([*rows, PAD]), a_0, window)
+
+
+def episode_ttas(records: EvalRecords, a_0: float) -> dict[str, float]:
+    """Per positive episode: its TTA, the mTTA of it alone plus ``PAD``."""
+    rows = frame_rows(records)
+    positives = [eid for eid, y in zip(records.episode_ids, records.y.tolist()) if y == 1]
+    return {
+        eid: padded_report([r for r in rows if r.episode_id == eid], a_0).mtta_seconds
+        for eid in positives
+    }

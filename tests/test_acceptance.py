@@ -24,7 +24,6 @@ from crashrl.agents import (
 )
 from crashrl.env import (
     EnvConfig,
-    QuadraticBandit,
     accident_weight,
     blob_onset,
     generate_episode,
@@ -39,19 +38,14 @@ from crashrl.harness import (
     ScriptedOnsetAgent,
     collect_records,
     compare_table,
+    load_run_summary,
     run_training,
-    summarize,
 )
-from crashrl.metrics import (
-    average_precision,
-    fixation_mse,
-    mtta,
-    recall_at_threshold,
-    roc_auc,
-    safe_detect_fraction,
-)
-from crashrl.numkit import MlpSpec, gradient_check
-from record_rows import Row, records_from_rows
+from crashrl.metrics import compile_report
+from crashrl.numkit import MlpSpec
+from bandit import QuadraticBandit
+from finite_difference import gradient_check
+from record_rows import Row, frame_rows, padded_report, records_from_rows
 
 pytestmark = pytest.mark.acceptance
 
@@ -153,8 +147,8 @@ def records_from_scores(pos_scores, neg_scores):
 
 
 def test_c2_metric_exactness():
-    """AUC/AP equal brute-force oracles exactly on 500 sets; recall/mtta match
-    a trace-scan oracle; runtime < 30 s."""
+    """compile_report's AUC/AP equal brute-force oracles exactly on 500 sets;
+    its recall/mTTA match a trace-scan oracle; runtime < 30 s."""
     start = time.monotonic()
     rng = np.random.default_rng(7)
     for trial in range(500):
@@ -168,9 +162,10 @@ def test_c2_metric_exactness():
         if labels.sum() == n:
             labels[int(rng.integers(0, n))] = 0
         pos, neg = scores[labels == 1], scores[labels == 0]
-        records = records_from_scores(pos, neg)
-        assert roc_auc(records) == auc_pair_oracle(pos, neg)
-        assert average_precision(records) == ap_count_oracle(scores, labels)
+        # One-frame episodes have no frame after their accident.
+        got = compile_report(records_from_scores(pos, neg), 0.5, window="before_accident")
+        assert got.auc == auc_pair_oracle(pos, neg)
+        assert got.ap == ap_count_oracle(scores, labels)
 
     # recall / mtta against a literal trace scan
     for trial in range(100):
@@ -198,10 +193,9 @@ def test_c2_metric_exactness():
                 else:
                     fn += 1
                     ttas.append(0.0)
-        records = records_from_rows(records)
-        recall_got, _ = recall_at_threshold(records, 0.5)
-        assert recall_got == tp / (tp + fn)
-        assert mtta(records, 0.5) == math.fsum(ttas) / len(ttas)
+        got = padded_report(records, 0.5)
+        assert got.recall_at_a0 == tp / (tp + fn)
+        assert got.mtta_seconds == math.fsum(ttas) / len(ttas)
     elapsed = time.monotonic() - start
     report("2 metric-exactness", elapsed < 30.0, f"500+100 sets exact, {elapsed:.1f}s")
     assert elapsed < 30.0
@@ -368,19 +362,24 @@ def _oracle_setup():
     return cfg, episodes
 
 
+def _positives_report(records, cfg):
+    """The report of a set of positives, padded with one negative one-frame
+    episode for the AUC; the after_accident window never opens on it."""
+    assert cfg.env.fixation_window == "after_accident"
+    return padded_report(frame_rows(records), cfg.env.a_0, cfg.env.fixation_window)
+
+
 def test_c7_oracle_agent_sanity():
     """Scripted onset agent: recall 1.0, fixation MSE 0, mTTA > 0 on 100
     positives; constant-zero agent: recall 0, mTTA 0; runtime < 30 s."""
     start = time.monotonic()
     cfg, episodes = _oracle_setup()
     records = collect_records(ScriptedOnsetAgent(), episodes, cfg)
-    recall, _ = recall_at_threshold(records, cfg.env.a_0)
-    mse = fixation_mse(records, cfg.env.fixation_window)
-    mean_tta = mtta(records, cfg.env.a_0)
+    oracle = _positives_report(records, cfg)
+    recall, mse, mean_tta = oracle.recall_at_a0, oracle.fixation_mse, oracle.mtta_seconds
 
-    silent = collect_records(ConstantScoreAgent(0.0), episodes, cfg)
-    recall0, _ = recall_at_threshold(silent, cfg.env.a_0)
-    mtta0 = mtta(silent, cfg.env.a_0)
+    silent = _positives_report(collect_records(ConstantScoreAgent(0.0), episodes, cfg), cfg)
+    recall0, mtta0 = silent.recall_at_a0, silent.mtta_seconds
     elapsed = time.monotonic() - start
     ok = (
         recall == 1.0 and mse == 0.0 and mean_tta > 0.0
@@ -407,7 +406,7 @@ def test_c9_safety_margin_report(tmp_path):
     # every generated positive has onset exactly 2.0 s before t_a at 10 fps
     assert all((ep.t_a - blob_onset(ep.t_a)) / ep.fps >= 2.0 for ep in episodes)
     records = collect_records(ScriptedOnsetAgent(), episodes, cfg)
-    fraction = safe_detect_fraction(records, cfg.env.a_0, margin_seconds=2.0)
+    fraction = _positives_report(records, cfg).safe_detect_fraction_2s
 
     # the comparison table carries the fraction row for every algorithm
     tiny_env = EnvConfig(
@@ -421,7 +420,7 @@ def test_c9_safety_margin_report(tmp_path):
         algo="td3", seeds=(0,), epochs=1, episodes_per_epoch=1, eval_episodes=4,
         env=tiny_env, agent=tiny_agent, out_dir=str(tmp_path),
     )
-    summary = summarize(run_training(run_cfg))
+    summary = load_run_summary(run_training(run_cfg).out_dir)
     clone = dataclasses.replace(summary, algo="other")
     table = compare_table([summary, clone])
     has_row = "safe2s_fraction" in table.rows

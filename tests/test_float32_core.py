@@ -18,9 +18,10 @@ from crashrl.agents import agent as agent_module
 from crashrl.agents import targets as targets_module
 from crashrl.agents import updates as updates_module
 from crashrl.env import AccidentEnv, EnvConfig, generate_episode
-from crashrl.numkit import MlpSpec, ParamSet, gradient_check
+from crashrl.numkit import MlpSpec, ParamSet
 from crashrl.numkit import autodiff as ad
 from crashrl.numkit import mlp as mlp_module
+from finite_difference import gradient_check
 
 F32 = np.dtype(np.float32)
 F64 = np.dtype(np.float64)

@@ -4,11 +4,12 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
-from crashrl.agents import AgentConfig
+from crashrl.agents import Agent, AgentConfig, ReplayBuffer, train_step
 from crashrl.cli import main as cli_main
-from crashrl.env import EnvConfig, generate_episode
+from crashrl.env import AccidentEnv, EnvConfig, generate_episode
 from crashrl.harness import (
     ConfigError,
     ConstantScoreAgent,
@@ -18,14 +19,14 @@ from crashrl.harness import (
     collect_records,
     compare_table,
     gen_dataset,
+    load_run_summary,
     run_eval,
     run_training,
-    summarize,
     write_comparison_csv,
 )
 from crashrl.harness.compare import TABLE_ROWS
-from crashrl.metrics import fixation_mse, mtta, recall_at_threshold
-from record_rows import frame_rows
+from crashrl.harness.running import _mean_return
+from record_rows import frame_rows, padded_report
 
 
 def tiny_cfg(out_dir, algo="td3", seeds=(0,), **kw):
@@ -158,8 +159,6 @@ class TestRunTraining:
 
 class TestRunEval:
     def test_fresh_agent_yields_wellformed_report(self, tmp_path):
-        from crashrl.agents import Agent
-
         cfg = tiny_cfg(tmp_path)
         agent = Agent(cfg.agent, cfg.env.obs_dim, seed=0)
         path = tmp_path / "ck.txt"
@@ -180,8 +179,6 @@ class TestRunEval:
         assert r1 == r2
 
     def test_dim_mismatch_names_expected_and_actual(self, tmp_path):
-        from crashrl.agents import Agent
-
         cfg = tiny_cfg(tmp_path)
         agent = Agent(cfg.agent, obs_dim=10, seed=0)  # wrong width
         path = tmp_path / "ck.txt"
@@ -201,14 +198,14 @@ class TestRunEval:
                 positives.append(ep)
             seed += 1
         records = collect_records(ScriptedOnsetAgent(), positives, cfg)
-        recall, _ = recall_at_threshold(records, cfg.env.a_0)
-        assert recall == 1.0
-        assert fixation_mse(records, cfg.env.fixation_window) == 0.0
-        assert mtta(records, cfg.env.a_0) > 0.0
+        report = padded_report(frame_rows(records), cfg.env.a_0, cfg.env.fixation_window)
+        assert report.recall_at_a0 == 1.0
+        assert report.fixation_mse == 0.0
+        assert report.mtta_seconds > 0.0
         silent = collect_records(ConstantScoreAgent(0.0), positives, cfg)
-        recall0, _ = recall_at_threshold(silent, cfg.env.a_0)
-        assert recall0 == 0.0
-        assert mtta(silent, cfg.env.a_0) == 0.0
+        report0 = padded_report(frame_rows(silent), cfg.env.a_0, cfg.env.fixation_window)
+        assert report0.recall_at_a0 == 0.0
+        assert report0.mtta_seconds == 0.0
 
 
 class TestTracesAndComparison:
@@ -250,8 +247,7 @@ class TestTracesAndComparison:
 
     def test_duplicate_artifacts_tie_on_every_row(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
-        artifacts = run_training(cfg)
-        s1 = summarize(artifacts)
+        s1 = load_run_summary(run_training(cfg).out_dir)
         s2 = dataclasses.replace(s1, algo="zz_clone")
         table = compare_table([s1, s2])
         assert table.algos == ("td3", "zz_clone")
@@ -261,7 +257,7 @@ class TestTracesAndComparison:
 
     def test_fixation_mse_best_is_minimum(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
-        s1 = summarize(run_training(cfg))
+        s1 = load_run_summary(run_training(cfg).out_dir)
         worse = {
             seed: {**metrics, "fixation_mse": metrics["fixation_mse"] + 1.0}
             for seed, metrics in s1.metrics_by_seed.items()
@@ -272,7 +268,7 @@ class TestTracesAndComparison:
 
     def test_table_rows_mirror_comparison_metrics(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
-        s1 = summarize(run_training(cfg))
+        s1 = load_run_summary(run_training(cfg).out_dir)
         s2 = dataclasses.replace(s1, algo="other")
         table = compare_table([s1, s2])
         assert table.rows[:5] == ("mTTA", "AUC", "AP", "recall", "fixationMSE")
@@ -280,20 +276,20 @@ class TestTracesAndComparison:
 
     def test_mismatched_eval_sets_rejected(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
-        s1 = summarize(run_training(cfg))
+        s1 = load_run_summary(run_training(cfg).out_dir)
         s2 = dataclasses.replace(s1, algo="other", eval_fingerprint="deadbeef")
         with pytest.raises(ValueError, match="fingerprints"):
             compare_table([s1, s2])
 
     def test_permutation_invariance(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
-        s1 = summarize(run_training(cfg))
+        s1 = load_run_summary(run_training(cfg).out_dir)
         s2 = dataclasses.replace(s1, algo="aaa")
         assert compare_table([s1, s2]) == compare_table([s2, s1])
 
     def test_comparison_csv_round_trip(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
-        s1 = summarize(run_training(cfg))
+        s1 = load_run_summary(run_training(cfg).out_dir)
         s2 = dataclasses.replace(s1, algo="other")
         table = compare_table([s1, s2])
         path = tmp_path / "comparison.csv"
@@ -301,6 +297,44 @@ class TestTracesAndComparison:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("metric,other_median")
         assert len(lines) == 1 + len(table.rows)
+
+
+@pytest.mark.parametrize("w_a,w_f", [(0.1, 1.0), (0.0, 1.0)])
+class TestRewardWeights:
+    """w_A * r_A + w_F * r_F is the reward the buffer stores and the curve sums."""
+
+    def _cfg(self, tmp_path, w_a, w_f):
+        cfg = tiny_cfg(tmp_path)
+        agent = dataclasses.replace(
+            cfg.agent, reward_weight_accident=w_a, reward_weight_fixation=w_f
+        )
+        return dataclasses.replace(cfg, agent=agent)
+
+    def test_buffer_stores_the_weighted_reward(self, tmp_path, w_a, w_f):
+        cfg = self._cfg(tmp_path, w_a, w_f)
+        agent = Agent(cfg.agent, cfg.env.obs_dim, seed=0)
+        buffer = ReplayBuffer(cfg.agent.buffer_capacity, seed=1)
+        logs = []
+        for seed in range(4):
+            env = AccidentEnv([generate_episode(cfg.env, seed)], cfg.env)
+            env.reset()
+            while not env.done:
+                logs.append(train_step(agent, env, buffer))
+        assert any(log.r_A > 0.0 for log in logs) and any(log.r_F > 0.0 for log in logs)
+        assert any(log.losses for log in logs)  # steps past the warmup as well
+        expected = [np.float32(w_a * log.r_A + w_f * log.r_F) for log in logs]
+        assert buffer._r[: len(logs)].tolist() == expected
+
+    def test_curve_return_uses_the_weights(self, tmp_path, w_a, w_f):
+        cfg = self._cfg(tmp_path, w_a, w_f)
+        episodes = [generate_episode(cfg.env, j) for j in range(4)]
+        records = collect_records(ConstantScoreAgent(0.1), episodes, cfg)
+        rows = frame_rows(records)
+        assert any(row.r_A > 0.0 for row in rows) and any(row.r_F > 0.0 for row in rows)
+        totals = dict.fromkeys(records.episode_ids, 0.0)
+        for row in rows:  # in step order
+            totals[row.episode_id] += w_a * row.r_A + w_f * row.r_F
+        assert _mean_return(records, cfg) == float(np.mean(list(totals.values())))
 
 
 class TestCli:
@@ -442,8 +476,6 @@ class TestCli:
     def test_eval_one_class_set_exits_one_before_reading_the_checkpoint(
         self, tmp_path, capsys, monkeypatch
     ):
-        from crashrl.agents import Agent
-
         path = tmp_path / "ck.txt"
         Agent(AgentConfig(algo="td3", hidden_dims=(8, 8)), obs_dim=32, seed=0).save(path)
 
@@ -476,8 +508,6 @@ class TestCli:
             assert f"checkpoint: no such file {missing}" in capsys.readouterr().err
 
     def test_missing_data_directory_exits_one_for_train_and_eval(self, tmp_path, capsys):
-        from crashrl.agents import Agent
-
         checkpoint = tmp_path / "ck.txt"
         Agent(AgentConfig(algo="td3", hidden_dims=(8, 8)), obs_dim=32, seed=0).save(checkpoint)
         missing = tmp_path / "no_such_dir"
@@ -489,6 +519,30 @@ class TestCli:
             assert code == 1
             assert f"data: no such directory {missing}" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists() and not (tmp_path / "eval_out").exists()
+
+    def test_eval_reads_the_config_files_data_dir_and_data_beats_it(self, tmp_path):
+        checkpoint = tmp_path / "ck.txt"
+        Agent(AgentConfig(algo="td3", hidden_dims=(8, 8)), obs_dim=32, seed=0).save(checkpoint)
+        gen = ["gen-data", "--episode-length", "24", "--grid", "8", "--pool", "4", "--stack", "2"]
+        for name, count, seed in (("file_data", 5, 100), ("flag_data", 6, 200)):
+            argv = gen + ["--count", str(count), "--seed", str(seed)]
+            assert cli_main(argv + ["--out", str(tmp_path / name)]) == 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"data_dir": str(tmp_path / "file_data")}))
+        eval_flags = self._eval_flags(tmp_path, checkpoint) + ["--config", str(cfg_path)]
+
+        def evaluated(out, extra=()):
+            assert cli_main(eval_flags + ["--out", str(out), *extra]) == 0
+            snapshot = json.loads((out / "config.json").read_text())
+            return snapshot["data_dir"], sorted(p.name for p in (out / "traces").iterdir())
+
+        data_dir, traces = evaluated(tmp_path / "from_file")
+        assert data_dir == str(tmp_path / "file_data")
+        assert traces == [f"trace_episode_{s:05d}.csv" for s in range(100, 105)]
+        flag = ["--data", str(tmp_path / "flag_data")]
+        data_dir, traces = evaluated(tmp_path / "from_flag", flag)
+        assert data_dir == str(tmp_path / "flag_data")
+        assert traces == [f"trace_episode_{s:05d}.csv" for s in range(200, 206)]
 
     def test_no_frame_in_the_fixation_window_exits_one_before_training(
         self, tmp_path, capsys
@@ -514,8 +568,6 @@ class TestCli:
     def test_eval_no_frame_in_the_fixation_window_exits_one_before_reading_the_checkpoint(
         self, tmp_path, capsys, monkeypatch
     ):
-        from crashrl.agents import Agent
-
         path = tmp_path / "ck.txt"
         Agent(AgentConfig(algo="td3", hidden_dims=(8, 8)), obs_dim=32, seed=0).save(path)
 

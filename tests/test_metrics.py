@@ -9,17 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crashrl.metrics import (
-    average_precision,
-    compile_report,
-    fixation_mse,
-    mtta,
-    recall_at_threshold,
-    roc_auc,
-    safe_detect_fraction,
-    tta_by_episode,
-)
-from record_rows import Row, records_from_rows
+from crashrl.metrics import compile_report, fixation_mse
+from record_rows import Row, episode_ttas, padded_report, records_from_rows
+
+
+def report_of(records, a_0=0.5):
+    """compile_report in the before_accident window, which is open on every
+    frame of a one-frame episode."""
+    return compile_report(records, a_0, window="before_accident")
+
+
+def auc(records):
+    return report_of(records).auc
+
+
+def ap(records):
+    return report_of(records).ap
 
 
 def frame(episode_id, t, score, y, t_a=None, p_hat=(0.5, 0.5), p=(0.5, 0.5), fps=10.0):
@@ -92,17 +97,17 @@ def trace_scan_oracle(traces, a_0):
 
 class TestRocAuc:
     def test_perfect_separation(self):
-        assert roc_auc(records_from_scores([0.9, 0.8], [0.3, 0.2])) == 1.0
+        assert auc(records_from_scores([0.9, 0.8], [0.3, 0.2])) == 1.0
 
     def test_all_ties_give_half(self):
-        assert roc_auc(records_from_scores([0.5, 0.5], [0.5, 0.5])) == 0.5
+        assert auc(records_from_scores([0.5, 0.5], [0.5, 0.5])) == 0.5
 
     def test_hand_case_three_quarters(self):
-        assert roc_auc(records_from_scores([0.9, 0.7], [0.8, 0.1])) == 0.75
+        assert auc(records_from_scores([0.9, 0.7], [0.8, 0.1])) == 0.75
 
     def test_single_class_rejected(self):
-        with pytest.raises(ValueError):
-            roc_auc(records_from_scores([0.9], []))
+        with pytest.raises(ValueError, match="AUC requires both classes"):
+            auc(records_from_scores([0.9], []))
 
     def test_matches_pair_oracle_on_random_sets(self):
         rng = np.random.default_rng(0)
@@ -112,7 +117,7 @@ class TestRocAuc:
             # quantized scores force plenty of ties
             pos = list(np.round(rng.random(n_pos), 1))
             neg = list(np.round(rng.random(n_neg), 1))
-            got = roc_auc(records_from_scores(pos, neg))
+            got = auc(records_from_scores(pos, neg))
             assert got == auc_pair_oracle(pos, neg)
 
     @given(
@@ -121,25 +126,25 @@ class TestRocAuc:
     )
     @settings(max_examples=200, deadline=None)
     def test_pair_oracle_property(self, pos, neg):
-        assert roc_auc(records_from_scores(pos, neg)) == auc_pair_oracle(pos, neg)
+        assert auc(records_from_scores(pos, neg)) == auc_pair_oracle(pos, neg)
 
 
 class TestAveragePrecision:
     def test_perfect_ranking(self):
-        assert average_precision(records_from_scores([0.9, 0.8], [0.3, 0.2])) == 1.0
+        assert ap(records_from_scores([0.9, 0.8], [0.3, 0.2])) == 1.0
 
     def test_hand_case_rank_101(self):
         # ranked labels [1, 0, 1] -> (1/1 + 2/3)/2
         records = records_from_scores([0.9, 0.5], [0.7])
-        assert average_precision(records) == pytest.approx(0.8333333333333333, abs=1e-15)
+        assert ap(records) == pytest.approx(0.8333333333333333, abs=1e-15)
 
     def test_single_positive_ranked_last(self):
         records = records_from_scores([0.1], [0.9, 0.8, 0.7])
-        assert average_precision(records) == 0.25
+        assert ap(records) == 0.25
 
     def test_no_positives_rejected(self):
         with pytest.raises(ValueError):
-            average_precision(records_from_scores([], [0.4]))
+            ap(records_from_scores([], [0.4]))
 
     def test_matches_step_oracle_on_random_sets(self):
         rng = np.random.default_rng(1)
@@ -151,7 +156,7 @@ class TestAveragePrecision:
                 labels[0] = 1
             pos = [s for s, l in zip(scores, labels) if l == 1]
             neg = [s for s, l in zip(scores, labels) if l == 0]
-            got = average_precision(records_from_scores(pos, neg))
+            got = ap(records_from_scores(pos, neg))
             assert got == ap_step_oracle(pos + neg, [1] * len(pos) + [0] * len(neg))
 
 
@@ -164,11 +169,11 @@ class TestMonotoneTransformInvariance:
         def squash(x):  # strictly increasing [0,1] -> [0,1]
             return x**3 * 0.5 + 0.5 * x
 
-        auc_before = roc_auc(records_from_scores(pos, neg))
-        ap_before = average_precision(records_from_scores(pos, neg))
+        auc_before = auc(records_from_scores(pos, neg))
+        ap_before = ap(records_from_scores(pos, neg))
         pos2, neg2 = [squash(x) for x in pos], [squash(x) for x in neg]
-        assert roc_auc(records_from_scores(pos2, neg2)) == auc_before
-        assert average_precision(records_from_scores(pos2, neg2)) == ap_before
+        assert auc(records_from_scores(pos2, neg2)) == auc_before
+        assert ap(records_from_scores(pos2, neg2)) == ap_before
 
     def test_recall_mtta_invariant_when_threshold_crossings_fixed(self):
         rng = np.random.default_rng(3)
@@ -190,51 +195,46 @@ class TestMonotoneTransformInvariance:
             frame(r.episode_id, r.t, fix_half(r.score), r.y, t_a=r.t_a)
             for r in records
         ]
-        records, mapped = records_from_rows(records), records_from_rows(mapped)
-        recall1, _ = recall_at_threshold(records, a_0)
-        mtta1 = mtta(records, a_0)
-        recall2, _ = recall_at_threshold(mapped, a_0)
-        assert recall1 == recall2
-        assert mtta(mapped, a_0) == mtta1
+        report1, report2 = padded_report(records, a_0), padded_report(mapped, a_0)
+        assert report1.recall_at_a0 == report2.recall_at_a0
+        assert report2.mtta_seconds == report1.mtta_seconds
 
 
 class TestRecallAndMtta:
     def _episode(self, eid, scores, y, t_a=None, fps=10.0):
         return [frame(eid, t, s, y, t_a=t_a, fps=fps) for t, s in enumerate(scores)]
 
-    def _records(self, eid, scores, y, t_a=None, fps=10.0):
-        return records_from_rows(self._episode(eid, scores, y, t_a, fps))
+    def _report(self, eid, scores, y, t_a=None, fps=10.0):
+        return padded_report(self._episode(eid, scores, y, t_a, fps), 0.5)
 
     def test_nine_of_ten_detected(self):
         records = []
         for e in range(10):
             scores = [0.9 if e < 9 else 0.1] * 5
             records.extend(self._episode(f"e{e}", scores, 1, t_a=4))
-        recall, counts = recall_at_threshold(records_from_rows(records), 0.5)
-        assert recall == 0.9
-        assert counts.tp == 9 and counts.fn == 1
+        report = padded_report(records, 0.5)
+        assert report.recall_at_a0 == 0.9
+        assert report.counts.tp == 9 and report.counts.fn == 1
 
     def test_crossing_at_frame_zero(self):
-        records = self._records("e0", [1.0, 0.0, 0.0], 1, t_a=2)
-        recall, _ = recall_at_threshold(records, 0.5)
-        assert recall == 1.0
+        report = self._report("e0", [1.0, 0.0, 0.0], 1, t_a=2)
+        assert report.recall_at_a0 == 1.0
 
     def test_late_crossing_counts_fn_and_zero_tta(self):
         # only crossing at t >= t_a
         scores = [0.0] * 5 + [0.9] * 5
-        records = self._records("e0", scores, 1, t_a=5)
-        recall, counts = recall_at_threshold(records, 0.5)
-        assert recall == 0.0 and counts.fn == 1
-        assert mtta(records, 0.5) == 0.0
+        report = self._report("e0", scores, 1, t_a=5)
+        assert report.recall_at_a0 == 0.0 and report.counts.fn == 1
+        assert report.mtta_seconds == 0.0
 
     def test_mtta_hand_case(self):
         scores = [0.0] * 30 + [0.9] * 30
-        records = self._records("e0", scores, 1, t_a=50, fps=10.0)
-        assert mtta(records, 0.5) == pytest.approx(2.0)
+        report = self._report("e0", scores, 1, t_a=50, fps=10.0)
+        assert report.mtta_seconds == pytest.approx(2.0)
 
     def test_no_crossing_gives_zero(self):
-        records = self._records("e0", [0.1] * 10, 1, t_a=8)
-        assert mtta(records, 0.5) == 0.0
+        report = self._report("e0", [0.1] * 10, 1, t_a=8)
+        assert report.mtta_seconds == 0.0
 
     def test_matches_trace_scan_oracle(self):
         rng = np.random.default_rng(4)
@@ -247,12 +247,10 @@ class TestRecallAndMtta:
             t_a = int(rng.integers(2, length)) if y else None
             traces.append((y, t_a, 10.0, scores))
             records.extend(self._episode(f"e{e}", scores, y, t_a=t_a))
-        records = records_from_rows(records)
-        recall_got, _ = recall_at_threshold(records, 0.5)
-        mtta_got = mtta(records, 0.5)
+        report = report_of(records_from_rows(records))
         recall_exp, mtta_exp = trace_scan_oracle(traces, 0.5)
-        assert recall_got == recall_exp
-        assert mtta_got == mtta_exp
+        assert report.recall_at_a0 == recall_exp
+        assert report.mtta_seconds == mtta_exp
 
     def test_removing_negative_episode_changes_nothing(self):
         rng = np.random.default_rng(5)
@@ -262,20 +260,15 @@ class TestRecallAndMtta:
             scores = list(rng.random(10))
             t_a = 7 if y else None
             records.extend(self._episode(f"e{e}", scores, y, t_a=t_a))
-        trimmed = records_from_rows(r for r in records if r.episode_id != "e5")
-        records = records_from_rows(records)
-        full_recall, _ = recall_at_threshold(records, 0.5)
-        full_mtta = mtta(records, 0.5)
-        trimmed_recall, _ = recall_at_threshold(trimmed, 0.5)
-        assert trimmed_recall == full_recall
-        assert mtta(trimmed, 0.5) == full_mtta
+        trimmed = report_of(records_from_rows(r for r in records if r.episode_id != "e5"))
+        full = report_of(records_from_rows(records))
+        assert trimmed.recall_at_a0 == full.recall_at_a0
+        assert trimmed.mtta_seconds == full.mtta_seconds
 
     def test_no_positive_episode_rejected(self):
-        records = self._records("e0", [0.3, 0.4], 0)
-        with pytest.raises(ValueError):
-            recall_at_threshold(records, 0.5)
-        with pytest.raises(ValueError):
-            mtta(records, 0.5)
+        records = records_from_rows(self._episode("e0", [0.3, 0.4], 0))
+        with pytest.raises(ValueError, match="recall requires at least one positive episode"):
+            report_of(records)
 
 
 class TestFixationMse:
@@ -337,14 +330,13 @@ class TestSafety:
         )
         # not detected
         records.extend(frame("c", t, 0.1, 1, t_a=30) for t in range(40))
-        records = records_from_rows(records)
-        assert safe_detect_fraction(records, 0.5, 2.0) == 0.5
-        ttas = tta_by_episode(records, 0.5)
+        assert padded_report(records, 0.5).safe_detect_fraction_2s == 0.5
+        ttas = episode_ttas(records_from_rows(records), 0.5)
         assert ttas == {"a": 3.0, "b": 1.0, "c": 0.0}
 
     def test_no_detections_gives_zero(self):
-        records = records_from_rows(frame("a", t, 0.1, 1, t_a=5) for t in range(8))
-        assert safe_detect_fraction(records, 0.5) == 0.0
+        records = [frame("a", t, 0.1, 1, t_a=5) for t in range(8)]
+        assert padded_report(records, 0.5).safe_detect_fraction_2s == 0.0
 
 
 class TestCompileReport:

@@ -9,7 +9,6 @@ from crashrl.numkit import (
     MlpSpec,
     ParamSet,
     adam_step,
-    gradient_check,
     init_adam,
     init_params,
     mlp_apply,
@@ -17,6 +16,7 @@ from crashrl.numkit import (
     soft_update,
 )
 from crashrl.numkit import autodiff as ad
+from finite_difference import gradient_check
 
 
 def backprop_mlp(params, spec, x, upstream):
