@@ -143,7 +143,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _resolve_config(args)
-    if not os.path.exists(args.checkpoint):
+    if not os.path.isfile(args.checkpoint):
         raise ConfigError(f"checkpoint: no such file {args.checkpoint}")
     if cfg.data_dir is not None:
         files = episode_files(cfg.data_dir)

@@ -4,7 +4,9 @@ Every rollout steps ``AccidentEnv``: training steps each episode as a group
 of one, and ``collect_records`` (curve points, the final report and
 ``crashrl eval``) steps one env per lockstep group of held-out episodes. The
 rewards the env pays go into the eval records, which the curve's mean
-return and the traces read.
+return and the traces read. Each held-out set (and ``crashrl eval``'s set)
+must pass ``metrics.require_reportable``, checked before the agent is built
+or the checkpoint read; a set that fails it is a ConfigError (exit 1).
 
 Seed derivation (fixed so independent reruns agree): for a run seed s, the
 environment stream uses s, the agent s + 1000, the replay buffer s + 2000.
@@ -21,7 +23,6 @@ plus <out>/<algo>/run.json summarizing the whole run for `compare`.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -48,6 +49,7 @@ from ..metrics import (
     MetricsReport,
     compile_report,
     report_as_dict,
+    require_reportable,
     write_report,
 )
 from .config import ConfigError, RunConfig, write_config_snapshot
@@ -83,12 +85,11 @@ class RunArtifacts:
 
 
 def episode_files(data_dir) -> list[str]:
-    """The sorted paths of the *.ade episode files in ``data_dir``."""
+    """The sorted paths of the *.ade regular files in ``data_dir``."""
     if not os.path.isdir(data_dir):
         raise ConfigError(f"data: no such directory {data_dir}")
-    return sorted(
-        os.path.join(data_dir, name) for name in os.listdir(data_dir) if name.endswith(".ade")
-    )
+    paths = (os.path.join(data_dir, name) for name in os.listdir(data_dir))
+    return sorted(path for path in paths if path.endswith(".ade") and os.path.isfile(path))
 
 
 class _EpisodeSource:
@@ -267,27 +268,20 @@ def export_traces(records: EvalRecords, out_dir) -> list[str]:
 
 
 def _require_reportable(eval_set, window: str, where: str) -> None:
-    """The report needs both classes, and for fixation MSE a recorded frame
-    (0..T-2 of T frames) inside the fixation window; check first.
+    """``require_reportable`` on an episode set before its rollout, whose
+    records hold frames 0..T-2 of each episode; a failure is a ConfigError.
 
     ``where`` names the set in the error, e.g. "seed 3: the held-out set".
     """
-    labels = {ep.y for ep in eval_set}
-    missing = [name for y, name in ((1, "positive"), (0, "negative")) if y not in labels]
-    if missing:
-        raise ConfigError(
-            f"{where} of {len(eval_set)} episodes has no "
-            f"{' or '.join(missing)} episode; AUC and recall need both classes"
-        )
-    if not any(
+    in_window = (
         fixation_window_active(t, ep.t_a, window)
         for ep in eval_set
         for t in range(ep.length - 1)
-    ):
-        raise ConfigError(
-            f"{where} of {len(eval_set)} episodes has no recorded frame inside "
-            f"the {window} fixation window; fixation MSE needs one"
-        )
+    )
+    try:
+        require_reportable([ep.y for ep in eval_set], in_window, window, where)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _write_curve(curve, path) -> None:
@@ -404,12 +398,13 @@ def gen_dataset(cfg: RunConfig, count: int, out_dir, seed_base: int | None = Non
     for i in range(count):
         seed = seed_base + i
         episode = generate_episode(cfg.env, seed)
-        episode = dataclasses.replace(episode, episode_id=f"episode_{seed:0{width}d}")
-        filename = f"{episode.episode_id}.ade"
+        # The file stem is the episode id (the loader reads it from there).
+        episode_id = f"episode_{seed:0{width}d}"
+        filename = f"{episode_id}.ade"
         write_episode_file(episode, os.path.join(out_dir, filename))
         rows.append(
             (
-                episode.episode_id,
+                episode_id,
                 filename,
                 episode.y,
                 episode.t_a if episode.t_a is not None else -1,

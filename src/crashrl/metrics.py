@@ -14,7 +14,10 @@ contributions with exact (fsum) summation.
 ``EvalRecords`` batch, ranks the scores once for AUC, AP, ROC and PR, and
 finds each episode's first threshold crossing once for recall, mTTA and the
 safe-detection fraction. Its ``MetricsReport`` holds every number crashrl
-writes.
+writes. ``require_reportable`` states what every report needs (both
+classes, and a recorded frame inside the fixation window); ``compile_report``
+checks it first, and the harness checks it on an episode set before the
+rollout, so no metric below guards against an empty class or window.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .env.rewards import fixation_window_active
 
 
 NO_ACCIDENT = -1  # the t_a entry of an episode without an accident
+SAFE_MARGIN_SECONDS = 2.0  # the TTA a safe detection needs (safe_detect_fraction_2s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,10 +111,6 @@ class EvalRecords:
     def __len__(self) -> int:
         return self.score.size
 
-    def frame_t_a(self) -> list[int | None]:
-        """Each frame's accident frame as a Python int, None without an accident."""
-        return [None if v == NO_ACCIDENT else v for v in self.t_a[self.episode].tolist()]
-
 
 @dataclass(frozen=True)
 class DetectionCounts:
@@ -153,8 +153,6 @@ class _TieBlocks(NamedTuple):
 
 def _tie_blocks(records: EvalRecords) -> _TieBlocks:
     """Rank every frame (one sample each, carrying its episode's label)."""
-    if len(records) == 0:
-        raise ValueError("no records to score")
     order = np.argsort(-records.score, kind="stable")
     scores = records.score[order]
     labels = records.y[records.episode][order]
@@ -169,8 +167,6 @@ def _tie_blocks(records: EvalRecords) -> _TieBlocks:
 
 def _auc(blocks: _TieBlocks) -> float:
     """Mann-Whitney AUC: P(score_pos > score_neg) + 0.5 * P(tie), exactly."""
-    if blocks.n_pos == 0 or blocks.n_neg == 0:
-        raise ValueError("AUC requires both classes among the samples")
     fp = blocks.seen - blocks.tp
     # A block's positives beat every negative below it and tie its own.
     wins = float((blocks.pos * (blocks.n_neg - fp)).sum())
@@ -180,8 +176,6 @@ def _auc(blocks: _TieBlocks) -> float:
 
 def _ap(blocks: _TieBlocks) -> float:
     """Step-integrated PR curve: per-positive block-end precision, averaged."""
-    if blocks.n_pos == 0:
-        raise ValueError("AP requires at least one positive sample")
     precision = (blocks.tp / blocks.seen).tolist()
     # One exact term per positive: fsum of k copies, not k * precision rounded.
     per_positive = itertools.chain.from_iterable(
@@ -205,66 +199,60 @@ def _pr_points(blocks: _TieBlocks):
             *zip(recall.tolist(), precision.tolist(), blocks.threshold.tolist()))
 
 
-def _first_crossings(records: EvalRecords, a_0: float) -> np.ndarray:
-    """Per episode, the first t whose score exceeds a_0, or -1 when none does."""
+def require_reportable(labels, in_window, window: str, where: str) -> None:
+    """What every report needs: a positive and a negative episode (AUC and
+    recall rank both classes), and a recorded frame inside the fixation
+    window (fixation MSE averages over those frames).
+
+    ``labels`` holds each episode's label and ``in_window`` whether each
+    recorded frame is inside ``window``; ``where`` names the set in the
+    ValueError, e.g. "seed 3: the held-out set".
+    """
+    present = set(labels)
+    missing = [name for y, name in ((1, "positive"), (0, "negative")) if y not in present]
+    if missing:
+        raise ValueError(
+            f"{where} of {len(labels)} episodes has no "
+            f"{' or '.join(missing)} episode; AUC and recall need both classes"
+        )
+    if not any(in_window):
+        raise ValueError(
+            f"{where} of {len(labels)} episodes has no recorded frame inside "
+            f"the {window} fixation window; fixation MSE needs one"
+        )
+
+
+def _episode_level(records: EvalRecords, a_0: float):
+    """(recall, counts, mTTA, safe-detection fraction) from each episode's
+    first crossing of a_0.
+
+    A positive episode is detected when its first crossing comes strictly
+    before t_a; its TTA is then (t_a - crossing) / fps, and 0 otherwise.
+    The safe-detection fraction counts the detected positives whose TTA
+    meets SAFE_MARGIN_SECONDS, and is 0 with no detection.
+    """
     above = np.flatnonzero(records.score > a_0)
     episodes, first = np.unique(records.episode[above], return_index=True)
     crossing = np.full(len(records.episode_ids), -1, dtype=np.int64)
     crossing[episodes] = records.t[above[first]]
-    return crossing
-
-
-def _recall(records: EvalRecords, crossing: np.ndarray) -> tuple[float, DetectionCounts]:
-    """Episode-level recall: detection = any pre-accident frame above a_0."""
     positive = records.y == 1
     crossed = crossing >= 0
-    tp = int(np.count_nonzero(positive & crossed & (crossing < records.t_a)))
+    detected = positive & crossed & (crossing < records.t_a)
+    tp = int(np.count_nonzero(detected))
     fn = int(np.count_nonzero(positive)) - tp
     fp = int(np.count_nonzero(~positive & crossed))
-    tn = len(records.episode_ids) - tp - fn - fp
-    if tp + fn == 0:
-        raise ValueError("recall requires at least one positive episode")
-    return tp / (tp + fn), DetectionCounts(tp, fp, tn, fn)
+    counts = DetectionCounts(tp, fp, len(records.episode_ids) - tp - fn - fp, fn)
+    # Per positive episode, in episode order.
+    tta = np.where(detected, (records.t_a - crossing) / records.fps, 0.0)[positive]
+    safe = int(np.count_nonzero(tta >= SAFE_MARGIN_SECONDS)) / tp if tp else 0.0
+    return tp / (tp + fn), counts, math.fsum(tta.tolist()) / tta.size, safe
 
 
-def _ttas(records: EvalRecords, crossing: np.ndarray) -> dict[str, float]:
-    """Per positive episode: (t_a - first crossing)/fps, or 0 when late/absent."""
-    detected = (crossing >= 0) & (crossing < records.t_a)
-    tta = np.where(detected, (records.t_a - crossing) / records.fps, 0.0)
-    positive = np.flatnonzero(records.y == 1)
-    return dict(zip([records.episode_ids[e] for e in positive], tta[positive].tolist()))
-
-
-def _mean_tta(ttas: dict[str, float]) -> float:
-    """Mean time-to-accident over all positive episodes, zeros included."""
-    if not ttas:
-        raise ValueError("mTTA requires at least one positive episode")
-    return math.fsum(ttas.values()) / len(ttas)
-
-
-def _safe_fraction(ttas: dict[str, float], margin_seconds: float) -> float:
-    """Fraction of detected positive episodes (TTA > 0) whose TTA meets the margin.
-
-    With no detections the fraction is 0.
-    """
-    detected = [tta for tta in ttas.values() if tta > 0.0]
-    if not detected:
-        return 0.0
-    return sum(1 for tta in detected if tta >= margin_seconds) / len(detected)
-
-
-def fixation_mse(records: EvalRecords, window: str = "after_accident") -> float:
-    """Mean squared fixation error over frames where the reward window is active."""
-    active = np.array(
-        [fixation_window_active(t, t_a, window)
-         for t, t_a in zip(records.t.tolist(), records.frame_t_a())],
-        dtype=bool,
-    )
+def _fixation_mse(records: EvalRecords, in_window: np.ndarray) -> float:
+    """Mean squared fixation error over the frames inside the window."""
     # d * d is the correctly rounded square; d ** 2 goes through libm pow.
-    d = records.p_hat[active] - records.p[active]
+    d = records.p_hat[in_window] - records.p[in_window]
     errors = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-    if not errors.size:
-        raise ValueError("fixation_mse: no frames fall inside the evaluation window")
     return math.fsum(errors.tolist()) / errors.size
 
 
@@ -273,21 +261,29 @@ def compile_report(
     a_0: float,
     window: str = "after_accident",
 ) -> MetricsReport:
-    """Every metric from one ranking of the scores and one crossing per episode."""
-    crossing = _first_crossings(records, a_0)
-    recall, counts = _recall(records, crossing)
-    ttas = _ttas(records, crossing)
+    """Every metric from one ranking of the scores and one crossing per episode.
+
+    Raises ValueError, before computing anything, when the records fail
+    ``require_reportable``.
+    """
+    in_window = np.array(
+        [fixation_window_active(t, None if t_a == NO_ACCIDENT else t_a, window)
+         for t, t_a in zip(records.t.tolist(), records.t_a[records.episode].tolist())],
+        dtype=bool,
+    )
+    require_reportable(records.y.tolist(), in_window, window, "the record set")
+    recall, counts, mtta, safe = _episode_level(records, a_0)
     blocks = _tie_blocks(records)
     return MetricsReport(
         auc=_auc(blocks),
         ap=_ap(blocks),
         recall_at_a0=recall,
-        mtta_seconds=_mean_tta(ttas),
-        fixation_mse=fixation_mse(records, window),
+        mtta_seconds=mtta,
+        fixation_mse=_fixation_mse(records, in_window),
         counts=counts,
         roc_points=_roc_points(blocks),
         pr_points=_pr_points(blocks),
-        safe_detect_fraction_2s=_safe_fraction(ttas, 2.0),
+        safe_detect_fraction_2s=safe,
     )
 
 

@@ -26,6 +26,7 @@ from crashrl.harness import (
 )
 from crashrl.harness.compare import TABLE_ROWS
 from crashrl.harness.running import _mean_return
+from crashrl.metrics import compile_report
 from record_rows import frame_rows, padded_report
 
 
@@ -506,6 +507,70 @@ class TestCli:
             code = cli_main(self._eval_flags(tmp_path, missing) + extra)
             assert code == 1
             assert f"checkpoint: no such file {missing}" in capsys.readouterr().err
+
+    def test_eval_checkpoint_that_is_a_directory_exits_one(self, tmp_path, capsys):
+        directory = tmp_path / "ck"
+        directory.mkdir()
+        assert cli_main(self._eval_flags(tmp_path, directory)) == 1
+        assert f"checkpoint: no such file {directory}" in capsys.readouterr().err
+        assert not (tmp_path / "eval_out").exists()
+
+    def test_train_data_skips_a_directory_named_like_an_episode_file(self, tmp_path):
+        data = tmp_path / "data"
+        gen = ["gen-data", "--count", "5", "--seed", "100", "--episode-length", "24",
+               "--grid", "8", "--pool", "4", "--stack", "2", "--out", str(data)]
+        assert cli_main(gen) == 0
+        (data / "x.ade").mkdir()
+        out = tmp_path / "runs"
+        assert cli_main(self._train_flags(out) + ["--data", str(data)]) == 0
+        traces = sorted(p.name for p in (out / "td3" / "seed_0" / "traces").iterdir())
+        assert traces == [f"trace_episode_{s:05d}.csv" for s in range(101, 105)]
+
+    @pytest.mark.parametrize(
+        "env,rule",
+        [
+            ({"accident_prob": 0.0},
+             "has no positive episode; AUC and recall need both classes"),
+            ({"accident_prob": 1.0},
+             "has no negative episode; AUC and recall need both classes"),
+            # 5 frames: t_a is 3 or 4 and frames 0-3 are recorded.
+            ({"episode_len": 5}, "has no recorded frame inside the after_accident "
+                                 "fixation window; fixation MSE needs one"),
+        ],
+        ids=["no-positive", "no-negative", "no-frame-in-window"],
+    )
+    def test_compile_report_train_and_eval_state_one_rule(self, tmp_path, capsys, env, rule):
+        config = {"env": {"grid_h": 8, "grid_w": 8, "pool_h": 4, "pool_w": 4, "stack": 2,
+                          "episode_len": 24, **env}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        cfg = build_run_config(config)
+        # Run seed 0's held-out set, which train and eval below both use.
+        episodes = [generate_episode(cfg.env, j) for j in range(4)]
+        records = collect_records(ConstantScoreAgent(0.0), episodes, cfg)
+        with pytest.raises(ValueError) as caught:
+            compile_report(records, cfg.env.a_0, cfg.env.fixation_window)
+        assert str(caught.value) == f"the record set of 4 episodes {rule}"
+
+        common = ["--config", str(cfg_path), "--algo", "td3", "--seed", "0",
+                  "--eval-episodes", "4", "--hidden", "8,8"]
+        out = tmp_path / "runs"
+        train = ["train", *common, "--epochs", "1", "--episodes-per-epoch", "1",
+                 "--batch-size", "8", "--warmup", "40", "--out", str(out)]
+        assert cli_main(train) == 1
+        assert capsys.readouterr().err == (
+            f"error: seed 0: the held-out set of 4 episodes {rule}\n"
+        )
+        # Only the config snapshot, written before the first seed's check.
+        assert [p.name for p in out.rglob("*") if p.is_file()] == ["config.json"]
+
+        checkpoint = tmp_path / "ck.txt"
+        Agent(AgentConfig(algo="td3", hidden_dims=(8, 8)), obs_dim=32, seed=0).save(checkpoint)
+        eval_out = tmp_path / "eval_out"
+        evaluate = ["eval", *common, "--checkpoint", str(checkpoint), "--out", str(eval_out)]
+        assert cli_main(evaluate) == 1
+        assert capsys.readouterr().err == f"error: eval: the episode set of 4 episodes {rule}\n"
+        assert not eval_out.exists()
 
     def test_missing_data_directory_exits_one_for_train_and_eval(self, tmp_path, capsys):
         checkpoint = tmp_path / "ck.txt"

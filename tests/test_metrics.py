@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crashrl.metrics import compile_report, fixation_mse
+from crashrl.metrics import compile_report
 from record_rows import Row, episode_ttas, padded_report, records_from_rows
 
 
@@ -25,6 +25,11 @@ def auc(records):
 
 def ap(records):
     return report_of(records).ap
+
+
+def fixation_mse(rows, window="after_accident"):
+    """The report's fixation MSE over the rows plus ``PAD`` (see padded_report)."""
+    return padded_report(rows, 0.5, window).fixation_mse
 
 
 def frame(episode_id, t, score, y, t_a=None, p_hat=(0.5, 0.5), p=(0.5, 0.5), fps=10.0):
@@ -106,7 +111,7 @@ class TestRocAuc:
         assert auc(records_from_scores([0.9, 0.7], [0.8, 0.1])) == 0.75
 
     def test_single_class_rejected(self):
-        with pytest.raises(ValueError, match="AUC requires both classes"):
+        with pytest.raises(ValueError, match="has no negative episode; AUC and recall need both"):
             auc(records_from_scores([0.9], []))
 
     def test_matches_pair_oracle_on_random_sets(self):
@@ -267,43 +272,45 @@ class TestRecallAndMtta:
 
     def test_no_positive_episode_rejected(self):
         records = records_from_rows(self._episode("e0", [0.3, 0.4], 0))
-        with pytest.raises(ValueError, match="recall requires at least one positive episode"):
+        with pytest.raises(ValueError, match="has no positive episode; AUC and recall need both"):
             report_of(records)
 
 
 class TestFixationMse:
     def test_zero_for_perfect_prediction(self):
-        records = records_from_rows([
+        records = [
             frame("e0", t, 0.5, 1, t_a=2, p_hat=(0.3, 0.7), p=(0.3, 0.7))
             for t in range(6)
-        ])
+        ]
         assert fixation_mse(records) == 0.0
 
     def test_constant_offset(self):
-        records = records_from_rows([
+        records = [
             frame("e0", t, 0.5, 1, t_a=1, p_hat=(0.6, 0.5), p=(0.5, 0.5))
             for t in range(2, 6)
-        ])
+        ]
         assert fixation_mse(records) == pytest.approx(0.01, abs=1e-15)
 
     def test_mean_of_two_errors(self):
-        records = records_from_rows([
+        records = [
             frame("e0", 3, 0.5, 1, t_a=2, p_hat=(0.5 + math.sqrt(0.02), 0.5)),
             frame("e0", 4, 0.5, 1, t_a=2, p_hat=(0.5 + math.sqrt(0.04), 0.5)),
-        ])
+        ]
         assert fixation_mse(records) == pytest.approx(0.03, abs=1e-12)
 
     def test_window_selects_frames(self):
-        records = records_from_rows([
+        records = [
             frame("e0", 1, 0.5, 1, t_a=3, p_hat=(0.9, 0.5)),  # pre-accident
             frame("e0", 5, 0.5, 1, t_a=3, p_hat=(0.5, 0.5)),  # post-accident
-        ])
+        ]
         assert fixation_mse(records, "after_accident") == 0.0
-        assert fixation_mse(records, "before_accident") == pytest.approx(0.16)
+        # The pad's frame 0 (error 0) is inside this window too: (0.16 + 0) / 2.
+        assert fixation_mse(records, "before_accident") == pytest.approx(0.08)
 
     def test_empty_window_rejected(self):
-        records = records_from_rows([frame("e0", 1, 0.5, 1, t_a=3)])
-        with pytest.raises(ValueError, match="window"):
+        records = [frame("e0", 1, 0.5, 1, t_a=3)]
+        message = "has no recorded frame inside the after_accident fixation window"
+        with pytest.raises(ValueError, match=message):
             fixation_mse(records, "after_accident")
 
     def test_squares_are_correctly_rounded(self):
@@ -315,8 +322,8 @@ class TestFixationMse:
             exact = float(Fraction(d) ** 2)
             along_x = frame("e0", 3, 0.5, 1, t_a=2, p_hat=(d, 0.5), p=(0.0, 0.5))
             along_y = frame("e0", 3, 0.5, 1, t_a=2, p_hat=(0.5, d), p=(0.5, 0.0))
-            assert fixation_mse(records_from_rows([along_x])) == exact
-            assert fixation_mse(records_from_rows([along_y])) == exact
+            assert fixation_mse([along_x]) == exact
+            assert fixation_mse([along_y]) == exact
 
 
 class TestSafety:
