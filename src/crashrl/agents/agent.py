@@ -111,8 +111,6 @@ class Agent:
         )
 
     def _set_specs(self, cfg: AgentConfig, obs_dim: int) -> None:
-        if obs_dim < 1:
-            raise ValueError(f"obs_dim must be >= 1, got {obs_dim}")
         self.cfg = cfg
         self.obs_dim = obs_dim
         actor_out = 2 * ACTION_DIM if cfg.stochastic else ACTION_DIM

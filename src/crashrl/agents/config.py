@@ -62,7 +62,7 @@ class AgentConfig:
         if self.sac_alpha < 0.0:
             raise ValueError(f"sac_alpha must be >= 0, got {self.sac_alpha}")
         for name in ("actor_lr", "critic_lr"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:  # NaN fails too
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         for name in ("reward_weight_accident", "reward_weight_fixation"):
             if getattr(self, name) < 0.0:

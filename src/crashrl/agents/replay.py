@@ -2,7 +2,8 @@
 
 ``push`` takes one transition (s, a, r, s', done) in the environment's
 float64; the buffer stores it, and every ``Batch`` holds it, in the network
-core's float32.
+core's float32. ``push`` checks only the state widths: the action passed
+``check_actions`` in ``AccidentEnv.step``, and ``AgentConfig`` the capacity.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ class ReplayBuffer:
     """Ring buffer: FIFO eviction when full, uniform sampling with replacement."""
 
     def __init__(self, capacity: int = 100_000, seed: int = 0) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._rng = np.random.default_rng(seed)
         self._s: np.ndarray | None = None
@@ -63,10 +62,6 @@ class ReplayBuffer:
         action = np.ascontiguousarray(action, dtype=np.float64).reshape(-1)
         if s.shape != s_next.shape:
             raise ValueError("state and next-state feature lengths must match")
-        if action.size != ACTION_DIM:
-            raise ValueError(f"action must have {ACTION_DIM} components")
-        if np.any(action < 0.0) or np.any(action > 1.0):
-            raise ValueError("action components must lie in [0, 1]")
         if self._s is None:
             self._s = np.empty((self.capacity, s.size), DTYPE)
             self._s2 = np.empty((self.capacity, s.size), DTYPE)

@@ -3,6 +3,9 @@
 Grid geometry: a field is an H x W array indexed [row, col]; cell (i, j)
 covers the normalized image patch centered at x = (j + 0.5)/W,
 y = (i + 0.5)/H, with (x, y) in [0, 1]^2 and y growing downward.
+
+``AccidentEnv.__init__`` and ``check_actions`` check the pool and the
+fixations that ``attention_features`` takes.
 """
 
 from __future__ import annotations
@@ -83,10 +86,6 @@ def attention_features(raw: np.ndarray, fixations: np.ndarray, cfg: EnvConfig) -
     """
     n, h, w = raw.shape
     oh, ow = cfg.pool_h, cfg.pool_w
-    if h % oh or w % ow:
-        raise ValueError(f"pool dims ({oh}x{ow}) must divide field dims ({h}x{w})")
-    if fixations.shape != (n, 2):
-        raise ValueError(f"fixations must have shape [{n}, 2], got {list(fixations.shape)}")
     xs, ys = _center_axes(h, w)
     fx = fixations[:, 0, None, None]
     fy = fixations[:, 1, None, None]

@@ -8,7 +8,7 @@ import statistics
 from dataclasses import dataclass
 
 from ..atomic import atomic_write
-from .config import ConfigError
+from .config import ConfigError, is_finite_number
 
 # (row label, metrics.json key, whether larger is better)
 TABLE_ROWS = (
@@ -50,7 +50,9 @@ class ComparisonTable:
 def load_run_summary(path) -> RunSummary:
     """Read a run.json written by run_training (path may be its directory).
 
-    Invalid JSON or a missing key raises ConfigError naming the path (and seed).
+    Invalid JSON, a missing key, an empty or non-object ``per_seed`` and a
+    table metric that is not a finite number raise ConfigError naming the
+    path (and the seed and key).
     """
     if os.path.isdir(path):
         path = os.path.join(path, "run.json")
@@ -65,11 +67,19 @@ def load_run_summary(path) -> RunSummary:
             raise ConfigError(f"runs: {path}: {where}no {key!r} key")
         return mapping[key]
 
+    per_seed = field(data, "per_seed")
+    if not isinstance(per_seed, dict) or not per_seed:
+        raise ConfigError(f"runs: {path}: 'per_seed' must be a non-empty object of seeds")
     metrics_by_seed = {}
-    for seed, entry in field(data, "per_seed").items():
+    for seed, entry in per_seed.items():
         metrics_by_seed[seed] = metrics = field(entry, "metrics", f"seed {seed}: ")
         for _, key, _ in TABLE_ROWS:
-            field(metrics, key, f"seed {seed}: ")
+            value = field(metrics, key, f"seed {seed}: ")
+            if not is_finite_number(value):
+                raise ConfigError(
+                    f"runs: {path}: seed {seed}: {key!r} must be a finite number, "
+                    f"got {value!r}"
+                )
     return RunSummary(field(data, "algo"), field(data, "eval_fingerprint"), metrics_by_seed)
 
 

@@ -4,7 +4,7 @@ Precedence is flags > file > defaults. Config files are JSON objects whose
 top-level keys mirror RunConfig fields, with nested "env" and "agent"
 objects mirroring EnvConfig and AgentConfig. Unknown keys anywhere are
 rejected by name, and so is a value of the wrong type: an int setting takes
-no float or bool, a float setting no bool.
+no float or bool, a float setting no bool and nothing non-finite.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import dataclasses
 import json
 import numbers
 import os
+import sys
 from dataclasses import dataclass
 
 from ..atomic import atomic_write
@@ -69,6 +70,11 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_finite_number(value) -> bool:
+    """An int or float within float range (exact for ints): no bool, NaN or infinity."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
 # Field annotation -> (what it takes, check); every annotation is listed, so a
 # new kind of setting cannot go unchecked. A bool is an int to Python, and a
 # float int setting truncates or fails mid-run, so neither passes as an int.
@@ -95,6 +101,11 @@ def _build_section(cls, values: dict, section: str):
         if f.name in values and not fits(values[f.name]):
             raise ConfigError(
                 f"{section}: {f.name} must be {kind}, got {values[f.name]!r}"
+            )
+        # NaN passes the range checks (nu > 0.0 is False); json.dump writes it as non-JSON.
+        if f.type == "float" and not is_finite_number(values.get(f.name, 0.0)):
+            raise ConfigError(
+                f"{section}: {f.name} must be a finite number, got {values[f.name]!r}"
             )
     try:
         return cls(**values)

@@ -6,7 +6,8 @@ of one, and ``collect_records`` (curve points, the final report and
 rewards the env pays go into the eval records, which the curve's mean
 return and the traces read. Each held-out set (and ``crashrl eval``'s set)
 must pass ``metrics.require_reportable``, checked before the agent is built
-or the checkpoint read; a set that fails it is a ConfigError (exit 1).
+or the checkpoint read (and, for the first seed, before anything is
+written); a set that fails it is a ConfigError (exit 1).
 
 Seed derivation (fixed so independent reruns agree): for a run seed s, the
 environment stream uses s, the agent s + 1000, the replay buffer s + 2000.
@@ -295,14 +296,15 @@ def run_training(cfg: RunConfig) -> RunArtifacts:
     """Train cfg.algo for every seed; returns (and writes) all artifacts."""
     source = _EpisodeSource(cfg)  # checks the data directory before anything is written
     algo_dir = os.path.join(cfg.out_dir, cfg.algo)
-    os.makedirs(algo_dir, exist_ok=True)
-    write_config_snapshot(cfg, cfg.out_dir)
 
     results = []
     seed_fingerprints = []
     for seed in cfg.seeds:
         eval_set = source.eval_set(seed)
         _require_reportable(eval_set, cfg.env.fixation_window, f"seed {seed}: the held-out set")
+        if not seed_fingerprints:  # the first seed's set passed: start writing
+            os.makedirs(algo_dir, exist_ok=True)
+            write_config_snapshot(cfg, cfg.out_dir)
         seed_fingerprints.append(eval_fingerprint(eval_set))
         obs_dim = cfg.env.obs_dim
         agent = Agent(cfg.agent, obs_dim, seed + AGENT_SEED_OFFSET)

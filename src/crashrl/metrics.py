@@ -47,10 +47,11 @@ class EvalRecords:
     ``t_a[e]`` (``NO_ACCIDENT`` for a negative episode) and ``fps[e]``. Per
     frame i: its episode index ``episode[i]``, frame ``t[i]``, accident score
     ``score[i]``, predicted fixation ``p_hat[i]``, true fixation ``p[i]`` and
-    the rewards ``r_A[i]`` and ``r_F[i]`` the environment paid (only their
-    shapes are checked). Frames come episode by episode in episode order,
-    every episode has at least one, and ``t`` increases within an episode.
-    The whole batch is checked once, on construction.
+    the rewards ``r_A[i]`` and ``r_F[i]`` the environment paid. Frames come
+    episode by episode in episode order, every episode has at least one, and
+    ``t`` increases within an episode; construction checks these, the column
+    shapes and the ids' uniqueness. ``Episode`` checked y, t_a and fps, and
+    ``check_actions`` the score and p_hat.
     """
 
     episode_ids: tuple[str, ...]
@@ -71,8 +72,7 @@ class EvalRecords:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
         for name in ("fps", "score", "p_hat", "p", "r_A", "r_F"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        ids, y, t_a, score = self.episode_ids, self.y, self.t_a, self.score
-        episode = self.episode
+        ids, episode = self.episode_ids, self.episode
         e, n = len(ids), episode.size
         want = {"y": (e,), "t_a": (e,), "fps": (e,), "episode": (n,), "t": (n,),
                 "score": (n,), "p_hat": (n, 2), "p": (n, 2), "r_A": (n,), "r_F": (n,)}
@@ -85,15 +85,6 @@ class EvalRecords:
         step = np.diff(bounded)
         seen: dict[str, int] = {}
         checks = (  # (mask of offenders, message for the first), in order
-            (~((score >= 0.0) & (score <= 1.0)),  # NaN fails both
-             lambda i: f"score must be in [0, 1], got {score[i]} at frame {i}"),
-            ((y != 0) & (y != 1),
-             lambda i: f"label must be 0 or 1, got {y[i]} for episode {ids[i]!r}"),
-            (~np.where(y == 1, t_a >= 0, t_a == NO_ACCIDENT),
-             lambda i: f"episode {ids[i]!r} (y={y[i]}) has t_a {t_a[i]}: a positive "
-                       f"episode needs t_a >= 0, a negative one none ({NO_ACCIDENT})"),
-            (~(self.fps > 0.0),
-             lambda i: f"fps must be > 0, got {self.fps[i]} for episode {ids[i]!r}"),
             (np.array([seen.setdefault(k, i) != i for i, k in enumerate(ids)], dtype=bool),
              lambda i: f"episode ids must be unique, {ids[i]!r} repeats"),
             ((step != 1) & ((step != 0) | (bounded[1:] < 0) | (bounded[1:] >= e)),

@@ -5,7 +5,8 @@ Both work in place on a network's flat float32 parameter vector
 have the parameters' dtype. Each keeps the operation order of
 the textbook per-tensor formulas, so every entry is bit-identical to them.
 Adam's moment decays and epsilon are the textbook defaults (``BETA1``,
-``BETA2``, ``EPS``); only the step size is set per network.
+``BETA2``, ``EPS``); only the step size is set per network. ``AgentConfig``
+checks the step sizes and tau.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ class AdamState:
 
 
 def init_adam(params: ParamSet, alpha: float = 3e-4, name: str = "params") -> AdamState:
-    if not alpha > 0:
-        raise ValueError(f"Adam step size must be > 0, got {alpha}")
     return AdamState(params.zeros_like(), params.zeros_like(), 0, alpha, name)
 
 
@@ -90,8 +89,6 @@ def soft_update(target: ParamSet, online: ParamSet, tau: float) -> ParamSet:
     Targets only mix in online parameters that ``adam_step`` has checked, so
     no finite check runs here.
     """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must be in [0, 1], got {tau}")
     if not target.same_shapes(online):
         raise ValueError("target and online parameter shapes must match")
     flat = target.flat

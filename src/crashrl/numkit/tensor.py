@@ -42,8 +42,6 @@ class ParamSet:
         layout = []
         arrays = []
         for name, values in items:
-            if not name or any(ch.isspace() for ch in name):
-                raise ValueError(f"invalid parameter name {name!r}")
             if any(name == seen for seen, _ in layout):
                 raise ValueError(f"duplicate parameter name {name!r}")
             array = np.asarray(values, dtype=np.float64)

@@ -155,12 +155,6 @@ class TestAccidentWeight:
         w = accident_weight(10, 5000)
         assert 0.0 < w < 1.0 and math.isfinite(w)
 
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            accident_weight(-1, 5)
-        with pytest.raises(ValueError):
-            accident_weight(0, 0)
-
 
 class TestRewardAccident:
     def test_early_true_alarm_full_reward(self):
@@ -178,14 +172,6 @@ class TestRewardAccident:
 
     def test_missed_positive_earns_nothing(self):
         assert reward_accident(0.2, 0.5, 1, 3, 40) == 0.0
-
-    def test_positive_without_t_a_rejected(self):
-        with pytest.raises(ValueError):
-            reward_accident(0.9, 0.5, 1, 0, None)
-
-    def test_score_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            reward_accident(1.2, 0.5, 0, 0, None)
 
 
 class TestRewardFixation:
@@ -219,10 +205,6 @@ class TestRewardFixation:
     def test_negative_episode_window_rule(self):
         assert not fixation_window_active(10, None, "after_accident")
         assert fixation_window_active(10, None, "before_accident")
-
-    def test_out_of_square_rejected(self):
-        with pytest.raises(ValueError):
-            reward_fixation((1.5, 0.2), (0.5, 0.5), 50, 40, 0.08)
 
 
 class TestGenerateEpisode:
@@ -615,6 +597,47 @@ class TestEpisodeFile:
         assert code == 2
         assert f"runtime failure: {path}: payload CRC-32 is " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "header, cell, value, where, message",
+        [
+            ({5: "2"}, None, None, "line 1", "label must be 0 or 1, got 2"),
+            ({5: "1", 6: "0"}, None, None, "line 1",
+             "positive episode requires 0 < t_a < 10, got 0"),
+            ({4: "inf"}, None, None, "line 1", "fps must be finite and > 0, got inf"),
+            ({}, 3 * 256 + 5, math.nan, "frame 3", "saliency values must be finite and >= 0"),
+            ({}, 10 * 256 + 2 * 3, 1.5, "frame 3", "fixation (1.5, {py}) outside [0, 1]^2"),
+        ],
+        ids=["label-2", "t_a-0", "fps-inf", "nan-saliency", "fixation-1.5"],
+    )
+    def test_eval_cli_rejects_bad_values_at_the_loader(
+        self, tmp_path, capsys, header, cell, value, where, message
+    ):
+        """The rewards and the eval records trust what the loader lets through."""
+        from crashrl.agents import Agent, AgentConfig
+        from crashrl.cli import main as cli_main
+
+        data = tmp_path / "data"
+        data.mkdir()
+        path = data / "ep.ade"
+        write_episode_file(generate_episode(EnvConfig(episode_len=10), 4), path)
+        fields, values = split_ade2(path.read_bytes())
+        assert fields[5:7] == ["0", "-1"]  # a negative 10-frame 16x16 episode
+        for index, text in header.items():
+            fields[index] = text
+        if cell is not None:
+            values[cell] = value
+        path.write_bytes(join_ade2(fields, values))
+        checkpoint = tmp_path / "ck.txt"
+        Agent(AgentConfig(algo="td3", hidden_dims=(8, 8)), obs_dim=256, seed=0).save(checkpoint)
+        code = cli_main([
+            "eval", "--algo", "td3", "--hidden", "8,8", "--data", str(data),
+            "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        message = message.format(py=values[10 * 256 + 2 * 3 + 1])
+        assert capsys.readouterr().err == f"runtime failure: {path}: {where}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_episode_arrays_are_read_only(self, tmp_path):
         path = tmp_path / "ep.ade"
         generated = generate_episode(EnvConfig(episode_len=10), 16)
@@ -656,14 +679,26 @@ class TestEnvConfigValidation:
 
 
 def test_episode_invariants_enforced():
+    """The rewards, the eval records and their metrics trust these checks."""
     saliency = np.full((5, 4, 4), 1 / 16.0)
     track = np.full((5, 2), 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="0 < t_a < 5, got None"):
         Episode(saliency, 1, None, track, 10.0)  # positive needs t_a
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="0 < t_a < 5, got 0"):
+        Episode(saliency, 1, 0, track, 10.0)  # accident_weight needs t_a > 0
+    with pytest.raises(ValueError, match="0 < t_a < 5, got 5"):
         Episode(saliency, 1, 5, track, 10.0)  # t_a must be < length
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must not carry"):
         Episode(saliency, 0, 2, track, 10.0)  # negative must not carry t_a
+    with pytest.raises(ValueError, match="label must be 0 or 1, got 2"):
+        Episode(saliency, 2, None, track, 10.0)
+    for fps in (0.0, -10.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="fps must be finite and > 0"):
+            Episode(saliency, 0, None, track, fps)
+    outside = track.copy()
+    outside[3] = (1.5, 0.2)
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]\^2 at frame 3"):
+        Episode(saliency, 0, None, outside, 10.0)  # reward_fixation's p
 
 
 class TestRewardBoundProperties:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -77,6 +78,21 @@ class TestBuildRunConfig:
     def test_invalid_gamma_names_key_and_range(self):
         with pytest.raises(ConfigError, match="gamma.*\\(0, 1\\)"):
             build_run_config({"agent": {"gamma": 1.5}})
+
+    @pytest.mark.parametrize(
+        "agent,message",
+        [
+            ({"tau": 0.0}, r"tau must be in \(0, 1\], got 0.0"),
+            ({"tau": 1.5}, r"tau must be in \(0, 1\], got 1.5"),
+        ],
+        ids=["tau-0", "tau-1.5"],
+    )
+    def test_agent_config_owns_the_optimizer_settings(self, agent, message):
+        """soft_update and init_adam trust these: AgentConfig checks them."""
+        with pytest.raises(ConfigError, match=message):
+            build_run_config({"agent": agent})
+        with pytest.raises(ValueError, match="actor_lr must be > 0, got nan"):
+            AgentConfig(actor_lr=math.nan)
 
     def test_agent_algo_conflict_rejected(self):
         with pytest.raises(ConfigError, match="algo"):
@@ -561,8 +577,8 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: seed 0: the held-out set of 4 episodes {rule}\n"
         )
-        # Only the config snapshot, written before the first seed's check.
-        assert [p.name for p in out.rglob("*") if p.is_file()] == ["config.json"]
+        # Nothing: the first seed's check runs before the config snapshot.
+        assert [p.name for p in out.rglob("*") if p.is_file()] == []
 
         checkpoint = tmp_path / "ck.txt"
         Agent(AgentConfig(algo="td3", hidden_dims=(8, 8)), obs_dim=32, seed=0).save(checkpoint)
@@ -690,6 +706,58 @@ class TestCli:
         assert code == 1
         assert message.format(path=path) in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize(
+        "per_seed,message",
+        [
+            ([{"metrics": {}}], "runs: {path}: 'per_seed' must be a non-empty object of seeds"),
+            ({}, "runs: {path}: 'per_seed' must be a non-empty object of seeds"),
+            ({"1": {"metrics": {"auc": "high"}}},
+             "runs: {path}: seed 1: 'auc' must be a finite number, got 'high'"),
+            ({"1": {"metrics": {"ap": math.nan}}},
+             "runs: {path}: seed 1: 'ap' must be a finite number, got nan"),
+        ],
+        ids=["per-seed-list", "per-seed-empty", "string-metric", "nan-metric"],
+    )
+    def test_compare_rejects_a_malformed_per_seed_naming_file_seed_and_key(
+        self, tmp_path, capsys, per_seed, message
+    ):
+        good, path = tmp_path / "good.json", tmp_path / "bad.json"
+        self._write_run_json(good, "ddpg")
+        metrics = {key: 0.5 for _, key, _ in TABLE_ROWS}
+        if isinstance(per_seed, dict):
+            per_seed = {seed: {"metrics": {**metrics, **entry["metrics"]}}
+                        for seed, entry in per_seed.items()}
+        path.write_text(json.dumps(
+            {"algo": "td3", "eval_fingerprint": "f" * 16, "per_seed": per_seed}
+        ))
+        code = cli_main(["compare", "--runs", str(good), str(path), "--out", str(tmp_path / "c")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize(
+        "flags,config,message",
+        [
+            (["--nu", "nan"], None, "agent: nu must be a finite number, got nan"),
+            (["--lr", "inf"], None, "agent: actor_lr must be a finite number, got inf"),
+            ([], {"env": {"fps": math.inf}}, "env: fps must be a finite number, got inf"),
+        ],
+        ids=["nu-nan", "lr-inf", "config-fps-infinity"],
+    )
+    def test_non_finite_float_setting_exits_one_before_writing(
+        self, tmp_path, capsys, flags, config, message
+    ):
+        out = tmp_path / "runs"
+        argv = self._train_flags(out, algo="darc") + flags
+        if config is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(config))  # writes the token Infinity
+            assert "Infinity" in cfg_path.read_text()
+            argv += ["--config", str(cfg_path)]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_unknown_config_file_key_exits_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

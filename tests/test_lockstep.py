@@ -98,13 +98,6 @@ class TestAttentionKernel:
         second, _ = reference_features(frames[1], (0.9, 0.1), cfg)
         assert nxt[0].tobytes() == np.concatenate([first, second]).tobytes()
 
-    def test_rejects_pool_that_does_not_divide_and_bad_fixation_shape(self):
-        cfg = EnvConfig(grid_h=8, grid_w=8, pool_h=4, pool_w=4)
-        with pytest.raises(ValueError, match="must divide"):
-            attention_features(np.full((1, 6, 6), 1 / 36), np.full((1, 2), 0.5), cfg)
-        with pytest.raises(ValueError, match="fixations"):
-            attention_features(np.full((2, 8, 8), 1 / 64), np.full((1, 2), 0.5), cfg)
-
 
 class FeatureEcho:
     """Actions from the observation by elementwise arithmetic only (no BLAS),

@@ -399,7 +399,12 @@ class TestCompileReport:
 
 
 class TestEvalRecordsChecks:
-    """Each batch check of EvalRecords, on records built from per-frame rows."""
+    """Each batch check of EvalRecords, on records built from per-frame rows.
+
+    The values are checked where they enter, not here: the score by
+    ``check_actions`` (test_step_rejects_out_of_range_or_nan_actions), the
+    label, t_a and fps by ``Episode`` (test_episode_invariants_enforced).
+    """
 
     def _valid(self):
         return [
@@ -414,36 +419,6 @@ class TestEvalRecordsChecks:
         assert len(records) == 4
         assert records.episode_ids == ("a", "b")
         assert records.episode.tolist() == [0, 0, 1, 1]
-
-    @pytest.mark.parametrize("score", [-0.1, 1.5, math.nan])
-    def test_score_outside_unit_interval_or_nan(self, score):
-        rows = self._valid()
-        rows[2] = rows[2]._replace(score=score)
-        with pytest.raises(ValueError, match=r"score must be in \[0, 1\].*frame 2"):
-            records_from_rows(rows)
-
-    def test_label_not_zero_or_one(self):
-        rows = [r._replace(y=2) if r.episode_id == "b" else r for r in self._valid()]
-        with pytest.raises(ValueError, match="label must be 0 or 1, got 2 for episode 'b'"):
-            records_from_rows(rows)
-
-    def test_positive_episode_without_t_a(self):
-        rows = [r._replace(t_a=None) if r.episode_id == "a" else r for r in self._valid()]
-        message = r"episode 'a' \(y=1\) has t_a -1: a positive episode needs t_a >= 0"
-        with pytest.raises(ValueError, match=message):
-            records_from_rows(rows)
-
-    def test_negative_episode_with_t_a(self):
-        rows = [r._replace(t_a=1) if r.episode_id == "b" else r for r in self._valid()]
-        message = r"episode 'b' \(y=0\) has t_a 1: .* a negative one none \(-1\)"
-        with pytest.raises(ValueError, match=message):
-            records_from_rows(rows)
-
-    @pytest.mark.parametrize("fps", [0.0, -10.0, math.nan])
-    def test_fps_not_positive(self, fps):
-        rows = [r._replace(fps=fps) if r.episode_id == "b" else r for r in self._valid()]
-        with pytest.raises(ValueError, match="fps must be > 0.*episode 'b'"):
-            records_from_rows(rows)
 
     def test_frames_of_an_episode_not_contiguous(self):
         rows = self._valid()

@@ -51,11 +51,9 @@ def test_paramset_copies_its_input():
     assert params["w"][0] == 1.0
 
 
-def test_paramset_rejects_duplicates_and_bad_names():
-    with pytest.raises(ValueError):
+def test_paramset_rejects_duplicate_names():
+    with pytest.raises(ValueError, match="duplicate parameter name 'w'"):
         ParamSet([("w", [1.0]), ("w", [2.0])])
-    with pytest.raises(ValueError):
-        ParamSet([("bad name", [1.0])])
 
 
 class TestInitParams:
@@ -219,11 +217,6 @@ class TestSoftUpdate:
         online = ParamSet([("w", [1.0])])
         out = soft_update(target, online, 0.005)
         assert out["w"][0] == pytest.approx(0.005, abs=1e-18)
-
-    def test_tau_out_of_range_rejected(self):
-        target = ParamSet([("w", [0.0])])
-        with pytest.raises(ValueError):
-            soft_update(target, target, 1.5)
 
     @given(
         tau=st.floats(0.0, 1.0),
