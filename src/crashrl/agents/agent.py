@@ -14,14 +14,15 @@ Checkpoint format (version tag ``ACP3``), on the record framing of
 ``crashrl.records``: one ASCII header line, then little-endian float32:
 
     ACP3 <algo> <config_hash> <env_steps> <update_count> <obs_dim> <hidden,dims> <n_values> <crc32>\n
-    every network's ParamSet.flat, in _network_lists() order    (4*n_values bytes)
+    every network's Net.flat, in _network_lists() order    (4*n_values bytes)
 
 ``hidden,dims`` is ``-`` for a network without hidden layers. The loader
-takes each network's layout from ``MlpSpec.param_shapes()``: the algorithm,
-the hidden widths and the value count must match the config, or line 1
-names both sides; a non-finite value names its network. The loaded values
-are the agent's networks (nothing is initialized and then replaced). The
-config hash fingerprints the agent hyperparameters but is not enforced.
+takes each network's value count and layout from its ``MlpSpec``: the
+algorithm, the hidden widths and the value count must match the config, or
+line 1 names both sides; a non-finite value names its network. The loaded
+values are the agent's networks, each a ``Net`` (nothing is initialized and
+then replaced). The config hash fingerprints the agent hyperparameters but
+is not enforced.
 The retired ``ACP1`` (float64 text) and ``ACP2`` (float32 text) files fail
 at line 1, naming their tag. Optimizer state and RNG state are not
 persisted: checkpoints serve evaluation, not training resumption.
@@ -31,12 +32,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict
 
 import numpy as np
 
-from ..numkit import DTYPE, AdamState, MlpSpec, ParamSet, init_adam, init_params, mlp_apply
+from ..numkit import DTYPE, AdamState, MlpSpec, Net, init_adam, init_params, mlp_apply
 from ..records import read_record, write_record
 from .config import AgentConfig
 from .replay import ACTION_DIM
@@ -83,11 +83,6 @@ def _widths_field(hidden_dims) -> str:
     return ",".join(str(d) for d in hidden_dims) or "-"
 
 
-def _n_values(spec: MlpSpec) -> int:
-    """Parameter count of one network (Python ints: a huge header obs_dim cannot overflow)."""
-    return sum(math.prod(shape) for _, shape in spec.param_shapes())
-
-
 def _child_seeds(seed: int) -> list[int]:
     """Fixed spawn layout (actor0, actor1, critic0, critic1, noise): same-seed
     agents of different algorithms draw identical noise streams."""
@@ -105,9 +100,9 @@ class Agent:
             init_params(self.critic_spec, child_seed[2 + i]) for i in range(cfg.n_critics)
         ]
         # A stochastic actor bootstraps from the online policy; no actor target.
-        target_actors = [] if cfg.stochastic else [p.copy() for p in actors]
+        target_actors = [] if cfg.stochastic else [net.copy() for net in actors]
         self._set_networks(
-            actors, critics, target_actors, [p.copy() for p in critics], child_seed[4]
+            actors, critics, target_actors, [net.copy() for net in critics], child_seed[4]
         )
 
     def _set_specs(self, cfg: AgentConfig, obs_dim: int) -> None:
@@ -126,12 +121,12 @@ class Agent:
         self.target_actors = target_actors
         self.target_critics = target_critics
         self.actor_adam: list[AdamState] = [
-            init_adam(p, alpha=cfg.actor_lr, name=f"actor_{j}")
-            for j, p in enumerate(self.actors)
+            init_adam(net, alpha=cfg.actor_lr, name=f"actor_{j}")
+            for j, net in enumerate(self.actors)
         ]
         self.critic_adam: list[AdamState] = [
-            init_adam(p, alpha=cfg.critic_lr, name=f"critic_{i}")
-            for i, p in enumerate(self.critics)
+            init_adam(net, alpha=cfg.critic_lr, name=f"critic_{i}")
+            for i, net in enumerate(self.critics)
         ]
         self.rng = np.random.default_rng(noise_seed)
         self.total_env_steps = 0
@@ -141,15 +136,12 @@ class Agent:
 
     def deterministic_candidates(self, actors, s: np.ndarray) -> list[np.ndarray]:
         """Each deterministic actor's action for the rows of ``s``, in [0, 1]."""
-        return [squash01(mlp_apply(actor, self.actor_spec, s)) for actor in actors]
+        return [squash01(mlp_apply(actor, s)) for actor in actors]
 
     def _critic_value(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Mean online critic value of each row's (s, a), shaped [N, 1]."""
         x = np.concatenate([s, a], axis=1)
-        values = [
-            mlp_apply(critic, self.critic_spec, x) for critic in self.critics
-        ]
-        return np.mean(values, axis=0)
+        return np.mean([mlp_apply(critic, x) for critic in self.critics], axis=0)
 
     def action_array(self, features: np.ndarray, mode: str = "eval") -> np.ndarray:
         """Raw float64 actions: [obs_dim] features give [3], [N, obs_dim] give [N, 3].
@@ -170,7 +162,7 @@ class Agent:
         s = features.reshape(-1, self.obs_dim)
         n = s.shape[0]
         if self.cfg.stochastic:
-            out = mlp_apply(self.actors[0], self.actor_spec, s)
+            out = mlp_apply(self.actors[0], s)
             u = sample_policy(out, self.rng)[-1] if mode == "train" else out[:, :ACTION_DIM]
             action = squash01(np.tanh(u))
         else:
@@ -207,9 +199,9 @@ class Agent:
     def save(self, path) -> None:
         """Write the ACP3 checkpoint: one header line, then every network's values."""
         flats = [
-            np.asarray(params.flat, dtype=PAYLOAD_DTYPE)
+            np.asarray(net.flat, dtype=PAYLOAD_DTYPE)
             for kind, _, _ in self._network_lists()
-            for params in getattr(self, f"{kind}s")
+            for net in getattr(self, f"{kind}s")
         ]
         fields = (
             CHECKPOINT_TAG, self.cfg.algo, config_hash(self.cfg), self.total_env_steps,
@@ -245,7 +237,7 @@ class Agent:
         agent = cls.__new__(cls)
         agent._set_specs(cfg, obs_dim)
         lists = agent._network_lists()
-        expected = sum(count * _n_values(spec) for _, count, spec in lists)
+        expected = sum(count * spec.n_values for _, count, spec in lists)
         if n_values != expected:
             raise record.fail(
                 f"header declares {n_values} values, the config and obs_dim give {expected}"
@@ -257,13 +249,13 @@ class Agent:
             networks.append([])
             for k in range(count):
                 # Each network gets its own aligned, writable float32 copy.
-                flat = np.frombuffer(payload, PAYLOAD_DTYPE, _n_values(spec), offset)
+                flat = np.frombuffer(payload, PAYLOAD_DTYPE, spec.n_values, offset)
                 flat = flat.astype(DTYPE)
                 if not np.isfinite(flat).all():
                     raise ValueError(
                         f"{path}: network {kind}_{k}: values must be finite (no NaN/Inf)"
                     )
-                networks[-1].append(ParamSet.view(spec.param_shapes(), flat))
+                networks[-1].append(Net(spec, flat))
                 offset += flat.nbytes
         agent._set_networks(*networks, noise_seed=_child_seeds(0)[4])
         agent.total_env_steps = env_steps

@@ -17,7 +17,8 @@ checkpoint headers do not see them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 ALGOS = ("ddpg", "td3", "sac", "darc")
 
@@ -43,6 +44,10 @@ class AgentConfig:
     reward_weight_fixation: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not abs(value) <= sys.float_info.max:  # NaN fails too
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if self.algo not in ALGOS:
             raise ValueError(f"algo must be one of {ALGOS}, got {self.algo!r}")
         if not 0.0 < self.gamma < 1.0:
@@ -62,7 +67,7 @@ class AgentConfig:
         if self.sac_alpha < 0.0:
             raise ValueError(f"sac_alpha must be >= 0, got {self.sac_alpha}")
         for name in ("actor_lr", "critic_lr"):
-            if not getattr(self, name) > 0.0:  # NaN fails too
+            if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         for name in ("reward_weight_accident", "reward_weight_fixation"):
             if getattr(self, name) < 0.0:

@@ -30,18 +30,22 @@ from .replay import ACTION_DIM, Batch
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
 
+def tanh_correction(u: np.ndarray) -> np.ndarray:
+    """The tanh change-of-variables term log(1 - tanh(u)^2), entrywise.
+
+    Evaluated as 2*(ln 2 - u - softplus(-2u)), which is exact and never
+    underflows; its derivative is -2*tanh(u).
+    """
+    return 2.0 * (math.log(2.0) - u - np.logaddexp(0.0, -2.0 * u))
+
+
 def tanh_gaussian_logprob(
     mean: np.ndarray, log_std: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
-    """log-density of tanh(u) for u ~ N(mean, exp(log_std)^2), summed per row.
-
-    The tanh change-of-variables term log(1 - tanh(u)^2) is evaluated as
-    2*(ln 2 - u - softplus(-2u)), which is exact and never underflows.
-    """
+    """log-density of tanh(u) for u ~ N(mean, exp(log_std)^2), summed per row."""
     z = (u - mean) / np.exp(log_std)
     normal = -0.5 * z * z - log_std - 0.5 * LOG_TWO_PI
-    correction = 2.0 * (math.log(2.0) - u - np.logaddexp(0.0, -2.0 * u))
-    return (normal - correction).sum(axis=1, keepdims=True)
+    return (normal - tanh_correction(u)).sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,7 @@ def _next_actions(batch: Batch, agent: Agent) -> list[tuple[np.ndarray, np.ndarr
     """Each candidate next action a_j with its log-density (None if deterministic)."""
     cfg = agent.cfg
     if cfg.stochastic:
-        out = mlp_apply(agent.actors[0], agent.actor_spec, batch.s_next)
+        out = mlp_apply(agent.actors[0], batch.s_next)
         mean, log_std, _, _, u = sample_policy(out, agent.rng)
         return [(squash01(np.tanh(u)), tanh_gaussian_logprob(mean, log_std, u))]
     noise = _smoothing_noise(agent, len(batch)) if cfg.smoothing else None
@@ -81,7 +85,7 @@ def compute_targets(batch: Batch, agent: Agent) -> TargetParts:
     values = []
     for j, (a_next, logp) in enumerate(candidates):
         x = np.concatenate([batch.s_next, a_next], axis=1)
-        qs = [mlp_apply(net, agent.critic_spec, x) for net in agent.target_critics]
+        qs = [mlp_apply(net, x) for net in agent.target_critics]
         q_values[:, j, :] = np.concatenate(qs, axis=1)
         v = reduce(np.minimum, qs)
         values.append(v if logp is None else v - cfg.sac_alpha * logp)

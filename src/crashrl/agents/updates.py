@@ -28,7 +28,6 @@ the gradients are bit-identical to a reverse-mode tape over the same graph
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -38,7 +37,7 @@ from ..numkit import adam_step, mlp_graph, soft_update
 from ..numkit import autodiff as ad
 from .agent import LOG_STD_MAX, LOG_STD_MIN, Agent, sample_policy, squash01
 from .replay import ACTION_DIM, Batch, ReplayBuffer
-from .targets import LOG_TWO_PI, compute_targets
+from .targets import LOG_TWO_PI, compute_targets, tanh_correction
 
 
 def _mean_grad(values: np.ndarray, scale=1.0):
@@ -55,7 +54,7 @@ def _critic_grads(agent: Agent, batch: Batch, targets: np.ndarray):
     """
     cfg = agent.cfg
     x = np.concatenate([batch.s, batch.action], axis=1)
-    forward = [mlp_graph(p, agent.critic_spec, x) for p in agent.critics]
+    forward = [mlp_graph(net, x) for net in agent.critics]
     q = [out for out, _ in forward]
     diffs = [qi - targets for qi in q]
     mse = [float((d * d).mean()) for d in diffs]
@@ -102,11 +101,11 @@ def _action_grad(agent: Agent, records, upstream) -> np.ndarray:
     return g_x[:, agent.obs_dim :] * 0.5
 
 
-def _det_actor_grad(agent: Agent, batch: Batch, actor_idx: int, critic_idx: int):
-    """-mean Q_critic(s, pi_actor(s)): its value and the actor's flat gradient."""
-    out, actor_record = mlp_graph(agent.actors[actor_idx], agent.actor_spec, batch.s)
+def _det_actor_grad(agent: Agent, batch: Batch, j: int):
+    """-mean Q_j(s, pi_j(s)): its value and actor j's flat gradient."""
+    out, actor_record = mlp_graph(agent.actors[j], batch.s)
     x = np.concatenate([batch.s, squash01(out)], axis=1)
-    q, critic_record = mlp_graph(agent.critics[critic_idx], agent.critic_spec, x)
+    q, critic_record = mlp_graph(agent.critics[j], x)
     g_q = np.full(q.shape, _mean_grad(q, -1.0), q.dtype)
     g_t = _action_grad(agent, [critic_record], [g_q])
     return float(-q.mean()), ad.backprop(actor_record, g_t)[0]
@@ -116,22 +115,18 @@ def _sac_actor_grad(agent: Agent, batch: Batch):
     """mean(alpha * log pi(a|s) - min_i Q_i(s, a)) for a = squash(tanh(u)),
     u = mean + std * eps: its value and the actor's flat gradient."""
     cfg = agent.cfg
-    out, actor_record = mlp_graph(agent.actors[0], agent.actor_spec, batch.s)
+    out, actor_record = mlp_graph(agent.actors[0], batch.s)
     log_std_raw = out[:, ACTION_DIM:]
     inside = (log_std_raw >= LOG_STD_MIN) & (log_std_raw <= LOG_STD_MAX)  # the clip's gradient
     _, log_std, std, eps, u = sample_policy(out, agent.rng)
     t = np.tanh(u)
     # log pi with u = mean + std*eps: the normal term reduces to a constant in
-    # eps minus log_std; the tanh correction log(1 - tanh(u)^2) is
-    # 2*(ln2 - u - softplus(-2u)), with derivative -2*tanh(u).
+    # eps minus log_std; the tanh correction has derivative -2*tanh(u).
     const = -0.5 * eps * eps - 0.5 * LOG_TWO_PI
-    correction = 2.0 * (math.log(2.0) - u - np.logaddexp(0.0, -2.0 * u))
-    logp = ((const - log_std) - correction).sum(axis=1, keepdims=True)
+    logp = ((const - log_std) - tanh_correction(u)).sum(axis=1, keepdims=True)
 
     x = np.concatenate([batch.s, squash01(t)], axis=1)
-    (q0, record0), (q1, record1) = (
-        mlp_graph(p, agent.critic_spec, x) for p in agent.critics
-    )
+    (q0, record0), (q1, record1) = (mlp_graph(net, x) for net in agent.critics)
     take_0 = q0 <= q1
     q_min = np.where(take_0, q0, q1)
     loss = float((logp * cfg.sac_alpha - q_min).mean())
@@ -172,7 +167,7 @@ def actor_update(agent: Agent, batch: Batch) -> dict[str, float]:
         if cfg.stochastic:
             loss, grad = _sac_actor_grad(agent, batch)
         else:
-            loss, grad = _det_actor_grad(agent, batch, j, j)
+            loss, grad = _det_actor_grad(agent, batch, j)
         adam_step(agent.actors[j], grad, agent.actor_adam[j])
         losses[f"actor_{j}"] = loss
     _sync_targets(agent)

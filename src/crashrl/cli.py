@@ -116,6 +116,13 @@ def _resolve_config(args):
     return build_run_config(file_values, _overrides(args))
 
 
+def _one_seed_of(cfg, use: str) -> int:
+    """The run seed of a command that uses one; more than one is a usage error."""
+    if len(cfg.seeds) > 1:
+        raise ConfigError(f"seeds: {use} uses one seed, got {list(cfg.seeds)}")
+    return cfg.seeds[0]
+
+
 def _metrics_line(report) -> str:
     return (
         f"mtta={report.mtta_seconds:.4f}s auc={report.auc:.5f} ap={report.ap:.5f} "
@@ -126,7 +133,7 @@ def _metrics_line(report) -> str:
 def _cmd_gen_data(args) -> int:
     cfg = _resolve_config(args)
     out = cfg.out_dir
-    manifest = gen_dataset(cfg, args.count, out, seed_base=cfg.seeds[0])
+    manifest = gen_dataset(cfg, args.count, out, seed_base=_one_seed_of(cfg, "gen-data"))
     write_config_snapshot(cfg, out)
     print(f"wrote {args.count} episodes and {manifest}")
     return 0
@@ -151,7 +158,7 @@ def _cmd_eval(args) -> int:
             raise ConfigError(f"data: no .ade episodes under {cfg.data_dir}")
         episodes = [load_episode_file(p) for p in files]
     else:
-        base = cfg.seeds[0] * EVAL_SEED_BASE
+        base = _one_seed_of(cfg, "eval without --data") * EVAL_SEED_BASE
         episodes = [
             generate_episode(cfg.env, base + j) for j in range(cfg.eval_episodes)
         ]

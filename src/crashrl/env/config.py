@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 FIXATION_WINDOWS = ("after_accident", "before_accident")
 
@@ -33,6 +34,10 @@ class EnvConfig:
     fixation_window: str = "after_accident"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not abs(value) <= sys.float_info.max:  # NaN fails too
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if not 0.0 < self.a_0 < 1.0:
             raise ValueError(f"a_0 must be in (0, 1), got {self.a_0}")
         if self.eta <= 0.0:

@@ -4,7 +4,8 @@ Precedence is flags > file > defaults. Config files are JSON objects whose
 top-level keys mirror RunConfig fields, with nested "env" and "agent"
 objects mirroring EnvConfig and AgentConfig. Unknown keys anywhere are
 rejected by name, and so is a value of the wrong type: an int setting takes
-no float or bool, a float setting no bool and nothing non-finite.
+no float or bool, a float setting no bool. ``EnvConfig`` and ``AgentConfig``
+reject a non-finite float setting themselves.
 """
 
 from __future__ import annotations
@@ -101,11 +102,6 @@ def _build_section(cls, values: dict, section: str):
         if f.name in values and not fits(values[f.name]):
             raise ConfigError(
                 f"{section}: {f.name} must be {kind}, got {values[f.name]!r}"
-            )
-        # NaN passes the range checks (nu > 0.0 is False); json.dump writes it as non-JSON.
-        if f.type == "float" and not is_finite_number(values.get(f.name, 0.0)):
-            raise ConfigError(
-                f"{section}: {f.name} must be a finite number, got {values[f.name]!r}"
             )
     try:
         return cls(**values)

@@ -9,9 +9,9 @@ db = g.sum(axis=0), then g @ W.T times the relu mask of the layer below.
 That mask is read off the next layer's recorded input, a relu output,
 which is > 0 exactly where its pre-activation is. It forms g @ W.T only
 where a lower layer or a requested input gradient needs it. The parameter
-gradient comes out as one flat vector in the parameters' ``ParamSet``
-layout, ready for ``adam_step``. The loss heads on top of the networks are
-written out by hand in ``agents.updates``.
+gradient comes out as one flat vector in the network's ``MlpSpec`` layout,
+ready for ``adam_step``. The loss heads on top of the networks are written
+out by hand in ``agents.updates``.
 
 Every step computes in the parameters' dtype: float32 in the gradient
 phases, float64 for the finite-difference checks that run on a cast copy.
@@ -19,11 +19,12 @@ phases, float64 for the finite-difference checks that run on a cast copy.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .tensor import ParamSet
+if TYPE_CHECKING:
+    from .mlp import Net
 
 __all__ = ["MlpRecord", "backprop"]
 
@@ -33,12 +34,12 @@ class MlpRecord(NamedTuple):
 
     ``inputs[i]`` is layer i's input (for i > 0, hidden layer i - 1's relu
     output) and ``tanh`` the unclamped tanh of a tanh head (None for an
-    identity head). ``params`` are the network's parameters, which must not
+    identity head). ``net`` is the network, whose parameters must not
     change before the backward pass. A tuple, not a dataclass: it is built
     on every forward pass, batch-1 acting included.
     """
 
-    params: ParamSet
+    net: Net
     inputs: list[np.ndarray]
     tanh: np.ndarray | None
 
@@ -50,29 +51,30 @@ def backprop(
 
     ``upstream`` must have the output's shape; it is cast to the parameters'
     dtype. Returns ``(flat, dx)``: the parameter gradient as one flat vector
-    in ParamSet layout (None unless ``params``), and the gradient with
+    in the network's layout (None unless ``params``), and the gradient with
     respect to the network's input (None unless ``inputs``).
     """
-    p = record.params
-    n_layers = len(record.inputs)
-    g = np.asarray(upstream, dtype=p.flat.dtype)
-    out_shape = (record.inputs[0].shape[0], p[f"b{n_layers - 1}"].shape[0])
+    net = record.net
+    g = np.asarray(upstream, dtype=net.flat.dtype)
+    out_shape = (record.inputs[0].shape[0], net.spec.output_dim)
     if g.shape != out_shape:
         raise ValueError(
             f"upstream gradient shape {g.shape} does not match output {out_shape}"
         )
     if record.tanh is not None:
         g = g * (1.0 - record.tanh * record.tanh)
-    flat = np.empty_like(p.flat) if params else None
-    grads = p.like(flat) if params else None
+    flat = np.empty_like(net.flat) if params else None
+    grads = net.spec.layers(flat) if params else None
     dx = None
-    for i in reversed(range(n_layers)):
+    for i in reversed(range(len(net.layers))):
+        w = net.layers[i][0]
         if params:
-            np.matmul(record.inputs[i].T, g, out=grads[f"w{i}"])
-            np.sum(g, axis=0, out=grads[f"b{i}"])
+            dw, db = grads[i]
+            np.matmul(record.inputs[i].T, g, out=dw)
+            np.sum(g, axis=0, out=db)
         if i > 0:
-            g = g @ p[f"w{i}"].T
+            g = g @ w.T
             g *= record.inputs[i] > 0
         elif inputs:
-            dx = g @ p["w0"].T
+            dx = g @ w.T
     return flat, dx

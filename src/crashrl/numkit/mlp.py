@@ -1,15 +1,16 @@
-"""MLP specification, initialization and the forward pass.
+"""MLP specification, parameter layout, initialization and the forward pass.
 
 Networks are plain chains: affine -> relu per hidden layer, then an affine
-output head with identity or tanh activation. Parameters are named
-``w0, b0, w1, b1, ...`` with weight shape [fan_in, fan_out], stored in that
-order in one flat vector (see ``ParamSet``). ``mlp_graph`` is the one
-forward pass: it returns the output with a record of what
+output head with identity or tanh activation. ``MlpSpec`` owns the one
+parameter layout: layer i's weight W_i [fan_in, fan_out] then its bias b_i,
+for i = 0, 1, ..., each row-major, in one flat vector. A ``Net`` is a spec,
+its flat vector and per-layer (W, b) views into it. ``mlp_graph`` is the
+one forward pass: it returns the output with a record of what
 ``autodiff.backprop`` needs to push a loss gradient back into one flat
-vector with the parameters' layout, ready for ``adam_step``. ``mlp_apply``,
+vector with the network's layout, ready for ``adam_step``. ``mlp_apply``,
 for acting and for targets, is ``mlp_graph`` without the record. Every
-value and gradient has the parameters' dtype: float32 for the networks
-``init_params`` makes, float64 for a cast copy.
+value and gradient has the parameters' dtype: float32 (``DTYPE``) for the
+networks ``init_params`` makes, float64 for a cast copy.
 """
 
 from __future__ import annotations
@@ -19,7 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .tensor import ParamSet
+
+# The one dtype of network parameters, optimizer moments, replay and
+# gradient phases.
+DTYPE = np.float32
 
 OUTPUT_ACTIVATIONS = ("identity", "tanh")
 
@@ -45,29 +49,61 @@ class MlpSpec:
     def layer_dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden_dims, self.output_dim)
 
-    def param_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
+    @property
+    def n_values(self) -> int:
+        """Parameter count (a Python int: a huge input_dim cannot overflow)."""
         dims = self.layer_dims
-        shapes: list[tuple[str, tuple[int, ...]]] = []
-        for i in range(len(dims) - 1):
-            shapes.append((f"w{i}", (dims[i], dims[i + 1])))
-            shapes.append((f"b{i}", (dims[i + 1],)))
-        return shapes
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+
+    def layers(self, flat: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Each layer's (W, b) as views into ``flat`` (no copy), in layout order."""
+        dims = self.layer_dims
+        views = []
+        start = 0
+        for fan_in, fan_out in zip(dims, dims[1:]):
+            mid = start + fan_in * fan_out
+            end = mid + fan_out
+            views.append((flat[start:mid].reshape(fan_in, fan_out), flat[mid:end]))
+            start = end
+        return tuple(views)
 
 
-def init_params(spec: MlpSpec, seed: int) -> ParamSet:
+class Net:
+    """One network: its spec, its flat parameter vector and (W, b) views into it.
+
+    Writing ``net.layers[i][0][...] = ...`` writes the flat vector, on which
+    Adam and the Polyak sync run in place. ``flat`` keeps its dtype: float32,
+    or float64 for the cast copies that gradient checks run in.
+    """
+
+    __slots__ = ("spec", "flat", "layers")
+
+    def __init__(self, spec: MlpSpec, flat: np.ndarray) -> None:
+        flat = np.asarray(flat)
+        if flat.ndim != 1 or flat.size != spec.n_values:
+            raise ValueError(
+                f"flat vector of shape {list(flat.shape)} does not fill {spec.n_values} values"
+            )
+        self.spec = spec
+        self.flat = flat
+        self.layers = spec.layers(flat)
+
+    def copy(self) -> "Net":
+        return Net(self.spec, self.flat.copy())
+
+
+def init_params(spec: MlpSpec, seed: int) -> Net:
     """Uniform weights in [-1/sqrt(fan_in), 1/sqrt(fan_in)], zero biases.
 
-    The draws are float64, rounded once to the parameters' float32.
+    The draws are float64, one weight matrix after another, rounded once to
+    the parameters' float32.
     """
     rng = np.random.default_rng(seed)
-    items = []
-    for name, shape in spec.param_shapes():
-        if name.startswith("w"):
-            bound = 1.0 / np.sqrt(shape[0])
-            items.append((name, rng.uniform(-bound, bound, size=shape)))
-        else:
-            items.append((name, np.zeros(shape)))
-    return ParamSet(items)
+    flat = np.zeros(spec.n_values)
+    for w, _ in spec.layers(flat):
+        bound = 1.0 / np.sqrt(w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return Net(spec, flat.astype(DTYPE))
 
 
 def tanh_head_bound(dtype) -> np.floating:
@@ -80,9 +116,7 @@ def tanh_head_bound(dtype) -> np.floating:
     return np.nextafter(scalar(1), scalar(0))
 
 
-def mlp_graph(
-    params: ParamSet, spec: MlpSpec, x: np.ndarray
-) -> tuple[np.ndarray, ad.MlpRecord]:
+def mlp_graph(net: Net, x: np.ndarray) -> tuple[np.ndarray, ad.MlpRecord]:
     """The forward pass: the network's output and its ``MlpRecord``.
 
     ``x`` is cast to the parameters' dtype, so the pass runs in it. Each
@@ -92,26 +126,26 @@ def mlp_graph(
     is -0.0 only under a -0.0 bias: x @ W + (+0.0) rounds -0.0 to +0.0.)
     The record keeps each layer's input and a tanh head's unclamped tanh.
     """
-    h = np.asarray(x, dtype=params["w0"].dtype)
+    spec = net.spec
+    h = np.asarray(x, dtype=net.flat.dtype)
     if h.ndim != 2 or h.shape[1] != spec.input_dim:
         raise ValueError(f"input must have shape [batch, {spec.input_dim}], got {list(h.shape)}")
     inputs = []
-    n_layers = len(spec.hidden_dims) + 1
-    for i in range(n_layers):
+    last = len(net.layers) - 1
+    for i, (w, b) in enumerate(net.layers):
         inputs.append(h)
-        h = h @ params[f"w{i}"]
-        h += params[f"b{i}"]
-        if i < n_layers - 1:
+        h = h @ w
+        h += b
+        if i < last:
             np.fmax(h, 0.0, out=h)
     tanh = None
     if spec.output_activation == "tanh":
         tanh = np.tanh(h, out=h)
         bound = tanh_head_bound(h.dtype)
         h = np.clip(tanh, -bound, bound)
-    return h, ad.MlpRecord(params, inputs, tanh)
+    return h, ad.MlpRecord(net, inputs, tanh)
 
 
-def mlp_apply(params: ParamSet, spec: MlpSpec, x: np.ndarray) -> np.ndarray:
+def mlp_apply(net: Net, x: np.ndarray) -> np.ndarray:
     """``mlp_graph``'s output alone, for action selection and targets."""
-    return mlp_graph(params, spec, x)[0]
-
+    return mlp_graph(net, x)[0]

@@ -1,8 +1,8 @@
 """Adam optimization and Polyak target-network tracking.
 
 Both work in place on a network's flat float32 parameter vector
-(``ParamSet.flat``) with a few whole-vector numpy operations; the moments
-have the parameters' dtype. Each keeps the operation order of
+(``Net.flat``) with a few whole-vector numpy operations; Adam's moments are
+flat vectors of the parameters' dtype. Each keeps the operation order of
 the textbook per-tensor formulas, so every entry is bit-identical to them.
 Adam's moment decays and epsilon are the textbook defaults (``BETA1``,
 ``BETA2``, ``EPS``); only the step size is set per network. ``AgentConfig``
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ParamSet
+from .mlp import Net
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -24,26 +24,27 @@ EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """First/second-moment estimates and the step size for one ParamSet.
+    """First/second-moment estimates and the step size for one network.
 
-    ``name`` labels the network in errors; ``t`` counts its updates.
+    ``m`` and ``v`` are flat vectors in the network's layout; ``name``
+    labels the network in errors; ``t`` counts its updates.
     """
 
-    m: ParamSet
-    v: ParamSet
+    m: np.ndarray
+    v: np.ndarray
     t: int
     alpha: float
     name: str = "params"
 
 
-def init_adam(params: ParamSet, alpha: float = 3e-4, name: str = "params") -> AdamState:
-    return AdamState(params.zeros_like(), params.zeros_like(), 0, alpha, name)
+def init_adam(net: Net, alpha: float = 3e-4, name: str = "params") -> AdamState:
+    return AdamState(np.zeros_like(net.flat), np.zeros_like(net.flat), 0, alpha, name)
 
 
-def adam_step(params: ParamSet, grads, state: AdamState) -> tuple[ParamSet, AdamState]:
-    """One bias-corrected Adam update, in place; returns params and state.
+def adam_step(net: Net, grads, state: AdamState) -> tuple[Net, AdamState]:
+    """One bias-corrected Adam update, in place; returns the net and state.
 
-    ``grads`` is a flat vector in the parameters' layout and dtype, as
+    ``grads`` is a flat vector in the network's layout and dtype, as
     ``autodiff.backprop`` returns it; a gradient of another dtype raises
     ValueError naming the network (the in-place updates would otherwise
     cast it silently).
@@ -51,16 +52,17 @@ def adam_step(params: ParamSet, grads, state: AdamState) -> tuple[ParamSet, Adam
     update leaves a parameter or a second moment non-finite (which any
     non-finite gradient, or one whose square overflows, does).
     """
-    if grads.shape != params.flat.shape or not params.same_shapes(state.m):
+    theta = net.flat
+    if grads.shape != theta.shape or state.m.shape != theta.shape:
         raise ValueError("parameter, gradient, and state shapes must match")
-    if grads.dtype != params.flat.dtype:
+    if grads.dtype != theta.dtype:
         raise ValueError(
             f"{state.name}: gradient dtype {grads.dtype} does not match "
-            f"parameter dtype {params.flat.dtype}"
+            f"parameter dtype {theta.dtype}"
         )
     t = state.t + 1
     b1, b2 = BETA1, BETA2
-    m, v, theta = state.m.flat, state.v.flat, params.flat
+    m, v = state.m, state.v
     # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
     m *= b1
     m += (1.0 - b1) * grads
@@ -80,17 +82,17 @@ def adam_step(params: ParamSet, grads, state: AdamState) -> tuple[ParamSet, Adam
             f"{state.name}: Adam update {t} left a parameter or second moment "
             f"non-finite (NaN/Inf gradient or overflow)"
         )
-    return params, state
+    return net, state
 
 
-def soft_update(target: ParamSet, online: ParamSet, tau: float) -> ParamSet:
+def soft_update(target: Net, online: Net, tau: float) -> Net:
     """Polyak tracking in place: target = tau * online + (1 - tau) * target.
 
     Targets only mix in online parameters that ``adam_step`` has checked, so
     no finite check runs here.
     """
-    if not target.same_shapes(online):
-        raise ValueError("target and online parameter shapes must match")
+    if target.spec != online.spec:
+        raise ValueError("target and online networks must share one spec")
     flat = target.flat
     flat *= 1.0 - tau
     flat += tau * online.flat

@@ -350,26 +350,30 @@ def backprop(root: Node, upstream, wrt=None) -> None:
 # ------------------------------------------------------------------ MLP graphs
 
 
-def mlp_graph(params, spec, x: Node) -> Node:
-    """The forward graph of one network on its parameter leaves."""
+def mlp_graph(nodes, spec, x: Node) -> Node:
+    """The forward graph of one network on its lifted (W, b) leaves."""
     h = x
-    n_layers = len(spec.hidden_dims) + 1
-    for i in range(n_layers):
-        h = affine(h, params[f"w{i}"], params[f"b{i}"])
-        if i < n_layers - 1:
+    for i, (w, b) in enumerate(nodes):
+        h = affine(h, w, b)
+        if i < len(nodes) - 1:
             h = relu(h)
     if spec.output_activation == "tanh":
         h = tanh_head(h)
     return h
 
 
-def lift_params(params) -> dict[str, Node]:
-    """One graph leaf per named tensor, viewing the parameters (no copy)."""
-    return {name: lift(array) for name, array in params}
+def lift_params(net) -> list[tuple[Node, Node]]:
+    """One graph leaf per layer's weight and bias, viewing the parameters (no copy)."""
+    return [(lift(w), lift(b)) for w, b in net.layers]
+
+
+def param_leaves(nodes) -> list[Node]:
+    """The lifted parameters' leaves in the network's layout order."""
+    return [leaf for pair in nodes for leaf in pair]
 
 
 def flat_grads(nodes) -> np.ndarray:
-    """Gradients of lifted parameters as one flat vector, in ParamSet order.
+    """Gradients of lifted parameters as one flat vector, in the network's layout.
 
     Leaves the last backprop did not reach contribute zeros.
     """
@@ -378,7 +382,7 @@ def flat_grads(nodes) -> np.ndarray:
             np.zeros(node.value.size, node.value.dtype)
             if node.grad is None
             else node.grad.reshape(-1)
-            for node in nodes.values()
+            for node in param_leaves(nodes)
         ]
     )
 
@@ -402,7 +406,7 @@ def critic_loss(agent, batch, targets):
     x = concat_cols(s, a)
     y = lift(targets)
 
-    critic_nodes = [lift_params(p) for p in agent.critics]
+    critic_nodes = [lift_params(net) for net in agent.critics]
     q = [mlp_graph(nodes, agent.critic_spec, x) for nodes in critic_nodes]
     mse = [mean_all(square(sub(qi, y))) for qi in q]
 
@@ -442,7 +446,7 @@ def sac_actor_loss(agent, batch):
     per_dim = sub(sub(lift(const), log_std), log_one_minus_tanh_sq(u))
     logp = sum_rows(per_dim)
 
-    critic_nodes = [lift_params(p) for p in agent.critics]
+    critic_nodes = [lift_params(net) for net in agent.critics]
     x = concat_cols(s, action)
     q_min = reduce(minimum, [mlp_graph(nodes, agent.critic_spec, x) for nodes in critic_nodes])
     loss = mean_all(sub(scale(logp, cfg.sac_alpha), q_min))
@@ -457,7 +461,7 @@ def critic_update(agent, batch) -> dict[str, float]:
     cfg = agent.cfg
     targets = compute_targets(batch, agent).y
     loss, critic_nodes, mse, reg_value = critic_loss(agent, batch, targets)
-    backprop(loss, 1.0, [leaf for nodes in critic_nodes for leaf in nodes.values()])
+    backprop(loss, 1.0, [leaf for nodes in critic_nodes for leaf in param_leaves(nodes)])
     losses: dict[str, float] = {}
     for i, nodes in enumerate(critic_nodes):
         adam_step(agent.critics[i], flat_grads(nodes), agent.critic_adam[i])
@@ -479,7 +483,7 @@ def actor_update(agent, batch) -> dict[str, float]:
             loss, actor_nodes = sac_actor_loss(agent, batch)
         else:
             loss, actor_nodes = det_actor_loss(agent, batch, j, j)
-        backprop(loss, 1.0, list(actor_nodes.values()))
+        backprop(loss, 1.0, param_leaves(actor_nodes))
         adam_step(agent.actors[j], flat_grads(actor_nodes), agent.actor_adam[j])
         losses[f"actor_{j}"] = float(loss.value)
     for target, online in zip(agent.target_actors, agent.actors):

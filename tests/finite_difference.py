@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 # Through the modules, so a test that wraps their functions sees every call.
-from crashrl.numkit import MlpSpec, init_params, mlp
+from crashrl.numkit import MlpSpec, Net, init_params, mlp
 from crashrl.numkit import autodiff as ad
 
 # Central-difference step and the kink-exclusion margin for relu nets.
@@ -32,17 +32,19 @@ def gradient_check(spec: MlpSpec, seed: int, probes: int) -> float:
         raise ValueError("probes must be >= 1")
     rng = np.random.default_rng(seed)
     initial = init_params(spec, seed)
-    params = initial.like(initial.flat.astype(np.float64))
+    net = Net(spec, initial.flat.astype(np.float64))
     batch = 3
     x = rng.standard_normal((batch, spec.input_dim))
     if spec.hidden_dims:
-        # Layer i's pre-activations are the output of the net cut after it.
+        # Layer i's pre-activations are the output of the net cut after it,
+        # whose parameters lead the flat vector.
         cuts = [
             MlpSpec(spec.input_dim, spec.hidden_dims[:i], width)
             for i, width in enumerate(spec.hidden_dims)
         ]
+        cuts = [Net(cut, net.flat[: cut.n_values]) for cut in cuts]
         for _ in range(200):
-            preacts = [mlp.mlp_apply(params, cut, x) for cut in cuts]
+            preacts = [mlp.mlp_apply(cut, x) for cut in cuts]
             if min(np.min(np.abs(z)) for z in preacts) > RELU_KINK_MARGIN:
                 break
             x = rng.standard_normal((batch, spec.input_dim))
@@ -51,15 +53,15 @@ def gradient_check(spec: MlpSpec, seed: int, probes: int) -> float:
     weighting = rng.standard_normal((batch, spec.output_dim))
 
     # Analytic gradients along the path the gradient phases run.
-    _, record = mlp.mlp_graph(params, spec, x)
+    _, record = mlp.mlp_graph(net, x)
     param_grads, input_grads = ad.backprop(record, weighting, inputs=True)
     analytic = np.concatenate([param_grads, input_grads.reshape(-1)])
 
-    def loss(p: ParamSet, xv: np.ndarray) -> float:
-        return float(np.sum(mlp.mlp_apply(p, spec, xv) * weighting))
+    def loss(p: Net, xv: np.ndarray) -> float:
+        return float(np.sum(mlp.mlp_apply(p, xv) * weighting))
 
     # Probe a shuffled subset of the coordinates: parameters first, then inputs.
-    n_params = params.flat.size
+    n_params = net.flat.size
     picked = rng.permutation(n_params + x.size)[: min(probes, n_params + x.size)]
 
     max_rel = 0.0
@@ -67,7 +69,7 @@ def gradient_check(spec: MlpSpec, seed: int, probes: int) -> float:
         if idx < n_params:
 
             def perturbed(sign: float) -> float:
-                p2 = params.copy()
+                p2 = net.copy()
                 p2.flat[idx] += sign * FD_STEP
                 return loss(p2, x)
 
@@ -76,7 +78,7 @@ def gradient_check(spec: MlpSpec, seed: int, probes: int) -> float:
             def perturbed(sign: float) -> float:
                 x2 = x.copy()
                 x2.reshape(-1)[idx - n_params] += sign * FD_STEP
-                return loss(params, x2)
+                return loss(net, x2)
 
         numeric = (perturbed(+1.0) - perturbed(-1.0)) / (2.0 * FD_STEP)
         rel = abs(numeric - analytic[idx]) / max(abs(numeric), abs(analytic[idx]), 1e-6)

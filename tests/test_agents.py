@@ -29,6 +29,11 @@ from bandit import QuadraticBandit
 F32_TOL = 8 * float(np.finfo(np.float32).eps)
 
 
+def same_params(a, b):
+    """Whether two networks hold the same parameter values, bit for bit."""
+    return np.array_equal(a.flat, b.flat)
+
+
 def small_cfg(algo, **kw):
     defaults = dict(
         algo=algo,
@@ -102,9 +107,8 @@ class TestActionSelection:
     def test_bounds_under_arbitrary_parameters(self):
         for algo in ("td3", "sac", "darc"):
             agent = Agent(small_cfg(algo), obs_dim=4, seed=1)
-            for params in agent.actors:
-                for _, tensor in params:
-                    tensor[:] = 1e8  # saturate everything
+            for net in agent.actors:
+                net.flat[:] = 1e8  # saturate everything
             for mode in ("train", "eval"):
                 a, px, py = agent.action_array(np.ones(4), mode=mode).tolist()
                 assert 0.0 <= a <= 1.0
@@ -115,7 +119,7 @@ class TestActionSelection:
         agent.actors[1] = agent.actors[0].copy()
         s = np.random.default_rng(2).uniform(0, 1, 5)
         expected = (
-            0.5 * (mlp_apply(agent.actors[0], agent.actor_spec, s.reshape(1, -1)) + 1.0)
+            0.5 * (mlp_apply(agent.actors[0], s.reshape(1, -1)) + 1.0)
         ).reshape(-1)
         got = agent.action_array(s, mode="eval")
         assert np.array_equal(got, expected)
@@ -124,18 +128,20 @@ class TestActionSelection:
         agent = Agent(small_cfg("darc", hidden_dims=()), obs_dim=2, seed=0)
         # actor 0 -> accident score 0.9, actor 1 -> 0.1 (others 0.5)
         for j, sign in ((0, 1.0), (1, -1.0)):
-            agent.actors[j]["w0"][:] = 0.0
-            agent.actors[j]["b0"][:] = [sign * math.atanh(0.8), 0.0, 0.0]
+            w, b = agent.actors[j].layers[0]
+            w[:] = 0.0
+            b[:] = [sign * math.atanh(0.8), 0.0, 0.0]
         # critics value the accident-score coordinate negatively -> prefer 0.1
         for critic in agent.critics:
-            critic["w0"][:] = 0.0
-            critic["w0"][2, 0] = -1.0
-            critic["b0"][:] = 0.0
+            w, b = critic.layers[0]
+            w[:] = 0.0
+            w[2, 0] = -1.0
+            b[:] = 0.0
         action = agent.action_array(np.zeros(2), mode="eval")
         assert action[0] == pytest.approx(0.1, abs=F32_TOL)
         # flip the preference
         for critic in agent.critics:
-            critic["w0"][2, 0] = +1.0
+            critic.layers[0][0][2, 0] = +1.0
         action = agent.action_array(np.zeros(2), mode="eval")
         assert action[0] == pytest.approx(0.9, abs=F32_TOL)
 
@@ -185,11 +191,11 @@ class TestTargets:
         batch = random_batch(np.random.default_rng(5), 32, 4, done_rate=0.0)
         parts = compute_targets(batch, agent)
         a_next = 0.5 * (
-            mlp_apply(agent.target_actors[0], agent.actor_spec, batch.s_next) + 1.0
+            mlp_apply(agent.target_actors[0], batch.s_next) + 1.0
         )
         x = np.concatenate([batch.s_next, a_next], axis=1)
-        q1 = mlp_apply(agent.target_critics[0], agent.critic_spec, x)
-        q2 = mlp_apply(agent.target_critics[1], agent.critic_spec, x)
+        q1 = mlp_apply(agent.target_critics[0], x)
+        q2 = mlp_apply(agent.target_critics[1], x)
         # read V itself: (y - r) / gamma does not recover it in float32
         v = parts.v_next
         assert np.all(v <= q1) and np.all(v <= q2)
@@ -200,14 +206,16 @@ class TestTargets:
         agent = Agent(cfg, obs_dim=2, seed=0)
         # constant candidate actions: a0 component 0.9 (actor 0) and 0.1 (actor 1)
         for j, sign in ((0, 1.0), (1, -1.0)):
-            agent.target_actors[j]["w0"][:] = 0.0
-            agent.target_actors[j]["b0"][:] = [sign * math.atanh(0.8), 0.0, 0.0]
+            w, b = agent.target_actors[j].layers[0]
+            w[:] = 0.0
+            b[:] = [sign * math.atanh(0.8), 0.0, 0.0]
         # linear critics over the accident-score input (index 2 of [s0,s1,a0,a1,a2]):
         # Q1: 0.9 -> 1.0, 0.1 -> 0.7; Q2: 0.9 -> 0.8, 0.1 -> 0.9
         for i, (slope, intercept) in enumerate(((0.375, 0.6625), (-0.125, 0.9125))):
-            agent.target_critics[i]["w0"][:] = 0.0
-            agent.target_critics[i]["w0"][2, 0] = slope
-            agent.target_critics[i]["b0"][:] = intercept
+            w, b = agent.target_critics[i].layers[0]
+            w[:] = 0.0
+            w[2, 0] = slope
+            b[:] = intercept
         batch = Batch(
             np.zeros((1, 2)), np.full((1, 3), 0.5), np.zeros((1, 1)),
             np.zeros((1, 2)), np.zeros((1, 1)),
@@ -226,7 +234,7 @@ class TestTargets:
         darc = Agent(small_cfg("darc", nu=0.0), obs_dim=6, seed=42)
         darc.actors[1] = darc.actors[0].copy()
         darc.target_actors[1] = darc.target_actors[0].copy()
-        assert darc.target_critics[0].equal(td3.target_critics[0])
+        assert same_params(darc.target_critics[0], td3.target_critics[0])
         rng = np.random.default_rng(7)
         for _ in range(10):
             batch = random_batch(rng, 16, 6)
@@ -255,14 +263,14 @@ class TestTargets:
         y = compute_targets(batch, agent).y
         # replay the same draw: with alpha=0 the target is the plain min-critic value
         agent.rng.bit_generator.state = state_before
-        out = mlp_apply(agent.actors[0], agent.actor_spec, batch.s_next)
+        out = mlp_apply(agent.actors[0], batch.s_next)
         mean, log_std = out[:, :3], np.clip(out[:, 3:], -20.0, 2.0)
         eps = agent.rng.standard_normal((8, 3))
         a_next = 0.5 * (np.tanh(mean + np.exp(log_std) * eps) + 1.0)
         x = np.concatenate([batch.s_next, a_next], axis=1)
         q = np.minimum(
-            mlp_apply(agent.target_critics[0], agent.critic_spec, x),
-            mlp_apply(agent.target_critics[1], agent.critic_spec, x),
+            mlp_apply(agent.target_critics[0], x),
+            mlp_apply(agent.target_critics[1], x),
         )
         assert np.allclose(y, batch.r + cfg.gamma * q, atol=1e-12)
 
@@ -334,9 +342,9 @@ class TestRandomStream:
 
 
 def constant_critic(agent, index, value):
-    for name, tensor in agent.critics[index]:
-        tensor[:] = 0.0
-    agent.critics[index][f"b{len(agent.cfg.hidden_dims)}"][:] = value
+    critic = agent.critics[index]
+    critic.flat[:] = 0.0
+    critic.layers[-1][1][:] = value
 
 
 class TestCriticUpdate:
@@ -383,7 +391,7 @@ class TestCriticUpdate:
         critic_update(td3, batch)
         critic_update(darc, batch)
         for i in range(2):
-            assert darc.critics[i].equal(td3.critics[i])
+            assert same_params(darc.critics[i], td3.critics[i])
 
 
 class TestActorUpdate:
@@ -396,8 +404,8 @@ class TestActorUpdate:
         target_before = agent.target_actors[0].copy()
         losses = actor_update(agent, batch)
         assert losses == {}
-        assert agent.actors[0].equal(before)
-        assert agent.target_actors[0].equal(target_before)
+        assert same_params(agent.actors[0], before)
+        assert same_params(agent.target_actors[0], target_before)
         assert agent.update_count == 1
 
     def test_constant_critic_leaves_actor_unchanged(self):
@@ -408,7 +416,7 @@ class TestActorUpdate:
         batch = random_batch(np.random.default_rng(2), 8, 3)
         losses = actor_update(agent, batch)
         assert losses["actor_0"] == pytest.approx(-2.5)
-        assert agent.actors[0].equal(before)
+        assert same_params(agent.actors[0], before)
 
     def test_polyak_formula_spot_checked_after_update(self):
         for algo in ("ddpg", "td3", "sac", "darc"):
@@ -419,8 +427,9 @@ class TestActorUpdate:
             update(agent, batch)
             tau = cfg.tau
             for i, old in enumerate(old_targets):
-                expected = tau * agent.critics[i]["w0"] + (1 - tau) * old["w0"]
-                assert np.allclose(agent.target_critics[i]["w0"], expected, atol=1e-15)
+                online_w0, old_w0 = agent.critics[i].layers[0][0], old.layers[0][0]
+                expected = tau * online_w0 + (1 - tau) * old_w0
+                assert np.allclose(agent.target_critics[i].layers[0][0], expected, atol=1e-15)
 
     def test_darc_trains_each_actor_against_its_own_critic(self):
         cfg = small_cfg("darc", policy_delay=1)
@@ -429,8 +438,8 @@ class TestActorUpdate:
         before = [p.copy() for p in agent.actors]
         losses = update(agent, batch)
         assert "actor_0" in losses and "actor_1" in losses
-        assert not agent.actors[0].equal(before[0])
-        assert not agent.actors[1].equal(before[1])
+        assert not same_params(agent.actors[0], before[0])
+        assert not same_params(agent.actors[1], before[1])
 
 
 class TestTrainStep:
@@ -460,7 +469,7 @@ class TestTrainStep:
             log = train_step(agent, env, buf)
             assert log.losses == {}
         for current, saved in zip(agent.actors + agent.critics, snapshot):
-            assert current.equal(saved)
+            assert same_params(current, saved)
         assert agent.total_env_steps == 10
 
     def test_rewards_pass_through_from_env(self):
@@ -481,7 +490,7 @@ class TestTrainStep:
             (l.r_A, l.r_F, l.losses) for l in logs_b
         ]
         for p, q in zip(agent_a.actors, agent_b.actors):
-            assert p.equal(q)
+            assert same_params(p, q)
 
 
 def split_acp3(raw: bytes) -> tuple[list[str], np.ndarray]:
@@ -509,9 +518,9 @@ class TestAgentCheckpoint:
             loaded = Agent.load(path, cfg)
             assert loaded.total_env_steps == 123 and loaded.update_count == 45
             for a, b in zip(agent.actors, loaded.actors):
-                assert a.equal(b)
+                assert same_params(a, b)
             for a, b in zip(agent.target_critics, loaded.target_critics):
-                assert a.equal(b)
+                assert same_params(a, b)
 
     @pytest.mark.parametrize("algo", ["ddpg", "td3", "sac", "darc"])
     def test_loaded_agent_acts_bit_identically(self, tmp_path, algo):
@@ -623,9 +632,9 @@ class TestAgentCheckpoint:
             for kind in ("actors", "critics", "target_actors", "target_critics"):
                 mine, theirs = getattr(agent, kind), getattr(loaded, kind)
                 assert len(mine) == len(theirs)
-                assert all(a.equal(b) for a, b in zip(mine, theirs))
+                assert all(same_params(a, b) for a, b in zip(mine, theirs))
             for state in loaded.actor_adam + loaded.critic_adam:
-                assert state.t == 0 and not state.m.flat.any() and not state.v.flat.any()
+                assert state.t == 0 and not state.m.any() and not state.v.any()
             assert loaded.rng.bit_generator.state == fresh_rng
 
     def test_float64_era_checkpoint_names_its_tag(self, tmp_path):
@@ -812,8 +821,8 @@ def test_darc_critic_gap_shrinks_with_regularization():
         for u in range(updates):
             critic_update(agent, buf.sample(cfg.batch_size))
             if u >= updates - 500 and u % 50 == 0:
-                q1 = mlp_apply(agent.critics[0], agent.critic_spec, probe)
-                q2 = mlp_apply(agent.critics[1], agent.critic_spec, probe)
+                q1 = mlp_apply(agent.critics[0], probe)
+                q2 = mlp_apply(agent.critics[1], probe)
                 gaps.append(np.mean(np.abs(q1 - q2)))
         return float(np.mean(gaps))
 

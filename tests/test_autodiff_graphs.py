@@ -15,7 +15,7 @@ import numpy as np
 import autodiff_reference as ad
 from crashrl.agents import Agent, AgentConfig, Batch
 from crashrl.agents.updates import _critic_grads, _det_actor_grad, _sac_actor_grad
-from crashrl.numkit import mlp_apply
+from crashrl.numkit import Net, mlp_apply
 
 H = 1e-6
 
@@ -38,8 +38,13 @@ def rel_err(a, b):
 def as_float64(agent):
     """Swap every network of ``agent`` for a float64 copy; returns the agent."""
     for nets in (agent.actors, agent.critics, agent.target_actors, agent.target_critics):
-        nets[:] = [p.like(p.flat.astype(np.float64)) for p in nets]
+        nets[:] = [Net(net.spec, net.flat.astype(np.float64)) for net in nets]
     return agent
+
+
+def tensors(net):
+    """Each weight and bias of ``net``, in layout order."""
+    return [t for layer in net.layers for t in layer]
 
 
 def test_diamond_graph_accumulates_shared_leaf():
@@ -90,7 +95,7 @@ def test_sac_actor_loss_gradients_match_finite_differences():
     )
     state = agent.rng.bit_generator.state
     _, grad = _sac_actor_grad(agent, batch)
-    grads = agent.actors[0].like(grad)
+    grads = Net(agent.actors[0].spec, grad)
 
     def loss_value():
         agent.rng.bit_generator.state = state
@@ -99,11 +104,11 @@ def test_sac_actor_loss_gradients_match_finite_differences():
 
     agent.rng.bit_generator.state = state
     checked = 0
-    for name, tensor in agent.actors[0]:
-        flat_grad = grads[name].reshape(-1)
+    for k, (tensor, grad) in enumerate(zip(tensors(agent.actors[0]), tensors(grads))):
+        flat_grad = grad.reshape(-1)
         for idx in range(0, tensor.size, max(1, tensor.size // 5)):
             numeric = fd(loss_value, tensor, idx)
-            assert rel_err(flat_grad[idx], numeric) < 1e-4, (name, idx)
+            assert rel_err(flat_grad[idx], numeric) < 1e-4, (k, idx)
             checked += 1
     assert checked >= 15
 
@@ -117,21 +122,19 @@ def test_det_actor_loss_gradients_match_finite_differences():
         rng.uniform(0, 1, (4, 1)), rng.uniform(0, 1, (4, 3)),
         np.zeros((4, 1)),
     )
-    _, grad = _det_actor_grad(agent, batch, 0, 0)
-    grads = agent.actors[0].like(grad)
+    _, grad = _det_actor_grad(agent, batch, 0)
+    grads = Net(agent.actors[0].spec, grad)
 
     def loss_value():
-        a = 0.5 * (mlp_apply(agent.actors[0], agent.actor_spec, batch.s) + 1.0)
-        q = mlp_apply(
-            agent.critics[0], agent.critic_spec, np.concatenate([batch.s, a], axis=1)
-        )
+        a = 0.5 * (mlp_apply(agent.actors[0], batch.s) + 1.0)
+        q = mlp_apply(agent.critics[0], np.concatenate([batch.s, a], axis=1))
         return float(-q.mean())
 
-    for name, tensor in agent.actors[0]:
-        flat_grad = grads[name].reshape(-1)
+    for k, (tensor, grad) in enumerate(zip(tensors(agent.actors[0]), tensors(grads))):
+        flat_grad = grad.reshape(-1)
         for idx in range(0, tensor.size, max(1, tensor.size // 5)):
             numeric = fd(loss_value, tensor, idx)
-            assert rel_err(flat_grad[idx], numeric) < 1e-4, (name, idx)
+            assert rel_err(flat_grad[idx], numeric) < 1e-4, (k, idx)
 
 
 def test_darc_critic_loss_gradients_match_finite_differences():
@@ -147,12 +150,12 @@ def test_darc_critic_loss_gradients_match_finite_differences():
     targets = rng.uniform(0, 1, (4, 1))
 
     grads, _, _ = _critic_grads(agent, batch, targets)
-    grads = [p.like(g) for p, g in zip(agent.critics, grads)]
+    grads = [Net(net.spec, g) for net, g in zip(agent.critics, grads)]
 
     def loss_value():
         xv = np.concatenate([batch.s, batch.action], axis=1)
-        q0 = mlp_apply(agent.critics[0], agent.critic_spec, xv)
-        q1 = mlp_apply(agent.critics[1], agent.critic_spec, xv)
+        q0 = mlp_apply(agent.critics[0], xv)
+        q1 = mlp_apply(agent.critics[1], xv)
         return float(
             ((q0 - targets) ** 2).mean()
             + ((q1 - targets) ** 2).mean()
@@ -160,8 +163,9 @@ def test_darc_critic_loss_gradients_match_finite_differences():
         )
 
     for ci in range(2):
-        for name, tensor in agent.critics[ci]:
-            flat_grad = grads[ci][name].reshape(-1)
+        pairs = zip(tensors(agent.critics[ci]), tensors(grads[ci]))
+        for k, (tensor, grad) in enumerate(pairs):
+            flat_grad = grad.reshape(-1)
             for idx in range(0, tensor.size, max(1, tensor.size // 4)):
                 numeric = fd(loss_value, tensor, idx)
-                assert rel_err(flat_grad[idx], numeric) < 1e-4, (ci, name, idx)
+                assert rel_err(flat_grad[idx], numeric) < 1e-4, (ci, k, idx)

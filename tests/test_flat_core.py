@@ -12,14 +12,7 @@ import pytest
 
 import autodiff_reference as ad
 from crashrl.agents import Agent, AgentConfig, Batch, critic_update
-from crashrl.numkit import (
-    MlpSpec,
-    ParamSet,
-    adam_step,
-    init_adam,
-    init_params,
-    soft_update,
-)
+from crashrl.numkit import MlpSpec, Net, adam_step, init_adam, init_params, soft_update
 from crashrl.numkit.optim import BETA1, BETA2, EPS
 
 
@@ -66,7 +59,7 @@ class TestPrunedBackprop:
         rng = np.random.default_rng(2)
         batch = random_batch(rng, 32, 5)
         loss, critic_nodes, _, _ = ad.critic_loss(agent, batch, rng.uniform(0, 1, (32, 1)))
-        wanted = [leaf for nodes in critic_nodes for leaf in nodes.values()]
+        wanted = [leaf for nodes in critic_nodes for leaf in ad.param_leaves(nodes)]
         assert_pruning_is_exact(loss, wanted)
 
     @pytest.mark.parametrize("algo,pair", [("td3", (0, 0)), ("darc", (1, 1)), ("darc", (0, 1))])
@@ -74,13 +67,13 @@ class TestPrunedBackprop:
         agent = Agent(AgentConfig(algo=algo, hidden_dims=(16, 8)), obs_dim=5, seed=3)
         batch = random_batch(np.random.default_rng(4), 32, 5)
         loss, actor_nodes = ad.det_actor_loss(agent, batch, *pair)
-        assert_pruning_is_exact(loss, list(actor_nodes.values()))
+        assert_pruning_is_exact(loss, ad.param_leaves(actor_nodes))
 
     def test_sac_actor_loss_graph(self):
         agent = Agent(AgentConfig(algo="sac", hidden_dims=(16, 8)), obs_dim=5, seed=5)
         batch = random_batch(np.random.default_rng(6), 32, 5)
         loss, actor_nodes = ad.sac_actor_loss(agent, batch)
-        assert_pruning_is_exact(loss, list(actor_nodes.values()))
+        assert_pruning_is_exact(loss, ad.param_leaves(actor_nodes))
 
     def test_wanted_interior_node_stops_the_push(self):
         x = ad.lift(np.array([[1.0, 2.0]]))
@@ -99,9 +92,10 @@ class TestPrunedBackprop:
 
     def test_flat_grads_fills_unreached_leaves_with_zeros(self):
         spec = MlpSpec(3, (4,), 2)
-        nodes = {name: ad.lift(t) for name, t in init_params(spec, seed=0)}
-        out = ad.sum_all(ad.add(ad.lift(np.ones((1, 4))), nodes["b0"]))
-        ad.backprop(out, 1.0, [nodes["b0"]])
+        nodes = ad.lift_params(init_params(spec, seed=0))
+        b0 = nodes[0][1]
+        out = ad.sum_all(ad.add(ad.lift(np.ones((1, 4))), b0))
+        ad.backprop(out, 1.0, [b0])
         flat = ad.flat_grads(nodes)
         assert flat.shape == (3 * 4 + 4 + 4 * 2 + 2,)
         assert np.array_equal(flat[12:16], np.ones(4))
@@ -113,51 +107,49 @@ class TestPrunedBackprop:
 
 def reference_adam(params, grads, m, v, t, alpha, beta1, beta2, eps):
     """The textbook update, one tensor at a time, returning fresh arrays."""
-    out_p, out_m, out_v = {}, {}, {}
-    for name, theta in params.items():
-        g = grads[name]
-        m_new = beta1 * m[name] + (1.0 - beta1) * g
-        v_new = beta2 * v[name] + (1.0 - beta2) * (g * g)
+    out_p, out_m, out_v = [], [], []
+    for theta, g, m_old, v_old in zip(params, grads, m, v):
+        m_new = beta1 * m_old + (1.0 - beta1) * g
+        v_new = beta2 * v_old + (1.0 - beta2) * (g * g)
         m_hat = m_new / (1.0 - beta1**t)
         v_hat = v_new / (1.0 - beta2**t)
-        out_p[name] = theta - alpha * m_hat / (np.sqrt(v_hat) + eps)
-        out_m[name], out_v[name] = m_new, v_new
+        out_p.append(theta - alpha * m_hat / (np.sqrt(v_hat) + eps))
+        out_m.append(m_new)
+        out_v.append(v_new)
     return out_p, out_m, out_v
 
 
-def as_dict(params):
-    return {name: t.copy() for name, t in params}
+def tensors(spec, flat):
+    """Copies of each weight and bias in ``flat``, in layout order."""
+    return [t.copy() for layer in spec.layers(flat) for t in layer]
 
 
 class TestFlatUpdatesMatchPerTensorReference:
     def test_adam_bitwise_over_many_steps(self):
         spec = MlpSpec(7, (16, 9), 3)
-        params = init_params(spec, seed=11)
-        state = init_adam(params, alpha=1e-2)
+        net = init_params(spec, seed=11)
+        state = init_adam(net, alpha=1e-2)
         rng = np.random.default_rng(12)
-        ref_p = as_dict(params)
-        ref_m = {n: np.zeros_like(a) for n, a in ref_p.items()}
-        ref_v = {n: np.zeros_like(a) for n, a in ref_p.items()}
+        ref_p = tensors(spec, net.flat)
+        ref_m = [np.zeros_like(a) for a in ref_p]
+        ref_v = [np.zeros_like(a) for a in ref_p]
         for step in range(1, 26):
             scale = 10.0 ** rng.integers(-8, 4)
-            grads = params.like((rng.standard_normal(params.flat.size) * scale).astype(np.float32))
+            grads = (rng.standard_normal(net.flat.size) * scale).astype(np.float32)
             if step % 5 == 0:
-                grads["w1"][:] = 0.0  # exact zeros and signed zeros
-                grads["b0"][:] = -0.0
+                (_, b0), (w1, _), _ = spec.layers(grads)
+                w1[:] = 0.0  # exact zeros and signed zeros
+                b0[:] = -0.0
             ref_p, ref_m, ref_v = reference_adam(
-                ref_p, as_dict(grads), ref_m, ref_v, step,
+                ref_p, tensors(spec, grads), ref_m, ref_v, step,
                 state.alpha, BETA1, BETA2, EPS,
             )
-            out, state = adam_step(params, grads.flat, state)
-            assert out is params and state.t == step
-            for name, _ in params:
-                for got, want in (
-                    (params[name], ref_p[name]),
-                    (state.m[name], ref_m[name]),
-                    (state.v[name], ref_v[name]),
-                ):
-                    assert np.array_equal(got, want)
-                    assert np.array_equal(np.signbit(got), np.signbit(want))
+            out, state = adam_step(net, grads, state)
+            assert out is net and state.t == step
+            for flat, want in ((net.flat, ref_p), (state.m, ref_m), (state.v, ref_v)):
+                for got, expected in zip(tensors(spec, flat), want, strict=True):
+                    assert np.array_equal(got, expected)
+                    assert np.array_equal(np.signbit(got), np.signbit(expected))
 
     def test_soft_update_bitwise(self):
         spec = MlpSpec(6, (10,), 2)
@@ -166,34 +158,34 @@ class TestFlatUpdatesMatchPerTensorReference:
         rng = np.random.default_rng(3)
         for tau in (0.005, 0.5, 1.0, 0.0, float(rng.uniform())):
             online.flat[:] = rng.standard_normal(online.flat.size)
-            want = {
-                name: tau * online[name] + (1.0 - tau) * t
-                for name, t in target
-            }
+            want = [
+                tau * o + (1.0 - tau) * t
+                for o, t in zip(tensors(spec, online.flat), tensors(spec, target.flat))
+            ]
             assert soft_update(target, online, tau) is target
-            for name, t in target:
-                assert np.array_equal(t, want[name])
+            for got, expected in zip(tensors(spec, target.flat), want, strict=True):
+                assert np.array_equal(got, expected)
 
-    def test_named_tensors_view_the_flat_vector(self):
-        params = ParamSet([("w", [[1.0, 2.0]]), ("b", [3.0])])
-        assert np.array_equal(params.flat, [1.0, 2.0, 3.0])
-        params["w"][0, 1] = -5.0
-        assert params.flat[1] == -5.0
-        params.flat[2] = 9.0
-        assert params["b"][0] == 9.0
-        twin = params.copy()
+    def test_layer_views_share_the_flat_vector(self):
+        net = Net(MlpSpec(1, (), 2), np.array([1.0, 2.0, 3.0, 4.0], np.float32))
+        (w, b), = net.layers
+        w[0, 1] = -5.0
+        assert net.flat[1] == -5.0
+        net.flat[2] = 9.0
+        assert b[0] == 9.0
+        twin = net.copy()
         twin.flat[0] = 0.0
-        assert params.flat[0] == 1.0 and not twin.equal(params)
-        assert params.layout == (("w", (1, 2)), ("b", (1,)))
+        assert net.flat[0] == 1.0 and twin.spec is net.spec
+        assert twin.layers[0][0][0, 0] == 0.0
 
     def test_shape_mismatch_rejected(self):
-        params = ParamSet([("w", [1.0, 2.0])])
-        state = init_adam(params)
+        net = init_params(MlpSpec(3, (), 2), seed=0)
+        state = init_adam(net)
         with pytest.raises(ValueError, match="shapes must match"):
-            adam_step(params, np.zeros(3), state)
-        other = ParamSet([("v", [1.0, 2.0])])
-        with pytest.raises(ValueError, match="shapes must match"):
-            soft_update(params, other, 0.5)
+            adam_step(net, np.zeros(7, np.float32), state)
+        other = init_params(MlpSpec(1, (), 4), seed=0)  # eight values, as many as net's
+        with pytest.raises(ValueError, match="must share one spec"):
+            soft_update(net, other, 0.5)
 
 
 class TestNonFiniteUpdatesAreNamed:
@@ -201,43 +193,41 @@ class TestNonFiniteUpdatesAreNamed:
         return Agent(AgentConfig(algo="darc", hidden_dims=(8,)), obs_dim=4, seed=0)
 
     def _good_steps(self, agent, index, steps):
-        params, state = agent.critics[index], agent.critic_adam[index]
+        net, state = agent.critics[index], agent.critic_adam[index]
         for _ in range(steps):
-            adam_step(params, np.full(params.flat.size, 0.1, np.float32), state)
+            adam_step(net, np.full(net.flat.size, 0.1, np.float32), state)
 
     def test_nan_gradient(self):
         agent = self._agent()
         self._good_steps(agent, 1, 2)
-        params = agent.critics[1]
-        grads = np.zeros(params.flat.size, np.float32)
+        grads = np.zeros(agent.critics[1].flat.size, np.float32)
         grads[5] = np.nan
         with pytest.raises(ValueError, match=r"critic_1: Adam update 3 "):
-            adam_step(params, grads, agent.critic_adam[1])
+            adam_step(agent.critics[1], grads, agent.critic_adam[1])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_gradient_whose_square_overflows(self):
         agent = self._agent()
-        params = agent.actors[0]
-        grads = np.zeros(params.flat.size, np.float32)
+        grads = np.zeros(agent.actors[0].flat.size, np.float32)
         grads[-1] = 1e20  # finite in float32, but g*g overflows the second moment
         with pytest.raises(ValueError, match=r"actor_0: Adam update 1 "):
-            adam_step(params, grads, agent.actor_adam[0])
+            adam_step(agent.actors[0], grads, agent.actor_adam[0])
 
     def test_non_finite_parameter(self):
         agent = self._agent()
-        agent.critics[0]["w0"][0, 0] = np.inf
+        agent.critics[0].layers[0][0][0, 0] = np.inf
         with pytest.raises(ValueError, match=r"critic_0: Adam update 1 "):
             adam_step(agent.critics[0], np.zeros(agent.critics[0].flat.size, np.float32),
                       agent.critic_adam[0])
 
     def test_gradient_of_another_dtype_is_rejected(self):
         agent = self._agent()
-        params, state = agent.critics[1], agent.critic_adam[1]
-        before = params.copy()
+        net, state = agent.critics[1], agent.critic_adam[1]
+        before = net.flat.copy()
         with pytest.raises(ValueError, match=r"^critic_1: gradient dtype float64 does not "
                                              r"match parameter dtype float32$"):
-            adam_step(params, np.zeros(params.flat.size), state)
-        assert state.t == 0 and params.equal(before)
+            adam_step(net, np.zeros(net.flat.size), state)
+        assert state.t == 0 and np.array_equal(net.flat, before)
 
     def test_nan_reward_surfaces_from_the_critic_phase(self):
         agent = self._agent()

@@ -18,7 +18,7 @@ from crashrl.agents import agent as agent_module
 from crashrl.agents import targets as targets_module
 from crashrl.agents import updates as updates_module
 from crashrl.env import AccidentEnv, EnvConfig, generate_episode
-from crashrl.numkit import MlpSpec, ParamSet
+from crashrl.numkit import MlpSpec, Net
 from crashrl.numkit import autodiff as ad
 from crashrl.numkit import mlp as mlp_module
 from finite_difference import gradient_check
@@ -40,15 +40,15 @@ def _recorder(monkeypatch, module, name, record):
 
 
 def _arrays(values):
-    """The float arrays among ``values``, looking into tuples, parameter sets
-    and forward records."""
+    """The float arrays among ``values``, looking into tuples, networks and
+    forward records."""
     for value in values:
         if isinstance(value, np.ndarray):
             yield value
-        elif isinstance(value, ParamSet):
+        elif isinstance(value, Net):
             yield value.flat
         elif isinstance(value, ad.MlpRecord):
-            yield from _arrays([value.params, *value.inputs, value.tanh])
+            yield from _arrays([value.net, *value.inputs, value.tanh])
         elif isinstance(value, tuple):
             yield from _arrays(value)
 
@@ -94,7 +94,7 @@ def test_training_keeps_every_core_array_float32(algo, monkeypatch):
             p.flat
             for p in agent.actors + agent.critics + agent.target_actors + agent.target_critics
         ],
-        "adam": [a for s in agent.actor_adam + agent.critic_adam for a in (s.m.flat, s.v.flat)],
+        "adam": [a for s in agent.actor_adam + agent.critic_adam for a in (s.m, s.v)],
         "replay": [buffer._s, buffer._a, buffer._r, buffer._s2, buffer._d],
         "batch": [batch.s, batch.action, batch.r, batch.s_next, batch.done],
         "targets": [parts.y, parts.v_next, parts.q_values],

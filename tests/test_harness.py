@@ -49,6 +49,15 @@ def tiny_cfg(out_dir, algo="td3", seeds=(0,), **kw):
     return RunConfig(**defaults)
 
 
+# Every float setting of the env and agent sections.
+FLOAT_SETTINGS = [
+    (cls, f.name)
+    for cls in (EnvConfig, AgentConfig)
+    for f in dataclasses.fields(cls)
+    if f.type == "float"
+]
+
+
 class TestBuildRunConfig:
     def test_defaults(self):
         cfg = build_run_config()
@@ -91,8 +100,16 @@ class TestBuildRunConfig:
         """soft_update and init_adam trust these: AgentConfig checks them."""
         with pytest.raises(ConfigError, match=message):
             build_run_config({"agent": agent})
-        with pytest.raises(ValueError, match="actor_lr must be > 0, got nan"):
-            AgentConfig(actor_lr=math.nan)
+        with pytest.raises(ValueError, match="actor_lr must be > 0, got -0.001"):
+            AgentConfig(actor_lr=-1e-3)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "cls,name", FLOAT_SETTINGS, ids=[f"{c.__name__}.{n}" for c, n in FLOAT_SETTINGS]
+    )
+    def test_config_classes_reject_every_non_finite_float_setting(self, cls, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite number, got {value}$"):
+            cls(**{name: value})
 
     def test_agent_algo_conflict_rejected(self):
         with pytest.raises(ConfigError, match="algo"):
@@ -523,6 +540,23 @@ class TestCli:
             code = cli_main(self._eval_flags(tmp_path, missing) + extra)
             assert code == 1
             assert f"checkpoint: no such file {missing}" in capsys.readouterr().err
+
+    def test_eval_without_data_rejects_more_than_one_seed(self, tmp_path, capsys):
+        path = tmp_path / "ck.txt"
+        Agent(AgentConfig(algo="td3", hidden_dims=(8, 8)), obs_dim=32, seed=0).save(path)
+        assert cli_main(self._eval_flags(tmp_path, path) + ["--seeds", "3,4"]) == 1
+        assert capsys.readouterr().err == (
+            "error: seeds: eval without --data uses one seed, got [3, 4]\n"
+        )
+        assert not (tmp_path / "eval_out").exists()
+
+    def test_gen_data_rejects_more_than_one_seed(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        gen = ["gen-data", "--count", "2", "--seeds", "7,100", "--episode-length", "24",
+               "--grid", "8", "--pool", "4", "--stack", "2", "--out", str(data)]
+        assert cli_main(gen) == 1
+        assert capsys.readouterr().err == "error: seeds: gen-data uses one seed, got [7, 100]\n"
+        assert not data.exists()
 
     def test_eval_checkpoint_that_is_a_directory_exits_one(self, tmp_path, capsys):
         directory = tmp_path / "ck"

@@ -262,7 +262,7 @@ class TestBatchedActionArray:
         chosen = []
         for row, got in zip(s, batched):
             candidates = [
-                squash01(mlp_apply(actor, agent.actor_spec, row[None]))[0]
+                squash01(mlp_apply(actor, row[None]))[0]
                 for actor in agent.actors
             ]
             single = agent.action_array(row, mode="eval")

@@ -18,7 +18,7 @@ import autodiff_reference as tape
 from crashrl.agents import ALGOS, Agent, AgentConfig, Batch
 from crashrl.agents import updates
 from crashrl.env import EnvConfig
-from crashrl.numkit import MlpSpec, init_params, mlp_graph
+from crashrl.numkit import MlpSpec, Net, init_params, mlp_graph
 from crashrl.numkit import autodiff as ad
 
 UPDATES = 26
@@ -52,8 +52,8 @@ CHAINS = [((), "identity"), ((8,), "tanh"), ((16, 8), "identity"), ((16, 8, 4), 
 )
 def test_backprop_matches_the_tape_on_mlp_chains(hidden, head, bias, dtype):
     spec = MlpSpec(5, hidden, 3, output_activation=head)
-    params = init_params(spec, seed=3)
-    params = params.like(params.flat.astype(dtype) * 3.0)  # some tanh entries clamp
+    net = init_params(spec, seed=3)
+    net = Net(spec, net.flat.astype(dtype) * 3.0)  # some tanh entries clamp
     rng = np.random.default_rng(4)
     x = rng.standard_normal((9, 5)).astype(dtype)
     x[2] = 0.0  # exact-zero pre-activations in the first hidden layer
@@ -61,18 +61,17 @@ def test_backprop_matches_the_tape_on_mlp_chains(hidden, head, bias, dtype):
         # A -0.0 bias keeps a -0.0 product sum -0.0, and relu must map it to
         # +0.0. An all-zero row sums to +0.0 in BLAS; products of subnormals
         # with small negative weights underflow to -0.0.
-        for name, array in params:
-            if name.startswith("b"):
-                array[:] = bias
-        params["w0"][:, 0] = -0.25
+        for _, b in net.layers:
+            b[:] = bias
+        net.layers[0][0][:, 0] = -0.25
         x[3] = np.finfo(dtype).smallest_subnormal
     upstream = rng.standard_normal((9, 3)).astype(dtype)
 
-    out, record = mlp_graph(params, spec, x)
+    out, record = mlp_graph(net, x)
     flat, dx = ad.backprop(record, upstream, inputs=True)
-    nodes, x_node = tape.lift_params(params), tape.lift(x)
+    nodes, x_node = tape.lift_params(net), tape.lift(x)
     root = tape.mlp_graph(nodes, spec, x_node)
-    tape.backprop(root, upstream, [*nodes.values(), x_node])
+    tape.backprop(root, upstream, [*tape.param_leaves(nodes), x_node])
     assert same_bits(out, root.value)
     assert same_bits(flat, tape.flat_grads(nodes))
     assert same_bits(dx, x_node.grad)
@@ -83,11 +82,11 @@ def test_backprop_matches_the_tape_on_mlp_chains(hidden, head, bias, dtype):
 
 def test_backprop_forms_only_the_requested_gradients():
     spec = MlpSpec(4, (6,), 2)
-    params = init_params(spec, seed=0)
-    _, record = mlp_graph(params, spec, np.ones((3, 4), np.float32))
+    net = init_params(spec, seed=0)
+    _, record = mlp_graph(net, np.ones((3, 4), np.float32))
     up = np.ones((3, 2), np.float32)
     flat, dx = ad.backprop(record, up)
-    assert flat.shape == params.flat.shape and flat.dtype == np.float32 and dx is None
+    assert flat.shape == net.flat.shape and flat.dtype == np.float32 and dx is None
     flat, dx = ad.backprop(record, up, params=False, inputs=True)
     assert flat is None and dx.shape == (3, 4) and dx.dtype == np.float32
     with pytest.raises(ValueError, match=r"upstream gradient shape \(3, 1\) does not match"):
@@ -98,12 +97,12 @@ def agent_arrays(agent):
     """Every array of an agent's state, by name."""
     arrays = {}
     for kind in ("actors", "critics", "target_actors", "target_critics"):
-        for i, params in enumerate(getattr(agent, kind)):
-            arrays[f"{kind}[{i}]"] = params.flat
+        for i, net in enumerate(getattr(agent, kind)):
+            arrays[f"{kind}[{i}]"] = net.flat
     for kind in ("actor_adam", "critic_adam"):
         for i, state in enumerate(getattr(agent, kind)):
-            arrays[f"{kind}[{i}].m"] = state.m.flat
-            arrays[f"{kind}[{i}].v"] = state.v.flat
+            arrays[f"{kind}[{i}].m"] = state.m
+            arrays[f"{kind}[{i}].v"] = state.v
     return arrays
 
 
@@ -125,11 +124,11 @@ def saturate(agent):
     A SAC actor's first log-std column also sits far below its clip range on
     every row, so that column's gradient is a column of signed zeros.
     """
-    n = len(agent.cfg.hidden_dims)
-    for params in agent.actors + agent.target_actors:
-        params[f"w{n}"][:] *= 400.0
+    for net in agent.actors + agent.target_actors:
+        w, b = net.layers[-1]
+        w *= 400.0
         if agent.cfg.stochastic:
-            params[f"b{n}"][3] = -1e4
+            b[3] = -1e4
 
 
 CASES = [
@@ -166,7 +165,7 @@ def tape_actor_grad(agent, batch, j):
         loss, nodes = tape.sac_actor_loss(agent, batch)
     else:
         loss, nodes = tape.det_actor_loss(agent, batch, j, j)
-    tape.backprop(loss, 1.0, list(nodes.values()))
+    tape.backprop(loss, 1.0, tape.param_leaves(nodes))
     return float(loss.value), tape.flat_grads(nodes)
 
 
@@ -184,7 +183,7 @@ def test_loss_gradients_match_the_tape_bit_for_bit(algo, saturated):
 
     grads, mse, reg = updates._critic_grads(agent, batch, targets)
     loss, nodes, mse_nodes, want_reg = tape.critic_loss(agent, batch, targets)
-    tape.backprop(loss, 1.0, [leaf for n in nodes for leaf in n.values()])
+    tape.backprop(loss, 1.0, [leaf for n in nodes for leaf in tape.param_leaves(n)])
     assert reg == want_reg and mse == [float(m.value) for m in mse_nodes]
     for got, n in zip(grads, nodes):
         assert same_bits(got, tape.flat_grads(n))
@@ -194,7 +193,7 @@ def test_loss_gradients_match_the_tape_bit_for_bit(algo, saturated):
         if cfg.stochastic:
             got = updates._sac_actor_grad(agent, batch)
         else:
-            got = updates._det_actor_grad(agent, batch, j, j)
+            got = updates._det_actor_grad(agent, batch, j)
         agent.rng.bit_generator.state = state
         want = tape_actor_grad(agent, batch, j)
         assert got[0] == want[0] and same_bits(got[1], want[1]), j
@@ -208,11 +207,11 @@ def test_saturated_case_reaches_the_clamps():
     s = random_batch(rng, 32, obs_dim).s
     sac = Agent(AgentConfig(algo="sac", hidden_dims=(16, 8)), obs_dim, seed=11)
     saturate(sac)
-    out, _ = updates.mlp_graph(sac.actors[0], sac.actor_spec, s)
+    out, _ = updates.mlp_graph(sac.actors[0], s)
     log_std = out[:, 3:]
     assert (log_std > 2.0).any() and (log_std[:, 1:] < -20.0).any()
     assert (log_std[:, 0] < -20.0).all()
     td3 = Agent(AgentConfig(algo="td3", hidden_dims=(16, 8)), obs_dim, seed=11)
     saturate(td3)
-    _, record = updates.mlp_graph(td3.actors[0], td3.actor_spec, s)
+    _, record = updates.mlp_graph(td3.actors[0], s)
     assert (np.abs(record.tanh) == 1.0).any()
