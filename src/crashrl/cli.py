@@ -13,24 +13,23 @@ import os
 import sys
 
 from .agents import ALGOS
-from .env import generate_episode, load_episode_file
 from .env.config import FIXATION_WINDOWS
 from .harness import (
     ConfigError,
     build_run_config,
     compare_table,
-    episode_files,
-    export_traces,
     gen_dataset,
     load_config_file,
     load_run_summary,
     run_eval,
     run_training,
     write_comparison_csv,
-    write_config_snapshot,
 )
-from .harness.running import EVAL_SEED_BASE
-from .metrics import write_report
+
+# Not called here: perfbench/tracing.py wraps these names in this module too.
+from .env import generate_episode, load_episode_file  # noqa: F401
+from .harness import export_traces  # noqa: F401
+from .metrics import write_report  # noqa: F401
 
 
 class UsageError(Exception):
@@ -116,13 +115,6 @@ def _resolve_config(args):
     return build_run_config(file_values, _overrides(args))
 
 
-def _one_seed_of(cfg, use: str) -> int:
-    """The run seed of a command that uses one; more than one is a usage error."""
-    if len(cfg.seeds) > 1:
-        raise ConfigError(f"seeds: {use} uses one seed, got {list(cfg.seeds)}")
-    return cfg.seeds[0]
-
-
 def _metrics_line(report) -> str:
     return (
         f"mtta={report.mtta_seconds:.4f}s auc={report.auc:.5f} ap={report.ap:.5f} "
@@ -131,10 +123,7 @@ def _metrics_line(report) -> str:
 
 
 def _cmd_gen_data(args) -> int:
-    cfg = _resolve_config(args)
-    out = cfg.out_dir
-    manifest = gen_dataset(cfg, args.count, out, seed_base=_one_seed_of(cfg, "gen-data"))
-    write_config_snapshot(cfg, out)
+    manifest = gen_dataset(_resolve_config(args), args.count)
     print(f"wrote {args.count} episodes and {manifest}")
     return 0
 
@@ -149,25 +138,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    cfg = _resolve_config(args)
-    if not os.path.isfile(args.checkpoint):
-        raise ConfigError(f"checkpoint: no such file {args.checkpoint}")
-    if cfg.data_dir is not None:
-        files = episode_files(cfg.data_dir)
-        if not files:
-            raise ConfigError(f"data: no .ade episodes under {cfg.data_dir}")
-        episodes = [load_episode_file(p) for p in files]
-    else:
-        base = _one_seed_of(cfg, "eval without --data") * EVAL_SEED_BASE
-        episodes = [
-            generate_episode(cfg.env, base + j) for j in range(cfg.eval_episodes)
-        ]
-    report, records = run_eval(args.checkpoint, episodes, cfg)
-    out = cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    write_config_snapshot(cfg, out)
-    write_report(report, out)
-    export_traces(records, os.path.join(out, "traces"))
+    report, _ = run_eval(args.checkpoint, _resolve_config(args))
     print(f"eval: {_metrics_line(report)}")
     return 0
 
@@ -180,9 +151,7 @@ def _cmd_compare(args) -> int:
         except OSError as exc:
             raise ConfigError(f"runs: cannot read {path}: {exc}") from exc
     table = compare_table(summaries)
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "comparison.csv")
+    path = os.path.join(args.out or ".", "comparison.csv")
     write_comparison_csv(table, path)
     print(f"wrote {path}")
     for row in table.rows:

@@ -60,11 +60,13 @@ class AccidentEnv:
             h, w = episode.grid_shape
             if h % cfg.pool_h or w % cfg.pool_w:
                 raise ValueError(
-                    f"pool dims ({cfg.pool_h}x{cfg.pool_w}) must divide the episode "
-                    f"grid ({h}x{w})"
+                    f"episode {episode.episode_id!r}: pool dims ({cfg.pool_h}x{cfg.pool_w}) "
+                    f"must divide the episode grid ({h}x{w})"
                 )
             if episode.length < 2:
-                raise ValueError("episode must have at least 2 frames to step")
+                raise ValueError(
+                    f"episode {episode.episode_id!r}: must have at least 2 frames to step"
+                )
         shapes = {(episode.grid_shape, episode.length) for episode in episodes}
         if len(shapes) > 1:
             raise ValueError(

@@ -7,7 +7,7 @@ import os
 import statistics
 from dataclasses import dataclass
 
-from ..atomic import atomic_write
+from ..atomic import write_csv
 from .config import ConfigError, is_finite_number
 
 # (row label, metrics.json key, whether larger is better)
@@ -50,9 +50,10 @@ class ComparisonTable:
 def load_run_summary(path) -> RunSummary:
     """Read a run.json written by run_training (path may be its directory).
 
-    Invalid JSON, a missing key, an empty or non-object ``per_seed`` and a
-    table metric that is not a finite number raise ConfigError naming the
-    path (and the seed and key).
+    Invalid JSON, a missing key, an empty or non-object ``per_seed``, a table
+    metric that is not a finite number and an ``algo`` or ``eval_fingerprint``
+    that is not a string raise ConfigError naming the path (and the seed and
+    key).
     """
     if os.path.isdir(path):
         path = os.path.join(path, "run.json")
@@ -67,6 +68,12 @@ def load_run_summary(path) -> RunSummary:
             raise ConfigError(f"runs: {path}: {where}no {key!r} key")
         return mapping[key]
 
+    def text(key):
+        value = field(data, key)
+        if not isinstance(value, str):
+            raise ConfigError(f"runs: {path}: {key!r} must be a string, got {value!r}")
+        return value
+
     per_seed = field(data, "per_seed")
     if not isinstance(per_seed, dict) or not per_seed:
         raise ConfigError(f"runs: {path}: 'per_seed' must be a non-empty object of seeds")
@@ -80,7 +87,7 @@ def load_run_summary(path) -> RunSummary:
                     f"runs: {path}: seed {seed}: {key!r} must be a finite number, "
                     f"got {value!r}"
                 )
-    return RunSummary(field(data, "algo"), field(data, "eval_fingerprint"), metrics_by_seed)
+    return RunSummary(text("algo"), text("eval_fingerprint"), metrics_by_seed)
 
 
 def compare_table(runs: list[RunSummary]) -> ComparisonTable:
@@ -125,13 +132,12 @@ def write_comparison_csv(table: ComparisonTable, path) -> None:
     for algo in table.algos:
         header.extend([f"{algo}_median", f"{algo}_min", f"{algo}_max"])
     header.append("best")
-    lines = [",".join(header)]
+    rows = []
     for row in table.rows:
         parts = [row]
         for algo in table.algos:
             cell = table.cells[(row, algo)]
-            parts.extend([repr(cell.median), repr(cell.min), repr(cell.max)])
+            parts.extend([cell.median, cell.min, cell.max])
         parts.append(";".join(table.best[row]))
-        lines.append(",".join(parts))
-    with atomic_write(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+        rows.append(tuple(parts))
+    write_csv(path, header, rows)

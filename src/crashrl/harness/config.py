@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from ..atomic import atomic_write
+from ..atomic import write_json
 from ..agents.config import AgentConfig
 from ..env.config import EnvConfig
 
@@ -162,11 +162,6 @@ def build_run_config(
     )
 
 
-def write_config_snapshot(cfg: RunConfig, out_dir) -> str:
-    """Echo the fully resolved configuration into the output directory."""
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "config.json")
-    with atomic_write(path, "w", encoding="utf-8") as f:
-        json.dump(dataclasses.asdict(cfg), f, sort_keys=True, indent=2)
-        f.write("\n")
-    return path
+def write_config_snapshot(cfg: RunConfig, out_dir) -> None:
+    """Echo the fully resolved configuration into out_dir/config.json."""
+    write_json(os.path.join(out_dir, "config.json"), dataclasses.asdict(cfg))

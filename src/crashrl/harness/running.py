@@ -1,10 +1,15 @@
 """Training and evaluation orchestration, dataset generation, trace export.
 
+Each CLI command is one call here: ``gen_dataset`` (gen-data),
+``run_training`` (train) and ``run_eval`` (eval) take the resolved
+``RunConfig``, choose the command's episodes and seed, check them, and write
+every artifact into ``cfg.out_dir`` (through ``crashrl.atomic``).
+
 Every rollout steps ``AccidentEnv``: training steps each episode as a group
 of one, and ``collect_records`` (curve points, the final report and
-``crashrl eval``) steps one env per lockstep group of held-out episodes. The
+``run_eval``) steps one env per lockstep group of held-out episodes. The
 rewards the env pays go into the eval records, which the curve's mean
-return and the traces read. Each held-out set (and ``crashrl eval``'s set)
+return and the traces read. Each held-out set (and ``run_eval``'s set)
 must pass ``metrics.require_reportable``, checked before the agent is built
 or the checkpoint read (and, for the first seed, before anything is
 written); a set that fails it is a ConfigError (exit 1).
@@ -25,14 +30,13 @@ plus <out>/<algo>/run.json summarizing the whole run for `compare`.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..agents import Agent, ReplayBuffer, train_step
-from ..atomic import atomic_write
+from ..atomic import atomic_write, write_csv, write_json
 from ..env import (
     IMAGE_CENTER,
     AccidentEnv,
@@ -239,7 +243,6 @@ def _mean_return(records: EvalRecords, cfg: RunConfig) -> float:
 
 def export_traces(records: EvalRecords, out_dir) -> list[str]:
     """Per-episode CSVs of scores, rewards, and fixations, one row per frame."""
-    os.makedirs(out_dir, exist_ok=True)
     columns = (
         records.t.tolist(), records.score.tolist(), records.r_A.tolist(), records.r_F.tolist(),
         *records.p_hat.T.tolist(), *records.p.T.tolist(),
@@ -250,7 +253,7 @@ def export_traces(records: EvalRecords, out_dir) -> list[str]:
     for e in sorted(range(len(ids)), key=ids.__getitem__):
         t_a = records.t_a[e].item()
         path = os.path.join(out_dir, f"trace_{ids[e]}.csv")
-        with atomic_write(path, "w", encoding="utf-8", newline="\n") as f:
+        with atomic_write(path) as f:
             t_a_note = "none" if t_a == NO_ACCIDENT else t_a
             f.write(
                 f"# episode={ids[e]} y={records.y[e].item()} t_a={t_a_note} "
@@ -285,11 +288,11 @@ def _require_reportable(eval_set, window: str, where: str) -> None:
         raise ConfigError(str(exc)) from exc
 
 
-def _write_curve(curve, path) -> None:
-    with atomic_write(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("epoch,mean_eval_reward\n")
-        for epoch, value in curve:
-            f.write(f"{epoch},{value!r}\n")
+def _one_seed(cfg: RunConfig, use: str) -> int:
+    """The run seed of a command that uses one; more than one is a ConfigError."""
+    if len(cfg.seeds) > 1:
+        raise ConfigError(f"seeds: {use} uses one seed, got {list(cfg.seeds)}")
+    return cfg.seeds[0]
 
 
 def run_training(cfg: RunConfig) -> RunArtifacts:
@@ -303,7 +306,6 @@ def run_training(cfg: RunConfig) -> RunArtifacts:
         eval_set = source.eval_set(seed)
         _require_reportable(eval_set, cfg.env.fixation_window, f"seed {seed}: the held-out set")
         if not seed_fingerprints:  # the first seed's set passed: start writing
-            os.makedirs(algo_dir, exist_ok=True)
             write_config_snapshot(cfg, cfg.out_dir)
         seed_fingerprints.append(eval_fingerprint(eval_set))
         obs_dim = cfg.env.obs_dim
@@ -326,7 +328,6 @@ def run_training(cfg: RunConfig) -> RunArtifacts:
                 curve.append((epoch, _mean_return(records, cfg)))
 
         seed_dir = os.path.join(algo_dir, f"seed_{seed}")
-        os.makedirs(seed_dir, exist_ok=True)
         checkpoint_path = os.path.join(seed_dir, "checkpoint.txt")
         agent.save(checkpoint_path)
 
@@ -334,7 +335,7 @@ def run_training(cfg: RunConfig) -> RunArtifacts:
             records, cfg.env.a_0, window=cfg.env.fixation_window
         )
         write_report(report, seed_dir)
-        _write_curve(curve, os.path.join(seed_dir, "curve.csv"))
+        write_csv(os.path.join(seed_dir, "curve.csv"), ("epoch", "mean_eval_reward"), curve)
         export_traces(records, os.path.join(seed_dir, "traces"))
         results.append(SeedResult(seed, report, tuple(curve), checkpoint_path, seed_dir))
 
@@ -360,21 +361,30 @@ def _write_run_summary(artifacts: RunArtifacts) -> None:
             for r in artifacts.results
         },
     }
-    path = os.path.join(artifacts.out_dir, "run.json")
-    with atomic_write(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_json(os.path.join(artifacts.out_dir, "run.json"), payload)
 
 
-def run_eval(checkpoint_path, episodes, cfg: RunConfig):
-    """Roll a checkpointed agent (noise-free) over an episode set.
+def run_eval(checkpoint_path, cfg: RunConfig):
+    """Roll a checkpointed agent (noise-free) over ``crashrl eval``'s set
+    and write config.json, the report and traces/ into cfg.out_dir.
 
-    Returns (MetricsReport, EvalRecords). The checkpoint's observation
-    width must match what cfg.env produces, and the set must hold both
-    classes and a frame inside the fixation window (checked before the
-    checkpoint is read).
+    The set is every *.ade file of cfg.data_dir, else the held-out set that
+    training generates for the run's one seed. Checked in this order, before
+    anything is written: the checkpoint file exists; with a data directory,
+    it exists and holds an episode file, else there is one seed; the set
+    holds both classes and a frame inside the fixation window (before the
+    checkpoint is read); the checkpoint's observation width matches what
+    cfg.env produces. Returns (MetricsReport, EvalRecords).
     """
-    episodes = list(episodes)
+    if not os.path.isfile(checkpoint_path):
+        raise ConfigError(f"checkpoint: no such file {checkpoint_path}")
+    if cfg.data_dir is not None:
+        files = episode_files(cfg.data_dir)
+        if not files:
+            raise ConfigError(f"data: no .ade episodes under {cfg.data_dir}")
+        episodes = [load_episode_file(path) for path in files]
+    else:
+        episodes = _EpisodeSource(cfg).eval_set(_one_seed(cfg, "eval without --data"))
     _require_reportable(episodes, cfg.env.fixation_window, "eval: the episode set")
     agent = Agent.load(checkpoint_path, cfg.agent)
     expected = cfg.env.obs_dim
@@ -385,16 +395,19 @@ def run_eval(checkpoint_path, episodes, cfg: RunConfig):
         )
     records = collect_records(agent_policy(agent), episodes, cfg)
     report = compile_report(records, cfg.env.a_0, window=cfg.env.fixation_window)
+    write_config_snapshot(cfg, cfg.out_dir)
+    write_report(report, cfg.out_dir)
+    export_traces(records, os.path.join(cfg.out_dir, "traces"))
     return report, records
 
 
-def gen_dataset(cfg: RunConfig, count: int, out_dir, seed_base: int | None = None):
-    """Write ``count`` episode files plus a manifest.csv into out_dir."""
+def gen_dataset(cfg: RunConfig, count: int) -> str:
+    """Write episode files for seeds s .. s + count - 1 (s the run's one
+    seed), manifest.csv and config.json into cfg.out_dir; returns the
+    manifest's path. The seed and count are checked before any write."""
+    seed_base = _one_seed(cfg, "gen-data")
     if count < 1:
         raise ConfigError(f"count: must be >= 1, got {count}")
-    if seed_base is None:
-        seed_base = cfg.seeds[0]
-    os.makedirs(out_dir, exist_ok=True)
     rows = []
     width = max(5, len(str(seed_base + count - 1)))
     for i in range(count):
@@ -403,19 +416,10 @@ def gen_dataset(cfg: RunConfig, count: int, out_dir, seed_base: int | None = Non
         # The file stem is the episode id (the loader reads it from there).
         episode_id = f"episode_{seed:0{width}d}"
         filename = f"{episode_id}.ade"
-        write_episode_file(episode, os.path.join(out_dir, filename))
-        rows.append(
-            (
-                episode_id,
-                filename,
-                episode.y,
-                episode.t_a if episode.t_a is not None else -1,
-                episode.length,
-            )
-        )
-    manifest = os.path.join(out_dir, "manifest.csv")
-    with atomic_write(manifest, "w", encoding="utf-8", newline="\n") as f:
-        f.write("id,file,y,t_a,frames\n")
-        for row in rows:
-            f.write(",".join(str(v) for v in row) + "\n")
+        write_episode_file(episode, os.path.join(cfg.out_dir, filename))
+        t_a = episode.t_a if episode.t_a is not None else -1
+        rows.append((episode_id, filename, episode.y, t_a, episode.length))
+    manifest = os.path.join(cfg.out_dir, "manifest.csv")
+    write_csv(manifest, ("id", "file", "y", "t_a", "frames"), rows)
+    write_config_snapshot(cfg, cfg.out_dir)
     return manifest

@@ -23,7 +23,6 @@ rollout, so no metric below guards against an empty class or window.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import write_csv, write_json
 from .env.rewards import fixation_window_active
 
 
@@ -296,15 +295,8 @@ def report_as_dict(report: MetricsReport) -> dict[str, float]:
 
 def write_report(report: MetricsReport, out_dir) -> None:
     """Write metrics.json plus roc.csv and pr.csv into out_dir."""
-    os.makedirs(out_dir, exist_ok=True)
-    with atomic_write(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as f:
-        json.dump(report_as_dict(report), f, sort_keys=True, indent=2)
-        f.write("\n")
-    with atomic_write(os.path.join(out_dir, "roc.csv"), "w", encoding="utf-8", newline="\n") as f:
-        f.write("fpr,tpr,threshold\n")
-        for fpr, tpr, thr in report.roc_points:
-            f.write(f"{fpr!r},{tpr!r},{thr!r}\n")
-    with atomic_write(os.path.join(out_dir, "pr.csv"), "w", encoding="utf-8", newline="\n") as f:
-        f.write("recall,precision,threshold\n")
-        for rec, prec, thr in report.pr_points:
-            f.write(f"{rec!r},{prec!r},{thr!r}\n")
+    write_json(os.path.join(out_dir, "metrics.json"), report_as_dict(report))
+    write_csv(os.path.join(out_dir, "roc.csv"), ("fpr", "tpr", "threshold"), report.roc_points)
+    write_csv(
+        os.path.join(out_dir, "pr.csv"), ("recall", "precision", "threshold"), report.pr_points
+    )

@@ -419,12 +419,12 @@ def critic_loss(agent, batch, targets):
     return loss, critic_nodes, mse, reg_value
 
 
-def det_actor_loss(agent, batch, actor_idx: int, critic_idx: int):
-    """Graph for -mean Q_critic(s, pi_actor(s)) and the actor's parameter leaves."""
+def det_actor_loss(agent, batch, j: int):
+    """Graph for -mean Q_j(s, pi_j(s)) and actor j's parameter leaves."""
     s = lift(batch.s)
-    actor_nodes = lift_params(agent.actors[actor_idx])
+    actor_nodes = lift_params(agent.actors[j])
     action = _squash01_node(mlp_graph(actor_nodes, agent.actor_spec, s))
-    critic_nodes = lift_params(agent.critics[critic_idx])
+    critic_nodes = lift_params(agent.critics[j])
     q = mlp_graph(critic_nodes, agent.critic_spec, concat_cols(s, action))
     return neg(mean_all(q)), actor_nodes
 
@@ -482,7 +482,7 @@ def actor_update(agent, batch) -> dict[str, float]:
         if cfg.stochastic:
             loss, actor_nodes = sac_actor_loss(agent, batch)
         else:
-            loss, actor_nodes = det_actor_loss(agent, batch, j, j)
+            loss, actor_nodes = det_actor_loss(agent, batch, j)
         backprop(loss, 1.0, param_leaves(actor_nodes))
         adam_step(agent.actors[j], flat_grads(actor_nodes), agent.actor_adam[j])
         losses[f"actor_{j}"] = float(loss.value)

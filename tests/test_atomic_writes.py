@@ -3,7 +3,9 @@
 A write that raises part-way leaves the old target intact and no temporary
 file behind. The ``ast`` scan below fails on any ``open`` call in the
 package that can write (mode with ``w``, ``a``, ``x`` or ``+``, or a mode
-that is not a literal) outside ``atomic_write`` itself.
+that is not a literal) outside ``atomic_write`` itself. A second scan keeps
+directory creation and JSON encoding in ``crashrl/atomic.py`` and every
+write out of ``cli.py``, whose commands are one harness call each.
 """
 
 import ast
@@ -16,7 +18,7 @@ import pytest
 
 import crashrl.records as records_mod
 from crashrl.agents import Agent, AgentConfig
-from crashrl.atomic import atomic_write
+from crashrl.atomic import atomic_write, write_csv, write_json
 from crashrl.env import EnvConfig, generate_episode, load_episode_file, write_episode_file
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "crashrl"
@@ -65,6 +67,71 @@ def test_every_write_in_src_goes_through_atomic_write():
     assert len(writing_opens(HELPER[0])) == 1
 
 
+def called_names(path):
+    """(line, name) of each call in path, by the callee's last name part, in line order."""
+    return sorted(
+        (node.lineno, node.func.id if isinstance(node.func, ast.Name) else node.func.attr)
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    )
+
+
+# What the CLI leaves to the harness: choosing episodes and writing files.
+CLI_NEVER_CALLS = {
+    "atomic_write", "write_json", "write_csv", "write_report", "export_traces",
+    "write_config_snapshot", "generate_episode", "load_episode_file",
+}
+
+
+def test_directories_and_json_only_in_atomic_and_no_writes_in_the_cli():
+    offenders = [
+        f"{path.relative_to(PACKAGE)}:{line}: {name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path != HELPER[0]
+        for line, name in called_names(path)
+        if name in ("makedirs", "dump")
+    ]
+    offenders += [
+        f"cli.py:{line}: {name}"
+        for line, name in called_names(PACKAGE / "cli.py")
+        if name in CLI_NEVER_CALLS
+    ]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_the_call_scan_sees_attribute_and_bare_calls(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import os, json\n"
+        "from crashrl.metrics import write_report\n"
+        "os.makedirs('d', exist_ok=True)\n"
+        "json.dump({}, f)\n"
+        "write_report(r, 'd')\n"
+        "print(write_report)\n"
+    )
+    assert called_names(sample) == [
+        (3, "makedirs"), (4, "dump"), (5, "write_report"), (6, "print")
+    ]
+
+
+def test_text_form_and_parent_directories(tmp_path):
+    write_json(tmp_path / "a" / "b" / "m.json", {"z": 1, "é": [0.1, 2]})
+    assert (tmp_path / "a" / "b" / "m.json").read_bytes() == (
+        '{\n  "z": 1,\n  "\\u00e9": [\n    0.1,\n    2\n  ]\n}\n'.encode()
+    )
+    write_csv(tmp_path / "c" / "t.csv", ("name", "x"), [("é", 0.1), ("b", 1e-300)])
+    assert (tmp_path / "c" / "t.csv").read_bytes() == "name,x\né,0.1\nb,1e-300\n".encode()
+    with atomic_write(tmp_path / "d" / "lines.txt") as f:
+        f.write("one\ntwo\n")
+    assert (tmp_path / "d" / "lines.txt").read_bytes() == b"one\ntwo\n"
+
+
+def test_a_bare_file_name_writes_into_the_working_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_json("m.json", [])
+    assert (tmp_path / "m.json").read_bytes() == b"[]\n"
+
+
 def test_the_scan_sees_every_writing_open(tmp_path):
     sample = tmp_path / "sample.py"
     sample.write_text(
@@ -86,7 +153,7 @@ def test_failed_write_keeps_the_old_target_and_leaves_no_temp(tmp_path):
     path = tmp_path / "out.csv"
     path.write_text("old\n")
     with pytest.raises(RuntimeError, match="mid-file"):
-        with atomic_write(path, "w", encoding="utf-8") as f:
+        with atomic_write(path, "w") as f:
             f.write("new, partial")
             raise RuntimeError("mid-file")
     assert path.read_text() == "old\n"

@@ -741,9 +741,11 @@ class TestRewardBoundProperties:
 
 
 def test_env_requires_multi_frame_episode():
-    episode = Episode(np.full((1, 8, 8), 1 / 64.0), 0, None, np.full((1, 2), 0.5), 10.0)
+    episode = Episode(
+        np.full((1, 8, 8), 1 / 64.0), 0, None, np.full((1, 2), 0.5), 10.0, episode_id="one"
+    )
     cfg = EnvConfig(grid_h=8, grid_w=8, pool_h=4, pool_w=4)
-    with pytest.raises(ValueError, match="at least 2 frames"):
+    with pytest.raises(ValueError, match="^episode 'one': must have at least 2 frames"):
         AccidentEnv([episode], cfg)
 
 

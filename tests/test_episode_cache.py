@@ -1,6 +1,7 @@
 """The per-run parsed-episode cache behind ``crashrl train --data``."""
 
 import collections
+import dataclasses
 import shutil
 
 import pytest
@@ -31,7 +32,8 @@ def _cfg(data_dir, out_dir, epochs, seeds=(0, 1)):
 def _pool(tmp_path):
     """Six generated episode files: two for training, four held out (both classes)."""
     pool = tmp_path / "pool"
-    gen_dataset(_cfg(pool, tmp_path, 1), 2 + EVAL_EPISODES, pool, seed_base=0)
+    cfg = dataclasses.replace(_cfg(pool, tmp_path, 1, seeds=(0,)), out_dir=str(pool))
+    gen_dataset(cfg, 2 + EVAL_EPISODES)
     files = sorted(pool.glob("*.ade"))
     labels = {line.split(",")[2] for line in (pool / "manifest.csv").read_text().splitlines()[3:]}
     assert labels == {"0", "1"}, "the held-out files must hold both classes"

@@ -10,7 +10,7 @@ import pytest
 
 from crashrl.agents import Agent, AgentConfig, ReplayBuffer, train_step
 from crashrl.cli import main as cli_main
-from crashrl.env import AccidentEnv, EnvConfig, generate_episode
+from crashrl.env import AccidentEnv, EnvConfig, generate_episode, write_episode_file
 from crashrl.harness import (
     ConfigError,
     ConstantScoreAgent,
@@ -119,25 +119,41 @@ class TestBuildRunConfig:
 class TestGenDataset:
     def test_count_and_manifest(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
-        manifest = gen_dataset(cfg, 10, tmp_path / "data")
+        manifest = gen_dataset(dataclasses.replace(cfg, out_dir=str(tmp_path / "data")), 10)
         files = sorted(p.name for p in (tmp_path / "data").glob("*.ade"))
         assert len(files) == 10
         lines = open(manifest).read().splitlines()
         assert lines[0] == "id,file,y,t_a,frames"
         assert len(lines) == 11
 
-    def test_regeneration_byte_identical(self, tmp_path):
-        cfg = tiny_cfg(tmp_path)
-        gen_dataset(cfg, 4, tmp_path / "a")
-        gen_dataset(cfg, 4, tmp_path / "b")
+    def test_regeneration_byte_identical(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(".")  # the same config.json in both directories
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            gen_dataset(cfg, 4)
         for name in os.listdir(tmp_path / "a"):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
 
+    def test_more_than_one_seed_rejected_before_writing(self, tmp_path):
+        cfg = RunConfig(seeds=(7, 100), out_dir=str(tmp_path / "data"))
+        with pytest.raises(ConfigError, match=r"^seeds: gen-data uses one seed, got \[7, 100\]$"):
+            gen_dataset(cfg, 2)
+        assert not (tmp_path / "data").exists()
+
+    def test_writes_episodes_manifest_and_config_into_out_dir(self, tmp_path):
+        cfg = tiny_cfg(tmp_path / "data", seeds=(7,))
+        assert gen_dataset(cfg, 2) == str(tmp_path / "data" / "manifest.csv")
+        names = sorted(p.name for p in (tmp_path / "data").iterdir())
+        assert names == ["config.json", "episode_00007.ade", "episode_00008.ade", "manifest.csv"]
+        snapshot = json.loads((tmp_path / "data" / "config.json").read_text())
+        assert snapshot["seeds"] == [7]
+
     def test_label_ratio_tracks_accident_probability(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
-        manifest = gen_dataset(cfg, 200, tmp_path / "data")
+        manifest = gen_dataset(dataclasses.replace(cfg, out_dir=str(tmp_path / "data")), 200)
         rows = open(manifest).read().splitlines()[1:]
         ratio = sum(int(r.split(",")[2]) for r in rows) / len(rows)
         assert abs(ratio - cfg.env.accident_prob) <= 0.10
@@ -178,14 +194,14 @@ class TestRunTraining:
 
     def test_training_from_episode_files(self, tmp_path):
         cfg = tiny_cfg(tmp_path / "out")
-        gen_dataset(cfg, 12, tmp_path / "data")
+        gen_dataset(dataclasses.replace(cfg, out_dir=str(tmp_path / "data")), 12)
         cfg2 = dataclasses.replace(cfg, data_dir=str(tmp_path / "data"))
         artifacts = run_training(cfg2)
         assert len(artifacts.results) == 1
 
     def test_too_few_episode_files_rejected(self, tmp_path):
         cfg = tiny_cfg(tmp_path / "out")
-        gen_dataset(cfg, 3, tmp_path / "data")
+        gen_dataset(dataclasses.replace(cfg, out_dir=str(tmp_path / "data")), 3)
         cfg2 = dataclasses.replace(cfg, data_dir=str(tmp_path / "data"))
         with pytest.raises(ConfigError, match="eval_episodes"):
             run_training(cfg2)
@@ -198,18 +214,29 @@ class TestRunEval:
         path = tmp_path / "ck.txt"
         agent.save(path)
         episodes = [generate_episode(cfg.env, j) for j in range(4)]
-        report, records = run_eval(path, episodes, cfg)
+        report, records = run_eval(path, cfg)  # seed 0's generated episodes 0-3
         assert 0.0 <= report.auc <= 1.0
         assert 0.0 <= report.recall_at_a0 <= 1.0
         assert len(records) == sum(ep.length - 1 for ep in episodes)
 
+    def test_writes_config_report_and_traces_into_out_dir(self, tmp_path):
+        cfg = tiny_cfg(tmp_path / "eval" / "out")
+        path = tmp_path / "ck.txt"
+        Agent(cfg.agent, cfg.env.obs_dim, seed=0).save(path)
+        report, records = run_eval(path, cfg)
+        out = tmp_path / "eval" / "out"
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["config.json", "metrics.json", "pr.csv", "roc.csv", "traces"]
+        traces = sorted(p.name for p in (out / "traces").iterdir())
+        assert traces == [f"trace_gen{j}.csv" for j in range(4)]
+        assert json.loads((out / "metrics.json").read_text())["auc"] == report.auc
+
     def test_eval_twice_identical(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
         artifacts = run_training(cfg)
-        episodes = [generate_episode(cfg.env, j) for j in range(4)]
         ck = artifacts.results[0].checkpoint_path
-        r1, _ = run_eval(ck, episodes, cfg)
-        r2, _ = run_eval(ck, episodes, cfg)
+        r1, _ = run_eval(ck, cfg)
+        r2, _ = run_eval(ck, cfg)
         assert r1 == r2
 
     def test_dim_mismatch_names_expected_and_actual(self, tmp_path):
@@ -217,10 +244,10 @@ class TestRunEval:
         agent = Agent(cfg.agent, obs_dim=10, seed=0)  # wrong width
         path = tmp_path / "ck.txt"
         agent.save(path)
-        # Both classes: a one-class set is rejected before the checkpoint is read.
-        episodes = [generate_episode(cfg.env, j) for j in range(4)]
+        # Seed 0's four generated episodes hold both classes: a one-class set
+        # is rejected before the checkpoint is read.
         with pytest.raises(ValueError, match="10.*32|32.*10"):
-            run_eval(path, episodes, cfg)
+            run_eval(path, cfg)
 
     def test_oracle_agent_hits_recall_one_and_zero_mse(self, tmp_path):
         cfg = tiny_cfg(tmp_path, eval_episodes=6)
@@ -528,13 +555,13 @@ class TestCli:
     def test_eval_missing_checkpoint_exits_one_before_reading_episodes(
         self, tmp_path, capsys, monkeypatch
     ):
-        import crashrl.cli as cli_mod
+        import crashrl.harness.running as running_mod
 
         def no_episodes(*args, **kwargs):
             raise AssertionError("episodes must not be read or generated")
 
-        monkeypatch.setattr(cli_mod, "generate_episode", no_episodes)
-        monkeypatch.setattr(cli_mod, "load_episode_file", no_episodes)
+        monkeypatch.setattr(running_mod, "generate_episode", no_episodes)
+        monkeypatch.setattr(running_mod, "load_episode_file", no_episodes)
         missing = tmp_path / "missing.txt"
         for extra in ([], ["--data", str(tmp_path / "no_such_dir")]):
             code = cli_main(self._eval_flags(tmp_path, missing) + extra)
@@ -575,6 +602,19 @@ class TestCli:
         assert cli_main(self._train_flags(out) + ["--data", str(data)]) == 0
         traces = sorted(p.name for p in (out / "td3" / "seed_0" / "traces").iterdir())
         assert traces == [f"trace_episode_{s:05d}.csv" for s in range(101, 105)]
+
+    def test_train_data_names_an_episode_the_pool_does_not_divide(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        gen = ["gen-data", "--count", "5", "--seed", "100", "--episode-length", "24",
+               "--grid", "8", "--pool", "4", "--stack", "2", "--out", str(data)]
+        assert cli_main(gen) == 0
+        small = EnvConfig(grid_h=6, grid_w=6, pool_h=3, pool_w=3, episode_len=24)
+        write_episode_file(generate_episode(small, 5), data / "a_small.ade")  # trains first
+        assert cli_main(self._train_flags(tmp_path / "runs") + ["--data", str(data)]) == 2
+        assert capsys.readouterr().err == (
+            "runtime failure: episode 'a_small': pool dims (4x4) must divide the episode "
+            "grid (6x6)\n"
+        )
 
     @pytest.mark.parametrize(
         "env,rule",
@@ -720,10 +760,15 @@ class TestCli:
                 "runs evaluate different episode sets; fingerprints: "
                 f"ddpg={'f' * 16}, td3={'e' * 16}",
             ),
+            ({"algo": ["td3"]}, "runs: {path}: 'algo' must be a string, got ['td3']"),
+            ({"algo": 3}, "runs: {path}: 'algo' must be a string, got 3"),
+            ({"fingerprint": ["x"]},
+             "runs: {path}: 'eval_fingerprint' must be a string, got ['x']"),
         ],
         ids=[
             "no-fingerprint", "no-seed-metric", "not-json", "one-run",
-            "duplicate-algo", "other-fingerprint",
+            "duplicate-algo", "other-fingerprint", "algo-list", "algo-int",
+            "fingerprint-list",
         ],
     )
     def test_compare_names_the_file_and_key_of_a_bad_run(self, tmp_path, capsys, bad, message):
@@ -946,6 +991,6 @@ def test_full_pipeline_smoke_per_algorithm(tmp_path, algo):
     result = artifacts.results[0]
     assert 0.0 <= result.report.auc <= 1.0
     episodes = [generate_episode(cfg.env, j) for j in range(4)]
-    report, records = run_eval(result.checkpoint_path, episodes, cfg)
+    report, records = run_eval(result.checkpoint_path, cfg)  # seed 0's episodes 0-3
     assert len(records) == sum(ep.length - 1 for ep in episodes)
     assert 0.0 <= report.recall_at_a0 <= 1.0

@@ -164,7 +164,7 @@ def tape_actor_grad(agent, batch, j):
     if agent.cfg.stochastic:
         loss, nodes = tape.sac_actor_loss(agent, batch)
     else:
-        loss, nodes = tape.det_actor_loss(agent, batch, j, j)
+        loss, nodes = tape.det_actor_loss(agent, batch, j)
     tape.backprop(loss, 1.0, tape.param_leaves(nodes))
     return float(loss.value), tape.flat_grads(nodes)
 
