@@ -2,9 +2,10 @@
 
 All four algorithms share one actor/critic topology: actors map observation
 features to the 3-component dual action (accident score, fixation x, y),
-critics map [features, action] to a scalar value. Deterministic actors end
-in a tanh head that is affinely mapped to [0, 1] per component; a stochastic
-(SAC) actor emits a mean and log-std per component and squashes samples the
+critics map [features, action] to a scalar value. The networks are numkit
+MLPs with linear outputs; both actor heads are written here. A deterministic
+actor's ``deterministic_head`` is a clamped tanh mapped affinely onto [0, 1];
+a SAC actor emits a mean and log-std per component and squashes samples the
 same way. The network counts come from the config (``n_actors``,
 ``n_critics``); with two actors (DARC) each row acts with whichever actor
 the online critics value higher. The networks compute in float32: features
@@ -60,6 +61,13 @@ def squash01(t: np.ndarray) -> np.ndarray:
     return 0.5 * (t + 1.0)
 
 
+def deterministic_head(out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t, action): t = tanh(out), action = squash01(t clamped to +/- the float below 1)."""
+    t = np.tanh(out)
+    bound = np.nextafter(t.dtype.type(1), t.dtype.type(0))
+    return t, squash01(np.clip(t, -bound, bound))
+
+
 def sample_policy(out: np.ndarray, rng: np.random.Generator):
     """A reparameterized draw from the policy whose actor output is ``out``.
 
@@ -109,8 +117,7 @@ class Agent:
         self.cfg = cfg
         self.obs_dim = obs_dim
         actor_out = 2 * ACTION_DIM if cfg.stochastic else ACTION_DIM
-        actor_act = "identity" if cfg.stochastic else "tanh"
-        self.actor_spec = MlpSpec(obs_dim, cfg.hidden_dims, actor_out, actor_act)
+        self.actor_spec = MlpSpec(obs_dim, cfg.hidden_dims, actor_out)
         self.critic_spec = MlpSpec(obs_dim + ACTION_DIM, cfg.hidden_dims, 1)
 
     def _set_networks(self, actors, critics, target_actors, target_critics, noise_seed) -> None:
@@ -136,7 +143,7 @@ class Agent:
 
     def deterministic_candidates(self, actors, s: np.ndarray) -> list[np.ndarray]:
         """Each deterministic actor's action for the rows of ``s``, in [0, 1]."""
-        return [squash01(mlp_apply(actor, s)) for actor in actors]
+        return [deterministic_head(mlp_apply(actor, s))[1] for actor in actors]
 
     def _critic_value(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Mean online critic value of each row's (s, a), shaped [N, 1]."""

@@ -12,9 +12,9 @@ updated with rate tau.
 Each phase runs its networks forward with ``mlp_graph`` (acting and targets
 run its output alone, ``mlp_apply``), writes out the gradient of its loss
 with respect to each network's output by hand, and hands it to
-``autodiff.backprop`` for the chain rule through the network. The SAC
-actor draws its action with ``agent.sample_policy``, as acting and the
-target do.
+``autodiff.backprop`` for the chain rule through the network. The actor
+phases run the heads acting and the targets use (``agent.deterministic_head``
+and ``agent.sample_policy``); ``_action_grad`` holds both heads' derivative.
 Only the parameters a phase updates get a gradient (the critics' in the
 critic phase, the actor's in the actor phase); the actor phase also forms
 the critics' input gradient, of which it uses the action columns. Adam and
@@ -35,7 +35,7 @@ import numpy as np
 
 from ..numkit import adam_step, mlp_graph, soft_update
 from ..numkit import autodiff as ad
-from .agent import LOG_STD_MAX, LOG_STD_MIN, Agent, sample_policy, squash01
+from .agent import LOG_STD_MAX, LOG_STD_MIN, Agent, deterministic_head, sample_policy, squash01
 from .replay import ACTION_DIM, Batch, ReplayBuffer
 from .targets import LOG_TWO_PI, compute_targets, tanh_correction
 
@@ -86,8 +86,9 @@ def critic_update(agent: Agent, batch: Batch) -> dict[str, float]:
     return losses
 
 
-def _action_grad(agent: Agent, records, upstream) -> np.ndarray:
-    """d/dt of sum_i sum(upstream_i * Q_i(s, 0.5 * (t + 1))), for the tanh output t.
+def _action_grad(agent: Agent, records, upstream, t) -> np.ndarray:
+    """d/du of sum_i sum(upstream_i * Q_i(s, squash01(tanh(u)))), given t = tanh(u):
+    the chain rule of both actor heads (the deterministic head's clamp passes it).
 
     Each critic's input gradient is sliced to its action columns.
     """
@@ -98,17 +99,17 @@ def _action_grad(agent: Agent, records, upstream) -> np.ndarray:
             for record, g in zip(records, upstream)
         ],
     )
-    return g_x[:, agent.obs_dim :] * 0.5
+    return g_x[:, agent.obs_dim :] * 0.5 * (1.0 - t * t)
 
 
 def _det_actor_grad(agent: Agent, batch: Batch, j: int):
     """-mean Q_j(s, pi_j(s)): its value and actor j's flat gradient."""
     out, actor_record = mlp_graph(agent.actors[j], batch.s)
-    x = np.concatenate([batch.s, squash01(out)], axis=1)
-    q, critic_record = mlp_graph(agent.critics[j], x)
+    t, action = deterministic_head(out)
+    q, critic_record = mlp_graph(agent.critics[j], np.concatenate([batch.s, action], axis=1))
     g_q = np.full(q.shape, _mean_grad(q, -1.0), q.dtype)
-    g_t = _action_grad(agent, [critic_record], [g_q])
-    return float(-q.mean()), ad.backprop(actor_record, g_t)[0]
+    g_u = _action_grad(agent, [critic_record], [g_q], t)
+    return float(-q.mean()), ad.backprop(actor_record, g_u)[0]
 
 
 def _sac_actor_grad(agent: Agent, batch: Batch):
@@ -133,10 +134,10 @@ def _sac_actor_grad(agent: Agent, batch: Batch):
 
     g = _mean_grad(q_min)  # d loss / d(alpha * logp - q_min), per row
     g_logp = g * cfg.sac_alpha  # per entry of (const - log_std) - correction
-    g_t = _action_grad(agent, [record0, record1], [-g * take_0, -g * ~take_0])
+    g_a = _action_grad(agent, [record0, record1], [-g * take_0, -g * ~take_0], t)
     # u reaches the loss through the action and the tanh correction; log_std
     # through the normal term and std.
-    g_u = g_t * (1.0 - t * t) + (-g_logp) * (-2.0 * t)
+    g_u = g_a + (-g_logp) * (-2.0 * t)
     g_log_std = -g_logp + (g_u * eps) * std
     g_out = np.concatenate([g_u, g_log_std * inside], axis=1)
     g_out += 0.0  # the two column slices' zero padding turns -0.0 into +0.0

@@ -33,12 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..records import format_float, read_record, write_record
+from ..records import format_float, read_header, read_record, write_record
 from .config import EnvConfig
 from .saliency import SaliencyField, cell_centers, normalize_fields
 
 FORMAT_TAG = "ADE2"
 HEADER = f"{FORMAT_TAG} <H> <W> <T> <fps> <y> <t_a|-1> <crc32>"
+HEADER_TYPES = (int, int, int, float, int, int)
 RETIRED_TAGS = {
     "ADE1": f"ADE1 is the retired text episode format; this reader reads {FORMAT_TAG} "
     "(regenerate the files with `crashrl gen-data`)",
@@ -223,9 +224,7 @@ def load_episode_file(path) -> Episode:
     the saliency and fixation ranges, once over the whole episode; a range
     error names the first frame that breaks either.
     """
-    record = read_record(
-        path, HEADER, (int, int, int, float, int, int), RETIRED_TAGS, EpisodeFormatError
-    )
+    record = read_record(path, HEADER, HEADER_TYPES, RETIRED_TAGS, EpisodeFormatError)
     h, w, t_len, fps, y, t_a_raw = record.fields
     if h < 1 or w < 1 or t_len < 1:
         raise record.fail("nonpositive dimensions")
@@ -255,6 +254,12 @@ def load_episode_file(path) -> Episode:
         return Episode(saliency, y, t_a, track, fps, episode_id=_stem(path))
     except ValueError as exc:
         raise record.fail(str(exc)) from exc
+
+
+def episode_file_shape(path) -> tuple[tuple[int, int], int]:
+    """An episode file's grid shape and length, from its line 1 alone."""
+    record = read_header(path, HEADER, HEADER_TYPES, RETIRED_TAGS, EpisodeFormatError)
+    return tuple(record.fields[:2]), record.fields[2]
 
 
 def _stem(path) -> str:

@@ -4,7 +4,7 @@ Grid geometry: a field is an H x W array indexed [row, col]; cell (i, j)
 covers the normalized image patch centered at x = (j + 0.5)/W,
 y = (i + 0.5)/H, with (x, y) in [0, 1]^2 and y growing downward.
 
-``AccidentEnv.__init__`` and ``check_actions`` check the pool and the
+``mdp.check_steppable`` and ``check_actions`` check the pool and the
 fixations that ``attention_features`` takes.
 """
 
@@ -16,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import EnvConfig
-
-NORMALIZATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -40,9 +38,6 @@ class SaliencyField:
     @property
     def shape(self) -> tuple[int, int]:
         return self.grid.shape
-
-    def is_normalized(self) -> bool:
-        return abs(float(self.grid.sum()) - 1.0) <= NORMALIZATION_TOL
 
 
 def cell_centers(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:

@@ -8,11 +8,12 @@ every artifact into ``cfg.out_dir`` (through ``crashrl.atomic``).
 Every rollout steps ``AccidentEnv``: training steps each episode as a group
 of one, and ``collect_records`` (curve points, the final report and
 ``run_eval``) steps one env per lockstep group of held-out episodes. The
-rewards the env pays go into the eval records, which the curve's mean
-return and the traces read. Each held-out set (and ``run_eval``'s set)
-must pass ``metrics.require_reportable``, checked before the agent is built
-or the checkpoint read (and, for the first seed, before anything is
-written); a set that fails it is a ConfigError (exit 1).
+eval records hold the rewards it pays, for the curve's mean return and the
+traces. Every ``--data`` file passes ``check_steppable`` by its header
+line, and each held-out set (and ``run_eval``'s) passes
+``metrics.require_reportable``, before the agent is built or the
+checkpoint read (and, for the first seed, before anything is written); a
+file or a set that fails is a ConfigError (exit 1).
 
 Seed derivation (fixed so independent reruns agree): for a run seed s, the
 environment stream uses s, the agent s + 1000, the replay buffer s + 2000.
@@ -48,6 +49,8 @@ from ..env import (
     load_episode_file,
     write_episode_file,
 )
+from ..env.episode import episode_file_shape
+from ..env.mdp import check_steppable
 from ..metrics import (
     NO_ACCIDENT,
     EvalRecords,
@@ -89,12 +92,15 @@ class RunArtifacts:
     out_dir: str
 
 
-def episode_files(data_dir) -> list[str]:
-    """The sorted paths of the *.ade regular files in ``data_dir``."""
-    if not os.path.isdir(data_dir):
-        raise ConfigError(f"data: no such directory {data_dir}")
-    paths = (os.path.join(data_dir, name) for name in os.listdir(data_dir))
-    return sorted(path for path in paths if path.endswith(".ade") and os.path.isfile(path))
+def episode_files(cfg: RunConfig) -> list[str]:
+    """The sorted *.ade regular files in ``cfg.data_dir``, each steppable by its line 1."""
+    if not os.path.isdir(cfg.data_dir):
+        raise ConfigError(f"data: no such directory {cfg.data_dir}")
+    paths = (os.path.join(cfg.data_dir, name) for name in os.listdir(cfg.data_dir))
+    files = sorted(path for path in paths if path.endswith(".ade") and os.path.isfile(path))
+    for path in files:
+        check_steppable(path, *episode_file_shape(path), cfg.env, ConfigError)
+    return files
 
 
 class _EpisodeSource:
@@ -112,7 +118,7 @@ class _EpisodeSource:
         self._eval_files: list[str] = []
         self._parsed: dict[str, Episode] = {}
         if cfg.data_dir is not None:
-            files = episode_files(cfg.data_dir)
+            files = episode_files(cfg)
             if len(files) < cfg.eval_episodes + 1:
                 raise ConfigError(
                     f"data: directory {cfg.data_dir} holds {len(files)} episodes; "
@@ -379,7 +385,7 @@ def run_eval(checkpoint_path, cfg: RunConfig):
     if not os.path.isfile(checkpoint_path):
         raise ConfigError(f"checkpoint: no such file {checkpoint_path}")
     if cfg.data_dir is not None:
-        files = episode_files(cfg.data_dir)
+        files = episode_files(cfg)
         if not files:
             raise ConfigError(f"data: no .ade episodes under {cfg.data_dir}")
         episodes = [load_episode_file(path) for path in files]

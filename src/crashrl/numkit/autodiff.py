@@ -1,17 +1,16 @@
 """Reverse-mode gradients of MLP chains, from a recorded forward pass.
 
 ``mlp_graph`` (``numkit.mlp``) runs a network's forward pass and returns
-its output with an ``MlpRecord``: each layer's input and the unclamped
-tanh of a tanh head. ``backprop`` takes that record and the gradient of a
-loss with respect to the network's output (``upstream``) and applies the
-chain rule layer by layer, from the head down: dW = x.T @ g and
-db = g.sum(axis=0), then g @ W.T times the relu mask of the layer below.
-That mask is read off the next layer's recorded input, a relu output,
-which is > 0 exactly where its pre-activation is. It forms g @ W.T only
-where a lower layer or a requested input gradient needs it. The parameter
-gradient comes out as one flat vector in the network's ``MlpSpec`` layout,
-ready for ``adam_step``. The loss heads on top of the networks are written
-out by hand in ``agents.updates``.
+its output with an ``MlpRecord`` of each layer's input. ``backprop`` takes
+that record and the gradient of a loss with respect to the network's
+output (``upstream``) and applies the chain rule layer by layer, from the
+head down: dW = x.T @ g and db = g.sum(axis=0), then g @ W.T times the
+relu mask of the layer below. That mask is read off the next layer's
+recorded input, a relu output, which is > 0 exactly where its
+pre-activation is. It forms g @ W.T only where a lower layer or a requested
+input gradient needs it. The parameter gradient comes out as one flat
+vector in the network's ``MlpSpec`` layout, ready for ``adam_step``. The
+action and loss heads on top of the networks are written out in ``agents``.
 
 Every step computes in the parameters' dtype: float32 in the gradient
 phases, float64 for the finite-difference checks that run on a cast copy.
@@ -33,15 +32,13 @@ class MlpRecord(NamedTuple):
     """What ``backprop`` needs from one forward pass of one network.
 
     ``inputs[i]`` is layer i's input (for i > 0, hidden layer i - 1's relu
-    output) and ``tanh`` the unclamped tanh of a tanh head (None for an
-    identity head). ``net`` is the network, whose parameters must not
-    change before the backward pass. A tuple, not a dataclass: it is built
+    output). ``net`` is the network, whose parameters must not change
+    before the backward pass. A tuple, not a dataclass: it is built
     on every forward pass, batch-1 acting included.
     """
 
     net: Net
     inputs: list[np.ndarray]
-    tanh: np.ndarray | None
 
 
 def backprop(
@@ -61,8 +58,6 @@ def backprop(
         raise ValueError(
             f"upstream gradient shape {g.shape} does not match output {out_shape}"
         )
-    if record.tanh is not None:
-        g = g * (1.0 - record.tanh * record.tanh)
     flat = np.empty_like(net.flat) if params else None
     grads = net.spec.layers(flat) if params else None
     dx = None

@@ -1,16 +1,16 @@
 """MLP specification, parameter layout, initialization and the forward pass.
 
-Networks are plain chains: affine -> relu per hidden layer, then an affine
-output head with identity or tanh activation. ``MlpSpec`` owns the one
-parameter layout: layer i's weight W_i [fan_in, fan_out] then its bias b_i,
-for i = 0, 1, ..., each row-major, in one flat vector. A ``Net`` is a spec,
-its flat vector and per-layer (W, b) views into it. ``mlp_graph`` is the
-one forward pass: it returns the output with a record of what
-``autodiff.backprop`` needs to push a loss gradient back into one flat
-vector with the network's layout, ready for ``adam_step``. ``mlp_apply``,
-for acting and for targets, is ``mlp_graph`` without the record. Every
-value and gradient has the parameters' dtype: float32 (``DTYPE``) for the
-networks ``init_params`` makes, float64 for a cast copy.
+Networks are plain chains: affine -> relu per hidden layer, then a linear
+affine output; ``agents`` writes the actors' heads on top. ``MlpSpec`` owns
+the one parameter layout: layer i's weight W_i [fan_in, fan_out] then its
+bias b_i, for i = 0, 1, ..., each row-major, in one flat vector. A ``Net``
+is a spec, its flat vector and per-layer (W, b) views into it.
+``mlp_graph`` is the one forward pass: it returns the output with a record
+of what ``autodiff.backprop`` needs to push a loss gradient back into one
+flat vector with the network's layout, ready for ``adam_step``.
+``mlp_apply``, for acting and for targets, is ``mlp_graph`` without the
+record. Every value and gradient has the parameters' dtype: float32
+(``DTYPE``) for the networks ``init_params`` makes, float64 for a cast copy.
 """
 
 from __future__ import annotations
@@ -25,25 +25,20 @@ from . import autodiff as ad
 # gradient phases.
 DTYPE = np.float32
 
-OUTPUT_ACTIVATIONS = ("identity", "tanh")
-
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Architecture of one fully connected network: relu hidden layers."""
+    """Architecture of one fully connected network: relu hidden layers, linear output."""
 
     input_dim: int
     hidden_dims: tuple[int, ...]
     output_dim: int
-    output_activation: str = "identity"
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
         dims = (self.input_dim, *self.hidden_dims, self.output_dim)
         if any(int(d) < 1 for d in dims):
             raise ValueError(f"all dimensions must be >= 1, got {dims}")
-        if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise ValueError(f"unknown output activation {self.output_activation!r}")
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -106,25 +101,15 @@ def init_params(spec: MlpSpec, seed: int) -> Net:
     return Net(spec, flat.astype(DTYPE))
 
 
-def tanh_head_bound(dtype) -> np.floating:
-    """The largest value below 1 in ``dtype``, which tanh heads are clamped to.
-
-    tanh rounds to exactly +/-1.0 for |x| >~ 9 in float32 (>~ 19 in float64);
-    the clamp keeps heads strictly inside (-1, 1).
-    """
-    scalar = np.dtype(dtype).type
-    return np.nextafter(scalar(1), scalar(0))
-
-
 def mlp_graph(net: Net, x: np.ndarray) -> tuple[np.ndarray, ad.MlpRecord]:
     """The forward pass: the network's output and its ``MlpRecord``.
 
     ``x`` is cast to the parameters' dtype, so the pass runs in it. Each
-    layer's matmul output is a fresh array, so the bias, relu and tanh act
-    on it in place. relu is fmax(a, 0), which maps NaN and -0.0 to +0.0, so
+    layer's matmul output is a fresh array, so the bias and relu act on it
+    in place. relu is fmax(a, 0), which maps NaN and -0.0 to +0.0, so
     every entry equals where(a > 0, a, +0.0) bit for bit. (A pre-activation
     is -0.0 only under a -0.0 bias: x @ W + (+0.0) rounds -0.0 to +0.0.)
-    The record keeps each layer's input and a tanh head's unclamped tanh.
+    The record keeps each layer's input.
     """
     spec = net.spec
     h = np.asarray(x, dtype=net.flat.dtype)
@@ -138,12 +123,7 @@ def mlp_graph(net: Net, x: np.ndarray) -> tuple[np.ndarray, ad.MlpRecord]:
         h += b
         if i < last:
             np.fmax(h, 0.0, out=h)
-    tanh = None
-    if spec.output_activation == "tanh":
-        tanh = np.tanh(h, out=h)
-        bound = tanh_head_bound(h.dtype)
-        h = np.clip(tanh, -bound, bound)
-    return h, ad.MlpRecord(net, inputs, tanh)
+    return h, ad.MlpRecord(net, inputs)
 
 
 def mlp_apply(net: Net, x: np.ndarray) -> np.ndarray:

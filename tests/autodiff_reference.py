@@ -27,7 +27,6 @@ from crashrl.agents.agent import LOG_STD_MAX, LOG_STD_MIN
 from crashrl.agents.replay import ACTION_DIM
 from crashrl.agents.targets import LOG_TWO_PI, compute_targets
 from crashrl.numkit import DTYPE, adam_step, soft_update
-from crashrl.numkit.mlp import tanh_head_bound
 
 
 class Node:
@@ -177,9 +176,10 @@ def tanh(a: Node) -> Node:
 
 
 def tanh_head(a: Node) -> Node:
-    """tanh clamped to +/-tanh_head_bound so outputs stay strictly in (-1, 1)."""
+    """tanh clamped to +/- the largest value below 1 in its dtype, so outputs
+    stay strictly in (-1, 1)."""
     t = np.tanh(a.value)
-    bound = tanh_head_bound(t.dtype)
+    bound = np.nextafter(t.dtype.type(1), t.dtype.type(0))
     clamped = np.clip(t, -bound, bound)
 
     def push(g):
@@ -350,15 +350,13 @@ def backprop(root: Node, upstream, wrt=None) -> None:
 # ------------------------------------------------------------------ MLP graphs
 
 
-def mlp_graph(nodes, spec, x: Node) -> Node:
+def mlp_graph(nodes, x: Node) -> Node:
     """The forward graph of one network on its lifted (W, b) leaves."""
     h = x
     for i, (w, b) in enumerate(nodes):
         h = affine(h, w, b)
         if i < len(nodes) - 1:
             h = relu(h)
-    if spec.output_activation == "tanh":
-        h = tanh_head(h)
     return h
 
 
@@ -394,6 +392,11 @@ def _squash01_node(t: Node) -> Node:
     return scale(add_const(t, 1.0), 0.5)
 
 
+def deterministic_head(out: Node) -> Node:
+    """A deterministic actor's action from its network output."""
+    return _squash01_node(tanh_head(out))
+
+
 def critic_loss(agent, batch, targets):
     """Graph for the summed critic losses, plus the nu-weighted coupling.
 
@@ -407,7 +410,7 @@ def critic_loss(agent, batch, targets):
     y = lift(targets)
 
     critic_nodes = [lift_params(net) for net in agent.critics]
-    q = [mlp_graph(nodes, agent.critic_spec, x) for nodes in critic_nodes]
+    q = [mlp_graph(nodes, x) for nodes in critic_nodes]
     mse = [mean_all(square(sub(qi, y))) for qi in q]
 
     loss = reduce(add, mse)
@@ -423,9 +426,9 @@ def det_actor_loss(agent, batch, j: int):
     """Graph for -mean Q_j(s, pi_j(s)) and actor j's parameter leaves."""
     s = lift(batch.s)
     actor_nodes = lift_params(agent.actors[j])
-    action = _squash01_node(mlp_graph(actor_nodes, agent.actor_spec, s))
+    action = deterministic_head(mlp_graph(actor_nodes, s))
     critic_nodes = lift_params(agent.critics[j])
-    q = mlp_graph(critic_nodes, agent.critic_spec, concat_cols(s, action))
+    q = mlp_graph(critic_nodes, concat_cols(s, action))
     return neg(mean_all(q)), actor_nodes
 
 
@@ -434,7 +437,7 @@ def sac_actor_loss(agent, batch):
     cfg = agent.cfg
     s = lift(batch.s)
     actor_nodes = lift_params(agent.actors[0])
-    out = mlp_graph(actor_nodes, agent.actor_spec, s)
+    out = mlp_graph(actor_nodes, s)
     mean = slice_cols(out, 0, ACTION_DIM)
     log_std = clip(slice_cols(out, ACTION_DIM, 2 * ACTION_DIM), LOG_STD_MIN, LOG_STD_MAX)
     eps = agent.rng.standard_normal((len(batch), ACTION_DIM)).astype(DTYPE)
@@ -448,7 +451,7 @@ def sac_actor_loss(agent, batch):
 
     critic_nodes = [lift_params(net) for net in agent.critics]
     x = concat_cols(s, action)
-    q_min = reduce(minimum, [mlp_graph(nodes, agent.critic_spec, x) for nodes in critic_nodes])
+    q_min = reduce(minimum, [mlp_graph(nodes, x) for nodes in critic_nodes])
     loss = mean_all(sub(scale(logp, cfg.sac_alpha), q_min))
     return loss, actor_nodes
 

@@ -2,7 +2,8 @@
 
 ``gradient_check`` compares ``autodiff.backprop`` on ``mlp_graph``'s record
 with central finite differences of ``mlp_apply``, in float64 on a cast copy
-of ``init_params``' float32 networks.
+of ``init_params``' float32 networks, optionally through the deterministic
+actor's head (``agents.agent.deterministic_head``) on top.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 # Through the modules, so a test that wraps their functions sees every call.
+from crashrl.agents import agent
 from crashrl.numkit import MlpSpec, Net, init_params, mlp
 from crashrl.numkit import autodiff as ad
 
@@ -18,18 +20,22 @@ FD_STEP = 1e-5
 RELU_KINK_MARGIN = 1e-3
 
 
-def gradient_check(spec: MlpSpec, seed: int, probes: int) -> float:
+def gradient_check(spec: MlpSpec, head: str, seed: int, probes: int) -> float:
     """Max relative error of analytic gradients vs central finite differences.
 
     Probes a deterministic random subset of parameter and input coordinates
-    of the scalar loss sum(c * mlp(x)). Inputs are resampled until every relu
-    pre-activation sits at least RELU_KINK_MARGIN from its kink, so the
-    difference quotient never straddles a nondifferentiable point. The check
-    runs in float64, on a cast copy of the float32 initial parameters, through
-    the same functions as the gradient phases.
+    of the scalar loss sum(c * head(mlp(x))), where ``head`` "identity" is
+    none and "tanh" is the deterministic actor's action head. Inputs are
+    resampled until every relu pre-activation sits at least RELU_KINK_MARGIN
+    from its kink, so the difference quotient never straddles a
+    nondifferentiable point. The check runs in float64, on a cast copy of
+    the float32 initial parameters, through the same functions as the
+    gradient phases.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
+    if head not in ("identity", "tanh"):
+        raise ValueError(f"unknown head {head!r}")
     rng = np.random.default_rng(seed)
     initial = init_params(spec, seed)
     net = Net(spec, initial.flat.astype(np.float64))
@@ -53,12 +59,19 @@ def gradient_check(spec: MlpSpec, seed: int, probes: int) -> float:
     weighting = rng.standard_normal((batch, spec.output_dim))
 
     # Analytic gradients along the path the gradient phases run.
-    _, record = mlp.mlp_graph(net, x)
-    param_grads, input_grads = ad.backprop(record, weighting, inputs=True)
+    out, record = mlp.mlp_graph(net, x)
+    upstream = weighting
+    if head == "tanh":  # as the actor phase: squash01's 0.5, then tanh's derivative
+        t, _ = agent.deterministic_head(out)
+        upstream = (weighting * 0.5) * (1.0 - t * t)
+    param_grads, input_grads = ad.backprop(record, upstream, inputs=True)
     analytic = np.concatenate([param_grads, input_grads.reshape(-1)])
 
     def loss(p: Net, xv: np.ndarray) -> float:
-        return float(np.sum(mlp.mlp_apply(p, xv) * weighting))
+        out = mlp.mlp_apply(p, xv)
+        if head == "tanh":
+            out = agent.deterministic_head(out)[1]
+        return float(np.sum(out * weighting))
 
     # Probe a shuffled subset of the coordinates: parameters first, then inputs.
     n_params = net.flat.size

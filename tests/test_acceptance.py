@@ -205,19 +205,16 @@ def test_c2_metric_exactness():
 
 
 def test_c3_gradient_correctness():
-    """gradient_check < 1e-4 over 20 random specs; runtime < 10 s."""
+    """gradient_check < 1e-4 over 20 random specs, each with no head or the
+    deterministic actor's tanh head on top; runtime < 10 s."""
     start = time.monotonic()
     rng = np.random.default_rng(99)
     worst = 0.0
     for trial in range(20):
         widths = tuple(int(w) for w in rng.choice([4, 8, 16], size=rng.integers(1, 3)))
-        spec = MlpSpec(
-            int(rng.integers(2, 6)),
-            widths,
-            int(rng.integers(1, 4)),
-            output_activation=str(rng.choice(["identity", "tanh"])),
-        )
-        worst = max(worst, gradient_check(spec, seed=trial, probes=25))
+        spec = MlpSpec(int(rng.integers(2, 6)), widths, int(rng.integers(1, 4)))
+        head = str(rng.choice(["identity", "tanh"]))
+        worst = max(worst, gradient_check(spec, head, seed=trial, probes=25))
     elapsed = time.monotonic() - start
     ok = worst < 1e-4 and elapsed < 10.0
     report("3 gradient-correctness", ok, f"max rel err={worst:.2e}, {elapsed:.1f}s")

@@ -119,7 +119,7 @@ class TestActionSelection:
         agent.actors[1] = agent.actors[0].copy()
         s = np.random.default_rng(2).uniform(0, 1, 5)
         expected = (
-            0.5 * (mlp_apply(agent.actors[0], s.reshape(1, -1)) + 1.0)
+            0.5 * (np.tanh(mlp_apply(agent.actors[0], s.reshape(1, -1))) + 1.0)
         ).reshape(-1)
         got = agent.action_array(s, mode="eval")
         assert np.array_equal(got, expected)
@@ -190,9 +190,7 @@ class TestTargets:
         agent = Agent(small_cfg("td3", target_noise=0.0), obs_dim=4, seed=5)
         batch = random_batch(np.random.default_rng(5), 32, 4, done_rate=0.0)
         parts = compute_targets(batch, agent)
-        a_next = 0.5 * (
-            mlp_apply(agent.target_actors[0], batch.s_next) + 1.0
-        )
+        a_next = 0.5 * (np.tanh(mlp_apply(agent.target_actors[0], batch.s_next)) + 1.0)
         x = np.concatenate([batch.s_next, a_next], axis=1)
         q1 = mlp_apply(agent.target_critics[0], x)
         q2 = mlp_apply(agent.target_critics[1], x)

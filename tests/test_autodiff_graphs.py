@@ -126,7 +126,7 @@ def test_det_actor_loss_gradients_match_finite_differences():
     grads = Net(agent.actors[0].spec, grad)
 
     def loss_value():
-        a = 0.5 * (mlp_apply(agent.actors[0], batch.s) + 1.0)
+        a = 0.5 * (np.tanh(mlp_apply(agent.actors[0], batch.s)) + 1.0)
         q = mlp_apply(agent.critics[0], np.concatenate([batch.s, a], axis=1))
         return float(-q.mean())
 

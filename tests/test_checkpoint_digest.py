@@ -8,11 +8,16 @@ the gradient phases changes the bytes ``Agent.save`` writes.
 The digests of fresh agents take no BLAS or transcendental bits. The
 digests after updates do: they were recorded with numpy 2.4.6's float32
 gemm (its bundled OpenBLAS) and exp/tanh/logaddexp kernels on an x86-64
-AVX-512 CPU, and hold with one or two BLAS threads. If only the updated
+AVX-512 CPU, where OpenBLAS picks its ``SkylakeX`` kernel, and hold with one
+or two BLAS threads. Other kernels round float32 products differently, so
+their failure message names the kernel the run used: if only the updated
 digests fail on another CPU, look at its BLAS kernel before the code.
 """
 
+import ctypes
+import glob
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -35,6 +40,21 @@ UPDATED_SHA256 = {
     "sac": "f2319a261931f765c365abc38ac234b6ece75745bd474898ad296109484310e8",
     "darc": "35b00dacd3db703facf85e70afa620a2f0c3eba256decf92b90c0a0153639152",
 }
+
+
+def openblas_core(pattern="libscipy_openblas64_*") -> str:
+    """The kernel numpy's bundled OpenBLAS runs on this CPU (e.g. ``SkylakeX``;
+    ``OPENBLAS_CORETYPE`` forces another), or "unknown" without the library
+    or its ``scipy_openblas_get_corename64_``."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", pattern)
+    for path in sorted(glob.glob(libs)):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 def tiny_agent(algo):
@@ -68,4 +88,13 @@ def test_checkpoint_bytes_after_updates_are_pinned(tmp_path, algo):
     for batch in batches(12):
         update(agent, batch)
     agent.total_env_steps = 40
-    assert saved_digest(agent, tmp_path / "ck.txt") == UPDATED_SHA256[algo]
+    assert saved_digest(agent, tmp_path / "ck.txt") == UPDATED_SHA256[algo], (
+        f"recorded on OpenBLAS's SkylakeX kernel; this run used {openblas_core()}"
+    )
+
+
+def test_the_failure_message_names_the_blas_kernel():
+    core = openblas_core()
+    assert core and core.isprintable()
+    assert openblas_core("libgfortran-*") == "unknown"  # a library without the symbol
+    assert openblas_core("no-such-library-*") == "unknown"

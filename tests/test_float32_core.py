@@ -48,7 +48,7 @@ def _arrays(values):
         elif isinstance(value, Net):
             yield value.flat
         elif isinstance(value, ad.MlpRecord):
-            yield from _arrays([value.net, *value.inputs, value.tanh])
+            yield from _arrays([value.net, *value.inputs])
         elif isinstance(value, tuple):
             yield from _arrays(value)
 
@@ -62,8 +62,10 @@ def test_training_keeps_every_core_array_float32(algo, monkeypatch):
 
     for module, name in (
         (agent_module, "mlp_apply"),
+        (agent_module, "deterministic_head"),
         (targets_module, "mlp_apply"),
         (updates_module, "mlp_graph"),
+        (updates_module, "deterministic_head"),
         (updates_module, "adam_step"),
         (updates_module, "soft_update"),
         (ad, "backprop"),
@@ -121,8 +123,9 @@ def test_gradient_check_computes_in_float64(monkeypatch):
     for name in ("mlp_apply", "mlp_graph"):
         _recorder(monkeypatch, mlp_module, name, record)
     _recorder(monkeypatch, ad, "backprop", record)
-    spec = MlpSpec(4, (8, 8), 3, output_activation="tanh")
-    assert gradient_check(spec, seed=0, probes=10) < 1e-4
+    _recorder(monkeypatch, agent_module, "deterministic_head", record)
+    spec = MlpSpec(4, (8, 8), 3)
+    assert gradient_check(spec, "tanh", seed=0, probes=10) < 1e-4
     names = {name for name, _ in seen}
-    assert names == {"mlp_apply", "mlp_graph", "backprop"}
+    assert names == {"mlp_apply", "mlp_graph", "backprop", "deterministic_head"}
     assert {dtype for _, dtype in seen} == {F64}

@@ -10,7 +10,7 @@ import pytest
 
 from crashrl.agents import Agent, AgentConfig, ReplayBuffer, train_step
 from crashrl.cli import main as cli_main
-from crashrl.env import AccidentEnv, EnvConfig, generate_episode, write_episode_file
+from crashrl.env import AccidentEnv, EnvConfig, Episode, generate_episode, write_episode_file
 from crashrl.harness import (
     ConfigError,
     ConstantScoreAgent,
@@ -603,18 +603,71 @@ class TestCli:
         traces = sorted(p.name for p in (out / "td3" / "seed_0" / "traces").iterdir())
         assert traces == [f"trace_episode_{s:05d}.csv" for s in range(101, 105)]
 
-    def test_train_data_names_an_episode_the_pool_does_not_divide(self, tmp_path, capsys):
+    def _data_with(self, tmp_path, name, episode):
+        """Five 24-frame 8x8 episode files plus ``episode`` as ``name``.ade."""
         data = tmp_path / "data"
         gen = ["gen-data", "--count", "5", "--seed", "100", "--episode-length", "24",
                "--grid", "8", "--pool", "4", "--stack", "2", "--out", str(data)]
         assert cli_main(gen) == 0
+        write_episode_file(episode, data / f"{name}.ade")
+        return data / f"{name}.ade"
+
+    def test_train_data_names_an_episode_the_pool_does_not_divide(self, tmp_path, capsys):
         small = EnvConfig(grid_h=6, grid_w=6, pool_h=3, pool_w=3, episode_len=24)
-        write_episode_file(generate_episode(small, 5), data / "a_small.ade")  # trains first
-        assert cli_main(self._train_flags(tmp_path / "runs") + ["--data", str(data)]) == 2
+        path = self._data_with(tmp_path, "a_small", generate_episode(small, 5))  # trains first
+        capsys.readouterr()
+        assert cli_main(self._train_flags(tmp_path / "runs") + ["--data", str(path.parent)]) == 1
         assert capsys.readouterr().err == (
-            "runtime failure: episode 'a_small': pool dims (4x4) must divide the episode "
-            "grid (6x6)\n"
+            f"error: episode '{path}': pool dims (4x4) must divide the episode grid (6x6)\n"
         )
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("name", ["a_bad", "z_bad"], ids=["training-file", "held-out-file"])
+    @pytest.mark.parametrize("kind", ["grid", "one-frame"])
+    def test_train_data_checks_every_file_before_any_parse_or_write(
+        self, tmp_path, capsys, monkeypatch, name, kind
+    ):
+        """A training file (sorted first) or a held-out file (sorted last) the
+        env could not step fails from its header line: no episode file is
+        parsed and nothing is written."""
+        import crashrl.harness.running as running_mod
+
+        if kind == "grid":
+            small = EnvConfig(grid_h=6, grid_w=6, pool_h=3, pool_w=3, episode_len=24)
+            episode, rule = generate_episode(small, 5), "pool dims (4x4) must divide"
+        else:
+            episode = Episode(np.full((1, 8, 8), 1 / 64.0), 0, None, np.full((1, 2), 0.5), 10.0)
+            rule = "must have at least 2 frames to step"
+        path = self._data_with(tmp_path, name, episode)
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("no episode file may be parsed before the check")
+
+        monkeypatch.setattr(running_mod, "load_episode_file", no_parse)
+        capsys.readouterr()
+        assert cli_main(self._train_flags(tmp_path / "runs") + ["--data", str(path.parent)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: episode '{path}': {rule}")
+        assert not (tmp_path / "runs").exists()
+
+    def test_eval_data_checks_every_file_before_reading_the_checkpoint(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        small = EnvConfig(grid_h=6, grid_w=6, pool_h=3, pool_w=3, episode_len=24)
+        path = self._data_with(tmp_path, "m_small", generate_episode(small, 5))
+        checkpoint = tmp_path / "ck.txt"
+        Agent(AgentConfig(algo="td3", hidden_dims=(8, 8)), obs_dim=32, seed=0).save(checkpoint)
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("the checkpoint must not be read")
+
+        monkeypatch.setattr(Agent, "load", no_load)
+        capsys.readouterr()
+        code = cli_main(self._eval_flags(tmp_path, checkpoint) + ["--data", str(path.parent)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: episode '{path}': pool dims (4x4) must divide the episode grid (6x6)\n"
+        )
+        assert not (tmp_path / "eval_out").exists()
 
     @pytest.mark.parametrize(
         "env,rule",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crashrl.agents import Agent, AgentConfig
-from crashrl.agents.agent import squash01
+from crashrl.agents.agent import deterministic_head
 from crashrl.env import (
     AccidentEnv,
     EnvConfig,
@@ -262,7 +262,7 @@ class TestBatchedActionArray:
         chosen = []
         for row, got in zip(s, batched):
             candidates = [
-                squash01(mlp_apply(actor, row[None]))[0]
+                deterministic_head(mlp_apply(actor, row[None]))[1][0]
                 for actor in agent.actors
             ]
             single = agent.action_array(row, mode="eval")

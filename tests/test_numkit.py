@@ -15,6 +15,7 @@ from crashrl.numkit import (
     mlp_graph,
     soft_update,
 )
+from crashrl.agents.agent import deterministic_head
 from crashrl.numkit import autodiff as ad
 from finite_difference import gradient_check
 
@@ -85,15 +86,20 @@ class TestMlpForward:
         y = mlp_apply(net, np.random.default_rng(0).normal(size=(5, 4)))
         assert np.all(y == 0.0)
 
-    def test_tanh_head_strictly_inside_open_interval(self):
-        spec = MlpSpec(2, (4,), 3, output_activation="tanh")
+    def test_deterministic_head_clamps_a_saturated_tanh(self):
+        """Saturated, tanh rounds to +/-1.0 and the head clamps it inside
+        (-1, 1): the action stays above 0. At the top, squash01's float32
+        rounding of 1 + (1 - 2^-24) still gives 1.0."""
+        spec = MlpSpec(2, (4,), 3)
         net = init_params(spec, seed=0)
-        # blow up the output layer to saturate tanh
+        # blow up the output layer to saturate tanh, one column negative
         w, b = net.layers[1]
         w[:] = 1e6
         b[:] = 1e6
-        y = mlp_apply(net, np.ones((4, 2)))
-        assert np.all(y < 1.0) and np.all(y > -1.0)
+        w[:, 1] = b[1] = -1e6
+        t, action = deterministic_head(mlp_apply(net, np.ones((4, 2))))
+        assert np.all(np.abs(t) == 1.0)
+        assert np.all(action[:, 1] == 2.0**-25) and np.all(action[:, [0, 2]] == 1.0)
 
     def test_single_affine_layer_hand_value(self):
         y = mlp_apply(line(2.0, 1.0), [[3.0]])
@@ -106,7 +112,7 @@ class TestMlpForward:
             mlp_apply(net, np.zeros((2, 5)))
 
     def test_forward_matches_apply(self):
-        spec = MlpSpec(5, (7, 3), 2, output_activation="tanh")
+        spec = MlpSpec(5, (7, 3), 2)
         net = init_params(spec, seed=9)
         x = np.random.default_rng(1).normal(size=(6, 5))
         # Both cast x to the parameters' float32.
@@ -142,24 +148,20 @@ class TestBackward:
 
 class TestGradientCheck:
     def test_random_two_layer_net(self):
-        spec = MlpSpec(4, (8, 8), 3, output_activation="tanh")
-        assert gradient_check(spec, seed=0, probes=60) < 1e-4
+        spec = MlpSpec(4, (8, 8), 3)
+        assert gradient_check(spec, "tanh", seed=0, probes=60) < 1e-4
 
     def test_linear_net_near_machine_precision(self):
         spec = MlpSpec(3, (), 2)
-        assert gradient_check(spec, seed=1, probes=11) < 1e-9
+        assert gradient_check(spec, "identity", seed=1, probes=11) < 1e-9
 
     def test_twenty_random_specs(self):
         rng = np.random.default_rng(123)
         for trial in range(20):
             widths = tuple(rng.choice([4, 8, 16], size=rng.integers(1, 3)))
-            spec = MlpSpec(
-                int(rng.integers(2, 6)),
-                widths,
-                int(rng.integers(1, 4)),
-                output_activation=str(rng.choice(["identity", "tanh"])),
-            )
-            assert gradient_check(spec, seed=trial, probes=25) < 1e-4
+            spec = MlpSpec(int(rng.integers(2, 6)), widths, int(rng.integers(1, 4)))
+            head = str(rng.choice(["identity", "tanh"]))
+            assert gradient_check(spec, head, seed=trial, probes=25) < 1e-4
 
 
 class TestAdam:
@@ -223,7 +225,7 @@ class TestSoftUpdate:
 
 
 def test_exported_ops_are_deterministic():
-    spec = MlpSpec(4, (6, 6), 2, output_activation="tanh")
+    spec = MlpSpec(4, (6, 6), 2)
     net = init_params(spec, seed=13)
     x = np.random.default_rng(21).normal(size=(3, 4))
     assert np.array_equal(mlp_apply(net, x), mlp_apply(net, x))

@@ -17,6 +17,7 @@ import pytest
 import autodiff_reference as tape
 from crashrl.agents import ALGOS, Agent, AgentConfig, Batch
 from crashrl.agents import updates
+from crashrl.agents.agent import deterministic_head
 from crashrl.env import EnvConfig
 from crashrl.numkit import MlpSpec, Net, init_params, mlp_graph
 from crashrl.numkit import autodiff as ad
@@ -51,7 +52,8 @@ CHAINS = [((), "identity"), ((8,), "tanh"), ((16, 8), "identity"), ((16, 8, 4), 
     + [pytest.param((16, 8, 4), "tanh", -0.0, id="negative-zero-biases")],
 )
 def test_backprop_matches_the_tape_on_mlp_chains(hidden, head, bias, dtype):
-    spec = MlpSpec(5, hidden, 3, output_activation=head)
+    """A "tanh" head is the deterministic actor's, on top of the network."""
+    spec = MlpSpec(5, hidden, 3)
     net = init_params(spec, seed=3)
     net = Net(spec, net.flat.astype(dtype) * 3.0)  # some tanh entries clamp
     rng = np.random.default_rng(4)
@@ -68,14 +70,19 @@ def test_backprop_matches_the_tape_on_mlp_chains(hidden, head, bias, dtype):
     upstream = rng.standard_normal((9, 3)).astype(dtype)
 
     out, record = mlp_graph(net, x)
-    flat, dx = ad.backprop(record, upstream, inputs=True)
     nodes, x_node = tape.lift_params(net), tape.lift(x)
-    root = tape.mlp_graph(nodes, spec, x_node)
+    root = tape.mlp_graph(nodes, x_node)
+    g = upstream
+    if head == "tanh":  # as the actor phase applies it: squash01, then tanh
+        t, out = deterministic_head(out)
+        g = (upstream * 0.5) * (1.0 - t * t)
+        root = tape.deterministic_head(root)
+    flat, dx = ad.backprop(record, g, inputs=True)
     tape.backprop(root, upstream, [*tape.param_leaves(nodes), x_node])
     assert same_bits(out, root.value)
     assert same_bits(flat, tape.flat_grads(nodes))
     assert same_bits(dx, x_node.grad)
-    assert same_bits(ad.backprop(record, upstream)[0], flat)
+    assert same_bits(ad.backprop(record, g)[0], flat)
     for h in record.inputs[1:]:  # relu outputs, as the tape's where(a > 0, a, +0.0)
         assert not np.signbit(h).any()
 
@@ -213,5 +220,5 @@ def test_saturated_case_reaches_the_clamps():
     assert (log_std[:, 0] < -20.0).all()
     td3 = Agent(AgentConfig(algo="td3", hidden_dims=(16, 8)), obs_dim, seed=11)
     saturate(td3)
-    _, record = updates.mlp_graph(td3.actors[0], s)
-    assert (np.abs(record.tanh) == 1.0).any()
+    t, _ = deterministic_head(updates.mlp_graph(td3.actors[0], s)[0])
+    assert (np.abs(t) == 1.0).any()
