@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict
+from functools import reduce
 
 import numpy as np
 
@@ -62,7 +63,12 @@ def squash01(t: np.ndarray) -> np.ndarray:
 
 
 def deterministic_head(out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(t, action): t = tanh(out), action = squash01(t clamped to +/- the float below 1)."""
+    """(t, action): t = tanh(out), action = squash01(t clamped to +/- the float below 1).
+
+    In float32 the clamp keeps a saturated action off 0 only: squash01 maps
+    the clamped bottom to exactly 2^-25, but rounds the clamped top up to
+    exactly 1.0.
+    """
     t = np.tanh(out)
     bound = np.nextafter(t.dtype.type(1), t.dtype.type(0))
     return t, squash01(np.clip(t, -bound, bound))
@@ -148,7 +154,8 @@ class Agent:
     def _critic_value(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Mean online critic value of each row's (s, a), shaped [N, 1]."""
         x = np.concatenate([s, a], axis=1)
-        return np.mean([mlp_apply(critic, x) for critic in self.critics], axis=0)
+        qs = [mlp_apply(critic, x) for critic in self.critics]
+        return reduce(np.add, qs) / len(qs)
 
     def action_array(self, features: np.ndarray, mode: str = "eval") -> np.ndarray:
         """Raw float64 actions: [obs_dim] features give [3], [N, obs_dim] give [N, 3].

@@ -55,11 +55,13 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def push(self, s, action, r: float, s_next, done: bool) -> None:
-        """Store one transition with the flattened dual action; evicts the oldest when full."""
-        s = np.ascontiguousarray(s, dtype=np.float64).reshape(-1)
-        s_next = np.ascontiguousarray(s_next, dtype=np.float64).reshape(-1)
-        action = np.ascontiguousarray(action, dtype=np.float64).reshape(-1)
+    def push(
+        self, s: np.ndarray, action: np.ndarray, r: float, s_next: np.ndarray, done: bool
+    ) -> None:
+        """Store one transition: [obs_dim] states and the [3] dual action, as arrays.
+
+        The row writes cast them to float32. Evicts the oldest when full.
+        """
         if s.shape != s_next.shape:
             raise ValueError("state and next-state feature lengths must match")
         if self._s is None:

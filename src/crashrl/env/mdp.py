@@ -40,12 +40,14 @@ def check_actions(actions, n: int) -> np.ndarray:
         raise ValueError(
             f"actions must have shape [{n}, 3], got {list(actions.shape)}"
         )
-    valid = (actions >= 0.0) & (actions <= 1.0)
-    if not valid.all():
-        a, px, py = actions[np.flatnonzero(~valid.all(axis=1))[0]].tolist()
+    # Python floats, row by row like the rewards after it: for a group of one
+    # this costs a sixth of a vectorized check's numpy calls. NaN fails every
+    # comparison.
+    for a, px, py in actions.tolist():
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"accident score must be in [0, 1], got {a}")
-        raise ValueError(f"fixation must lie in [0, 1]^2, got {(px, py)}")
+        if not (0.0 <= px <= 1.0 and 0.0 <= py <= 1.0):
+            raise ValueError(f"fixation must lie in [0, 1]^2, got {(px, py)}")
     return actions
 
 
@@ -77,6 +79,7 @@ class AccidentEnv:
         self.episodes = episodes
         self.cfg = cfg
         self._tracks = [episode.fixation_track.tolist() for episode in episodes]
+        self._last_t = episodes[0].length - 1
         self.t: int | None = None
         self._obs: np.ndarray | None = None
 
@@ -102,7 +105,7 @@ class AccidentEnv:
     def done(self) -> bool:
         if self.t is None:
             raise RuntimeError("environment must be reset before use")
-        return self.t >= self.episodes[0].length - 1
+        return self.t >= self._last_t
 
     def step(self, actions) -> StepResult:
         """Pay frame t's rewards for ``actions[N, 3]``, then observe frame t + 1.

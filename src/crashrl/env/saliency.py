@@ -62,9 +62,13 @@ def normalize_fields(grids: np.ndarray) -> np.ndarray:
     n, h, w = grids.shape
     totals = np.add.reduce(grids.reshape(n, -1), axis=1)
     empty = totals <= 0.0
-    totals[empty] = 1.0
+    # Most stacks hold no empty field: skip both mask writes for them.
+    has_empty = np.count_nonzero(empty)
+    if has_empty:
+        totals[empty] = 1.0
     grids /= totals[:, None, None]
-    grids[empty] = 1.0 / (h * w)
+    if has_empty:
+        grids[empty] = 1.0 / (h * w)
     return grids
 
 
@@ -84,10 +88,12 @@ def attention_features(raw: np.ndarray, fixations: np.ndarray, cfg: EnvConfig) -
     xs, ys = _center_axes(h, w)
     fx = fixations[:, 0, None, None]
     fy = fixations[:, 1, None, None]
-    # The order of these operations fixes the bits the oracle must match.
+    # The order of these operations fixes the bits the oracle must match. The
+    # oracle negates the squared distance and then divides; dividing by the
+    # negated denominator gives the same bits, as IEEE division is
+    # sign-symmetric.
     fov = (xs - fx) ** 2 + (ys - fy) ** 2
-    np.negative(fov, out=fov)
-    fov /= 2.0 * cfg.sigma_f**2
+    fov /= -(2.0 * cfg.sigma_f**2)
     np.exp(fov, out=fov)
     fov *= raw
     normalize_fields(fov)

@@ -124,6 +124,23 @@ class TestActionSelection:
         got = agent.action_array(s, mode="eval")
         assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("subnormal", [False, True])
+    def test_darc_acting_value_is_np_mean_of_its_critics_bitwise(self, subnormal):
+        agent = Agent(small_cfg("darc"), obs_dim=5, seed=4)
+        if subnormal:
+            # Outputs of 1 and 2 float32 ulps: their mean, 1.5 ulps, rounds.
+            for k, critic in enumerate(agent.critics, start=1):
+                w, b = critic.layers[-1]
+                w[:] = 0.0
+                b[:] = k * np.finfo(np.float32).smallest_subnormal
+        rng = np.random.default_rng(6)
+        s = rng.uniform(0, 1, (64, 5)).astype(np.float32)
+        a = rng.uniform(0, 1, (64, 3)).astype(np.float32)
+        x = np.concatenate([s, a], axis=1)
+        expected = np.mean([mlp_apply(critic, x) for critic in agent.critics], axis=0)
+        got = agent._critic_value(s, a)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
     def test_darc_prefers_higher_valued_candidate(self):
         agent = Agent(small_cfg("darc", hidden_dims=()), obs_dim=2, seed=0)
         # actor 0 -> accident score 0.9, actor 1 -> 0.1 (others 0.5)

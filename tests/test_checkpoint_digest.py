@@ -8,10 +8,12 @@ the gradient phases changes the bytes ``Agent.save`` writes.
 The digests of fresh agents take no BLAS or transcendental bits. The
 digests after updates do: they were recorded with numpy 2.4.6's float32
 gemm (its bundled OpenBLAS) and exp/tanh/logaddexp kernels on an x86-64
-AVX-512 CPU, where OpenBLAS picks its ``SkylakeX`` kernel, and hold with one
-or two BLAS threads. Other kernels round float32 products differently, so
-their failure message names the kernel the run used: if only the updated
-digests fail on another CPU, look at its BLAS kernel before the code.
+AVX-512 CPU, one row per OpenBLAS kernel, each forced with
+``OPENBLAS_CORETYPE`` and read back with ``openblas_core()``, and hold with
+one or two BLAS threads. Kernels round float32 products differently, so the
+rows differ. A kernel without a row fails, naming itself: record its four
+digests under that kernel, and if only the updated digests fail on a kernel
+that has a row, look at the kernel before the code.
 """
 
 import ctypes
@@ -34,11 +36,38 @@ FRESH_SHA256 = {
     "sac": "86fc257c25f3764d72b54445f408b5fc66299bbf346ab9a92546ee1307f2abaf",
     "darc": "f9509a166b7c751b2941332d09b2c1995a93d577545026f4b0a05d0b3b1cfe27",
 }
+# The Sandybridge and Nehalem kernels round these products alike.
+_SANDYBRIDGE_NEHALEM_SHA256 = {
+    "ddpg": "83dccaf497a9befafe3379b353549486570e623b904dccb691c3046307c7e716",
+    "td3": "6d88dbbbdb3c20497246e638c8e4af85690e647dbc7e1a9d8cd57cdc610b2847",
+    "sac": "6c1f1279e75fdfae79197a91ff826df6fef730dad50745018f28c702b2869da1",
+    "darc": "4d4474f197d40a12dba08abaaf7d97938852c50fbbef3c2d63c90342834b8405",
+}
+# Keyed by the kernel openblas_core() reports. On the AVX-512 CPU they were
+# recorded on, a forced Cooperlake or SapphireRapids runs SkylakeX, Zen runs
+# Haswell, Atom, Barcelona and Bobcat run Nehalem, Bulldozer and its
+# successors run Sandybridge, and Prescott, Core2 and older run Katmai.
 UPDATED_SHA256 = {
-    "ddpg": "24cbcf39af48ef11ef1d75d2bc3e4f24ba812019fcc78b48976414147dc69ff4",
-    "td3": "fe1d08a84ed485afacc7d930594659080a83299f428d70af8de356e7f9145f73",
-    "sac": "f2319a261931f765c365abc38ac234b6ece75745bd474898ad296109484310e8",
-    "darc": "35b00dacd3db703facf85e70afa620a2f0c3eba256decf92b90c0a0153639152",
+    "SkylakeX": {
+        "ddpg": "24cbcf39af48ef11ef1d75d2bc3e4f24ba812019fcc78b48976414147dc69ff4",
+        "td3": "fe1d08a84ed485afacc7d930594659080a83299f428d70af8de356e7f9145f73",
+        "sac": "f2319a261931f765c365abc38ac234b6ece75745bd474898ad296109484310e8",
+        "darc": "35b00dacd3db703facf85e70afa620a2f0c3eba256decf92b90c0a0153639152",
+    },
+    "Haswell": {
+        "ddpg": "ef7d3f34962b9d45c75210adacab818d54a98d46884a5e445e7cf27d500c929b",
+        "td3": "f52642f669bfeb6cfc54a70cf72e80e41ae7bc2a9bae4f8dc543054397f5e208",
+        "sac": "8d6207b50ce023d2bbc9001a5c9d9c441c590933cd7724ded420cf02f65270a9",
+        "darc": "c91848a7c0ad389bc290278d4486f546445042124d940ead06aa1951f398d03a",
+    },
+    "Sandybridge": _SANDYBRIDGE_NEHALEM_SHA256,
+    "Nehalem": _SANDYBRIDGE_NEHALEM_SHA256,
+    "Katmai": {
+        "ddpg": "dc73853572e2f0bce81b1e1dfb0219d56faed8e34a7fed9aca29a1b7fde8ad59",
+        "td3": "12d1dc08cbca3038d468f5a6e8750c59db271ebb4f95b183e806e8ef1e5047f0",
+        "sac": "fee4a99e3908dbf37df24d3e0175507f41dc9c36f3f869d667630fed74bdb7de",
+        "darc": "5ed6a5c56ef8487bd49cc991d27e74d9e99f13a83b44f08e6938255b089ba6a8",
+    },
 }
 
 
@@ -77,6 +106,17 @@ def saved_digest(agent, path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def pinned_update_digest(core, algo):
+    """The digest after updates recorded on OpenBLAS kernel ``core``; a kernel
+    without a row fails (never skips), naming the kernel."""
+    if core not in UPDATED_SHA256:
+        pytest.fail(
+            f"no update digests recorded for OpenBLAS's {core} kernel; record "
+            "its row of UPDATED_SHA256 on a CPU that runs it"
+        )
+    return UPDATED_SHA256[core][algo]
+
+
 @pytest.mark.parametrize("algo", ALGOS)
 def test_fresh_checkpoint_bytes_are_pinned(tmp_path, algo):
     assert saved_digest(tiny_agent(algo), tmp_path / "ck.txt") == FRESH_SHA256[algo]
@@ -88,8 +128,9 @@ def test_checkpoint_bytes_after_updates_are_pinned(tmp_path, algo):
     for batch in batches(12):
         update(agent, batch)
     agent.total_env_steps = 40
-    assert saved_digest(agent, tmp_path / "ck.txt") == UPDATED_SHA256[algo], (
-        f"recorded on OpenBLAS's SkylakeX kernel; this run used {openblas_core()}"
+    core = openblas_core()
+    assert saved_digest(agent, tmp_path / "ck.txt") == pinned_update_digest(core, algo), (
+        f"differs from the digest recorded on OpenBLAS's {core} kernel"
     )
 
 
@@ -98,3 +139,9 @@ def test_the_failure_message_names_the_blas_kernel():
     assert core and core.isprintable()
     assert openblas_core("libgfortran-*") == "unknown"  # a library without the symbol
     assert openblas_core("no-such-library-*") == "unknown"
+
+
+@pytest.mark.parametrize("core", ["unknown", "NoSuchKernel"])
+def test_a_kernel_without_digests_fails_naming_it(core):
+    with pytest.raises(pytest.fail.Exception, match=f"OpenBLAS's {core} kernel"):
+        pinned_update_digest(core, "ddpg")

@@ -367,6 +367,8 @@ class TestEnvRolloutMdp:
             ((0.5, -0.1, 0.5), r"fixation must lie in \[0, 1\]\^2, got \(-0.1, 0.5\)"),
             ((0.5, 0.5, 1.2), r"fixation must lie in \[0, 1\]\^2, got \(0.5, 1.2\)"),
             ((0.5, 0.5, np.nan), r"fixation must lie in \[0, 1\]\^2, got \(0.5, nan\)"),
+            ((0.5, np.nan, 0.5), r"fixation must lie in \[0, 1\]\^2, got \(nan, 0.5\)"),
+            ((np.nan, np.nan, 0.5), r"accident score must be in \[0, 1\], got nan"),
         ],
     )
     def test_step_rejects_out_of_range_or_nan_actions(self, bad, message):
@@ -378,6 +380,22 @@ class TestEnvRolloutMdp:
         with pytest.raises(ValueError, match=message):
             env.step(actions)
         assert env.t == 0, "a rejected step must not advance the group"
+
+    @pytest.mark.parametrize(
+        "first,later,message",
+        [
+            ((0.5, 1.5, 0.5), (2.0, 0.5, 0.5), r"fixation must lie .*, got \(1.5, 0.5\)$"),
+            ((np.nan, 0.5, 0.5), (0.5, 0.5, -1.0), r"accident score .*, got nan$"),
+            ((-0.5, 0.5, 0.5), (-2.0, 0.5, 0.5), r"accident score .*, got -0.5$"),
+        ],
+    )
+    def test_step_names_the_first_bad_row(self, first, later, message):
+        env = AccidentEnv([generate_episode(self.cfg, seed) for seed in range(4)], self.cfg)
+        env.reset()
+        actions = np.full((4, 3), 0.5)
+        actions[1], actions[3] = first, later
+        with pytest.raises(ValueError, match=message):
+            env.step(actions)
 
     @pytest.mark.parametrize("shape", [(3,), (1, 3), (2, 4), (2, 3, 1)])
     def test_step_rejects_actions_of_another_shape(self, shape):

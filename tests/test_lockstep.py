@@ -3,6 +3,9 @@ selection, and collect_records against AccidentEnv groups of one."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from crashrl.agents import Agent, AgentConfig
 from crashrl.agents.agent import deterministic_head
@@ -85,6 +88,24 @@ class TestAttentionKernel:
         for i in range(5):
             assert got[i].tobytes() == expected[i].tobytes()
 
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_normalize_fields_matches_normalize_field_on_mixed_batches(self, data):
+        h, w = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        entries = {
+            "zero": st.just(0.0),
+            "signed_zero": st.sampled_from([0.0, -0.0]),
+            "subnormal": st.floats(0.0, 2.2e-308, allow_subnormal=True),
+            "ordinary": st.floats(0.0, 1e6),
+        }
+        kinds = data.draw(st.lists(st.sampled_from(sorted(entries)), min_size=1, max_size=6))
+        grids = np.stack([data.draw(arrays(np.float64, (h, w), elements=entries[k])) for k in kinds])
+        expected = [normalize_field(SaliencyField(g)).grid for g in grids]
+        got = normalize_fields(grids)
+        assert got is grids
+        for i, kind in enumerate(kinds):
+            assert got[i].tobytes() == expected[i].tobytes(), f"{kind} field {i} differs"
+
     def test_env_features_use_the_kernel(self):
         cfg = EnvConfig(grid_h=8, grid_w=8, pool_h=4, pool_w=4, stack=2, episode_len=12)
         episode = generate_episode(cfg, 3)
@@ -97,6 +118,40 @@ class TestAttentionKernel:
         nxt = env.step([(0.2, 0.9, 0.1)]).next_obs
         second, _ = reference_features(frames[1], (0.9, 0.1), cfg)
         assert nxt[0].tobytes() == np.concatenate([first, second]).tobytes()
+
+
+class TestWholeEpisodes:
+    @pytest.mark.parametrize("n", [1, 16])
+    def test_every_observation_row_matches_the_per_field_chain(self, n):
+        """A default-scale group of n under a seeded action stream, some fixations
+        on the unit square's edges: every row of every observation holds the
+        per-field chain's features of its own frames and fixations."""
+        cfg = EnvConfig()
+        episodes = [generate_episode(cfg, 700 + i) for i in range(n)]
+        env = AccidentEnv(episodes, cfg)
+        rng = np.random.default_rng(n)
+
+        def features(i, t, fixation):
+            frame = normalize_field(SaliencyField(episodes[i].saliency[t])).grid
+            return reference_features(frame, fixation, cfg)[0]
+
+        stacks = [[features(i, 0, (0.5, 0.5))] * cfg.stack for i in range(n)]
+        obs = env.reset()
+        while True:
+            for i in range(n):
+                assert obs[i].tobytes() == np.concatenate(stacks[i]).tobytes(), (
+                    f"episode {i}, frame {env.t}"
+                )
+            if env.done:
+                break
+            actions = rng.uniform(0.0, 1.0, (n, 3))
+            edge = rng.random((n, 2)) < 0.1
+            actions[:, 1:][edge] = rng.integers(0, 2, edge.sum())
+            t = env.t
+            obs = env.step(actions).next_obs
+            for i in range(n):
+                stacks[i] = stacks[i][1:] + [features(i, t + 1, tuple(actions[i, 1:]))]
+        assert env.t == cfg.episode_len - 1
 
 
 class FeatureEcho:
