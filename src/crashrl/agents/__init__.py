@@ -10,7 +10,7 @@ from .agent import (
 )
 from .config import ALGOS, AgentConfig
 from .replay import ACTION_DIM, Batch, ReplayBuffer
-from .targets import TargetParts, compute_targets, tanh_gaussian_logprob
+from .targets import compute_targets, tanh_gaussian_logprob
 from .updates import StepLog, actor_update, critic_update, train_step, update
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "LOG_STD_MIN",
     "ReplayBuffer",
     "StepLog",
-    "TargetParts",
     "actor_update",
     "compute_targets",
     "config_hash",

@@ -18,7 +18,6 @@ like the batch; noise is drawn in float64 and cast.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -48,15 +47,6 @@ def tanh_gaussian_logprob(
     return (normal - tanh_correction(u)).sum(axis=1, keepdims=True)
 
 
-@dataclass(frozen=True)
-class TargetParts:
-    """Bootstrap targets plus the per-candidate critic values behind them."""
-
-    y: np.ndarray  # [n, 1]
-    v_next: np.ndarray  # [n, 1]
-    q_values: np.ndarray  # [n, n_actors, n_critics], before any entropy term
-
-
 def _smoothing_noise(agent: Agent, n: int) -> np.ndarray:
     cfg = agent.cfg
     noise = agent.rng.normal(0.0, cfg.target_noise, size=(n, ACTION_DIM))
@@ -77,18 +67,12 @@ def _next_actions(batch: Batch, agent: Agent) -> list[tuple[np.ndarray, np.ndarr
     return [(a, None) for a in actions]
 
 
-def compute_targets(batch: Batch, agent: Agent) -> TargetParts:
+def compute_targets(batch: Batch, agent: Agent) -> np.ndarray:
     """y = r + gamma * (1 - done) * max_j min_i Q'_i(s', a_j), for any algorithm."""
     cfg = agent.cfg
-    candidates = _next_actions(batch, agent)
-    q_values = np.empty((len(batch), len(candidates), cfg.n_critics), DTYPE)
     values = []
-    for j, (a_next, logp) in enumerate(candidates):
+    for a_next, logp in _next_actions(batch, agent):
         x = np.concatenate([batch.s_next, a_next], axis=1)
-        qs = [mlp_apply(net, x) for net in agent.target_critics]
-        q_values[:, j, :] = np.concatenate(qs, axis=1)
-        v = reduce(np.minimum, qs)
+        v = reduce(np.minimum, [mlp_apply(net, x) for net in agent.target_critics])
         values.append(v if logp is None else v - cfg.sac_alpha * logp)
-    v_next = reduce(np.maximum, values)
-    y = batch.r + cfg.gamma * (1.0 - batch.done) * v_next
-    return TargetParts(y, v_next, q_values)
+    return batch.r + cfg.gamma * (1.0 - batch.done) * reduce(np.maximum, values)

@@ -73,7 +73,7 @@ def _critic_grads(agent: Agent, batch: Batch, targets: np.ndarray):
 def critic_update(agent: Agent, batch: Batch) -> dict[str, float]:
     """One Adam step per critic against the TD target; returns scalar losses."""
     cfg = agent.cfg
-    targets = compute_targets(batch, agent).y
+    targets = compute_targets(batch, agent)
     grads, mse, reg_value = _critic_grads(agent, batch, targets)
 
     losses: dict[str, float] = {}

@@ -13,11 +13,12 @@ little-endian float64 values:
 
 ``fps`` carries 17 significant digits and ``crc32`` is ``zlib.crc32`` of the
 payload as 8 hex digits, so write -> load round-trips bit-exactly and a
-changed payload byte never loads. Header errors name ``line 1`` (including
-a non-ASCII byte and a ``_``, which Python's ``int`` and ``float`` would
-accept as digit grouping); payload errors give its length, its CRC or the
-``frame t`` whose values are out of range. A file of the retired ``ADE1``
-text format fails at line 1, naming its tag.
+changed payload byte never loads. Line 1 is checked whole before the
+payload, and its errors name ``line 1``: a non-ASCII byte, a ``_`` (which
+Python's ``int`` and ``float`` would accept as digit grouping), the
+dimensions, ``t_a`` and ``check_labels``. Payload errors then give its
+length, its CRC or the ``frame t`` whose values are out of range. A file of
+the retired ``ADE1`` text format fails at line 1, naming its tag.
 
 The generator composes each frame from a per-episode smooth background, small
 iid temporal noise, and (for positive episodes) a Gaussian risk blob whose
@@ -58,13 +59,27 @@ FIX_NOISE_POS = 0.005
 FIX_NOISE_NEG = 0.01
 
 
+def check_labels(y, t_a, length: int, fps, error) -> None:
+    """The label, accident-frame and fps rules; a broken one raises ``error(message)``."""
+    if y not in (0, 1):
+        raise error(f"label must be 0 or 1, got {y}")
+    if y == 1:
+        if t_a is None or not 0 < t_a < length:
+            raise error(f"positive episode requires 0 < t_a < {length}, got {t_a}")
+    elif t_a is not None:
+        raise error("negative episode must not carry an accident frame")
+    if not (np.isfinite(fps) and fps > 0.0):
+        raise error(f"fps must be finite and > 0, got {fps}")
+
+
 @dataclass(frozen=True)
 class Episode:
     """One dashcam scenario: saliency frames, label, accident time, gaze track.
 
     ``saliency`` is a C-contiguous float64 ``[T, H, W]`` array, finite and
-    >= 0; ``fixation_track`` is ``[T, 2]`` in [0, 1]^2. Both are stored as
-    read-only views, so code that needs to normalize a frame copies it first.
+    >= 0; ``fixation_track`` is ``[T, 2]`` in [0, 1]^2; an error names the
+    first ``frame t`` that breaks either. Both are stored as read-only
+    views, so code that needs to normalize a frame copies it first.
     """
 
     saliency: np.ndarray
@@ -83,28 +98,20 @@ class Episode:
         t_len = saliency.shape[0]
         if t_len == 0:
             raise ValueError("episode must contain at least one frame")
-        if not np.all(np.isfinite(saliency)) or np.any(saliency < 0.0):
-            raise ValueError("saliency entries must be finite and >= 0")
-        if self.y not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.y}")
-        if self.y == 1:
-            if self.t_a is None or not 0 < self.t_a < t_len:
-                raise ValueError(
-                    f"positive episode requires 0 < t_a < {t_len}, got {self.t_a}"
-                )
-        elif self.t_a is not None:
-            raise ValueError("negative episode must not carry an accident frame")
+        check_labels(self.y, self.t_a, t_len, self.fps, ValueError)
         track = np.ascontiguousarray(self.fixation_track, dtype=np.float64)
         if track.shape != (t_len, 2):
             raise ValueError(
                 f"fixation track must have shape [{t_len}, 2], got {list(track.shape)}"
             )
-        inside = (track >= 0.0) & (track <= 1.0)
-        if not inside.all():
-            bad = int(np.argwhere(~inside)[0][0])
-            raise ValueError(f"fixation point outside [0, 1]^2 at frame {bad}")
-        if not (np.isfinite(self.fps) and self.fps > 0.0):
-            raise ValueError(f"fps must be finite and > 0, got {self.fps}")
+        saliency_ok = (np.isfinite(saliency) & (saliency >= 0.0)).all(axis=(1, 2))
+        frame_ok = saliency_ok & ((track >= 0.0) & (track <= 1.0)).all(axis=1)
+        if not frame_ok.all():
+            t = int(np.argmin(frame_ok))
+            if not saliency_ok[t]:
+                raise ValueError(f"frame {t}: saliency values must be finite and >= 0")
+            px, py = track[t].tolist()
+            raise ValueError(f"frame {t}: fixation ({px}, {py}) outside [0, 1]^2")
         # Read-only views: the caller's arrays keep their own flags.
         for name, array in (("saliency", saliency), ("fixation_track", track)):
             view = array.view()
@@ -216,50 +223,44 @@ class EpisodeFormatError(ValueError):
     """Raised for malformed, truncated, or out-of-range episode files."""
 
 
+def _header(record) -> tuple:
+    """Line 1's fields ``(h, w, t_len, fps, y, t_a)``, checked through ``record.fail``."""
+    h, w, t_len, fps, y, t_a = record.fields
+    if h < 1 or w < 1 or t_len < 1:
+        raise record.fail("nonpositive dimensions")
+    if t_a < -1:
+        raise record.fail(f"t_a must be -1 (no accident) or a frame index, got {t_a}")
+    t_a = None if t_a == -1 else t_a
+    check_labels(y, t_a, t_len, fps, record.fail)
+    return h, w, t_len, fps, y, t_a
+
+
 def load_episode_file(path) -> Episode:
     """Read and validate an ADE2 file; no partial episode survives an error.
 
-    One ``read`` takes the whole file (``records.read_record``). The header
-    is checked first, then the payload's length, then its CRC-32, and then
-    the saliency and fixation ranges, once over the whole episode; a range
-    error names the first frame that breaks either.
+    One ``read`` takes the whole file (``records.read_record``). Line 1 is
+    checked first, then the payload's length, then its CRC-32; ``Episode``
+    then names the first frame whose saliency or fixation is out of range.
     """
     record = read_record(path, HEADER, HEADER_TYPES, RETIRED_TAGS, EpisodeFormatError)
-    h, w, t_len, fps, y, t_a_raw = record.fields
-    if h < 1 or w < 1 or t_len < 1:
-        raise record.fail("nonpositive dimensions")
-    if t_a_raw < -1:
-        raise record.fail(f"t_a must be -1 (no accident) or a frame index, got {t_a_raw}")
+    h, w, t_len, fps, y, t_a = _header(record)
     cells = h * w
     payload = record.payload(PAYLOAD_DTYPE.itemsize * t_len * (cells + 2), "8*T*(H*W+2)")
     # The payload starts at an arbitrary offset; astype copies it out aligned.
     values = np.frombuffer(payload, dtype=PAYLOAD_DTYPE).astype(np.float64)
     saliency = values[: t_len * cells].reshape(t_len, h, w)
     track = values[t_len * cells :].reshape(t_len, 2)
-    saliency_ok = (np.isfinite(saliency) & (saliency >= 0.0)).all(axis=(1, 2))
-    fixation_ok = ((track >= 0.0) & (track <= 1.0)).all(axis=1)
-    frame_ok = saliency_ok & fixation_ok
-    if not frame_ok.all():
-        t = int(np.argmin(frame_ok))
-        if not saliency_ok[t]:
-            raise EpisodeFormatError(
-                f"{path}: frame {t}: saliency values must be finite and >= 0"
-            )
-        px, py = track[t].tolist()
-        raise EpisodeFormatError(f"{path}: frame {t}: fixation ({px}, {py}) outside [0, 1]^2")
-
-    t_a = None if t_a_raw == -1 else t_a_raw
-    # The payload is checked above; what Episode rejects is a header field.
     try:
         return Episode(saliency, y, t_a, track, fps, episode_id=_stem(path))
-    except ValueError as exc:
-        raise record.fail(str(exc)) from exc
+    except ValueError as exc:  # line 1 passed, so a frame is out of range
+        raise EpisodeFormatError(f"{path}: {exc}") from exc
 
 
-def episode_file_shape(path) -> tuple[tuple[int, int], int]:
-    """An episode file's grid shape and length, from its line 1 alone."""
-    record = read_header(path, HEADER, HEADER_TYPES, RETIRED_TAGS, EpisodeFormatError)
-    return tuple(record.fields[:2]), record.fields[2]
+def episode_file_shape(path, error) -> tuple[tuple[int, int], int]:
+    """An episode file's grid shape and length from its line 1 alone, which
+    passes every check ``load_episode_file`` makes there; errors are ``error``."""
+    h, w, t_len, *_ = _header(read_header(path, HEADER, HEADER_TYPES, RETIRED_TAGS, error))
+    return (h, w), t_len
 
 
 def _stem(path) -> str:

@@ -9,9 +9,9 @@ Every rollout steps ``AccidentEnv``: training steps each episode as a group
 of one, and ``collect_records`` (curve points, the final report and
 ``run_eval``) steps one env per lockstep group of held-out episodes. The
 eval records hold the rewards it pays, for the curve's mean return and the
-traces. Every ``--data`` file passes ``check_steppable`` by its header
-line, and each held-out set (and ``run_eval``'s) passes
-``metrics.require_reportable``, before the agent is built or the
+traces. Every ``--data`` file's header line passes the loader's line-1
+checks and ``check_steppable``, and each held-out set (and ``run_eval``'s)
+passes ``metrics.require_reportable``, before the agent is built or the
 checkpoint read (and, for the first seed, before anything is written); a
 file or a set that fails is a ConfigError (exit 1).
 
@@ -77,7 +77,6 @@ class SeedResult:
     report: MetricsReport
     curve: tuple[tuple[int, float], ...]  # (epoch, mean eval return)
     checkpoint_path: str
-    out_dir: str
 
 
 @dataclass(frozen=True)
@@ -86,20 +85,20 @@ class RunArtifacts:
     ``crashrl compare``."""
 
     algo: str
-    config: RunConfig
     results: tuple[SeedResult, ...]
     eval_fingerprint: str
     out_dir: str
 
 
 def episode_files(cfg: RunConfig) -> list[str]:
-    """The sorted *.ade regular files in ``cfg.data_dir``, each steppable by its line 1."""
+    """The sorted *.ade regular files in ``cfg.data_dir``, each with a valid
+    and steppable line 1."""
     if not os.path.isdir(cfg.data_dir):
         raise ConfigError(f"data: no such directory {cfg.data_dir}")
     paths = (os.path.join(cfg.data_dir, name) for name in os.listdir(cfg.data_dir))
     files = sorted(path for path in paths if path.endswith(".ade") and os.path.isfile(path))
     for path in files:
-        check_steppable(path, *episode_file_shape(path), cfg.env, ConfigError)
+        check_steppable(path, *episode_file_shape(path, ConfigError), cfg.env, ConfigError)
     return files
 
 
@@ -343,11 +342,11 @@ def run_training(cfg: RunConfig) -> RunArtifacts:
         write_report(report, seed_dir)
         write_csv(os.path.join(seed_dir, "curve.csv"), ("epoch", "mean_eval_reward"), curve)
         export_traces(records, os.path.join(seed_dir, "traces"))
-        results.append(SeedResult(seed, report, tuple(curve), checkpoint_path, seed_dir))
+        results.append(SeedResult(seed, report, tuple(curve), checkpoint_path))
 
     # One fingerprint for the whole run: the per-seed held-out sets in order.
     combined = hashlib.sha256("|".join(seed_fingerprints).encode()).hexdigest()[:16]
-    artifacts = RunArtifacts(cfg.algo, cfg, tuple(results), combined, algo_dir)
+    artifacts = RunArtifacts(cfg.algo, tuple(results), combined, algo_dir)
     _write_run_summary(artifacts)
     return artifacts
 

@@ -462,7 +462,7 @@ def sac_actor_loss(agent, batch):
 def critic_update(agent, batch) -> dict[str, float]:
     """The critic phase as the tape ran it."""
     cfg = agent.cfg
-    targets = compute_targets(batch, agent).y
+    targets = compute_targets(batch, agent)
     loss, critic_nodes, mse, reg_value = critic_loss(agent, batch, targets)
     backprop(loss, 1.0, [leaf for nodes in critic_nodes for leaf in param_leaves(nodes)])
     losses: dict[str, float] = {}

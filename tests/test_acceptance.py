@@ -46,6 +46,7 @@ from crashrl.numkit import MlpSpec
 from bandit import QuadraticBandit
 from finite_difference import gradient_check
 from record_rows import Row, frame_rows, padded_report, records_from_rows
+from target_values import bootstrap, target_values
 
 pytestmark = pytest.mark.acceptance
 
@@ -243,12 +244,14 @@ def test_c4_darc_td3_reduction():
             rng.uniform(0, 1, (batch_size, obs_dim)),
             (rng.random((batch_size, 1)) < 0.1).astype(float),
         )
-        y_td3 = compute_targets(batch, td3).y
-        parts = compute_targets(batch, darc)
-        assert np.array_equal(y_td3, parts.y), "targets diverged"
-        v = parts.v_next.reshape(-1)
-        q_min = parts.q_values.min(axis=(1, 2))
-        q_max = parts.q_values.max(axis=(1, 2))
+        y_td3 = compute_targets(batch, td3)
+        q_values, v_next = target_values(batch, darc)
+        y_darc = compute_targets(batch, darc)
+        assert np.array_equal(y_td3, y_darc), "targets diverged"
+        assert np.array_equal(y_darc, bootstrap(batch, darc, v_next)), "not max-of-min"
+        v = v_next.reshape(-1)
+        q_min = q_values.min(axis=(1, 2))
+        q_max = q_values.max(axis=(1, 2))
         assert np.all(q_min <= v) and np.all(v <= q_max), "bracketing violated"
     elapsed = time.monotonic() - start
     report("4 algorithm-reduction", elapsed < 10.0, f"100 batches bitwise, {elapsed:.1f}s")

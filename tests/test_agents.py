@@ -23,6 +23,7 @@ from crashrl.agents import (
 )
 from crashrl.numkit import mlp_apply
 from bandit import QuadraticBandit
+from target_values import bootstrap, target_values
 
 # The networks compute in float32: hand-computed values hold to a few
 # float32 ulps at 1 (the float64 core held them to 1e-12).
@@ -187,13 +188,13 @@ class TestTargets:
         for algo in ("ddpg", "td3", "darc", "sac"):
             agent = Agent(small_cfg(algo), obs_dim=4, seed=2)
             batch = random_batch(rng, 16, 4, done_rate=1.0)
-            y = compute_targets(batch, agent).y
+            y = compute_targets(batch, agent)
             assert np.array_equal(y, batch.r)
 
     def test_near_zero_gamma_returns_reward(self):
         agent = Agent(small_cfg("td3", gamma=1e-300), obs_dim=4, seed=2)
         batch = random_batch(np.random.default_rng(2), 8, 4, done_rate=0.0)
-        assert np.allclose(compute_targets(batch, agent).y, batch.r, atol=1e-12)
+        assert np.allclose(compute_targets(batch, agent), batch.r, atol=1e-12)
 
     def test_td3_with_equal_critics_matches_ddpg_without_smoothing(self):
         td3 = Agent(small_cfg("td3", target_noise=0.0), obs_dim=5, seed=9)
@@ -201,20 +202,19 @@ class TestTargets:
         td3.critics[1] = td3.critics[0].copy()
         td3.target_critics[1] = td3.target_critics[0].copy()
         batch = random_batch(np.random.default_rng(4), 12, 5)
-        assert np.array_equal(compute_targets(batch, td3).y, compute_targets(batch, ddpg).y)
+        assert np.array_equal(compute_targets(batch, td3), compute_targets(batch, ddpg))
 
     def test_td3_min_never_exceeds_either_critic(self):
         agent = Agent(small_cfg("td3", target_noise=0.0), obs_dim=4, seed=5)
         batch = random_batch(np.random.default_rng(5), 32, 4, done_rate=0.0)
-        parts = compute_targets(batch, agent)
+        _, v = target_values(batch, agent)  # V itself: (y - r) / gamma loses it in float32
+        y = compute_targets(batch, agent)
         a_next = 0.5 * (np.tanh(mlp_apply(agent.target_actors[0], batch.s_next)) + 1.0)
         x = np.concatenate([batch.s_next, a_next], axis=1)
         q1 = mlp_apply(agent.target_critics[0], x)
         q2 = mlp_apply(agent.target_critics[1], x)
-        # read V itself: (y - r) / gamma does not recover it in float32
-        v = parts.v_next
         assert np.all(v <= q1) and np.all(v <= q2)
-        assert np.array_equal(parts.y, batch.r + agent.cfg.gamma * v)
+        assert np.array_equal(y, bootstrap(batch, agent, v))
 
     def test_darc_enumeration_hand_case(self):
         cfg = small_cfg("darc", hidden_dims=(), target_noise=0.0, gamma=0.5)
@@ -235,14 +235,16 @@ class TestTargets:
             np.zeros((1, 2)), np.full((1, 3), 0.5), np.zeros((1, 1)),
             np.zeros((1, 2)), np.zeros((1, 1)),
         )
-        parts = compute_targets(batch, agent)
-        assert parts.q_values[0, 0] == pytest.approx([1.0, 0.8], abs=F32_TOL)
-        assert parts.q_values[0, 1] == pytest.approx([0.7, 0.9], abs=F32_TOL)
+        q_values, v_next = target_values(batch, agent)
+        y = compute_targets(batch, agent)
+        assert q_values[0, 0] == pytest.approx([1.0, 0.8], abs=F32_TOL)
+        assert q_values[0, 1] == pytest.approx([0.7, 0.9], abs=F32_TOL)
         # exhaustive enumeration: max over actors of min over critics
-        expected_v = max(min(parts.q_values[0, 0]), min(parts.q_values[0, 1]))
-        assert parts.v_next[0, 0] == expected_v
-        assert parts.v_next[0, 0] == pytest.approx(0.8, abs=F32_TOL)
-        assert parts.y[0, 0] == pytest.approx(0.5 * 0.8, abs=F32_TOL)
+        expected_v = max(min(q_values[0, 0]), min(q_values[0, 1]))
+        assert v_next[0, 0] == expected_v
+        assert v_next[0, 0] == pytest.approx(0.8, abs=F32_TOL)
+        assert np.array_equal(y, bootstrap(batch, agent, v_next))
+        assert y[0, 0] == pytest.approx(0.5 * 0.8, abs=F32_TOL)
 
     def test_darc_reduces_bitwise_to_td3_with_identical_actors(self):
         td3 = Agent(small_cfg("td3", nu=0.0), obs_dim=6, seed=42)
@@ -253,7 +255,7 @@ class TestTargets:
         rng = np.random.default_rng(7)
         for _ in range(10):
             batch = random_batch(rng, 16, 6)
-            assert np.array_equal(compute_targets(batch, td3).y, compute_targets(batch, darc).y)
+            assert np.array_equal(compute_targets(batch, td3), compute_targets(batch, darc))
 
     def test_darc_bracketing_and_dominance_over_td3(self):
         darc = Agent(small_cfg("darc"), obs_dim=5, seed=11)
@@ -261,13 +263,14 @@ class TestTargets:
         rng = np.random.default_rng(8)
         for _ in range(10):
             batch = random_batch(rng, 24, 5, done_rate=0.0)
-            parts = compute_targets(batch, darc)
-            v = parts.v_next.reshape(-1)
-            qmin = parts.q_values.min(axis=(1, 2))
-            qmax = parts.q_values.max(axis=(1, 2))
+            q_values, v_next = target_values(batch, darc)
+            assert np.array_equal(compute_targets(batch, darc), bootstrap(batch, darc, v_next))
+            v = v_next.reshape(-1)
+            qmin = q_values.min(axis=(1, 2))
+            qmax = q_values.max(axis=(1, 2))
             assert np.all(qmin <= v) and np.all(v <= qmax)
             # max over a superset of candidates dominates the actor-0 value
-            v_td3_like = parts.q_values[:, 0, :].min(axis=1)
+            v_td3_like = q_values[:, 0, :].min(axis=1)
             assert np.all(v >= v_td3_like)
 
     def test_sac_alpha_zero_drops_entropy_bonus(self):
@@ -275,7 +278,7 @@ class TestTargets:
         agent = Agent(cfg, obs_dim=4, seed=13)
         batch = random_batch(np.random.default_rng(9), 8, 4, done_rate=0.0)
         state_before = agent.rng.bit_generator.state
-        y = compute_targets(batch, agent).y
+        y = compute_targets(batch, agent)
         # replay the same draw: with alpha=0 the target is the plain min-critic value
         agent.rng.bit_generator.state = state_before
         out = mlp_apply(agent.actors[0], batch.s_next)

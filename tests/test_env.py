@@ -528,6 +528,13 @@ class TestEpisodeFile:
             load_episode_file(path)
         assert str(info.value) == f"{path}: line 1: {message}"
 
+    def test_header_rule_is_reported_before_a_truncated_payload(self, tmp_path):
+        path = self._with_header(tmp_path, "10", "2", "-1")
+        path.write_bytes(path.read_bytes()[:-20])
+        with pytest.raises(EpisodeFormatError) as info:
+            load_episode_file(path)
+        assert str(info.value) == f"{path}: line 1: label must be 0 or 1, got 2"
+
     def test_layout_is_header_line_then_little_endian_float64(self, tmp_path):
         # 0.1 + 0.2 is 0.30000000000000004, 5e-324 the smallest subnormal.
         values = [0.0, 5e-324, 1.0, 0.1 + 0.2]
@@ -651,9 +658,12 @@ class TestEpisodeFile:
             "eval", "--algo", "td3", "--hidden", "8,8", "--data", str(data),
             "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out"),
         ])
-        assert code == 2
         message = message.format(py=values[10 * 256 + 2 * 3 + 1])
-        assert capsys.readouterr().err == f"runtime failure: {path}: {where}: {message}\n"
+        # A line-1 value fails the up-front check of every --data file (exit 1);
+        # a frame value fails only when the payload is parsed (exit 2).
+        prefix = "error" if where == "line 1" else "runtime failure"
+        assert code == (1 if where == "line 1" else 2)
+        assert capsys.readouterr().err == f"{prefix}: {path}: {where}: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_episode_arrays_are_read_only(self, tmp_path):
@@ -715,8 +725,13 @@ def test_episode_invariants_enforced():
             Episode(saliency, 0, None, track, fps)
     outside = track.copy()
     outside[3] = (1.5, 0.2)
-    with pytest.raises(ValueError, match=r"outside \[0, 1\]\^2 at frame 3"):
+    with pytest.raises(ValueError, match=r"^frame 3: fixation \(1\.5, 0\.2\) outside"):
         Episode(saliency, 0, None, outside, 10.0)  # reward_fixation's p
+    bad = saliency.copy()
+    bad[4, 0, 0] = -1.0
+    bad[2, 1, 3] = math.nan
+    with pytest.raises(ValueError, match=r"^frame 2: saliency values must be finite and >= 0$"):
+        Episode(bad, 0, None, outside, 10.0)  # the first bad frame, whatever its fault
 
 
 class TestRewardBoundProperties:

@@ -22,6 +22,7 @@ from crashrl.numkit import MlpSpec, Net
 from crashrl.numkit import autodiff as ad
 from crashrl.numkit import mlp as mlp_module
 from finite_difference import gradient_check
+from target_values import target_values
 
 F32 = np.dtype(np.float32)
 F64 = np.dtype(np.float64)
@@ -90,7 +91,8 @@ def test_training_keeps_every_core_array_float32(algo, monkeypatch):
     assert log.losses and agent.update_count == 4
 
     batch = buffer.sample(cfg.batch_size)
-    parts = compute_targets(batch, agent)
+    q_values, v_next = target_values(batch, agent)
+    y = compute_targets(batch, agent)
     checked = {
         "params": [
             p.flat
@@ -99,7 +101,7 @@ def test_training_keeps_every_core_array_float32(algo, monkeypatch):
         "adam": [a for s in agent.actor_adam + agent.critic_adam for a in (s.m, s.v)],
         "replay": [buffer._s, buffer._a, buffer._r, buffer._s2, buffer._d],
         "batch": [batch.s, batch.action, batch.r, batch.s_next, batch.done],
-        "targets": [parts.y, parts.v_next, parts.q_values],
+        "targets": [y, v_next, q_values],
         "gradients": grads,
     }
     for where, arrays in checked.items():

@@ -398,6 +398,12 @@ class TestRewardWeights:
         assert _mean_return(records, cfg) == float(np.mean(list(totals.values())))
 
 
+def _edit_line_1(path, edit) -> None:
+    """Rewrite an episode file's header with ``edit(fields)``; the payload and its CRC stay."""
+    line, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(b" ".join(edit(line.split())) + b"\n" + payload)
+
+
 class TestCli:
     def _train_flags(self, out, algo="td3"):
         return [
@@ -623,22 +629,30 @@ class TestCli:
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("name", ["a_bad", "z_bad"], ids=["training-file", "held-out-file"])
-    @pytest.mark.parametrize("kind", ["grid", "one-frame"])
+    @pytest.mark.parametrize("kind", ["grid", "one-frame", "label-2"])
     def test_train_data_checks_every_file_before_any_parse_or_write(
         self, tmp_path, capsys, monkeypatch, name, kind
     ):
-        """A training file (sorted first) or a held-out file (sorted last) the
-        env could not step fails from its header line: no episode file is
-        parsed and nothing is written."""
+        """A training file (sorted first) or a held-out file (sorted last)
+        that the loader rejects at line 1 or the env could not step fails
+        from its header line: no episode file is parsed and nothing is
+        written."""
         import crashrl.harness.running as running_mod
 
         if kind == "grid":
             small = EnvConfig(grid_h=6, grid_w=6, pool_h=3, pool_w=3, episode_len=24)
-            episode, rule = generate_episode(small, 5), "pool dims (4x4) must divide"
-        else:
+            episode = generate_episode(small, 5)
+            rule = "episode '{path}': pool dims (4x4) must divide"
+        elif kind == "one-frame":
             episode = Episode(np.full((1, 8, 8), 1 / 64.0), 0, None, np.full((1, 2), 0.5), 10.0)
-            rule = "must have at least 2 frames to step"
+            rule = "episode '{path}': must have at least 2 frames to step"
+        else:
+            env = EnvConfig(grid_h=8, grid_w=8, pool_h=4, pool_w=4, stack=2, episode_len=24)
+            episode = generate_episode(env, 5)
+            rule = "{path}: line 1: label must be 0 or 1, got 2\n"
         path = self._data_with(tmp_path, name, episode)
+        if kind == "label-2":
+            _edit_line_1(path, lambda fields: [*fields[:5], b"2", *fields[6:]])
 
         def no_parse(*args, **kwargs):
             raise AssertionError("no episode file may be parsed before the check")
@@ -646,7 +660,7 @@ class TestCli:
         monkeypatch.setattr(running_mod, "load_episode_file", no_parse)
         capsys.readouterr()
         assert cli_main(self._train_flags(tmp_path / "runs") + ["--data", str(path.parent)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: episode '{path}': {rule}")
+        assert capsys.readouterr().err.startswith("error: " + rule.format(path=path))
         assert not (tmp_path / "runs").exists()
 
     def test_eval_data_checks_every_file_before_reading_the_checkpoint(
@@ -668,6 +682,24 @@ class TestCli:
             f"error: episode '{path}': pool dims (4x4) must divide the episode grid (6x6)\n"
         )
         assert not (tmp_path / "eval_out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_data_header_with_underscore_exits_one(self, tmp_path, capsys, command):
+        env = EnvConfig(grid_h=8, grid_w=8, pool_h=4, pool_w=4, stack=2, episode_len=24)
+        path = self._data_with(tmp_path, "m_bad", generate_episode(env, 5))
+        _edit_line_1(path, lambda fields: [fields[0], b"0_8", *fields[2:]])
+        checkpoint = tmp_path / "ck.txt"
+        Agent(AgentConfig(algo="td3", hidden_dims=(8, 8)), obs_dim=32, seed=0).save(checkpoint)
+        if command == "train":
+            out, flags = tmp_path / "runs", self._train_flags(tmp_path / "runs")
+        else:
+            out, flags = tmp_path / "eval_out", self._eval_flags(tmp_path, checkpoint)
+        capsys.readouterr()
+        assert cli_main(flags + ["--data", str(path.parent)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 1: '_' is not allowed in a number\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "env,rule",
