@@ -2,7 +2,7 @@
 
 An ``Episode`` holds its saliency as one read-only float64 array
 ``saliency[T, H, W]`` and its gaze as a read-only ``fixation_track[T, 2]``,
-so parsed episodes can be cached and shared without copies.
+so parsed episodes can be shared without copies.
 
 Episode file format (version tag ``ADE2``, on the record framing of
 ``crashrl.records``): one ASCII header line, then a binary payload of
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..records import format_float, read_header, read_record, write_record
+from ..records import format_float, read_record, write_record
 from .config import EnvConfig
 from .saliency import SaliencyField, cell_centers, normalize_fields
 
@@ -223,18 +223,6 @@ class EpisodeFormatError(ValueError):
     """Raised for malformed, truncated, or out-of-range episode files."""
 
 
-def _header(record) -> tuple:
-    """Line 1's fields ``(h, w, t_len, fps, y, t_a)``, checked through ``record.fail``."""
-    h, w, t_len, fps, y, t_a = record.fields
-    if h < 1 or w < 1 or t_len < 1:
-        raise record.fail("nonpositive dimensions")
-    if t_a < -1:
-        raise record.fail(f"t_a must be -1 (no accident) or a frame index, got {t_a}")
-    t_a = None if t_a == -1 else t_a
-    check_labels(y, t_a, t_len, fps, record.fail)
-    return h, w, t_len, fps, y, t_a
-
-
 def load_episode_file(path) -> Episode:
     """Read and validate an ADE2 file; no partial episode survives an error.
 
@@ -243,7 +231,13 @@ def load_episode_file(path) -> Episode:
     then names the first frame whose saliency or fixation is out of range.
     """
     record = read_record(path, HEADER, HEADER_TYPES, RETIRED_TAGS, EpisodeFormatError)
-    h, w, t_len, fps, y, t_a = _header(record)
+    h, w, t_len, fps, y, t_a = record.fields
+    if h < 1 or w < 1 or t_len < 1:
+        raise record.fail("nonpositive dimensions")
+    if t_a < -1:
+        raise record.fail(f"t_a must be -1 (no accident) or a frame index, got {t_a}")
+    t_a = None if t_a == -1 else t_a
+    check_labels(y, t_a, t_len, fps, record.fail)
     cells = h * w
     payload = record.payload(PAYLOAD_DTYPE.itemsize * t_len * (cells + 2), "8*T*(H*W+2)")
     # The payload starts at an arbitrary offset; astype copies it out aligned.
@@ -254,13 +248,6 @@ def load_episode_file(path) -> Episode:
         return Episode(saliency, y, t_a, track, fps, episode_id=_stem(path))
     except ValueError as exc:  # line 1 passed, so a frame is out of range
         raise EpisodeFormatError(f"{path}: {exc}") from exc
-
-
-def episode_file_shape(path, error) -> tuple[tuple[int, int], int]:
-    """An episode file's grid shape and length from its line 1 alone, which
-    passes every check ``load_episode_file`` makes there; errors are ``error``."""
-    h, w, t_len, *_ = _header(read_header(path, HEADER, HEADER_TYPES, RETIRED_TAGS, error))
-    return (h, w), t_len
 
 
 def _stem(path) -> str:

@@ -9,19 +9,20 @@ Every rollout steps ``AccidentEnv``: training steps each episode as a group
 of one, and ``collect_records`` (curve points, the final report and
 ``run_eval``) steps one env per lockstep group of held-out episodes. The
 eval records hold the rewards it pays, for the curve's mean return and the
-traces. Every ``--data`` file's header line passes the loader's line-1
-checks and ``check_steppable``, and each held-out set (and ``run_eval``'s)
-passes ``metrics.require_reportable``, before the agent is built or the
-checkpoint read (and, for the first seed, before anything is written); a
-file or a set that fails is a ConfigError (exit 1).
+traces. Every ``--data`` file is parsed whole and passes ``check_steppable``
+(``load_episodes``), and each held-out set (and ``run_eval``'s) passes
+``metrics.require_reportable``, before the agent is built or the checkpoint
+read (and, for the first seed, before anything is written); a file, a set
+or a checkpoint that fails is a ConfigError (exit 1).
 
 Seed derivation (fixed so independent reruns agree): for a run seed s, the
 environment stream uses s, the agent s + 1000, the replay buffer s + 2000.
 Episode seeds: evaluation episode j uses s * 10^9 + j, training episode i
 uses s * 10^9 + 10^6 + i. With a dataset directory, episodes are the sorted
 *.ade files: the last eval_episodes of them form the held-out set, the rest
-cycle as training episodes. Each file is parsed once per ``run_training``
-call and the parsed episode is shared by every seed (see ``_EpisodeSource``).
+cycle as training episodes. Each file is parsed once per command, before
+the first seed, and the parsed episode is shared by every seed (see
+``_EpisodeSource``).
 
 Per-seed output layout under <out>/<algo>/seed_<s>/:
   checkpoint.txt, metrics.json, roc.csv, pr.csv, curve.csv, traces/*.csv
@@ -42,6 +43,7 @@ from ..env import (
     IMAGE_CENTER,
     AccidentEnv,
     Episode,
+    EpisodeFormatError,
     accident_weight,
     blob_onset,
     fixation_window_active,
@@ -49,7 +51,6 @@ from ..env import (
     load_episode_file,
     write_episode_file,
 )
-from ..env.episode import episode_file_shape
 from ..env.mdp import check_steppable
 from ..metrics import (
     NO_ACCIDENT,
@@ -90,52 +91,50 @@ class RunArtifacts:
     out_dir: str
 
 
-def episode_files(cfg: RunConfig) -> list[str]:
-    """The sorted *.ade regular files in ``cfg.data_dir``, each with a valid
-    and steppable line 1."""
+def load_episodes(cfg: RunConfig) -> list[Episode]:
+    """The sorted *.ade regular files in ``cfg.data_dir``, each parsed whole
+    and steppable, in that order; the first file that fails is a ConfigError."""
     if not os.path.isdir(cfg.data_dir):
         raise ConfigError(f"data: no such directory {cfg.data_dir}")
     paths = (os.path.join(cfg.data_dir, name) for name in os.listdir(cfg.data_dir))
-    files = sorted(path for path in paths if path.endswith(".ade") and os.path.isfile(path))
-    for path in files:
-        check_steppable(path, *episode_file_shape(path, ConfigError), cfg.env, ConfigError)
-    return files
+    episodes = []
+    for path in sorted(path for path in paths if path.endswith(".ade") and os.path.isfile(path)):
+        try:
+            # Looked up in this module at call time, so wrappers see every parse.
+            episode = load_episode_file(path)
+        except EpisodeFormatError as exc:
+            raise ConfigError(str(exc)) from exc
+        check_steppable(path, episode.grid_shape, episode.length, cfg.env, ConfigError)
+        episodes.append(episode)
+    return episodes
 
 
 class _EpisodeSource:
     """Deterministic episode streams, generated or file-backed.
 
     One source serves every seed of a ``run_training`` call. With a data
-    directory the held-out and training files are the same for every seed,
-    and each file is parsed at most once per source: parsed episodes are
-    read-only, so the cache hands the same object to every caller.
+    directory every file is parsed when the source is built, and each seed
+    gets the same read-only episodes: the last eval_episodes held out, the
+    rest cycled for training.
     """
 
     def __init__(self, cfg: RunConfig) -> None:
         self.cfg = cfg
-        self._train_files: list[str] = []
-        self._eval_files: list[str] = []
-        self._parsed: dict[str, Episode] = {}
+        self._eval_episodes: list[Episode] = []
+        self._train_episodes: list[Episode] = []
         if cfg.data_dir is not None:
-            files = episode_files(cfg)
-            if len(files) < cfg.eval_episodes + 1:
+            episodes = load_episodes(cfg)
+            if len(episodes) < cfg.eval_episodes + 1:
                 raise ConfigError(
-                    f"data: directory {cfg.data_dir} holds {len(files)} episodes; "
+                    f"data: directory {cfg.data_dir} holds {len(episodes)} episodes; "
                     f"need at least eval_episodes + 1 = {cfg.eval_episodes + 1}"
                 )
-            self._eval_files = files[-cfg.eval_episodes :]
-            self._train_files = files[: -cfg.eval_episodes]
-
-    def _load(self, path: str) -> Episode:
-        episode = self._parsed.get(path)
-        if episode is None:
-            # Looked up in this module at call time, so wrappers see every parse.
-            episode = self._parsed[path] = load_episode_file(path)
-        return episode
+            self._eval_episodes = episodes[-cfg.eval_episodes :]
+            self._train_episodes = episodes[: -cfg.eval_episodes]
 
     def eval_set(self, run_seed: int) -> list[Episode]:
-        if self._eval_files:
-            return [self._load(path) for path in self._eval_files]
+        if self._eval_episodes:
+            return list(self._eval_episodes)
         base = run_seed * EVAL_SEED_BASE
         return [
             generate_episode(self.cfg.env, base + j)
@@ -143,8 +142,8 @@ class _EpisodeSource:
         ]
 
     def training_episode(self, run_seed: int, index: int) -> Episode:
-        if self._train_files:
-            return self._load(self._train_files[index % len(self._train_files)])
+        if self._train_episodes:
+            return self._train_episodes[index % len(self._train_episodes)]
         seed = run_seed * EVAL_SEED_BASE + TRAIN_SEED_OFFSET + index
         return generate_episode(self.cfg.env, seed)
 
@@ -375,28 +374,31 @@ def run_eval(checkpoint_path, cfg: RunConfig):
 
     The set is every *.ade file of cfg.data_dir, else the held-out set that
     training generates for the run's one seed. Checked in this order, before
-    anything is written: the checkpoint file exists; with a data directory,
-    it exists and holds an episode file, else there is one seed; the set
-    holds both classes and a frame inside the fixation window (before the
-    checkpoint is read); the checkpoint's observation width matches what
-    cfg.env produces. Returns (MetricsReport, EvalRecords).
+    anything is written, each failure a ConfigError: the checkpoint file
+    exists; with a data directory, it exists and holds an episode file, each
+    passing ``load_episodes``, else there is one seed; the set holds both
+    classes and a frame inside the fixation window (before the checkpoint is
+    read); ``Agent.load`` accepts the checkpoint and its observation width
+    matches what cfg.env produces. Returns (MetricsReport, EvalRecords).
     """
     if not os.path.isfile(checkpoint_path):
         raise ConfigError(f"checkpoint: no such file {checkpoint_path}")
     if cfg.data_dir is not None:
-        files = episode_files(cfg)
-        if not files:
+        episodes = load_episodes(cfg)
+        if not episodes:
             raise ConfigError(f"data: no .ade episodes under {cfg.data_dir}")
-        episodes = [load_episode_file(path) for path in files]
     else:
         episodes = _EpisodeSource(cfg).eval_set(_one_seed(cfg, "eval without --data"))
     _require_reportable(episodes, cfg.env.fixation_window, "eval: the episode set")
-    agent = Agent.load(checkpoint_path, cfg.agent)
+    try:
+        agent = Agent.load(checkpoint_path, cfg.agent)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     expected = cfg.env.obs_dim
     if agent.obs_dim != expected:
-        raise ValueError(
-            f"checkpoint observation width {agent.obs_dim} does not match the "
-            f"configured environment's {expected}"
+        raise ConfigError(
+            f"{checkpoint_path}: checkpoint observation width {agent.obs_dim} does not "
+            f"match the configured environment's {expected}"
         )
     records = collect_records(agent_policy(agent), episodes, cfg)
     report = compile_report(records, cfg.env.a_0, window=cfg.env.fixation_window)

@@ -8,13 +8,13 @@ A record is one ASCII header line, then a binary payload:
 ``crc32`` is ``zlib.crc32`` of the payload as 8 hex digits. The payload is
 little-endian; each format fixes its dtype and length from the header.
 
-``read_record`` takes the whole file with one ``read`` (``read_header``
-line 1 alone) and checks line 1, naming ``path: line 1``: a non-ASCII byte,
-a ``_`` (which Python's ``int`` and ``float`` accept as digit grouping), a
-retired tag (named with its own message), the tag and field count, and
-each field's conversion. The format then checks its own header values
-with ``Record.fail`` and calls ``Record.payload``, which checks the
-payload's length and then its CRC, so a changed payload byte never loads.
+``read_record`` takes the whole file with one ``read`` and checks line 1,
+naming ``path: line 1``: a non-ASCII byte, a ``_`` (which Python's ``int``
+and ``float`` accept as digit grouping), a retired tag (named with its own
+message), the tag and field count, and each field's conversion. The
+format then checks its own header values with ``Record.fail`` and calls
+``Record.payload``, which checks the payload's length and then its CRC, so
+a changed payload byte never loads.
 An empty file fails as ``path: empty file``.
 """
 
@@ -89,16 +89,7 @@ def read_record(path, usage: str, types, retired=None, error=ValueError) -> Reco
     older tag to the message that rejects it. Errors are ``error``.
     """
     with open(path, "rb") as f:
-        return _parse(path, f.read(), usage, types, retired, error)
-
-
-def read_header(path, usage: str, types, retired, error) -> Record:
-    """``read_record`` of line 1 alone, for a header's fields (no payload)."""
-    with open(path, "rb") as f:
-        return _parse(path, f.readline(), usage, types, retired, error)
-
-
-def _parse(path, raw: bytes, usage: str, types, retired, error) -> Record:
+        raw = f.read()
     if not raw:
         raise error(f"{path}: empty file")
     end = raw.find(b"\n")

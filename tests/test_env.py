@@ -619,8 +619,9 @@ class TestEpisodeFile:
             "eval", "--algo", "td3", "--hidden", "8,8", "--data", str(data),
             "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out"),
         ])
-        assert code == 2
-        assert f"runtime failure: {path}: payload CRC-32 is " in capsys.readouterr().err
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: payload CRC-32 is ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "header, cell, value, where, message",
@@ -659,11 +660,9 @@ class TestEpisodeFile:
             "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out"),
         ])
         message = message.format(py=values[10 * 256 + 2 * 3 + 1])
-        # A line-1 value fails the up-front check of every --data file (exit 1);
-        # a frame value fails only when the payload is parsed (exit 2).
-        prefix = "error" if where == "line 1" else "runtime failure"
-        assert code == (1 if where == "line 1" else 2)
-        assert capsys.readouterr().err == f"{prefix}: {path}: {where}: {message}\n"
+        # Every --data file is parsed whole before the checkpoint is read (exit 1).
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: {where}: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_episode_arrays_are_read_only(self, tmp_path):

@@ -1,5 +1,6 @@
-"""The per-run parsed-episode cache behind ``crashrl train --data``."""
+"""Each ``--data`` file is parsed once per command, and its episode is shared."""
 
+import builtins
 import collections
 import dataclasses
 import shutil
@@ -7,9 +8,10 @@ import shutil
 import pytest
 
 import crashrl.harness.running as running_mod
-from crashrl.agents import AgentConfig
+import crashrl.records as records_mod
+from crashrl.agents import Agent, AgentConfig
 from crashrl.env import EnvConfig
-from crashrl.harness import RunConfig, gen_dataset, run_training
+from crashrl.harness import RunConfig, gen_dataset, run_eval, run_training
 
 ENV = EnvConfig(
     grid_h=8, grid_w=8, pool_h=4, pool_w=4, stack=2, episode_len=14, t_a_frac_hi=0.75
@@ -50,26 +52,40 @@ def _dataset(directory, train_files, eval_files):
     return directory
 
 
-def test_each_file_parsed_once_per_run(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_each_file_parsed_once_per_run(tmp_path, monkeypatch, command):
     train, held = _pool(tmp_path)
     data = _dataset(tmp_path / "data", train, held)
-    calls = collections.Counter()
+    cfg = _cfg(data, tmp_path / "out", epochs=3)
+    checkpoint = tmp_path / "ck.txt"
+    Agent(cfg.agent, ENV.obs_dim, seed=0).save(checkpoint)
+    calls, opened = collections.Counter(), collections.Counter()
     original = running_mod.load_episode_file
 
     def counted(path):
         calls[path] += 1
         return original(path)
 
+    def counted_open(path, *args, **kwargs):
+        opened[str(path)] += 1
+        return builtins.open(path, *args, **kwargs)
+
     monkeypatch.setattr(running_mod, "load_episode_file", counted)
-    # 2 seeds x 3 epochs x 2 episodes: the 2 training files cycle 3 times per seed.
-    run_training(_cfg(data, tmp_path / "out", epochs=3))
-    assert sorted(calls) == sorted(str(p) for p in data.glob("*.ade"))
-    assert set(calls.values()) == {1}
+    monkeypatch.setattr(records_mod, "open", counted_open, raising=False)
+    if command == "train":
+        # 2 seeds x 3 epochs x 2 episodes: the 2 training files cycle 3 times per seed.
+        run_training(cfg)
+    else:
+        run_eval(str(checkpoint), cfg)  # every file, held out or not
+    files = dict.fromkeys(sorted(str(p) for p in data.glob("*.ade")), 1)
+    assert calls == files
+    # No other pass (e.g. of header lines alone) opens an episode file.
+    assert {path: n for path, n in opened.items() if path.endswith(".ade")} == files
 
 
 def test_wrapped_cycle_matches_distinct_copies(tmp_path):
-    """Training on 2 files cycled 3 times through the cache writes the same bytes
-    as training on 6 distinct copies, each read once: no cached episode changes."""
+    """Training on 2 files cycled 3 times writes the same bytes as training on
+    6 distinct copies: no shared episode changes while it is stepped."""
     train, held = _pool(tmp_path)
     wrapped = _dataset(tmp_path / "wrapped", train, held)
     copied = _dataset(tmp_path / "copied", [train[i % 2] for i in range(6)], held)
@@ -85,7 +101,7 @@ def test_wrapped_cycle_matches_distinct_copies(tmp_path):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-def test_cached_episode_is_shared_and_read_only(tmp_path):
+def test_parsed_episode_is_shared_and_read_only(tmp_path):
     train, held = _pool(tmp_path)
     data = _dataset(tmp_path / "data", train, held)
     source = running_mod._EpisodeSource(_cfg(data, tmp_path / "out", epochs=1))

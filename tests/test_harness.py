@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -404,6 +405,16 @@ def _edit_line_1(path, edit) -> None:
     path.write_bytes(b" ".join(edit(line.split())) + b"\n" + payload)
 
 
+def _set_payload_value(path, index, value) -> None:
+    """Set float64 value ``index`` of an episode file's payload; the CRC follows."""
+    line, payload = path.read_bytes().split(b"\n", 1)
+    values = np.frombuffer(payload, "<f8").copy()
+    values[index] = value
+    payload = values.tobytes()
+    fields = [*line.split()[:-1], b"%08x" % zlib.crc32(payload)]
+    path.write_bytes(b" ".join(fields) + b"\n" + payload)
+
+
 class TestCli:
     def _train_flags(self, out, algo="td3"):
         return [
@@ -629,14 +640,13 @@ class TestCli:
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("name", ["a_bad", "z_bad"], ids=["training-file", "held-out-file"])
-    @pytest.mark.parametrize("kind", ["grid", "one-frame", "label-2"])
-    def test_train_data_checks_every_file_before_any_parse_or_write(
+    @pytest.mark.parametrize("kind", ["grid", "one-frame", "label-2", "crc", "nan-saliency"])
+    def test_train_data_checks_every_file_before_any_training_or_write(
         self, tmp_path, capsys, monkeypatch, name, kind
     ):
         """A training file (sorted first) or a held-out file (sorted last)
-        that the loader rejects at line 1 or the env could not step fails
-        from its header line: no episode file is parsed and nothing is
-        written."""
+        that the loader rejects anywhere, or the env could not step, fails
+        before the first training step of any seed: nothing is written."""
         import crashrl.harness.running as running_mod
 
         if kind == "grid":
@@ -649,17 +659,28 @@ class TestCli:
         else:
             env = EnvConfig(grid_h=8, grid_w=8, pool_h=4, pool_w=4, stack=2, episode_len=24)
             episode = generate_episode(env, 5)
-            rule = "{path}: line 1: label must be 0 or 1, got 2\n"
+            rule = {
+                "label-2": "{path}: line 1: label must be 0 or 1, got 2\n",
+                "crc": "{path}: payload CRC-32 is ",
+                "nan-saliency": "{path}: frame 3: saliency values must be finite and >= 0\n",
+            }[kind]
         path = self._data_with(tmp_path, name, episode)
         if kind == "label-2":
             _edit_line_1(path, lambda fields: [*fields[:5], b"2", *fields[6:]])
+        elif kind == "crc":
+            raw = bytearray(path.read_bytes())
+            raw[-100] ^= 0x01
+            path.write_bytes(bytes(raw))
+        elif kind == "nan-saliency":
+            _set_payload_value(path, 3 * 64 + 5, math.nan)  # frame 3 of an 8x8 episode
 
-        def no_parse(*args, **kwargs):
-            raise AssertionError("no episode file may be parsed before the check")
+        def no_train(*args, **kwargs):
+            raise AssertionError("no training step may run before every file is checked")
 
-        monkeypatch.setattr(running_mod, "load_episode_file", no_parse)
+        monkeypatch.setattr(running_mod, "train_step", no_train)
         capsys.readouterr()
-        assert cli_main(self._train_flags(tmp_path / "runs") + ["--data", str(path.parent)]) == 1
+        flags = self._train_flags(tmp_path / "runs") + ["--seeds", "0,1"]
+        assert cli_main(flags + ["--data", str(path.parent)]) == 1
         assert capsys.readouterr().err.startswith("error: " + rule.format(path=path))
         assert not (tmp_path / "runs").exists()
 
@@ -681,6 +702,27 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: episode '{path}': pool dims (4x4) must divide the episode grid (6x6)\n"
         )
+        assert not (tmp_path / "eval_out").exists()
+
+    @pytest.mark.parametrize(
+        "algo, obs_dim, message",
+        [
+            ("darc", 32, "line 1: checkpoint algo 'td3' does not match configured 'darc'"),
+            ("td3", 10, "checkpoint observation width 10 does not match the configured "
+                        "environment's 32"),
+        ],
+        ids=["other-algo", "other-width"],
+    )
+    def test_eval_rejects_a_checkpoint_before_writing(
+        self, tmp_path, capsys, algo, obs_dim, message
+    ):
+        checkpoint = tmp_path / "ck.txt"
+        Agent(AgentConfig(algo="td3", hidden_dims=(8, 8)), obs_dim=obs_dim, seed=0).save(checkpoint)
+        flags = self._eval_flags(tmp_path, checkpoint)
+        flags[flags.index("td3")] = algo
+        capsys.readouterr()
+        assert cli_main(flags + ["--eval-episodes", "4"]) == 1
+        assert capsys.readouterr().err == f"error: {checkpoint}: {message}\n"
         assert not (tmp_path / "eval_out").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
