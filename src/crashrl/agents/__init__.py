@@ -11,7 +11,7 @@ from .agent import (
 from .config import ALGOS, AgentConfig
 from .replay import ACTION_DIM, Batch, ReplayBuffer
 from .targets import compute_targets, tanh_gaussian_logprob
-from .updates import StepLog, actor_update, critic_update, train_step, update
+from .updates import StepLog, actor_update, critic_update, train_step, update, warmup_group
 
 __all__ = [
     "ACTION_DIM",
@@ -32,4 +32,5 @@ __all__ = [
     "tanh_gaussian_logprob",
     "train_step",
     "update",
+    "warmup_group",
 ]

@@ -1,9 +1,12 @@
 """FIFO experience replay with seeded uniform sampling.
 
-``push`` takes one transition (s, a, r, s', done) in the environment's
-float64; the buffer stores it, and every ``Batch`` holds it, in the network
-core's float32. ``push`` checks only the state widths: the action passed
-``check_actions`` in ``AccidentEnv.step``, and ``AgentConfig`` the capacity.
+A transition (s, a, r_A, r_F, s', done) arrives in the environment's
+float64. The buffer keeps r_A and r_F in float64 and the rest in the network
+core's float32; ``sample`` forms each row's reward w_A * r_A + w_F * r_F in
+float64, and every ``Batch`` holds it in float32. ``write`` does every write
+and ``commit`` counts the written slots; ``push`` is their one-row case.
+``write`` checks only the state widths: the action passed ``check_actions``
+in ``AccidentEnv.step``, and ``AgentConfig`` the capacity.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ class ReplayBuffer:
         self._rng = np.random.default_rng(seed)
         self._s: np.ndarray | None = None
         self._a = np.empty((capacity, ACTION_DIM), DTYPE)
-        self._r = np.empty(capacity, DTYPE)
+        self._r_a = np.empty(capacity)
+        self._r_f = np.empty(capacity)
         self._s2: np.ndarray | None = None
         self._d = np.empty(capacity, DTYPE)
         self._size = 0
@@ -55,42 +59,59 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def push(
-        self, s: np.ndarray, action: np.ndarray, r: float, s_next: np.ndarray, done: bool
-    ) -> None:
-        """Store one transition: [obs_dim] states and the [3] dual action, as arrays.
+    def push(self, s, action, r_A: float, r_F: float, s_next, done: bool) -> None:
+        """Store one transition: [obs_dim] states and the [3] dual action, as
+        arrays. Evicts the oldest when full."""
+        self.write(0, s, action, r_A, r_F, s_next, done)
+        self.commit(1)
 
-        The row writes cast them to float32. Evicts the oldest when full.
+    def write(self, offsets, s, action, r_A, r_F, s_next, done: bool) -> None:
+        """Write transitions into the slots ``offsets`` past the head, without
+        counting them as filled (``commit`` does).
+
+        ``offsets`` is an int, for one transition of [obs_dim] states, or an
+        [n] array of distinct offsets, one per row of [n, obs_dim] states;
+        the other columns match. The row writes cast all but the rewards to
+        float32.
         """
         if s.shape != s_next.shape:
             raise ValueError("state and next-state feature lengths must match")
+        width = s.shape[-1]
         if self._s is None:
-            self._s = np.empty((self.capacity, s.size), DTYPE)
-            self._s2 = np.empty((self.capacity, s.size), DTYPE)
-        elif s.size != self._s.shape[1]:
+            self._s = np.empty((self.capacity, width), DTYPE)
+            self._s2 = np.empty((self.capacity, width), DTYPE)
+        elif width != self._s.shape[1]:
             raise ValueError(
-                f"transition feature length {s.size} does not match "
+                f"transition feature length {width} does not match "
                 f"buffer width {self._s.shape[1]}"
             )
-        i = self._head
+        i = (self._head + offsets) % self.capacity
         self._s[i] = s
         self._a[i] = action
-        self._r[i] = r
+        self._r_a[i] = r_A
+        self._r_f[i] = r_F
         self._s2[i] = s_next
-        self._d[i] = 1.0 if done else 0.0
-        self._head = (i + 1) % self.capacity
-        self._size = min(self._size + 1, self.capacity)
+        self._d[i] = done
 
-    def sample(self, n: int) -> Batch:
+    def commit(self, n: int) -> None:
+        """Count the n slots past the head as filled and move the head past them."""
+        self._head = (self._head + n) % self.capacity
+        self._size = min(self._size + n, self.capacity)
+
+    def sample(self, n: int, reward_weights=(1.0, 1.0)) -> Batch:
+        """n transitions drawn uniformly with replacement; each row's reward is
+        ``w_A * r_A + w_F * r_F`` for ``reward_weights = (w_A, w_F)``."""
         if self._size == 0:
             raise ValueError("cannot sample from an empty buffer")
         if not 1 <= n <= self._size:
             raise ValueError(f"sample size must be in [1, {self._size}], got {n}")
         idx = self._rng.integers(0, self._size, size=n)
+        w_a, w_f = reward_weights
+        r = w_a * self._r_a[idx] + w_f * self._r_f[idx]
         return Batch(
             self._s[idx],
             self._a[idx],
-            self._r[idx].reshape(-1, 1),
+            r.reshape(-1, 1),
             self._s2[idx],
             self._d[idx].reshape(-1, 1),
         )

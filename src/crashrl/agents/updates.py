@@ -184,8 +184,7 @@ def update(agent: Agent, batch: Batch) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class StepLog:
-    """Per-step record for logging: the environment's unweighted rewards and the
-    update losses (the buffer holds w_A * r_A + w_F * r_F)."""
+    """Per-step record for logging: the environment's rewards and the update losses."""
 
     r_A: float
     r_F: float
@@ -193,24 +192,54 @@ class StepLog:
     losses: dict[str, float] = field(default_factory=dict)
 
 
+def _warmup_actions(agent: Agent, n: int) -> np.ndarray:
+    """n uniform random actions, one per row: the same draws as n calls for one row."""
+    return agent.rng.uniform(0.0, 1.0, (n, ACTION_DIM))
+
+
 def train_step(agent: Agent, env, buffer: ReplayBuffer) -> StepLog:
     """One environment interaction plus, after warmup, one gradient phase.
 
     ``env`` steps a group of one episode. During the first warmup_steps
-    interactions actions are uniform random and no parameters change.
+    interactions actions are uniform random and no parameters change;
+    ``warmup_group`` steps whole warmup episodes together with the same
+    outcome.
     """
     cfg = agent.cfg
     s = env.observation
     if agent.total_env_steps < cfg.warmup_steps:
-        actions = agent.rng.uniform(0.0, 1.0, (1, ACTION_DIM))
+        actions = _warmup_actions(agent, 1)
     else:
         actions = agent.action_array(s, mode="train")
     result = env.step(actions)
     r_a, r_f = result.r_A.item(0), result.r_F.item(0)
-    combined = cfg.reward_weight_accident * r_a + cfg.reward_weight_fixation * r_f
-    buffer.push(s[0], actions[0], combined, result.next_obs[0], result.done)
+    buffer.push(s[0], actions[0], r_a, r_f, result.next_obs[0], result.done)
     agent.total_env_steps += 1
     losses: dict[str, float] = {}
     if agent.total_env_steps > cfg.warmup_steps and len(buffer) >= cfg.batch_size:
-        losses = update(agent, buffer.sample(cfg.batch_size))
+        weights = (cfg.reward_weight_accident, cfg.reward_weight_fixation)
+        losses = update(agent, buffer.sample(cfg.batch_size, weights))
     return StepLog(r_a, r_f, result.done, losses)
+
+
+def warmup_group(agent: Agent, env, buffer: ReplayBuffer) -> None:
+    """Step a freshly reset lockstep group of K episodes of T frames, all
+    inside the warmup, as K episodes of ``train_step`` one after another.
+
+    The K * (T - 1) actions come from one draw, episode-major, and each
+    step's K transitions go to the ring slots the episodes would fill one
+    after another, so the buffer, ``agent.rng`` and ``total_env_steps`` end
+    as they would. The caller keeps K * (T - 1) within the warmup and the
+    buffer's capacity.
+    """
+    k, steps = len(env.episodes), env.episodes[0].length - 1
+    actions = _warmup_actions(agent, k * steps).reshape(k, steps, ACTION_DIM)
+    rows = np.arange(k) * steps
+    while not env.done:
+        t, s, step_actions = env.t, env.observation, actions[:, env.t]
+        result = env.step(step_actions)
+        buffer.write(
+            rows + t, s, step_actions, result.r_A, result.r_F, result.next_obs, result.done
+        )
+    buffer.commit(k * steps)
+    agent.total_env_steps += k * steps

@@ -1,7 +1,8 @@
 """The accident-anticipation MDP, stepped over a lockstep group of episodes.
 
 A group is one or more episodes with the same grid shape and length; training
-steps a group of one, evaluation one group per (grid shape, length). Each
+steps a run of whole warmup episodes as one group and every other episode as
+a group of one, evaluation one group per (grid shape, length). Each
 step takes one dual action per episode, a row (accident score, fixation x,
 fixation y), pays the two rewards for the current frame, then builds the
 next observation from the next frame: foveate at the chosen fixation ->

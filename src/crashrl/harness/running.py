@@ -5,15 +5,19 @@ Each CLI command is one call here: ``gen_dataset`` (gen-data),
 ``RunConfig``, choose the command's episodes and seed, check them, and write
 every artifact into ``cfg.out_dir`` (through ``crashrl.atomic``).
 
-Every rollout steps ``AccidentEnv``: training steps each episode as a group
-of one, and ``collect_records`` (curve points, the final report and
-``run_eval``) steps one env per lockstep group of held-out episodes. The
-eval records hold the rewards it pays, for the curve's mean return and the
-traces. Every ``--data`` file is parsed whole and passes ``check_steppable``
-(``load_episodes``), and each held-out set (and ``run_eval``'s) passes
-``metrics.require_reportable``, before the agent is built or the checkpoint
-read (and, for the first seed, before anything is written); a file, a set
-or a checkpoint that fails is a ConfigError (exit 1).
+Every rollout steps ``AccidentEnv``. Training steps each run of
+consecutive episodes that lies wholly inside the warmup (one epoch, one grid
+shape and length, at most ``buffer_capacity`` steps) as one lockstep group
+(``warmup_group``: the warmup's actions do not depend on the observations),
+and every other episode as a group of one (``train_step``); both leave the
+bytes of one episode at a time. ``collect_records`` (curve points, the final
+report and ``run_eval``) steps one env per lockstep group of held-out
+episodes. The eval records hold the rewards it pays, for the curve's mean
+return and the traces. Every ``--data`` file is parsed whole and passes
+``check_steppable`` (``load_episodes``), and each held-out set (and
+``run_eval``'s) passes ``metrics.require_reportable``, before the agent is
+built or the checkpoint read (and, for the first seed, before anything is
+written); a file, a set or a checkpoint that fails is a ConfigError (exit 1).
 
 Seed derivation (fixed so independent reruns agree): for a run seed s, the
 environment stream uses s, the agent s + 1000, the replay buffer s + 2000.
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..agents import Agent, ReplayBuffer, train_step
+from ..agents import Agent, ReplayBuffer, train_step, warmup_group
 from ..atomic import atomic_write, write_csv, write_json
 from ..env import (
     IMAGE_CENTER,
@@ -299,6 +303,34 @@ def _one_seed(cfg: RunConfig, use: str) -> int:
     return cfg.seeds[0]
 
 
+def _training_groups(episodes, warmup_left: int, capacity: int):
+    """One epoch's training episodes, in order, as (group, in_warmup) pairs.
+
+    Each run of consecutive episodes that lies wholly inside the
+    ``warmup_left`` steps still to go, shares one grid shape and length and
+    fits in ``capacity`` steps forms one group with ``in_warmup`` set; every
+    other episode is a group of one without it. An episode read ahead to
+    close a group is used, not read again.
+    """
+    group: list[Episode] = []
+    for episode in episodes:
+        steps = episode.length - 1
+        if group and (
+            (episode.grid_shape, episode.length) != (group[0].grid_shape, group[0].length)
+            or (len(group) + 1) * steps > capacity
+            or steps > warmup_left
+        ):
+            yield group, True
+            group = []
+        if steps <= min(warmup_left, capacity):
+            group.append(episode)
+        else:
+            yield [episode], False
+        warmup_left -= steps
+    if group:
+        yield group, True
+
+
 def run_training(cfg: RunConfig) -> RunArtifacts:
     """Train cfg.algo for every seed; returns (and writes) all artifacts."""
     source = _EpisodeSource(cfg)  # checks the data directory before anything is written
@@ -317,15 +349,22 @@ def run_training(cfg: RunConfig) -> RunArtifacts:
         buffer = ReplayBuffer(cfg.agent.buffer_capacity, seed + BUFFER_SEED_OFFSET)
 
         curve = []
-        episode_index = 0
         for epoch in range(1, cfg.epochs + 1):
-            for _ in range(cfg.episodes_per_epoch):
-                episode = source.training_episode(seed, episode_index)
-                episode_index += 1
-                env = AccidentEnv([episode], cfg.env)
+            first = (epoch - 1) * cfg.episodes_per_epoch
+            episodes = (
+                source.training_episode(seed, i)
+                for i in range(first, first + cfg.episodes_per_epoch)
+            )
+            warmup_left = cfg.agent.warmup_steps - agent.total_env_steps
+            groups = _training_groups(episodes, warmup_left, cfg.agent.buffer_capacity)
+            for group, in_warmup in groups:
+                env = AccidentEnv(group, cfg.env)
                 env.reset()
-                while not env.done:
-                    train_step(agent, env, buffer)
+                if in_warmup:
+                    warmup_group(agent, env, buffer)
+                else:
+                    while not env.done:
+                        train_step(agent, env, buffer)
             if epoch % CURVE_EVERY_EPOCHS == 0 or epoch == cfg.epochs:
                 # The last epoch always lands here; its records feed the report.
                 records = collect_records(agent_policy(agent), eval_set, cfg)

@@ -59,8 +59,8 @@ def random_batch(rng, n, obs_dim, done_rate=0.1):
 
 class TestReplayBuffer:
     def _tr(self, i, done=False):
-        """push's arguments (s, action, r, s_next, done) for transition i."""
-        return np.full(4, float(i)), np.full(3, 0.5), float(i), np.zeros(4), done
+        """push's arguments (s, action, r_A, r_F, s_next, done) for transition i."""
+        return np.full(4, float(i)), np.full(3, 0.5), float(i), 0.0, np.zeros(4), done
 
     def test_fifo_eviction(self):
         buf = ReplayBuffer(capacity=2, seed=0)
@@ -834,7 +834,7 @@ def test_darc_critic_gap_shrinks_with_regularization():
             s = env.observation[0]
             arr = rng.uniform(0, 1, 3)
             res = env.step(arr[None])
-            buf.push(s, arr, res.r_A.item(), res.next_obs[0], res.done)
+            buf.push(s, arr, res.r_A.item(), res.r_F.item(), res.next_obs[0], res.done)
         gaps = []
         for u in range(updates):
             critic_update(agent, buf.sample(cfg.batch_size))
@@ -868,9 +868,9 @@ class TestErrorSurfaces:
 
     def test_buffer_rejects_width_change(self):
         buf = ReplayBuffer(8, seed=0)
-        buf.push(np.zeros(4), np.full(3, 0.5), 0.0, np.zeros(4), False)
+        buf.push(np.zeros(4), np.full(3, 0.5), 0.0, 0.0, np.zeros(4), False)
         with pytest.raises(ValueError, match="feature length"):
-            buf.push(np.zeros(5), np.full(3, 0.5), 0.0, np.zeros(5), False)
+            buf.push(np.zeros(5), np.full(3, 0.5), 0.0, 0.0, np.zeros(5), False)
 
     @pytest.mark.parametrize(
         "s_next,action,message",
@@ -881,5 +881,5 @@ class TestErrorSurfaces:
     def test_push_rejects_mismatched_transition(self, s_next, action, message):
         buf = ReplayBuffer(8, seed=0)
         with pytest.raises(ValueError, match=message):
-            buf.push(np.zeros(4), action, 0.0, s_next, False)
+            buf.push(np.zeros(4), action, 0.0, 0.0, s_next, False)
         assert len(buf) == 0

@@ -6,8 +6,8 @@ an error. These tests run real environment steps and gradient phases for
 each algorithm at small scale and check the dtype of every array the core
 holds or computes: parameters, Adam moments, the replay arrays, the sampled
 batch, the bootstrap targets, every network input and output, and every
-parameter gradient. Episodes, the environment and the actions handed back to
-it stay float64; ``gradient_check`` runs in float64 on a cast copy.
+parameter gradient. Episodes, the environment, the actions handed back to it
+and the replay buffer's two reward channels stay float64; ``gradient_check`` runs in float64 on a cast copy.
 """
 
 import numpy as np
@@ -99,7 +99,7 @@ def test_training_keeps_every_core_array_float32(algo, monkeypatch):
             for p in agent.actors + agent.critics + agent.target_actors + agent.target_critics
         ],
         "adam": [a for s in agent.actor_adam + agent.critic_adam for a in (s.m, s.v)],
-        "replay": [buffer._s, buffer._a, buffer._r, buffer._s2, buffer._d],
+        "replay": [buffer._s, buffer._a, buffer._s2, buffer._d],
         "batch": [batch.s, batch.action, batch.r, batch.s_next, batch.done],
         "targets": [y, v_next, q_values],
         "gradients": grads,
@@ -112,7 +112,8 @@ def test_training_keeps_every_core_array_float32(algo, monkeypatch):
     assert seen and {dtype for _, dtype in seen} == {F32}, sorted(
         {(where, str(dtype)) for where, dtype in seen if dtype != F32}
     )
-    # The environment side stays float64.
+    # The environment side stays float64, the buffer's reward channels too.
+    assert buffer._r_a.dtype == buffer._r_f.dtype == F64
     assert agent.action_array(env.observation, mode="train").dtype == F64
     assert agent.action_array(env.observation, mode="eval").dtype == F64
 

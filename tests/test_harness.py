@@ -363,7 +363,7 @@ class TestTracesAndComparison:
 
 @pytest.mark.parametrize("w_a,w_f", [(0.1, 1.0), (0.0, 1.0)])
 class TestRewardWeights:
-    """w_A * r_A + w_F * r_F is the reward the buffer stores and the curve sums."""
+    """w_A * r_A + w_F * r_F is the reward the buffer serves and the curve sums."""
 
     def _cfg(self, tmp_path, w_a, w_f):
         cfg = tiny_cfg(tmp_path)
@@ -385,7 +385,16 @@ class TestRewardWeights:
         assert any(log.r_A > 0.0 for log in logs) and any(log.r_F > 0.0 for log in logs)
         assert any(log.losses for log in logs)  # steps past the warmup as well
         expected = [np.float32(w_a * log.r_A + w_f * log.r_F) for log in logs]
-        assert buffer._r[: len(logs)].tolist() == expected
+        # Every slot, read through sample: replay the buffer's index draws.
+        seen = set()
+        for _ in range(20):
+            draws = np.random.Generator(np.random.PCG64())
+            draws.bit_generator.state = buffer._rng.bit_generator.state
+            idx = draws.integers(0, len(buffer), size=len(logs)).tolist()
+            batch = buffer.sample(len(logs), (w_a, w_f))
+            assert batch.r[:, 0].tolist() == [expected[i] for i in idx]
+            seen.update(idx)
+        assert seen == set(range(len(logs)))
 
     def test_curve_return_uses_the_weights(self, tmp_path, w_a, w_f):
         cfg = self._cfg(tmp_path, w_a, w_f)

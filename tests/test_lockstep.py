@@ -59,7 +59,7 @@ class TestAttentionKernel:
     @pytest.mark.parametrize(
         "h,w,pool", [(16, 16, 8), (8, 8, 4), (16, 16, 16), (16, 16, 1), (12, 12, 4)]
     )
-    @pytest.mark.parametrize("n", [1, 3, 4, 16, 17])
+    @pytest.mark.parametrize("n", [1, 3, 4, 16, 17, 24, 40, 100])
     def test_rows_match_per_field_chain_bitwise(self, h, w, pool, n):
         cfg = EnvConfig(grid_h=h, grid_w=w, pool_h=pool, pool_w=pool)
         rng = np.random.default_rng(1000 * h + n)
