@@ -82,6 +82,15 @@ def attention_features(raw: np.ndarray, fixations: np.ndarray, cfg: EnvConfig) -
     rho * foveated + (1 - rho) * raw, renormalized, and block-mean pooled to
     [pool_h, pool_w], flattened row-major into row i of the result. The
     tests hold a per-field version of this chain as its bit-for-bit oracle.
+
+    Each block sum is formed in the order numpy's ``add.reduce`` over the
+    block axes uses: every block row summed left to right, then the row sums
+    added top to bottom (``(x00 + x01) + (x10 + x11)`` for a 2 x 2 block),
+    as whole-stack slice adds, which cost a fraction of numpy's two-axis
+    reduction over axes a few cells long. Blocks 8 or more cells wide, and
+    pools one block wide, keep ``np.add.reduce``: there numpy sums pairwise
+    (along each block row, or over a whole block that is contiguous in
+    memory), so no slice order reproduces its bits.
     """
     n, h, w = raw.shape
     oh, ow = cfg.pool_h, cfg.pool_w
@@ -101,7 +110,19 @@ def attention_features(raw: np.ndarray, fixations: np.ndarray, cfg: EnvConfig) -
     fov += (1.0 - cfg.rho) * raw
     normalize_fields(fov)
     # The block mean as np.mean forms it (sum, then divide by the count), without
-    # its per-call Python overhead.
-    pooled = np.add.reduce(fov.reshape(n, oh, h // oh, ow, w // ow), axis=(2, 4))
-    pooled /= (h // oh) * (w // ow)
+    # its per-call Python overhead; the sums keep np.add.reduce's order (above).
+    bh, bw = h // oh, w // ow
+    blocks = fov.reshape(n, oh, bh, ow, bw)
+    if bw >= 8 or ow == 1:
+        pooled = np.add.reduce(blocks, axis=(2, 4))
+    else:
+        rows = blocks[..., 0]
+        for j in range(1, bw):
+            rows = rows + blocks[..., j]
+        pooled = rows[:, :, 0]
+        for i in range(1, bh):
+            pooled = pooled + rows[:, :, i]
+        # numpy's sums start from +0.0, so a block of -0.0 cells sums to +0.0.
+        pooled += 0.0
+    pooled /= bh * bw
     return pooled.reshape(n, -1)

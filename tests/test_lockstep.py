@@ -57,11 +57,24 @@ def random_fields(rng, n, h, w):
 
 class TestAttentionKernel:
     @pytest.mark.parametrize(
-        "h,w,pool", [(16, 16, 8), (8, 8, 4), (16, 16, 16), (16, 16, 1), (12, 12, 4)]
+        "h,w,pool_h,pool_w",
+        [
+            (16, 16, 8, 8),
+            (8, 8, 4, 4),
+            (16, 16, 16, 16),
+            (16, 16, 1, 1),
+            (12, 12, 4, 4),
+            (16, 16, 8, 4),  # 2 x 4 blocks
+            (16, 16, 4, 8),  # 4 x 2 blocks
+            (14, 14, 7, 2),  # 7-wide blocks, the widest summed by slices
+            (16, 16, 8, 2),  # 8-wide blocks: np.add.reduce
+            (16, 2, 8, 1),  # a pool one block wide: np.add.reduce
+            (12, 16, 6, 8),  # a non-square grid
+        ],
     )
     @pytest.mark.parametrize("n", [1, 3, 4, 16, 17, 24, 40, 100])
-    def test_rows_match_per_field_chain_bitwise(self, h, w, pool, n):
-        cfg = EnvConfig(grid_h=h, grid_w=w, pool_h=pool, pool_w=pool)
+    def test_rows_match_per_field_chain_bitwise(self, h, w, pool_h, pool_w, n):
+        cfg = EnvConfig(grid_h=h, grid_w=w, pool_h=pool_h, pool_w=pool_w)
         rng = np.random.default_rng(1000 * h + n)
         raw = random_fields(rng, n, h, w)
         fixations = rng.random((n, 2))
@@ -78,6 +91,16 @@ class TestAttentionKernel:
         fixations = np.array([[0.0, 0.0], [17 / 32, 17 / 32], [0.3, 0.7], [1.0, 1.0]])
         degenerate = assert_rows_match_reference(raw, fixations, cfg)
         assert degenerate == [True, False, True, True]
+
+    @pytest.mark.parametrize("pool_w", [8, 2])
+    def test_a_block_of_negative_zeros_pools_to_positive_zero(self, pool_w):
+        cfg = EnvConfig(grid_h=16, grid_w=16, pool_h=8, pool_w=pool_w)
+        rng = np.random.default_rng(9)
+        raw = random_fields(rng, 3, 16, 16)
+        raw[1, :2, : 16 // pool_w] = -0.0  # row 1's first block
+        fixations = rng.random((3, 2))
+        assert_rows_match_reference(raw, fixations, cfg)
+        assert not np.signbit(attention_features(raw, fixations, cfg)).any()
 
     def test_normalize_fields_matches_normalize_field(self):
         rng = np.random.default_rng(2)
@@ -121,7 +144,7 @@ class TestAttentionKernel:
 
 
 class TestWholeEpisodes:
-    @pytest.mark.parametrize("n", [1, 16])
+    @pytest.mark.parametrize("n", [1, 16, 24])
     def test_every_observation_row_matches_the_per_field_chain(self, n):
         """A default-scale group of n under a seeded action stream, some fixations
         on the unit square's edges: every row of every observation holds the
