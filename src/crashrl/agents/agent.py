@@ -163,18 +163,13 @@ class Agent:
         The networks and the exploration noise run in float32 (the noise is
         drawn in float64 and cast). A batch of one gives the bits of the 1-D
         call; a larger batch goes through BLAS gemm instead of gemv, so its
-        rows can differ from per-row calls in the last bit.
+        rows can differ from per-row calls in the last bit. The actor's
+        ``mlp_graph`` checks the features: any other width or rank fails there.
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         features = np.asarray(features, dtype=DTYPE)
-        if features.ndim not in (1, 2) or features.shape[-1] != self.obs_dim:
-            raise ValueError(
-                f"expected {self.obs_dim} features (shape [{self.obs_dim}] or "
-                f"[N, {self.obs_dim}]), got shape {list(features.shape)}"
-            )
-        s = features.reshape(-1, self.obs_dim)
-        n = s.shape[0]
+        s = features[None] if features.ndim == 1 else features
         if self.cfg.stochastic:
             out = mlp_apply(self.actors[0], s)
             u = sample_policy(out, self.rng)[-1] if mode == "train" else out[:, :ACTION_DIM]
@@ -188,7 +183,7 @@ class Agent:
                 values = [self._critic_value(s, cand) for cand in candidates]
                 action = np.where(values[0] >= values[1], candidates[0], candidates[1])
             if mode == "train":
-                noise = self.rng.normal(0.0, self.cfg.exploration_noise, (n, ACTION_DIM))
+                noise = self.rng.normal(0.0, self.cfg.exploration_noise, action.shape)
                 action = np.clip(action + noise.astype(DTYPE), 0.0, 1.0)
         action = action.astype(np.float64)
         return action.reshape(-1) if features.ndim == 1 else action

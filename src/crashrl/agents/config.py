@@ -59,6 +59,11 @@ class AgentConfig:
         for name in ("policy_delay", "batch_size", "buffer_capacity"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.batch_size > self.buffer_capacity:
+            raise ValueError(
+                f"batch_size {self.batch_size} exceeds buffer_capacity "
+                f"{self.buffer_capacity}: the buffer could never hold a batch"
+            )
         if self.warmup_steps < 0:
             raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
         for name in ("exploration_noise", "target_noise", "noise_clip"):

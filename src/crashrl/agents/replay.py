@@ -5,8 +5,11 @@ float64. The buffer keeps r_A and r_F in float64 and the rest in the network
 core's float32; ``sample`` forms each row's reward w_A * r_A + w_F * r_F in
 float64, and every ``Batch`` holds it in float32. ``write`` does every write
 and ``commit`` counts the written slots; ``push`` is their one-row case.
-``write`` checks only the state widths: the action passed ``check_actions``
-in ``AccidentEnv.step``, and ``AgentConfig`` the capacity.
+Every column is allocated at construction for ``obs_dim``-wide states, and
+``write`` checks nothing: a state of another width (but 1, which numpy
+broadcasts across the row) fails in numpy's row assignment, before ``commit``
+counts it. The action passed ``check_actions`` in ``AccidentEnv.step``, and
+``AgentConfig`` checked the capacity.
 """
 
 from __future__ import annotations
@@ -44,14 +47,14 @@ class Batch:
 class ReplayBuffer:
     """Ring buffer: FIFO eviction when full, uniform sampling with replacement."""
 
-    def __init__(self, capacity: int = 100_000, seed: int = 0) -> None:
+    def __init__(self, capacity: int, obs_dim: int, seed: int) -> None:
         self.capacity = capacity
         self._rng = np.random.default_rng(seed)
-        self._s: np.ndarray | None = None
+        self._s = np.empty((capacity, obs_dim), DTYPE)
         self._a = np.empty((capacity, ACTION_DIM), DTYPE)
         self._r_a = np.empty(capacity)
         self._r_f = np.empty(capacity)
-        self._s2: np.ndarray | None = None
+        self._s2 = np.empty((capacity, obs_dim), DTYPE)
         self._d = np.empty(capacity, DTYPE)
         self._size = 0
         self._head = 0
@@ -74,17 +77,6 @@ class ReplayBuffer:
         the other columns match. The row writes cast all but the rewards to
         float32.
         """
-        if s.shape != s_next.shape:
-            raise ValueError("state and next-state feature lengths must match")
-        width = s.shape[-1]
-        if self._s is None:
-            self._s = np.empty((self.capacity, width), DTYPE)
-            self._s2 = np.empty((self.capacity, width), DTYPE)
-        elif width != self._s.shape[1]:
-            raise ValueError(
-                f"transition feature length {width} does not match "
-                f"buffer width {self._s.shape[1]}"
-            )
         i = (self._head + offsets) % self.capacity
         self._s[i] = s
         self._a[i] = action

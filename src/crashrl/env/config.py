@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -61,6 +62,13 @@ class EnvConfig:
             raise ValueError(f"accident_prob must be in [0, 1], got {self.accident_prob}")
         if not 0.0 < self.t_a_frac_lo < self.t_a_frac_hi < 1.0:
             raise ValueError("t_a range must satisfy 0 < lo < hi < 1")
+        lo, hi = self.t_a_bounds
+        if lo > hi and self.accident_prob > 0.0:
+            raise ValueError(
+                f"t_a range is empty: t_a_frac_lo {self.t_a_frac_lo} and t_a_frac_hi "
+                f"{self.t_a_frac_hi} of episode_len {self.episode_len} give frames {lo} "
+                f"to {hi}, and accident_prob {self.accident_prob} needs one"
+            )
         if self.fps <= 0.0:
             raise ValueError(f"fps must be > 0, got {self.fps}")
         if self.fixation_window not in FIXATION_WINDOWS:
@@ -68,6 +76,16 @@ class EnvConfig:
                 f"fixation_window must be one of {FIXATION_WINDOWS}, "
                 f"got {self.fixation_window!r}"
             )
+
+    @property
+    def t_a_bounds(self) -> tuple[int, int]:
+        """The first and last frame a generated accident may take: ceil(lo * T)
+        and floor(hi * T), kept off the first and the last frame."""
+        t_len = self.episode_len
+        return (
+            max(1, math.ceil(self.t_a_frac_lo * t_len)),
+            min(t_len - 1, math.floor(self.t_a_frac_hi * t_len)),
+        )
 
     @property
     def obs_dim(self) -> int:

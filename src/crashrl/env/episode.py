@@ -150,10 +150,7 @@ def generate_episode(cfg: EnvConfig, seed: int) -> Episode:
     t_a = None
     blob_center = None
     if y == 1:
-        lo = max(1, int(np.ceil(cfg.t_a_frac_lo * t_len)))
-        hi = min(t_len - 1, int(np.floor(cfg.t_a_frac_hi * t_len)))
-        if lo > hi:
-            raise ValueError("t_a range is empty for this episode length")
+        lo, hi = cfg.t_a_bounds
         t_a = int(rng.integers(lo, hi + 1))
         blob_center = rng.uniform(0.2, 0.8, size=2)
 

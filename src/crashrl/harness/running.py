@@ -346,7 +346,7 @@ def run_training(cfg: RunConfig) -> RunArtifacts:
         seed_fingerprints.append(eval_fingerprint(eval_set))
         obs_dim = cfg.env.obs_dim
         agent = Agent(cfg.agent, obs_dim, seed + AGENT_SEED_OFFSET)
-        buffer = ReplayBuffer(cfg.agent.buffer_capacity, seed + BUFFER_SEED_OFFSET)
+        buffer = ReplayBuffer(cfg.agent.buffer_capacity, obs_dim, seed + BUFFER_SEED_OFFSET)
 
         curve = []
         for epoch in range(1, cfg.epochs + 1):

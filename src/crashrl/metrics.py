@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -103,26 +103,25 @@ class EvalRecords:
 
 
 @dataclass(frozen=True)
-class DetectionCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-
-@dataclass(frozen=True)
 class MetricsReport:
-    """All metrics for one evaluation run, plus ROC/PR curve points."""
+    """All metrics for one evaluation run, plus ROC/PR curve points.
+
+    Every field but the curve points is one number of metrics.json; tp, fp,
+    tn and fn count episodes at a_0.
+    """
 
     auc: float
     ap: float
     recall_at_a0: float
     mtta_seconds: float
     fixation_mse: float
-    counts: DetectionCounts
+    tp: int
+    fp: int
+    tn: int
+    fn: int
+    safe_detect_fraction_2s: float
     roc_points: tuple[tuple[float, float, float], ...]  # (fpr, tpr, threshold)
     pr_points: tuple[tuple[float, float, float], ...]  # (recall, precision, threshold)
-    safe_detect_fraction_2s: float
 
 
 class _TieBlocks(NamedTuple):
@@ -212,12 +211,13 @@ def require_reportable(labels, in_window, window: str, where: str) -> None:
         )
 
 
-def _episode_level(records: EvalRecords, a_0: float):
-    """(recall, counts, mTTA, safe-detection fraction) from each episode's
-    first crossing of a_0.
+def _episode_level(records: EvalRecords, a_0: float) -> dict:
+    """The report fields that each episode's first crossing of a_0 gives:
+    recall_at_a0, tp, fp, tn, fn, mtta_seconds and safe_detect_fraction_2s.
 
-    A positive episode is detected when its first crossing comes strictly
-    before t_a; its TTA is then (t_a - crossing) / fps, and 0 otherwise.
+    A positive episode is detected (tp, else fn) when its first crossing
+    comes strictly before t_a; its TTA is then (t_a - crossing) / fps, and 0
+    otherwise. A negative episode that crosses is an fp, else a tn.
     The safe-detection fraction counts the detected positives whose TTA
     meets SAFE_MARGIN_SECONDS, and is 0 with no detection.
     """
@@ -231,11 +231,13 @@ def _episode_level(records: EvalRecords, a_0: float):
     tp = int(np.count_nonzero(detected))
     fn = int(np.count_nonzero(positive)) - tp
     fp = int(np.count_nonzero(~positive & crossed))
-    counts = DetectionCounts(tp, fp, len(records.episode_ids) - tp - fn - fp, fn)
     # Per positive episode, in episode order.
     tta = np.where(detected, (records.t_a - crossing) / records.fps, 0.0)[positive]
     safe = int(np.count_nonzero(tta >= SAFE_MARGIN_SECONDS)) / tp if tp else 0.0
-    return tp / (tp + fn), counts, math.fsum(tta.tolist()) / tta.size, safe
+    return dict(
+        recall_at_a0=tp / (tp + fn), tp=tp, fp=fp, tn=len(records.episode_ids) - tp - fn - fp,
+        fn=fn, mtta_seconds=math.fsum(tta.tolist()) / tta.size, safe_detect_fraction_2s=safe,
+    )
 
 
 def _fixation_mse(records: EvalRecords, in_window: np.ndarray) -> float:
@@ -262,35 +264,21 @@ def compile_report(
         dtype=bool,
     )
     require_reportable(records.y.tolist(), in_window, window, "the record set")
-    recall, counts, mtta, safe = _episode_level(records, a_0)
     blocks = _tie_blocks(records)
     return MetricsReport(
         auc=_auc(blocks),
         ap=_ap(blocks),
-        recall_at_a0=recall,
-        mtta_seconds=mtta,
         fixation_mse=_fixation_mse(records, in_window),
-        counts=counts,
         roc_points=_roc_points(blocks),
         pr_points=_pr_points(blocks),
-        safe_detect_fraction_2s=safe,
+        **_episode_level(records, a_0),
     )
 
 
 def report_as_dict(report: MetricsReport) -> dict[str, float]:
-    """Flat key/value view of a report (curve points go to the CSV files)."""
-    return {
-        "auc": report.auc,
-        "ap": report.ap,
-        "recall_at_a0": report.recall_at_a0,
-        "mtta_seconds": report.mtta_seconds,
-        "fixation_mse": report.fixation_mse,
-        "tp": report.counts.tp,
-        "fp": report.counts.fp,
-        "tn": report.counts.tn,
-        "fn": report.counts.fn,
-        "safe_detect_fraction_2s": report.safe_detect_fraction_2s,
-    }
+    """Every report field but the curve points (those go to the CSV files)."""
+    curves = ("roc_points", "pr_points")
+    return {f.name: getattr(report, f.name) for f in fields(report) if f.name not in curves}
 
 
 def write_report(report: MetricsReport, out_dir) -> None:

@@ -267,7 +267,7 @@ def _bandit_converges(algo, seed, max_steps=5000, check_every=250):
         actor_lr=1e-3, critic_lr=1e-3,
     )
     agent = Agent(cfg, obs_dim=1, seed=seed)
-    buf = ReplayBuffer(10_000, seed=seed + 1)
+    buf = ReplayBuffer(10_000, obs_dim=1, seed=seed + 1)
     env = QuadraticBandit(optimum=0.7)
     env.reset()
     probe = np.zeros(1)

@@ -223,6 +223,13 @@ class TestGenerateEpisode:
                 return ep
         raise AssertionError(f"no episode with label {label} found")
 
+    def test_three_frame_positives_all_crash_at_frame_two(self):
+        """ceil(0.6 * 3) = 2 and floor(0.9 * 3) = 2: frame 2 is the one accident frame."""
+        cfg = EnvConfig(episode_len=3)
+        assert cfg.t_a_bounds == (2, 2)
+        positives = [ep for ep in (generate_episode(cfg, s) for s in range(40)) if ep.y]
+        assert positives and all(ep.t_a == 2 for ep in positives)
+
     def test_negative_episode_has_no_blob_and_is_stationary(self):
         cfg = EnvConfig()
         ep = self._episode_with_label(cfg, 0)
@@ -703,6 +710,12 @@ class TestEnvConfigValidation:
             EnvConfig(pool_h=5)
         with pytest.raises(ValueError):
             EnvConfig(fixation_window="sometimes")
+
+    def test_empty_t_a_range_needs_no_accidents(self):
+        with pytest.raises(ValueError, match="t_a range is empty"):
+            EnvConfig(episode_len=2)
+        cfg = EnvConfig(episode_len=2, accident_prob=0.0)
+        assert all(generate_episode(cfg, seed).y == 0 for seed in range(5))
 
 
 def test_episode_invariants_enforced():

@@ -83,7 +83,7 @@ def test_training_keeps_every_core_array_float32(algo, monkeypatch):
         algo=algo, hidden_dims=(8, 8), batch_size=4, warmup_steps=4, buffer_capacity=32
     )
     agent = Agent(cfg, env_cfg.obs_dim, seed=0)
-    buffer = ReplayBuffer(cfg.buffer_capacity, seed=1)
+    buffer = ReplayBuffer(cfg.buffer_capacity, env_cfg.obs_dim, seed=1)
     env = AccidentEnv([generate_episode(env_cfg, 3)], env_cfg)
     env.reset()
     for _ in range(8):  # four gradient phases, two of them with an actor phase

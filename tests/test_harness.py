@@ -375,7 +375,7 @@ class TestRewardWeights:
     def test_buffer_stores_the_weighted_reward(self, tmp_path, w_a, w_f):
         cfg = self._cfg(tmp_path, w_a, w_f)
         agent = Agent(cfg.agent, cfg.env.obs_dim, seed=0)
-        buffer = ReplayBuffer(cfg.agent.buffer_capacity, seed=1)
+        buffer = ReplayBuffer(cfg.agent.buffer_capacity, cfg.env.obs_dim, seed=1)
         logs = []
         for seed in range(4):
             env = AccidentEnv([generate_episode(cfg.env, seed)], cfg.env)
@@ -1020,15 +1020,56 @@ class TestCli:
         [
             (["--hidden", "8,0"], "hidden_dims must be >= 1, got [8, 0]"),
             (["--seeds", "3,3"], "seeds: must be distinct, got [3, 3]"),
+            (
+                ["--episode-length", "2"],
+                "env: t_a range is empty: t_a_frac_lo 0.6 and t_a_frac_hi 0.9 of "
+                "episode_len 2 give frames 2 to 1",
+            ),
+            (
+                ["--batch-size", "100001"],
+                "agent: batch_size 100001 exceeds buffer_capacity 100000",
+            ),
         ],
-        ids=["zero-width", "repeated-seed"],
+        ids=["zero-width", "repeated-seed", "empty-t_a-range", "batch-over-capacity"],
     )
-    def test_bad_width_or_repeated_seed_exits_one_before_writing(
+    def test_out_of_range_setting_exits_one_before_writing(
         self, tmp_path, capsys, flags, message
     ):
         out = tmp_path / "runs"
         assert cli_main(self._train_flags(out) + flags) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "eval"])
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            (
+                {"env": {"episode_len": 7, "t_a_frac_lo": 0.6, "t_a_frac_hi": 0.65}},
+                "error: env: t_a range is empty: t_a_frac_lo 0.6 and t_a_frac_hi 0.65 of "
+                "episode_len 7 give frames 5 to 4, and accident_prob 0.5 needs one\n",
+            ),
+            (
+                {"agent": {"buffer_capacity": 16, "batch_size": 32}},
+                "error: agent: batch_size 32 exceeds buffer_capacity 16: the buffer "
+                "could never hold a batch\n",
+            ),
+        ],
+        ids=["empty-t_a-range", "batch-over-capacity"],
+    )
+    def test_config_file_rule_exits_one_before_writing(
+        self, tmp_path, capsys, command, config, message
+    ):
+        """Both rules hold for every command that builds a run config."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg_path), "--out", str(out), "--grid", "8",
+                "--pool", "4"]
+        argv += {"gen-data": ["--count", "20"], "train": ["--epochs", "1"],
+                 "eval": ["--checkpoint", str(tmp_path / "checkpoint.txt")]}[command]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == message
         assert not out.exists()
 
 

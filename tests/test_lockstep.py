@@ -363,7 +363,7 @@ class TestBatchedActionArray:
     @pytest.mark.parametrize("shape", [(7,), (2, 7), (2, 1, 8), (1, 2, 8)])
     def test_wrong_width_or_rank_names_the_expected_width(self, shape):
         agent = small_agent("td3", 8)
-        with pytest.raises(ValueError, match="expected 8 features"):
+        with pytest.raises(ValueError, match=r"input must have shape \[batch, 8\]"):
             agent.action_array(np.zeros(shape))
 
     def test_agent_policy_is_one_batched_call_per_step(self):

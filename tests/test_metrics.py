@@ -219,7 +219,7 @@ class TestRecallAndMtta:
             records.extend(self._episode(f"e{e}", scores, 1, t_a=4))
         report = padded_report(records, 0.5)
         assert report.recall_at_a0 == 0.9
-        assert report.counts.tp == 9 and report.counts.fn == 1
+        assert report.tp == 9 and report.fn == 1
 
     def test_crossing_at_frame_zero(self):
         report = self._report("e0", [1.0, 0.0, 0.0], 1, t_a=2)
@@ -229,7 +229,7 @@ class TestRecallAndMtta:
         # only crossing at t >= t_a
         scores = [0.0] * 5 + [0.9] * 5
         report = self._report("e0", scores, 1, t_a=5)
-        assert report.recall_at_a0 == 0.0 and report.counts.fn == 1
+        assert report.recall_at_a0 == 0.0 and report.fn == 1
         assert report.mtta_seconds == 0.0
 
     def test_mtta_hand_case(self):
@@ -371,7 +371,7 @@ class TestCompileReport:
         assert report.ap == 1.0
         assert report.recall_at_a0 == 1.0
         assert report.fixation_mse == 0.0
-        assert report.counts.tp == 3 and report.counts.tn == 3
+        assert report.tp == 3 and report.tn == 3
 
     def test_report_deterministic(self):
         records = self._mixed_records(perfect=False)
