@@ -6,10 +6,11 @@ core's float32; ``sample`` forms each row's reward w_A * r_A + w_F * r_F in
 float64, and every ``Batch`` holds it in float32. ``write`` does every write
 and ``commit`` counts the written slots; ``push`` is their one-row case.
 Every column is allocated at construction for ``obs_dim``-wide states, and
-``write`` checks nothing: a state of another width (but 1, which numpy
-broadcasts across the row) fails in numpy's row assignment, before ``commit``
-counts it. The action passed ``check_actions`` in ``AccidentEnv.step``, and
-``AgentConfig`` checked the capacity.
+``write`` rejects a state or next state of another width before it writes
+any column (numpy's row assignment would broadcast a width-1 state across
+the row), so ``commit`` never counts it. The action passed
+``check_actions`` in ``AccidentEnv.step``, and ``AgentConfig`` checked the
+capacity.
 """
 
 from __future__ import annotations
@@ -77,6 +78,12 @@ class ReplayBuffer:
         the other columns match. The row writes cast all but the rewards to
         float32.
         """
+        width = self._s.shape[1]
+        if np.shape(s)[-1:] != (width,) or np.shape(s_next)[-1:] != (width,):
+            raise ValueError(
+                f"states must have {width} columns, got shapes "
+                f"{list(np.shape(s))} and {list(np.shape(s_next))}"
+            )
         i = (self._head + offsets) % self.capacity
         self._s[i] = s
         self._a[i] = action

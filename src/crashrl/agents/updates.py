@@ -9,114 +9,117 @@ j, or, for a stochastic (SAC) actor, min_i Q_i - alpha * log pi with the
 reparameterization trick. After every actor phase all targets are Polyak-
 updated with rate tau.
 
-Each phase runs its networks forward with ``mlp_graph`` (acting and targets
-run its output alone, ``mlp_apply``), writes out the gradient of its loss
-with respect to each network's output by hand, and hands it to
-``autodiff.backprop`` for the chain rule through the network. The actor
-phases run the heads acting and the targets use (``agent.deterministic_head``
-and ``agent.sample_policy``); ``_action_grad`` holds both heads' derivative.
-Only the parameters a phase updates get a gradient (the critics' in the
-critic phase, the actor's in the actor phase); the actor phase also forms
-the critics' input gradient, of which it uses the action columns. Adam and
-the Polyak sync then update each network's flat parameter vector in place.
+Each phase runs each role's stack forward in one pass with ``mlp_graph``
+(acting and targets run its output alone, ``mlp_apply``), writes out the
+gradient of its loss with respect to the stack's output by hand, and hands
+it to ``autodiff.backprop`` for the chain rule through every network of the
+stack at once. The actor phases run the heads acting and the targets use
+(``agent.deterministic_head`` and ``agent.sample_policy``);
+``_action_grad`` holds both heads' derivative. Only the parameters a phase
+updates get a gradient (the critics' in the critic phase, the actors' in
+the actor phase); the actor phase also forms the critics' input gradient,
+of which it uses the action columns. One Adam step per role and one Polyak
+sync per target role then update the stacks' flat parameters in place.
 Every value and gradient is float32, as the batch and the parameters are.
 Each loss head runs the operations of its loss graph in the graph's order,
-and a gradient reaching a value along two paths is the sum of the two, so
-the gradients are bit-identical to a reverse-mode tape over the same graph
+per network (each mean divides by one network's count), and a gradient
+reaching a value along two paths is the sum of the two, so the gradients
+are bit-identical to a reverse-mode tape over each network's graph
 (``tests/autodiff_reference.py`` keeps that tape as the oracle).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
 from ..numkit import adam_step, mlp_graph, soft_update
 from ..numkit import autodiff as ad
-from .agent import LOG_STD_MAX, LOG_STD_MIN, Agent, deterministic_head, sample_policy, squash01
+from .agent import (
+    LOG_STD_MAX,
+    LOG_STD_MIN,
+    Agent,
+    deterministic_head,
+    sample_policy,
+    squash01,
+    state_action,
+)
 from .replay import ACTION_DIM, Batch, ReplayBuffer
 from .targets import LOG_TWO_PI, compute_targets, tanh_correction
 
 
 def _mean_grad(values: np.ndarray, scale=1.0):
-    """d(scale * mean(values)) / d(values), one entry: scale / n in their dtype."""
-    return values.dtype.type(scale) / values.size
+    """d(scale * mean(v)) / d(v) for one network's values v, the last two axes
+    of ``values``: one entry, scale / (B * out) in their dtype."""
+    return values.dtype.type(scale) / (values.shape[-2] * values.shape[-1])
 
 
 def _critic_grads(agent: Agent, batch: Batch, targets: np.ndarray):
-    """Flat gradients of the summed critic losses plus the nu-weighted coupling.
+    """The critics' gradient of the summed critic losses plus the nu-weighted
+    coupling.
 
     The loss is sum_i mean((Q_i - y)^2) + nu * mean((Q_0 - Q_1)^2). Returns
-    each critic's gradient, each critic's MSE, and the coupling term's value
-    (0.0 when it is off).
+    the critics' [K, n_values] gradient, each critic's MSE, and the coupling
+    term's value (0.0 when it is off).
     """
     cfg = agent.cfg
     x = np.concatenate([batch.s, batch.action], axis=1)
-    forward = [mlp_graph(net, x) for net in agent.critics]
-    q = [out for out, _ in forward]
-    diffs = [qi - targets for qi in q]
-    mse = [float((d * d).mean()) for d in diffs]
-    upstream = [_mean_grad(d) * (2.0 * d) for d in diffs]
+    q, record = mlp_graph(agent.critics, x)
+    d = q - targets
+    mse = (d * d).mean(axis=(-2, -1)).tolist()
+    upstream = _mean_grad(d) * (2.0 * d)
     reg_value = 0.0
     if cfg.coupled_critics and cfg.nu > 0.0:
-        d = q[0] - q[1]
-        reg_value = float((d * d).mean())
-        g = _mean_grad(d, cfg.nu) * (2.0 * d)
-        upstream[0] = upstream[0] + g
-        upstream[1] = upstream[1] - g
-    grads = [ad.backprop(record, g)[0] for (_, record), g in zip(forward, upstream)]
-    return grads, mse, reg_value
+        c = q[0] - q[1]
+        reg_value = float((c * c).mean())
+        g = _mean_grad(c, cfg.nu) * (2.0 * c)
+        upstream[0] += g
+        upstream[1] -= g
+    return ad.backprop(record, upstream)[0], mse, reg_value
 
 
 def critic_update(agent: Agent, batch: Batch) -> dict[str, float]:
-    """One Adam step per critic against the TD target; returns scalar losses."""
+    """One Adam step of the critics against the TD target; returns scalar losses."""
     cfg = agent.cfg
     targets = compute_targets(batch, agent)
     grads, mse, reg_value = _critic_grads(agent, batch, targets)
-
-    losses: dict[str, float] = {}
-    for i, grad in enumerate(grads):
-        adam_step(agent.critics[i], grad, agent.critic_adam[i])
-        losses[f"critic_{i}"] = mse[i] + cfg.nu * reg_value
+    adam_step(agent.critics, grads, agent.critic_adam)
+    losses = {f"critic_{i}": m + cfg.nu * reg_value for i, m in enumerate(mse)}
     if cfg.coupled_critics:
         losses["critic_reg"] = reg_value
     agent.update_count += 1
     return losses
 
 
-def _action_grad(agent: Agent, records, upstream, t) -> np.ndarray:
-    """d/du of sum_i sum(upstream_i * Q_i(s, squash01(tanh(u)))), given t = tanh(u):
-    the chain rule of both actor heads (the deterministic head's clamp passes it).
-
-    Each critic's input gradient is sliced to its action columns.
-    """
-    g_x = reduce(
-        np.add,
-        [
-            ad.backprop(record, g, params=False, inputs=True)[1]
-            for record, g in zip(records, upstream)
-        ],
-    )
-    return g_x[:, agent.obs_dim :] * 0.5 * (1.0 - t * t)
+def _action_grad(agent: Agent, g_x, t) -> np.ndarray:
+    """d/du of Q(s, squash01(tanh(u))) given the critics' input gradient g_x
+    and t = tanh(u): the chain rule of both actor heads (the deterministic
+    head's clamp passes it), on g_x's action columns."""
+    return g_x[..., agent.obs_dim :] * 0.5 * (1.0 - t * t)
 
 
-def _det_actor_grad(agent: Agent, batch: Batch, j: int):
-    """-mean Q_j(s, pi_j(s)): its value and actor j's flat gradient."""
-    out, actor_record = mlp_graph(agent.actors[j], batch.s)
+def _det_actor_grad(agent: Agent, batch: Batch):
+    """-mean Q_j(s, pi_j(s)) for every actor j, which ascends critic j: the
+    values and the actors' [K, n_values] gradient."""
+    out, actor_record = mlp_graph(agent.actors, batch.s)
     t, action = deterministic_head(out)
-    q, critic_record = mlp_graph(agent.critics[j], np.concatenate([batch.s, action], axis=1))
+    critics = agent.critics
+    if len(critics) > len(agent.actors):  # TD3: its one actor ascends critic 0
+        critics = critics[: len(agent.actors)]
+    q, critic_record = mlp_graph(critics, state_action(batch.s, action))
     g_q = np.full(q.shape, _mean_grad(q, -1.0), q.dtype)
-    g_u = _action_grad(agent, [critic_record], [g_q], t)
-    return float(-q.mean()), ad.backprop(actor_record, g_u)[0]
+    g_x = ad.backprop(critic_record, g_q, params=False, inputs=True)[1]
+    g_u = _action_grad(agent, g_x, t)
+    return (-q.mean(axis=(-2, -1))).tolist(), ad.backprop(actor_record, g_u)[0]
 
 
 def _sac_actor_grad(agent: Agent, batch: Batch):
     """mean(alpha * log pi(a|s) - min_i Q_i(s, a)) for a = squash(tanh(u)),
-    u = mean + std * eps: its value and the actor's flat gradient."""
+    u = mean + std * eps: its value and the actor's [1, n_values] gradient."""
     cfg = agent.cfg
-    out, actor_record = mlp_graph(agent.actors[0], batch.s)
+    out, actor_record = mlp_graph(agent.actors, batch.s)
+    out = out[0]
     log_std_raw = out[:, ACTION_DIM:]
     inside = (log_std_raw >= LOG_STD_MIN) & (log_std_raw <= LOG_STD_MAX)  # the clip's gradient
     _, log_std, std, eps, u = sample_policy(out, agent.rng)
@@ -126,30 +129,31 @@ def _sac_actor_grad(agent: Agent, batch: Batch):
     const = -0.5 * eps * eps - 0.5 * LOG_TWO_PI
     logp = ((const - log_std) - tanh_correction(u)).sum(axis=1, keepdims=True)
 
-    x = np.concatenate([batch.s, squash01(t)], axis=1)
-    (q0, record0), (q1, record1) = (mlp_graph(net, x) for net in agent.critics)
-    take_0 = q0 <= q1
-    q_min = np.where(take_0, q0, q1)
+    # Both critics value the one action; the loss takes their min.
+    q, critic_record = mlp_graph(agent.critics, np.concatenate([batch.s, squash01(t)], axis=1))
+    take_0 = q[0] <= q[1]
+    q_min = np.where(take_0, q[0], q[1])
     loss = float((logp * cfg.sac_alpha - q_min).mean())
 
     g = _mean_grad(q_min)  # d loss / d(alpha * logp - q_min), per row
     g_logp = g * cfg.sac_alpha  # per entry of (const - log_std) - correction
-    g_a = _action_grad(agent, [record0, record1], [-g * take_0, -g * ~take_0], t)
+    g_q = np.stack([-g * take_0, -g * ~take_0])
+    g_x = ad.backprop(critic_record, g_q, params=False, inputs=True)[1]
+    g_a = _action_grad(agent, g_x[0] + g_x[1], t)
     # u reaches the loss through the action and the tanh correction; log_std
     # through the normal term and std.
     g_u = g_a + (-g_logp) * (-2.0 * t)
     g_log_std = -g_logp + (g_u * eps) * std
     g_out = np.concatenate([g_u, g_log_std * inside], axis=1)
     g_out += 0.0  # the two column slices' zero padding turns -0.0 into +0.0
-    return loss, ad.backprop(actor_record, g_out)[0]
+    return [loss], ad.backprop(actor_record, g_out[None])[0]
 
 
 def _sync_targets(agent: Agent) -> None:
     tau = agent.cfg.tau
-    for target, online in zip(agent.target_actors, agent.actors):
-        soft_update(target, online, tau)
-    for target, online in zip(agent.target_critics, agent.critics):
-        soft_update(target, online, tau)
+    if agent.target_actors is not None:
+        soft_update(agent.target_actors, agent.actors, tau)
+    soft_update(agent.target_critics, agent.critics, tau)
 
 
 def actor_update(agent: Agent, batch: Batch) -> dict[str, float]:
@@ -163,16 +167,13 @@ def actor_update(agent: Agent, batch: Batch) -> dict[str, float]:
     if agent.update_count % cfg.actor_delay != 0:
         return {}
 
-    losses: dict[str, float] = {}
-    for j in range(cfg.n_actors):
-        if cfg.stochastic:
-            loss, grad = _sac_actor_grad(agent, batch)
-        else:
-            loss, grad = _det_actor_grad(agent, batch, j)
-        adam_step(agent.actors[j], grad, agent.actor_adam[j])
-        losses[f"actor_{j}"] = loss
+    if cfg.stochastic:
+        values, grads = _sac_actor_grad(agent, batch)
+    else:
+        values, grads = _det_actor_grad(agent, batch)
+    adam_step(agent.actors, grads, agent.actor_adam)
     _sync_targets(agent)
-    return losses
+    return {f"actor_{j}": value for j, value in enumerate(values)}
 
 
 def update(agent: Agent, batch: Batch) -> dict[str, float]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import os
 import sys
 
@@ -166,18 +167,22 @@ def _cmd_compare(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="crashrl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # The run flags are added once and copied into each command that takes them.
+    run_flags = argparse.ArgumentParser(add_help=False)
+    _add_run_flags(run_flags)
 
-    p_gen = sub.add_parser("gen-data", help="generate synthetic episode files")
-    _add_run_flags(p_gen)
+    p_gen = sub.add_parser(
+        "gen-data", help="generate synthetic episode files", parents=[run_flags]
+    )
     p_gen.add_argument("--count", type=int, required=True, help="episodes to write")
     p_gen.set_defaults(func=_cmd_gen_data)
 
-    p_train = sub.add_parser("train", help="train one algorithm over seeds")
-    _add_run_flags(p_train)
+    p_train = sub.add_parser("train", help="train one algorithm over seeds", parents=[run_flags])
     p_train.set_defaults(func=_cmd_train)
 
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on an episode set")
-    _add_run_flags(p_eval)
+    p_eval = sub.add_parser(
+        "eval", help="evaluate a checkpoint on an episode set", parents=[run_flags]
+    )
     p_eval.add_argument("--checkpoint", required=True, help="agent checkpoint path")
     p_eval.set_defaults(func=_cmd_eval)
 
@@ -188,12 +193,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
 def _keep_freed_heap() -> None:
     """Keep the gradient phases' freed numpy temporaries in glibc's heap.
 
     With glibc's default thresholds these arrays (up to about 0.5 MiB) go
     back to the OS and are page-faulted in again every step, about a third
     of a lone default-scale train seed's wall time. Without glibc: a no-op.
+    The thresholds hold for the process, so only the first call sets them.
     """
     try:
         mallopt = ctypes.CDLL("libc.so.6").mallopt

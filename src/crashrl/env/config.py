@@ -62,13 +62,6 @@ class EnvConfig:
             raise ValueError(f"accident_prob must be in [0, 1], got {self.accident_prob}")
         if not 0.0 < self.t_a_frac_lo < self.t_a_frac_hi < 1.0:
             raise ValueError("t_a range must satisfy 0 < lo < hi < 1")
-        lo, hi = self.t_a_bounds
-        if lo > hi and self.accident_prob > 0.0:
-            raise ValueError(
-                f"t_a range is empty: t_a_frac_lo {self.t_a_frac_lo} and t_a_frac_hi "
-                f"{self.t_a_frac_hi} of episode_len {self.episode_len} give frames {lo} "
-                f"to {hi}, and accident_prob {self.accident_prob} needs one"
-            )
         if self.fps <= 0.0:
             raise ValueError(f"fps must be > 0, got {self.fps}")
         if self.fixation_window not in FIXATION_WINDOWS:
@@ -91,3 +84,20 @@ class EnvConfig:
     def obs_dim(self) -> int:
         """Length of one observation: pooled grid stacked over the last frames."""
         return self.stack * self.pool_h * self.pool_w
+
+
+def check_generatable(cfg: EnvConfig, error=ValueError) -> None:
+    """Raise ``error`` unless ``cfg`` can generate episodes: with accidents
+    (accident_prob > 0) the t_a range must hold a frame.
+
+    A rule of generation only, so ``EnvConfig`` does not check it: episode
+    files bring their own frames. The commands that generate episodes check
+    it before they write anything.
+    """
+    lo, hi = cfg.t_a_bounds
+    if lo > hi and cfg.accident_prob > 0.0:
+        raise error(
+            f"env: t_a range is empty: t_a_frac_lo {cfg.t_a_frac_lo} and t_a_frac_hi "
+            f"{cfg.t_a_frac_hi} of episode_len {cfg.episode_len} give frames {lo} "
+            f"to {hi}, and accident_prob {cfg.accident_prob} needs one"
+        )

@@ -55,6 +55,7 @@ from ..env import (
     load_episode_file,
     write_episode_file,
 )
+from ..env.config import check_generatable
 from ..env.mdp import check_steppable
 from ..metrics import (
     NO_ACCIDENT,
@@ -119,14 +120,17 @@ class _EpisodeSource:
     One source serves every seed of a ``run_training`` call. With a data
     directory every file is parsed when the source is built, and each seed
     gets the same read-only episodes: the last eval_episodes held out, the
-    rest cycled for training.
+    rest cycled for training. Without one, building the source checks that
+    cfg.env can generate episodes (``check_generatable``).
     """
 
     def __init__(self, cfg: RunConfig) -> None:
         self.cfg = cfg
         self._eval_episodes: list[Episode] = []
         self._train_episodes: list[Episode] = []
-        if cfg.data_dir is not None:
+        if cfg.data_dir is None:
+            check_generatable(cfg.env, ConfigError)
+        else:
             episodes = load_episodes(cfg)
             if len(episodes) < cfg.eval_episodes + 1:
                 raise ConfigError(
@@ -413,21 +417,23 @@ def run_eval(checkpoint_path, cfg: RunConfig):
 
     The set is every *.ade file of cfg.data_dir, else the held-out set that
     training generates for the run's one seed. Checked in this order, before
-    anything is written, each failure a ConfigError: the checkpoint file
-    exists; with a data directory, it exists and holds an episode file, each
+    anything is written, each failure a ConfigError: without a data
+    directory, cfg.env can generate episodes; the checkpoint file exists;
+    with a data directory, it exists and holds an episode file, each
     passing ``load_episodes``, else there is one seed; the set holds both
     classes and a frame inside the fixation window (before the checkpoint is
     read); ``Agent.load`` accepts the checkpoint and its observation width
     matches what cfg.env produces. Returns (MetricsReport, EvalRecords).
     """
+    source = _EpisodeSource(cfg) if cfg.data_dir is None else None
     if not os.path.isfile(checkpoint_path):
         raise ConfigError(f"checkpoint: no such file {checkpoint_path}")
-    if cfg.data_dir is not None:
+    if source is None:
         episodes = load_episodes(cfg)
         if not episodes:
             raise ConfigError(f"data: no .ade episodes under {cfg.data_dir}")
     else:
-        episodes = _EpisodeSource(cfg).eval_set(_one_seed(cfg, "eval without --data"))
+        episodes = source.eval_set(_one_seed(cfg, "eval without --data"))
     _require_reportable(episodes, cfg.env.fixation_window, "eval: the episode set")
     try:
         agent = Agent.load(checkpoint_path, cfg.agent)
@@ -450,7 +456,9 @@ def run_eval(checkpoint_path, cfg: RunConfig):
 def gen_dataset(cfg: RunConfig, count: int) -> str:
     """Write episode files for seeds s .. s + count - 1 (s the run's one
     seed), manifest.csv and config.json into cfg.out_dir; returns the
-    manifest's path. The seed and count are checked before any write."""
+    manifest's path. The env settings, the seed and the count are checked
+    before any write."""
+    check_generatable(cfg.env, ConfigError)
     seed_base = _one_seed(cfg, "gen-data")
     if count < 1:
         raise ConfigError(f"count: must be >= 1, got {count}")

@@ -1,15 +1,17 @@
 """Minimal dense float32 math: relu MLPs with one recorded forward pass and
 its chain rule, Adam, Polyak updates.
 
-Each network is a ``Net``: its ``MlpSpec``, which owns the parameter
-layout, and one flat float32 vector (``Net.flat``, dtype ``DTYPE``) with
-per-layer (W, b) views. Adam and Polyak updates run in place on the flat
-vector, and ``autodiff.backprop`` returns a gradient in the same layout,
-the one form ``adam_step`` takes. ``mlp_graph`` is the forward pass and
-``mlp_apply`` its output alone. The forward and backward passes follow the
+Each ``Net`` is a stack of K >= 1 networks of one ``MlpSpec``, which owns
+the parameter layout: one C-contiguous float32 array (``Net.flat``,
+``[K, n_values]``, dtype ``DTYPE``) with per-layer (W, b) views. A single
+network is a stack with K = 1. ``mlp_graph`` is the forward pass of the
+whole stack, batched, and ``mlp_apply`` its output alone;
+``autodiff.backprop`` returns a ``[K, n_values]`` gradient in the same
+layout, the one form ``adam_step`` takes. Adam and Polyak updates run in
+place on the flat array. The forward and backward passes follow the
 parameters' dtype, so they also run in float64 on a cast copy. Parameters
 have no disk format here; checkpoints (``agents.agent``) write the flat
-vectors on the ``crashrl.records`` framing.
+arrays on the ``crashrl.records`` framing.
 """
 
 from . import autodiff

@@ -361,8 +361,10 @@ def mlp_graph(nodes, x: Node) -> Node:
 
 
 def lift_params(net) -> list[tuple[Node, Node]]:
-    """One graph leaf per layer's weight and bias, viewing the parameters (no copy)."""
-    return [(lift(w), lift(b)) for w, b in net.layers]
+    """One graph leaf per layer's weight and bias of a one-network ``Net``
+    (such as ``agent.critics[i]``), viewing the parameters (no copy)."""
+    assert len(net) == 1, "the tape lifts one network"
+    return [(lift(w[0]), lift(b[0, 0])) for w, b in net.layers]
 
 
 def param_leaves(nodes) -> list[Node]:
@@ -465,9 +467,11 @@ def critic_update(agent, batch) -> dict[str, float]:
     targets = compute_targets(batch, agent)
     loss, critic_nodes, mse, reg_value = critic_loss(agent, batch, targets)
     backprop(loss, 1.0, [leaf for nodes in critic_nodes for leaf in param_leaves(nodes)])
+    # Adam is elementwise: one step of the critics' stack steps each critic.
+    grads = np.stack([flat_grads(nodes) for nodes in critic_nodes])
+    adam_step(agent.critics, grads, agent.critic_adam)
     losses: dict[str, float] = {}
-    for i, nodes in enumerate(critic_nodes):
-        adam_step(agent.critics[i], flat_grads(nodes), agent.critic_adam[i])
+    for i in range(len(critic_nodes)):
         losses[f"critic_{i}"] = float(mse[i].value) + cfg.nu * reg_value
     if cfg.coupled_critics:
         losses["critic_reg"] = reg_value
@@ -481,18 +485,21 @@ def actor_update(agent, batch) -> dict[str, float]:
     if agent.update_count % cfg.actor_delay != 0:
         return {}
     losses: dict[str, float] = {}
+    grads = []
+    # Actor j's loss reads actor j and critic j only, so every actor's
+    # gradient is taken before the actors' stack takes its one Adam step.
     for j in range(cfg.n_actors):
         if cfg.stochastic:
             loss, actor_nodes = sac_actor_loss(agent, batch)
         else:
             loss, actor_nodes = det_actor_loss(agent, batch, j)
         backprop(loss, 1.0, param_leaves(actor_nodes))
-        adam_step(agent.actors[j], flat_grads(actor_nodes), agent.actor_adam[j])
+        grads.append(flat_grads(actor_nodes))
         losses[f"actor_{j}"] = float(loss.value)
-    for target, online in zip(agent.target_actors, agent.actors):
-        soft_update(target, online, cfg.tau)
-    for target, online in zip(agent.target_critics, agent.critics):
-        soft_update(target, online, cfg.tau)
+    adam_step(agent.actors, np.stack(grads), agent.actor_adam)
+    if agent.target_actors is not None:
+        soft_update(agent.target_actors, agent.actors, cfg.tau)
+    soft_update(agent.target_critics, agent.critics, cfg.tau)
     return losses
 
 

@@ -48,7 +48,7 @@ def gradient_check(spec: MlpSpec, head: str, seed: int, probes: int) -> float:
             MlpSpec(spec.input_dim, spec.hidden_dims[:i], width)
             for i, width in enumerate(spec.hidden_dims)
         ]
-        cuts = [Net(cut, net.flat[: cut.n_values]) for cut in cuts]
+        cuts = [Net(cut, net.flat[:, : cut.n_values]) for cut in cuts]
         for _ in range(200):
             preacts = [mlp.mlp_apply(cut, x) for cut in cuts]
             if min(np.min(np.abs(z)) for z in preacts) > RELU_KINK_MARGIN:
@@ -60,12 +60,12 @@ def gradient_check(spec: MlpSpec, head: str, seed: int, probes: int) -> float:
 
     # Analytic gradients along the path the gradient phases run.
     out, record = mlp.mlp_graph(net, x)
-    upstream = weighting
+    upstream = weighting[None]  # the one network's slice of the output
     if head == "tanh":  # as the actor phase: squash01's 0.5, then tanh's derivative
         t, _ = agent.deterministic_head(out)
-        upstream = (weighting * 0.5) * (1.0 - t * t)
+        upstream = (upstream * 0.5) * (1.0 - t * t)
     param_grads, input_grads = ad.backprop(record, upstream, inputs=True)
-    analytic = np.concatenate([param_grads, input_grads.reshape(-1)])
+    analytic = np.concatenate([param_grads[0], input_grads.reshape(-1)])
 
     def loss(p: Net, xv: np.ndarray) -> float:
         out = mlp.mlp_apply(p, xv)
@@ -83,7 +83,7 @@ def gradient_check(spec: MlpSpec, head: str, seed: int, probes: int) -> float:
 
             def perturbed(sign: float) -> float:
                 p2 = net.copy()
-                p2.flat[idx] += sign * FD_STEP
+                p2.flat[0, idx] += sign * FD_STEP
                 return loss(p2, x)
 
         else:

@@ -21,23 +21,23 @@ def target_values(batch, agent):
     log pi(a_j|s')), the log term only for a stochastic (SAC) agent.
     """
     state = agent.rng.bit_generator.state
-    candidates = targets._next_actions(batch, agent)
+    candidates, logp = targets._next_actions(batch, agent)
     agent.rng.bit_generator.state = state
+    # Each target critic on its own (a one-network view) on each candidate.
     q_values = np.stack(
         [
             np.concatenate(
-                [mlp_apply(net, np.concatenate([batch.s_next, a], axis=1))
+                [mlp_apply(net, np.concatenate([batch.s_next, a], axis=1))[0]
                  for net in agent.target_critics],
                 axis=1,
             )
-            for a, _ in candidates
+            for a in candidates
         ],
         axis=1,
     )
     v = q_values.min(axis=2)
-    logp = [lp for _, lp in candidates if lp is not None]
-    if logp:
-        v = v - agent.cfg.sac_alpha * np.concatenate(logp, axis=1)
+    if logp is not None:
+        v = v - agent.cfg.sac_alpha * logp
     return q_values, v.max(axis=1, keepdims=True)
 
 

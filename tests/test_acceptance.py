@@ -233,8 +233,8 @@ def test_c4_darc_td3_reduction():
     obs_dim, batch_size = 6, 32
     td3 = Agent(AgentConfig(algo="td3", nu=0.0, hidden_dims=(16, 16)), obs_dim, seed=42)
     darc = Agent(AgentConfig(algo="darc", nu=0.0, hidden_dims=(16, 16)), obs_dim, seed=42)
-    darc.actors[1] = darc.actors[0].copy()
-    darc.target_actors[1] = darc.target_actors[0].copy()
+    darc.actors.flat[1] = darc.actors.flat[0]
+    darc.target_actors.flat[1] = darc.target_actors.flat[0]
     rng = np.random.default_rng(11)
     for _ in range(100):
         batch = Batch(

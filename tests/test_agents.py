@@ -35,6 +35,12 @@ def same_params(a, b):
     return np.array_equal(a.flat, b.flat)
 
 
+def networks(agent, *kinds):
+    """Each network of the named role stacks, in order, as one-network views."""
+    return [net for kind in kinds if getattr(agent, kind) is not None
+            for net in getattr(agent, kind)]
+
+
 def small_cfg(algo, **kw):
     defaults = dict(
         algo=algo,
@@ -117,7 +123,7 @@ class TestActionSelection:
 
     def test_darc_identical_actors_match_single_actor_output(self):
         agent = Agent(small_cfg("darc"), obs_dim=5, seed=7)
-        agent.actors[1] = agent.actors[0].copy()
+        agent.actors.flat[1] = agent.actors.flat[0]
         s = np.random.default_rng(2).uniform(0, 1, 5)
         expected = (
             0.5 * (np.tanh(mlp_apply(agent.actors[0], s.reshape(1, -1))) + 1.0)
@@ -139,7 +145,7 @@ class TestActionSelection:
         a = rng.uniform(0, 1, (64, 3)).astype(np.float32)
         x = np.concatenate([s, a], axis=1)
         expected = np.mean([mlp_apply(critic, x) for critic in agent.critics], axis=0)
-        got = agent._critic_value(s, a)
+        got = agent._critic_value(s, a[None])
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
     def test_darc_prefers_higher_valued_candidate(self):
@@ -153,13 +159,13 @@ class TestActionSelection:
         for critic in agent.critics:
             w, b = critic.layers[0]
             w[:] = 0.0
-            w[2, 0] = -1.0
+            w[0, 2, 0] = -1.0
             b[:] = 0.0
         action = agent.action_array(np.zeros(2), mode="eval")
         assert action[0] == pytest.approx(0.1, abs=F32_TOL)
         # flip the preference
         for critic in agent.critics:
-            critic.layers[0][0][2, 0] = +1.0
+            critic.layers[0][0][0, 2, 0] = +1.0
         action = agent.action_array(np.zeros(2), mode="eval")
         assert action[0] == pytest.approx(0.9, abs=F32_TOL)
 
@@ -199,8 +205,8 @@ class TestTargets:
     def test_td3_with_equal_critics_matches_ddpg_without_smoothing(self):
         td3 = Agent(small_cfg("td3", target_noise=0.0), obs_dim=5, seed=9)
         ddpg = Agent(small_cfg("ddpg", target_noise=0.0), obs_dim=5, seed=9)
-        td3.critics[1] = td3.critics[0].copy()
-        td3.target_critics[1] = td3.target_critics[0].copy()
+        td3.critics.flat[1] = td3.critics.flat[0]
+        td3.target_critics.flat[1] = td3.target_critics.flat[0]
         batch = random_batch(np.random.default_rng(4), 12, 5)
         assert np.array_equal(compute_targets(batch, td3), compute_targets(batch, ddpg))
 
@@ -209,10 +215,10 @@ class TestTargets:
         batch = random_batch(np.random.default_rng(5), 32, 4, done_rate=0.0)
         _, v = target_values(batch, agent)  # V itself: (y - r) / gamma loses it in float32
         y = compute_targets(batch, agent)
-        a_next = 0.5 * (np.tanh(mlp_apply(agent.target_actors[0], batch.s_next)) + 1.0)
+        a_next = 0.5 * (np.tanh(mlp_apply(agent.target_actors[0], batch.s_next)[0]) + 1.0)
         x = np.concatenate([batch.s_next, a_next], axis=1)
-        q1 = mlp_apply(agent.target_critics[0], x)
-        q2 = mlp_apply(agent.target_critics[1], x)
+        q1 = mlp_apply(agent.target_critics[0], x)[0]
+        q2 = mlp_apply(agent.target_critics[1], x)[0]
         assert np.all(v <= q1) and np.all(v <= q2)
         assert np.array_equal(y, bootstrap(batch, agent, v))
 
@@ -229,7 +235,7 @@ class TestTargets:
         for i, (slope, intercept) in enumerate(((0.375, 0.6625), (-0.125, 0.9125))):
             w, b = agent.target_critics[i].layers[0]
             w[:] = 0.0
-            w[2, 0] = slope
+            w[0, 2, 0] = slope
             b[:] = intercept
         batch = Batch(
             np.zeros((1, 2)), np.full((1, 3), 0.5), np.zeros((1, 1)),
@@ -249,8 +255,8 @@ class TestTargets:
     def test_darc_reduces_bitwise_to_td3_with_identical_actors(self):
         td3 = Agent(small_cfg("td3", nu=0.0), obs_dim=6, seed=42)
         darc = Agent(small_cfg("darc", nu=0.0), obs_dim=6, seed=42)
-        darc.actors[1] = darc.actors[0].copy()
-        darc.target_actors[1] = darc.target_actors[0].copy()
+        darc.actors.flat[1] = darc.actors.flat[0]
+        darc.target_actors.flat[1] = darc.target_actors.flat[0]
         assert same_params(darc.target_critics[0], td3.target_critics[0])
         rng = np.random.default_rng(7)
         for _ in range(10):
@@ -281,14 +287,14 @@ class TestTargets:
         y = compute_targets(batch, agent)
         # replay the same draw: with alpha=0 the target is the plain min-critic value
         agent.rng.bit_generator.state = state_before
-        out = mlp_apply(agent.actors[0], batch.s_next)
+        out = mlp_apply(agent.actors[0], batch.s_next)[0]
         mean, log_std = out[:, :3], np.clip(out[:, 3:], -20.0, 2.0)
         eps = agent.rng.standard_normal((8, 3))
         a_next = 0.5 * (np.tanh(mean + np.exp(log_std) * eps) + 1.0)
         x = np.concatenate([batch.s_next, a_next], axis=1)
         q = np.minimum(
-            mlp_apply(agent.target_critics[0], x),
-            mlp_apply(agent.target_critics[1], x),
+            mlp_apply(agent.target_critics[0], x)[0],
+            mlp_apply(agent.target_critics[1], x)[0],
         )
         assert np.allclose(y, batch.r + cfg.gamma * q, atol=1e-12)
 
@@ -396,15 +402,15 @@ class TestCriticUpdate:
     def test_identical_critics_zero_regularization(self):
         cfg = small_cfg("darc", nu=0.7)
         agent = Agent(cfg, obs_dim=3, seed=4)
-        agent.critics[1] = agent.critics[0].copy()
+        agent.critics.flat[1] = agent.critics.flat[0]
         losses = critic_update(agent, random_batch(np.random.default_rng(0), 6, 3))
         assert losses["critic_reg"] == 0.0
 
     def test_darc_update_with_nu_zero_matches_td3_bitwise(self):
         td3 = Agent(small_cfg("td3", nu=0.0), obs_dim=4, seed=21)
         darc = Agent(small_cfg("darc", nu=0.0), obs_dim=4, seed=21)
-        darc.actors[1] = darc.actors[0].copy()
-        darc.target_actors[1] = darc.target_actors[0].copy()
+        darc.actors.flat[1] = darc.actors.flat[0]
+        darc.target_actors.flat[1] = darc.target_actors.flat[0]
         batch = random_batch(np.random.default_rng(3), 8, 4)
         critic_update(td3, batch)
         critic_update(darc, batch)
@@ -477,7 +483,7 @@ class TestTrainStep:
     def test_no_parameter_changes_during_warmup(self):
         cfg = small_cfg("td3", warmup_steps=10, batch_size=4)
         agent = Agent(cfg, obs_dim=1, seed=0)
-        snapshot = [p.copy() for p in agent.actors + agent.critics]
+        snapshot = [p.copy() for p in networks(agent, "actors", "critics")]
         buf = ReplayBuffer(100, obs_dim=1, seed=1)
         env = QuadraticBandit()
         env.reset()
@@ -486,7 +492,7 @@ class TestTrainStep:
                 env.reset()
             log = train_step(agent, env, buf)
             assert log.losses == {}
-        for current, saved in zip(agent.actors + agent.critics, snapshot):
+        for current, saved in zip(networks(agent, "actors", "critics"), snapshot):
             assert same_params(current, saved)
         assert agent.total_env_steps == 10
 
@@ -557,9 +563,9 @@ class TestAgentCheckpoint:
         agent.total_env_steps, agent.update_count = 7, 2
         path = tmp_path / "ck.txt"
         agent.save(path)
-        networks = agent.actors + agent.critics + agent.target_actors + agent.target_critics
-        payload = b"".join(p.flat.astype("<f4").tobytes() for p in networks)
-        n_values = sum(p.flat.size for p in networks)
+        nets = networks(agent, "actors", "critics", "target_actors", "target_critics")
+        payload = b"".join(p.flat.astype("<f4").tobytes() for p in nets)
+        n_values = sum(p.flat.size for p in nets)
         header = (
             f"ACP3 td3 {config_hash(cfg)} 7 2 2 3 {n_values} {zlib.crc32(payload):08x}\n"
         )
@@ -572,15 +578,15 @@ class TestAgentCheckpoint:
                    f32.smallest_normal, f32.max, -f32.max, 0.1, 1 / 3, 1e16]
         cfg = small_cfg("darc", hidden_dims=(4,))
         agent = Agent(cfg, obs_dim=3, seed=0)
-        for params in agent.critics + agent.target_actors:
-            params.flat[: len(awkward)] = awkward
+        for params in networks(agent, "critics", "target_actors"):
+            params.flat[0, : len(awkward)] = awkward
         path = tmp_path / "ck.txt"
         agent.save(path)
         loaded = Agent.load(path, cfg)
         for kind in ("actors", "critics", "target_actors", "target_critics"):
             for a, b in zip(getattr(agent, kind), getattr(loaded, kind)):
                 assert a.flat.tobytes() == b.flat.tobytes()
-        assert np.signbit(loaded.critics[0].flat[0])
+        assert np.signbit(loaded.critics.flat[0, 0])
 
     @given(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
                     min_size=1, max_size=40))
@@ -589,19 +595,19 @@ class TestAgentCheckpoint:
     def test_every_float32_round_trips(self, tmp_path, values):
         cfg = small_cfg("ddpg", hidden_dims=(4,))
         agent = Agent(cfg, obs_dim=6, seed=1)
-        agent.actors[0].flat[: len(values)] = values
+        agent.actors.flat[0, : len(values)] = values
         path = tmp_path / "ck.txt"
         agent.save(path)
         loaded = Agent.load(path, cfg)
-        assert loaded.actors[0].flat.tobytes() == agent.actors[0].flat.tobytes()
+        assert loaded.actors.flat.tobytes() == agent.actors.flat.tobytes()
 
     def test_loaded_networks_are_aligned_writable_and_separate(self, tmp_path):
         cfg = small_cfg("darc")
         path = tmp_path / "ck.txt"
         Agent(cfg, obs_dim=5, seed=2).save(path)
         loaded = Agent.load(path, cfg)
-        flats = [p.flat for p in loaded.actors + loaded.critics
-                 + loaded.target_actors + loaded.target_critics]
+        flats = [loaded.actors.flat, loaded.critics.flat,
+                 loaded.target_actors.flat, loaded.target_critics.flat]
         for flat in flats:
             assert flat.dtype == np.float32 and flat.flags.writeable and flat.flags.aligned
             assert flat.flags.owndata
@@ -649,9 +655,12 @@ class TestAgentCheckpoint:
                 loaded = Agent.load(path, cfg)
             for kind in ("actors", "critics", "target_actors", "target_critics"):
                 mine, theirs = getattr(agent, kind), getattr(loaded, kind)
+                if mine is None:  # a stochastic agent's target actors
+                    assert theirs is None
+                    continue
                 assert len(mine) == len(theirs)
                 assert all(same_params(a, b) for a, b in zip(mine, theirs))
-            for state in loaded.actor_adam + loaded.critic_adam:
+            for state in (loaded.actor_adam, loaded.critic_adam):
                 assert state.t == 0 and not state.m.any() and not state.v.any()
             assert loaded.rng.bit_generator.state == fresh_rng
 
@@ -767,7 +776,7 @@ class TestAgentCheckpoint:
     def test_non_finite_parameter_names_path_and_line(self, tmp_path, bad):
         """A NaN/Inf written with a matching CRC is named by its network."""
         agent = Agent(small_cfg("td3"), obs_dim=4, seed=0)
-        before_critic_1 = sum(p.flat.size for p in agent.actors + agent.critics[:1])
+        before_critic_1 = agent.actors.flat.size + agent.critics[0].flat.size
 
         def edit(fields, values):
             values[before_critic_1 + 5] = float(bad)
@@ -866,17 +875,19 @@ class TestErrorSurfaces:
         with pytest.raises(ValueError, match="mode"):
             agent.action_array(np.zeros(4), mode="explore")
 
-    def test_buffer_rejects_width_change(self):
+    @pytest.mark.parametrize("width", [5, 1])
+    def test_buffer_rejects_width_change(self, width):
         buf = ReplayBuffer(8, obs_dim=4, seed=0)
         buf.push(np.zeros(4), np.full(3, 0.5), 0.0, 0.0, np.zeros(4), False)
-        with pytest.raises(ValueError, match="could not broadcast"):
-            buf.push(np.zeros(5), np.full(3, 0.5), 0.0, 0.0, np.zeros(5), False)
+        with pytest.raises(ValueError, match=r"states must have 4 columns"):
+            buf.push(np.zeros(width), np.full(3, 0.5), 0.0, 0.0, np.zeros(width), False)
         assert len(buf) == 1
 
     @pytest.mark.parametrize(
         "s_next,action,message",
         [
-            (np.zeros(5), np.full(3, 0.5), "could not broadcast"),
+            (np.zeros(5), np.full(3, 0.5), r"must have 4 columns, got shapes \[4\] and \[5\]"),
+            (np.zeros(1), np.full(3, 0.5), r"must have 4 columns, got shapes \[4\] and \[1\]"),
         ],
     )
     def test_push_rejects_mismatched_transition(self, s_next, action, message):

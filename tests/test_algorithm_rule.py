@@ -90,7 +90,10 @@ def test_derived_settings(algo):
     agent = Agent(cfg, obs_dim=3, seed=0)
     assert len(agent.actors) == cfg.n_actors
     assert len(agent.critics) == len(agent.target_critics) == cfg.n_critics
-    assert len(agent.target_actors) == (0 if cfg.stochastic else cfg.n_actors)
+    if cfg.stochastic:
+        assert agent.target_actors is None
+    else:
+        assert len(agent.target_actors) == cfg.n_actors
 
 
 # config_hash of each algorithm's default config, from before the settings existed.

@@ -36,9 +36,11 @@ def rel_err(a, b):
 
 
 def as_float64(agent):
-    """Swap every network of ``agent`` for a float64 copy; returns the agent."""
-    for nets in (agent.actors, agent.critics, agent.target_actors, agent.target_critics):
-        nets[:] = [Net(net.spec, net.flat.astype(np.float64)) for net in nets]
+    """Swap every role stack of ``agent`` for a float64 copy; returns the agent."""
+    for kind in ("actors", "critics", "target_actors", "target_critics"):
+        nets = getattr(agent, kind)
+        if nets is not None:
+            setattr(agent, kind, Net(nets.spec, nets.flat.astype(np.float64)))
     return agent
 
 
@@ -99,7 +101,7 @@ def test_sac_actor_loss_gradients_match_finite_differences():
 
     def loss_value():
         agent.rng.bit_generator.state = state
-        loss, _ = _sac_actor_grad(agent, batch)
+        (loss,), _ = _sac_actor_grad(agent, batch)
         return loss
 
     agent.rng.bit_generator.state = state
@@ -122,12 +124,12 @@ def test_det_actor_loss_gradients_match_finite_differences():
         rng.uniform(0, 1, (4, 1)), rng.uniform(0, 1, (4, 3)),
         np.zeros((4, 1)),
     )
-    _, grad = _det_actor_grad(agent, batch, 0)
+    _, grad = _det_actor_grad(agent, batch)
     grads = Net(agent.actors[0].spec, grad)
 
     def loss_value():
-        a = 0.5 * (np.tanh(mlp_apply(agent.actors[0], batch.s)) + 1.0)
-        q = mlp_apply(agent.critics[0], np.concatenate([batch.s, a], axis=1))
+        a = 0.5 * (np.tanh(mlp_apply(agent.actors[0], batch.s)[0]) + 1.0)
+        q = mlp_apply(agent.critics[0], np.concatenate([batch.s, a], axis=1))[0]
         return float(-q.mean())
 
     for k, (tensor, grad) in enumerate(zip(tensors(agent.actors[0]), tensors(grads))):
@@ -150,7 +152,7 @@ def test_darc_critic_loss_gradients_match_finite_differences():
     targets = rng.uniform(0, 1, (4, 1))
 
     grads, _, _ = _critic_grads(agent, batch, targets)
-    grads = [Net(net.spec, g) for net, g in zip(agent.critics, grads)]
+    grads = Net(agent.critics.spec, grads)
 
     def loss_value():
         xv = np.concatenate([batch.s, batch.action], axis=1)

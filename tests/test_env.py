@@ -30,6 +30,7 @@ from crashrl.env import (
     reward_fixation,
     write_episode_file,
 )
+from crashrl.env.config import check_generatable
 from crashrl.records import format_float
 from saliency_reference import combine_attention, foveate, normalize_field, pool_features
 
@@ -713,8 +714,9 @@ class TestEnvConfigValidation:
 
     def test_empty_t_a_range_needs_no_accidents(self):
         with pytest.raises(ValueError, match="t_a range is empty"):
-            EnvConfig(episode_len=2)
+            check_generatable(EnvConfig(episode_len=2))
         cfg = EnvConfig(episode_len=2, accident_prob=0.0)
+        check_generatable(cfg)
         assert all(generate_episode(cfg, seed).y == 0 for seed in range(5))
 
 
@@ -916,7 +918,7 @@ class TestLoaderFuzz:
         else:
             assert not payload_only, "a changed payload loaded"
             assert agent.obs_dim == 2
-            assert all(np.isfinite(p.flat).all() for p in agent.actors + agent.target_critics)
+            assert all(np.isfinite(p.flat).all() for p in (agent.actors, agent.target_critics))
 
     @given(
         saliency=arrays(

@@ -135,7 +135,7 @@ class TestFlatUpdatesMatchPerTensorReference:
         ref_v = [np.zeros_like(a) for a in ref_p]
         for step in range(1, 26):
             scale = 10.0 ** rng.integers(-8, 4)
-            grads = (rng.standard_normal(net.flat.size) * scale).astype(np.float32)
+            grads = (rng.standard_normal(net.flat.shape) * scale).astype(np.float32)
             if step % 5 == 0:
                 (_, b0), (w1, _), _ = spec.layers(grads)
                 w1[:] = 0.0  # exact zeros and signed zeros
@@ -167,16 +167,16 @@ class TestFlatUpdatesMatchPerTensorReference:
                 assert np.array_equal(got, expected)
 
     def test_layer_views_share_the_flat_vector(self):
-        net = Net(MlpSpec(1, (), 2), np.array([1.0, 2.0, 3.0, 4.0], np.float32))
+        net = Net(MlpSpec(1, (), 2), np.array([[1.0, 2.0, 3.0, 4.0]], np.float32))
         (w, b), = net.layers
-        w[0, 1] = -5.0
-        assert net.flat[1] == -5.0
-        net.flat[2] = 9.0
-        assert b[0] == 9.0
+        w[0, 0, 1] = -5.0
+        assert net.flat[0, 1] == -5.0
+        net.flat[0, 2] = 9.0
+        assert b[0, 0, 0] == 9.0
         twin = net.copy()
-        twin.flat[0] = 0.0
-        assert net.flat[0] == 1.0 and twin.spec is net.spec
-        assert twin.layers[0][0][0, 0] == 0.0
+        twin.flat[0, 0] = 0.0
+        assert net.flat[0, 0] == 1.0 and twin.spec is net.spec
+        assert twin.layers[0][0][0, 0, 0] == 0.0
 
     def test_shape_mismatch_rejected(self):
         net = init_params(MlpSpec(3, (), 2), seed=0)
@@ -192,41 +192,41 @@ class TestNonFiniteUpdatesAreNamed:
     def _agent(self):
         return Agent(AgentConfig(algo="darc", hidden_dims=(8,)), obs_dim=4, seed=0)
 
-    def _good_steps(self, agent, index, steps):
-        net, state = agent.critics[index], agent.critic_adam[index]
+    def _good_steps(self, agent, steps):
+        net, state = agent.critics, agent.critic_adam
         for _ in range(steps):
-            adam_step(net, np.full(net.flat.size, 0.1, np.float32), state)
+            adam_step(net, np.full(net.flat.shape, 0.1, np.float32), state)
 
     def test_nan_gradient(self):
         agent = self._agent()
-        self._good_steps(agent, 1, 2)
-        grads = np.zeros(agent.critics[1].flat.size, np.float32)
-        grads[5] = np.nan
+        self._good_steps(agent, 2)
+        grads = np.zeros(agent.critics.flat.shape, np.float32)
+        grads[1, 5] = np.nan
         with pytest.raises(ValueError, match=r"critic_1: Adam update 3 "):
-            adam_step(agent.critics[1], grads, agent.critic_adam[1])
+            adam_step(agent.critics, grads, agent.critic_adam)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_gradient_whose_square_overflows(self):
         agent = self._agent()
-        grads = np.zeros(agent.actors[0].flat.size, np.float32)
-        grads[-1] = 1e20  # finite in float32, but g*g overflows the second moment
+        grads = np.zeros(agent.actors.flat.shape, np.float32)
+        grads[0, -1] = 1e20  # finite in float32, but g*g overflows the second moment
         with pytest.raises(ValueError, match=r"actor_0: Adam update 1 "):
-            adam_step(agent.actors[0], grads, agent.actor_adam[0])
+            adam_step(agent.actors, grads, agent.actor_adam)
 
     def test_non_finite_parameter(self):
         agent = self._agent()
-        agent.critics[0].layers[0][0][0, 0] = np.inf
+        agent.critics[0].layers[0][0][0, 0, 0] = np.inf
         with pytest.raises(ValueError, match=r"critic_0: Adam update 1 "):
-            adam_step(agent.critics[0], np.zeros(agent.critics[0].flat.size, np.float32),
-                      agent.critic_adam[0])
+            adam_step(agent.critics, np.zeros(agent.critics.flat.shape, np.float32),
+                      agent.critic_adam)
 
     def test_gradient_of_another_dtype_is_rejected(self):
         agent = self._agent()
-        net, state = agent.critics[1], agent.critic_adam[1]
+        net, state = agent.critics, agent.critic_adam
         before = net.flat.copy()
-        with pytest.raises(ValueError, match=r"^critic_1: gradient dtype float64 does not "
+        with pytest.raises(ValueError, match=r"^critic: gradient dtype float64 does not "
                                              r"match parameter dtype float32$"):
-            adam_step(net, np.zeros(net.flat.size), state)
+            adam_step(net, np.zeros(net.flat.shape), state)
         assert state.t == 0 and np.array_equal(net.flat, before)
 
     def test_nan_reward_surfaces_from_the_critic_phase(self):

@@ -96,9 +96,10 @@ def test_training_keeps_every_core_array_float32(algo, monkeypatch):
     checked = {
         "params": [
             p.flat
-            for p in agent.actors + agent.critics + agent.target_actors + agent.target_critics
+            for p in (agent.actors, agent.critics, agent.target_actors, agent.target_critics)
+            if p is not None
         ],
-        "adam": [a for s in agent.actor_adam + agent.critic_adam for a in (s.m, s.v)],
+        "adam": [a for s in (agent.actor_adam, agent.critic_adam) for a in (s.m, s.v)],
         "replay": [buffer._s, buffer._a, buffer._s2, buffer._d],
         "batch": [batch.s, batch.action, batch.r, batch.s_next, batch.done],
         "targets": [y, v_next, q_values],
@@ -106,9 +107,11 @@ def test_training_keeps_every_core_array_float32(algo, monkeypatch):
     }
     for where, arrays in checked.items():
         assert arrays and {a.dtype for a in arrays} == {F32}, where
-    # 4 critic phases and 2 (TD3, DARC) or 4 actor phases, one gradient per network each
+    # 4 critic phases and 2 (TD3, DARC) or 4 actor phases, one gradient per
+    # role stack each, with one row per network
     actor_phases = 4 // cfg.actor_delay
-    assert len(grads) == 4 * cfg.n_critics + actor_phases * cfg.n_actors
+    assert len(grads) == 4 + actor_phases
+    assert sum(len(g) for g in grads) == 4 * cfg.n_critics + actor_phases * cfg.n_actors
     assert seen and {dtype for _, dtype in seen} == {F32}, sorted(
         {(where, str(dtype)) for where, dtype in seen if dtype != F32}
     )

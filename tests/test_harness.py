@@ -506,6 +506,8 @@ class TestCli:
     def test_main_sets_glibc_heap_thresholds_when_available(self, monkeypatch, capsys):
         import ctypes
 
+        import crashrl.cli as cli_mod
+
         calls = []
 
         class FakeLibc:
@@ -513,6 +515,8 @@ class TestCli:
                 calls.append((param, value))
 
         monkeypatch.setattr(ctypes, "CDLL", lambda name: FakeLibc())
+        cli_mod._keep_freed_heap.cache_clear()  # as in a fresh process
+        assert cli_main(["train", "--fromage", "brie"]) == 1
         assert cli_main(["train", "--fromage", "brie"]) == 1
         assert calls == [(-3, 4 << 20), (-1, 8 << 20)]
 
@@ -520,7 +524,9 @@ class TestCli:
             raise OSError(f"{name}: cannot open shared object file")
 
         monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        cli_mod._keep_freed_heap.cache_clear()
         assert cli_main(["train", "--fromage", "brie"]) == 1
+        cli_mod._keep_freed_heap.cache_clear()  # the next main() sets the real thresholds
 
     def test_config_file_plus_flag_precedence(self, tmp_path):
         config = {
@@ -628,6 +634,19 @@ class TestCli:
         assert cli_main(self._train_flags(out) + ["--data", str(data)]) == 0
         traces = sorted(p.name for p in (out / "td3" / "seed_0" / "traces").iterdir())
         assert traces == [f"trace_episode_{s:05d}.csv" for s in range(101, 105)]
+
+    def test_data_runs_skip_the_generation_rule(self, tmp_path):
+        """Two frames leave no accident frame, but ``--data`` runs generate nothing."""
+        data = tmp_path / "data"
+        gen = ["gen-data", "--count", "5", "--seed", "100", "--episode-length", "24",
+               "--grid", "8", "--pool", "4", "--stack", "2", "--out", str(data)]
+        assert cli_main(gen) == 0
+        out = tmp_path / "runs"
+        short = ["--data", str(data), "--episode-length", "2"]
+        assert cli_main(self._train_flags(out) + short) == 0
+        checkpoint = out / "td3" / "seed_0" / "checkpoint.txt"
+        assert cli_main(self._eval_flags(tmp_path, checkpoint) + short) == 0
+        assert (tmp_path / "eval_out" / "metrics.json").exists()
 
     def _data_with(self, tmp_path, name, episode):
         """Five 24-frame 8x8 episode files plus ``episode`` as ``name``.ade."""

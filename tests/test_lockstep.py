@@ -340,7 +340,7 @@ class TestBatchedActionArray:
         chosen = []
         for row, got in zip(s, batched):
             candidates = [
-                deterministic_head(mlp_apply(actor, row[None]))[1][0]
+                deterministic_head(mlp_apply(actor, row[None]))[1][0, 0]
                 for actor in agent.actors
             ]
             single = agent.action_array(row, mode="eval")

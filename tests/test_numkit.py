@@ -19,38 +19,44 @@ from crashrl.agents.agent import deterministic_head
 from crashrl.numkit import autodiff as ad
 from finite_difference import gradient_check
 
-LINE = MlpSpec(1, (), 1)  # y = w * x + b: the flat vector is [w, b]
+LINE = MlpSpec(1, (), 1)  # y = w * x + b: the flat array is [[w, b]]
 
 
 def line(w, b):
-    return Net(LINE, np.array([w, b], np.float32))
+    return Net(LINE, np.array([[w, b]], np.float32))
 
 
 def backprop_mlp(net, x, upstream):
-    """Gradients of sum(mlp(x) * upstream) along the gradient phases' path.
+    """Gradients of sum(mlp(x) * upstream) along the gradient phases' path,
+    for a one-network ``net`` and its [B, out] ``upstream``.
 
-    Returns (parameter gradients as a Net, input gradient).
+    Returns (parameter gradients as a Net, input gradient [B, n]).
     """
     _, record = mlp_graph(net, x)
-    grads, input_grad = ad.backprop(record, upstream, inputs=True)
-    return Net(net.spec, grads), input_grad
+    grads, input_grad = ad.backprop(record, np.asarray(upstream)[None], inputs=True)
+    return Net(net.spec, grads), input_grad[0]
 
 
 def test_tensor_flat_view_is_row_major():
     """Each layer's weight, row-major, then its bias, layer after layer."""
     spec = MlpSpec(2, (2,), 1)
-    net = Net(spec, np.arange(1.0, 1.0 + spec.n_values, dtype=np.float32))
+    net = Net(spec, np.arange(1.0, 1.0 + spec.n_values, dtype=np.float32)[None])
     (w0, b0), (w1, b1) = net.layers
     assert isinstance(w0, np.ndarray) and w0.dtype == np.float32
-    assert w0.tolist() == [[1.0, 2.0], [3.0, 4.0]] and b0.tolist() == [5.0, 6.0]
-    assert w1.tolist() == [[7.0], [8.0]] and b1.tolist() == [9.0]
+    assert w0.tolist() == [[[1.0, 2.0], [3.0, 4.0]]] and b0.tolist() == [[[5.0, 6.0]]]
+    assert w1.tolist() == [[[7.0], [8.0]]] and b1.tolist() == [[[9.0]]]
     assert all(np.shares_memory(t, net.flat) for t in (w0, b0, w1, b1))
 
 
-@pytest.mark.parametrize("shape", [(28,), (30,), (29, 1)])
+@pytest.mark.parametrize("shape", [(29,), (1, 28), (2, 30), (0, 29), (29, 1)])
 def test_net_rejects_a_flat_vector_of_another_size(shape):
-    with pytest.raises(ValueError, match=r"does not fill 29 values"):
+    with pytest.raises(ValueError, match=r"is not \[K >= 1, 29\]"):
         Net(MlpSpec(3, (4, 2), 1), np.zeros(shape, np.float32))
+
+
+def test_net_rejects_a_flat_array_that_is_not_c_contiguous():
+    with pytest.raises(ValueError, match="C-contiguous"):
+        Net(MlpSpec(3, (4, 2), 1), np.zeros((29, 2), np.float32).T)
 
 
 class TestInitParams:
@@ -63,8 +69,8 @@ class TestInitParams:
     def test_first_weight_shape_forced_by_input_dim(self):
         spec = MlpSpec(3, (5,), 2)
         w, b = init_params(spec, seed=0).layers[0]
-        assert w.shape == (3, 5)
-        assert b.shape == (5,)
+        assert w.shape == (1, 3, 5)
+        assert b.shape == (1, 1, 5)
 
     def test_different_seeds_differ(self):
         spec = MlpSpec(3, (8,), 2)
@@ -82,7 +88,7 @@ class TestInitParams:
 class TestMlpForward:
     def test_zero_params_identity_head_gives_zero(self):
         spec = MlpSpec(4, (6,), 3)
-        net = Net(spec, np.zeros(spec.n_values, np.float32))
+        net = Net(spec, np.zeros((1, spec.n_values), np.float32))
         y = mlp_apply(net, np.random.default_rng(0).normal(size=(5, 4)))
         assert np.all(y == 0.0)
 
@@ -96,14 +102,14 @@ class TestMlpForward:
         w, b = net.layers[1]
         w[:] = 1e6
         b[:] = 1e6
-        w[:, 1] = b[1] = -1e6
-        t, action = deterministic_head(mlp_apply(net, np.ones((4, 2))))
+        w[..., 1] = b[..., 1] = -1e6
+        t, action = deterministic_head(mlp_apply(net, np.ones((4, 2)))[0])
         assert np.all(np.abs(t) == 1.0)
         assert np.all(action[:, 1] == 2.0**-25) and np.all(action[:, [0, 2]] == 1.0)
 
     def test_single_affine_layer_hand_value(self):
         y = mlp_apply(line(2.0, 1.0), [[3.0]])
-        assert y[0, 0] == 7.0
+        assert y.shape == (1, 1, 1) and y[0, 0, 0] == 7.0
 
     def test_shape_mismatch_rejected_with_diagnostic(self):
         spec = MlpSpec(4, (6,), 3)
@@ -143,7 +149,7 @@ class TestBackward:
     def test_input_gradient_of_affine_map(self):
         param_grads, input_grad = backprop_mlp(line(2.0, 1.0), [[3.0]], [[1.0]])
         assert input_grad[0, 0] == 2.0
-        assert param_grads.flat.tolist() == [3.0, 1.0]
+        assert param_grads.flat.tolist() == [[3.0, 1.0]]
 
 
 class TestGradientCheck:
@@ -176,10 +182,10 @@ class TestAdam:
     def test_first_step_magnitude(self):
         net = line(0.0, 0.0)
         state = init_adam(net, alpha=0.001)
-        updated, _ = adam_step(net, np.array([1.0, 0.0], np.float32), state)
+        updated, _ = adam_step(net, np.array([[1.0, 0.0]], np.float32), state)
         # bias-corrected m_hat = v_hat = 1 on step one
-        assert updated.flat[0] == pytest.approx(-0.00099999999, abs=1e-15)
-        assert updated.flat[1] == 0.0
+        assert updated.flat[0, 0] == pytest.approx(-0.00099999999, abs=1e-15)
+        assert updated.flat[0, 1] == 0.0
 
     def test_two_zero_grad_steps_keep_moments_zero(self):
         net = line(3.0, 3.0)
@@ -206,7 +212,7 @@ class TestSoftUpdate:
 
     def test_small_tau_value(self):
         out = soft_update(line(0.0, 0.0), line(1.0, 1.0), 0.005)
-        assert out.flat[0] == pytest.approx(0.005, abs=1e-18)
+        assert out.flat[0, 0] == pytest.approx(0.005, abs=1e-18)
 
     @given(
         tau=st.floats(0.0, 1.0),
@@ -217,9 +223,9 @@ class TestSoftUpdate:
     def test_contraction_toward_online(self, tau, t0, on):
         target, online = line(t0, 0.0), line(on, 0.0)
         # the stored float32 values, and float32 rounding (a few ulps of 10)
-        t0, on = float(target.flat[0]), float(online.flat[0])
+        t0, on = float(target.flat[0, 0]), float(online.flat[0, 0])
         out = soft_update(target, online, tau)
-        lhs = abs(float(out.flat[0]) - on)
+        lhs = abs(float(out.flat[0, 0]) - on)
         rhs = (1.0 - tau) * abs(t0 - on)
         assert lhs <= rhs + 4 * np.spacing(np.float32(10.0))
 

@@ -65,23 +65,23 @@ def test_backprop_matches_the_tape_on_mlp_chains(hidden, head, bias, dtype):
         # with small negative weights underflow to -0.0.
         for _, b in net.layers:
             b[:] = bias
-        net.layers[0][0][:, 0] = -0.25
+        net.layers[0][0][..., 0] = -0.25
         x[3] = np.finfo(dtype).smallest_subnormal
     upstream = rng.standard_normal((9, 3)).astype(dtype)
 
     out, record = mlp_graph(net, x)
     nodes, x_node = tape.lift_params(net), tape.lift(x)
     root = tape.mlp_graph(nodes, x_node)
-    g = upstream
+    g = upstream[None]  # the stack of one network's output axis
     if head == "tanh":  # as the actor phase applies it: squash01, then tanh
         t, out = deterministic_head(out)
-        g = (upstream * 0.5) * (1.0 - t * t)
+        g = (g * 0.5) * (1.0 - t * t)
         root = tape.deterministic_head(root)
     flat, dx = ad.backprop(record, g, inputs=True)
     tape.backprop(root, upstream, [*tape.param_leaves(nodes), x_node])
-    assert same_bits(out, root.value)
-    assert same_bits(flat, tape.flat_grads(nodes))
-    assert same_bits(dx, x_node.grad)
+    assert same_bits(out[0], root.value)
+    assert same_bits(flat[0], tape.flat_grads(nodes))
+    assert same_bits(dx[0], x_node.grad)
     assert same_bits(ad.backprop(record, g)[0], flat)
     for h in record.inputs[1:]:  # relu outputs, as the tape's where(a > 0, a, +0.0)
         assert not np.signbit(h).any()
@@ -91,25 +91,24 @@ def test_backprop_forms_only_the_requested_gradients():
     spec = MlpSpec(4, (6,), 2)
     net = init_params(spec, seed=0)
     _, record = mlp_graph(net, np.ones((3, 4), np.float32))
-    up = np.ones((3, 2), np.float32)
+    up = np.ones((1, 3, 2), np.float32)
     flat, dx = ad.backprop(record, up)
     assert flat.shape == net.flat.shape and flat.dtype == np.float32 and dx is None
     flat, dx = ad.backprop(record, up, params=False, inputs=True)
-    assert flat is None and dx.shape == (3, 4) and dx.dtype == np.float32
+    assert flat is None and dx.shape == (1, 3, 4) and dx.dtype == np.float32
     with pytest.raises(ValueError, match=r"upstream gradient shape \(3, 1\) does not match"):
         ad.backprop(record, np.ones((3, 1)))
 
 
 def agent_arrays(agent):
-    """Every array of an agent's state, by name."""
+    """Every array of an agent's state, by name: each role's stack and Adam moments."""
     arrays = {}
     for kind in ("actors", "critics", "target_actors", "target_critics"):
-        for i, net in enumerate(getattr(agent, kind)):
-            arrays[f"{kind}[{i}]"] = net.flat
+        if getattr(agent, kind) is not None:
+            arrays[kind] = getattr(agent, kind).flat
     for kind in ("actor_adam", "critic_adam"):
-        for i, state in enumerate(getattr(agent, kind)):
-            arrays[f"{kind}[{i}].m"] = state.m
-            arrays[f"{kind}[{i}].v"] = state.v
+        arrays[f"{kind}.m"] = getattr(agent, kind).m
+        arrays[f"{kind}.v"] = getattr(agent, kind).v
     return arrays
 
 
@@ -118,9 +117,7 @@ def assert_same_state(agent, ref, step):
     assert got.keys() == want.keys()
     for name in got:
         assert same_bits(got[name], want[name]), (step, name)
-    assert [s.t for s in agent.actor_adam + agent.critic_adam] == [
-        s.t for s in ref.actor_adam + ref.critic_adam
-    ], step
+    assert (agent.actor_adam.t, agent.critic_adam.t) == (ref.actor_adam.t, ref.critic_adam.t), step
     assert agent.update_count == ref.update_count, step
     assert agent.rng.bit_generator.state == ref.rng.bit_generator.state, step
 
@@ -131,11 +128,13 @@ def saturate(agent):
     A SAC actor's first log-std column also sits far below its clip range on
     every row, so that column's gradient is a column of signed zeros.
     """
-    for net in agent.actors + agent.target_actors:
+    for net in (agent.actors, agent.target_actors):
+        if net is None:
+            continue
         w, b = net.layers[-1]
         w *= 400.0
         if agent.cfg.stochastic:
-            b[3] = -1e4
+            b[..., 3] = -1e4
 
 
 CASES = [
@@ -195,15 +194,15 @@ def test_loss_gradients_match_the_tape_bit_for_bit(algo, saturated):
     for got, n in zip(grads, nodes):
         assert same_bits(got, tape.flat_grads(n))
 
+    state = agent.rng.bit_generator.state
+    if cfg.stochastic:
+        values, grads = updates._sac_actor_grad(agent, batch)
+    else:
+        values, grads = updates._det_actor_grad(agent, batch)
     for j in range(cfg.n_actors):
-        state = agent.rng.bit_generator.state
-        if cfg.stochastic:
-            got = updates._sac_actor_grad(agent, batch)
-        else:
-            got = updates._det_actor_grad(agent, batch, j)
         agent.rng.bit_generator.state = state
         want = tape_actor_grad(agent, batch, j)
-        assert got[0] == want[0] and same_bits(got[1], want[1]), j
+        assert values[j] == want[0] and same_bits(grads[j], want[1]), j
 
 
 def test_saturated_case_reaches_the_clamps():
@@ -214,7 +213,7 @@ def test_saturated_case_reaches_the_clamps():
     s = random_batch(rng, 32, obs_dim).s
     sac = Agent(AgentConfig(algo="sac", hidden_dims=(16, 8)), obs_dim, seed=11)
     saturate(sac)
-    out, _ = updates.mlp_graph(sac.actors[0], s)
+    out = updates.mlp_graph(sac.actors, s)[0][0]
     log_std = out[:, 3:]
     assert (log_std > 2.0).any() and (log_std[:, 1:] < -20.0).any()
     assert (log_std[:, 0] < -20.0).all()
