@@ -97,7 +97,7 @@ class ReplayBuffer:
         self._head = (self._head + n) % self.capacity
         self._size = min(self._size + n, self.capacity)
 
-    def sample(self, n: int, reward_weights=(1.0, 1.0)) -> Batch:
+    def sample(self, n: int, reward_weights) -> Batch:
         """n transitions drawn uniformly with replacement; each row's reward is
         ``w_A * r_A + w_F * r_F`` for ``reward_weights = (w_A, w_F)``."""
         if self._size == 0:

@@ -64,8 +64,7 @@ def _critic_grads(agent: Agent, batch: Batch, targets: np.ndarray):
     term's value (0.0 when it is off).
     """
     cfg = agent.cfg
-    x = np.concatenate([batch.s, batch.action], axis=1)
-    q, record = mlp_graph(agent.critics, x)
+    q, record = mlp_graph(agent.critics, state_action(batch.s, batch.action))
     d = q - targets
     mse = (d * d).mean(axis=(-2, -1)).tolist()
     upstream = _mean_grad(d) * (2.0 * d)
@@ -130,7 +129,7 @@ def _sac_actor_grad(agent: Agent, batch: Batch):
     logp = ((const - log_std) - tanh_correction(u)).sum(axis=1, keepdims=True)
 
     # Both critics value the one action; the loss takes their min.
-    q, critic_record = mlp_graph(agent.critics, np.concatenate([batch.s, squash01(t)], axis=1))
+    q, critic_record = mlp_graph(agent.critics, state_action(batch.s, squash01(t)))
     take_0 = q[0] <= q[1]
     q_min = np.where(take_0, q[0], q[1])
     loss = float((logp * cfg.sac_alpha - q_min).mean())

@@ -13,7 +13,7 @@ from .episode import (
     load_episode_file,
     write_episode_file,
 )
-from .mdp import IMAGE_CENTER, AccidentEnv, StepResult
+from .mdp import AccidentEnv, StepResult
 from .rewards import (
     accident_weight,
     fixation_window_active,
@@ -21,6 +21,7 @@ from .rewards import (
     reward_fixation,
 )
 from .saliency import (
+    IMAGE_CENTER,
     SaliencyField,
     attention_features,
     cell_centers,

@@ -15,7 +15,8 @@ class EnvConfig:
 
     fixation_window selects when the fixation reward (and fixation MSE) is
     active: "after_accident" follows the printed indicator t > t_a;
-    "before_accident" uses t <= t_a instead.
+    "before_accident" uses t <= t_a instead. ``check_generatable`` checks
+    the settings that shape generated episodes only.
     """
 
     a_0: float = 0.5
@@ -51,13 +52,6 @@ class EnvConfig:
             raise ValueError(f"stack must be >= 1, got {self.stack}")
         if min(self.grid_h, self.grid_w, self.pool_h, self.pool_w) < 1:
             raise ValueError("grid and pool dimensions must be >= 1")
-        if self.grid_h % self.pool_h or self.grid_w % self.pool_w:
-            raise ValueError(
-                f"pool dims ({self.pool_h}x{self.pool_w}) must divide "
-                f"grid dims ({self.grid_h}x{self.grid_w})"
-            )
-        if self.episode_len < 2:
-            raise ValueError(f"episode_len must be >= 2, got {self.episode_len}")
         if not 0.0 <= self.accident_prob <= 1.0:
             raise ValueError(f"accident_prob must be in [0, 1], got {self.accident_prob}")
         if not 0.0 < self.t_a_frac_lo < self.t_a_frac_hi < 1.0:
@@ -86,14 +80,27 @@ class EnvConfig:
         return self.stack * self.pool_h * self.pool_w
 
 
-def check_generatable(cfg: EnvConfig, error=ValueError) -> None:
-    """Raise ``error`` unless ``cfg`` can generate episodes: with accidents
-    (accident_prob > 0) the t_a range must hold a frame.
+def check_steppable(where: str, shape, cfg: EnvConfig, error) -> None:
+    """Raise ``error``, its message led by ``where``, unless ``AccidentEnv``
+    can step episodes of ``shape`` [T, H, W]: the pool divides H x W, T >= 2."""
+    length, h, w = shape
+    if h % cfg.pool_h or w % cfg.pool_w:
+        pool = f"pool dims ({cfg.pool_h}x{cfg.pool_w})"
+        raise error(f"{where}: {pool} must divide the episode grid ({h}x{w})")
+    if length < 2:
+        raise error(f"{where}: must have at least 2 frames to step, got {length}")
 
-    A rule of generation only, so ``EnvConfig`` does not check it: episode
-    files bring their own frames. The commands that generate episodes check
-    it before they write anything.
+
+def check_generatable(cfg: EnvConfig, error=ValueError) -> None:
+    """Raise ``error`` unless ``cfg`` can generate episodes: the generated
+    shape passes ``check_steppable`` and, with accidents (accident_prob > 0),
+    the t_a range holds a frame.
+
+    Rules of generation only, so ``EnvConfig`` does not check them: episode
+    files bring their own grid and frames (``load_episodes`` checks those).
+    The commands that generate episodes check these before any write.
     """
+    check_steppable("env", (cfg.episode_len, cfg.grid_h, cfg.grid_w), cfg, error)
     lo, hi = cfg.t_a_bounds
     if lo > hi and cfg.accident_prob > 0.0:
         raise error(

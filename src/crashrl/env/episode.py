@@ -12,13 +12,14 @@ little-endian float64 values:
     saliency[T, H, W] row-major, then fixation_track[T, 2]   (8*T*(H*W+2) bytes)
 
 ``fps`` carries 17 significant digits and ``crc32`` is ``zlib.crc32`` of the
-payload as 8 hex digits, so write -> load round-trips bit-exactly and a
-changed payload byte never loads. Line 1 is checked whole before the
+payload as 8 lowercase hex digits, so write -> load round-trips bit-exactly
+and a changed payload byte never loads. Line 1 is checked whole before the
 payload, and its errors name ``line 1``: a non-ASCII byte, a ``_`` (which
-Python's ``int`` and ``float`` would accept as digit grouping), the
-dimensions, ``t_a`` and ``check_labels``. Payload errors then give its
-length, its CRC or the ``frame t`` whose values are out of range. A file of
-the retired ``ADE1`` text format fails at line 1, naming its tag.
+Python's ``int`` and ``float`` would accept as digit grouping), the CRC
+field's form, the dimensions, ``t_a`` and ``check_labels``. Payload errors
+then give its length, its CRC or the ``frame t`` whose values are out of
+range. A file of the retired ``ADE1`` text format fails at line 1, naming
+its tag.
 
 The generator composes each frame from a per-episode smooth background, small
 iid temporal noise, and (for positive episodes) a Gaussian risk blob whose
@@ -36,7 +37,7 @@ import numpy as np
 
 from ..records import format_float, read_record, write_record
 from .config import EnvConfig
-from .saliency import SaliencyField, cell_centers, normalize_fields
+from .saliency import IMAGE_CENTER, SaliencyField, cell_centers, normalize_fields
 
 FORMAT_TAG = "ADE2"
 HEADER = f"{FORMAT_TAG} <H> <W> <T> <fps> <y> <t_a|-1> <crc32>"
@@ -177,7 +178,7 @@ def generate_episode(cfg: EnvConfig, seed: int) -> Episode:
     # Ground-truth fixation track, stepped on Python floats.
     noise = FIX_NOISE_POS if y == 1 else FIX_NOISE_NEG
     steps = rng.normal(0.0, noise, size=(t_len - 1, 2)).tolist()
-    fx, fy = 0.5, 0.5
+    fx, fy = IMAGE_CENTER
     points = [(fx, fy)]
     for sx, sy in steps:
         if y == 1:  # drift toward the blob

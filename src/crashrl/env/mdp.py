@@ -19,9 +19,7 @@ import numpy as np
 
 from .config import EnvConfig
 from .rewards import reward_accident, reward_fixation
-from .saliency import attention_features, normalize_fields
-
-IMAGE_CENTER = (0.5, 0.5)
+from .saliency import IMAGE_CENTER, attention_features, normalize_fields
 
 
 @dataclass(frozen=True)
@@ -52,25 +50,14 @@ def check_actions(actions, n: int) -> np.ndarray:
     return actions
 
 
-def check_steppable(name: str, grid_shape, length: int, cfg: EnvConfig, error) -> None:
-    """Raise ``error`` naming the episode unless the pool divides its grid and T >= 2."""
-    h, w = grid_shape
-    if h % cfg.pool_h or w % cfg.pool_w:
-        pool = f"pool dims ({cfg.pool_h}x{cfg.pool_w})"
-        raise error(f"episode {name!r}: {pool} must divide the episode grid ({h}x{w})")
-    if length < 2:
-        raise error(f"episode {name!r}: must have at least 2 frames to step")
-
-
 class AccidentEnv:
-    """Single-owner environment stepping N episodes of one shape and length together."""
+    """Single-owner environment stepping N episodes of one shape and length
+    together, each of which has passed ``check_steppable``."""
 
     def __init__(self, episodes, cfg: EnvConfig) -> None:
         episodes = tuple(episodes)
         if not episodes:
             raise ValueError("an environment needs at least one episode")
-        for ep in episodes:
-            check_steppable(ep.episode_id, ep.grid_shape, ep.length, cfg, ValueError)
         shapes = {(episode.grid_shape, episode.length) for episode in episodes}
         if len(shapes) > 1:
             raise ValueError(

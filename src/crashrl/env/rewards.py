@@ -39,7 +39,7 @@ def reward_accident(a: float, a_0: float, y: int, t: int, t_a: int | None) -> fl
     return 0.0 if predicted else 1.0
 
 
-def fixation_window_active(t: int, t_a: int | None, window: str = "after_accident") -> bool:
+def fixation_window_active(t: int, t_a: int | None, window: str) -> bool:
     """Whether the fixation reward indicator is on at frame t.
 
     Episodes without an accident have no t_a: the post-accident window never
@@ -56,7 +56,7 @@ def reward_fixation(
     t: int,
     t_a: int | None,
     eta: float,
-    window: str = "after_accident",
+    window: str,
 ) -> float:
     """Gaussian closeness exp(-||p_hat - p||^2 / eta), gated by the window."""
     if not fixation_window_active(t, t_a, window):

@@ -4,8 +4,8 @@ Grid geometry: a field is an H x W array indexed [row, col]; cell (i, j)
 covers the normalized image patch centered at x = (j + 0.5)/W,
 y = (i + 0.5)/H, with (x, y) in [0, 1]^2 and y growing downward.
 
-``mdp.check_steppable`` and ``check_actions`` check the pool and the
-fixations that ``attention_features`` takes.
+``config.check_steppable`` and ``mdp.check_actions`` check the pool and
+the fixations that ``attention_features`` takes.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import EnvConfig
+
+IMAGE_CENTER = (0.5, 0.5)  # (x, y) where the env's and the generated gaze start
 
 
 @dataclass(frozen=True)

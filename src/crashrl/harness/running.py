@@ -14,7 +14,8 @@ bytes of one episode at a time. ``collect_records`` (curve points, the final
 report and ``run_eval``) steps one env per lockstep group of held-out
 episodes. The eval records hold the rewards it pays, for the curve's mean
 return and the traces. Every ``--data`` file is parsed whole and passes
-``check_steppable`` (``load_episodes``), and each held-out set (and
+``env.config.check_steppable`` (``load_episodes``), a run that generates
+its episodes passes ``check_generatable``, and each held-out set (and
 ``run_eval``'s) passes ``metrics.require_reportable``, before the agent is
 built or the checkpoint read (and, for the first seed, before anything is
 written); a file, a set or a checkpoint that fails is a ConfigError (exit 1).
@@ -55,8 +56,7 @@ from ..env import (
     load_episode_file,
     write_episode_file,
 )
-from ..env.config import check_generatable
-from ..env.mdp import check_steppable
+from ..env.config import check_generatable, check_steppable
 from ..metrics import (
     NO_ACCIDENT,
     EvalRecords,
@@ -109,7 +109,7 @@ def load_episodes(cfg: RunConfig) -> list[Episode]:
             episode = load_episode_file(path)
         except EpisodeFormatError as exc:
             raise ConfigError(str(exc)) from exc
-        check_steppable(path, episode.grid_shape, episode.length, cfg.env, ConfigError)
+        check_steppable(f"episode {path!r}", episode.saliency.shape, cfg.env, ConfigError)
         episodes.append(episode)
     return episodes
 
@@ -378,9 +378,7 @@ def run_training(cfg: RunConfig) -> RunArtifacts:
         checkpoint_path = os.path.join(seed_dir, "checkpoint.txt")
         agent.save(checkpoint_path)
 
-        report = compile_report(
-            records, cfg.env.a_0, window=cfg.env.fixation_window
-        )
+        report = compile_report(records, cfg.env.a_0, cfg.env.fixation_window)
         write_report(report, seed_dir)
         write_csv(os.path.join(seed_dir, "curve.csv"), ("epoch", "mean_eval_reward"), curve)
         export_traces(records, os.path.join(seed_dir, "traces"))
@@ -446,7 +444,7 @@ def run_eval(checkpoint_path, cfg: RunConfig):
             f"match the configured environment's {expected}"
         )
     records = collect_records(agent_policy(agent), episodes, cfg)
-    report = compile_report(records, cfg.env.a_0, window=cfg.env.fixation_window)
+    report = compile_report(records, cfg.env.a_0, cfg.env.fixation_window)
     write_config_snapshot(cfg, cfg.out_dir)
     write_report(report, cfg.out_dir)
     export_traces(records, os.path.join(cfg.out_dir, "traces"))

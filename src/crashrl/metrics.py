@@ -248,11 +248,7 @@ def _fixation_mse(records: EvalRecords, in_window: np.ndarray) -> float:
     return math.fsum(errors.tolist()) / errors.size
 
 
-def compile_report(
-    records: EvalRecords,
-    a_0: float,
-    window: str = "after_accident",
-) -> MetricsReport:
+def compile_report(records: EvalRecords, a_0: float, window: str) -> MetricsReport:
     """Every metric from one ranking of the scores and one crossing per episode.
 
     Raises ValueError, before computing anything, when the records fail

@@ -39,7 +39,7 @@ class AdamState:
     name: str = "params"
 
 
-def init_adam(net: Net, alpha: float = 3e-4, name: str = "params") -> AdamState:
+def init_adam(net: Net, alpha: float, name: str = "params") -> AdamState:
     return AdamState(np.zeros_like(net.flat), np.zeros_like(net.flat), 0, alpha, name)
 
 

@@ -11,7 +11,8 @@ little-endian; each format fixes its dtype and length from the header.
 ``read_record`` takes the whole file with one ``read`` and checks line 1,
 naming ``path: line 1``: a non-ASCII byte, a ``_`` (which Python's ``int``
 and ``float`` accept as digit grouping), a retired tag (named with its own
-message), the tag and field count, and each field's conversion. The
+message), the tag and field count, each field's conversion, and the CRC
+field's form: only the 8 lowercase hex digits ``write_record`` writes. The
 format then checks its own header values with ``Record.fail`` and calls
 ``Record.payload``, which checks the payload's length and then its CRC, so
 a changed payload byte never loads.
@@ -114,4 +115,7 @@ def read_record(path, usage: str, types, retired=None, error=ValueError) -> Reco
         crc = int(fields[-1], 16)
     except ValueError as exc:
         raise fail(f"malformed header: {exc}") from exc
+    # int() also takes a sign, a 0x prefix, upper case and extra digits.
+    if not 0 <= crc <= 0xFFFFFFFF or fields[-1] != f"{crc:08x}":
+        raise fail(f"CRC-32 field must be 8 lowercase hex digits, got {fields[-1]!r}")
     return Record(path, values, crc, memoryview(raw)[end + 1 :], error)

@@ -106,7 +106,7 @@ def test_c1_reward_exactness():
         d2 = (mp.mpf(p_hat[0]) - mp.mpf(p[0])) ** 2 + (mp.mpf(p_hat[1]) - mp.mpf(p[1])) ** 2
         r_f_exact = mp.e ** (-d2 / mp.mpf(eta)) if t > t_a else mp.mpf(0)
         worst = max(
-            worst, abs(reward_fixation(p_hat, p, t, t_a, eta) - float(r_f_exact))
+            worst, abs(reward_fixation(p_hat, p, t, t_a, eta, "after_accident") - float(r_f_exact))
         )
     elapsed = time.monotonic() - start
     ok = worst < 1e-12 and elapsed < 1.0

@@ -73,33 +73,33 @@ class TestReplayBuffer:
         for i in range(3):
             buf.push(*self._tr(i))
         assert len(buf) == 2
-        batch = buf.sample(2)
+        batch = buf.sample(2, (1.0, 1.0))
         assert 0.0 not in batch.s[:, 0]
 
     def test_sample_size(self):
         buf = ReplayBuffer(capacity=10, obs_dim=4, seed=0)
         for i in range(5):
             buf.push(*self._tr(i))
-        assert len(buf.sample(3)) == 3
+        assert len(buf.sample(3, (1.0, 1.0))) == 3
 
     def test_seeded_sampling_reproducible(self):
         def run():
             buf = ReplayBuffer(capacity=10, obs_dim=4, seed=42)
             for i in range(6):
                 buf.push(*self._tr(i))
-            return [buf.sample(4).s[:, 0].tolist() for _ in range(3)]
+            return [buf.sample(4, (1.0, 1.0)).s[:, 0].tolist() for _ in range(3)]
 
         assert run() == run()
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
-            ReplayBuffer(capacity=4, obs_dim=4, seed=0).sample(1)
+            ReplayBuffer(capacity=4, obs_dim=4, seed=0).sample(1, (1.0, 1.0))
 
     def test_oversample_rejected(self):
         buf = ReplayBuffer(capacity=4, obs_dim=4, seed=0)
         buf.push(*self._tr(0))
         with pytest.raises(ValueError):
-            buf.sample(2)
+            buf.sample(2, (1.0, 1.0))
 
 
 class TestActionSelection:
@@ -846,7 +846,7 @@ def test_darc_critic_gap_shrinks_with_regularization():
             buf.push(s, arr, res.r_A.item(), res.r_F.item(), res.next_obs[0], res.done)
         gaps = []
         for u in range(updates):
-            critic_update(agent, buf.sample(cfg.batch_size))
+            critic_update(agent, buf.sample(cfg.batch_size, (1.0, 1.0)))
             if u >= updates - 500 and u % 50 == 0:
                 q1 = mlp_apply(agent.critics[0], probe)
                 q2 = mlp_apply(agent.critics[1], probe)

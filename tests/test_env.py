@@ -30,7 +30,7 @@ from crashrl.env import (
     reward_fixation,
     write_episode_file,
 )
-from crashrl.env.config import check_generatable
+from crashrl.env.config import check_generatable, check_steppable
 from crashrl.records import format_float
 from saliency_reference import combine_attention, foveate, normalize_field, pool_features
 
@@ -177,16 +177,16 @@ class TestRewardAccident:
 
 class TestRewardFixation:
     def test_exact_hit_after_accident(self):
-        assert reward_fixation((0.3, 0.3), (0.3, 0.3), 50, 40, 0.08) == 1.0
+        assert reward_fixation((0.3, 0.3), (0.3, 0.3), 50, 40, 0.08, "after_accident") == 1.0
 
     def test_inactive_before_accident(self):
-        assert reward_fixation((0.3, 0.3), (0.3, 0.3), 40, 40, 0.08) == 0.0
-        assert reward_fixation((0.1, 0.1), (0.9, 0.9), 10, 40, 0.08) == 0.0
+        assert reward_fixation((0.3, 0.3), (0.3, 0.3), 40, 40, 0.08, "after_accident") == 0.0
+        assert reward_fixation((0.1, 0.1), (0.9, 0.9), 10, 40, 0.08, "after_accident") == 0.0
 
     def test_frozen_oracle_value_at_eta_distance(self):
         eta = 0.08
         d = math.sqrt(eta)
-        r = reward_fixation((0.5, 0.5), (0.5 + d, 0.5), 50, 40, eta)
+        r = reward_fixation((0.5, 0.5), (0.5 + d, 0.5), 50, 40, eta, "after_accident")
         assert r == pytest.approx(0.36787944117144233, abs=1e-15)
 
     def test_squares_the_distance_exactly(self):
@@ -196,7 +196,7 @@ class TestRewardFixation:
         dx = p_hat[0] - p[0]
         square = float(Fraction(dx) ** 2)  # the exact square, rounded once
         assert square == 0.4629143788956398
-        assert reward_fixation(p_hat, p, 50, 40, eta) == math.exp(-square / eta)
+        assert reward_fixation(p_hat, p, 50, 40, eta, "after_accident") == math.exp(-square / eta)
 
     def test_before_accident_window_flips_indicator(self):
         r_pre = reward_fixation((0.3, 0.3), (0.3, 0.3), 10, 40, 0.08, "before_accident")
@@ -708,7 +708,7 @@ class TestEnvConfigValidation:
         with pytest.raises(ValueError):
             EnvConfig(rho=-0.1)
         with pytest.raises(ValueError):
-            EnvConfig(pool_h=5)
+            check_generatable(EnvConfig(pool_h=5))
         with pytest.raises(ValueError):
             EnvConfig(fixation_window="sometimes")
 
@@ -773,7 +773,7 @@ class TestRewardBoundProperties:
     )
     @settings(max_examples=300, deadline=None)
     def test_fixation_reward_in_unit_interval(self, px, py, qx, qy, t, t_a, eta):
-        r = reward_fixation((px, py), (qx, qy), t, t_a, eta)
+        r = reward_fixation((px, py), (qx, qy), t, t_a, eta, "after_accident")
         assert 0.0 <= r <= 1.0
 
     @given(seed=st.integers(0, 10_000), fx=st.floats(0.0, 1.0), fy=st.floats(0.0, 1.0))
@@ -793,7 +793,7 @@ def test_env_requires_multi_frame_episode():
     )
     cfg = EnvConfig(grid_h=8, grid_w=8, pool_h=4, pool_w=4)
     with pytest.raises(ValueError, match="^episode 'one': must have at least 2 frames"):
-        AccidentEnv([episode], cfg)
+        check_steppable("episode 'one'", episode.saliency.shape, cfg, ValueError)
 
 
 def test_loader_error_discipline_under_mutation(tmp_path):

@@ -180,7 +180,7 @@ class TestFlatUpdatesMatchPerTensorReference:
 
     def test_shape_mismatch_rejected(self):
         net = init_params(MlpSpec(3, (), 2), seed=0)
-        state = init_adam(net)
+        state = init_adam(net, alpha=3e-4)
         with pytest.raises(ValueError, match="shapes must match"):
             adam_step(net, np.zeros(7, np.float32), state)
         other = init_params(MlpSpec(1, (), 4), seed=0)  # eight values, as many as net's

@@ -90,7 +90,7 @@ def test_training_keeps_every_core_array_float32(algo, monkeypatch):
         log = train_step(agent, env, buffer)
     assert log.losses and agent.update_count == 4
 
-    batch = buffer.sample(cfg.batch_size)
+    batch = buffer.sample(cfg.batch_size, (1.0, 1.0))
     q_values, v_next = target_values(batch, agent)
     y = compute_targets(batch, agent)
     checked = {

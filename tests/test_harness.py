@@ -635,18 +635,55 @@ class TestCli:
         traces = sorted(p.name for p in (out / "td3" / "seed_0" / "traces").iterdir())
         assert traces == [f"trace_episode_{s:05d}.csv" for s in range(101, 105)]
 
-    def test_data_runs_skip_the_generation_rule(self, tmp_path):
-        """Two frames leave no accident frame, but ``--data`` runs generate nothing."""
+    @pytest.mark.parametrize(
+        "override",
+        [["--episode-length", "2"], ["--grid", "6"], ["--episode-length", "1"]],
+        ids=["length-2", "grid-6", "length-1"],
+    )
+    def test_data_runs_skip_the_generation_rule(self, tmp_path, override):
+        """Two frames leave no accident frame, a grid of 6 is no multiple of
+        the 4x4 pool and one frame cannot be stepped, but ``--data`` runs
+        generate nothing: over 8x8 files each exits 0, and every artifact but
+        config.json has the bytes of the run without it."""
         data = tmp_path / "data"
         gen = ["gen-data", "--count", "5", "--seed", "100", "--episode-length", "24",
                "--grid", "8", "--pool", "4", "--stack", "2", "--out", str(data)]
         assert cli_main(gen) == 0
-        out = tmp_path / "runs"
-        short = ["--data", str(data), "--episode-length", "2"]
-        assert cli_main(self._train_flags(out) + short) == 0
-        checkpoint = out / "td3" / "seed_0" / "checkpoint.txt"
-        assert cli_main(self._eval_flags(tmp_path, checkpoint) + short) == 0
-        assert (tmp_path / "eval_out" / "metrics.json").exists()
+        artifacts = []
+        for name, extra in (("plain", []), ("override", override)):
+            out = tmp_path / name
+            flags = ["--data", str(data), *extra]
+            assert cli_main(self._train_flags(out / "runs") + flags) == 0
+            checkpoint = out / "runs" / "td3" / "seed_0" / "checkpoint.txt"
+            assert cli_main(self._eval_flags(out, checkpoint) + flags) == 0
+            assert (out / "eval_out" / "metrics.json").exists()
+            artifacts.append({
+                path.relative_to(out): path.read_bytes()
+                for path in sorted(out.rglob("*"))
+                if path.is_file() and path.name != "config.json"
+            })
+        assert artifacts[1] == artifacts[0]
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "eval"])
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            (["--grid", "6"], "env: pool dims (4x4) must divide the episode grid (6x6)"),
+            (["--episode-length", "1"], "env: must have at least 2 frames to step, got 1"),
+        ],
+        ids=["grid-6", "length-1"],
+    )
+    def test_generated_shape_rule_exits_one_before_writing(
+        self, tmp_path, capsys, command, override, message
+    ):
+        """Without ``--data`` the same settings shape every episode: exit 1, nothing written."""
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out), "--grid", "8", "--pool", "4", *override]
+        argv += {"gen-data": ["--count", "4"], "train": ["--epochs", "1"],
+                 "eval": ["--checkpoint", str(tmp_path / "checkpoint.txt")]}[command]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def _data_with(self, tmp_path, name, episode):
         """Five 24-frame 8x8 episode files plus ``episode`` as ``name``.ade."""

@@ -17,6 +17,7 @@ from crashrl.env import (
     generate_episode,
     normalize_fields,
 )
+from crashrl.env.config import check_steppable
 from crashrl.harness import (
     ConstantScoreAgent,
     RunConfig,
@@ -301,7 +302,7 @@ class TestCollectRecords:
         cfg = small_run_cfg(pool_h=3, pool_w=3, grid_h=9, grid_w=9)
         episode = generate_episode(EnvConfig(grid_h=8, grid_w=8, pool_h=4, pool_w=4), 0)
         with pytest.raises(ValueError, match="must divide"):
-            collect_records(ConstantScoreAgent(0.5), [episode], cfg)
+            check_steppable("episode", episode.saliency.shape, cfg.env, ValueError)
 
 
 def small_agent(algo, obs_dim, seed=11):

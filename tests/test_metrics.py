@@ -366,7 +366,7 @@ class TestCompileReport:
         return records_from_rows(records)
 
     def test_perfect_agent_report(self):
-        report = compile_report(self._mixed_records(perfect=True), 0.5)
+        report = compile_report(self._mixed_records(perfect=True), 0.5, "after_accident")
         assert report.auc == 1.0
         assert report.ap == 1.0
         assert report.recall_at_a0 == 1.0
@@ -375,13 +375,13 @@ class TestCompileReport:
 
     def test_report_deterministic(self):
         records = self._mixed_records(perfect=False)
-        r1 = compile_report(records, 0.5)
-        r2 = compile_report(records, 0.5)
+        r1 = compile_report(records, 0.5, "after_accident")
+        r2 = compile_report(records, 0.5, "after_accident")
         assert r1 == r2
 
     def test_roc_points_integrate_to_auc(self):
         records = self._mixed_records(perfect=False)
-        report = compile_report(records, 0.5)
+        report = compile_report(records, 0.5, "after_accident")
         points = report.roc_points
         area = 0.0
         for (f0, t0, _), (f1, t1, _) in zip(points, points[1:]):
@@ -390,7 +390,7 @@ class TestCompileReport:
 
     def test_pr_points_step_integrate_to_ap(self):
         records = self._mixed_records(perfect=False)
-        report = compile_report(records, 0.5)
+        report = compile_report(records, 0.5, "after_accident")
         points = report.pr_points
         area = 0.0
         for (r0, _, _), (r1, p1, _) in zip(points, points[1:]):

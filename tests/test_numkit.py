@@ -174,7 +174,7 @@ class TestAdam:
     def test_zero_gradient_leaves_params_fixed(self):
         net = line(1.0, -2.0)
         before = net.flat.copy()
-        state = init_adam(net)
+        state = init_adam(net, alpha=3e-4)
         updated, new_state = adam_step(net, np.zeros_like(net.flat), state)
         assert updated is net and np.array_equal(net.flat, before)
         assert new_state.t == 1
@@ -190,7 +190,7 @@ class TestAdam:
     def test_two_zero_grad_steps_keep_moments_zero(self):
         net = line(3.0, 3.0)
         before = net.flat.copy()
-        state = init_adam(net)
+        state = init_adam(net, alpha=3e-4)
         zero = np.zeros_like(net.flat)
         p1, s1 = adam_step(net, zero, state)
         p2, s2 = adam_step(p1, zero, s1)

@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crashrl.agents import Agent, AgentConfig
+from crashrl.env import EnvConfig, generate_episode, load_episode_file, write_episode_file
 from crashrl.records import format_float, read_record, write_record
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "crashrl"
@@ -156,3 +158,33 @@ def test_empty_file_and_format_errors(tmp_path):
     record = read_record(path, USAGE, TYPES, error=KeyError)
     assert isinstance(record.fail("n must be positive"), KeyError)
     assert str(record.fail("n must be positive")) == repr(f"{path}: line 1: n must be positive")
+
+
+@pytest.mark.parametrize(
+    "form", ["0x{}", "+{}", "000{}", "upper"], ids=["0x", "plus", "leading-zeros", "upper"]
+)
+@pytest.mark.parametrize("tag", ["ADE2", "ACP3"])
+def test_crc_field_must_be_the_written_form(tmp_path, tag, form):
+    """int(field, 16) takes each of these forms of the right CRC; none loads."""
+    path = tmp_path / "r.bin"
+    if tag == "ADE2":
+        env = EnvConfig(grid_h=4, grid_w=4, pool_h=2, pool_w=2, episode_len=6)
+        write_episode_file(generate_episode(env, 0), path)
+        load = load_episode_file
+    else:
+        cfg = AgentConfig(algo="td3", hidden_dims=(4,))
+        Agent(cfg, obs_dim=8, seed=0).save(path)
+        def load(p):
+            return Agent.load(p, cfg)
+    load(path)  # the form write_record writes loads
+    line, payload = path.read_bytes().split(b"\n", 1)
+    fields = line.decode("ascii").split()
+    crc = fields[-1]
+    field = crc.upper() if form == "upper" else form.format(crc)
+    assert fields[0] == tag and field != crc
+    path.write_bytes(" ".join([*fields[:-1], field]).encode("ascii") + b"\n" + payload)
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value) == (
+        f"{path}: line 1: CRC-32 field must be 8 lowercase hex digits, got {field!r}"
+    )

@@ -175,7 +175,7 @@ def test_stack_adam_and_polyak_equal_separate_networks(shape, k):
 def test_non_finite_adam_row_names_its_network():
     spec = SHAPES["c6"]
     net = stack(spec, 3)
-    state = init_adam(net, name="critic")
+    state = init_adam(net, alpha=3e-4, name="critic")
     grads = np.zeros(net.flat.shape, np.float32)
     grads[1, 7] = NAN
     with pytest.raises(ValueError, match=r"^critic_1: Adam update 1 left a parameter"):
