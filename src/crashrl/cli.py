@@ -26,6 +26,7 @@ from .harness import (
     run_training,
     write_comparison_csv,
 )
+from .metrics import report_as_dict
 
 # Not called here: perfbench/tracing.py wraps these names in this module too.
 from .env import generate_episode, load_episode_file  # noqa: F401
@@ -117,10 +118,7 @@ def _resolve_config(args):
 
 
 def _metrics_line(report) -> str:
-    return (
-        f"mtta={report.mtta_seconds:.4f}s auc={report.auc:.5f} ap={report.ap:.5f} "
-        f"recall={report.recall_at_a0:.4f} fixation_mse={report.fixation_mse:.6f}"
-    )
+    return " ".join(f"{name}={value:.6g}" for name, value in report_as_dict(report).items())
 
 
 def _cmd_gen_data(args) -> int:
@@ -155,12 +153,13 @@ def _cmd_compare(args) -> int:
     path = os.path.join(args.out or ".", "comparison.csv")
     write_comparison_csv(table, path)
     print(f"wrote {path}")
+    width = max(map(len, table.rows))
     for row in table.rows:
         best = ";".join(table.best[row])
         cells = "  ".join(
             f"{algo}={table.cells[(row, algo)].median:.5f}" for algo in table.algos
         )
-        print(f"{row:>16}: {cells}  best={best}")
+        print(f"{row:>{width}}: {cells}  best={best}")
     return 0
 
 

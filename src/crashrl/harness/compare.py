@@ -8,17 +8,8 @@ import statistics
 from dataclasses import dataclass
 
 from ..atomic import write_csv
+from ..metrics import LOWER_IS_BETTER, METRIC_NAMES
 from .config import ConfigError, is_finite_number
-
-# (row label, metrics.json key, whether larger is better)
-TABLE_ROWS = (
-    ("mTTA", "mtta_seconds", True),
-    ("AUC", "auc", True),
-    ("AP", "ap", True),
-    ("recall", "recall_at_a0", True),
-    ("fixationMSE", "fixation_mse", False),
-    ("safe2s_fraction", "safe_detect_fraction_2s", True),
-)
 
 
 @dataclass(frozen=True)
@@ -39,7 +30,7 @@ class ComparisonCell:
 
 @dataclass(frozen=True)
 class ComparisonTable:
-    """Rows = metrics, columns = algorithms (sorted by name)."""
+    """Rows = metrics (``METRIC_NAMES``), columns = algorithms (sorted by name)."""
 
     algos: tuple[str, ...]
     rows: tuple[str, ...]
@@ -50,7 +41,7 @@ class ComparisonTable:
 def load_run_summary(path) -> RunSummary:
     """Read a run.json written by run_training (path may be its directory).
 
-    Invalid JSON, a missing key, an empty or non-object ``per_seed``, a table
+    Invalid JSON, a missing key, an empty or non-object ``per_seed``, a
     metric that is not a finite number and an ``algo`` or ``eval_fingerprint``
     that is not a string raise ConfigError naming the path (and the seed and
     key).
@@ -80,7 +71,7 @@ def load_run_summary(path) -> RunSummary:
     metrics_by_seed = {}
     for seed, entry in per_seed.items():
         metrics_by_seed[seed] = metrics = field(entry, "metrics", f"seed {seed}: ")
-        for _, key, _ in TABLE_ROWS:
+        for key in METRIC_NAMES:
             value = field(metrics, key, f"seed {seed}: ")
             if not is_finite_number(value):
                 raise ConfigError(
@@ -91,7 +82,8 @@ def load_run_summary(path) -> RunSummary:
 
 
 def compare_table(runs: list[RunSummary]) -> ComparisonTable:
-    """Median-over-seeds comparison; best per row flagged (min for fixationMSE)."""
+    """Median-over-seeds comparison; best per row flagged (the minimum for
+    ``LOWER_IS_BETTER`` metrics, else the maximum)."""
     summaries = list(runs)
     if len(summaries) < 2:
         raise ConfigError("comparison requires at least two algorithms")
@@ -108,23 +100,16 @@ def compare_table(runs: list[RunSummary]) -> ComparisonTable:
 
     cells: dict[tuple[str, str], ComparisonCell] = {}
     best: dict[str, tuple[str, ...]] = {}
-    for label, key, larger_is_better in TABLE_ROWS:
+    for key in METRIC_NAMES:
         medians = {}
         for summary in summaries:
             values = [m[key] for m in summary.metrics_by_seed.values()]
             cell = ComparisonCell(statistics.median(values), min(values), max(values))
-            cells[(label, summary.algo)] = cell
+            cells[(key, summary.algo)] = cell
             medians[summary.algo] = cell.median
-        target = max(medians.values()) if larger_is_better else min(medians.values())
-        best[label] = tuple(
-            algo for algo in sorted(medians) if medians[algo] == target
-        )
-    return ComparisonTable(
-        tuple(s.algo for s in summaries),
-        tuple(label for label, _, _ in TABLE_ROWS),
-        cells,
-        best,
-    )
+        target = (min if key in LOWER_IS_BETTER else max)(medians.values())
+        best[key] = tuple(algo for algo in sorted(medians) if medians[algo] == target)
+    return ComparisonTable(tuple(s.algo for s in summaries), METRIC_NAMES, cells, best)
 
 
 def write_comparison_csv(table: ComparisonTable, path) -> None:

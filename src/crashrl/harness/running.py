@@ -16,9 +16,9 @@ episodes. The eval records hold the rewards it pays, for the curve's mean
 return and the traces. Every ``--data`` file is parsed whole and passes
 ``env.config.check_steppable`` (``load_episodes``), a run that generates
 its episodes passes ``check_generatable``, and each held-out set (and
-``run_eval``'s) passes ``metrics.require_reportable``, before the agent is
-built or the checkpoint read (and, for the first seed, before anything is
-written); a file, a set or a checkpoint that fails is a ConfigError (exit 1).
+``run_eval``'s) passes ``metrics.require_reportable``, before anything is
+written, the agent built or the checkpoint read; a file, a set or a
+checkpoint that fails is a ConfigError (exit 1).
 
 Seed derivation (fixed so independent reruns agree): for a run seed s, the
 environment stream uses s, the agent s + 1000, the replay buffer s + 2000.
@@ -31,7 +31,8 @@ the first seed, and the parsed episode is shared by every seed (see
 
 Per-seed output layout under <out>/<algo>/seed_<s>/:
   checkpoint.txt, metrics.json, roc.csv, pr.csv, curve.csv, traces/*.csv
-plus <out>/<algo>/run.json summarizing the whole run for `compare`.
+plus <out>/<algo>/config.json, the run's resolved settings, and
+<out>/<algo>/run.json summarizing the whole run for `compare`.
 """
 
 from __future__ import annotations
@@ -340,13 +341,18 @@ def run_training(cfg: RunConfig) -> RunArtifacts:
     source = _EpisodeSource(cfg)  # checks the data directory before anything is written
     algo_dir = os.path.join(cfg.out_dir, cfg.algo)
 
+    # Every seed's held-out set passes before anything is written. The first
+    # seed's, checked last, is kept; a later one is generated again at its turn.
+    for seed in reversed(cfg.seeds):
+        eval_set = source.eval_set(seed)
+        _require_reportable(eval_set, cfg.env.fixation_window, f"seed {seed}: the held-out set")
+    write_config_snapshot(cfg, algo_dir)
+
     results = []
     seed_fingerprints = []
     for seed in cfg.seeds:
-        eval_set = source.eval_set(seed)
-        _require_reportable(eval_set, cfg.env.fixation_window, f"seed {seed}: the held-out set")
-        if not seed_fingerprints:  # the first seed's set passed: start writing
-            write_config_snapshot(cfg, cfg.out_dir)
+        if results:
+            eval_set = source.eval_set(seed)
         seed_fingerprints.append(eval_fingerprint(eval_set))
         obs_dim = cfg.env.obs_dim
         agent = Agent(cfg.agent, obs_dim, seed + AGENT_SEED_OFFSET)

@@ -106,8 +106,11 @@ class EvalRecords:
 class MetricsReport:
     """All metrics for one evaluation run, plus ROC/PR curve points.
 
-    Every field but the curve points is one number of metrics.json; tp, fp,
-    tn and fn count episodes at a_0.
+    Every field but the curve points is one metric, named and ordered here
+    alone: ``METRIC_NAMES`` lists them for metrics.json, run.json, the
+    comparison and the CLI summary line. tp, fp, tn and fn count episodes at
+    a_0. ``LOWER_IS_BETTER`` names the metrics a smaller value wins on
+    (fixation_mse, fp, fn); every other metric is better higher.
     """
 
     auc: float
@@ -122,6 +125,10 @@ class MetricsReport:
     safe_detect_fraction_2s: float
     roc_points: tuple[tuple[float, float, float], ...]  # (fpr, tpr, threshold)
     pr_points: tuple[tuple[float, float, float], ...]  # (recall, precision, threshold)
+
+
+METRIC_NAMES = tuple(f.name for f in fields(MetricsReport) if not f.name.endswith("_points"))
+LOWER_IS_BETTER = frozenset({"fixation_mse", "fp", "fn"})
 
 
 class _TieBlocks(NamedTuple):
@@ -272,9 +279,8 @@ def compile_report(records: EvalRecords, a_0: float, window: str) -> MetricsRepo
 
 
 def report_as_dict(report: MetricsReport) -> dict[str, float]:
-    """Every report field but the curve points (those go to the CSV files)."""
-    curves = ("roc_points", "pr_points")
-    return {f.name: getattr(report, f.name) for f in fields(report) if f.name not in curves}
+    """Every metric, in ``METRIC_NAMES`` order (the curve points go to the CSV files)."""
+    return {name: getattr(report, name) for name in METRIC_NAMES}
 
 
 def write_report(report: MetricsReport, out_dir) -> None:

@@ -423,9 +423,9 @@ def test_c9_safety_margin_report(tmp_path):
     summary = load_run_summary(run_training(run_cfg).out_dir)
     clone = dataclasses.replace(summary, algo="other")
     table = compare_table([summary, clone])
-    has_row = "safe2s_fraction" in table.rows
+    has_row = "safe_detect_fraction_2s" in table.rows
     cells_present = all(
-        ("safe2s_fraction", algo) in table.cells for algo in table.algos
+        ("safe_detect_fraction_2s", algo) in table.cells for algo in table.algos
     )
     ok = fraction == 1.0 and has_row and cells_present
     report(

@@ -26,9 +26,8 @@ from crashrl.harness import (
     run_training,
     write_comparison_csv,
 )
-from crashrl.harness.compare import TABLE_ROWS
 from crashrl.harness.running import _mean_return
-from crashrl.metrics import compile_report
+from crashrl.metrics import METRIC_NAMES, compile_report, report_as_dict
 from record_rows import frame_rows, padded_report
 
 
@@ -164,7 +163,8 @@ class TestRunTraining:
     def test_artifact_tree_and_curve_cadence(self, tmp_path):
         cfg = tiny_cfg(tmp_path, epochs=7)
         artifacts = run_training(cfg)
-        assert (tmp_path / "config.json").exists()
+        assert (tmp_path / "td3" / "config.json").exists()
+        assert not (tmp_path / "config.json").exists()
         seed_dir = tmp_path / "td3" / "seed_0"
         for name in ("checkpoint.txt", "metrics.json", "roc.csv", "pr.csv", "curve.csv"):
             assert (seed_dir / name).exists(), name
@@ -317,24 +317,26 @@ class TestTracesAndComparison:
             assert table.cells[(row, "td3")] == table.cells[(row, "zz_clone")]
             assert table.best[row] == ("td3", "zz_clone")
 
-    def test_fixation_mse_best_is_minimum(self, tmp_path):
+    @pytest.mark.parametrize("key", ["fixation_mse", "fp", "fn"])
+    def test_fixation_mse_best_is_minimum(self, tmp_path, key):
         cfg = tiny_cfg(tmp_path)
         s1 = load_run_summary(run_training(cfg).out_dir)
         worse = {
-            seed: {**metrics, "fixation_mse": metrics["fixation_mse"] + 1.0}
+            seed: {**metrics, key: metrics[key] + 1}
             for seed, metrics in s1.metrics_by_seed.items()
         }
         s2 = dataclasses.replace(s1, algo="worse", metrics_by_seed=worse)
         table = compare_table([s1, s2])
-        assert table.best[("fixationMSE")] == ("td3",)
+        assert table.best[key] == ("td3",)
 
     def test_table_rows_mirror_comparison_metrics(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
-        s1 = load_run_summary(run_training(cfg).out_dir)
+        artifacts = run_training(cfg)
+        s1 = load_run_summary(artifacts.out_dir)
         s2 = dataclasses.replace(s1, algo="other")
         table = compare_table([s1, s2])
-        assert table.rows[:5] == ("mTTA", "AUC", "AP", "recall", "fixationMSE")
-        assert "safe2s_fraction" in table.rows
+        assert table.rows == tuple(report_as_dict(artifacts.results[0].report))
+        assert table.rows == METRIC_NAMES
 
     def test_mismatched_eval_sets_rejected(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
@@ -478,9 +480,11 @@ class TestCli:
             ]
         )
         assert code == 0
-        text = (tmp_path / "cmp" / "comparison.csv").read_text()
-        assert text.startswith("metric,")
-        assert "mTTA" in text and "safe2s_fraction" in text
+        lines = (tmp_path / "cmp" / "comparison.csv").read_text().splitlines()
+        assert lines[0].startswith("metric,")
+        assert [line.split(",")[0] for line in lines[1:]] == list(METRIC_NAMES)
+        printed = capsys.readouterr().out.splitlines()[-len(METRIC_NAMES):]
+        assert [line.split(":")[0].strip() for line in printed] == list(METRIC_NAMES)
 
     def test_gen_data_cli(self, tmp_path):
         code = cli_main(
@@ -546,7 +550,7 @@ class TestCli:
         assert code == 0
         # flag overrode the file's algo
         assert (tmp_path / "runs" / "td3" / "run.json").exists()
-        snapshot = json.loads((tmp_path / "runs" / "config.json").read_text())
+        snapshot = json.loads((tmp_path / "runs" / "td3" / "config.json").read_text())
         assert snapshot["algo"] == "td3"
         assert snapshot["env"]["episode_len"] == 24
 
@@ -558,6 +562,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert "seed 0" in err and "no positive episode" in err
         assert not (out / "td3" / "seed_0").exists()
+
+    def test_a_later_seeds_one_class_held_out_set_exits_one_before_any_write(
+        self, tmp_path, capsys
+    ):
+        # Seed 6's three held-out episodes hold both classes, seed 7's only negatives.
+        out = tmp_path / "runs"
+        code = cli_main([
+            "train", "--algo", "td3", "--seeds", "6,7", "--eval-episodes", "3",
+            "--episode-length", "20", "--grid", "8", "--pool", "4", "--stack", "2",
+            "--hidden", "8,8", "--batch-size", "8", "--warmup", "16", "--epochs", "1",
+            "--episodes-per-epoch", "2", "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "seed 7: the held-out set of 3 episodes has no positive episode" in err
+        assert not out.exists()
+
+    def test_algorithms_sharing_an_out_dir_keep_their_own_config(self, tmp_path):
+        out = tmp_path / "runs"
+        for algo in ("ddpg", "darc"):
+            assert cli_main(self._train_flags(out, algo)) == 0
+        for algo in ("ddpg", "darc"):
+            snapshot = json.loads((out / algo / "config.json").read_text())
+            assert snapshot["algo"] == algo
+            assert snapshot["agent"]["algo"] == algo
+        assert not (out / "config.json").exists()
 
     def _eval_flags(self, tmp_path, checkpoint):
         return [
@@ -931,7 +961,7 @@ class TestCli:
 
     @staticmethod
     def _write_run_json(path, algo, drop=None, drop_metric=None, fingerprint="f" * 16):
-        metrics = {key: 0.5 for _, key, _ in TABLE_ROWS}
+        metrics = {key: 0.5 for key in METRIC_NAMES}
         metrics.pop(drop_metric, None)
         data = {"algo": algo, "eval_fingerprint": fingerprint,
                 "per_seed": {"0": {"metrics": dict(metrics, mtta_seconds=1.0)},
@@ -995,7 +1025,7 @@ class TestCli:
     ):
         good, path = tmp_path / "good.json", tmp_path / "bad.json"
         self._write_run_json(good, "ddpg")
-        metrics = {key: 0.5 for _, key, _ in TABLE_ROWS}
+        metrics = {key: 0.5 for key in METRIC_NAMES}
         if isinstance(per_seed, dict):
             per_seed = {seed: {"metrics": {**metrics, **entry["metrics"]}}
                         for seed, entry in per_seed.items()}
