@@ -13,10 +13,15 @@ TD3, SAC), and DARC takes both. One smoothing-noise draw per batch serves
 every actor, so the candidates compete on equal footing and, with
 bit-identical actors, DARC's target equals TD3's exactly. The candidates
 come from one pass of the target-actor stack, and every target critic
-values every candidate in one pass over [candidate, critic]; the min and
-the max are ``np.minimum``/``np.maximum`` reductions over those two axes,
-each network's values compared in index order. Targets are float32 like the
-batch; noise is drawn in float64 and cast.
+values every candidate in one pass over [candidate, critic]. That pass
+takes the critics' input as two blocks (``numkit.mlp_graph``): each target
+critic forms s' @ W_s once and adds a_j @ W_a per candidate, so the state
+product, 256 of the first layer's 259 input rows at default scale, is not
+repeated per candidate. The sum is [s', a_j] @ W_0's, rounded in another
+order, and the same for every algorithm, so the C4 reduction stays exact.
+The min and the max are ``np.minimum``/``np.maximum`` reductions over those
+two axes, each network's values compared in index order. Targets are
+float32 like the batch; noise is drawn in float64 and cast.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import math
 import numpy as np
 
 from ..numkit import DTYPE, mlp_apply
-from .agent import Agent, sample_policy, squash01, state_action
+from .agent import Agent, sample_policy, squash01
 from .replay import ACTION_DIM, Batch
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -75,7 +80,7 @@ def compute_targets(batch: Batch, agent: Agent) -> np.ndarray:
     """y = r + gamma * (1 - done) * max_j min_i Q'_i(s', a_j), for any algorithm."""
     cfg = agent.cfg
     a_next, logp = _next_actions(batch, agent)
-    q = mlp_apply(agent.target_critics, state_action(batch.s_next, a_next)[:, None])
+    q = mlp_apply(agent.target_critics, (batch.s_next, a_next[:, None]))
     v = np.minimum.reduce(q, axis=1)
     if logp is not None:
         v = v - cfg.sac_alpha * logp

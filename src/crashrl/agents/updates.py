@@ -18,8 +18,10 @@ stack at once. The actor phases run the heads acting and the targets use
 ``_action_grad`` holds both heads' derivative. Only the parameters a phase
 updates get a gradient (the critics' in the critic phase, the actors' in
 the actor phase); the actor phase also forms the critics' input gradient,
-of which it uses the action columns. One Adam step per role and one Polyak
-sync per target role then update the stacks' flat parameters in place.
+for the action block alone: the 3 trailing input columns, from W_0's 3
+action rows (not all 259 columns of [s, a] at default scale). One Adam step
+per role and one Polyak sync per target role then update the stacks' flat
+parameters in place.
 Every value and gradient is float32, as the batch and the parameters are.
 Each loss head runs the operations of its loss graph in the graph's order,
 per network (each mean divides by one network's count), and a gradient
@@ -91,11 +93,11 @@ def critic_update(agent: Agent, batch: Batch) -> dict[str, float]:
     return losses
 
 
-def _action_grad(agent: Agent, g_x, t) -> np.ndarray:
+def _action_grad(g_x, t) -> np.ndarray:
     """d/du of Q(s, squash01(tanh(u))) given the critics' input gradient g_x
-    and t = tanh(u): the chain rule of both actor heads (the deterministic
-    head's clamp passes it), on g_x's action columns."""
-    return g_x[..., agent.obs_dim :] * 0.5 * (1.0 - t * t)
+    of the action block and t = tanh(u): the chain rule of both actor heads
+    (the deterministic head's clamp passes it)."""
+    return g_x * 0.5 * (1.0 - t * t)
 
 
 def _det_actor_grad(agent: Agent, batch: Batch):
@@ -108,8 +110,8 @@ def _det_actor_grad(agent: Agent, batch: Batch):
         critics = critics[: len(agent.actors)]
     q, critic_record = mlp_graph(critics, state_action(batch.s, action))
     g_q = np.full(q.shape, _mean_grad(q, -1.0), q.dtype)
-    g_x = ad.backprop(critic_record, g_q, params=False, inputs=True)[1]
-    g_u = _action_grad(agent, g_x, t)
+    g_x = ad.backprop(critic_record, g_q, params=False, inputs=ACTION_DIM)[1]
+    g_u = _action_grad(g_x, t)
     return (-q.mean(axis=(-2, -1))).tolist(), ad.backprop(actor_record, g_u)[0]
 
 
@@ -137,8 +139,8 @@ def _sac_actor_grad(agent: Agent, batch: Batch):
     g = _mean_grad(q_min)  # d loss / d(alpha * logp - q_min), per row
     g_logp = g * cfg.sac_alpha  # per entry of (const - log_std) - correction
     g_q = np.stack([-g * take_0, -g * ~take_0])
-    g_x = ad.backprop(critic_record, g_q, params=False, inputs=True)[1]
-    g_a = _action_grad(agent, g_x[0] + g_x[1], t)
+    g_x = ad.backprop(critic_record, g_q, params=False, inputs=ACTION_DIM)[1]
+    g_a = _action_grad(g_x[0] + g_x[1], t)
     # u reaches the loss through the action and the tanh correction; log_std
     # through the normal term and std.
     g_u = g_a + (-g_logp) * (-2.0 * t)

@@ -9,7 +9,9 @@ batched matmul and db = g summed over the batch axis, then g @ W^T times
 the relu mask of the layer below. That mask is read off the next layer's
 recorded input, a relu output, which is > 0 exactly where its
 pre-activation is. It forms g @ W^T only where a lower layer or a
-requested input gradient needs it. The parameter gradient comes out as one
+requested input gradient needs it, and for an input gradient only over the
+input columns asked for (the actor phase asks for the critics' action
+block). The parameter gradient comes out as one
 ``[K, n_values]`` array in the networks' ``MlpSpec`` layout, ready for
 ``adam_step``. Each network's slice runs the operations, and the BLAS
 routine, that network would run on its own, so its gradient has the same
@@ -46,7 +48,7 @@ class MlpRecord(NamedTuple):
 
 
 def backprop(
-    record: MlpRecord, upstream, params: bool = True, inputs: bool = False
+    record: MlpRecord, upstream, params: bool = True, inputs: bool | int = False
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Gradients of sum(output * upstream) through the recorded stack.
 
@@ -54,11 +56,21 @@ def backprop(
     dtype. Returns ``(flat, dx)``: the parameter gradient as a
     ``[K, n_values]`` array in the networks' layout (None unless
     ``params``), and the gradient with respect to the input, one per
-    network, ``[..., K, B, n]`` (None unless ``inputs``). A parameter
-    gradient needs at most one batch per network: an output ``[K, B, out]``.
+    network, ``[..., K, B, n]`` (None unless ``inputs``). ``inputs`` is
+    True for every input column, or a count c for the last c columns alone,
+    a trailing block such as a critic's action: g @ W_0's last c rows,
+    transposed, which sums what the whole gradient's last c columns sum in
+    another order. A parameter gradient needs at most one batch per
+    network: an output ``[K, B, out]``. A record of a two-block input gives
+    no gradient.
     """
     net = record.net
     x = record.inputs[0]
+    if isinstance(x, tuple):
+        raise ValueError("backprop needs the first layer's input as one array, not two blocks")
+    n_cols = net.spec.input_dim if inputs is True else int(inputs)
+    if not 0 <= n_cols <= net.spec.input_dim:
+        raise ValueError(f"inputs must name 0 to {net.spec.input_dim} columns, got {inputs}")
     g = np.asarray(upstream, dtype=net.flat.dtype)
     lead = (*x.shape[:-3], len(net))  # mlp_graph took x.shape[-3] in (1, K)
     out_shape = (*lead, x.shape[-2], net.spec.output_dim)
@@ -80,6 +92,6 @@ def backprop(
         if i > 0:
             g = g @ w_t
             g *= record.inputs[i] > 0
-        elif inputs:
-            dx = g @ w_t
+        elif n_cols:
+            dx = g @ w_t[..., -n_cols:]
     return flat, dx

@@ -125,39 +125,62 @@ def init_params(spec: MlpSpec, seed: int) -> Net:
     return Net(spec, flat.astype(DTYPE))
 
 
-def mlp_graph(net: Net, x: np.ndarray) -> tuple[np.ndarray, ad.MlpRecord]:
+def mlp_graph(net: Net, x) -> tuple[np.ndarray, ad.MlpRecord]:
     """The forward pass of all K networks: their output and its ``MlpRecord``.
 
     ``x`` is either one input ``[B, n]`` that every network reads, or
     per-network inputs ``[..., K or 1, B, n]`` whose leading axes broadcast
     against the stack, such as ``[candidates, 1, B, n]``. The output is
-    ``[..., K, B, out]``. ``x`` is cast to the parameters' dtype, so the
-    pass runs in it. Each layer's matmul output is a fresh array, so the
-    bias and relu act on it in place. relu is fmax(a, 0), which maps NaN and
-    -0.0 to +0.0, so every entry equals where(a > 0, a, +0.0) bit for bit.
-    (A pre-activation is -0.0 only under a -0.0 bias: x @ W + (+0.0) rounds
+    ``[..., K, B, out]``. ``x`` may also be the first layer's input as two
+    blocks ``(s, a)``: a state batch ``s`` ``[B, n_s]`` that every network
+    and candidate reads, and trailing columns ``a`` ``[..., K or 1, B, n -
+    n_s]`` as above. The first layer then forms s @ W_s once per network and
+    adds a @ W_a per candidate, W_s and W_a being the row blocks of W_0 (the
+    same sum as [s, a] @ W_0, rounded in another order); such a record
+    gives no gradient. ``x`` is cast to the parameters' dtype, so the pass
+    runs in it. Each layer's matmul output is a fresh array, so the bias and
+    relu act on it in place. relu is fmax(a, 0), which maps NaN and -0.0 to
+    +0.0, so every entry equals where(a > 0, a, +0.0) bit for bit. (A
+    pre-activation is -0.0 only under a -0.0 bias: x @ W + (+0.0) rounds
     -0.0 to +0.0.) The record keeps each layer's input.
     """
     spec = net.spec
-    h = np.asarray(x, dtype=net.flat.dtype)
-    if (
-        h.ndim < 2
-        or h.shape[-1] != spec.input_dim
-        or (h.ndim > 2 and h.shape[-3] not in (1, len(net)))
-    ):
-        raise ValueError(
-            f"input must have shape [batch, {spec.input_dim}] or "
-            f"[..., {len(net)} or 1, batch, {spec.input_dim}], got {list(h.shape)}"
-        )
+    blocks = isinstance(x, tuple)
+    if blocks:
+        s, h = (np.asarray(block, dtype=net.flat.dtype) for block in x)
+        n_s = s.shape[-1]
+        if s.ndim != 2 or not 0 < n_s < spec.input_dim or h.shape[-2:-1] != s.shape[:1]:
+            raise ValueError(
+                f"blocks must be a state batch [batch, n_s] with 0 < n_s < {spec.input_dim} "
+                f"and trailing columns of the same batch, got {list(s.shape)} and "
+                f"{list(h.shape)}"
+            )
+        _check_input(net, h, spec.input_dim - n_s)
+    else:
+        h = np.asarray(x, dtype=net.flat.dtype)
+        _check_input(net, h, spec.input_dim)
     inputs = []
     last = len(net.layers) - 1
     for i, (w, b) in enumerate(net.layers):
-        inputs.append(h)
-        h = h @ w
+        if i == 0 and blocks:
+            inputs.append((s, h))
+            h = h @ w[:, n_s:]
+            h += s @ w[:, :n_s]
+        else:
+            inputs.append(h)
+            h = h @ w
         h += b
         if i < last:
             np.fmax(h, 0.0, out=h)
     return h, ad.MlpRecord(net, inputs)
+
+
+def _check_input(net: Net, h: np.ndarray, width: int) -> None:
+    if h.ndim < 2 or h.shape[-1] != width or (h.ndim > 2 and h.shape[-3] not in (1, len(net))):
+        raise ValueError(
+            f"input must have shape [batch, {width}] or "
+            f"[..., {len(net)} or 1, batch, {width}], got {list(h.shape)}"
+        )
 
 
 def mlp_apply(net: Net, x: np.ndarray) -> np.ndarray:

@@ -84,6 +84,28 @@ def affine(x: Node, w: Node, b: Node) -> Node:
     return Node(value, (x, w, b), push)
 
 
+def state_action_affine(s: Node, a: Node, w: Node, b: Node) -> Node:
+    """[s, a] @ w + b, one node per critic's first layer. The push forms each
+    block's input gradient from its own rows of w, so the action's is
+    g @ w[n_s:].T, never a slice of the whole g @ w.T."""
+    x = np.concatenate([s.value, a.value], axis=1)
+    value = x @ w.value
+    value += b.value
+    n_s = s.value.shape[1]
+
+    def push(g):
+        if s.wanted:
+            _acc(s, g @ w.value[:n_s].T)
+        if a.wanted:
+            _acc(a, g @ w.value[n_s:].T)
+        if w.wanted:
+            _acc(w, x.T @ g)
+        if b.wanted:
+            _acc(b, _unbroadcast(g, b.value.shape))
+
+    return Node(value, (s, a, w, b), push)
+
+
 def add(a: Node, b: Node) -> Node:
     value = a.value + b.value
 
@@ -350,11 +372,15 @@ def backprop(root: Node, upstream, wrt=None) -> None:
 # ------------------------------------------------------------------ MLP graphs
 
 
-def mlp_graph(nodes, x: Node) -> Node:
-    """The forward graph of one network on its lifted (W, b) leaves."""
+def mlp_graph(nodes, x) -> Node:
+    """The forward graph of one network on its lifted (W, b) leaves.
+
+    ``x`` is the input node, or a critic's (state, action) pair of nodes,
+    whose first layer is then ``state_action_affine``.
+    """
     h = x
     for i, (w, b) in enumerate(nodes):
-        h = affine(h, w, b)
+        h = state_action_affine(*h, w, b) if isinstance(h, tuple) else affine(h, w, b)
         if i < len(nodes) - 1:
             h = relu(h)
     return h
@@ -430,7 +456,7 @@ def det_actor_loss(agent, batch, j: int):
     actor_nodes = lift_params(agent.actors[j])
     action = deterministic_head(mlp_graph(actor_nodes, s))
     critic_nodes = lift_params(agent.critics[j])
-    q = mlp_graph(critic_nodes, concat_cols(s, action))
+    q = mlp_graph(critic_nodes, (s, action))
     return neg(mean_all(q)), actor_nodes
 
 
@@ -452,7 +478,7 @@ def sac_actor_loss(agent, batch):
     logp = sum_rows(per_dim)
 
     critic_nodes = [lift_params(net) for net in agent.critics]
-    x = concat_cols(s, action)
+    x = (s, action)
     q_min = reduce(minimum, [mlp_graph(nodes, x) for nodes in critic_nodes])
     loss = mean_all(sub(scale(logp, cfg.sac_alpha), q_min))
     return loss, actor_nodes

@@ -4,7 +4,9 @@
 made of: it draws the candidate next actions with ``targets._next_actions``
 from a saved copy of ``agent.rng``'s state, restores that state (so the
 next ``compute_targets`` call draws the same candidates), and evaluates
-every target critic on every candidate.
+every target critic on every candidate, from s' @ W_s + a_j @ W_a as
+``compute_targets`` forms it (``tests/test_critic_blocks.py`` bounds its
+distance from the concatenated input's [s', a_j] @ W_0).
 """
 
 import numpy as np
@@ -23,12 +25,12 @@ def target_values(batch, agent):
     state = agent.rng.bit_generator.state
     candidates, logp = targets._next_actions(batch, agent)
     agent.rng.bit_generator.state = state
-    # Each target critic on its own (a one-network view) on each candidate.
+    # Each target critic on its own (a one-network view) on each candidate,
+    # its input as the state and action blocks compute_targets passes.
     q_values = np.stack(
         [
             np.concatenate(
-                [mlp_apply(net, np.concatenate([batch.s_next, a], axis=1))[0]
-                 for net in agent.target_critics],
+                [mlp_apply(net, (batch.s_next, a))[0] for net in agent.target_critics],
                 axis=1,
             )
             for a in candidates

@@ -216,7 +216,7 @@ class TestTargets:
         _, v = target_values(batch, agent)  # V itself: (y - r) / gamma loses it in float32
         y = compute_targets(batch, agent)
         a_next = 0.5 * (np.tanh(mlp_apply(agent.target_actors[0], batch.s_next)[0]) + 1.0)
-        x = np.concatenate([batch.s_next, a_next], axis=1)
+        x = (batch.s_next, a_next)  # the blocks compute_targets passes
         q1 = mlp_apply(agent.target_critics[0], x)[0]
         q2 = mlp_apply(agent.target_critics[1], x)[0]
         assert np.all(v <= q1) and np.all(v <= q2)

@@ -39,9 +39,9 @@ FRESH_SHA256 = {
 # The Sandybridge and Nehalem kernels round these products alike.
 _SANDYBRIDGE_NEHALEM_SHA256 = {
     "ddpg": "83dccaf497a9befafe3379b353549486570e623b904dccb691c3046307c7e716",
-    "td3": "6d88dbbbdb3c20497246e638c8e4af85690e647dbc7e1a9d8cd57cdc610b2847",
+    "td3": "88b6eef09906950a366c4e5ef80ad56d46455a9735aa854bd27ed3ee088504f1",
     "sac": "6c1f1279e75fdfae79197a91ff826df6fef730dad50745018f28c702b2869da1",
-    "darc": "4d4474f197d40a12dba08abaaf7d97938852c50fbbef3c2d63c90342834b8405",
+    "darc": "a7fb6e7ec5760c1fd252915bc54b618916db1edb7c0f117dfb46b097c50cea1c",
 }
 # Keyed by the kernel openblas_core() reports. On the AVX-512 CPU they were
 # recorded on, a forced Cooperlake or SapphireRapids runs SkylakeX, Zen runs
@@ -50,23 +50,23 @@ _SANDYBRIDGE_NEHALEM_SHA256 = {
 UPDATED_SHA256 = {
     "SkylakeX": {
         "ddpg": "24cbcf39af48ef11ef1d75d2bc3e4f24ba812019fcc78b48976414147dc69ff4",
-        "td3": "fe1d08a84ed485afacc7d930594659080a83299f428d70af8de356e7f9145f73",
-        "sac": "f2319a261931f765c365abc38ac234b6ece75745bd474898ad296109484310e8",
-        "darc": "35b00dacd3db703facf85e70afa620a2f0c3eba256decf92b90c0a0153639152",
+        "td3": "6d4dc49dfb1e6d29dc194ffe55ce0792345a665060931ba2a7506e7bd83d34fa",
+        "sac": "153c3251e6b350c7a6546b9b19ae70b83fe6f8e94c964c3fbc06009289d528be",
+        "darc": "6c5ae93772947ec1b10a04046ce412f43e5e14d687d6c6d88bc000619a9e1bbe",
     },
     "Haswell": {
-        "ddpg": "ef7d3f34962b9d45c75210adacab818d54a98d46884a5e445e7cf27d500c929b",
-        "td3": "f52642f669bfeb6cfc54a70cf72e80e41ae7bc2a9bae4f8dc543054397f5e208",
+        "ddpg": "48d5d29ad6017f1284392e844bc3fcac2b5bb87ffccc29f107b69f8edb40eda3",
+        "td3": "f2a3596959742bdec5941b5eeafd887aa755fbe57e4951e99ce169923f40183a",
         "sac": "8d6207b50ce023d2bbc9001a5c9d9c441c590933cd7724ded420cf02f65270a9",
-        "darc": "c91848a7c0ad389bc290278d4486f546445042124d940ead06aa1951f398d03a",
+        "darc": "4e973942c116fb32853ba289d9857de74780d53c72c82acd7bb24071e24a6655",
     },
     "Sandybridge": _SANDYBRIDGE_NEHALEM_SHA256,
     "Nehalem": _SANDYBRIDGE_NEHALEM_SHA256,
     "Katmai": {
-        "ddpg": "dc73853572e2f0bce81b1e1dfb0219d56faed8e34a7fed9aca29a1b7fde8ad59",
-        "td3": "12d1dc08cbca3038d468f5a6e8750c59db271ebb4f95b183e806e8ef1e5047f0",
-        "sac": "fee4a99e3908dbf37df24d3e0175507f41dc9c36f3f869d667630fed74bdb7de",
-        "darc": "5ed6a5c56ef8487bd49cc991d27e74d9e99f13a83b44f08e6938255b089ba6a8",
+        "ddpg": "1054bc0e9ddfe815bbba29c8e4962c3c47f3af3186a2d4645306ad3f1cd23902",
+        "td3": "43bf6947087bc8a13afb4f4d9ab87ef1e3556387a5210bd633e8d24979d1506b",
+        "sac": "dc0fe48c35f33af73455949ff6d3d7e8d6912b1068e314c17fcfc7686d18f7a5",
+        "darc": "e4b266e1842361d7b116a9a3553bd7674bbdad29d17e1c0f1d697aade8382731",
     },
 }
 

@@ -1067,6 +1067,17 @@ class TestCli:
         assert code == 1
         assert "unknown" in capsys.readouterr().err
 
+    def test_config_file_that_is_not_utf8_exits_one_naming_it(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b"\xff\xfe{}")
+        out = tmp_path / "runs"
+        assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config file {cfg_path} is not valid UTF-8: 'utf-8' codec can't "
+            "decode byte 0xff in position 0: invalid start byte\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "bad,message",
         [
